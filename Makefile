@@ -26,15 +26,16 @@ fmt:
 
 # lint runs the stock toolchain passes (go vet: copylocks, atomic,
 # nilfunc, ...) plus julvet, the in-repo multichecker that enforces the
-# framework's concurrency, arena, and serving contracts (DESIGN.md
-# §8/§13): atomicmix, atomicalign, arenaalias, scratchpair, tagdrift,
-# norandtime, panicguard, ctxguard, semabalance, obsnames, statusmap.
-# Obligations (Release, cancel, semaphore release, recover guards) are
-# tracked interprocedurally: per-function facts are computed over the
-# whole unit, serialized, and consulted when an obligation crosses a
-# helper call — same package or across packages. The tagged
-# invocations re-analyze the tree with the other half of each
-# race/julienne_debug file pair (and the chaos-injection hooks)
+# framework's concurrency and serving contracts (DESIGN.md §8/§13):
+# atomicmix, atomicalign, tagdrift, norandtime, panicguard, ctxguard,
+# semabalance. Contracts the APIs carry themselves (typed obs handles,
+# parallel.WithScratch, serve's refusals table, debug-poisoned bucket
+# arenas) need no analyzer. Obligations (cancel, semaphore release,
+# recover guards) are tracked interprocedurally: per-function facts are
+# computed over the whole unit, serialized, and consulted when an
+# obligation crosses a helper call — same package or across packages.
+# The tagged invocations re-analyze the tree with the other half of
+# each race/julienne_debug file pair (and the chaos-injection hooks)
 # active, each as its own unit with its own fact store.
 lint: vet
 	$(GO) run ./cmd/julvet ./...
@@ -48,11 +49,15 @@ race:
 		./internal/semisort/... ./internal/bench/...
 
 # debug builds with the julienne_debug tag, which compiles invariant
-# assertions into the bucket structure and Ligra layer, then runs the
-# assertion-sensitive suites under it.
+# assertions into the bucket structure and Ligra layer and poisons
+# every bucket-arena slice the moment its lifetime ends, then runs the
+# assertion-sensitive suites under it — including every algorithm that
+# consumes NextBucket's slice (kcore, both ∆-stepping drivers, set
+# cover, densest, truss), so a stale read anywhere indexes out of range.
 debug:
 	$(GO) build -tags julienne_debug ./...
-	$(GO) test -tags julienne_debug -short ./internal/bucket/... ./internal/proptest/...
+	$(GO) test -tags julienne_debug -short ./internal/bucket/... ./internal/proptest/... \
+		./internal/algo/...
 
 # chaos builds with the julienne_chaos tag, which compiles the
 # schedule-driven fault-injection points into the parallel substrate

@@ -147,15 +147,15 @@ func main() {
 		if elapsed > 0 {
 			st.QPS = float64(ok) / elapsed.Seconds()
 		}
-		sum := rec.HistSummary(histFor(ep))
+		sum := rec.HistSummary(histFor(ep).Name())
 		st.P50Ns, st.P99Ns, st.MaxNs = sum.P50, sum.P99, sum.Max
 	}
 	writeReport(rep, *out)
 }
 
-// histFor maps an endpoint to the well-known latency-histogram name
-// the driver observes its client-side latencies under.
-func histFor(ep string) string {
+// histFor maps an endpoint to the latency histogram the driver observes
+// its client-side latencies under.
+func histFor(ep string) obs.Hist {
 	switch ep {
 	case "sssp":
 		return obs.HistServeSSSPNs

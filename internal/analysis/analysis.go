@@ -1,15 +1,11 @@
 // Package analysis is julienne's static-analysis suite: a small,
 // self-contained clone of the golang.org/x/tools/go/analysis vocabulary
 // (Analyzer, Pass, Diagnostic) plus the custom analyzers that
-// mechanically enforce the framework's concurrency and arena contracts
-// (see DESIGN.md §8):
+// mechanically enforce the framework's concurrency and serving
+// contracts (see DESIGN.md §8/§13):
 //
 //   - atomicmix:   a field accessed via sync/atomic anywhere must be
 //     accessed atomically everywhere
-//   - arenaalias:  slices returned by NextBucket must not be read past
-//     the next NextBucket/UpdateBuckets call without a copy
-//   - scratchpair: every parallel.GetScratch must be Released on all
-//     return paths
 //   - tagdrift:    build-tag-paired files (race_on/race_off,
 //     debug_on/debug_off) must declare matching signatures
 //   - norandtime:  math/rand and bare time.Now are forbidden outside
@@ -22,16 +18,17 @@
 //     request contexts are never stored past handler return
 //   - semabalance: admission-semaphore acquire/release stay paired
 //     across serve's helper calls
-//   - obsnames:    metric names resolve to the obs well-known-names
-//     registry, in both directions
-//   - statusmap:   each typed serve error maps to exactly one HTTP
-//     status
 //
-// Since PR 10 the driver is interprocedural: every load is wrapped in a
-// Unit (interproc.go) that computes per-function facts to a fixpoint
-// and serializes them per package, so arenaalias/scratchpair/
-// panicguard/ctxguard/semabalance/obsnames follow their obligations
-// through helper calls, same-package and cross-package alike.
+// Contracts an API can carry itself are not policed here: metric names
+// are typed obs handles, pooled scratch is scoped by
+// parallel.WithScratch, serve's error→status mapping is one table, and
+// stale bucket-arena slices are poisoned by the julienne_debug build.
+//
+// The driver is interprocedural: every load is wrapped in a Unit
+// (interproc.go) that computes per-function facts to a fixpoint and
+// serializes them per package, so panicguard/ctxguard/semabalance
+// follow their obligations through helper calls, same-package and
+// cross-package alike.
 //
 // The framework is built on the standard library alone (go/ast,
 // go/types, and `go list -export` for import resolution) because this
@@ -60,9 +57,6 @@ type Analyzer struct {
 	Doc string
 	// Run performs the check on one package.
 	Run func(*Pass) error
-	// Finish, if set, runs once per load unit after every package's Run,
-	// for whole-unit checks (obsnames' reverse registry-drift pass).
-	Finish func(u *Unit, reportf func(pos token.Pos, format string, args ...any))
 }
 
 // Pass carries one package's syntax and type information to an
@@ -180,19 +174,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				})
 			}
 		}
-	}
-	for _, a := range analyzers {
-		if a.Finish == nil {
-			continue
-		}
-		name := a.Name
-		a.Finish(unit, func(pos token.Pos, format string, args ...any) {
-			diags = append(diags, Diagnostic{
-				Analyzer: name,
-				Pos:      unit.Fset.Position(pos),
-				Message:  fmt.Sprintf(format, args...),
-			})
-		})
 	}
 	kept := diags[:0]
 	for _, d := range diags {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/parser"
 	"go/token"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -20,62 +19,6 @@ func TestAtomicMix(t *testing.T) {
 
 func TestAtomicAlign(t *testing.T) {
 	RunTest(t, "testdata/src", AtomicAlign, "atomicalign")
-}
-
-func TestArenaAlias(t *testing.T) {
-	RunTest(t, "testdata/src", ArenaAlias, "arenaalias")
-}
-
-// arenaAliasDiags runs ArenaAlias over the arenaalias fixture tree
-// without want-comment checking and returns the diagnosed lines keyed
-// by base file name.
-func arenaAliasDiags(t *testing.T) map[string][]int {
-	t.Helper()
-	all, err := LoadDir("testdata/src")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []*Package
-	for _, pkg := range all {
-		if pkg.Path == "arenaalias" || strings.HasPrefix(pkg.Path, "arenaalias/") {
-			pkgs = append(pkgs, pkg)
-		}
-	}
-	out := map[string][]int{}
-	for _, d := range RunAnalyzers(pkgs, []*Analyzer{ArenaAlias}) {
-		base := filepath.Base(d.Pos.Filename)
-		out[base] = append(out[base], d.Pos.Line)
-	}
-	return out
-}
-
-// TestArenaAliasFusedEdgesLoadBearing is the mutation test for the
-// fused invalidation edges: removing NextBucketFused and DrainLazy from
-// arenaInvalidators must silence exactly the two fused fixtures whose
-// only intervening call is a fused one, while the UpdateBuckets-backed
-// fused case and every pre-existing fixture keep firing — proving the
-// new edges, not some older rule, are what catch them.
-func TestArenaAliasFusedEdgesLoadBearing(t *testing.T) {
-	before := arenaAliasDiags(t)
-	if n := len(before["fused.go"]); n != 3 {
-		t.Fatalf("unmutated analyzer found %d fused.go diagnostics at lines %v, want 3",
-			n, before["fused.go"])
-	}
-	orig := arenaInvalidators
-	arenaInvalidators = []string{"NextBucket", "UpdateBuckets"}
-	defer func() { arenaInvalidators = orig }()
-	after := arenaAliasDiags(t)
-	if n := len(after["fused.go"]); n != 1 {
-		t.Fatalf("mutated analyzer found %d fused.go diagnostics at lines %v, want only the UpdateBuckets-invalidated one",
-			n, after["fused.go"])
-	}
-	if len(after["a.go"]) != len(before["a.go"]) {
-		t.Fatalf("mutation bled into a.go diagnostics: %v -> %v", before["a.go"], after["a.go"])
-	}
-}
-
-func TestScratchPair(t *testing.T) {
-	RunTest(t, "testdata/src", ScratchPair, "scratchpair")
 }
 
 func TestTagDrift(t *testing.T) {
@@ -106,7 +49,7 @@ func TestSuppressionRequiresReason(t *testing.T) {
 //lint:ignore julvet/norandtime
 var x = 1
 
-//lint:ignore julvet/arenaalias copied out two lines above
+//lint:ignore julvet/atomicmix written before the workers start
 var y = 2
 `
 	fset := token.NewFileSet()
@@ -121,8 +64,8 @@ var y = 2
 	if bad[0].Analyzer != "driver" || bad[0].Pos.Line != 3 {
 		t.Fatalf("missing-reason diagnostic = %+v, want driver diagnostic on line 3", bad[0])
 	}
-	if len(sups) != 1 || sups[0].analyzer != "arenaalias" || sups[0].line != 6 {
-		t.Fatalf("suppressions = %+v, want the documented arenaalias directive on line 6", sups)
+	if len(sups) != 1 || sups[0].analyzer != "atomicmix" || sups[0].line != 6 {
+		t.Fatalf("suppressions = %+v, want the documented atomicmix directive on line 6", sups)
 	}
 }
 
@@ -139,7 +82,7 @@ func TestSuppressionPlacement(t *testing.T) {
 	if suppressed(diag(9), []suppression{sup}) || suppressed(diag(12), []suppression{sup}) {
 		t.Error("directive must not cover lines at distance > 1")
 	}
-	other := Diagnostic{Analyzer: "arenaalias", Pos: token.Position{Filename: "f.go", Line: 10}}
+	other := Diagnostic{Analyzer: "atomicmix", Pos: token.Position{Filename: "f.go", Line: 10}}
 	if suppressed(other, []suppression{sup}) {
 		t.Error("directive must only cover its named analyzer")
 	}
@@ -151,12 +94,4 @@ func TestCtxGuard(t *testing.T) {
 
 func TestSemaBalance(t *testing.T) {
 	RunTest(t, "testdata/src", SemaBalance, "semabalance")
-}
-
-func TestObsNames(t *testing.T) {
-	RunTest(t, "testdata/src", ObsNames, "obsnames")
-}
-
-func TestStatusMap(t *testing.T) {
-	RunTest(t, "testdata/src", StatusMap, "statusmap")
 }

@@ -13,14 +13,14 @@ import (
 // This file is the interprocedural layer of the julvet engine
 // (DESIGN.md §13). The per-function lexical analyzers of PR 5 stop at
 // the function boundary; every contract the serving layer now relies
-// on (admission release pairing, cancel-func obligations, arena
-// invalidation through helpers) routinely crosses it. The layer has
+// on (admission release pairing, cancel-func obligations, recover
+// guards installed by helpers) routinely crosses it. The layer has
 // two parts:
 //
 //   - a fact store: bottom-up summaries of what each function does to
-//     the values it receives or returns (releases the scratch it is
-//     handed, calls NextBucket on its receiver, returns a release
-//     closure, ...). Facts are computed over every package in the load
+//     the values it receives or returns (calls the cancel func it is
+//     handed, installs the recover guard, returns a release closure,
+//     ...). Facts are computed over every package in the load
 //     unit in a fixpoint, so helper chains and cross-package calls
 //     resolve as long as both sides are part of the unit (which
 //     `julvet ./...` and the fixture loader guarantee).
@@ -32,37 +32,14 @@ import (
 //     the fixture suite fails.
 //
 // Facts deliberately summarize *behavior visible at the call site*,
-// not full dataflow: "this function, handed a scratch in parameter 1,
-// releases it on every path". That is exactly the granularity the
+// not full dataflow: "this function, handed a cancel func in parameter
+// 1, calls it on every path". That is exactly the granularity the
 // pairing analyzers need to keep walking past a call.
 
 // FuncFacts is the exported summary of one function, serialized as
 // JSON alongside the load. The zero value means "nothing known" and is
 // what callers get for functions outside the unit.
 type FuncFacts struct {
-	// InvalidatesArena: the function calls one of the bucket arena
-	// invalidators (NextBucket, NextBucketFused, DrainLazy,
-	// UpdateBuckets) — directly or through another invalidating
-	// function — on a structure it received (receiver or parameter).
-	// A call to such a function expires armed arena slices in the
-	// caller exactly like a direct NextBucket call would. Functions
-	// that only invalidate structures they create locally do not get
-	// the fact: their buckets are invisible to the caller's arenas.
-	InvalidatesArena bool `json:"invalidates_arena,omitempty"`
-
-	// ArenaResults/ArenaSliceIdx: the function is a producer wrapper —
-	// it tail-returns an arena producer call (`return b.NextBucket()`),
-	// so binding its results arms an arena slice with this shape.
-	ArenaResults  int `json:"arena_results,omitempty"`
-	ArenaSliceIdx int `json:"arena_slice_idx,omitempty"`
-
-	// ReleasesScratch lists the 0-based indices of *parallel.Scratch[T]
-	// parameters that the function releases (or sinks: returns, stores,
-	// hands to an unknown callee) on every panic-free path. Passing a
-	// scratch to a function with this fact discharges the caller's
-	// obligation; passing it to a unit function without it does not.
-	ReleasesScratch []int `json:"releases_scratch,omitempty"`
-
 	// CancelsParams lists the 0-based indices of context.CancelFunc
 	// parameters invoked (or deferred) on every path.
 	CancelsParams []int `json:"cancels_params,omitempty"`
@@ -88,31 +65,20 @@ type FuncFacts struct {
 	// which the function calls release()/Release() on every path, so a
 	// caller holding that semaphore may discharge through the call.
 	SemaReleaseParams []int `json:"sema_release_params,omitempty"`
-
-	// MetricNameFunc: a single-string-result function whose every
-	// return resolves to the well-known-names registry; calls to it
-	// are valid metric-name arguments (cmd/servedload's histFor).
-	MetricNameFunc bool `json:"metric_name_func,omitempty"`
 }
 
 // zero reports whether no fact is set (such entries are not exported).
 func (f FuncFacts) zero() bool {
-	return !f.InvalidatesArena && f.ArenaResults == 0 &&
-		len(f.ReleasesScratch) == 0 && len(f.CancelsParams) == 0 &&
-		!f.InstallsRecover && f.ReleaseResult == 0 &&
-		len(f.SemaReleaseParams) == 0 && !f.MetricNameFunc
+	return len(f.CancelsParams) == 0 && !f.InstallsRecover &&
+		f.ReleaseResult == 0 && len(f.SemaReleaseParams) == 0
 }
 
 func (f FuncFacts) equal(g FuncFacts) bool {
-	return f.InvalidatesArena == g.InvalidatesArena &&
-		f.ArenaResults == g.ArenaResults && f.ArenaSliceIdx == g.ArenaSliceIdx &&
-		intsEqual(f.ReleasesScratch, g.ReleasesScratch) &&
-		intsEqual(f.CancelsParams, g.CancelsParams) &&
+	return intsEqual(f.CancelsParams, g.CancelsParams) &&
 		f.InstallsRecover == g.InstallsRecover &&
 		f.ReleaseResult == g.ReleaseResult && f.OKResult == g.OKResult &&
 		f.ErrResult == g.ErrResult &&
-		intsEqual(f.SemaReleaseParams, g.SemaReleaseParams) &&
-		f.MetricNameFunc == g.MetricNameFunc
+		intsEqual(f.SemaReleaseParams, g.SemaReleaseParams)
 }
 
 func intsEqual(a, b []int) bool {
@@ -236,8 +202,7 @@ type Unit struct {
 	Fset  *token.FileSet
 	Facts *Facts
 
-	bodies   map[string]funcInfo // FuncKey -> declaration
-	registry map[string]bool     // well-known metric names (see metricRegistry)
+	bodies map[string]funcInfo // FuncKey -> declaration
 }
 
 // NewUnit indexes the packages and computes the fact store to a
@@ -261,7 +226,6 @@ func NewUnit(pkgs []*Package) *Unit {
 			}
 		}
 	}
-	u.registry = u.metricRegistry()
 	u.computeFacts()
 	return u
 }
@@ -281,12 +245,11 @@ func (u *Unit) HasBody(fn *types.Func) bool {
 // bound guards against a pathological unit.
 func (u *Unit) computeFacts() {
 	working := newFacts()
-	registry := u.registry
 	for iter := 0; iter < 10; iter++ {
 		changed := false
 		for key, fi := range u.bodies {
 			pass := u.passFor(fi.pkg, working)
-			got := computeFuncFacts(pass, fi.decl, registry)
+			got := computeFuncFacts(pass, fi.decl)
 			if !got.equal(working.funcs[key]) {
 				working.set(key, got)
 				changed = true
@@ -323,68 +286,14 @@ func (u *Unit) passFor(pkg *Package, facts *Facts) *Pass {
 	}
 }
 
-// metricRegistry collects the well-known metric names visible to the
-// unit: exported string constants named Ctr*/Gauge*/Hist* declared in
-// any package named "obs" — the unit's own packages and their direct
-// imports (export data carries constant values, so the registry is
-// complete even when the obs package itself is not a target).
-func (u *Unit) metricRegistry() map[string]bool {
-	reg := map[string]bool{}
-	seen := map[*types.Package]bool{}
-	var collect func(p *types.Package)
-	collect = func(p *types.Package) {
-		if p == nil || seen[p] {
-			return
-		}
-		seen[p] = true
-		if p.Name() != "obs" {
-			return
-		}
-		scope := p.Scope()
-		for _, name := range scope.Names() {
-			c, ok := scope.Lookup(name).(*types.Const)
-			if !ok || !c.Exported() || !isMetricNameConst(name) {
-				continue
-			}
-			if basic, ok := c.Type().Underlying().(*types.Basic); ok && basic.Info()&types.IsString != 0 {
-				reg[stringConstValue(c)] = true
-			}
-		}
-	}
-	for _, pkg := range u.Pkgs {
-		collect(pkg.Types)
-		for _, imp := range pkg.Types.Imports() {
-			collect(imp)
-		}
-	}
-	return reg
-}
-
-func isMetricNameConst(name string) bool {
-	return strings.HasPrefix(name, "Ctr") || strings.HasPrefix(name, "Gauge") ||
-		strings.HasPrefix(name, "Hist")
-}
-
-func stringConstValue(c *types.Const) string {
-	s, err := strconvUnquoteConst(c.Val().ExactString())
-	if err != nil {
-		return ""
-	}
-	return s
-}
-
 // computeFuncFacts extracts one function's facts under the current
 // (possibly still converging) store.
-func computeFuncFacts(pass *Pass, fd *ast.FuncDecl, registry map[string]bool) FuncFacts {
+func computeFuncFacts(pass *Pass, fd *ast.FuncDecl) FuncFacts {
 	var f FuncFacts
 	f.InstallsRecover = hasRecoverDefer(fd.Body)
-	f.InvalidatesArena = factInvalidatesArena(pass, fd)
-	f.ArenaResults, f.ArenaSliceIdx = factArenaProducer(pass, fd)
-	f.ReleasesScratch = factReleasesScratch(pass, fd)
 	f.CancelsParams = factCancelsParams(pass, fd)
 	f.ReleaseResult, f.OKResult, f.ErrResult = factReleaseResult(pass, fd)
 	f.SemaReleaseParams = factSemaReleaseParams(pass, fd)
-	f.MetricNameFunc = factMetricNameFunc(pass, fd, registry)
 	return f
 }
 
@@ -445,74 +354,6 @@ func rootIdentObj(pass *Pass, e ast.Expr) types.Object {
 	}
 }
 
-// factInvalidatesArena: the body calls an arena invalidator (by name,
-// or by fact) on — or passing — a structure received from the caller.
-func factInvalidatesArena(pass *Pass, fd *ast.FuncDecl) bool {
-	params := paramObjects(pass, fd)
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isArenaMethod(pass, call, arenaInvalidators) {
-			if obj := rootIdentObj(pass, sel.X); obj != nil {
-				if _, isParam := params[obj]; isParam {
-					found = true
-					return false
-				}
-			}
-		}
-		// Transitive: calling a known invalidator with a caller-supplied
-		// structure (as receiver or argument).
-		if fn := calleeFunc(pass, call); fn != nil && pass.Facts.Of(fn).InvalidatesArena {
-			exprs := make([]ast.Expr, 0, len(call.Args)+1)
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				exprs = append(exprs, sel.X)
-			}
-			exprs = append(exprs, call.Args...)
-			for _, e := range exprs {
-				if obj := rootIdentObj(pass, e); obj != nil {
-					if _, isParam := params[obj]; isParam {
-						found = true
-						return false
-					}
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// factArenaProducer: tail-call wrappers around an arena producer
-// (`return b.NextBucket()` and friends) inherit the producer's binding
-// shape.
-func factArenaProducer(pass *Pass, fd *ast.FuncDecl) (results, sliceIdx int) {
-	for _, stmt := range fd.Body.List {
-		ret, ok := stmt.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) != 1 {
-			continue
-		}
-		call, ok := ret.Results[0].(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if p, ok := isArenaProducer(pass, call); ok {
-			return p.results, p.sliceIdx
-		}
-		if fn := calleeFunc(pass, call); fn != nil {
-			if ff := pass.Facts.Of(fn); ff.ArenaResults > 0 {
-				return ff.ArenaResults, ff.ArenaSliceIdx
-			}
-		}
-	}
-	return 0, 0
-}
-
 // calleeFunc resolves a call's callee to a *types.Func (declared
 // function or method; nil for builtins, conversions, and func values).
 func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
@@ -533,29 +374,6 @@ func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// factReleasesScratch: scratch-typed parameters discharged on every
-// panic-free path (by Release, by handing off, or by returning).
-func factReleasesScratch(pass *Pass, fd *ast.FuncDecl) []int {
-	var out []int
-	for obj, idx := range paramObjects(pass, fd) {
-		if idx < 0 || !isScratchType(obj.Type()) {
-			continue
-		}
-		w := &scratchWalker{pass: pass}
-		ob := &scratchObligation{obj: obj, getPos: fd}
-		w.all = append(w.all, ob)
-		held := map[types.Object]*scratchObligation{obj: ob}
-		if !w.walkStmts(fd.Body.List, held) {
-			w.checkHeld(held, fd.Body.End())
-		}
-		if !ob.leaked {
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // factCancelsParams: context.CancelFunc parameters invoked or deferred
@@ -741,38 +559,6 @@ func funcLitReleases(lit *ast.FuncLit) bool {
 func isErrorType(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
-}
-
-// factMetricNameFunc: single-string-result functions whose every
-// return resolves into the well-known-names registry (directly
-// constant, or through another fact-carrying helper).
-func factMetricNameFunc(pass *Pass, fd *ast.FuncDecl, registry map[string]bool) bool {
-	if len(registry) == 0 || fd.Type.Results == nil || fd.Type.Results.NumFields() != 1 {
-		return false
-	}
-	rets := returnStmts(fd.Body)
-	if len(rets) == 0 {
-		return false
-	}
-	for _, ret := range rets {
-		if len(ret.Results) != 1 {
-			return false
-		}
-		res := ret.Results[0]
-		if tv, ok := pass.TypesInfo.Types[res]; ok && tv.Value != nil {
-			if s, err := strconvUnquoteConst(tv.Value.ExactString()); err == nil && registry[s] {
-				continue
-			}
-			return false
-		}
-		if call, ok := ast.Unparen(res).(*ast.CallExpr); ok {
-			if fn := calleeFunc(pass, call); fn != nil && pass.Facts.Of(fn).MetricNameFunc {
-				continue
-			}
-		}
-		return false
-	}
-	return true
 }
 
 // dischargedOnAllPaths runs the shared path walker over body with one

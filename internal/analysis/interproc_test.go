@@ -35,9 +35,8 @@ func fixtureDiags(t *testing.T, a *Analyzer, prefix string) map[string][]int {
 // TestInterprocFactsLoadBearing is the mutation test for the
 // interprocedural layer as a whole: flipping factsEnabled off must
 // silence exactly the diagnostics that exist only because obligations
-// were followed through helper calls (and, for obsnames, re-introduce
-// the false positive the MetricNameFunc fact removes), while every
-// purely lexical diagnostic keeps firing. If an analyzer stopped
+// were followed through helper calls, while every purely lexical
+// diagnostic keeps firing. If an analyzer stopped
 // consulting the fact store, the "with facts" column would not move
 // when the store is disabled and this test would fail.
 func TestInterprocFactsLoadBearing(t *testing.T) {
@@ -50,8 +49,6 @@ func TestInterprocFactsLoadBearing(t *testing.T) {
 	}{
 		// Helper-mediated leaks disappear: without facts a helper call
 		// is a conservative ownership transfer.
-		{ArenaAlias, "arenaalias", "interproc.go", 3, 0},
-		{ScratchPair, "scratchpair", "interproc.go", 2, 0},
 		{PanicGuard, "panicguard", "interproc.go", 3, 0},
 		// ctxguard: the two helper-mediated leaks vanish; the direct
 		// leak and the discard in a.go are lexical and stay.
@@ -64,13 +61,7 @@ func TestInterprocFactsLoadBearing(t *testing.T) {
 		{SemaBalance, "semabalance", "a.go", 2, 2},
 		{SemaBalance, "semabalance", "helpers.go", 1, 0},
 		{SemaBalance, "semabalance", "admit.go", 2, 0},
-		// obsnames: without the MetricNameFunc fact the helper call
-		// becomes a finding — the fact REMOVES a diagnostic.
-		{ObsNames, "obsnames", "a.go", 3, 4},
-		{ObsNames, "obsnames", "obs.go", 1, 1},
 		// The lexical fixtures must not move at all.
-		{ArenaAlias, "arenaalias", "a.go", 4, 4},
-		{ScratchPair, "scratchpair", "a.go", 2, 2},
 		{PanicGuard, "panicguard", "parallel.go", 4, 4},
 	}
 	run := func(enabled bool) map[string]map[string][]int {
@@ -133,21 +124,9 @@ func TestComputedFacts(t *testing.T) {
 	check("ctxguard/helper.Stop",
 		func(f FuncFacts) bool { return len(f.CancelsParams) == 1 && f.CancelsParams[0] == 0 },
 		"CancelsParams=[0]")
-	check("scratchpair/helpers.ReleaseInts",
-		func(f FuncFacts) bool { return len(f.ReleasesScratch) == 1 && f.ReleasesScratch[0] == 0 },
-		"ReleasesScratch=[0]")
-	check("arenaalias/bucketstub.DrainNext",
-		func(f FuncFacts) bool { return f.ArenaResults == 2 && f.ArenaSliceIdx == 1 },
-		"ArenaResults=2 ArenaSliceIdx=1")
-	check("arenaalias/interproc.touchChain",
-		func(f FuncFacts) bool { return f.InvalidatesArena },
-		"InvalidatesArena (two-hop fixpoint)")
 	check("panicguard/guards.RunGuarded",
 		func(f FuncFacts) bool { return f.InstallsRecover },
 		"InstallsRecover")
-	check("obsnames/a.helperName",
-		func(f FuncFacts) bool { return f.MetricNameFunc },
-		"MetricNameFunc")
 	check("semabalance/serve.finish",
 		func(f FuncFacts) bool { return len(f.SemaReleaseParams) == 1 && f.SemaReleaseParams[0] == 0 },
 		"SemaReleaseParams=[0]")
@@ -156,7 +135,6 @@ func TestComputedFacts(t *testing.T) {
 	for _, key := range []string{
 		"ctxguard/helper.Keep",
 		"semabalance/serve.note",
-		"scratchpair/helpers.Fill",
 		"panicguard/guards.RunBare",
 	} {
 		if f, ok := facts[key]; ok {
@@ -211,8 +189,8 @@ func TestFactsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRealRepoFacts loads two real packages through the export-data
-// loader and asserts the facts the serving contracts depend on. This
+// TestRealRepoFacts loads the real serve package through the
+// export-data loader and asserts the facts its contracts depend on. This
 // is the anti-vacuity check: `julvet ./...` exiting clean is only
 // meaningful if the engine actually derives these summaries from the
 // production code.
@@ -220,7 +198,7 @@ func TestRealRepoFacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes go list")
 	}
-	pkgs, err := Load(LoadConfig{}, "julienne/internal/serve", "julienne/cmd/servedload")
+	pkgs, err := Load(LoadConfig{}, "julienne/internal/serve")
 	if err != nil {
 		t.Fatalf("loading real packages: %v", err)
 	}
@@ -228,13 +206,6 @@ func TestRealRepoFacts(t *testing.T) {
 	admit, ok := u.Facts.funcs["julienne/internal/serve.(Server).admit"]
 	if !ok || admit.ReleaseResult != 1 || admit.OKResult != 2 {
 		t.Errorf("serve.(Server).admit facts = %+v, want ReleaseResult=1 OKResult=2 (got=%v)", admit, ok)
-	}
-	hist, ok := u.Facts.funcs["julienne/cmd/servedload.histFor"]
-	if !ok || !hist.MetricNameFunc {
-		t.Errorf("servedload.histFor facts = %+v, want MetricNameFunc (got=%v)", hist, ok)
-	}
-	if len(u.registry) == 0 {
-		t.Error("metric-name registry is empty for the real unit; obsnames would be vacuous")
 	}
 }
 
@@ -280,7 +251,7 @@ func TestUnusedDirectiveDriver(t *testing.T) {
 
 	// Run-set filtering: with norandtime not running, its directives
 	// cannot be judged stale — only the unknown name is reported.
-	diags = RunAnalyzers(pkgs, []*Analyzer{ScratchPair})
+	diags = RunAnalyzers(pkgs, []*Analyzer{AtomicMix})
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "unknown analyzer") {
 		t.Errorf("diagnostics with norandtime excluded = %v, want only the unknown-analyzer one", diags)
 	}

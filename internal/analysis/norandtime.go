@@ -9,14 +9,14 @@ import (
 // NoRandTime enforces the determinism and timing plumbing contracts:
 //
 //   - math/rand (and math/rand/v2) are forbidden everywhere except
-//     internal/rng. Workloads draw randomness from internal/rng's
+//     internal/rng and the gated benchmark. Workloads draw randomness from internal/rng's
 //     seeded splitmix64/xoshiro generators so every experiment,
 //     property test, and benchmark is reproducible from its printed
 //     seed; a stray math/rand import reintroduces global mutable state
 //     that -race and the differential harness cannot replay.
 //
-//   - bare time.Now is forbidden outside internal/harness and
-//     internal/obs. Timing flows through the harness (TimeMedian,
+//   - bare time.Now is forbidden outside internal/harness,
+//     internal/obs and the gated benchmark. Timing flows through the harness (TimeMedian,
 //     Time, ThreadSweep) or the obs recorder so that every reported
 //     number carries the same warm-up, repetition, and median
 //     discipline — an inline time.Now measurement silently skips all
@@ -31,10 +31,12 @@ var NoRandTime = &Analyzer{
 }
 
 // randAllowed/timeAllowed are the package-path suffixes exempt from
-// each half of the check.
+// each half of the check. The module's benchmark package is exempt
+// from both by design: it measures the other layers from outside, so
+// it owns its clock and seeds its own math/rand/v2 streams.
 var (
-	randAllowed = []string{"internal/rng"}
-	timeAllowed = []string{"internal/harness", "internal/obs"}
+	randAllowed = []string{"internal/rng", "benchmark"}
+	timeAllowed = []string{"internal/harness", "internal/obs", "benchmark"}
 )
 
 func pathAllowed(path string, allowed []string) bool {

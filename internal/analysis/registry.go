@@ -8,15 +8,11 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AtomicMix,
 		AtomicAlign,
-		ArenaAlias,
-		ScratchPair,
 		TagDrift,
 		NoRandTime,
 		PanicGuard,
 		CtxGuard,
 		SemaBalance,
-		ObsNames,
-		StatusMap,
 	}
 }
 

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -13,12 +12,6 @@ import (
 // GOPATH-style fixture paths under testdata/src.
 func pkgPathEndsWith(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
-}
-
-// strconvUnquoteConst turns go/constant's ExactString form of a string
-// constant (`"..."` with quotes) back into its value.
-func strconvUnquoteConst(s string) (string, error) {
-	return strconv.Unquote(s)
 }
 
 // intsContain reports membership in a small sorted fact slice.

@@ -191,8 +191,8 @@ func measure(e Entry, cfg Config, run func(rec *obs.Recorder) int64) Entry {
 // populate round.latency_ns; pure bucket-structure workloads fall back
 // to the NextBucket/UpdateBuckets duration histograms.
 func fillRoundPercentiles(e *Entry, rec *obs.Recorder) {
-	for _, name := range []string{obs.HistRoundLatencyNs, obs.HistNextBucketNs, obs.HistUpdateBucketsNs} {
-		if s := rec.HistSummary(name); s.Count > 0 {
+	for _, h := range []obs.Hist{obs.HistRoundLatencyNs, obs.HistNextBucketNs, obs.HistUpdateBucketsNs} {
+		if s := rec.HistSummary(h.Name()); s.Count > 0 {
 			e.RoundP50Ns = s.P50
 			e.RoundP90Ns = s.P90
 			e.RoundP99Ns = s.P99

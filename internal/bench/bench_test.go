@@ -96,7 +96,7 @@ func TestFusionReducesRounds(t *testing.T) {
 func TestCheckFusionAblation(t *testing.T) {
 	entry := func(name string, procs int, rounds int64) Entry {
 		return Entry{Name: name, Family: "grid", Procs: procs,
-			Counters: map[string]int64{obs.CtrBucketReturned: rounds}}
+			Counters: map[string]int64{obs.CtrBucketReturned.Name(): rounds}}
 	}
 	good := &Report{Results: []Entry{
 		entry("wbfs", 1, 900), entry("wbfs-fused", 1, 120),

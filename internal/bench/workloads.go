@@ -215,7 +215,7 @@ func CheckFusionAblation(rep *Report) error {
 		if e.Family != "grid" {
 			continue
 		}
-		returned[key{e.Name, e.Procs}] = e.Counters[obs.CtrBucketReturned]
+		returned[key{e.Name, e.Procs}] = e.Counters[obs.CtrBucketReturned.Name()]
 	}
 	checked := 0
 	for k, fused := range returned {

@@ -70,11 +70,16 @@ const None Dest = Dest(math.MaxUint32)
 type Structure interface {
 	// NextBucket returns the id of the next non-empty bucket in the
 	// traversal order together with the identifiers it contains. The
-	// returned slice is valid only until the next NextBucket call:
+	// returned slice is valid only until the next extraction call or
+	// the return of the next UpdateBuckets (whose f may still read it):
 	// implementations reuse its backing storage across rounds (the
 	// parallel structure compacts into a per-structure arena buffer),
 	// so callers that need the identifiers beyond the current round
-	// must copy them out. When the structure is exhausted it returns
+	// must copy them out. A julienne_debug build enforces this: at that
+	// point it overwrites the stale slice with Nil and drops its
+	// storage from the arena, so a late read indexes out of range
+	// instead of seeing another round's identifiers. When the structure
+	// is exhausted it returns
 	// (Nil, nil). The same bucket id may be returned more than once if
 	// identifiers are inserted back into the current bucket between
 	// calls.
@@ -118,8 +123,9 @@ type Fused interface {
 	// first and last bucket id of the fused run in traversal order plus
 	// the combined identifiers, or (Nil, Nil, nil) when exhausted. The
 	// returned slice obeys the NextBucket arena contract: it is valid
-	// only until the next NextBucket/NextBucketFused/DrainLazy/
-	// UpdateBuckets call.
+	// only until the next NextBucket/NextBucketFused/DrainLazy call or
+	// the return of the next UpdateBuckets, and a julienne_debug build
+	// poisons it then.
 	//
 	// Implementations may end a run early at an internal storage
 	// boundary: the parallel structure never fuses across its open-range

@@ -15,6 +15,7 @@ const DebugEnabled = false
 type debugState struct{}
 
 func (b *Par) debugReset()                                        {}
+func (b *Par) debugPoisonArena()                                  {}
 func (b *Par) debugCheckExtract(cur ID, live []uint32)            {}
 func (b *Par) debugCheckUpdate(k int, f func(int) (uint32, Dest)) {}
 func (b *Par) debugCheckUpdateTotals(k int, moved, skipped int64) {}
@@ -23,6 +24,7 @@ func (b *Par) debugCheckFused(first, last ID, live []uint32)      {}
 func (b *Par) debugCheckLazyDrain(live []uint32)                  {}
 func (b *Par) debugCheckSpanClosed(pending int)                   {}
 
+func (s *Seq) debugPoisonArena()                                  {}
 func (s *Seq) debugCheckExtract(cur ID, live []uint32)            {}
 func (s *Seq) debugCheckUpdateTotals(k int, moved, skipped int64) {}
 func (s *Seq) debugCheckFused(first, last ID, live []uint32)      {}

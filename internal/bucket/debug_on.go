@@ -36,7 +36,15 @@ import "fmt"
 //     range, lazy-slot destinations only occur while a span is
 //     active, every lazily drained identifier's D falls inside the
 //     active span, and a span may not close with undrained lazy
-//     identifiers.
+//     identifiers;
+//   - arena lifetime: the slice NextBucket, NextBucketFused or
+//     DrainLazy returns is valid until the next of those calls or the
+//     return of the next UpdateBuckets. At that point the slice the
+//     caller may still hold is poisoned — every element overwritten
+//     with Nil and its storage dropped from the arena, so later rounds
+//     never write into it — and a stale read indexes the caller's
+//     per-identifier arrays out of range instead of silently seeing
+//     another round's identifiers.
 
 // DebugEnabled reports whether invariant assertions are compiled in.
 const DebugEnabled = true
@@ -49,6 +57,23 @@ type debugState struct {
 	returned  int64
 	moved     int64
 	skipped   int64
+	// handed is the arena slice the last extraction call returned, kept
+	// so poison can reach the copy of it the caller still holds.
+	handed []uint32
+}
+
+// poison ends the lifetime of the last handed-out arena slice,
+// reporting whether there was one (the structure then drops the buffer
+// behind it, so the stale slice stays all-Nil for good).
+func (d *debugState) poison() bool {
+	if d.handed == nil {
+		return false
+	}
+	for i := range d.handed {
+		d.handed[i] = uint32(Nil)
+	}
+	d.handed = nil
+	return true
 }
 
 func (d *debugState) checkExtract(order Order, cur ID, live []uint32, n int, dfn func(uint32) ID, s Stats) {
@@ -74,6 +99,7 @@ func (d *debugState) checkExtract(order Order, cur ID, live []uint32, n int, dfn
 		}
 		seen[id] = struct{}{}
 	}
+	d.handed = live
 	d.extracted += int64(len(live))
 	d.returned++
 	if s.Extracted != d.extracted || s.BucketsReturned != d.returned {
@@ -127,6 +153,7 @@ func (d *debugState) checkFused(order Order, first, last ID, live []uint32, n in
 	if !firstSeen || !lastSeen {
 		panic(fmt.Sprintf("bucket debug: fused range [%d, %d] endpoints not both witnessed by a live identifier (first=%v last=%v)", first, last, firstSeen, lastSeen))
 	}
+	d.handed = live
 	d.extracted += int64(len(live))
 	d.returned++
 	if s.Extracted != d.extracted || s.BucketsReturned != d.returned {
@@ -156,6 +183,7 @@ func (d *debugState) checkLazyDrain(live []uint32, n int, dfn func(uint32) ID, s
 		}
 		seen[id] = struct{}{}
 	}
+	d.handed = live
 	d.extracted += int64(len(live))
 	if s.Extracted != d.extracted {
 		panic(fmt.Sprintf("bucket debug: Stats lazy-drain bookkeeping (Extracted=%d) diverged from shadow (%d)", s.Extracted, d.extracted))
@@ -184,6 +212,12 @@ func (d *debugState) checkUpdateTotals(k int, moved, skipped int64, s Stats) {
 }
 
 func (b *Par) debugReset() { b.dbg = debugState{} }
+
+func (b *Par) debugPoisonArena() {
+	if b.dbg.poison() {
+		b.scr.live = nil
+	}
+}
 
 func (b *Par) debugCheckExtract(cur ID, live []uint32) {
 	b.dbg.checkExtract(b.order, cur, live, b.n, b.d, b.Stats())
@@ -275,6 +309,15 @@ func (b *Par) debugCheckStructure() {
 		if n != bk.n {
 			panic(fmt.Sprintf("bucket debug: slot %d chunks hold %d identifiers but n is %d", slot, n, bk.n))
 		}
+	}
+}
+
+// Seq hands out a consumed bucket's own storage or a fresh slice, which
+// later rounds never touch; only the reused lazy-drain buffer needs
+// dropping.
+func (s *Seq) debugPoisonArena() {
+	if s.dbg.poison() {
+		s.lazyOut = nil
 	}
 }
 

@@ -417,11 +417,14 @@ func (b *Par) GetBucket(prev, next ID) Dest {
 // ranges, which only reduces the O(T) term of Lemma 3.2).
 //
 // The returned slice is backed by an arena buffer owned by the
-// structure: it is valid only until the next NextBucket call, which
-// overwrites it. Callers that need the identifiers afterwards must copy
-// them out. All the peeling loops in this repository consume the slice
-// within the round, so the steady state allocates nothing.
+// structure: it is valid only until the next extraction call, which
+// overwrites it (see Structure for the exact lifetime and what a
+// julienne_debug build does to a stale slice). Callers that need the
+// identifiers afterwards must copy them out. All the peeling loops in
+// this repository consume the slice within the round, so the steady
+// state allocates nothing.
 func (b *Par) NextBucket() (ID, []uint32) {
+	b.debugPoisonArena()
 	if b.done {
 		return Nil, nil
 	}
@@ -463,6 +466,7 @@ func (b *Par) NextBucket() (ID, []uint32) {
 // Only the first bucket of a run may trigger a range advance; the run
 // itself never crosses the open-range boundary (see Fused).
 func (b *Par) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
+	b.debugPoisonArena()
 	if b.done {
 		return Nil, Nil, nil
 	}
@@ -532,6 +536,7 @@ func (b *Par) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
 // copies (identifiers whose D moved on after insertion) are dropped by
 // the same liveness rule NextBucket compaction applies.
 func (b *Par) DrainLazy() []uint32 {
+	b.debugPoisonArena()
 	if !b.span.active {
 		return nil
 	}
@@ -742,6 +747,7 @@ func (b *Par) nextCompacted() (ID, bool) {
 // directly into a fresh exact-size chunk per destination bucket.
 func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 	if k <= 0 || b.done {
+		b.debugPoisonArena()
 		return
 	}
 	start := b.rec.Clock()
@@ -756,6 +762,7 @@ func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 	b.debugCheckUpdate(k, f)
 	if b.useSemi {
 		b.updateSemisort(k, f)
+		b.debugPoisonArena()
 		return
 	}
 	// nB open slots, the overflow slot, and the lazy slot (which only
@@ -814,6 +821,8 @@ func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 	b.rec.Add(obs.CtrBucketMoved, int64(total))
 	b.rec.Add(obs.CtrBucketSkipped, skipped)
 	b.debugCheckUpdateTotals(k, int64(total), skipped)
+	// Only now: f may have been reading the extracted identifiers.
+	b.debugPoisonArena()
 }
 
 // updateSemisort is the §3.2 update algorithm: build (destination,

@@ -83,6 +83,7 @@ func NewSeq(n int, d func(uint32) ID, order Order) *Seq {
 
 // NextBucket implements Structure.
 func (s *Seq) NextBucket() (ID, []uint32) {
+	s.debugPoisonArena()
 	s.closeSpan()
 	step := int64(1)
 	if s.order == Decreasing {
@@ -134,6 +135,7 @@ func (s *Seq) compact() ([]uint32, bool) {
 // rejected bucket's compacted survivors are written back and revisited
 // by the next extraction.
 func (s *Seq) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
+	s.debugPoisonArena()
 	s.closeSpan()
 	if maxFrontier < 1 {
 		maxFrontier = 1
@@ -201,6 +203,7 @@ func (s *Seq) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
 // lazy buffer. The returned slice is valid until the next DrainLazy
 // call.
 func (s *Seq) DrainLazy() []uint32 {
+	s.debugPoisonArena()
 	if !s.span.active || len(s.lazy) == 0 {
 		return nil
 	}
@@ -295,6 +298,8 @@ func (s *Seq) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 	s.rec.Add(obs.CtrBucketMoved, moved)
 	s.rec.Add(obs.CtrBucketSkipped, skipped)
 	s.debugCheckUpdateTotals(k, moved, skipped)
+	// Only now: f may have been reading the extracted identifiers.
+	s.debugPoisonArena()
 }
 
 // Stats implements Structure. The snapshot uses atomic loads so it is

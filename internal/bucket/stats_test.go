@@ -144,7 +144,7 @@ func checkMirror(t *testing.T, st Stats, rec *obs.Recorder) {
 		t.Fatalf("workload produced no traffic: %+v", st)
 	}
 	pairs := []struct {
-		ctr  string
+		ctr  obs.Counter
 		want int64
 	}{
 		{obs.CtrBucketExtracted, st.Extracted},
@@ -154,8 +154,8 @@ func checkMirror(t *testing.T, st Stats, rec *obs.Recorder) {
 		{obs.CtrBucketRangeAdvances, st.RangeAdvances},
 	}
 	for _, p := range pairs {
-		if got := rec.Counter(p.ctr); got != p.want {
-			t.Errorf("%s=%d, stats say %d", p.ctr, got, p.want)
+		if got := rec.Counter(p.ctr.Name()); got != p.want {
+			t.Errorf("%s=%d, stats say %d", p.ctr.Name(), got, p.want)
 		}
 	}
 }

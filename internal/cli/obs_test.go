@@ -54,7 +54,7 @@ func TestObsFlagsTraceAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"telemetry counters", obs.CtrBucketMoved, "per-round metrics", "kcore"} {
+	for _, want := range []string{"telemetry counters", obs.CtrBucketMoved.Name(), "per-round metrics", "kcore"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
 		}

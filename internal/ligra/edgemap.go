@@ -105,35 +105,37 @@ func edgeMapSparse(g graph.Graph, u VertexSubset, c func(graph.Vertex) bool,
 	// count. The buffers come from the scratch pool and keep their
 	// capacity across calls, so a round-based traversal stops allocating
 	// once the per-worker high-water marks are reached.
-	pb := workerParts[graph.Vertex](parallel.Procs())
-	defer pb.Release()
-	parts := pb.S
-	parallel.Workers(len(ids), func(worker, lo, hi int) {
-		local := parts[worker]
-		for i := lo; i < hi; i++ {
-			src := ids[i]
-			g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
-				if c(dst) && f(src, dst, w) {
-					local = append(local, dst)
-				}
-				return true
-			})
-		}
-		parts[worker] = local
+	var out []graph.Vertex
+	withWorkerParts(parallel.Procs(), func(parts [][]graph.Vertex) {
+		parallel.Workers(len(ids), func(worker, lo, hi int) {
+			local := parts[worker]
+			for i := lo; i < hi; i++ {
+				src := ids[i]
+				g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
+					if c(dst) && f(src, dst, w) {
+						local = append(local, dst)
+					}
+					return true
+				})
+			}
+			parts[worker] = local
+		})
+		out = flatten(parts)
 	})
-	return FromSparse(n, flatten(parts))
+	return FromSparse(n, out)
 }
 
-// workerParts borrows a buffer-of-buffers (one slice per worker) from
-// the scratch pool, resetting every inner slice to empty while keeping
-// its capacity. flatten copies the survivors out, so the scratch can be
-// released before the result escapes.
-func workerParts[T any](p int) *parallel.Scratch[[]T] {
-	pb := parallel.GetScratch[[]T](p)
-	for i := range pb.S {
-		pb.S[i] = pb.S[i][:0]
-	}
-	return pb
+// withWorkerParts runs f on a buffer-of-buffers (one slice per worker)
+// borrowed from the scratch pool, every inner slice reset to empty with
+// its capacity kept. f copies the survivors out with flatten before it
+// returns, so nothing borrowed escapes.
+func withWorkerParts[T any](p int, f func(parts [][]T)) {
+	parallel.WithScratch(p, func(parts [][]T) {
+		for i := range parts {
+			parts[i] = parts[i][:0]
+		}
+		f(parts)
+	})
 }
 
 // flatten concatenates per-worker buffers into one slice.
@@ -188,30 +190,32 @@ func EdgeMapTagged[T any](g graph.Graph, u VertexSubset, c func(v graph.Vertex) 
 	ids := u.Sparse()
 	n := g.NumVertices()
 	p := parallel.Procs()
-	ib := workerParts[graph.Vertex](p)
-	defer ib.Release()
-	vb := workerParts[T](p)
-	defer vb.Release()
-	idParts, valParts := ib.S, vb.S
-	parallel.Workers(len(ids), func(worker, lo, hi int) {
-		localIDs := idParts[worker]
-		localVals := valParts[worker]
-		for i := lo; i < hi; i++ {
-			src := ids[i]
-			g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
-				if c(dst) {
-					if val, ok := f(src, dst, w); ok {
-						localIDs = append(localIDs, dst)
-						localVals = append(localVals, val)
-					}
+	var outIDs []graph.Vertex
+	var outVals []T
+	withWorkerParts(p, func(idParts [][]graph.Vertex) {
+		withWorkerParts(p, func(valParts [][]T) {
+			parallel.Workers(len(ids), func(worker, lo, hi int) {
+				localIDs := idParts[worker]
+				localVals := valParts[worker]
+				for i := lo; i < hi; i++ {
+					src := ids[i]
+					g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
+						if c(dst) {
+							if val, ok := f(src, dst, w); ok {
+								localIDs = append(localIDs, dst)
+								localVals = append(localVals, val)
+							}
+						}
+						return true
+					})
 				}
-				return true
+				idParts[worker] = localIDs
+				valParts[worker] = localVals
 			})
-		}
-		idParts[worker] = localIDs
-		valParts[worker] = localVals
+			outIDs, outVals = flatten(idParts), flatten(valParts)
+		})
 	})
-	return NewTagged(n, flatten(idParts), flatten(valParts))
+	return NewTagged(n, outIDs, outVals)
 }
 
 // EdgeMapCount implements the paper's edgeMapSum (§2.1: edgeMapReduce
@@ -230,25 +234,26 @@ func EdgeMapCount(g graph.Graph, u VertexSubset, c func(v graph.Vertex) bool,
 	scratch.ensure(n)
 	cnt := scratch.counts
 	ids := u.Sparse()
-	pb := workerParts[graph.Vertex](parallel.Procs())
-	defer pb.Release()
-	parts := pb.S
-	parallel.Workers(len(ids), func(worker, lo, hi int) {
-		claimed := parts[worker]
-		for i := lo; i < hi; i++ {
-			src := ids[i]
-			g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
-				if c(dst) {
-					if parallel.AddUint32(&cnt[dst], 1) == 1 {
-						claimed = append(claimed, dst)
+	var touched []graph.Vertex
+	withWorkerParts(parallel.Procs(), func(parts [][]graph.Vertex) {
+		parallel.Workers(len(ids), func(worker, lo, hi int) {
+			claimed := parts[worker]
+			for i := lo; i < hi; i++ {
+				src := ids[i]
+				g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
+					if c(dst) {
+						if parallel.AddUint32(&cnt[dst], 1) == 1 {
+							claimed = append(claimed, dst)
+						}
 					}
-				}
-				return true
-			})
-		}
-		parts[worker] = claimed
+					return true
+				})
+			}
+			parts[worker] = claimed
+		})
+		touched = flatten(parts)
 	})
-	outIDs := flatten(parts)
+	outIDs := touched // never reassigned, so the workers below capture it by value
 	outVals := make([]uint32, len(outIDs))
 	parallel.For(len(outIDs), parallel.DefaultGrain, func(i int) {
 		v := outIDs[i]

@@ -158,13 +158,13 @@ func TestServeMuxEndpoints(t *testing.T) {
 	if err := json.NewDecoder(debug.Body).Decode(&dump); err != nil {
 		t.Fatalf("/debug/obs is not JSON: %v", err)
 	}
-	if dump.Counters[CtrBucketReturned] != 1 || dump.Rounds != 1 {
+	if dump.Counters[CtrBucketReturned.Name()] != 1 || dump.Rounds != 1 {
 		t.Fatalf("debug dump wrong: %+v", dump)
 	}
 	if len(dump.Flight) != 1 || dump.Flight[0].Algo != "kcore" {
 		t.Fatalf("debug dump flight tail wrong: %+v", dump.Flight)
 	}
-	if s, ok := dump.Histograms[HistRoundLatencyNs]; !ok || s.Count != 1 {
+	if s, ok := dump.Histograms[HistRoundLatencyNs.Name()]; !ok || s.Count != 1 {
 		t.Fatalf("debug dump histograms wrong: %+v", dump.Histograms)
 	}
 

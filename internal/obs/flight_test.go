@@ -173,18 +173,19 @@ func TestCanceledCarriesTail(t *testing.T) {
 // method this PR adds (satellite 3).
 func TestNilRecorderNewMethods(t *testing.T) {
 	var r *Recorder
-	if r.Histogram("h") != nil {
-		t.Fatal("nil recorder Histogram should be nil")
+	h := HistOpLatencyNs
+	if r.histogram(h.Name()) != nil {
+		t.Fatal("nil recorder histogram should be nil")
 	}
-	r.Histogram("h").Record(1) // nil *Histogram, still a no-op
-	r.Histogram("h").RecordDuration(time.Second)
-	r.Histogram("h").AddSnapshot(HistogramSnapshot{Count: 1})
-	if s := r.Histogram("h").Snapshot(); s.Count != 0 {
+	r.histogram(h.Name()).Record(1) // nil *Histogram, still a no-op
+	r.histogram(h.Name()).RecordDuration(time.Second)
+	r.histogram(h.Name()).AddSnapshot(HistogramSnapshot{Count: 1})
+	if s := r.histogram(h.Name()).Snapshot(); s.Count != 0 {
 		t.Fatal("nil histogram snapshot should be zero")
 	}
-	r.Observe("h", 1)
-	r.ObserveDuration("h", time.Second)
-	r.ObserveSince("h", time.Now())
+	r.Observe(h, 1)
+	r.ObserveDuration(h, time.Second)
+	r.ObserveSince(h, time.Now())
 	if !r.Clock().IsZero() {
 		t.Fatal("nil recorder Clock should be zero")
 	}

@@ -50,14 +50,15 @@ func TestExpositionHammer(t *testing.T) {
 		}
 	}()
 	// Metric writer: keeps registering fresh names so scrapes race
-	// against sync.Map insertion, not just value updates.
+	// against sync.Map insertion, not just value updates. (Only a test
+	// inside package obs can mint handles outside the names.go table.)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
-			rec.Inc(fmt.Sprintf("hammer.c%d", i%97))
-			rec.SetGauge(fmt.Sprintf("hammer.g%d", i%31), int64(i))
-			rec.Observe(fmt.Sprintf("hammer.h%d", i%13), int64(i%100000))
+			rec.Inc(Counter{fmt.Sprintf("hammer.c%d", i%97)})
+			rec.SetGauge(Gauge{fmt.Sprintf("hammer.g%d", i%31)}, int64(i))
+			rec.Observe(Hist{fmt.Sprintf("hammer.h%d", i%13)}, int64(i%100000))
 		}
 	}()
 

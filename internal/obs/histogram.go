@@ -232,10 +232,10 @@ func (s HistogramSnapshot) Summary() HistogramSummary {
 
 // --- Recorder integration ----------------------------------------------------
 
-// Histogram returns the named histogram, creating it on first use
+// histogram returns the named histogram, creating it on first use
 // (nil on a nil recorder — every *Histogram method is nil-safe, so
 // callers chain unconditionally).
-func (r *Recorder) Histogram(name string) *Histogram {
+func (r *Recorder) histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -246,12 +246,12 @@ func (r *Recorder) Histogram(name string) *Histogram {
 	return v.(*Histogram)
 }
 
-// Observe records one sample into the named histogram.
-func (r *Recorder) Observe(name string, v int64) { r.Histogram(name).Record(v) }
+// Observe records one sample into the histogram.
+func (r *Recorder) Observe(h Hist, v int64) { r.histogram(h.name).Record(v) }
 
-// ObserveDuration records d (in nanoseconds) into the named histogram.
-func (r *Recorder) ObserveDuration(name string, d time.Duration) {
-	r.Histogram(name).RecordDuration(d)
+// ObserveDuration records d (in nanoseconds) into the histogram.
+func (r *Recorder) ObserveDuration(h Hist, d time.Duration) {
+	r.histogram(h.name).RecordDuration(d)
 }
 
 // Clock returns the current time on a live recorder and the zero time
@@ -267,13 +267,13 @@ func (r *Recorder) Clock() time.Time {
 }
 
 // ObserveSince records the nanoseconds elapsed since start (a value
-// returned by Clock) into the named histogram. No-op on a nil recorder
-// or a zero start.
-func (r *Recorder) ObserveSince(name string, start time.Time) {
+// returned by Clock) into the histogram. No-op on a nil recorder or a
+// zero start.
+func (r *Recorder) ObserveSince(h Hist, start time.Time) {
 	if r == nil || start.IsZero() {
 		return
 	}
-	r.Observe(name, time.Since(start).Nanoseconds())
+	r.Observe(h, time.Since(start).Nanoseconds())
 }
 
 // HistSummary returns the named histogram's digest (zero if absent).
@@ -350,12 +350,12 @@ func (r *Recorder) Merge(src *Recorder) {
 		return
 	}
 	for name, v := range src.Counters() {
-		r.Add(name, v)
+		r.Add(Counter{name}, v)
 	}
 	for name, v := range src.Gauges() {
-		r.SetGauge(name, v)
+		r.SetGauge(Gauge{name}, v)
 	}
 	for name, s := range src.Histograms() {
-		r.Histogram(name).AddSnapshot(s)
+		r.histogram(name).AddSnapshot(s)
 	}
 }

@@ -133,21 +133,22 @@ func TestHistogramMerge(t *testing.T) {
 
 func TestRecorderMerge(t *testing.T) {
 	src := NewRecorder()
-	src.Add("c", 3)
-	src.SetGauge("g", 9)
-	src.Observe("h", 100)
-	src.Observe("h", 200)
+	c, g, h := CtrBucketMoved, GaugeServeInflight, HistOpLatencyNs
+	src.Add(c, 3)
+	src.SetGauge(g, 9)
+	src.Observe(h, 100)
+	src.Observe(h, 200)
 	dst := NewRecorder()
-	dst.Add("c", 1)
-	dst.Observe("h", 50)
+	dst.Add(c, 1)
+	dst.Observe(h, 50)
 	dst.Merge(src)
-	if dst.Counter("c") != 4 {
-		t.Fatalf("merged counter = %d, want 4", dst.Counter("c"))
+	if dst.Counter(c.Name()) != 4 {
+		t.Fatalf("merged counter = %d, want 4", dst.Counter(c.Name()))
 	}
-	if dst.Gauge("g") != 9 {
-		t.Fatalf("merged gauge = %d, want 9", dst.Gauge("g"))
+	if dst.Gauge(g.Name()) != 9 {
+		t.Fatalf("merged gauge = %d, want 9", dst.Gauge(g.Name()))
 	}
-	s := dst.HistSummary("h")
+	s := dst.HistSummary(h.Name())
 	if s.Count != 3 || s.Max != 200 || s.Sum != 350 {
 		t.Fatalf("merged histogram summary = %+v", s)
 	}
@@ -217,18 +218,19 @@ func TestObserveSinceAndClock(t *testing.T) {
 	if !nilRec.Clock().IsZero() {
 		t.Fatal("nil recorder Clock should be zero")
 	}
-	nilRec.ObserveSince("x", time.Now()) // no-op, must not panic
+	x := HistOpLatencyNs
+	nilRec.ObserveSince(x, time.Now()) // no-op, must not panic
 	r := NewRecorder()
 	start := r.Clock()
 	if start.IsZero() {
 		t.Fatal("live recorder Clock should not be zero")
 	}
-	r.ObserveSince("x", start)
-	if s := r.HistSummary("x"); s.Count != 1 {
+	r.ObserveSince(x, start)
+	if s := r.HistSummary(x.Name()); s.Count != 1 {
 		t.Fatalf("ObserveSince recorded %d samples, want 1", s.Count)
 	}
-	r.ObserveSince("x", time.Time{}) // zero start is a no-op
-	if s := r.HistSummary("x"); s.Count != 1 {
+	r.ObserveSince(x, time.Time{}) // zero start is a no-op
+	if s := r.HistSummary(x.Name()); s.Count != 1 {
 		t.Fatal("zero-start ObserveSince must not record")
 	}
 }

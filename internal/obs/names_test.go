@@ -1,71 +1,115 @@
 package obs_test
 
 import (
+	"os"
+	"strings"
 	"testing"
 
-	"julienne/internal/algo/densest"
 	"julienne/internal/algo/kcore"
-	"julienne/internal/algo/setcover"
-	"julienne/internal/algo/sssp"
 	"julienne/internal/gen"
 	"julienne/internal/obs"
 )
 
-// TestInstrumentationUsesRegisteredNames runs every instrumented
-// kernel (which transitively exercises the bucket structure and the
-// Ligra layer) and asserts that each counter, gauge, and histogram
-// name the run produced is registered in obs.WellKnownNames — the
-// no-ad-hoc-drift contract of the exposition surface. This test lives
-// in package obs_test so it can import the algo packages without a
-// cycle.
-func TestInstrumentationUsesRegisteredNames(t *testing.T) {
-	g := gen.RMAT(1<<10, 1<<13, true, 7)
-	wg := gen.LogWeights(g, 8)
-	inst := gen.SetCover(1<<8, 1<<10, 4, 9)
-
-	runs := map[string]func(rec *obs.Recorder){
-		"kcore": func(rec *obs.Recorder) {
-			kcore.Coreness(g, kcore.Options{Recorder: rec})
-		},
-		"sssp": func(rec *obs.Recorder) {
-			sssp.DeltaStepping(wg, 0, 64, sssp.Options{Recorder: rec})
-		},
-		"setcover": func(rec *obs.Recorder) {
-			setcover.Approx(inst.Graph, inst.Sets, setcover.Options{Recorder: rec})
-		},
-		"densest-charikar": func(rec *obs.Recorder) {
-			densest.CharikarWithOptions(g, densest.Options{Recorder: rec})
-		},
-		"densest-batch": func(rec *obs.Recorder) {
-			densest.PeelBatchWithOptions(g, 0.1, densest.Options{Recorder: rec})
-		},
+// TestHandleTable walks the one handle table in names.go: emitted names
+// are unique across counters, gauges and histograms, and after a single
+// touch every handle is reachable by that name through the string-keyed
+// read side and the /metrics exposition.
+func TestHandleTable(t *testing.T) {
+	counters, gauges, hists := obs.Handles()
+	if len(counters) == 0 || len(gauges) == 0 || len(hists) == 0 {
+		t.Fatalf("handle table is empty: %d counters, %d gauges, %d histograms",
+			len(counters), len(gauges), len(hists))
 	}
-	known := obs.WellKnownNames()
-	for name, run := range runs {
-		rec := obs.NewRecorder()
-		run(rec)
-		if rec.NumRounds() == 0 {
-			t.Errorf("%s: no rounds recorded; instrumentation not wired", name)
+	rec := obs.NewRecorder()
+	seen := map[string]bool{}
+	unique := func(name string) {
+		t.Helper()
+		if name == "" || seen[name] {
+			t.Errorf("metric name %q is empty or declared twice", name)
 		}
-		for _, n := range rec.CounterNames() {
-			if !known[n] {
-				t.Errorf("%s: counter %q not in obs.WellKnownNames", name, n)
-			}
+		seen[name] = true
+	}
+	for _, c := range counters {
+		unique(c.Name())
+		rec.Inc(c)
+	}
+	for _, g := range gauges {
+		unique(g.Name())
+		rec.SetGauge(g, 1)
+	}
+	for _, h := range hists {
+		unique(h.Name())
+		rec.Observe(h, 1)
+	}
+	var sb strings.Builder
+	if err := rec.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exposed := func(name, suffix string) {
+		t.Helper()
+		line := obs.PromName(name) + suffix + " 1\n"
+		if !strings.Contains(sb.String(), line) {
+			t.Errorf("/metrics lacks %q after one touch", line)
 		}
-		for _, n := range rec.GaugeNames() {
-			if !known[n] {
-				t.Errorf("%s: gauge %q not in obs.WellKnownNames", name, n)
-			}
+	}
+	for _, c := range counters {
+		if rec.Counter(c.Name()) != 1 || rec.Counters()[c.Name()] != 1 {
+			t.Errorf("counter %q not readable by name", c.Name())
 		}
-		hists := rec.HistogramNames()
-		if len(hists) == 0 {
-			t.Errorf("%s: no histograms recorded", name)
+		exposed(c.Name(), "")
+	}
+	for _, g := range gauges {
+		if rec.Gauge(g.Name()) != 1 || rec.Gauges()[g.Name()] != 1 {
+			t.Errorf("gauge %q not readable by name", g.Name())
 		}
-		for _, n := range hists {
-			if !known[n] {
-				t.Errorf("%s: histogram %q not in obs.WellKnownNames", name, n)
-			}
+		exposed(g.Name(), "")
+	}
+	for _, h := range hists {
+		if rec.HistSummary(h.Name()).Count != 1 || rec.Histograms()[h.Name()].Count != 1 {
+			t.Errorf("histogram %q not readable by name", h.Name())
 		}
+		exposed(h.Name(), "_count")
+	}
+	if got, want := len(rec.CounterNames())+len(rec.GaugeNames())+len(rec.HistogramNames()), len(seen); got != want {
+		t.Errorf("read side lists %d names, the table declares %d", got, want)
+	}
+}
+
+// stableExposition drops the wall-clock-dependent lines of a /metrics
+// scrape (the uptime sample, and the buckets and sum of every *_ns
+// duration histogram), leaving series names, TYPE lines, counter and
+// gauge values, sample counts, and the size histograms in full.
+func stableExposition(text string) string {
+	var out []string
+	for _, line := range strings.SplitAfter(text, "\n") {
+		switch {
+		case strings.HasPrefix(line, obs.MetricsPrefix+"uptime_seconds "):
+		case strings.Contains(line, "_ns_bucket{"), strings.Contains(line, "_ns_sum "):
+		default:
+			out = append(out, line)
+		}
+	}
+	return strings.Join(out, "")
+}
+
+// TestExpositionMatchesParentGolden pins that typed handles changed no
+// emitted byte: the /metrics text of an instrumented k-core run equals
+// testdata/kcore_metrics.golden, which was produced by the same run
+// and filter on the last commit with string-keyed write methods.
+func TestExpositionMatchesParentGolden(t *testing.T) {
+	rec := obs.NewRecorder()
+	kcore.Coreness(gen.RMAT(1<<10, 1<<13, true, 7), kcore.Options{Recorder: rec})
+	var sb strings.Builder
+	if err := rec.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	got := stableExposition(sb.String())
+	want, err := os.ReadFile("testdata/kcore_metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("exposition drifted from the parent-commit golden\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
@@ -74,10 +118,10 @@ func TestInstrumentationUsesRegisteredNames(t *testing.T) {
 func TestWellKnownNamesRoundLatencyAlwaysPresent(t *testing.T) {
 	rec := obs.NewRecorder()
 	kcore.Coreness(gen.RMAT(1<<10, 1<<13, true, 7), kcore.Options{Recorder: rec})
-	for _, name := range []string{obs.HistRoundLatencyNs, obs.HistRoundFrontier,
+	for _, h := range []obs.Hist{obs.HistRoundLatencyNs, obs.HistRoundFrontier,
 		obs.HistNextBucketNs, obs.HistUpdateBucketsNs} {
-		if s := rec.HistSummary(name); s.Count == 0 {
-			t.Errorf("histogram %q empty after an instrumented kcore run", name)
+		if s := rec.HistSummary(h.Name()); s.Count == 0 {
+			t.Errorf("histogram %q empty after an instrumented kcore run", h.Name())
 		}
 	}
 }

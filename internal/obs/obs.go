@@ -21,45 +21,6 @@ import (
 	"time"
 )
 
-// Well-known counter and gauge names. Instrumented packages report
-// under these keys so tools can rely on stable names; ad-hoc names are
-// equally valid.
-const (
-	// CtrBucketExtracted counts identifiers returned by NextBucket.
-	CtrBucketExtracted = "bucket.extracted"
-	// CtrBucketMoved counts identifiers physically inserted by
-	// UpdateBuckets.
-	CtrBucketMoved = "bucket.moved"
-	// CtrBucketSkipped counts free (None-destination) updates.
-	CtrBucketSkipped = "bucket.skipped"
-	// CtrBucketReturned counts successful NextBucket calls.
-	CtrBucketReturned = "bucket.buckets_returned"
-	// CtrBucketRangeAdvances counts overflow unpacks (§3.3).
-	CtrBucketRangeAdvances = "bucket.range_advances"
-	// CtrBucketRoundsSaved counts synchronization rounds eliminated by
-	// bucket fusion: each NextBucketFused run of r buckets saves r-1
-	// NextBucket rounds (DESIGN.md §11).
-	CtrBucketRoundsSaved = "bucket.rounds_saved"
-	// CtrBucketLazyDrained counts identifiers handed back by DrainLazy
-	// (lazily inserted into an active fused span and processed in the
-	// same round, never round-tripping through bucket storage).
-	CtrBucketLazyDrained = "bucket.lazy_drained"
-	// CtrEdgeMapSparse counts edgeMap invocations that took the
-	// sparse/push direction.
-	CtrEdgeMapSparse = "edgemap.sparse"
-	// CtrEdgeMapDense counts edgeMap invocations that took the
-	// dense/pull direction.
-	CtrEdgeMapDense = "edgemap.dense"
-	// CtrEdgeMapEdges accumulates the out-degree sum of the input
-	// frontier per edgeMap call (the work bound of the sparse
-	// direction, and the threshold quantity of Beamer's heuristic).
-	CtrEdgeMapEdges = "edgemap.edges"
-	// GaugeEdgeMapLastDense is 1 when the most recent edgeMap call
-	// chose the dense direction, 0 for sparse. Round observers read it
-	// to label the round's traversal direction.
-	GaugeEdgeMapLastDense = "edgemap.last_dense"
-)
-
 // Recorder accumulates telemetry for one run (or one process). The
 // zero value is not useful; create one with NewRecorder. A nil
 // *Recorder is a valid, fully inert recorder.
@@ -102,16 +63,16 @@ func cell(m *sync.Map, name string) *int64 {
 	return v.(*int64)
 }
 
-// Add adds delta to the named counter.
-func (r *Recorder) Add(name string, delta int64) {
+// Add adds delta to the counter.
+func (r *Recorder) Add(c Counter, delta int64) {
 	if r == nil {
 		return
 	}
-	atomic.AddInt64(cell(&r.counters, name), delta)
+	atomic.AddInt64(cell(&r.counters, c.name), delta)
 }
 
-// Inc increments the named counter by one.
-func (r *Recorder) Inc(name string) { r.Add(name, 1) }
+// Inc increments the counter by one.
+func (r *Recorder) Inc(c Counter) { r.Add(c, 1) }
 
 // Counter returns the current value of the named counter (0 if it was
 // never touched).
@@ -125,12 +86,12 @@ func (r *Recorder) Counter(name string) int64 {
 	return 0
 }
 
-// SetGauge sets the named gauge to v.
-func (r *Recorder) SetGauge(name string, v int64) {
+// SetGauge sets the gauge to v.
+func (r *Recorder) SetGauge(g Gauge, v int64) {
 	if r == nil {
 		return
 	}
-	atomic.StoreInt64(cell(&r.gauges, name), v)
+	atomic.StoreInt64(cell(&r.gauges, g.name), v)
 }
 
 // Gauge returns the current value of the named gauge (0 if unset).

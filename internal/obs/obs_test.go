@@ -13,13 +13,13 @@ import (
 // (and the nil *Span it returns): every call must be a silent no-op.
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	r.Add("x", 5)
-	r.Inc("x")
-	if r.Counter("x") != 0 {
+	r.Add(CtrBucketMoved, 5)
+	r.Inc(CtrBucketMoved)
+	if r.Counter(CtrBucketMoved.Name()) != 0 {
 		t.Fatal("nil recorder counter should be 0")
 	}
-	r.SetGauge("g", 7)
-	if r.Gauge("g") != 0 {
+	r.SetGauge(GaugeServeInflight, 7)
+	if r.Gauge(GaugeServeInflight.Name()) != 0 {
 		t.Fatal("nil recorder gauge should be 0")
 	}
 	if r.Counters() != nil || r.CounterNames() != nil {
@@ -65,6 +65,7 @@ func TestNilRecorder(t *testing.T) {
 
 func TestCountersConcurrent(t *testing.T) {
 	r := NewRecorder()
+	shared, pairs := CtrBucketMoved, CtrBucketExtracted
 	const workers = 8
 	const perWorker = 1000
 	var wg sync.WaitGroup
@@ -73,38 +74,39 @@ func TestCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				r.Inc("shared")
-				r.Add("pairs", 2)
+				r.Inc(shared)
+				r.Add(pairs, 2)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("shared"); got != workers*perWorker {
+	if got := r.Counter(shared.Name()); got != workers*perWorker {
 		t.Fatalf("shared=%d, want %d", got, workers*perWorker)
 	}
-	if got := r.Counter("pairs"); got != 2*workers*perWorker {
+	if got := r.Counter(pairs.Name()); got != 2*workers*perWorker {
 		t.Fatalf("pairs=%d, want %d", got, 2*workers*perWorker)
 	}
 	snap := r.Counters()
-	if snap["shared"] != workers*perWorker || snap["pairs"] != 2*workers*perWorker {
+	if snap[shared.Name()] != workers*perWorker || snap[pairs.Name()] != 2*workers*perWorker {
 		t.Fatalf("snapshot mismatch: %v", snap)
 	}
 	names := r.CounterNames()
-	if len(names) != 2 || names[0] != "pairs" || names[1] != "shared" {
-		t.Fatalf("CounterNames=%v, want sorted [pairs shared]", names)
+	if len(names) != 2 || names[0] != pairs.Name() || names[1] != shared.Name() {
+		t.Fatalf("CounterNames=%v, want sorted [%s %s]", names, pairs.Name(), shared.Name())
 	}
 }
 
 func TestGauges(t *testing.T) {
 	r := NewRecorder()
-	if r.Gauge("dir") != 0 {
+	dir := GaugeEdgeMapLastDense
+	if r.Gauge(dir.Name()) != 0 {
 		t.Fatal("unset gauge should read 0")
 	}
-	r.SetGauge("dir", 1)
-	r.SetGauge("dir", 0)
-	r.SetGauge("dir", 42)
-	if r.Gauge("dir") != 42 {
-		t.Fatalf("gauge=%d, want last-write 42", r.Gauge("dir"))
+	r.SetGauge(dir, 1)
+	r.SetGauge(dir, 0)
+	r.SetGauge(dir, 42)
+	if r.Gauge(dir.Name()) != 42 {
+		t.Fatalf("gauge=%d, want last-write 42", r.Gauge(dir.Name()))
 	}
 }
 
@@ -117,7 +119,7 @@ func TestSpansAndTraceRoundTrip(t *testing.T) {
 		t.Fatalf("span duration %v too short", d)
 	}
 	r.Phase("load", func() { time.Sleep(100 * time.Microsecond) })
-	r.Add("bucket.extracted", 9)
+	r.Add(CtrBucketExtracted, 9)
 
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {

@@ -36,13 +36,12 @@ func TestScratchPoolZeroAlloc(t *testing.T) {
 	skipIfAllocsUnmeasurable(t)
 	old := SetProcs(1)
 	defer SetProcs(old)
-	GetScratch[uint32](4096).Release() // warm the pool past the high-water mark
+	touch := func(s []uint32) { s[0] = 1 }
+	WithScratch(4096, touch) // warm the pool past the high-water mark
 	if avg := testing.AllocsPerRun(100, func() {
-		s := GetScratch[uint32](4096)
-		s.S[0] = 1
-		s.Release()
+		WithScratch(4096, touch)
 	}); avg != 0 {
-		t.Fatalf("GetScratch/Release round-trip allocates %v allocs/op, want 0", avg)
+		t.Fatalf("WithScratch round-trip allocates %v allocs/op, want 0", avg)
 	}
 }
 

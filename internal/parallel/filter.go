@@ -46,35 +46,39 @@ func FilterInto[T any](buf, src []T, pred func(T) bool) []T {
 		return out
 	}
 
-	cb := GetScratch[int](nb)
-	defer cb.Release()
-	counts := cb.S
-	For(nb, 1, func(b int) {
-		lo, hi := b*blockSize, min((b+1)*blockSize, n)
-		c := 0
-		for i := lo; i < hi; i++ {
-			if pred(src[i]) {
-				c++
+	// The workers capture the closure-local kept, never the enclosing
+	// function's out: a variable assigned after a goroutine-bound closure
+	// captures it would move to the heap, one allocation per call.
+	var out []T
+	WithScratch(nb, func(counts []int) {
+		For(nb, 1, func(b int) {
+			lo, hi := b*blockSize, min((b+1)*blockSize, n)
+			c := 0
+			for i := lo; i < hi; i++ {
+				if pred(src[i]) {
+					c++
+				}
 			}
+			counts[b] = c
+		})
+		total := 0
+		for b := 0; b < nb; b++ {
+			c := counts[b]
+			counts[b] = total
+			total += c
 		}
-		counts[b] = c
-	})
-	total := 0
-	for b := 0; b < nb; b++ {
-		c := counts[b]
-		counts[b] = total
-		total += c
-	}
-	out := buf[:total]
-	For(nb, 1, func(b int) {
-		lo, hi := b*blockSize, min((b+1)*blockSize, n)
-		o := counts[b]
-		for i := lo; i < hi; i++ {
-			if pred(src[i]) {
-				out[o] = src[i]
-				o++
+		kept := buf[:total]
+		For(nb, 1, func(b int) {
+			lo, hi := b*blockSize, min((b+1)*blockSize, n)
+			o := counts[b]
+			for i := lo; i < hi; i++ {
+				if pred(src[i]) {
+					kept[o] = src[i]
+					o++
+				}
 			}
-		}
+		})
+		out = kept
 	})
 	return out
 }
@@ -120,39 +124,40 @@ func FilterIndex[T any](src []T, pred func(i int, v T) bool) []T {
 		return out
 	}
 
-	// Pass 1: count survivors per block.
-	cb := GetScratch[int](nb)
-	defer cb.Release()
-	counts := cb.S
-	For(nb, 1, func(b int) {
-		lo, hi := b*blockSize, min((b+1)*blockSize, n)
-		c := 0
-		for i := lo; i < hi; i++ {
-			if pred(i, src[i]) {
-				c++
+	var out []T
+	WithScratch(nb, func(counts []int) {
+		// Pass 1: count survivors per block.
+		For(nb, 1, func(b int) {
+			lo, hi := b*blockSize, min((b+1)*blockSize, n)
+			c := 0
+			for i := lo; i < hi; i++ {
+				if pred(i, src[i]) {
+					c++
+				}
 			}
+			counts[b] = c
+		})
+
+		total := 0
+		for b := 0; b < nb; b++ {
+			c := counts[b]
+			counts[b] = total
+			total += c
 		}
-		counts[b] = c
-	})
+		kept := make([]T, total)
 
-	total := 0
-	for b := 0; b < nb; b++ {
-		c := counts[b]
-		counts[b] = total
-		total += c
-	}
-	out := make([]T, total)
-
-	// Pass 2: each block copies its survivors to its reserved range.
-	For(nb, 1, func(b int) {
-		lo, hi := b*blockSize, min((b+1)*blockSize, n)
-		o := counts[b]
-		for i := lo; i < hi; i++ {
-			if pred(i, src[i]) {
-				out[o] = src[i]
-				o++
+		// Pass 2: each block copies its survivors to its reserved range.
+		For(nb, 1, func(b int) {
+			lo, hi := b*blockSize, min((b+1)*blockSize, n)
+			o := counts[b]
+			for i := lo; i < hi; i++ {
+				if pred(i, src[i]) {
+					kept[o] = src[i]
+					o++
+				}
 			}
-		}
+		})
+		out = kept
 	})
 	return out
 }
@@ -161,11 +166,12 @@ func FilterIndex[T any](src []T, pred func(i int, v T) bool) []T {
 // which pred(i) is true. It is the "pack" step used after mapping an
 // indicator function, e.g. to find bucket boundaries after a semisort.
 func PackIndices(n int, pred func(i int) bool) []uint32 {
-	ib := GetScratch[uint32](n)
-	defer ib.Release()
-	idx := ib.S
-	For(n, DefaultGrain, func(i int) { idx[i] = uint32(i) })
-	return FilterIndex(idx, func(i int, _ uint32) bool { return pred(i) })
+	var out []uint32
+	WithScratch(n, func(idx []uint32) {
+		For(n, DefaultGrain, func(i int) { idx[i] = uint32(i) })
+		out = FilterIndex(idx, func(i int, _ uint32) bool { return pred(i) })
+	})
+	return out
 }
 
 // MapFilter applies f to every index in [0, n) and keeps the values for
@@ -212,32 +218,32 @@ func mapFilterInto[T any](buf []T, n int, f func(i int) (T, bool)) ([]T, bool) {
 	// Per-block survivor buffers come from the pool and keep their
 	// capacity across calls, so repeated MapFilters stop allocating once
 	// the per-block high-water marks are reached.
-	pb := GetScratch[[]T](nb)
-	defer pb.Release()
-	parts := pb.S
-	For(nb, 1, func(b int) {
-		lo, hi := b*blockSize, min((b+1)*blockSize, n)
-		part := parts[b][:0]
-		for i := lo; i < hi; i++ {
-			if v, ok := f(i); ok {
-				part = append(part, v)
-			}
-		}
-		parts[b] = part
-	})
-	total := 0
-	for b := 0; b < nb; b++ {
-		total += len(parts[b])
-	}
 	var out []T
-	fromBuf := cap(buf) >= total
-	if fromBuf {
-		out = buf[:0]
-	} else {
-		out = make([]T, 0, total)
-	}
-	for b := 0; b < nb; b++ {
-		out = append(out, parts[b]...)
-	}
+	var fromBuf bool
+	WithScratch(nb, func(parts [][]T) {
+		For(nb, 1, func(b int) {
+			lo, hi := b*blockSize, min((b+1)*blockSize, n)
+			part := parts[b][:0]
+			for i := lo; i < hi; i++ {
+				if v, ok := f(i); ok {
+					part = append(part, v)
+				}
+			}
+			parts[b] = part
+		})
+		total := 0
+		for b := 0; b < nb; b++ {
+			total += len(parts[b])
+		}
+		fromBuf = cap(buf) >= total
+		if fromBuf {
+			out = buf[:0]
+		} else {
+			out = make([]T, 0, total)
+		}
+		for b := 0; b < nb; b++ {
+			out = append(out, parts[b]...)
+		}
+	})
 	return out, fromBuf
 }

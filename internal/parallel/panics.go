@@ -19,8 +19,8 @@ import (
 //     the first captured value and its worker stack, regardless of how
 //     many workers panicked;
 //   - pooled scratch held across the region is released on the unwind
-//     path (every GetScratch in this repository is paired with a
-//     deferred Release), so a contained panic leaves the pool balanced.
+//     path (WithScratch, the only way to borrow, defers the return), so
+//     a contained panic leaves the pool balanced.
 //
 // Sequential fallback paths wrap panics the same way, so callers see
 // one contract at every GOMAXPROCS.

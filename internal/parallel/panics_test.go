@@ -181,9 +181,28 @@ func panicAtEveryOffset(t *testing.T, name string, calls int, region func(cb fun
 	}
 }
 
+// TestWithScratchReleasesOnPanic pins the scoped-borrow contract at its
+// source: a panic inside the callback still returns the buffer.
+func TestWithScratchReleasesOnPanic(t *testing.T) {
+	before := parallel.ScratchStats()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the callback's panic did not propagate")
+			}
+		}()
+		parallel.WithScratch(64, func(s []uint32) { panic("inside the borrow") })
+	}()
+	after := parallel.ScratchStats()
+	if after.Gets != before.Gets+1 || !after.Balanced() {
+		t.Errorf("after a panicking borrow: %d gets, %d puts (was %d/%d)",
+			after.Gets, after.Puts, before.Gets, before.Puts)
+	}
+}
+
 // TestScratchBalanceUnderPanicEverywhere pins the satellite: for every
 // primitive that borrows pooled scratch, a callback panic at every
-// injection offset leaves GetScratch/Release counts equal.
+// injection offset leaves the borrow/return counts equal.
 func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 	defer harness.LeakCheck(t)()
 	const n = 4096

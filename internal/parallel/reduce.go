@@ -31,22 +31,21 @@ func Reduce[T any](n, grain int, id T, f func(i int) T, op func(a, b T) T) T {
 	}
 	blockSize := (n + nb - 1) / nb
 	nb = (n + blockSize - 1) / blockSize
-	pb := GetScratch[T](nb)
-	defer pb.Release()
-	partial := pb.S
-	For(nb, 1, func(b int) {
-		lo, hi := b*blockSize, min((b+1)*blockSize, n)
-		acc := id
-		for i := lo; i < hi; i++ {
-			acc = op(acc, f(i))
+	result := id
+	WithScratch(nb, func(partial []T) {
+		For(nb, 1, func(b int) {
+			lo, hi := b*blockSize, min((b+1)*blockSize, n)
+			acc := id
+			for i := lo; i < hi; i++ {
+				acc = op(acc, f(i))
+			}
+			partial[b] = acc
+		})
+		for _, v := range partial {
+			result = op(result, v)
 		}
-		partial[b] = acc
 	})
-	acc := id
-	for _, v := range partial {
-		acc = op(acc, v)
-	}
-	return acc
+	return result
 }
 
 // Sum returns the sum of f(i) for i in [0, n).

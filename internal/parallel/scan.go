@@ -46,10 +46,28 @@ func Scan[T Number](dst, src []T) T {
 		return acc
 	}
 
-	sb := GetScratch[T](nb)
-	defer sb.Release()
-	sums := sb.S
-	For(nb, 1, func(b int) {
+	var total T
+	WithScratch(nb, func(sums []T) {
+		total = blockOffsets(sums, blockSize, src)
+		For(nb, 1, func(b int) {
+			lo, hi := b*blockSize, min((b+1)*blockSize, n)
+			acc := sums[b]
+			for i := lo; i < hi; i++ {
+				v := src[i]
+				dst[i] = acc
+				acc += v
+			}
+		})
+	})
+	return total
+}
+
+// blockOffsets is the first half of the two-pass blocked scans: it sums
+// each block of src in parallel, turns the per-block sums into exclusive
+// block offsets in place, and returns the grand total.
+func blockOffsets[T Number](sums []T, blockSize int, src []T) T {
+	n := len(src)
+	For(len(sums), 1, func(b int) {
 		lo, hi := b*blockSize, min((b+1)*blockSize, n)
 		var acc T
 		for i := lo; i < hi; i++ {
@@ -57,23 +75,12 @@ func Scan[T Number](dst, src []T) T {
 		}
 		sums[b] = acc
 	})
-
 	var total T
-	for b := 0; b < nb; b++ {
+	for b := range sums {
 		s := sums[b]
 		sums[b] = total
 		total += s
 	}
-
-	For(nb, 1, func(b int) {
-		lo, hi := b*blockSize, min((b+1)*blockSize, n)
-		acc := sums[b]
-		for i := lo; i < hi; i++ {
-			v := src[i]
-			dst[i] = acc
-			acc += v
-		}
-	})
 	return total
 }
 
@@ -99,13 +106,14 @@ func ScanInclusive[T Number](dst, src []T) T {
 	}
 	// Partial overlap: writing dst[i] could clobber an src[j] (j != i)
 	// another block has yet to read. Copy src out of harm's way first.
-	tb := GetScratch[T](n)
-	defer tb.Release()
-	tmp := tb.S
-	Blocked(n, DefaultGrain, func(lo, hi int) {
-		copy(tmp[lo:hi], src[lo:hi])
+	var total T
+	WithScratch(n, func(tmp []T) {
+		Blocked(n, DefaultGrain, func(lo, hi int) {
+			copy(tmp[lo:hi], src[lo:hi])
+		})
+		total = scanInclusiveInto(dst, tmp)
 	})
-	return scanInclusiveInto(dst, tmp)
+	return total
 }
 
 // scanInclusiveInto is the inclusive two-pass blocked scan. It requires
@@ -123,32 +131,17 @@ func scanInclusiveInto[T Number](dst, src []T) T {
 		return acc
 	}
 
-	sb := GetScratch[T](nb)
-	defer sb.Release()
-	sums := sb.S
-	For(nb, 1, func(b int) {
-		lo, hi := b*blockSize, min((b+1)*blockSize, n)
-		var acc T
-		for i := lo; i < hi; i++ {
-			acc += src[i]
-		}
-		sums[b] = acc
-	})
-
 	var total T
-	for b := 0; b < nb; b++ {
-		s := sums[b]
-		sums[b] = total
-		total += s
-	}
-
-	For(nb, 1, func(b int) {
-		lo, hi := b*blockSize, min((b+1)*blockSize, n)
-		acc := sums[b]
-		for i := lo; i < hi; i++ {
-			acc += src[i]
-			dst[i] = acc
-		}
+	WithScratch(nb, func(sums []T) {
+		total = blockOffsets(sums, blockSize, src)
+		For(nb, 1, func(b int) {
+			lo, hi := b*blockSize, min((b+1)*blockSize, n)
+			acc := sums[b]
+			for i := lo; i < hi; i++ {
+				acc += src[i]
+				dst[i] = acc
+			}
+		})
 	})
 	return total
 }

@@ -16,15 +16,15 @@ import (
 // garbage — the property the paper's work bounds implicitly assume and
 // GBBS identifies as a large constant-factor win in practice.
 //
-// Buffers are handed out as *Scratch[T] rather than []T so the
-// round-trip through the pool moves a single pointer and never re-boxes
-// a slice header (which would itself allocate).
+// Buffers travel through the pool as *scratch[T] rather than []T so the
+// round-trip moves a single pointer and never re-boxes a slice header
+// (which would itself allocate). Callers never see the box: WithScratch
+// is the only way to borrow and it returns the buffer itself, so a
+// borrow without its release cannot be written.
 
-// Scratch is a pooled scratch buffer. S has the length requested from
-// GetScratch and arbitrary contents; callers that need zeroed memory
-// must clear it themselves.
-type Scratch[T any] struct {
-	S []T
+// scratch is the pooled box around one scratch buffer.
+type scratch[T any] struct {
+	s []T
 }
 
 // scratchPools maps the element type of a scratch buffer to the
@@ -38,19 +38,18 @@ func poolOf[T any]() *sync.Pool {
 		return p.(*sync.Pool)
 	}
 	p, _ := scratchPools.LoadOrStore(key, &sync.Pool{
-		New: func() any { return new(Scratch[T]) },
+		New: func() any { return new(scratch[T]) },
 	})
 	return p.(*sync.Pool)
 }
 
-// scratchGets/scratchPuts count pool borrows and returns. Every
-// GetScratch site in the repository pairs with a deferred Release, so
-// at any quiescent point (no parallel primitive mid-flight) the two
-// counters are equal — even after a contained panic unwound the region
-// that held the buffer. The failure-semantics tests pin exactly that
-// invariant; the counters are two uncontended atomic adds next to the
-// sync.Map lookup the pool already pays, and the hot loops borrow
-// scratch once per round, not per element.
+// scratchGets/scratchPuts count pool borrows and returns. WithScratch
+// defers the return, so at any quiescent point (no parallel primitive
+// mid-flight) the two counters are equal — even after a contained panic
+// unwound the region that held the buffer. The failure-semantics tests
+// pin exactly that invariant; the counters are two uncontended atomic
+// adds next to the sync.Map lookup the pool already pays, and the hot
+// loops borrow scratch once per round, not per element.
 var scratchGets, scratchPuts atomic.Int64
 
 // ScratchBalance is a snapshot of the pool's borrow/return traffic.
@@ -61,7 +60,7 @@ type ScratchBalance struct {
 // Balanced reports whether every borrowed buffer has been returned.
 func (b ScratchBalance) Balanced() bool { return b.Gets == b.Puts }
 
-// ScratchStats returns the cumulative GetScratch/Release counts. Only
+// ScratchStats returns the cumulative borrow/return counts. Only
 // meaningful at quiescent points: a primitive mid-call legitimately
 // holds unreleased scratch.
 func ScratchStats() ScratchBalance {
@@ -73,26 +72,22 @@ func ScratchStats() ScratchBalance {
 	return ScratchBalance{Gets: gets, Puts: puts}
 }
 
-// GetScratch borrows a scratch buffer of length n (contents arbitrary)
-// from the pool for T. Release it when done; a buffer that is never
-// released is simply garbage-collected (but still counts against
-// ScratchStats balance, which is the point — Release on all paths).
-func GetScratch[T any](n int) *Scratch[T] {
-	s := poolOf[T]().Get().(*Scratch[T])
-	if cap(s.S) < n {
-		s.S = make([]T, n)
+// WithScratch borrows a scratch buffer of length n (contents arbitrary;
+// callers that need zeroed memory clear it themselves) from the pool
+// for T, runs f on it, and returns it to the pool when f returns or
+// panics. f must not retain s: the next borrower reuses its storage.
+func WithScratch[T any](n int, f func(s []T)) {
+	b := poolOf[T]().Get().(*scratch[T])
+	if cap(b.s) < n {
+		b.s = make([]T, n)
 	}
-	s.S = s.S[:n]
+	b.s = b.s[:n]
 	scratchGets.Add(1)
-	return s
+	defer b.release()
+	f(b.s)
 }
 
-// Release returns the buffer to its pool. The caller must not use S
-// after releasing.
-func (s *Scratch[T]) Release() {
-	if s == nil {
-		return
-	}
+func (b *scratch[T]) release() {
 	scratchPuts.Add(1)
-	poolOf[T]().Put(s)
+	poolOf[T]().Put(b)
 }

@@ -89,51 +89,50 @@ func PairsInto[V any](out, in []Pair[V]) {
 	// this layout yields, for every (partition, block), the exact start
 	// offset of that block's contribution — the standard stable radix
 	// scatter.
-	cb := parallel.GetScratch[uint32](nbkt * nb)
-	defer cb.Release()
-	counts := cb.S
-	parallel.For(len(counts), parallel.DefaultGrain, func(i int) { counts[i] = 0 })
-	parallel.For(nb, 1, func(b int) {
-		lo, hi := b*blockSize, min((b+1)*blockSize, n)
-		for i := lo; i < hi; i++ {
-			counts[int(hash(in[i].Key))*nb+b]++
-		}
-	})
-	parallel.Scan(counts, counts)
-
-	ob := parallel.GetScratch[uint32](len(counts))
-	defer ob.Release()
-	offsets := ob.S
-	parallel.Blocked(len(counts), parallel.DefaultGrain, func(lo, hi int) {
-		copy(offsets[lo:hi], counts[lo:hi])
-	})
-	parallel.For(nb, 1, func(b int) {
-		lo, hi := b*blockSize, min((b+1)*blockSize, n)
-		for i := lo; i < hi; i++ {
-			slot := int(hash(in[i].Key))*nb + b
-			out[offsets[slot]] = in[i]
-			offsets[slot]++
-		}
-	})
-
-	// Sort each partition; equal keys are now contiguous globally.
-	parallel.For(nbkt, 1, func(j int) {
-		start := counts[j*nb]
-		var end uint32
-		if j == nbkt-1 {
-			end = uint32(n)
-		} else {
-			end = counts[(j+1)*nb]
-		}
-		part := out[start:end]
-		slices.SortFunc(part, func(a, b Pair[V]) int {
-			switch {
-			case a.Key < b.Key:
-				return -1
-			case a.Key > b.Key:
-				return 1
+	// offsets is the scatter's working copy of counts; one borrow holds
+	// both halves.
+	parallel.WithScratch(2*nbkt*nb, func(both []uint32) {
+		counts, offsets := both[:nbkt*nb], both[nbkt*nb:]
+		parallel.For(len(counts), parallel.DefaultGrain, func(i int) { counts[i] = 0 })
+		parallel.For(nb, 1, func(b int) {
+			lo, hi := b*blockSize, min((b+1)*blockSize, n)
+			for i := lo; i < hi; i++ {
+				counts[int(hash(in[i].Key))*nb+b]++
 			}
-			return 0
+		})
+		parallel.Scan(counts, counts)
+
+		parallel.Blocked(len(counts), parallel.DefaultGrain, func(lo, hi int) {
+			copy(offsets[lo:hi], counts[lo:hi])
+		})
+		parallel.For(nb, 1, func(b int) {
+			lo, hi := b*blockSize, min((b+1)*blockSize, n)
+			for i := lo; i < hi; i++ {
+				slot := int(hash(in[i].Key))*nb + b
+				out[offsets[slot]] = in[i]
+				offsets[slot]++
+			}
+		})
+
+		// Sort each partition; equal keys are now contiguous globally.
+		parallel.For(nbkt, 1, func(j int) {
+			start := counts[j*nb]
+			var end uint32
+			if j == nbkt-1 {
+				end = uint32(n)
+			} else {
+				end = counts[(j+1)*nb]
+			}
+			part := out[start:end]
+			slices.SortFunc(part, func(a, b Pair[V]) int {
+				switch {
+				case a.Key < b.Key:
+					return -1
+				case a.Key > b.Key:
+					return 1
+				}
+				return 0
+			})
 		})
 	})
 }

@@ -8,9 +8,10 @@ import (
 	"julienne/internal/obs"
 )
 
-// Typed admission verdicts. The HTTP layer maps ErrQueueFull to 429
-// and ErrClosing to 503; both carry Retry-After so well-behaved
-// clients back off instead of hammering a saturated server.
+// Typed admission verdicts. The HTTP layer's one table (serve.go's
+// refusals) maps ErrQueueFull to 429 and ErrClosing to 503; both carry
+// Retry-After so well-behaved clients back off instead of hammering a
+// saturated server.
 var (
 	// ErrQueueFull reports that the bounded admission queue is at
 	// capacity: the server is saturated and taking on the request

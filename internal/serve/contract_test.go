@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -170,5 +172,92 @@ func TestCoalescerFollowerCancelDoesNotPoisonFlight(t *testing.T) {
 	c.mu.Unlock()
 	if inflight != 0 {
 		t.Fatalf("%d inflight entries remain after the flight completed, want 0", inflight)
+	}
+}
+
+// TestTypedErrorResponses pins the error→status table (serve.go's
+// refusals) from the outside: each typed error produces the same
+// status, code, Retry-After and counter on every path that can meet
+// it — query admission, job submission, and the health probe.
+func TestTypedErrorResponses(t *testing.T) {
+	// blockJobs occupies the single job worker and fills the
+	// one-deep queue, so the next submission overflows.
+	blockJobs := func(t *testing.T, s *Server) {
+		started := make(chan struct{})
+		block := func(ctx context.Context) (any, error) {
+			select {
+			case started <- struct{}{}:
+			case <-ctx.Done():
+			}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		if _, err := s.jobs.submit("busy", block); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		if _, err := s.jobs.submit("queued", block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := []struct {
+		name       string
+		arrange    func(t *testing.T, s *Server)
+		method     string
+		path       string
+		status     int
+		code       string
+		retryAfter string
+		counter    obs.Counter
+	}{
+		{"query/queue_full", func(t *testing.T, s *Server) {
+			s.adm.tokens <- struct{}{} // the only slot is busy
+			s.adm.waiters.Add(1)       // and the one-deep wait queue is full
+		}, "GET", "/sssp?src=0", 429, "queue_full", "1", obs.CtrServeRejectedQueue},
+		{"query/closing", func(t *testing.T, s *Server) { s.adm.close() },
+			"GET", "/sssp?src=0", 503, "closing", "5", obs.CtrServeRejectedClose},
+		{"query/deadline", func(t *testing.T, s *Server) {
+			s.adm.tokens <- struct{}{} // queued behind a slot that never frees
+		}, "GET", "/wbfs?src=0&timeout_ms=1", 504, "deadline", "", obs.CtrServeCanceled},
+		{"job/queue_full", blockJobs,
+			"POST", "/jobs/densest", 429, "queue_full", "1", obs.CtrServeRejectedQueue},
+		{"job/closing", func(t *testing.T, s *Server) { s.jobs.shutdown() },
+			"POST", "/jobs/densest", 503, "closing", "5", obs.CtrServeRejectedClose},
+		{"health/closing", func(t *testing.T, s *Server) { s.adm.close() },
+			"GET", "/healthz", 503, "closing", "5", obs.CtrServeRejectedClose},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			s := New(Config{Graph: testGraph(), Recorder: rec,
+				MaxInFlight: 1, MaxQueued: 1, JobWorkers: 1, JobQueue: 1})
+			defer s.Close(context.Background())
+			row.arrange(t, s)
+
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, httptest.NewRequest(row.method, row.path, nil))
+			if w.Code != row.status {
+				t.Fatalf("status %d, want %d (body %s)", w.Code, row.status, w.Body)
+			}
+			var body struct{ Error, Detail string }
+			if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+				t.Fatalf("body %q is not JSON: %v", w.Body, err)
+			}
+			if body.Error != row.code || body.Detail == "" {
+				t.Errorf("body = %+v, want error %q with a detail", body, row.code)
+			}
+			if got := w.Header().Get("Retry-After"); got != row.retryAfter {
+				t.Errorf("Retry-After = %q, want %q", got, row.retryAfter)
+			}
+			for _, r := range refusals {
+				want := int64(0)
+				if r.counter == row.counter {
+					want = 1
+				}
+				if got := rec.Counter(r.counter.Name()); got != want {
+					t.Errorf("counter %s = %d, want %d", r.counter.Name(), got, want)
+				}
+			}
+		})
 	}
 }

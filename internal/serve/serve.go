@@ -232,19 +232,7 @@ func (s *Server) queryTimeout(r *http.Request) (time.Duration, error) {
 // must call the returned release.
 func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (func(), bool) {
 	if err := s.adm.acquire(ctx); err != nil {
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			s.rec.Inc(obs.CtrServeRejectedQueue)
-			w.Header().Set("Retry-After", "1")
-			s.failJSON(w, http.StatusTooManyRequests, "queue_full", err.Error())
-		case errors.Is(err, ErrClosing):
-			s.rec.Inc(obs.CtrServeRejectedClose)
-			w.Header().Set("Retry-After", "5")
-			s.failJSON(w, http.StatusServiceUnavailable, "closing", err.Error())
-		default: // the query deadline expired while queued
-			s.rec.Inc(obs.CtrServeCanceled)
-			s.failJSON(w, http.StatusGatewayTimeout, "deadline", err.Error())
-		}
+		s.refuse(w, err, nil)
 		return nil, false
 	}
 	s.rec.Inc(obs.CtrServeRequests)
@@ -341,8 +329,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, wbfs boo
 			return newSSSPVal(res)
 		})
 		if waitErr != nil {
-			s.rec.Inc(obs.CtrServeCanceled)
-			s.failJSON(w, http.StatusGatewayTimeout, "deadline", waitErr.Error())
+			s.refuse(w, waitErr, nil)
 			return
 		}
 		if coalesced && val.err != nil && errors.Is(val.err, obs.ErrCanceled) && ctx.Err() == nil {
@@ -540,19 +527,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j, err := s.jobs.submit(kind, fn)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		s.rec.Inc(obs.CtrServeRejectedQueue)
-		s.failJSON(w, http.StatusTooManyRequests, "queue_full", err.Error())
-		return
-	case errors.Is(err, ErrClosing):
-		w.Header().Set("Retry-After", "5")
-		s.rec.Inc(obs.CtrServeRejectedClose)
-		s.failJSON(w, http.StatusServiceUnavailable, "closing", err.Error())
-		return
-	case err != nil:
-		s.failJSON(w, http.StatusInternalServerError, "internal", err.Error())
+	if err != nil {
+		s.refuse(w, err, nil)
 		return
 	}
 	s.writeJSON(w, http.StatusAccepted, j.info())
@@ -570,7 +546,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	select {
 	case <-s.adm.closed:
-		s.failJSON(w, http.StatusServiceUnavailable, "closing", ErrClosing.Error())
+		s.refuse(w, ErrClosing, nil)
 	default:
 		s.writeJSON(w, http.StatusOK, map[string]any{
 			"status":   "ok",
@@ -596,27 +572,63 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 `)
 }
 
-// writeCanceled maps a kernel cancellation to 504 with the typed
-// partial-progress stats (*obs.Canceled carries algo, rounds, cause);
-// anything else is a 500.
+// writeCanceled answers a query whose kernel run failed: a
+// cancellation is refused as a deadline, with the typed
+// partial-progress stats (*obs.Canceled carries algo, rounds, cause)
+// as the body.
 func (s *Server) writeCanceled(w http.ResponseWriter, err error, rounds int64) {
+	body := map[string]any{"error": "canceled", "rounds": rounds, "cause": err.Error()}
 	var c *obs.Canceled
 	if errors.As(err, &c) {
-		s.rec.Inc(obs.CtrServeCanceled)
-		s.writeJSON(w, http.StatusGatewayTimeout, map[string]any{
+		body = map[string]any{
 			"error":  "canceled",
 			"algo":   c.Algo,
 			"rounds": c.Rounds,
 			"cause":  fmt.Sprint(c.Cause),
-		})
-		return
+		}
 	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.rec.Inc(obs.CtrServeCanceled)
-		s.writeJSON(w, http.StatusGatewayTimeout, map[string]any{
-			"error": "canceled", "rounds": rounds, "cause": err.Error(),
-		})
-		return
+	s.refuse(w, err, body)
+}
+
+// refusal is one row of the typed-error → HTTP table. Every response
+// to backpressure, draining, or an expired deadline is written from
+// it, so each error has exactly one status, code, Retry-After and
+// counter, on every path that can meet it.
+type refusal struct {
+	errs       []error // matched with errors.Is
+	status     int
+	code       string
+	retryAfter string // seconds; "" sends no header
+	counter    obs.Counter
+}
+
+var refusals = []refusal{
+	{[]error{ErrQueueFull}, http.StatusTooManyRequests, "queue_full", "1", obs.CtrServeRejectedQueue},
+	{[]error{ErrClosing}, http.StatusServiceUnavailable, "closing", "5", obs.CtrServeRejectedClose},
+	{[]error{obs.ErrCanceled, context.DeadlineExceeded, context.Canceled},
+		http.StatusGatewayTimeout, "deadline", "", obs.CtrServeCanceled},
+}
+
+// refuse answers a request that failed with err. A typed error gets
+// its table row — counter, Retry-After, status — with body, or the
+// standard {error, detail} pair when body is nil; anything else is a
+// 500.
+func (s *Server) refuse(w http.ResponseWriter, err error, body any) {
+	for _, row := range refusals {
+		for _, target := range row.errs {
+			if !errors.Is(err, target) {
+				continue
+			}
+			s.rec.Inc(row.counter)
+			if row.retryAfter != "" {
+				w.Header().Set("Retry-After", row.retryAfter)
+			}
+			if body == nil {
+				body = map[string]string{"error": row.code, "detail": err.Error()}
+			}
+			s.writeJSON(w, row.status, body)
+			return
+		}
 	}
 	s.failJSON(w, http.StatusInternalServerError, "internal", err.Error())
 }

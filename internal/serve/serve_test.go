@@ -181,7 +181,7 @@ func TestBackpressure429WhenSaturated(t *testing.T) {
 	if ok200 == 0 || rejected == 0 {
 		t.Fatalf("want both successes and 429s under saturation, got %d ok / %d rejected", ok200, rejected)
 	}
-	if rec.Counter(obs.CtrServeRejectedQueue) == 0 {
+	if rec.Counter(obs.CtrServeRejectedQueue.Name()) == 0 {
 		t.Fatal("rejection counter not incremented")
 	}
 }
