@@ -46,14 +46,15 @@ lint: vet
 race:
 	$(GO) test -race -short ./internal/bucket/... ./internal/obs/... \
 		./internal/algo/... ./internal/ligra/... ./internal/proptest/... \
-		./internal/semisort/... ./internal/bench/...
+		./internal/bench/...
 
 # debug builds with the julienne_debug tag, which compiles invariant
 # assertions into the bucket structure and Ligra layer and poisons
 # every bucket-arena slice the moment its lifetime ends, then runs the
 # assertion-sensitive suites under it — including every algorithm that
-# consumes NextBucket's slice (kcore, both ∆-stepping drivers, set
-# cover, densest, truss), so a stale read anywhere indexes out of range.
+# consumes NextBucket's slice (kcore, the ∆-stepping wave driver under
+# both its bodies, set cover, densest, truss), so a stale read anywhere
+# indexes out of range.
 debug:
 	$(GO) build -tags julienne_debug ./...
 	$(GO) test -tags julienne_debug -short ./internal/bucket/... ./internal/proptest/... \

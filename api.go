@@ -158,11 +158,13 @@ type BucketDest = bucket.Dest
 const NoBucketDest = bucket.None
 
 // Buckets is the bucketing interface (§3.1): NextBucket, GetBucket,
-// UpdateBuckets, Stats.
+// UpdateBuckets, Stats — plus bucket fusion (NextBucketFused and
+// DrainLazy, DESIGN.md §11) for monotone-priority algorithms; peeling
+// algorithms that need exact bucket order call only NextBucket.
 type Buckets = bucket.Structure
 
 // BucketOptions configures the parallel bucket structure (open-range
-// size nB, semisort update path).
+// size nB, telemetry recorder).
 type BucketOptions = bucket.Options
 
 // NewBuckets creates the parallel work-efficient bucket structure over

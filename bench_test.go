@@ -265,19 +265,6 @@ func BenchmarkFig5SetCover(b *testing.B) {
 
 // --- Ablations (§3.3 and §4.2 design choices) -------------------------------
 
-func BenchmarkAblationUpdateStrategyHistogram(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		microbench.Run(microbench.Config{Identifiers: 1 << 17, Buckets: 128, Seed: 9})
-	}
-}
-
-func BenchmarkAblationUpdateStrategySemisort(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		microbench.Run(microbench.Config{Identifiers: 1 << 17, Buckets: 128, Seed: 9,
-			Options: bucket.Options{Semisort: true}})
-	}
-}
-
 func benchAblationRange(b *testing.B, nB int) {
 	g := benchGraph()
 	opt := kcore.Options{Buckets: bucket.Options{OpenBuckets: nB}}

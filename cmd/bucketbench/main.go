@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bucketbench [-buckets 128,256,512,1024] [-ids 1024,...] [-semisort]
+//	bucketbench [-buckets 128,256,512,1024] [-ids 1024,...]
 package main
 
 import (
@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"julienne/internal/bucket"
 	"julienne/internal/harness"
 	"julienne/internal/microbench"
 )
@@ -35,7 +34,6 @@ func parseList(s string) ([]int, error) {
 func main() {
 	bucketsFlag := flag.String("buckets", "128,256,512,1024", "bucket counts to sweep")
 	idsFlag := flag.String("ids", "1024,8192,65536,524288", "identifier counts to sweep")
-	semisort := flag.Bool("semisort", false, "use the semisort updateBuckets path")
 	seed := flag.Uint64("seed", 2017, "workload seed")
 	flag.Parse()
 
@@ -54,10 +52,7 @@ func main() {
 	var pts []microbench.Point
 	for _, b := range bucketCounts {
 		for _, n := range idCounts {
-			p := microbench.Run(microbench.Config{
-				Identifiers: n, Buckets: b, Seed: *seed,
-				Options: bucket.Options{Semisort: *semisort},
-			})
+			p := microbench.Run(microbench.Config{Identifiers: n, Buckets: b, Seed: *seed})
 			pts = append(pts, p)
 			t.AddRow(b, n, p.Rounds, p.AvgPerRound, p.Throughput, p.Elapsed)
 		}

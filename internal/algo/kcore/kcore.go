@@ -35,7 +35,7 @@ import (
 // Options configures the bucketed algorithm.
 type Options struct {
 	// Buckets is passed through to the bucket structure (open-range
-	// size, semisort ablation).
+	// size).
 	Buckets bucket.Options
 	// Recorder, when non-nil, receives one span and one RoundMetrics
 	// per peeling round plus the bucket structure's counters. Nil

@@ -110,7 +110,6 @@ func TestAllImplementationsAgree(t *testing.T) {
 		for _, opt := range []Options{
 			{},
 			{Buckets: bucket.Options{OpenBuckets: 4}},
-			{Buckets: bucket.Options{Semisort: true}},
 			{Buckets: bucket.Options{OpenBuckets: 1024}},
 		} {
 			checkEqual(t, name+"/bucketed", Coreness(g, opt).Coreness, want)

@@ -140,7 +140,6 @@ func TestBucketConfigurations(t *testing.T) {
 	want := Approx(inst.Graph, inst.Sets, Options{})
 	for _, opt := range []Options{
 		{Buckets: bucket.Options{OpenBuckets: 2}},
-		{Buckets: bucket.Options{Semisort: true}},
 		{Epsilon: 0.1},
 		{Epsilon: 0.5},
 	} {

@@ -32,7 +32,7 @@ func BellmanFord(g graph.Graph, src graph.Vertex) Result {
 		// successful relaxer of v this round adds v to the output.
 		frontier = ligra.EdgeMap(g, frontier, always,
 			func(s, d graph.Vertex, w graph.Weight) bool {
-				_, captured := relaxCapture(sp, &res.Relaxations, s, d, w)
+				_, captured := relaxCapture(sp, &res, s, d, w)
 				return captured
 			}, ligra.EdgeMapOptions{})
 		// Clear round flags for the next iteration.

@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"julienne/internal/bucket"
@@ -26,7 +27,7 @@ type Options struct {
 	// Deadline, when non-zero, stops the run once it passes (checked
 	// once per round, composing with Ctx — whichever trips first).
 	Deadline time.Time
-	// Fusion enables fused bucket extraction (bucket.Fused, DESIGN.md
+	// Fusion enables fused bucket extraction (NextBucketFused, DESIGN.md
 	// §11): runs of consecutive small buckets drain into one frontier,
 	// and vertices relaxed back into the fused span are processed in
 	// the same round via the lazy buffer instead of round-tripping
@@ -42,141 +43,193 @@ type Options struct {
 	Fusion bucket.Fusion
 }
 
-// DeltaStepping implements Algorithm 2 of the paper: bucketed
-// ∆-stepping where bucket i is the annulus of tentative distances
-// [i∆, (i+1)∆). Unreached vertices are outside the structure (their D
-// is Nil) and enter it on first relaxation, so the work is proportional
-// to edges relaxed, not to n per round.
-func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Result {
+// waves is the state the one ∆-stepping wave driver (runWaves) shares
+// with an algorithm's per-segment body.
+type waves struct {
+	// res comes first so its counters, which the relax loops update
+	// with sync/atomic, stay 8-aligned under 32-bit layout.
+	res       Result
+	prevStats bucket.Stats
+	prevRelax int64
+	udelta    uint64
+	g         graph.Graph
+	// sp holds the tentative distances, one per vertex; the flag bit
+	// marks a vertex whose distance changed in the current round.
+	sp  []uint64
+	b   *bucket.Par
+	rec *obs.Recorder
+}
+
+// bktOf is GetBucketNum of Algorithm 2 (line 3): bucket i is the
+// annulus of tentative distances [i∆, (i+1)∆).
+func (w *waves) bktOf(dist uint64) bucket.ID {
+	if dist >= inf {
+		return bucket.Nil
+	}
+	b := dist / w.udelta
+	if b >= uint64(bucket.Nil) {
+		panic("sssp: distance/delta exceeds the bucket id space; increase delta")
+	}
+	return bucket.ID(b)
+}
+
+// startRound opens one relaxation round over a frontier of the given
+// size drawn from bucket id.
+func (w *waves) startRound(id bucket.ID, frontier int) *obs.Span {
+	w.res.Rounds++
+	return w.rec.StartSpan("sssp.round").Arg("bucket", id).Arg("frontier", frontier)
+}
+
+// endRound closes the round startRound opened and records its metrics,
+// attributing the bucket traffic since the previous round to it.
+func (w *waves) endRound(sp *obs.Span, id bucket.ID, frontier int, edges int64) {
+	// The round's workers have joined, but the counters are atomic
+	// cells: touch them atomically so the happens-before edge is explicit.
+	atomic.AddInt64(&w.res.EdgesTraversed, edges)
+	relax := atomic.LoadInt64(&w.res.Relaxations)
+	dur := sp.Arg("relaxations", relax-w.prevRelax).End()
+	if w.rec == nil {
+		return
+	}
+	cur := w.b.Stats()
+	sd := cur.Sub(w.prevStats)
+	w.prevStats = cur
+	w.prevRelax = relax
+	w.rec.RecordRound(obs.RoundMetrics{
+		Algo: "sssp", Round: w.res.Rounds, Bucket: id,
+		FrontierSize: frontier, EdgesTraversed: edges,
+		Dense:     false, // EdgeMapTagged is push-only
+		Extracted: sd.Extracted, Moved: sd.Moved,
+		Skipped: sd.Skipped, Duration: dur,
+	})
+}
+
+// segmentFunc is an algorithm's per-segment body: relax the frontier
+// ids drawn from the bucket range [id, last] and rebucket what moved.
+// ids aliases the bucket structure's arena: valid only until the
+// body's next call into the structure.
+type segmentFunc func(id, last bucket.ID, ids []uint32)
+
+// runWaves is the bucketed ∆-stepping driver DeltaStepping, WBFS and
+// DeltaSteppingLH share; body builds the algorithm's segmentFunc over
+// the validated, initialized run. Bodies are named functions, not
+// literals at the call site: the entry points are small enough to be
+// inlined into other packages, and a literal copied along with them
+// loses the inlining of relaxCapture in the per-edge path. Each wave extracts the next bucket —
+// or, with opt.Fusion enabled, the next fused bucket range [id, last] —
+// and hands the frontier to the segment body. Vertices relaxed back
+// into a fused span return in the same wave as further segments via
+// DrainLazy; without fusion last == id, no span opens, DrainLazy
+// returns nil, and every wave is exactly one segment.
+func runWaves(g graph.Graph, src graph.Vertex, delta int64, opt Options, body func(w *waves) segmentFunc) Result {
 	checkInput(g, src)
 	if delta <= 0 {
 		panic("sssp: delta must be positive")
 	}
 	n := g.NumVertices()
-	sp := make([]uint64, n)
-	parallel.For(n, parallel.DefaultGrain, func(i int) { sp[i] = inf })
-	sp[src] = 0
-
-	udelta := uint64(delta)
-	bktOf := func(dist uint64) bucket.ID {
-		if dist >= inf {
-			return bucket.Nil
-		}
-		b := dist / udelta
-		if b >= uint64(bucket.Nil) {
-			panic("sssp: distance/delta exceeds the bucket id space; increase delta")
-		}
-		return bucket.ID(b)
-	}
-	// GetBucketNum of Algorithm 2 (line 3).
-	d := func(i uint32) bucket.ID { return bktOf(sp[i] &^ flag) }
-	rec := opt.Recorder
+	w := &waves{g: g, udelta: uint64(delta), sp: make([]uint64, n), rec: opt.Recorder}
+	parallel.For(n, parallel.DefaultGrain, func(i int) { w.sp[i] = inf })
+	w.sp[src] = 0
 	bopt := opt.Buckets
 	if bopt.Recorder == nil {
-		bopt.Recorder = rec
+		bopt.Recorder = w.rec
 	}
-	b := bucket.New(n, d, bucket.Increasing, bopt)
+	w.b = bucket.New(n, func(i uint32) bucket.ID { return w.bktOf(w.sp[i] &^ flag) },
+		bucket.Increasing, bopt)
+	segment := body(w)
 
-	res := Result{}
-	always := func(graph.Vertex) bool { return true }
 	fus := opt.Fusion
-	var prevStats bucket.Stats
-	var prevRelax int64
 	cancel := obs.NewCancelCheck(opt.Ctx, opt.Deadline)
-loop:
-	for {
-		if cause := cancel.Stopped(); cause != nil {
-			res.Err = rec.NewCanceled("sssp", res.Rounds, cause)
-			break
+	stopped := func() bool {
+		cause := cancel.Stopped()
+		if cause != nil {
+			w.res.Err = w.rec.NewCanceled("sssp", w.res.Rounds, cause)
 		}
-		// ids aliases the bucket structure's arena: valid only until the
-		// next NextBucket/NextBucketFused/DrainLazy/UpdateBuckets call,
-		// and fully consumed this wave. With fusion enabled the frontier
-		// covers the fused bucket range [id, last]; without it, last ==
-		// id and the inner loop below runs exactly once.
+		return cause != nil
+	}
+run:
+	for !stopped() {
 		var id, last bucket.ID
 		var ids []uint32
 		if fus.Enabled() {
-			id, last, ids = b.NextBucketFused(fus.MaxFrontier, fus.MaxSpan)
+			id, last, ids = w.b.NextBucketFused(fus.MaxFrontier, fus.MaxSpan)
 		} else {
-			id, ids = b.NextBucket()
+			id, ids = w.b.NextBucket()
 			last = id
 		}
 		if id == bucket.Nil {
 			break
 		}
 		for len(ids) > 0 {
-			sp2 := rec.StartSpan("sssp.round").Arg("bucket", id).Arg("frontier", len(ids))
-			res.Rounds++
-			frontier := ligra.FromSparse(n, ids)
-			roundEdges := parallel.Sum(len(ids), 0, func(i int) int64 {
-				return int64(g.OutDegree(ids[i]))
-			})
-			res.EdgesTraversed += roundEdges
-			// Relax the out-edges of the frontier (Algorithm 2, line 18).
-			// The tagged output carries each improved vertex's distance
-			// at the start of the round, captured by the winning relaxer.
-			moved := ligra.EdgeMapTagged(g, frontier, always,
-				func(s, dst graph.Vertex, w graph.Weight) (uint64, bool) {
-					return relaxCapture(sp, &res.Relaxations, s, dst, w)
-				})
-			// Reset (lines 11–13): clear the round flag and compute each
-			// vertex's bucket move from its start-of-round bucket to its
-			// new bucket.
-			rebucket := ligra.TagMapTagged(moved, func(v graph.Vertex, oldDist uint64) (bucket.Dest, bool) {
-				newDist := sp[v] &^ flag
-				sp[v] = newDist
-				prevB, newB := bktOf(oldDist), bktOf(newDist)
-				var dest bucket.Dest
-				if newB == prevB && newB >= id && newB <= last {
-					// v sat in the current bucket range and was improved
-					// to a distance still inside it. The extraction
-					// consumed its physical copy, so "no logical move"
-					// must still reinsert it (the light-edge iteration
-					// of ∆-stepping); prev = Nil states the physical
-					// truth. Under fusion the structure routes this to
-					// the lazy buffer for the next wave.
-					dest = b.GetBucket(bucket.Nil, newB)
-				} else {
-					dest = b.GetBucket(prevB, newB)
-				}
-				return dest, dest != bucket.None
-			})
-			b.UpdateBuckets(rebucket.Size(), func(j int) (uint32, bucket.Dest) {
-				return rebucket.IDs[j], rebucket.Vals[j]
-			})
-			dur := sp2.Arg("relaxations", res.Relaxations-prevRelax).End()
-			if rec != nil {
-				cur := b.Stats()
-				sd := cur.Sub(prevStats)
-				prevStats = cur
-				prevRelax = res.Relaxations
-				rec.RecordRound(obs.RoundMetrics{
-					Algo: "sssp", Round: res.Rounds, Bucket: id,
-					FrontierSize: len(ids), EdgesTraversed: roundEdges,
-					Dense:     false, // EdgeMapTagged is push-only
-					Extracted: sd.Extracted, Moved: sd.Moved,
-					Skipped: sd.Skipped, Duration: dur,
-				})
-			}
-			if !fus.Enabled() {
-				break
-			}
-			// Same-round processing of the fused span: everything
-			// relaxed into [id, last] this wave comes back immediately
-			// instead of waiting for another synchronization round.
-			ids = b.DrainLazy()
-			if len(ids) > 0 {
-				if cause := cancel.Stopped(); cause != nil {
-					res.Err = rec.NewCanceled("sssp", res.Rounds, cause)
-					break loop
-				}
+			segment(id, last, ids)
+			// Same-wave processing of the fused span: everything relaxed
+			// into [id, last] comes back immediately instead of waiting
+			// for another synchronization round.
+			ids = w.b.DrainLazy()
+			if len(ids) > 0 && stopped() {
+				break run
 			}
 		}
 	}
-	res.BucketStats = b.Stats()
-	res.Dist = finalize(sp)
-	return res
+	w.res.BucketStats = w.b.Stats()
+	w.res.Dist = finalize(w.sp)
+	return w.res
+}
+
+// DeltaStepping implements Algorithm 2 of the paper: bucketed
+// ∆-stepping where bucket i is the annulus of tentative distances
+// [i∆, (i+1)∆). Unreached vertices are outside the structure (their D
+// is Nil) and enter it on first relaxation, so the work is proportional
+// to edges relaxed, not to n per round.
+func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Result {
+	return runWaves(g, src, delta, opt, deltaSegment)
+}
+
+// deltaSegment is Algorithm 2's round: one segment is one relaxation
+// round over the whole frontier.
+func deltaSegment(w *waves) segmentFunc {
+	// res is taken once, here: &w.res inside relax would nil-check w by
+	// loading its first word on every call, and that word shares a cache
+	// line with the Relaxations counter every worker is adding to
+	// (measured: +28% on the RMAT ∆-stepping run at P=2).
+	g, sp, b, res := w.g, w.sp, w.b, &w.res
+	always := func(graph.Vertex) bool { return true }
+	relax := func(s, dst graph.Vertex, wt graph.Weight) (uint64, bool) {
+		return relaxCapture(sp, res, s, dst, wt)
+	}
+	return func(id, last bucket.ID, ids []uint32) {
+		span := w.startRound(id, len(ids))
+		edges := parallel.Sum(len(ids), 0, func(i int) int64 {
+			return int64(g.OutDegree(ids[i]))
+		})
+		// Relax the out-edges of the frontier (Algorithm 2, line 18).
+		// The tagged output carries each improved vertex's distance at
+		// the start of the round, captured by the winning relaxer.
+		moved := ligra.EdgeMapTagged(g, ligra.FromSparse(len(sp), ids), always, relax)
+		// Reset (lines 11–13): clear the round flag and compute each
+		// vertex's bucket move from its start-of-round bucket to its
+		// new bucket.
+		rebucket := ligra.TagMapTagged(moved, func(v graph.Vertex, oldDist uint64) (bucket.Dest, bool) {
+			newDist := sp[v] &^ flag
+			sp[v] = newDist
+			prevB, newB := w.bktOf(oldDist), w.bktOf(newDist)
+			if newB == prevB && newB >= id && newB <= last {
+				// v sat in the current bucket range and was improved to a
+				// distance still inside it. The extraction consumed its
+				// physical copy, so "no logical move" must still reinsert
+				// it (the light-edge iteration of ∆-stepping); prev = Nil
+				// states the physical truth. Under fusion the structure
+				// routes this to the lazy buffer for the next segment.
+				prevB = bucket.Nil
+			}
+			dest := b.GetBucket(prevB, newB)
+			return dest, dest != bucket.None
+		})
+		b.UpdateBuckets(rebucket.Size(), func(j int) (uint32, bucket.Dest) {
+			return rebucket.IDs[j], rebucket.Vals[j]
+		})
+		w.endRound(span, id, len(ids), edges)
+	}
 }
 
 // WBFS is weighted breadth-first search: ∆-stepping with ∆ = 1

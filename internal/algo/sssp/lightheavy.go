@@ -7,7 +7,6 @@ import (
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
 	"julienne/internal/ligra"
-	"julienne/internal/obs"
 	"julienne/internal/parallel"
 )
 
@@ -25,233 +24,161 @@ import (
 // annulus is iterated manually here: the bucket structure supplies the
 // annulus fronts, and intra-annulus light rounds run outside it.
 func DeltaSteppingLH(g graph.Graph, src graph.Vertex, delta int64, opt Options) Result {
-	checkInput(g, src)
-	if delta <= 0 {
-		panic("sssp: delta must be positive")
-	}
+	return runWaves(g, src, delta, opt, lightHeavySegment)
+}
+
+// lightHeavySegment splits the graph and returns the light/heavy body:
+// one segment is the light rounds of an annulus until it settles, then
+// one heavy round from everything it settled.
+func lightHeavySegment(w *waves) segmentFunc {
 	// Every edge with w ≤ ∆ must be classified light: the rebucketing
 	// below treats any vertex landing in the current annulus as settled,
 	// which is only sound because a genuinely heavy relaxation (w > ∆)
 	// always lands beyond the annulus. Weights are int32, so capping the
 	// threshold at MaxInt32 keeps the conversion in range while still
 	// classifying every edge as light once ∆ exceeds the weight range.
-	limit := delta
-	if limit > math.MaxInt32 {
-		limit = math.MaxInt32
-	}
-	light, heavy := splitLightHeavy(g, graph.Weight(limit))
+	light, heavy := splitLightHeavy(w.g, graph.Weight(min(w.udelta, math.MaxInt32)))
 
-	n := g.NumVertices()
-	udelta := uint64(delta)
-	sp := make([]uint64, n)
-	parallel.For(n, parallel.DefaultGrain, func(i int) { sp[i] = inf })
-	sp[src] = 0
-	bktOf := func(dist uint64) bucket.ID {
-		if dist >= inf {
-			return bucket.Nil
-		}
-		b := dist / udelta
-		if b >= uint64(bucket.Nil) {
-			panic("sssp: distance/delta exceeds the bucket id space; increase delta")
-		}
-		return bucket.ID(b)
-	}
-	d := func(i uint32) bucket.ID { return bktOf(sp[i] &^ flag) }
-	rec := opt.Recorder
-	bopt := opt.Buckets
-	if bopt.Recorder == nil {
-		bopt.Recorder = rec
-	}
-	b := bucket.New(n, d, bucket.Increasing, bopt)
-
-	res := Result{}
+	sp, b, res := w.sp, w.b, &w.res
+	n := len(sp)
 	always := func(graph.Vertex) bool { return true }
 	// roundMark/annulusMark deduplicate activations; a vertex joins the
-	// active set at most once per light round, and the settled set at
-	// most once per annulus.
+	// active set at most once per relaxation round, and the settled
+	// set at most once per annulus segment.
 	roundMark := make([]uint64, n)
 	annulusMark := make([]uint64, n)
-	var round, annulus uint64
+	var round, annulus, annulusEnd uint64
 
 	type capture struct {
 		oldDist  uint64
 		captured bool
 		active   bool
 	}
-
-	fus := opt.Fusion
-	var prevStats bucket.Stats
-	var prevRelax int64
-	cancel := obs.NewCancelCheck(opt.Ctx, opt.Deadline)
-loop:
-	for {
-		if cause := cancel.Stopped(); cause != nil {
-			res.Err = rec.NewCanceled("sssp", res.Rounds, cause)
-			break
-		}
-		// With fusion enabled the extraction covers the fused bucket
-		// range [id, last] and the annulus widens to match; without it,
-		// last == id and the segment loop below runs exactly once.
-		var id, last bucket.ID
-		var ids []uint32
-		if fus.Enabled() {
-			id, last, ids = b.NextBucketFused(fus.MaxFrontier, fus.MaxSpan)
-		} else {
-			id, ids = b.NextBucket()
-			last = id
-		}
-		if id == bucket.Nil {
-			break
-		}
-		annulusEnd := (uint64(last) + 1) * udelta
-		// Each drained frontier is one segment of the (possibly fused)
-		// annulus, with its own mark epoch. Without fusion there is
-		// exactly one segment. With fusion a heavy relaxation may land
-		// inside the fused span without being activated by the light
-		// rounds (a heavy edge jumps more than one ∆-annulus but not
-		// necessarily past the whole span); such vertices round-trip
-		// through the lazy buffer and come back as the next segment.
-		for len(ids) > 0 {
-			annulus++
-			var capturedIDs []graph.Vertex
-			var capturedOld []uint64
-
-			// ids aliases the bucket arena (valid only until the next
-			// structure call), but settled is appended to during the
-			// light rounds and read by the heavy phase — so copy it out.
-			settled := append([]graph.Vertex(nil), ids...)
-			parallel.For(len(ids), parallel.DefaultGrain, func(i int) {
-				annulusMark[ids[i]] = annulus
-			})
-
-			active := ids
-			for len(active) > 0 {
-				sp2 := rec.StartSpan("sssp.round").Arg("bucket", id).Arg("frontier", len(active))
-				res.Rounds++
-				round++
-				roundEdges := parallel.Sum(len(active), 0, func(i int) int64 {
-					return int64(light.OutDegree(active[i]))
-				})
-				res.EdgesTraversed += roundEdges
-				moved := ligra.EdgeMapTagged(light, ligra.FromSparse(n, active), always,
-					func(s, dst graph.Vertex, w graph.Weight) (capture, bool) {
-						nDist := load(sp, s) + uint64(w)
-						for {
-							old := atomic.LoadUint64(&sp[dst])
-							oDist := old &^ flag
-							if nDist >= oDist {
-								return capture{}, false
-							}
-							if atomic.CompareAndSwapUint64(&sp[dst], old, flag|nDist) {
-								atomic.AddInt64(&res.Relaxations, 1)
-								c := capture{oldDist: oDist, captured: old&flag == 0}
-								if nDist < annulusEnd {
-									// Joins this annulus' next light round;
-									// the mark CAS ensures one activation
-									// per vertex per round.
-									for {
-										rm := atomic.LoadUint64(&roundMark[dst])
-										if rm == round {
-											break
-										}
-										if atomic.CompareAndSwapUint64(&roundMark[dst], rm, round) {
-											c.active = true
-											break
-										}
-									}
-								}
-								if c.captured || c.active {
-									return c, true
-								}
-								return capture{}, false
-							}
+	// relax is Algorithm 2's Update for both edge classes: the winner
+	// of the flag transition captures the pre-segment distance for
+	// rebucketing, and an improvement landing inside the annulus
+	// additionally activates its target, once per round.
+	relax := func(s, dst graph.Vertex, wt graph.Weight) (capture, bool) {
+		nDist := load(sp, s) + uint64(wt)
+		for {
+			old := atomic.LoadUint64(&sp[dst])
+			oDist := old &^ flag
+			if nDist >= oDist {
+				return capture{}, false
+			}
+			if atomic.CompareAndSwapUint64(&sp[dst], old, flag|nDist) {
+				atomic.AddInt64(&res.Relaxations, 1)
+				c := capture{oldDist: oDist, captured: old&flag == 0}
+				if nDist < annulusEnd {
+					for {
+						rm := atomic.LoadUint64(&roundMark[dst])
+						if rm == round {
+							break
 						}
-					})
-				var nextActive []graph.Vertex
-				for i := 0; i < moved.Size(); i++ {
-					v, c := moved.At(i)
-					if c.captured {
-						capturedIDs = append(capturedIDs, v)
-						capturedOld = append(capturedOld, c.oldDist)
-					}
-					if c.active {
-						nextActive = append(nextActive, v)
-						if annulusMark[v] != annulus {
-							annulusMark[v] = annulus
-							settled = append(settled, v)
+						if atomic.CompareAndSwapUint64(&roundMark[dst], rm, round) {
+							c.active = true
+							break
 						}
 					}
 				}
-				dur := sp2.Arg("relaxations", res.Relaxations-prevRelax).End()
-				if rec != nil {
-					// Bucket traffic moves at annulus granularity (extraction
-					// at NextBucket, rebucketing at UpdateBuckets), so the
-					// annulus' extraction delta lands on its first light
-					// round and its rebucket delta on the next annulus'.
-					cur := b.Stats()
-					sd := cur.Sub(prevStats)
-					prevStats = cur
-					prevRelax = res.Relaxations
-					rec.RecordRound(obs.RoundMetrics{
-						Algo: "sssp", Round: res.Rounds, Bucket: id,
-						FrontierSize: len(active), EdgesTraversed: roundEdges,
-						Extracted: sd.Extracted, Moved: sd.Moved,
-						Skipped: sd.Skipped, Duration: dur,
-					})
-				}
-				active = nextActive
-			}
-
-			// Heavy edges of every vertex settled in this annulus, once.
-			res.EdgesTraversed += parallel.Sum(len(settled), 0, func(i int) int64 {
-				return int64(heavy.OutDegree(settled[i]))
-			})
-			movedH := ligra.EdgeMapTagged(heavy, ligra.FromSparse(n, settled), always,
-				func(s, dst graph.Vertex, w graph.Weight) (uint64, bool) {
-					return relaxCapture(sp, &res.Relaxations, s, dst, w)
-				})
-			for i := 0; i < movedH.Size(); i++ {
-				v, old := movedH.At(i)
-				capturedIDs = append(capturedIDs, v)
-				capturedOld = append(capturedOld, old)
-			}
-
-			// Rebucket every captured vertex. Vertices this segment settled
-			// (in-span and marked with the segment's epoch) must not be
-			// reinserted; in-span vertices the light rounds never activated
-			// (heavy relaxations landing inside the fused span) go through
-			// GetBucket, which routes them to the lazy buffer for the next
-			// segment. All captured vertices get their flags cleared.
-			dests := make([]bucket.Dest, len(capturedIDs))
-			parallel.For(len(capturedIDs), parallel.DefaultGrain, func(i int) {
-				v := capturedIDs[i]
-				newDist := sp[v] &^ flag
-				sp[v] = newDist
-				newB := bktOf(newDist)
-				if newB >= id && newB <= last && annulusMark[v] == annulus {
-					dests[i] = bucket.None
-					return
-				}
-				dests[i] = b.GetBucket(bktOf(capturedOld[i]), newB)
-			})
-			b.UpdateBuckets(len(capturedIDs), func(j int) (uint32, bucket.Dest) {
-				return capturedIDs[j], dests[j]
-			})
-			if !fus.Enabled() {
-				break
-			}
-			ids = b.DrainLazy()
-			if len(ids) > 0 {
-				if cause := cancel.Stopped(); cause != nil {
-					res.Err = rec.NewCanceled("sssp", res.Rounds, cause)
-					break loop
-				}
+				return c, c.captured || c.active
 			}
 		}
 	}
-	res.BucketStats = b.Stats()
-	res.Dist = finalize(sp)
-	return res
+
+	// Each drained frontier is one segment of the (possibly fused)
+	// annulus [id, last], with its own mark epoch. Without fusion there
+	// is exactly one segment: a heavy edge (w > ∆) always leaves the
+	// annulus. With fusion a heavy relaxation may land inside the fused
+	// span (a heavy edge jumps more than one ∆-annulus but not
+	// necessarily past the whole span); its target — settled this
+	// segment or not — round-trips through the lazy buffer and comes
+	// back as the next segment.
+	return func(id, last bucket.ID, ids []uint32) {
+		annulusEnd = (uint64(last) + 1) * w.udelta
+		annulus++
+		var capturedIDs []graph.Vertex
+		var capturedOld []uint64
+
+		// ids aliases the bucket arena (valid only until the next
+		// structure call), but settled is appended to during the light
+		// rounds and read by the heavy phase — so copy it out.
+		settled := append([]graph.Vertex(nil), ids...)
+		parallel.For(len(ids), parallel.DefaultGrain, func(i int) {
+			annulusMark[ids[i]] = annulus
+		})
+
+		active := ids
+		for len(active) > 0 {
+			span := w.startRound(id, len(active))
+			round++
+			edges := parallel.Sum(len(active), 0, func(i int) int64 {
+				return int64(light.OutDegree(active[i]))
+			})
+			moved := ligra.EdgeMapTagged(light, ligra.FromSparse(n, active), always, relax)
+			var nextActive []graph.Vertex
+			for i := 0; i < moved.Size(); i++ {
+				v, c := moved.At(i)
+				if c.captured {
+					capturedIDs = append(capturedIDs, v)
+					capturedOld = append(capturedOld, c.oldDist)
+				}
+				if c.active {
+					// Joins this annulus' next light round.
+					nextActive = append(nextActive, v)
+					if annulusMark[v] != annulus {
+						annulusMark[v] = annulus
+						settled = append(settled, v)
+					}
+				}
+			}
+			// Bucket traffic moves at annulus granularity (extraction at
+			// NextBucket, rebucketing at UpdateBuckets), so the annulus'
+			// extraction delta lands on its first light round and its
+			// rebucket delta on the next annulus'.
+			w.endRound(span, id, len(active), edges)
+			active = nextActive
+		}
+
+		// Heavy edges of every vertex settled in this annulus, once, as
+		// one more round epoch: a target it activates is relaxed in the
+		// next segment, not here.
+		round++
+		atomic.AddInt64(&res.EdgesTraversed, parallel.Sum(len(settled), 0, func(i int) int64 {
+			return int64(heavy.OutDegree(settled[i]))
+		}))
+		movedH := ligra.EdgeMapTagged(heavy, ligra.FromSparse(n, settled), always, relax)
+		for i := 0; i < movedH.Size(); i++ {
+			if v, c := movedH.At(i); c.captured {
+				capturedIDs = append(capturedIDs, v)
+				capturedOld = append(capturedOld, c.oldDist)
+			}
+		}
+
+		// Rebucket every captured vertex. Vertices this segment settled
+		// (in-span and marked with the segment's epoch) must not be
+		// reinserted — unless the heavy phase improved them afterwards
+		// (marked with its round epoch): their edges were relaxed from a
+		// stale distance. Those, and in-span vertices the light rounds
+		// never activated, go through GetBucket, which routes them to
+		// the lazy buffer for the next segment. All captured vertices
+		// get their flags cleared.
+		dests := make([]bucket.Dest, len(capturedIDs))
+		parallel.For(len(capturedIDs), parallel.DefaultGrain, func(i int) {
+			v := capturedIDs[i]
+			newDist := sp[v] &^ flag
+			sp[v] = newDist
+			newB := w.bktOf(newDist)
+			if newB >= id && newB <= last && annulusMark[v] == annulus && roundMark[v] != round {
+				dests[i] = bucket.None
+				return
+			}
+			dests[i] = b.GetBucket(w.bktOf(capturedOld[i]), newB)
+		})
+		b.UpdateBuckets(len(capturedIDs), func(j int) (uint32, bucket.Dest) {
+			return capturedIDs[j], dests[j]
+		})
+	}
 }
 
 // splitLightHeavy partitions g's edges into a light graph (w ≤ limit)

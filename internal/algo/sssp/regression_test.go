@@ -1,8 +1,12 @@
 package sssp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"julienne/internal/bucket"
+	"julienne/internal/gen"
 	"julienne/internal/graph"
 )
 
@@ -20,17 +24,32 @@ func hugeWeightPath(t *testing.T) *graph.CSR {
 
 // DeltaSteppingLH used to compute bucket ids as bucket.ID(dist/delta)
 // with no range check, so distances at or above 2³²·∆ silently wrapped
-// modulo 2³² and corrupted the traversal order. DeltaStepping always
-// guarded this case with a panic; the light/heavy variant must behave
-// identically.
+// modulo 2³² and corrupted the traversal order, while DeltaStepping
+// guarded the case with a panic. The guard now lives once, in the wave
+// driver every bucketed entry point runs on; each must trip it, with
+// and without fusion.
 func TestDeltaSteppingLHBucketOverflowGuard(t *testing.T) {
 	g := hugeWeightPath(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("DeltaSteppingLH(delta=1) on >32-bit distances: want panic, got none")
+	entries := map[string]func(Options){
+		"DeltaStepping":   func(o Options) { DeltaStepping(g, 0, 1, o) },
+		"WBFS":            func(o Options) { WBFS(g, 0, o) },
+		"DeltaSteppingLH": func(o Options) { DeltaSteppingLH(g, 0, 1, o) },
+	}
+	for name, run := range entries {
+		for _, opt := range []Options{{}, {Fusion: bucket.MaximalFusion()}} {
+			t.Run(fmt.Sprintf("%s/fused=%t", name, opt.Fusion.Enabled()), func(t *testing.T) {
+				defer func() {
+					// The guard fires inside a parallel worker, so it may
+					// arrive wrapped in a *parallel.PanicError.
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, "exceeds the bucket id space") {
+						t.Fatalf("%s(delta=1) on >32-bit distances: want the bucket-id overflow panic, got %q", name, msg)
+					}
+				}()
+				run(opt)
+			})
 		}
-	}()
-	DeltaSteppingLH(g, 0, 1, Options{})
+	}
 }
 
 // With a delta large enough to keep bucket ids in range, the same graph
@@ -50,4 +69,22 @@ func TestDeltaSteppingLHHugeWeights(t *testing.T) {
 	}
 	res := DijkstraHeap(g, 0)
 	checkDists(t, "DijkstraHeap", res.Dist, want)
+}
+
+// Fused DeltaSteppingLH used to drop a vertex its segment had already
+// settled when a heavy relaxation from elsewhere in the fused span
+// improved it afterwards: the vertex was treated as done, its edges
+// stayed relaxed from the stale distance, and distances downstream came
+// out too large (1,386 of 2,000 vertices wrong on this grid at ∆ = 4).
+// Without fusion a heavy edge always leaves the annulus, so only fused
+// spans — wider than one ∆ — can be hit.
+func TestDeltaSteppingLHFusedHeavyIntoSpan(t *testing.T) {
+	g := gen.UniformWeights(gen.Grid2D(40, 50), 1, 16, 7)
+	want := DijkstraHeap(g, 0).Dist
+	for _, fus := range []bucket.Fusion{{MaxFrontier: 64}, {MaxFrontier: 64, MaxSpan: 2}, bucket.MaximalFusion()} {
+		for _, delta := range []int64{1, 2, 4, 8, 16} {
+			res := DeltaSteppingLH(g, 0, delta, Options{Fusion: fus})
+			checkDists(t, fmt.Sprintf("DeltaSteppingLH delta=%d %+v", delta, fus), res.Dist, want)
+		}
+	}
 }

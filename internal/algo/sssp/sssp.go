@@ -103,10 +103,11 @@ func load(sp []uint64, v graph.Vertex) uint64 {
 }
 
 // relaxCapture attempts the relaxation s→d with edge weight w
-// (Algorithm 2, Update): on improvement it writeMins the distance and
-// sets the round flag; the caller that transitions the flag from clear
-// to set captures the pre-round distance (returned with ok=true).
-func relaxCapture(sp []uint64, relaxations *int64, s, d graph.Vertex, w graph.Weight) (uint64, bool) {
+// (Algorithm 2, Update): on improvement it writeMins the distance,
+// counts the relaxation in res, and sets the round flag; the caller
+// that transitions the flag from clear to set captures the pre-round
+// distance (returned with ok=true).
+func relaxCapture(sp []uint64, res *Result, s, d graph.Vertex, w graph.Weight) (uint64, bool) {
 	nDist := load(sp, s) + uint64(w)
 	for {
 		old := atomic.LoadUint64(&sp[d])
@@ -115,7 +116,7 @@ func relaxCapture(sp []uint64, relaxations *int64, s, d graph.Vertex, w graph.We
 			return 0, false
 		}
 		if atomic.CompareAndSwapUint64(&sp[d], old, flag|nDist) {
-			atomic.AddInt64(relaxations, 1)
+			atomic.AddInt64(&res.Relaxations, 1)
 			if old&flag == 0 {
 				return oDist, true // unique capturer this round
 			}

@@ -54,7 +54,6 @@ func TestBucketConfigurations(t *testing.T) {
 	for _, opt := range []Options{
 		{Buckets: bucket.Options{OpenBuckets: 1}},
 		{Buckets: bucket.Options{OpenBuckets: 4}},
-		{Buckets: bucket.Options{Semisort: true}},
 		{Buckets: bucket.Options{OpenBuckets: 4096}},
 	} {
 		checkDists(t, "delta-cfg", DeltaStepping(g, 0, 5000, opt).Dist, want)

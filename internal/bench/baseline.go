@@ -16,7 +16,6 @@ var bucketBaseline = Baseline{
 	Note:   "pre-arena tree, go test -bench -benchmem, GOMAXPROCS=1 container",
 	Entries: []GoBench{
 		{Name: "BenchmarkUpdateBucketsHistogram", NsPerOp: 1231211, BytesPerOp: 738931, AllocsPerOp: 12},
-		{Name: "BenchmarkUpdateBucketsSemisort", NsPerOp: 2675884, BytesPerOp: 4289906, AllocsPerOp: 29},
 		{Name: "BenchmarkNextBucket", NsPerOp: 29515264, BytesPerOp: 5869045, AllocsPerOp: 6113},
 	},
 }

@@ -21,8 +21,8 @@ import (
 // heavy-weight ∆-stepping configuration.
 const benchDelta = 32768
 
-// Bucket measures the bucket structure's hot paths: the histogram and
-// semisort UpdateBuckets strategies and a full NextBucket drain.
+// Bucket measures the bucket structure's hot paths: the histogram
+// UpdateBuckets and a full NextBucket drain.
 func Bucket(cfg Config) *Report {
 	rep := newReport("bucket", cfg, bucketBaseline)
 	n, k := 1<<18, 1<<16
@@ -32,8 +32,7 @@ func Bucket(cfg Config) *Report {
 	for _, p := range procsList() {
 		withProcs(p, func() {
 			rep.Results = append(rep.Results,
-				updateEntry("bucket/update-histogram", bucket.Options{}, n, k, p, cfg),
-				updateEntry("bucket/update-semisort", bucket.Options{Semisort: true}, n, k, p, cfg),
+				updateEntry(n, k, p, cfg),
 				drainEntry(n, p, cfg),
 			)
 		})
@@ -49,13 +48,12 @@ func Bucket(cfg Config) *Report {
 // updateStream pre-computes a realistic (identifier, dest) update
 // stream so the measurement isolates UpdateBuckets itself (the same
 // workload as BenchmarkUpdateBucketsHistogram).
-func updateStream(opt bucket.Options, n, k int, rec *obs.Recorder) (*bucket.Par, func(j int) (uint32, bucket.Dest)) {
+func updateStream(n, k int, rec *obs.Recorder) (*bucket.Par, func(j int) (uint32, bucket.Dest)) {
 	d := make([]bucket.ID, n)
 	for i := range d {
 		d[i] = bucket.ID(rng.UintNAt(1, uint64(i), 512))
 	}
-	opt.Recorder = rec
-	par := bucket.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, opt)
+	par := bucket.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, bucket.Options{Recorder: rec})
 	ids := make([]uint32, k)
 	dests := make([]bucket.Dest, k)
 	for j := 0; j < k; j++ {
@@ -75,13 +73,13 @@ func updateStream(opt bucket.Options, n, k int, rec *obs.Recorder) (*bucket.Par,
 
 // updateEntry measures repeated UpdateBuckets calls; one call is one
 // round, so per-op and per-round figures coincide.
-func updateEntry(name string, opt bucket.Options, n, k, p int, cfg Config) Entry {
-	e := Entry{Name: name, Procs: p, N: n, M: int64(k), Rounds: 1}
-	par, f := updateStream(opt, n, k, nil)
+func updateEntry(n, k, p int, cfg Config) Entry {
+	e := Entry{Name: "bucket/update-histogram", Procs: p, N: n, M: int64(k), Rounds: 1}
+	par, f := updateStream(n, k, nil)
 	sample := harness.TimeMedian(cfg.reps(), func() { par.UpdateBuckets(k, f) })
 	alloc := harness.MeasureAlloc(cfg.reps(), func() { par.UpdateBuckets(k, f) })
 	rec := obs.NewRecorder()
-	ipar, if_ := updateStream(opt, n, k, rec)
+	ipar, if_ := updateStream(n, k, rec)
 	ipar.UpdateBuckets(k, if_)
 	e.NsPerOp = sample.Median.Nanoseconds()
 	e.NsPerRound = e.NsPerOp
@@ -248,16 +246,10 @@ func CheckFusionAblation(rep *Report) error {
 // baseline with identical workloads via testing.Benchmark, so the
 // before/after rows compare like with like.
 func goBenchBucket() []GoBench {
-	par, f := updateStream(bucket.Options{}, 1<<18, 1<<16, nil)
+	par, f := updateStream(1<<18, 1<<16, nil)
 	hist := runGoBench("BenchmarkUpdateBucketsHistogram", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			par.UpdateBuckets(1<<16, f)
-		}
-	})
-	spar, sf := updateStream(bucket.Options{Semisort: true}, 1<<18, 1<<16, nil)
-	semi := runGoBench("BenchmarkUpdateBucketsSemisort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			spar.UpdateBuckets(1<<16, sf)
 		}
 	})
 	n := 1 << 18
@@ -279,7 +271,7 @@ func goBenchBucket() []GoBench {
 			}
 		}
 	})
-	return []GoBench{hist, semi, drain}
+	return []GoBench{hist, drain}
 }
 
 // goBenchAlgos re-measures the application benchmarks of the pre-arena

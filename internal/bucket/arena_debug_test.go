@@ -14,7 +14,7 @@ import (
 // the structure has run on, because the buffer behind it was dropped.
 
 // arenaFixture is six identifiers in buckets 0,0,1,2,2,3.
-func arenaFixture(impl string) Fused {
+func arenaFixture(impl string) Structure {
 	d := []ID{0, 0, 1, 2, 2, 3}
 	dfn := func(i uint32) ID { return d[i] }
 	if impl == "par" {
@@ -35,27 +35,27 @@ func allNil(ids []uint32) bool {
 func TestDebugStaleArenaSliceIsPoisoned(t *testing.T) {
 	// Each producer returns bucket 0's identifiers, or a lazy re-drain
 	// of one of them.
-	producers := map[string]func(b Fused) []uint32{
-		"NextBucket": func(b Fused) []uint32 {
+	producers := map[string]func(b Structure) []uint32{
+		"NextBucket": func(b Structure) []uint32 {
 			_, ids := b.NextBucket()
 			return ids
 		},
-		"NextBucketFused": func(b Fused) []uint32 {
+		"NextBucketFused": func(b Structure) []uint32 {
 			_, _, ids := b.NextBucketFused(math.MaxInt, 1)
 			return ids
 		},
-		"DrainLazy": func(b Fused) []uint32 {
+		"DrainLazy": func(b Structure) []uint32 {
 			b.NextBucketFused(math.MaxInt, 1)
 			dest := b.GetBucket(0, 0) // back into the active span
 			b.UpdateBuckets(1, func(int) (uint32, Dest) { return 0, dest })
 			return b.DrainLazy()
 		},
 	}
-	enders := map[string]func(b Fused){
-		"NextBucket":      func(b Fused) { b.NextBucket() },
-		"NextBucketFused": func(b Fused) { b.NextBucketFused(math.MaxInt, 1) },
-		"DrainLazy":       func(b Fused) { b.DrainLazy() },
-		"UpdateBuckets": func(b Fused) {
+	enders := map[string]func(b Structure){
+		"NextBucket":      func(b Structure) { b.NextBucket() },
+		"NextBucketFused": func(b Structure) { b.NextBucketFused(math.MaxInt, 1) },
+		"DrainLazy":       func(b Structure) { b.DrainLazy() },
+		"UpdateBuckets": func(b Structure) {
 			b.UpdateBuckets(1, func(int) (uint32, Dest) { return 5, None })
 		},
 	}

@@ -42,15 +42,6 @@ func BenchmarkUpdateBucketsHistogram(b *testing.B) {
 	b.SetBytes(int64(len(ids) * 8))
 }
 
-func BenchmarkUpdateBucketsSemisort(b *testing.B) {
-	par, ids, dests := benchUpdateStream(b, Options{Semisort: true}, 1<<16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		par.UpdateBuckets(len(ids), func(j int) (uint32, Dest) { return ids[j], dests[j] })
-	}
-	b.SetBytes(int64(len(ids) * 8))
-}
-
 func BenchmarkNextBucket(b *testing.B) {
 	n := 1 << 18
 	d := make([]ID, n)

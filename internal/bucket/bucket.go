@@ -10,9 +10,10 @@
 //   - Parallel (the default, §3.2–3.3): represents an open range of nB
 //     buckets plus one overflow bucket, updates buckets with the
 //     block-histogram strategy (blocks of M = 2048, per-block counts,
-//     one scan, then direct scatter), and compacts lazily. A
-//     semisort-based update path (the theoretically-clean §3.2
-//     algorithm) is kept behind an option for the ablation benchmarks.
+//     one scan, then direct scatter), and compacts lazily. The two
+//     alternatives §3.3 measures and rejects — a semisort-based update
+//     and an internal identifier→bucket map — are recorded findings in
+//     EXPERIMENTS.md, not code.
 //
 //   - Sequential (§3.2): exact dynamic arrays with lazy deletion, used
 //     as the differential-testing oracle and the single-thread
@@ -99,25 +100,22 @@ type Structure interface {
 	// Stats returns cumulative operation counts, used by the
 	// microbenchmark (§3.4) and the work-efficiency experiments.
 	Stats() Stats
-}
 
-// Fused is implemented by structures that additionally support bucket
-// fusion: draining a run of consecutive non-empty buckets into one
-// frontier (NextBucketFused) with lazy insertion of identifiers that
-// land back inside the fused span (DrainLazy). Fusion amortizes the
-// per-round synchronization cost that dominates on large-diameter
-// inputs, where NextBucket returns long runs of tiny buckets; see
-// DESIGN.md §11 for the semantics and the safety argument (fusion is
-// only sound for monotone priority algorithms such as ∆-stepping and
-// wBFS — peeling algorithms like k-core and set cover require exact
-// bucket order and must not use it).
-type Fused interface {
-	Structure
+	// Bucket fusion: draining a run of consecutive non-empty buckets
+	// into one frontier (NextBucketFused) with lazy insertion of
+	// identifiers that land back inside the fused span (DrainLazy).
+	// Fusion amortizes the per-round synchronization cost that dominates
+	// on large-diameter inputs, where NextBucket returns long runs of
+	// tiny buckets; see DESIGN.md §11 for the semantics and the safety
+	// argument (fusion is only sound for monotone priority algorithms
+	// such as ∆-stepping and wBFS — peeling algorithms like k-core and
+	// set cover require exact bucket order and must call NextBucket).
+
 	// NextBucketFused drains a maximal run of consecutive non-empty
 	// buckets, starting at the next one the traversal would visit, into
 	// a single frontier. A candidate bucket is fused into the run while
 	// the combined live frontier stays within maxFrontier identifiers
-	// (values below 1 are clamped to 1, so the first bucket is always
+	// (values below 1 behave as 1, so the first bucket is always
 	// returned whole) and the covered logical id span stays within
 	// maxSpan buckets (values below 1 mean unbounded). It returns the
 	// first and last bucket id of the fused run in traversal order plus
@@ -142,7 +140,8 @@ type Fused interface {
 	// DrainLazy returns the live identifiers lazily inserted into the
 	// active fused span since the last NextBucketFused/DrainLazy call,
 	// emptying the lazy buffer. It returns nil when the span has fully
-	// settled (no pending insertions), which terminates the caller's
+	// settled (no pending insertions) — and always after a plain
+	// NextBucket, which opens no span — which terminates the caller's
 	// intra-span loop. The returned slice follows the same arena
 	// contract as NextBucketFused. Callers must drain the span until
 	// empty before the next extraction call: identifiers still pending

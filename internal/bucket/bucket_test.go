@@ -57,7 +57,7 @@ func TestStaticExtractionIncreasing(t *testing.T) {
 	// Static workload: no updates; each identifier must come out of its
 	// initial bucket exactly once, in increasing bucket order.
 	d := []ID{5, 3, 3, Nil, 0, 7, 3, 1000}
-	for _, opt := range []Options{{}, {OpenBuckets: 2}, {Semisort: true}, {OpenBuckets: 1}} {
+	for _, opt := range []Options{{}, {OpenBuckets: 2}, {OpenBuckets: 1}} {
 		seq, par := makeBoth(d, Increasing, opt)
 		for name, s := range map[string]Structure{"seq": seq, "par": par} {
 			got := drainAll(t, s)
@@ -75,7 +75,7 @@ func TestStaticExtractionIncreasing(t *testing.T) {
 
 func TestStaticExtractionDecreasing(t *testing.T) {
 	d := []ID{5, 3, 3, Nil, 0, 7, 3}
-	for _, opt := range []Options{{}, {OpenBuckets: 2}, {Semisort: true}} {
+	for _, opt := range []Options{{}, {OpenBuckets: 2}} {
 		seq, par := makeBoth(d, Decreasing, opt)
 		for name, s := range map[string]Structure{"seq": seq, "par": par} {
 			var order []ID
@@ -148,7 +148,7 @@ func TestCurrentBucketReinsertion(t *testing.T) {
 	// with the same bucket id (§3.1: "the cur bucket can potentially be
 	// returned more than once").
 	d := []ID{0, 5, 5}
-	for _, opt := range []Options{{}, {Semisort: true}, {OpenBuckets: 2}} {
+	for _, opt := range []Options{{}, {OpenBuckets: 2}} {
 		seq, par := makeBoth(d, Increasing, opt)
 		for name, s := range map[string]Structure{"seq": seq, "par": par} {
 			b, ids := s.NextBucket()
@@ -457,13 +457,13 @@ func runDifferential(t *testing.T, n, fanout int, order Order, opt Options, seed
 }
 
 func TestDifferentialIncreasing(t *testing.T) {
-	for _, opt := range []Options{{}, {OpenBuckets: 3}, {OpenBuckets: 16}, {Semisort: true}} {
+	for _, opt := range []Options{{}, {OpenBuckets: 3}, {OpenBuckets: 16}} {
 		runDifferential(t, 2000, 4, Increasing, opt, 11)
 	}
 }
 
 func TestDifferentialDecreasing(t *testing.T) {
-	for _, opt := range []Options{{}, {OpenBuckets: 3}, {Semisort: true}} {
+	for _, opt := range []Options{{}, {OpenBuckets: 3}} {
 		runDifferential(t, 2000, 4, Decreasing, opt, 13)
 	}
 }
@@ -485,7 +485,7 @@ func TestLargeBulkUpdate(t *testing.T) {
 		d[i] = ID(i % 513)
 	}
 	get := func(i uint32) ID { return d[i] }
-	for _, opt := range []Options{{}, {Semisort: true}, {OpenBuckets: 1024}} {
+	for _, opt := range []Options{{}, {OpenBuckets: 1024}} {
 		par := New(n, get, Increasing, opt)
 		got := drainAll(t, par)
 		if len(got) != n {

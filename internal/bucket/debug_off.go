@@ -16,17 +16,15 @@ type debugState struct{}
 
 func (b *Par) debugReset()                                        {}
 func (b *Par) debugPoisonArena()                                  {}
-func (b *Par) debugCheckExtract(cur ID, live []uint32)            {}
+func (b *Par) debugCheckExtract(first, last ID, live []uint32)    {}
 func (b *Par) debugCheckUpdate(k int, f func(int) (uint32, Dest)) {}
 func (b *Par) debugCheckUpdateTotals(k int, moved, skipped int64) {}
 func (b *Par) debugCheckStructure()                               {}
-func (b *Par) debugCheckFused(first, last ID, live []uint32)      {}
 func (b *Par) debugCheckLazyDrain(live []uint32)                  {}
 func (b *Par) debugCheckSpanClosed(pending int)                   {}
 
 func (s *Seq) debugPoisonArena()                                  {}
-func (s *Seq) debugCheckExtract(cur ID, live []uint32)            {}
+func (s *Seq) debugCheckExtract(first, last ID, live []uint32)    {}
 func (s *Seq) debugCheckUpdateTotals(k int, moved, skipped int64) {}
-func (s *Seq) debugCheckFused(first, last ID, live []uint32)      {}
 func (s *Seq) debugCheckLazyDrain(live []uint32)                  {}
 func (s *Seq) debugCheckSpanClosed(pending int)                   {}

@@ -76,43 +76,11 @@ func (d *debugState) poison() bool {
 	return true
 }
 
-func (d *debugState) checkExtract(order Order, cur ID, live []uint32, n int, dfn func(uint32) ID, s Stats) {
-	if d.hasLast {
-		if order == Increasing && cur < d.last {
-			panic(fmt.Sprintf("bucket debug: NextBucket returned %d after %d under Increasing order", cur, d.last))
-		}
-		if order == Decreasing && cur > d.last {
-			panic(fmt.Sprintf("bucket debug: NextBucket returned %d after %d under Decreasing order", cur, d.last))
-		}
-	}
-	d.last, d.hasLast = cur, true
-	seen := make(map[uint32]struct{}, len(live))
-	for _, id := range live {
-		if n >= 0 && int(id) >= n {
-			panic(fmt.Sprintf("bucket debug: extracted identifier %d out of range [0,%d)", id, n))
-		}
-		if got := dfn(id); got != cur {
-			panic(fmt.Sprintf("bucket debug: extracted identifier %d from bucket %d but D(i)=%d", id, cur, got))
-		}
-		if _, dup := seen[id]; dup {
-			panic(fmt.Sprintf("bucket debug: identifier %d extracted twice from bucket %d", id, cur))
-		}
-		seen[id] = struct{}{}
-	}
-	d.handed = live
-	d.extracted += int64(len(live))
-	d.returned++
-	if s.Extracted != d.extracted || s.BucketsReturned != d.returned {
-		panic(fmt.Sprintf("bucket debug: Stats extraction bookkeeping (Extracted=%d BucketsReturned=%d) diverged from shadow (%d, %d)",
-			s.Extracted, s.BucketsReturned, d.extracted, d.returned))
-	}
-}
-
-// checkFused asserts the fused-extraction contract: contiguous
-// non-empty range in traversal order with witnessed endpoints,
-// monotonicity against the previous round, and per-identifier
-// liveness/uniqueness, then folds the frontier into the extraction
-// shadow counters (one fused call is one BucketsReturned).
+// checkFused asserts the extraction contract — NextBucket is the
+// first == last case: contiguous non-empty range in traversal order
+// with witnessed endpoints, monotonicity against the previous round,
+// and per-identifier liveness/uniqueness, then folds the frontier into
+// the extraction shadow counters (one call is one BucketsReturned).
 func (d *debugState) checkFused(order Order, first, last ID, live []uint32, n int, dfn func(uint32) ID, span fusedSpan, s Stats) {
 	if (order == Increasing && first > last) || (order == Decreasing && first < last) {
 		panic(fmt.Sprintf("bucket debug: fused range [%d, %d] is not contiguous in traversal order", first, last))
@@ -219,8 +187,8 @@ func (b *Par) debugPoisonArena() {
 	}
 }
 
-func (b *Par) debugCheckExtract(cur ID, live []uint32) {
-	b.dbg.checkExtract(b.order, cur, live, b.n, b.d, b.Stats())
+func (b *Par) debugCheckExtract(first, last ID, live []uint32) {
+	b.dbg.checkFused(b.order, first, last, live, b.n, b.d, newFusedSpan(b.order, first, last), b.Stats())
 }
 
 func (b *Par) debugCheckUpdate(k int, f func(int) (uint32, Dest)) {
@@ -244,10 +212,6 @@ func (b *Par) debugCheckUpdate(k int, f func(int) (uint32, Dest)) {
 			panic(fmt.Sprintf("bucket debug: update %d has destination slot %d beyond overflow slot %d", j, dest, b.nB))
 		}
 	}
-}
-
-func (b *Par) debugCheckFused(first, last ID, live []uint32) {
-	b.dbg.checkFused(b.order, first, last, live, b.n, b.d, b.span, b.Stats())
 }
 
 func (b *Par) debugCheckLazyDrain(live []uint32) {
@@ -321,16 +285,12 @@ func (s *Seq) debugPoisonArena() {
 	}
 }
 
-func (s *Seq) debugCheckExtract(cur ID, live []uint32) {
-	s.dbg.checkExtract(s.order, cur, live, -1, s.d, s.Stats())
+func (s *Seq) debugCheckExtract(first, last ID, live []uint32) {
+	s.dbg.checkFused(s.order, first, last, live, -1, s.d, newFusedSpan(s.order, first, last), s.Stats())
 }
 
 func (s *Seq) debugCheckUpdateTotals(k int, moved, skipped int64) {
 	s.dbg.checkUpdateTotals(k, moved, skipped, s.Stats())
-}
-
-func (s *Seq) debugCheckFused(first, last ID, live []uint32) {
-	s.dbg.checkFused(s.order, first, last, live, -1, s.d, s.span, s.Stats())
 }
 
 func (s *Seq) debugCheckLazyDrain(live []uint32) {

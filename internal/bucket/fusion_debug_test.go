@@ -36,7 +36,7 @@ func TestDebugSpanClosedWithPending(t *testing.T) {
 	for _, name := range []string{"par", "seq"} {
 		d := []ID{0, 0, 4}
 		dfn := func(i uint32) ID { return d[i] }
-		var b Fused
+		var b Structure
 		if name == "par" {
 			b = New(len(d), dfn, Increasing, Options{OpenBuckets: 8})
 		} else {

@@ -96,7 +96,7 @@ func TestNextBucketFusedRuns(t *testing.T) {
 func TestFusedLazyInsertion(t *testing.T) {
 	d := []ID{0, 0, 3, 3}
 	dfn := func(i uint32) ID { return d[i] }
-	for name, b := range map[string]Fused{
+	for name, b := range map[string]Structure{
 		"par": New(len(d), dfn, Increasing, Options{OpenBuckets: 8}),
 		"seq": NewSeq(len(d), dfn, Increasing),
 	} {
@@ -260,7 +260,7 @@ func TestSeqFusedCursorRewind(t *testing.T) {
 func TestDrainLazyDropsStale(t *testing.T) {
 	d := []ID{0, 0, 2}
 	dfn := func(i uint32) ID { return d[i] }
-	for name, b := range map[string]Fused{
+	for name, b := range map[string]Structure{
 		"par": New(len(d), dfn, Increasing, Options{OpenBuckets: 8}),
 		"seq": NewSeq(len(d), dfn, Increasing),
 	} {
@@ -292,29 +292,4 @@ func TestFusedMaxFrontierClamp(t *testing.T) {
 		t.Fatalf("fused run = [%d, %d], want [4, 4]", first, last)
 	}
 	wantSet(t, "clamped frontier", ids, 0, 1, 2)
-}
-
-// TestTrackedFused smoke-tests the Tracked forwarders: fused extraction
-// and lazy reinsertion compose with the internal prev-bucket map.
-func TestTrackedFused(t *testing.T) {
-	d := []ID{0, 1, 3}
-	dfn := func(i uint32) ID { return d[i] }
-	tr := NewTracked(len(d), dfn, Increasing, Options{OpenBuckets: 8})
-	first, last, ids := tr.NextBucketFused(math.MaxInt, 0)
-	if first != 0 || last != 3 {
-		t.Fatalf("fused run = [%d, %d], want [0, 3]", first, last)
-	}
-	wantSet(t, "tracked frontier", ids, 0, 1, 2)
-	// 0 reinserts in-span (lazy), the others retire.
-	d[0], d[1], d[2] = 2, Nil, Nil
-	tr.UpdateBucketsTo(3, func(j int) (uint32, ID) { return uint32(j), d[j] })
-	lz := tr.DrainLazy()
-	wantSet(t, "tracked lazy drain", lz, 0)
-	d[0] = Nil
-	if got := tr.DrainLazy(); got != nil {
-		t.Fatalf("second DrainLazy = %v, want nil", got)
-	}
-	if id, _ := tr.NextBucket(); id != Nil {
-		t.Fatalf("structure not exhausted: bucket %d", id)
-	}
 }

@@ -10,7 +10,6 @@ import (
 	"julienne/internal/chaos"
 	"julienne/internal/obs"
 	"julienne/internal/parallel"
-	"julienne/internal/semisort"
 )
 
 // DefaultOpenBuckets is the default size of the open bucket range
@@ -28,10 +27,6 @@ type Options struct {
 	// single overflow bucket until the range advances (§3.3). Zero
 	// means DefaultOpenBuckets.
 	OpenBuckets int
-	// Semisort switches UpdateBuckets to the theoretically-clean
-	// semisort-based algorithm of §3.2 instead of the block-histogram
-	// strategy of §3.3. Kept for the ablation benchmarks.
-	Semisort bool
 	// Recorder, when non-nil, receives bucket-traffic counters
 	// (obs.CtrBucket*) as the structure operates. Construction-time
 	// bulk inserts are excluded, mirroring Stats. Nil disables
@@ -49,11 +44,10 @@ type Options struct {
 // slot nB, the lazy slot nB+1 (only while a fused span is active), or
 // None.
 type Par struct {
-	n       int
-	d       func(uint32) ID
-	order   Order
-	nB      int
-	useSemi bool
+	n     int
+	d     func(uint32) ID
+	order Order
+	nB    int
 
 	bkts    []chunkedBucket // nB open slots + overflow slot + lazy slot
 	cur     int             // current open slot being processed
@@ -127,8 +121,6 @@ type arena struct {
 	starts []uint32   // per-slot incoming offsets (UpdateBuckets)
 	chunks [][]uint32 // per-slot chunk of the current UpdateBuckets call
 	live   []uint32   // compacted survivors returned by NextBucket
-	pairs  []semisort.Pair[uint32]
-	sorted []semisort.Pair[uint32]
 	// free holds spent identifier chunks (compacted or redistributed
 	// slots) for chunkAlloc to reuse, protected by freeMu and
 	// segregated by capacity class: free[c] holds arrays with cap in
@@ -167,16 +159,22 @@ type fusedSpan struct {
 	active bool
 }
 
+// newFusedSpan is the active span of a fused run from first through
+// last in traversal order.
+func newFusedSpan(order Order, first, last ID) fusedSpan {
+	if order == Decreasing {
+		first, last = last, first
+	}
+	return fusedSpan{lo: first, hi: last, active: true}
+}
+
 // contains reports whether a logical bucket id falls inside the active
 // span. Nil is never contained: hi is at most rangeHi < Nil.
 func (s fusedSpan) contains(id ID) bool {
 	return s.active && id >= s.lo && id <= s.hi
 }
 
-var (
-	_ Structure = (*Par)(nil)
-	_ Fused     = (*Par)(nil)
-)
+var _ Structure = (*Par)(nil)
 
 // New creates the parallel structure over identifiers [0, n) with
 // initial buckets given by d (Nil means "not bucketed"), traversed in
@@ -188,7 +186,7 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 	if nB <= 0 {
 		nB = DefaultOpenBuckets
 	}
-	b := &Par{n: n, d: d, order: order, nB: nB, useSemi: opt.Semisort}
+	b := &Par{n: n, d: d, order: order, nB: nB}
 	b.bkts = make([]chunkedBucket, nB+2)
 	// Seed every slot's chunk list with capacity carved from one shared
 	// backing array: the first insert into a virgin slot would otherwise
@@ -424,35 +422,12 @@ func (b *Par) GetBucket(prev, next ID) Dest {
 // this repository consume the slice within the round, so the steady
 // state allocates nothing.
 func (b *Par) NextBucket() (ID, []uint32) {
-	b.debugPoisonArena()
-	if b.done {
-		return Nil, nil
-	}
-	// Clock is zero (and ObserveSince a no-op) on a nil recorder, so
-	// the disabled path pays one nil check and an open-coded defer.
-	start := b.rec.Clock()
-	defer b.rec.ObserveSince(obs.HistNextBucketNs, start)
-	if chaos.Enabled {
-		chaos.Point(chaos.SiteRound)
-	}
-	b.closeSpan()
-	b.debugCheckStructure()
-	b.scr.live = b.scr.live[:0]
-	cur, ok := b.nextCompacted()
-	if !ok {
-		return Nil, nil
-	}
-	live := b.scr.live
-	atomic.AddInt64(&b.stats.Extracted, int64(len(live)))
-	atomic.AddInt64(&b.stats.BucketsReturned, 1)
-	b.rec.Add(obs.CtrBucketExtracted, int64(len(live)))
-	b.rec.Inc(obs.CtrBucketReturned)
-	b.debugCheckExtract(cur, live)
-	return cur, live
+	id, _, live := b.extract(false, 0, 0)
+	return id, live
 }
 
-// NextBucketFused implements the Fused interface (see bucket.Fused for
-// the caller contract and DESIGN.md §11 for the safety argument). The
+// NextBucketFused implements Structure (see the interface for the
+// caller contract and DESIGN.md §11 for the safety argument). The
 // fusion rule is deterministic and deliberately identical between Par
 // and Seq so the differential suite can compare them in lockstep: the
 // first non-empty bucket is always included whole; each subsequent
@@ -464,12 +439,21 @@ func (b *Par) NextBucket() (ID, []uint32) {
 // everything behind the rejection point that this round refills.
 //
 // Only the first bucket of a run may trigger a range advance; the run
-// itself never crosses the open-range boundary (see Fused).
+// itself never crosses the open-range boundary (see Structure).
 func (b *Par) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
+	return b.extract(true, maxFrontier, maxSpan)
+}
+
+// extract is the one extraction walk behind NextBucket (fuse false: one
+// bucket, no span, the cursor stays on it so same-bucket reinsertions
+// are revisited) and NextBucketFused.
+func (b *Par) extract(fuse bool, maxFrontier, maxSpan int) (first, last ID, live []uint32) {
 	b.debugPoisonArena()
 	if b.done {
 		return Nil, Nil, nil
 	}
+	// Clock is zero (and ObserveSince a no-op) on a nil recorder, so
+	// the disabled path pays one nil check and an open-coded defer.
 	start := b.rec.Clock()
 	defer b.rec.ObserveSince(obs.HistNextBucketNs, start)
 	if chaos.Enabled {
@@ -477,61 +461,57 @@ func (b *Par) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
 	}
 	b.closeSpan()
 	b.debugCheckStructure()
-	if maxFrontier < 1 {
-		maxFrontier = 1
-	}
 	b.scr.live = b.scr.live[:0]
 	first, ok := b.nextCompacted()
 	if !ok {
 		return Nil, Nil, nil
 	}
-	last := first
-	run := 1
-	// Invariant entering each iteration: len(scr.live) <= maxFrontier.
-	// A non-empty candidate adds at least one identifier, so once the
-	// frontier is full no candidate can be accepted — stop probing.
-	// Probing is restricted to the open range: crossing into the
-	// overflow bucket would redistribute it before this round's
-	// insertions exist, stranding updates that land between the run and
-	// the new range (and, on an empty overflow, marking a structure done
-	// that is about to receive insertions).
-	for len(b.scr.live) < maxFrontier {
-		base := len(b.scr.live)
-		id, ok := b.nextCompactedInRange()
-		if !ok {
-			break
+	last = first
+	if fuse {
+		run := 1
+		// The first bucket is always returned whole, so maxFrontier < 1
+		// behaves as 1. A non-empty candidate adds at least one
+		// identifier, so once the frontier holds maxFrontier identifiers
+		// no candidate can be accepted — stop probing. Probing is
+		// restricted to the open range: crossing into the overflow bucket
+		// would redistribute it before this round's insertions exist,
+		// stranding updates that land between the run and the new range
+		// (and, on an empty overflow, marking a structure done that is
+		// about to receive insertions).
+		for len(b.scr.live) < maxFrontier {
+			base := len(b.scr.live)
+			id, ok := b.nextCompactedInRange()
+			if !ok {
+				break
+			}
+			if len(b.scr.live) > maxFrontier || (maxSpan >= 1 && b.spanWidth(first, id) > maxSpan) {
+				b.unconsume(id, base)
+				break
+			}
+			last = id
+			run++
 		}
-		if len(b.scr.live) > maxFrontier || (maxSpan >= 1 && b.spanWidth(first, id) > maxSpan) {
-			b.unconsume(id, base)
-			break
-		}
-		last = id
-		run++
+		// The walk passed over empty buckets (probed slots, or the
+		// stretch up to a rejected candidate) that this round's
+		// relaxations may yet land in. Rewind the cursor to just after the
+		// last fused bucket so those insertions stay ahead of the
+		// traversal instead of being dropped as behind it.
+		b.cur = b.slotFor(last) + 1
+		b.rec.Add(obs.CtrBucketRoundsSaved, int64(run-1))
+		b.rec.Observe(obs.HistFusedRunLen, int64(run))
+		b.span = newFusedSpan(b.order, first, last)
 	}
-	// The walk passed over empty buckets (probed slots, or the stretch
-	// up to a rejected candidate) that this round's relaxations may yet
-	// land in. Rewind the cursor to just after the last fused bucket so
-	// those insertions stay ahead of the traversal instead of being
-	// dropped as behind it.
-	b.cur = b.slotFor(last) + 1
-	live := b.scr.live
+	live = b.scr.live
 	atomic.AddInt64(&b.stats.Extracted, int64(len(live)))
 	atomic.AddInt64(&b.stats.BucketsReturned, 1)
 	b.rec.Add(obs.CtrBucketExtracted, int64(len(live)))
 	b.rec.Inc(obs.CtrBucketReturned)
-	b.rec.Add(obs.CtrBucketRoundsSaved, int64(run-1))
-	b.rec.Observe(obs.HistFusedRunLen, int64(run))
-	if b.order == Increasing {
-		b.span = fusedSpan{lo: first, hi: last, active: true}
-	} else {
-		b.span = fusedSpan{lo: last, hi: first, active: true}
-	}
-	b.debugCheckFused(first, last, live)
+	b.debugCheckExtract(first, last, live)
 	return first, last, live
 }
 
-// DrainLazy implements the Fused interface: it compacts the lazy slot
-// — identifiers GetBucket routed into the active fused span since the
+// DrainLazy implements Structure: it compacts the lazy slot —
+// identifiers GetBucket routed into the active fused span since the
 // last extraction or drain — into the arena and empties it. Stale
 // copies (identifiers whose D moved on after insertion) are dropped by
 // the same liveness rule NextBucket compaction applies.
@@ -615,7 +595,7 @@ func (b *Par) unconsume(id ID, base int) {
 // bucket or the done flag: (Nil, false) only means the open range is
 // exhausted. The fusion walk uses it for every bucket after the first,
 // so fused runs deliberately end at the range boundary (see
-// NextBucketFused).
+// extract).
 func (b *Par) nextCompactedInRange() (ID, bool) {
 	for b.cur <= b.nB-1 {
 		slot := b.cur
@@ -740,11 +720,11 @@ func (b *Par) nextCompacted() (ID, bool) {
 }
 
 // UpdateBuckets implements Structure using the block-histogram strategy
-// of §3.3 (or the semisort strategy of §3.2 when configured): the k
-// updates are split into blocks of M = 2048; each block counts its
-// identifiers per destination slot; one scan over the slot-major count
-// matrix yields exact write offsets; a second pass scatters identifiers
-// directly into a fresh exact-size chunk per destination bucket.
+// of §3.3: the k updates are split into blocks of M = 2048; each block
+// counts its identifiers per destination slot; one scan over the
+// slot-major count matrix yields exact write offsets; a second pass
+// scatters identifiers directly into a fresh exact-size chunk per
+// destination bucket.
 func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 	if k <= 0 || b.done {
 		b.debugPoisonArena()
@@ -760,11 +740,6 @@ func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 		panic(fmt.Sprintf("bucket: UpdateBuckets batch of %d updates overflows the uint32 offset space; split the batch below 2^32 identifiers", k))
 	}
 	b.debugCheckUpdate(k, f)
-	if b.useSemi {
-		b.updateSemisort(k, f)
-		b.debugPoisonArena()
-		return
-	}
 	// nB open slots, the overflow slot, and the lazy slot (which only
 	// receives identifiers while a fused span is active, but is always
 	// accounted for so the pass layout does not depend on span state).
@@ -823,53 +798,6 @@ func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 	b.debugCheckUpdateTotals(k, int64(total), skipped)
 	// Only now: f may have been reading the extracted identifiers.
 	b.debugPoisonArena()
-}
-
-// updateSemisort is the §3.2 update algorithm: build (destination,
-// identifier) pairs, semisort by destination, locate group boundaries,
-// then copy each contiguous group into a fresh chunk of its bucket.
-func (b *Par) updateSemisort(k int, f func(j int) (uint32, Dest)) {
-	type pair = semisort.Pair[uint32]
-	pairs := parallel.MapFilterInto(b.scr.pairs, k, func(j int) (pair, bool) {
-		id, dest := f(j)
-		if dest == None {
-			parallel.AddInt64(&b.stats.Skipped, 1)
-			return pair{}, false
-		}
-		return pair{Key: uint32(dest), Value: id}, true
-	})
-	b.scr.pairs = pairs
-	if len(pairs) == 0 {
-		b.debugCheckUpdateTotals(k, 0, int64(k))
-		return
-	}
-	if cap(b.scr.sorted) < len(pairs) {
-		b.scr.sorted = make([]pair, len(pairs))
-	}
-	sorted := b.scr.sorted[:len(pairs)]
-	semisort.PairsInto(sorted, pairs)
-	starts := semisort.GroupStarts(sorted)
-	// Resize each destination bucket once, then copy its contiguous
-	// group in parallel.
-	parallel.For(len(starts), 1, func(gi int) {
-		lo := int(starts[gi])
-		hi := len(sorted)
-		if gi+1 < len(starts) {
-			hi = int(starts[gi+1])
-		}
-		s := int(sorted[lo].Key)
-		dst := b.chunkAlloc(hi - lo)
-		bk := &b.bkts[s]
-		bk.chunks = append(bk.chunks, dst)
-		bk.n += hi - lo
-		for j := lo; j < hi; j++ {
-			dst[j-lo] = sorted[j].Value
-		}
-	})
-	atomic.AddInt64(&b.stats.Moved, int64(len(sorted)))
-	b.rec.Add(obs.CtrBucketMoved, int64(len(sorted)))
-	b.rec.Add(obs.CtrBucketSkipped, int64(k-len(pairs)))
-	b.debugCheckUpdateTotals(k, int64(len(sorted)), int64(k-len(pairs)))
 }
 
 // Stats implements Structure. The snapshot uses atomic loads so it is

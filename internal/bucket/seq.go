@@ -40,10 +40,7 @@ type Seq struct {
 	dbg debugState
 }
 
-var (
-	_ Structure = (*Seq)(nil)
-	_ Fused     = (*Seq)(nil)
-)
+var _ Structure = (*Seq)(nil)
 
 // NewSeq creates the sequential structure over identifiers [0, n) with
 // initial buckets given by d (Nil means "not bucketed") traversed in
@@ -81,29 +78,11 @@ func NewSeq(n int, d func(uint32) ID, order Order) *Seq {
 	return s
 }
 
-// NextBucket implements Structure.
+// NextBucket implements Structure. The returned slice is the consumed
+// bucket's own storage.
 func (s *Seq) NextBucket() (ID, []uint32) {
-	s.debugPoisonArena()
-	s.closeSpan()
-	step := int64(1)
-	if s.order == Decreasing {
-		step = -1
-	}
-	for s.cur >= 0 && s.cur < int64(len(s.bkts)) {
-		live, ok := s.compact()
-		if !ok {
-			s.cur += step
-			continue
-		}
-		cur := ID(s.cur)
-		atomic.AddInt64(&s.stats.Extracted, int64(len(live)))
-		atomic.AddInt64(&s.stats.BucketsReturned, 1)
-		s.rec.Add(obs.CtrBucketExtracted, int64(len(live)))
-		s.rec.Inc(obs.CtrBucketReturned)
-		s.debugCheckExtract(cur, live)
-		return cur, live
-	}
-	return Nil, nil
+	id, _, live := s.extract(false, 0, 0)
+	return id, live
 }
 
 // compact drops stale copies (D(i) != cur) from the current bucket in
@@ -127,26 +106,29 @@ func (s *Seq) compact() ([]uint32, bool) {
 	return live, true
 }
 
-// NextBucketFused implements the Fused interface with the exact fusion
-// rule Par uses (the differential suite compares the two in lockstep):
-// the first non-empty bucket is always included whole; each subsequent
+// NextBucketFused implements Structure with the exact fusion rule Par
+// uses (the differential suite compares the two in lockstep): the
+// first non-empty bucket is always included whole; each subsequent
 // non-empty bucket joins the run iff the combined frontier stays
 // within maxFrontier and the covered span stays within maxSpan. A
 // rejected bucket's compacted survivors are written back and revisited
 // by the next extraction.
 func (s *Seq) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
+	return s.extract(true, maxFrontier, maxSpan)
+}
+
+// extract is the one extraction walk behind NextBucket (fuse false: the
+// walk stops at the first non-empty bucket and leaves the cursor on it)
+// and NextBucketFused.
+func (s *Seq) extract(fuse bool, maxFrontier, maxSpan int) (first, last ID, out []uint32) {
 	s.debugPoisonArena()
 	s.closeSpan()
-	if maxFrontier < 1 {
-		maxFrontier = 1
-	}
 	step := int64(1)
 	if s.order == Decreasing {
 		step = -1
 	}
-	first, last := Nil, Nil
+	first, last = Nil, Nil
 	run := 0
-	var out []uint32
 	for s.cur >= 0 && s.cur < int64(len(s.bkts)) {
 		live, ok := s.compact()
 		if !ok {
@@ -156,6 +138,10 @@ func (s *Seq) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
 		if first == Nil {
 			first, last = ID(s.cur), ID(s.cur)
 			run = 1
+			if !fuse {
+				out = live
+				break
+			}
 			out = append(out, live...)
 			s.cur += step
 			continue
@@ -164,6 +150,8 @@ func (s *Seq) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
 		if s.order == Decreasing {
 			width = int(int64(first)-s.cur) + 1
 		}
+		// out and live are both non-empty here, so maxFrontier < 1 rejects
+		// every candidate exactly as 1 does.
 		if len(out)+len(live) > maxFrontier || (maxSpan >= 1 && width > maxSpan) {
 			// Rejected: put the compacted survivors back for the next
 			// extraction, which starts here.
@@ -178,29 +166,27 @@ func (s *Seq) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
 	if first == Nil {
 		return Nil, Nil, nil
 	}
-	// The walk passed over empty buckets (probed, or the stretch up to
-	// a rejected candidate) that this round's insertions may yet land
-	// in. Rewind the cursor to just after the last fused bucket so they
-	// stay ahead of the traversal instead of being dropped as behind it.
-	s.cur = int64(last) + step
+	if fuse {
+		// The walk passed over empty buckets (probed, or the stretch up
+		// to a rejected candidate) that this round's insertions may yet
+		// land in. Rewind the cursor to just after the last fused bucket
+		// so they stay ahead of the traversal instead of being dropped as
+		// behind it.
+		s.cur = int64(last) + step
+		s.rec.Add(obs.CtrBucketRoundsSaved, int64(run-1))
+		s.rec.Observe(obs.HistFusedRunLen, int64(run))
+		s.span = newFusedSpan(s.order, first, last)
+	}
 	atomic.AddInt64(&s.stats.Extracted, int64(len(out)))
 	atomic.AddInt64(&s.stats.BucketsReturned, 1)
 	s.rec.Add(obs.CtrBucketExtracted, int64(len(out)))
 	s.rec.Inc(obs.CtrBucketReturned)
-	s.rec.Add(obs.CtrBucketRoundsSaved, int64(run-1))
-	s.rec.Observe(obs.HistFusedRunLen, int64(run))
-	if s.order == Increasing {
-		s.span = fusedSpan{lo: first, hi: last, active: true}
-	} else {
-		s.span = fusedSpan{lo: last, hi: first, active: true}
-	}
-	s.debugCheckFused(first, last, out)
+	s.debugCheckExtract(first, last, out)
 	return first, last, out
 }
 
-// DrainLazy implements the Fused interface: it returns the live
-// identifiers lazily inserted into the active span and empties the
-// lazy buffer. The returned slice is valid until the next DrainLazy
+// DrainLazy implements Structure: it returns the live identifiers
+// lazily inserted into the active span and empties the lazy buffer. The returned slice is valid until the next DrainLazy
 // call.
 func (s *Seq) DrainLazy() []uint32 {
 	s.debugPoisonArena()

@@ -121,14 +121,6 @@ func TestRecorderMirrorsStats(t *testing.T) {
 		drain(b, d)
 		checkMirror(t, b.Stats(), rec)
 	})
-	t.Run("par-semisort", func(t *testing.T) {
-		rec := obs.NewRecorder()
-		d := mkD()
-		b := New(n, func(i uint32) ID { return d[i] }, Increasing,
-			Options{Recorder: rec, Semisort: true})
-		drain(b, d)
-		checkMirror(t, b.Stats(), rec)
-	})
 	t.Run("seq", func(t *testing.T) {
 		rec := obs.NewRecorder()
 		d := mkD()

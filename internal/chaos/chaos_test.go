@@ -256,18 +256,87 @@ func TestForcedCancellationMidFusedRound(t *testing.T) {
 		t.Errorf("Canceled.Rounds = %d, want partial progress in [1, %d)", c.Rounds, full.Rounds)
 	}
 	checkInvariants(t)
-	for _, o := range []sssp.Options{fused, {}} {
-		clean := sssp.WBFS(g, 0, o)
+	checkCleanReruns(t, want.Dist, func(o sssp.Options) sssp.Result { return sssp.WBFS(g, 0, o) }, fused, sssp.Options{})
+}
+
+// checkCleanReruns asserts that immediate re-runs under each option set
+// complete and are oracle-correct, and that they leave the scratch pool
+// balanced: a contained cancellation poisons nothing.
+func checkCleanReruns(t *testing.T, want []int64, run func(sssp.Options) sssp.Result, opts ...sssp.Options) {
+	t.Helper()
+	for _, o := range opts {
+		clean := run(o)
 		if clean.Err != nil {
 			t.Fatalf("clean re-run errored: %v", clean.Err)
 		}
 		for v := range clean.Dist {
-			if clean.Dist[v] != want.Dist[v] {
-				t.Fatalf("dist[%d] = %d, want %d", v, clean.Dist[v], want.Dist[v])
+			if clean.Dist[v] != want[v] {
+				t.Fatalf("dist[%d] = %d, want %d", v, clean.Dist[v], want[v])
 			}
 		}
 	}
 	checkInvariants(t)
+}
+
+// TestCancellationInsideDrainedFusedSegmentLH cancels a fused
+// light/heavy ∆-stepping run from inside a wave, during the last light
+// round of a segment whose heavy relaxations land back inside the
+// fused span. The wave driver must notice at the drained-segment check
+// — the lazy drain comes back non-empty and is abandoned — rather than
+// at the next wave boundary, so the run stops after exactly that round;
+// the abandoned span and lazy buffer must not poison the re-runs.
+func TestCancellationInsideDrainedFusedSegmentLH(t *testing.T) {
+	defer harness.LeakCheck(t)()
+	rows, cols := 40, 50
+	if testing.Short() {
+		rows, cols = 20, 30
+	}
+	g := gen.UniformWeights(gen.Grid2D(rows, cols), 1, 16, 7)
+	const delta = 4 // weights 5..16 are heavy and jump up to four annuli
+	want := sssp.DijkstraHeap(g, 0)
+	fused := sssp.Options{Fusion: bucket.Fusion{MaxFrontier: 64}}
+	run := func(o sssp.Options) sssp.Result { return sssp.DeltaSteppingLH(g, 0, delta, o) }
+
+	// Locate a drained segment in a clean run. Bucket traffic moves at
+	// segment granularity, so a round with extraction traffic opens a
+	// segment; a second one under the same wave's bucket id is a segment
+	// DrainLazy handed back.
+	probe := fused
+	probe.Recorder = obs.NewRecorder()
+	var rounds []obs.RoundMetrics
+	probe.Recorder.OnRound(func(m obs.RoundMetrics) { rounds = append(rounds, m) })
+	full := run(probe)
+	var cancelAt int64
+	for i := 1; i < len(rounds) && cancelAt == 0; i++ {
+		if rounds[i].Bucket == rounds[i-1].Bucket && rounds[i].Extracted > 0 {
+			cancelAt = rounds[i-1].Round
+		}
+	}
+	if full.Err != nil || cancelAt == 0 {
+		t.Fatalf("fused LH baseline: err=%v, %d rounds, no wave with a drained segment", full.Err, full.Rounds)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opt := fused
+	opt.Ctx = ctx
+	opt.Recorder = flightDumpRecorder(t)
+	opt.Recorder.OnRound(func(m obs.RoundMetrics) {
+		if m.Round == cancelAt {
+			cancel()
+		}
+	})
+	res := run(opt)
+	var c *obs.Canceled
+	if !errors.As(res.Err, &c) || !errors.Is(res.Err, obs.ErrCanceled) {
+		t.Fatalf("Err = %v (%T), want *obs.Canceled wrapping ErrCanceled", res.Err, res.Err)
+	}
+	if c.Rounds != cancelAt || res.Rounds != cancelAt {
+		t.Errorf("stopped after round %d (Canceled.Rounds = %d), want %d: the cancellation was not seen at the drained-segment check",
+			res.Rounds, c.Rounds, cancelAt)
+	}
+	checkInvariants(t)
+	checkCleanReruns(t, want.Dist, run, fused, sssp.Options{})
 }
 
 // TestSeededSweep is the randomized proptest family: each seed derives

@@ -7,54 +7,23 @@ import (
 	"julienne/internal/compress"
 	"julienne/internal/gen"
 	"julienne/internal/harness"
-	"julienne/internal/microbench"
-	"julienne/internal/rng"
 )
 
 // Ablations measures the design choices the paper calls out:
 //
-//   - §3.3 block-histogram vs. semisort updateBuckets ("we found that
-//     it was slow in practice due to the extra data movement")
 //   - §3.3 open-range size nB (default 128) and the overflow bucket
-//   - §3.3 user-supplied prev (GetBucket) vs. an internal prev map
-//     ("about 30% more expensive")
 //   - §4.2 light/heavy edge split ("did not find a significant
 //     improvement")
 //   - §1/Ligra+ compressed vs. plain CSR traversal
+//
+// The two §3.3 alternatives the paper rejects — a semisort-based
+// updateBuckets and an internal prev map — were measured, agreed with
+// the paper, and were deleted; EXPERIMENTS.md records the numbers and
+// the last commit that regenerates them.
 func (s *Suite) Ablations() {
-	s.ablationUpdateStrategy()
 	s.ablationRangeSize()
-	s.ablationPrevTracking()
 	s.ablationLightHeavy()
 	s.ablationCompression()
-}
-
-func (s *Suite) microN() int {
-	switch s.Scale {
-	case Small:
-		return 1 << 14
-	case Large:
-		return 1 << 21
-	default:
-		return 1 << 18
-	}
-}
-
-func (s *Suite) ablationUpdateStrategy() {
-	s.section("Ablation: updateBuckets strategy (block histogram vs. semisort)")
-	t := harness.NewTable("identifiers", "buckets", "histogram", "semisort", "semisort/histogram")
-	n := s.microN()
-	for _, b := range []int{128, 1024} {
-		hist := harness.TimeMedian(s.reps(), func() {
-			microbench.Run(microbench.Config{Identifiers: n, Buckets: b, Seed: s.seed()})
-		})
-		semi := harness.TimeMedian(s.reps(), func() {
-			microbench.Run(microbench.Config{Identifiers: n, Buckets: b, Seed: s.seed(),
-				Options: bucket.Options{Semisort: true}})
-		})
-		t.AddRow(n, b, hist, semi, harness.Speedup(semi.Median, hist.Median))
-	}
-	t.Render(s.W)
 }
 
 func (s *Suite) ablationRangeSize() {
@@ -68,98 +37,6 @@ func (s *Suite) ablationRangeSize() {
 		t.AddRow(nb, d, res.BucketStats.Moved, res.BucketStats.RangeAdvances)
 	}
 	t.Render(s.W)
-}
-
-// ablationPrevTracking drives the same microbenchmark-style update
-// stream through Par (caller-supplied prev via GetBucket) and Tracked
-// (internal prev map) — the §3.3 "about 30% more expensive" claim.
-func (s *Suite) ablationPrevTracking() {
-	s.section("Ablation: GetBucket prev (user-supplied) vs. internal prev map")
-	n := s.microN()
-	seed := s.seed()
-	par := harness.TimeMedian(s.reps(), func() { drivePar(n, seed) })
-	trk := harness.TimeMedian(s.reps(), func() { driveTracked(n, seed) })
-	t := harness.NewTable("identifiers", "user-prev (Par)", "internal map (Tracked)", "tracked/par")
-	t.AddRow(n, par, trk, harness.Speedup(trk.Median, par.Median))
-	t.Render(s.W)
-}
-
-// drivePar runs the microbenchmark protocol against Par with
-// caller-supplied prev buckets.
-func drivePar(n int, seed uint64) {
-	d := make([]bucket.ID, n)
-	for i := range d {
-		d[i] = bucket.ID(rng.UintNAt(seed, uint64(i), 512))
-	}
-	b := bucket.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, bucket.Options{})
-	var ids []uint32
-	var dests []bucket.Dest
-	round := uint64(0)
-	for {
-		cur, extracted := b.NextBucket()
-		if cur == bucket.Nil {
-			return
-		}
-		round++
-		ids, dests = ids[:0], dests[:0]
-		for _, id := range extracted {
-			for j := 0; j < 8; j++ {
-				v := uint32(rng.UintNAt(seed^0xabc, round<<24|uint64(id)<<3|uint64(j), uint64(n)))
-				prev := d[v]
-				if prev == bucket.Nil {
-					continue
-				}
-				next := bucket.Nil
-				if prev > cur {
-					next = max(cur, prev/2)
-				}
-				d[v] = next
-				if dest := b.GetBucket(prev, next); dest != bucket.None {
-					ids = append(ids, v)
-					dests = append(dests, dest)
-				}
-			}
-		}
-		b.UpdateBuckets(len(ids), func(j int) (uint32, bucket.Dest) { return ids[j], dests[j] })
-	}
-}
-
-// driveTracked runs the identical protocol against Tracked, which
-// maintains prev internally (the rejected design).
-func driveTracked(n int, seed uint64) {
-	d := make([]bucket.ID, n)
-	for i := range d {
-		d[i] = bucket.ID(rng.UintNAt(seed, uint64(i), 512))
-	}
-	b := bucket.NewTracked(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, bucket.Options{})
-	var ids []uint32
-	var nexts []bucket.ID
-	round := uint64(0)
-	for {
-		cur, extracted := b.NextBucket()
-		if cur == bucket.Nil {
-			return
-		}
-		round++
-		ids, nexts = ids[:0], nexts[:0]
-		for _, id := range extracted {
-			for j := 0; j < 8; j++ {
-				v := uint32(rng.UintNAt(seed^0xabc, round<<24|uint64(id)<<3|uint64(j), uint64(n)))
-				prev := d[v]
-				if prev == bucket.Nil {
-					continue
-				}
-				next := bucket.Nil
-				if prev > cur {
-					next = max(cur, prev/2)
-				}
-				d[v] = next
-				ids = append(ids, v)
-				nexts = append(nexts, next)
-			}
-		}
-		b.UpdateBucketsTo(len(ids), func(j int) (uint32, bucket.ID) { return ids[j], nexts[j] })
-	}
 }
 
 func (s *Suite) ablationLightHeavy() {

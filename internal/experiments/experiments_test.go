@@ -115,9 +115,7 @@ func TestRunAllSmall(t *testing.T) {
 	for _, want := range []string{
 		"Table 2", "Figure 1", "Table 1", "Table 3",
 		"Figure 2", "Figure 3", "Figure 4", "Figure 5",
-		"Ablation: updateBuckets strategy",
 		"Ablation: open-range size",
-		"Ablation: GetBucket prev",
 		"Ablation: delta-stepping light/heavy",
 		"Ablation: CSR vs. Ligra+",
 	} {

@@ -32,8 +32,6 @@ type Config struct {
 	Fanout int
 	// Seed makes the run reproducible.
 	Seed uint64
-	// Options configures the bucket structure under test.
-	Options bucket.Options
 }
 
 // Point is one data point of Figure 1.
@@ -65,7 +63,7 @@ func Run(cfg Config) Point {
 
 	var b *bucket.Par
 	elapsed := harness.Time(func() {
-		b = bucket.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, cfg.Options)
+		b = bucket.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, bucket.Options{})
 
 		ids := make([]uint32, 0, 1024)
 		dests := make([]bucket.Dest, 0, 1024)

@@ -2,8 +2,6 @@ package microbench
 
 import (
 	"testing"
-
-	"julienne/internal/bucket"
 )
 
 func TestRunCompletes(t *testing.T) {
@@ -52,14 +50,6 @@ func TestSweepShape(t *testing.T) {
 		if p.Rounds == 0 || p.Processed == 0 {
 			t.Fatalf("degenerate point %+v", p)
 		}
-	}
-}
-
-func TestSemisortOptionRuns(t *testing.T) {
-	p := Run(Config{Identifiers: 20000, Buckets: 128, Seed: 3,
-		Options: bucket.Options{Semisort: true}})
-	if p.Rounds == 0 {
-		t.Fatal("semisort variant made no progress")
 	}
 }
 

@@ -45,7 +45,7 @@ func VerifyBFS(g graph.Graph, src graph.Vertex, level []int32, parent []graph.Ve
 	if len(level) != n {
 		return fmt.Errorf("bfs: level length %d, want %d", len(level), n)
 	}
-	if err := DiffInt32("bfs levels", level, BFSLevels(g, src)); err != nil {
+	if err := Diff("bfs levels", level, BFSLevels(g, src)); err != nil {
 		return err
 	}
 	if parent == nil {

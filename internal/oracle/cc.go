@@ -44,5 +44,5 @@ func Components(g graph.Graph) []graph.Vertex {
 // VerifyComponents checks canonical component labels against the
 // serial flood-fill oracle.
 func VerifyComponents(g graph.Graph, got []graph.Vertex) error {
-	return DiffVertices("components", got, Components(g))
+	return Diff("components", got, Components(g))
 }

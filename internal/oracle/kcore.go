@@ -59,5 +59,5 @@ func VerifyCoreness(g graph.Graph, got []uint32) error {
 	if len(got) != g.NumVertices() {
 		return fmt.Errorf("coreness: length %d, want %d", len(got), g.NumVertices())
 	}
-	return DiffUint32("coreness", got, Coreness(g))
+	return Diff("coreness", got, Coreness(g))
 }

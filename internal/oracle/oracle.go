@@ -20,61 +20,18 @@
 // oracles run unchanged over plain CSR and compressed graphs.
 package oracle
 
-import (
-	"fmt"
+import "fmt"
 
-	"julienne/internal/graph"
-)
-
-// DiffUint32 compares two uint32-valued per-vertex results and reports
-// the first mismatching vertex, for small, readable failure messages.
-func DiffUint32(name string, got, want []uint32) error {
+// Diff compares two per-vertex results (coreness, distances, BFS
+// levels, component labels) and reports the first mismatching vertex,
+// for small, readable failure messages.
+func Diff[T comparable](name string, got, want []T) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%s: length %d, want %d", name, len(got), len(want))
 	}
 	for v := range want {
 		if got[v] != want[v] {
-			return fmt.Errorf("%s: vertex %d: got %d, want %d", name, v, got[v], want[v])
-		}
-	}
-	return nil
-}
-
-// DiffInt64 is DiffUint32 for int64-valued results (SSSP distances).
-func DiffInt64(name string, got, want []int64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%s: length %d, want %d", name, len(got), len(want))
-	}
-	for v := range want {
-		if got[v] != want[v] {
-			return fmt.Errorf("%s: vertex %d: got %d, want %d", name, v, got[v], want[v])
-		}
-	}
-	return nil
-}
-
-// DiffInt32 is DiffUint32 for int32-valued results (BFS levels).
-func DiffInt32(name string, got, want []int32) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%s: length %d, want %d", name, len(got), len(want))
-	}
-	for v := range want {
-		if got[v] != want[v] {
-			return fmt.Errorf("%s: vertex %d: got %d, want %d", name, v, got[v], want[v])
-		}
-	}
-	return nil
-}
-
-// DiffVertices is DiffUint32 for Vertex-valued results (CC labels, BFS
-// parents).
-func DiffVertices(name string, got, want []graph.Vertex) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%s: length %d, want %d", name, len(got), len(want))
-	}
-	for v := range want {
-		if got[v] != want[v] {
-			return fmt.Errorf("%s: vertex %d: got %d, want %d", name, v, got[v], want[v])
+			return fmt.Errorf("%s: vertex %d: got %v, want %v", name, v, got[v], want[v])
 		}
 	}
 	return nil

@@ -23,7 +23,7 @@ func TestCorenessHand(t *testing.T) {
 		[2]graph.Vertex{2, 3})
 	got := Coreness(g)
 	want := []uint32{2, 2, 2, 1, 0}
-	if err := DiffUint32("coreness", got, want); err != nil {
+	if err := Diff("coreness", got, want); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -41,7 +41,7 @@ func TestDijkstraHand(t *testing.T) {
 	g := graph.FromEdges(4, edges, opt)
 	got := Dijkstra(g, 0)
 	want := []int64{0, 3, 1, Unreachable}
-	if err := DiffInt64("dijkstra", got, want); err != nil {
+	if err := Diff("dijkstra", got, want); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,12 +51,12 @@ func TestBFSAndComponentsHand(t *testing.T) {
 	g := sym(5, [2]graph.Vertex{0, 1}, [2]graph.Vertex{1, 2}, [2]graph.Vertex{3, 4})
 	lvl := BFSLevels(g, 0)
 	wantLvl := []int32{0, 1, 2, Unreached, Unreached}
-	if err := DiffInt32("bfs", lvl, wantLvl); err != nil {
+	if err := Diff("bfs", lvl, wantLvl); err != nil {
 		t.Fatal(err)
 	}
 	labels := Components(g)
 	wantLab := []graph.Vertex{0, 0, 0, 3, 3}
-	if err := DiffVertices("cc", labels, wantLab); err != nil {
+	if err := Diff("cc", labels, wantLab); err != nil {
 		t.Fatal(err)
 	}
 	// VerifyBFS must accept a valid parent tree and reject a broken one.

@@ -64,5 +64,5 @@ func VerifyDistances(g graph.Graph, src graph.Vertex, got []int64) error {
 	if len(got) != g.NumVertices() {
 		return fmt.Errorf("sssp: length %d, want %d", len(got), g.NumVertices())
 	}
-	return DiffInt64("sssp", got, Dijkstra(g, src))
+	return Diff("sssp", got, Dijkstra(g, src))
 }

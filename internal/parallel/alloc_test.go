@@ -138,25 +138,3 @@ func TestFilterInto(t *testing.T) {
 		}
 	})
 }
-
-func TestMapFilterInto(t *testing.T) {
-	withProcs(t, 4, func() {
-		n := 90000
-		f := func(i int) (int, bool) { return -i, i%3 == 0 }
-		var buf []int
-		for round := 0; round < 2; round++ {
-			buf = MapFilterInto(buf, n, f)
-			if len(buf) != (n+2)/3 {
-				t.Fatalf("round %d: len=%d", round, len(buf))
-			}
-			for i, v := range buf {
-				if v != -i*3 {
-					t.Fatalf("round %d: buf[%d]=%d", round, i, v)
-				}
-			}
-		}
-		if got := MapFilterInto(buf, 0, f); len(got) != 0 {
-			t.Fatalf("n=0: len=%d", len(got))
-		}
-	})
-}

@@ -164,7 +164,7 @@ func FilterIndex[T any](src []T, pred func(i int, v T) bool) []T {
 
 // PackIndices returns, in increasing order, the indices i in [0, n) for
 // which pred(i) is true. It is the "pack" step used after mapping an
-// indicator function, e.g. to find bucket boundaries after a semisort.
+// indicator function.
 func PackIndices(n int, pred func(i int) bool) []uint32 {
 	var out []uint32
 	WithScratch(n, func(idx []uint32) {
@@ -181,45 +181,21 @@ func MapFilter[T any](n int, f func(i int) (T, bool)) []T {
 	if n == 0 {
 		return nil
 	}
-	out, _ := mapFilterInto[T](nil, n, f)
-	return out
-}
-
-// MapFilterInto is MapFilter writing into buf's storage (contents
-// overwritten, backing array grown as needed). Round-based callers pass
-// the returned slice back in next round to reach an allocation-free
-// steady state.
-func MapFilterInto[T any](buf []T, n int, f func(i int) (T, bool)) []T {
-	if n == 0 {
-		return buf[:0]
-	}
-	out, _ := mapFilterInto(buf, n, f)
-	return out
-}
-
-// mapFilterInto collects the survivors of f over [0, n), preferring
-// buf's storage when it is large enough. It reports whether the result
-// lives in buf.
-func mapFilterInto[T any](buf []T, n int, f func(i int) (T, bool)) ([]T, bool) {
 	defer rewrapPanic() // sequential path calls f unwrapped
 	nb, blockSize := filterBlocks(n)
 	if nb == 1 || Procs() == 1 {
-		out := buf[:0]
-		if cap(out) == 0 {
-			out = make([]T, 0, n/4+4)
-		}
+		out := make([]T, 0, n/4+4)
 		for i := 0; i < n; i++ {
 			if v, ok := f(i); ok {
 				out = append(out, v)
 			}
 		}
-		return out, true
+		return out
 	}
 	// Per-block survivor buffers come from the pool and keep their
 	// capacity across calls, so repeated MapFilters stop allocating once
 	// the per-block high-water marks are reached.
 	var out []T
-	var fromBuf bool
 	WithScratch(nb, func(parts [][]T) {
 		For(nb, 1, func(b int) {
 			lo, hi := b*blockSize, min((b+1)*blockSize, n)
@@ -235,15 +211,10 @@ func mapFilterInto[T any](buf []T, n int, f func(i int) (T, bool)) ([]T, bool) {
 		for b := 0; b < nb; b++ {
 			total += len(parts[b])
 		}
-		fromBuf = cap(buf) >= total
-		if fromBuf {
-			out = buf[:0]
-		} else {
-			out = make([]T, 0, total)
-		}
+		out = make([]T, 0, total)
 		for b := 0; b < nb; b++ {
 			out = append(out, parts[b]...)
 		}
 	})
-	return out, fromBuf
+	return out
 }

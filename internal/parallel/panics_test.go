@@ -19,7 +19,6 @@ import (
 
 	"julienne/internal/harness"
 	"julienne/internal/parallel"
-	"julienne/internal/semisort"
 )
 
 // recoverPanicError runs f, expecting it to panic, and returns the
@@ -211,11 +210,6 @@ func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 		in[i] = uint32(i)
 	}
 	buf := make([]uint32, 0, n)
-	pairs := make([]semisort.Pair[uint32], n)
-	for i := range pairs {
-		pairs[i] = semisort.Pair[uint32]{Key: uint32(i % 61), Value: uint32(i)}
-	}
-	out := make([]semisort.Pair[uint32], n)
 
 	cases := []struct {
 		name   string
@@ -239,11 +233,11 @@ func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 				}
 			})
 		}},
-		// Scan and the semisort take no user callback, so their deferred
-		// releases cannot be unwound by user code directly (the chaos
-		// harness injects panics inside their workers instead). Here a
-		// sibling thunk panics while they hold scratch, checking the
-		// panic joins them and the balance holds; cb fires once per run.
+		// Scan takes no user callback, so its deferred release cannot be
+		// unwound by user code directly (the chaos harness injects panics
+		// inside its workers instead). Here a sibling thunk panics while
+		// it holds scratch, checking the panic joins it and the balance
+		// holds; cb fires once per run.
 		{"Scan", 1, func(cb func()) {
 			dst := make([]uint32, n)
 			src := make([]uint32, n)
@@ -270,10 +264,6 @@ func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 		{"SortByKey", n, func(cb func()) {
 			tmp := append([]uint32(nil), in...)
 			parallel.SortByKey(tmp, func(v uint32) uint64 { cb(); return uint64(v ^ 0x5a5a) })
-		}},
-		{"Semisort", 1, func(cb func()) {
-			tmp := append([]semisort.Pair[uint32](nil), pairs...)
-			parallel.Do(func() { semisort.PairsInto(out, tmp) }, cb)
 		}},
 	}
 	for _, tc := range cases {

@@ -18,14 +18,14 @@ import (
 // range, overflow bucket, and range advances of Par are pure
 // representation choices, so any observable divergence from Seq is a
 // bug. Runs with the default open range, a 2-bucket range that forces
-// constant overflow traffic, and the semisort update path, under both
-// traversal orders.
+// constant overflow traffic, and a 7-bucket range, under both traversal
+// orders.
 func TestBucketParMatchesSeq(t *testing.T) {
 	cfg := DefaultConfig()
 	opts := []bucket.Options{
 		{},
 		{OpenBuckets: 2},
-		{OpenBuckets: 7, Semisort: true},
+		{OpenBuckets: 7},
 	}
 	for s := 0; s < cfg.Seeds*2; s++ {
 		seed := rng.At(uint64(0xb0c4e7), uint64(s))
@@ -135,8 +135,7 @@ func describeDiff(n int, seed uint64, order bucket.Order, opt bucket.Options) st
 	if order == bucket.Decreasing {
 		dir = "dec"
 	}
-	return fmt.Sprintf("n=%d seed=%d order=%s open=%d semisort=%t",
-		n, seed, dir, opt.OpenBuckets, opt.Semisort)
+	return fmt.Sprintf("n=%d seed=%d order=%s open=%d", n, seed, dir, opt.OpenBuckets)
 }
 
 func sortedIDs(ids []uint32) []uint32 {

@@ -82,10 +82,10 @@ func TestDegenerateGraphs(t *testing.T) {
 
 				if tc.symmetric {
 					want := oracle.Coreness(g)
-					if err := oracle.DiffUint32("kcore.Coreness", kcore.Coreness(h, kcore.Options{}).Coreness, want); err != nil {
+					if err := oracle.Diff("kcore.Coreness", kcore.Coreness(h, kcore.Options{}).Coreness, want); err != nil {
 						t.Errorf("compressed=%t: %v", compressed, err)
 					}
-					if err := oracle.DiffUint32("kcore.CorenessLigra", kcore.CorenessLigra(h).Coreness, want); err != nil {
+					if err := oracle.Diff("kcore.CorenessLigra", kcore.CorenessLigra(h).Coreness, want); err != nil {
 						t.Errorf("compressed=%t: %v", compressed, err)
 					}
 					labels := cc.Components(h)
@@ -105,13 +105,13 @@ func TestDegenerateGraphs(t *testing.T) {
 						t.Errorf("compressed=%t: bfs: %v", compressed, err)
 					}
 					wantD := oracle.Dijkstra(g, src)
-					if err := oracle.DiffInt64("sssp.DeltaStepping", sssp.DeltaStepping(h, src, 2, sssp.Options{}).Dist, wantD); err != nil {
+					if err := oracle.Diff("sssp.DeltaStepping", sssp.DeltaStepping(h, src, 2, sssp.Options{}).Dist, wantD); err != nil {
 						t.Errorf("compressed=%t: %v", compressed, err)
 					}
-					if err := oracle.DiffInt64("sssp.WBFS", sssp.WBFS(h, src, sssp.Options{}).Dist, wantD); err != nil {
+					if err := oracle.Diff("sssp.WBFS", sssp.WBFS(h, src, sssp.Options{}).Dist, wantD); err != nil {
 						t.Errorf("compressed=%t: %v", compressed, err)
 					}
-					if err := oracle.DiffInt64("sssp.DijkstraHeap", sssp.DijkstraHeap(h, src).Dist, wantD); err != nil {
+					if err := oracle.Diff("sssp.DijkstraHeap", sssp.DijkstraHeap(h, src).Dist, wantD); err != nil {
 						t.Errorf("compressed=%t: %v", compressed, err)
 					}
 				}

@@ -68,7 +68,7 @@ func TestSSSPFusionMatchesOracle(t *testing.T) {
 
 		for _, v := range variants {
 			ref := v.run(h, src, delta, base)
-			if err := oracle.DiffInt64(v.name+" unfused", ref.Dist, want); err != nil {
+			if err := oracle.Diff(v.name+" unfused", ref.Dist, want); err != nil {
 				return err
 			}
 			for _, fus := range fusionSweep {
@@ -76,7 +76,7 @@ func TestSSSPFusionMatchesOracle(t *testing.T) {
 				opt.Fusion = fus
 				res := v.run(h, src, delta, opt)
 				tag := v.name + " " + fusionTag(fus)
-				if err := oracle.DiffInt64(tag, res.Dist, want); err != nil {
+				if err := oracle.Diff(tag, res.Dist, want); err != nil {
 					return err
 				}
 				if fusedRounds, refRounds := res.BucketStats.BucketsReturned, ref.BucketStats.BucketsReturned; fusedRounds > refRounds {
@@ -110,8 +110,8 @@ func TestBucketFusedParMatchesSeq(t *testing.T) {
 		n := 1 + int(rng.UintNAt(seed, 1, uint64(cfg.MaxN)+1))
 		for _, order := range []bucket.Order{bucket.Increasing, bucket.Decreasing} {
 			for fi, fus := range fusions {
-				for si, semi := range []bool{false, true} {
-					runFusedBucketDiff(t, n, rng.At(seed, uint64(8*fi+si)), order, fus, semi)
+				for si := 0; si < 2; si++ {
+					runFusedBucketDiff(t, n, rng.At(seed, uint64(8*fi+si)), order, fus)
 				}
 			}
 		}
@@ -123,7 +123,7 @@ func TestBucketFusedParMatchesSeq(t *testing.T) {
 // whole universe fits one open range.
 const fusedDiffBuckets = 96
 
-func runFusedBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order, fus bucket.Fusion, semisort bool) {
+func runFusedBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order, fus bucket.Fusion) {
 	t.Helper()
 	r := rng.New(seed)
 	dvals := make([]bucket.ID, n)
@@ -135,7 +135,7 @@ func runFusedBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order, fu
 		}
 	}
 	d := func(i uint32) bucket.ID { return dvals[i] }
-	par := bucket.New(n, d, order, bucket.Options{OpenBuckets: fusedDiffBuckets, Semisort: semisort})
+	par := bucket.New(n, d, order, bucket.Options{OpenBuckets: fusedDiffBuckets})
 	seq := bucket.NewSeq(n, d, order)
 
 	ctx := func() string {
@@ -143,8 +143,8 @@ func runFusedBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order, fu
 		if order == bucket.Decreasing {
 			dir = "dec"
 		}
-		return fmt.Sprintf("%s: n=%d seed=%d order=%s %s semisort=%t",
-			t.Name(), n, seed, dir, fusionTag(fus), semisort)
+		return fmt.Sprintf("%s: n=%d seed=%d order=%s %s",
+			t.Name(), n, seed, dir, fusionTag(fus))
 	}
 	diffWave := func(what string, rounds int, liveP, liveS []uint32) []uint32 {
 		t.Helper()

@@ -18,8 +18,8 @@ import (
 )
 
 // bucketOptions derives a bucket configuration from the case so the
-// sweep covers the default open range, a tiny range that forces heavy
-// overflow traffic, and the semisort update ablation.
+// sweep covers the default open range and tiny ranges that force heavy
+// overflow traffic.
 func bucketOptions(c Case) bucket.Options {
 	opt := bucket.Options{}
 	switch c.Rand(0, 3) {
@@ -28,7 +28,6 @@ func bucketOptions(c Case) bucket.Options {
 	case 2:
 		opt.OpenBuckets = 7
 	}
-	opt.Semisort = c.Rand(9, 2) == 1
 	return opt
 }
 
@@ -53,13 +52,13 @@ func TestKCoreMatchesOracle(t *testing.T) {
 		want := oracle.Coreness(g)
 		h := c.Wrap(g)
 		res := kcore.Coreness(h, kcore.Options{Buckets: bucketOptions(c)})
-		if err := oracle.DiffUint32("kcore.Coreness", res.Coreness, want); err != nil {
+		if err := oracle.Diff("kcore.Coreness", res.Coreness, want); err != nil {
 			return err
 		}
-		if err := oracle.DiffUint32("kcore.CorenessLigra", kcore.CorenessLigra(h).Coreness, want); err != nil {
+		if err := oracle.Diff("kcore.CorenessLigra", kcore.CorenessLigra(h).Coreness, want); err != nil {
 			return err
 		}
-		return oracle.DiffUint32("kcore.CorenessBZ", kcore.CorenessBZ(h), want)
+		return oracle.Diff("kcore.CorenessBZ", kcore.CorenessBZ(h), want)
 	})
 }
 
@@ -76,28 +75,28 @@ func TestSSSPMatchesOracle(t *testing.T) {
 		delta := []int64{1, 3, 16, 1024}[c.Rand(4, 4)]
 		opt := sssp.Options{Buckets: bucketOptions(c)}
 
-		if err := oracle.DiffInt64("sssp.DeltaStepping", sssp.DeltaStepping(h, src, delta, opt).Dist, want); err != nil {
+		if err := oracle.Diff("sssp.DeltaStepping", sssp.DeltaStepping(h, src, delta, opt).Dist, want); err != nil {
 			return err
 		}
-		if err := oracle.DiffInt64("sssp.WBFS", sssp.WBFS(h, src, opt).Dist, want); err != nil {
+		if err := oracle.Diff("sssp.WBFS", sssp.WBFS(h, src, opt).Dist, want); err != nil {
 			return err
 		}
-		if err := oracle.DiffInt64("sssp.DeltaSteppingLH", sssp.DeltaSteppingLH(h, src, delta, opt).Dist, want); err != nil {
+		if err := oracle.Diff("sssp.DeltaSteppingLH", sssp.DeltaSteppingLH(h, src, delta, opt).Dist, want); err != nil {
 			return err
 		}
-		if err := oracle.DiffInt64("sssp.DeltaSteppingBins", sssp.DeltaSteppingBins(h, src, delta).Dist, want); err != nil {
+		if err := oracle.Diff("sssp.DeltaSteppingBins", sssp.DeltaSteppingBins(h, src, delta).Dist, want); err != nil {
 			return err
 		}
-		if err := oracle.DiffInt64("sssp.BellmanFord", sssp.BellmanFord(h, src).Dist, want); err != nil {
+		if err := oracle.Diff("sssp.BellmanFord", sssp.BellmanFord(h, src).Dist, want); err != nil {
 			return err
 		}
-		if err := oracle.DiffInt64("sssp.DijkstraHeap", sssp.DijkstraHeap(h, src).Dist, want); err != nil {
+		if err := oracle.Diff("sssp.DijkstraHeap", sssp.DijkstraHeap(h, src).Dist, want); err != nil {
 			return err
 		}
 		// Dial allocates one bucket per distance value; only run it when
 		// the true distance range keeps that allocation small.
 		if maxFinite(want) < 1<<20 {
-			if err := oracle.DiffInt64("sssp.Dial", sssp.Dial(h, src).Dist, want); err != nil {
+			if err := oracle.Diff("sssp.Dial", sssp.Dial(h, src).Dist, want); err != nil {
 				return err
 			}
 		}
@@ -135,7 +134,7 @@ func TestComponentsMatchOracle(t *testing.T) {
 		}
 		// Both sides canonicalize to min-label, so the comparison can be
 		// exact, not just partition-equivalent.
-		return oracle.DiffVertices("cc.Components", labels, oracle.Components(g))
+		return oracle.Diff("cc.Components", labels, oracle.Components(g))
 	})
 }
 
