@@ -1,8 +1,9 @@
 # Developer targets for the julienne repository. `make check` is the
 # CI gate: build + full tests, static checks, race-testing the
-# concurrency-sensitive packages (bucket structure, algorithms, Ligra
-# layer, obs recorder) including a short property-test pass, and the
-# julienne_debug build with invariant assertions compiled in.
+# concurrency-sensitive packages (the parallel substrate and its helper
+# pool, bucket structure, algorithms, Ligra layer, obs recorder, leak
+# checker) including a short property-test pass, and the julienne_debug
+# build with invariant assertions compiled in.
 
 GO ?= go
 
@@ -44,7 +45,8 @@ lint: vet
 	$(GO) run ./cmd/julvet -tags julienne_chaos ./...
 
 race:
-	$(GO) test -race -short ./internal/bucket/... ./internal/obs/... \
+	$(GO) test -race -short ./internal/parallel/... ./internal/harness/... \
+		./internal/bucket/... ./internal/obs/... \
 		./internal/algo/... ./internal/ligra/... ./internal/proptest/... \
 		./internal/bench/...
 
@@ -66,10 +68,13 @@ debug:
 # worker panics must surface as a single wrapped PanicError on the
 # caller, forced cancellations must leave the run re-runnable, and
 # every schedule must leave goroutine counts and the scratch pool
-# balanced (DESIGN.md §9). Nightly CI raises JULIENNE_CHAOS_SEEDS.
+# balanced (DESIGN.md §9). The parallel package's own chaos file drives
+# the worker-site injection through every entry point of the scheduling
+# core and requires that some schedule kills a pool helper mid-region.
+# Nightly CI raises JULIENNE_CHAOS_SEEDS.
 chaos:
 	$(GO) build -tags julienne_chaos ./...
-	$(GO) test -tags julienne_chaos -race -short ./internal/chaos/
+	$(GO) test -tags julienne_chaos -race -short ./internal/chaos/ ./internal/parallel/
 
 # fuzz smoke: a bounded run of every fuzz target (CI nightly runs this;
 # `go test -fuzz` accepts one target per package invocation).
@@ -94,8 +99,11 @@ bench:
 # bench-smoke also gates the fusion ablation: the fused grid-family
 # entries must extract fewer bucket rounds than their unfused
 # counterparts (obs counter, not wall time), wbfs at least 3x fewer.
+# And the fork budget: wbfs on the grid family at P>1 — thousands of
+# tiny frontiers — may fork in only a small fraction of its rounds
+# (parallel.forked against rounds, counters again, never wall time).
 bench-smoke:
-	$(GO) run ./cmd/bench -smoke -assert-fusion -out bench-out
+	$(GO) run ./cmd/bench -smoke -assert-fusion -assert-forks -out bench-out
 
 # obs-demo smoke-tests the observability plane end to end: run kcore
 # with -http on an ephemeral port, scrape /metrics until the

@@ -2,6 +2,8 @@ package julienne
 
 import (
 	"io"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -97,4 +99,51 @@ func TestConcurrentSharedGraphQueries(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	scrapers.Wait()
+}
+
+// TestKernelsIdenticalAcrossProcs pins what the scheduling core and the
+// work-keyed cut-off may not change: at GOMAXPROCS 1, 2 and 4 — inline,
+// one helper, several — the three benchmarked kernels return identical
+// answers, and k-core and wBFS, whose rounds are set by the bucket
+// semantics alone, also identical round counts and bucket traffic.
+// (∆-stepping with ∆ > 1 relaxes within a bucket in schedule order, so
+// its round count may differ by a few between P=1 and P>1.)
+func TestKernelsIdenticalAcrossProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	n, m := 1<<14, 1<<18
+	if testing.Short() {
+		n, m = 1<<12, 1<<16
+	}
+	g := RMAT(n, m, true, 2017)
+	heavy := HeavyWeights(g, 2018)
+	light := LogWeights(g, 2019) // wBFS frontiers on both sides of the cut-off
+
+	type outcome struct {
+		core                   []uint32
+		wbfs, delta            []int64
+		coreRounds, wbfsRounds int64
+		coreStats, wbfsStats   BucketStats
+	}
+	at := func(p int) outcome {
+		runtime.GOMAXPROCS(p)
+		k := KCoreWithOptions(g, KCoreOptions{})
+		w := WBFSWithOptions(light, 0, SSSPOptions{})
+		d := DeltaSteppingWithOptions(heavy, 0, 32768, SSSPOptions{})
+		return outcome{k.Coreness, w.Dist, d.Dist, k.Rounds, w.Rounds, k.BucketStats, w.BucketStats}
+	}
+	want := at(1)
+	for _, p := range []int{2, 4} {
+		got := at(p)
+		if !slices.Equal(got.core, want.core) || !slices.Equal(got.wbfs, want.wbfs) || !slices.Equal(got.delta, want.delta) {
+			t.Errorf("P=%d: kernel outputs differ from P=1", p)
+		}
+		if got.coreRounds != want.coreRounds || got.coreStats != want.coreStats {
+			t.Errorf("P=%d: k-core ran %d rounds %+v, P=1 ran %d rounds %+v",
+				p, got.coreRounds, got.coreStats, want.coreRounds, want.coreStats)
+		}
+		if got.wbfsRounds != want.wbfsRounds || got.wbfsStats != want.wbfsStats {
+			t.Errorf("P=%d: wBFS ran %d rounds %+v, P=1 ran %d rounds %+v",
+				p, got.wbfsRounds, got.wbfsStats, want.wbfsRounds, want.wbfsStats)
+		}
+	}
 }

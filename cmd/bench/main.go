@@ -1,6 +1,6 @@
 // Command bench regenerates the repository's performance baseline:
 //
-//	bench [-smoke] [-out dir] [-reps n] [-seed s] [-http :9090] [-assert-fusion]
+//	bench [-smoke] [-out dir] [-reps n] [-seed s] [-http :9090] [-assert-fusion] [-assert-forks]
 //
 // It measures the bucket structure's hot paths and the four bucketed
 // applications (k-core, ∆-stepping, wBFS, approximate set cover) at
@@ -15,8 +15,11 @@
 // counterparts; DESIGN.md §11). -assert-fusion turns the ablation into
 // a gate: the run fails unless the fused entries extracted fewer
 // bucket rounds (obs bucket.buckets_returned) than the unfused ones,
-// with wbfs at least 3x fewer. CI's bench-smoke job runs with this
-// flag.
+// with wbfs at least 3x fewer. -assert-forks gates the fork budget the
+// same way, on counters only: wbfs on the grid family at procs > 1 may
+// go through the helper pool (obs parallel.forked, reported per entry
+// as forks_per_round) in only a small fraction of its rounds. CI's
+// bench-smoke job runs with both flags.
 //
 // With -http the suite's merged telemetry (counters plus round-latency
 // histograms from every instrumented run) is served live on the obs
@@ -50,6 +53,7 @@ func main() {
 	seed := flag.Uint64("seed", 0, "workload seed (default 2017)")
 	httpAddr := flag.String("http", "", "serve live /metrics, /debug/obs, /debug/pprof on this address while benchmarking; keeps serving after the run until interrupted")
 	assertFusion := flag.Bool("assert-fusion", false, "fail unless the fused grid-family entries extract fewer bucket rounds than their unfused counterparts (wbfs: at least 3x fewer), judged by the obs bucket.buckets_returned counter")
+	assertForks := flag.Bool("assert-forks", false, "fail if wbfs on the grid family forks in more than a small fraction of its rounds at procs > 1, judged by the obs parallel.forked counter")
 	flag.Parse()
 
 	cfg := bench.Config{Smoke: *smoke, Reps: *reps, Seed: *seed}
@@ -98,6 +102,14 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("fusion ablation: fused grid entries extract fewer bucket rounds than unfused (wbfs >= 3x)")
+	}
+	if *assertForks {
+		checked, err := bench.CheckForkBudget(algos)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("fork budget: %d wbfs/grid entries at procs > 1 fork in at most a small fraction of their rounds\n", checked)
 	}
 
 	if serving != "" {

@@ -114,6 +114,7 @@ func Coreness(g graph.Graph, opt Options) Result {
 	finished := 0
 	var edges int64
 	var prevStats bucket.Stats
+	prevForks := parallel.ForkStats() // the rounds' budget, not the construction's
 	cancel := obs.NewCancelCheck(opt.Ctx, opt.Deadline)
 	for finished < n {
 		if cause := cancel.Stopped(); cause != nil {
@@ -134,8 +135,8 @@ func Coreness(g graph.Graph, opt Options) Result {
 		// already equal k by the bucket-liveness invariant); their
 		// removal decrements neighbors' induced degrees. edgeMapSum
 		// counts removed edges per still-live neighbor (line 16).
-		frontier := ligra.FromSparse(n, ids)
-		roundEdges := frontier2EdgeCount(g, ids)
+		frontier := ligra.Frontier(g, ids)
+		roundEdges := frontier.OutDegreeSum(g)
 		edges += roundEdges
 		moved := ligra.EdgeMapCount(g, frontier,
 			func(v graph.Vertex) bool { return d[v] > k }, &scratch)
@@ -160,26 +161,22 @@ func Coreness(g graph.Graph, opt Options) Result {
 			cur := b.Stats()
 			delta := cur.Sub(prevStats)
 			prevStats = cur
+			forks := parallel.ForkStats()
+			fd := forks.Sub(prevForks)
+			prevForks = forks
 			rec.RecordRound(obs.RoundMetrics{
 				Algo: "kcore", Round: res.Rounds, Bucket: k,
 				FrontierSize: len(ids), EdgesTraversed: roundEdges,
 				Dense:     false, // EdgeMapCount is push-only
 				Extracted: delta.Extracted, Moved: delta.Moved,
 				Skipped: delta.Skipped, Duration: dur,
+				Forked: fd.Forked, Inline: fd.Inline, Wakes: fd.Wakes,
 			})
 		}
 	}
 	res.BucketStats = b.Stats()
 	res.EdgesTraversed = edges
 	return res
-}
-
-// frontier2EdgeCount sums the degrees of the peeled set (the edges the
-// round traverses), for the work counters.
-func frontier2EdgeCount(g graph.Graph, ids []graph.Vertex) int64 {
-	return parallel.Sum(len(ids), 0, func(i int) int64 {
-		return int64(g.OutDegree(ids[i]))
-	})
 }
 
 // CorenessLigra is the work-inefficient frontier-based algorithm used
@@ -217,8 +214,8 @@ func CorenessLigra(g graph.Graph) Result {
 				alive[v] = 0
 				d[v] = k
 			})
-			res.EdgesTraversed += frontier2EdgeCount(g, ids)
-			frontier := ligra.FromSparse(n, ids)
+			frontier := ligra.Frontier(g, ids)
+			res.EdgesTraversed += frontier.OutDegreeSum(g)
 			moved := ligra.EdgeMapCount(g, frontier,
 				func(v graph.Vertex) bool { return alive[v] == 1 && d[v] > k }, &scratch)
 			// Vertices dropping to <= k cascade within this core value.

@@ -47,8 +47,11 @@ func ExtractCore(g graph.Graph, coreness []uint32, k uint32) CoreSubgraph {
 		renum[keep[i]] = graph.Vertex(i)
 	})
 	// Induced edges, built per kept vertex in parallel.
-	parts := make([][]graph.Edge, parallel.Procs())
-	parallel.Workers(len(keep), func(worker, lo, hi int) {
+	// The graph's edge count bounds the work from above; a few spare
+	// workers on a small core cost nothing next to the rebuild below.
+	p := parallel.WorkersFor(int64(len(keep)) + g.NumEdges())
+	parts := make([][]graph.Edge, p)
+	parallel.Workers(len(keep), p, func(worker, lo, hi int) {
 		local := parts[worker]
 		for i := lo; i < hi; i++ {
 			v := keep[i]

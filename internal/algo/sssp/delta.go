@@ -50,6 +50,7 @@ type waves struct {
 	// with sync/atomic, stay 8-aligned under 32-bit layout.
 	res       Result
 	prevStats bucket.Stats
+	prevForks parallel.ForkCounts
 	prevRelax int64
 	udelta    uint64
 	g         graph.Graph
@@ -95,12 +96,16 @@ func (w *waves) endRound(sp *obs.Span, id bucket.ID, frontier int, edges int64) 
 	sd := cur.Sub(w.prevStats)
 	w.prevStats = cur
 	w.prevRelax = relax
+	forks := parallel.ForkStats()
+	fd := forks.Sub(w.prevForks)
+	w.prevForks = forks
 	w.rec.RecordRound(obs.RoundMetrics{
 		Algo: "sssp", Round: w.res.Rounds, Bucket: id,
 		FrontierSize: frontier, EdgesTraversed: edges,
 		Dense:     false, // EdgeMapTagged is push-only
 		Extracted: sd.Extracted, Moved: sd.Moved,
 		Skipped: sd.Skipped, Duration: dur,
+		Forked: fd.Forked, Inline: fd.Inline, Wakes: fd.Wakes,
 	})
 }
 
@@ -137,6 +142,7 @@ func runWaves(g graph.Graph, src graph.Vertex, delta int64, opt Options, body fu
 	w.b = bucket.New(n, func(i uint32) bucket.ID { return w.bktOf(w.sp[i] &^ flag) },
 		bucket.Increasing, bopt)
 	segment := body(w)
+	w.prevForks = parallel.ForkStats() // the rounds' budget, not the construction's
 
 	fus := opt.Fusion
 	cancel := obs.NewCancelCheck(opt.Ctx, opt.Deadline)
@@ -199,13 +205,12 @@ func deltaSegment(w *waves) segmentFunc {
 	}
 	return func(id, last bucket.ID, ids []uint32) {
 		span := w.startRound(id, len(ids))
-		edges := parallel.Sum(len(ids), 0, func(i int) int64 {
-			return int64(g.OutDegree(ids[i]))
-		})
+		frontier := ligra.Frontier(g, ids)
+		edges := frontier.OutDegreeSum(g)
 		// Relax the out-edges of the frontier (Algorithm 2, line 18).
 		// The tagged output carries each improved vertex's distance at
 		// the start of the round, captured by the winning relaxer.
-		moved := ligra.EdgeMapTagged(g, ligra.FromSparse(len(sp), ids), always, relax)
+		moved := ligra.EdgeMapTagged(g, frontier, always, relax)
 		// Reset (lines 11–13): clear the round flag and compute each
 		// vertex's bucket move from its start-of-round bucket to its
 		// new bucket.

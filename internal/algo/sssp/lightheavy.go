@@ -112,10 +112,9 @@ func lightHeavySegment(w *waves) segmentFunc {
 		for len(active) > 0 {
 			span := w.startRound(id, len(active))
 			round++
-			edges := parallel.Sum(len(active), 0, func(i int) int64 {
-				return int64(light.OutDegree(active[i]))
-			})
-			moved := ligra.EdgeMapTagged(light, ligra.FromSparse(n, active), always, relax)
+			frontier := ligra.Frontier(light, active)
+			edges := frontier.OutDegreeSum(light)
+			moved := ligra.EdgeMapTagged(light, frontier, always, relax)
 			var nextActive []graph.Vertex
 			for i := 0; i < moved.Size(); i++ {
 				v, c := moved.At(i)
@@ -144,10 +143,9 @@ func lightHeavySegment(w *waves) segmentFunc {
 		// one more round epoch: a target it activates is relaxed in the
 		// next segment, not here.
 		round++
-		atomic.AddInt64(&res.EdgesTraversed, parallel.Sum(len(settled), 0, func(i int) int64 {
-			return int64(heavy.OutDegree(settled[i]))
-		}))
-		movedH := ligra.EdgeMapTagged(heavy, ligra.FromSparse(n, settled), always, relax)
+		frontierH := ligra.Frontier(heavy, settled)
+		atomic.AddInt64(&res.EdgesTraversed, frontierH.OutDegreeSum(heavy))
+		movedH := ligra.EdgeMapTagged(heavy, frontierH, always, relax)
 		for i := 0; i < movedH.Size(); i++ {
 			if v, c := movedH.At(i); c.captured {
 				capturedIDs = append(capturedIDs, v)

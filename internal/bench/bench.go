@@ -85,8 +85,14 @@ type Entry struct {
 	RoundP90Ns int64 `json:"round_p90_ns,omitempty"`
 	RoundP99Ns int64 `json:"round_p99_ns,omitempty"`
 	RoundMaxNs int64 `json:"round_max_ns,omitempty"`
+	// ForksPerRound is the instrumented run's fork budget: fork-join
+	// regions that went through the helper pool (the parallel.forked
+	// counter) per recorded round. Absent for workloads whose rounds do
+	// not report it; 0 at procs=1, where nothing forks.
+	ForksPerRound *float64 `json:"forks_per_round,omitempty"`
 	// Counters is one instrumented run's internal/obs counter snapshot
-	// (bucket.* traffic, edgemap.* direction decisions).
+	// (bucket.* traffic, edgemap.* direction decisions, parallel.* fork
+	// budget).
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
@@ -181,6 +187,10 @@ func measure(e Entry, cfg Config, run func(rec *obs.Recorder) int64) Entry {
 		e.BytesPerRound = e.BytesPerOp / rounds
 	}
 	e.Counters = rec.Counters()
+	if forked, ok := e.Counters[obs.CtrParallelForked.Name()]; ok && rounds > 0 {
+		perRound := float64(forked) / float64(rounds)
+		e.ForksPerRound = &perRound
+	}
 	fillRoundPercentiles(&e, rec)
 	cfg.Live.Merge(rec)
 	return e

@@ -126,6 +126,36 @@ func TestCheckFusionAblation(t *testing.T) {
 	}
 }
 
+// TestCheckForkBudget exercises the report gate cmd/bench -assert-forks
+// applies, on synthetic reports.
+func TestCheckForkBudget(t *testing.T) {
+	entry := func(name, family string, procs int, perRound float64) Entry {
+		return Entry{Name: name, Family: family, Procs: procs, Rounds: 1000, ForksPerRound: &perRound}
+	}
+	good := &Report{Results: []Entry{
+		entry("wbfs", "grid", 1, 0), entry("wbfs", "grid", 2, 0.01),
+		entry("wbfs", "rmat-sym", 2, 3), entry("kcore", "grid", 2, 1), // not the gated rows
+	}}
+	if checked, err := CheckForkBudget(good); err != nil || checked != 1 {
+		t.Fatalf("good report: checked %d, err %v; want 1, nil", checked, err)
+	}
+	if checked, err := CheckForkBudget(&Report{Results: []Entry{entry("wbfs", "grid", 1, 0)}}); err != nil || checked != 0 {
+		t.Errorf("single-CPU report: checked %d, err %v; want 0, nil", checked, err)
+	}
+	for _, tc := range []struct {
+		name string
+		rep  *Report
+		want string
+	}{
+		{"a fork per round", &Report{Results: []Entry{entry("wbfs", "grid", 2, 1.2)}}, "forked 1.200 times per round"},
+		{"counter missing", &Report{Results: []Entry{{Name: "wbfs", Family: "grid", Procs: 2}}}, "no parallel.forked counter"},
+	} {
+		if _, err := CheckForkBudget(tc.rep); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestFormatSummary(t *testing.T) {
 	rep := newReport("algos", Config{}, algosBaseline)
 	rep.Comparison = []Delta{{

@@ -242,6 +242,37 @@ func CheckFusionAblation(rep *Report) error {
 	return nil
 }
 
+// maxGridForksPerRound is the fork budget CheckForkBudget holds wbfs on
+// the grid family to at procs > 1: the frontiers there are tens of
+// vertices, far below the parallel substrate's work cut-off, so a round
+// that forks at all is the exception (the first bucket rounds after a
+// range advance, at most). Before the cut-off every round forked.
+const maxGridForksPerRound = 0.05
+
+// CheckForkBudget verifies, from the counters of the instrumented runs
+// and never from wall time, that the many-small-rounds workload does
+// not pay a fork per round: every wbfs entry on the grid family at
+// procs > 1 must have gone through the helper pool in at most
+// maxGridForksPerRound of its rounds. It returns how many entries it
+// checked (none on a single-CPU machine, which has no procs > 1 rows).
+// cmd/bench -assert-forks runs this after writing the report.
+func CheckForkBudget(rep *Report) (checked int, err error) {
+	for _, e := range rep.Results {
+		if e.Name != "wbfs" || e.Family != "grid" || e.Procs <= 1 {
+			continue
+		}
+		if e.ForksPerRound == nil {
+			return checked, fmt.Errorf("fork budget: %s/%s (procs=%d) carries no parallel.forked counter", e.Name, e.Family, e.Procs)
+		}
+		if *e.ForksPerRound > maxGridForksPerRound {
+			return checked, fmt.Errorf("fork budget: %s/%s (procs=%d) forked %.3f times per round over %d rounds; the cut-off should keep it at or below %.2f",
+				e.Name, e.Family, e.Procs, *e.ForksPerRound, e.Rounds, maxGridForksPerRound)
+		}
+		checked++
+	}
+	return checked, nil
+}
+
 // goBenchBucket re-measures the bucket benchmarks of the pre-arena
 // baseline with identical workloads via testing.Benchmark, so the
 // before/after rows compare like with like.

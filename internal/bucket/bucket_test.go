@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"julienne/internal/parallel"
 	"julienne/internal/rng"
 )
 
@@ -574,5 +575,40 @@ func TestSeqStatsAndThroughput(t *testing.T) {
 	st := seq.Stats()
 	if st.Extracted != 2 || st.Throughput() != 2 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestUpdateBucketsForksOnBatchNotSlots: a batch of one block (M = 2048)
+// runs all five §3.3 passes inline, whatever the slot count — the resize
+// pass used to fork over the 130 slots for a 2-identifier batch — and a
+// batch of many blocks goes through the helper pool.
+func TestUpdateBucketsForksOnBatchNotSlots(t *testing.T) {
+	defer parallel.SetProcs(parallel.SetProcs(2))
+	n := 1 << 16
+	d := make([]ID, n)
+	for i := range d {
+		d[i] = ID(64 + i%64)
+	}
+	for _, opt := range []Options{{}, {OpenBuckets: 4096}} {
+		b := New(n, func(i uint32) ID { return d[i] }, Increasing, opt)
+		move := func(k int) parallel.ForkCounts {
+			dests := make([]Dest, k)
+			for j := range dests {
+				prev := d[j]
+				d[j] = prev - 1
+				dests[j] = b.GetBucket(prev, d[j])
+			}
+			before := parallel.ForkStats()
+			b.UpdateBuckets(k, func(j int) (uint32, Dest) { return uint32(j), dests[j] })
+			return parallel.ForkStats().Sub(before)
+		}
+		for _, k := range []int{2, updateBlock} {
+			if got := move(k); got.Forked != 0 {
+				t.Errorf("opt=%+v: a batch of %d forked %d regions, want 0", opt, k, got.Forked)
+			}
+		}
+		if got := move(16 * updateBlock); got.Forked == 0 {
+			t.Errorf("opt=%+v: a batch of %d ran entirely inline (%+v)", opt, 16*updateBlock, got)
+		}
 	}
 }

@@ -762,13 +762,28 @@ func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 		chunks: b.scr.chunks[:nSlots],
 	}
 	counts, starts := b.upd.counts, b.upd.starts
-	parallel.For(need, parallel.DefaultGrain, b.zeroPass)
+	// A batch of one block has no parallelism to offer, whatever the slot
+	// count (the same 130 for a 2-identifier batch as for a 2 M one): all
+	// five passes then run inline on the caller — the two over blocks by
+	// their own grain, the three over slots by one they cannot reach.
+	zeroGrain, resizeGrain := parallel.DefaultGrain, 8
+	if nb == 1 {
+		zeroGrain, resizeGrain = need, nSlots
+	}
+	parallel.For(need, zeroGrain, b.zeroPass)
 
 	// Pass 1: per-block histograms, laid out slot-major so that one
 	// exclusive scan produces, for every (slot, block), the offset of
 	// that block's contribution within the slot's incoming batch.
 	parallel.For(nb, 1, b.histPass)
-	total := parallel.Scan(counts, counts)
+	var total uint32
+	if nb == 1 {
+		for s, c := range counts {
+			counts[s], total = total, total+c
+		}
+	} else {
+		total = parallel.Scan(counts, counts)
+	}
 
 	// Allocate each destination bucket's chunk once (§3.2: "in
 	// parallel, resize all buckets that have identifiers moving to
@@ -781,7 +796,7 @@ func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 		starts[s] = counts[s*nb]
 	}
 	starts[nSlots] = total
-	parallel.For(nSlots, 8, b.resizePass)
+	parallel.For(nSlots, resizeGrain, b.resizePass)
 
 	// Pass 2: scatter. Each block re-evaluates f and writes its
 	// identifiers at block-exclusive offsets, so no synchronization is

@@ -3,6 +3,8 @@ package harness
 import (
 	"runtime"
 	"time"
+
+	"julienne/internal/parallel"
 )
 
 // TB is the subset of testing.TB the leak checker needs. Taking the
@@ -15,9 +17,11 @@ type TB interface {
 
 // LeakCheck snapshots the goroutine count and returns a function that,
 // deferred at the end of the test, verifies the count returned to the
-// baseline. The parallel substrate spawns workers only inside a call
-// and joins them before returning — even on the panic-unwind path — so
-// any surplus goroutine at test end is a leak.
+// baseline. The parallel substrate's only goroutines are its pool
+// helpers, which outlive every region by design and are discounted
+// while they hold no job (parallel.IdleHelpers) — one started during
+// the test is no leak, one still inside a job at test end is — so any
+// other surplus goroutine at test end is a leak.
 //
 // Runtime-internal goroutines (GC workers, sync.Pool victims being
 // cleaned, finalizer goroutine) start lazily, so the baseline can
@@ -28,12 +32,12 @@ type TB interface {
 //	defer harness.LeakCheck(t)()
 func LeakCheck(t TB) func() {
 	t.Helper()
-	before := runtime.NumGoroutine()
+	before := liveGoroutines()
 	return func() {
 		t.Helper()
 		var after int
 		for i := 0; i < 50; i++ {
-			after = runtime.NumGoroutine()
+			after = liveGoroutines()
 			if after <= before {
 				return
 			}
@@ -43,6 +47,14 @@ func LeakCheck(t TB) func() {
 		buf = buf[:runtime.Stack(buf, true)]
 		t.Errorf("goroutine leak: %d before, %d after\n%s", before, after, buf)
 	}
+}
+
+// liveGoroutines counts the goroutines that are somebody's to account
+// for: all of them but the idle pool helpers. The two reads are not
+// atomic together; LeakCheck's retry loop absorbs a helper caught
+// between them.
+func liveGoroutines() int {
+	return runtime.NumGoroutine() - parallel.IdleHelpers()
 }
 
 // DeadlineIn converts a relative timeout to the absolute deadline the

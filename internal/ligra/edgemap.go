@@ -44,20 +44,31 @@ func EdgeMap(g graph.Graph, u VertexSubset, c func(v graph.Vertex) bool,
 	if u.IsEmpty() {
 		return Empty(n)
 	}
-	if !opt.NoDense {
-		threshold := g.NumEdges() / denseThresholdDivisor
-		degSum := u.outDegreeSum(g)
-		if int64(u.Size())+degSum > threshold {
-			recordDirection(opt.Recorder, true, degSum)
-			return edgeMapDense(g, u, c, f, opt)
-		}
-		recordDirection(opt.Recorder, false, degSum)
-		return edgeMapSparse(g, u, c, f, opt)
+	if opt.NoDense && opt.Recorder == nil {
+		return edgeMapSparse(g, u, sparseWorkers(g, u), c, f, opt)
 	}
-	if opt.Recorder != nil {
-		recordDirection(opt.Recorder, false, u.outDegreeSum(g))
+	// One number decides the direction, sizes the sparse traversal's
+	// fork and is what the recorder reports.
+	degSum := u.OutDegreeSum(g)
+	if !opt.NoDense && int64(u.Size())+degSum > g.NumEdges()/denseThresholdDivisor {
+		recordDirection(opt.Recorder, true, degSum)
+		return edgeMapDense(g, u, c, f, opt)
 	}
-	return edgeMapSparse(g, u, c, f, opt)
+	recordDirection(opt.Recorder, false, degSum)
+	return edgeMapSparse(g, u, parallel.WorkersFor(int64(u.Size())+degSum), c, f, opt)
+}
+
+// sparseWorkers returns how many workers a push traversal over the
+// out-edges of u in g merits: the work is |U| + Σ outdeg(U), so a
+// frontier below parallel's cut-off is traversed inline on the caller
+// however many vertices it has. At Procs() == 1 there is nothing to
+// decide, and a subset that does not already carry its sum (see
+// Frontier) is spared the walk.
+func sparseWorkers(g graph.Graph, u VertexSubset) int {
+	if !u.hasOutEdges && parallel.Procs() == 1 {
+		return 1
+	}
+	return parallel.WorkersFor(int64(u.Size()) + u.OutDegreeSum(g))
 }
 
 // recordDirection reports one direction decision to the recorder. The
@@ -82,21 +93,23 @@ func recordDirection(rec *obs.Recorder, dense bool, degSum int64) {
 // edgeMapSparse is the push traversal: map over the out-edges of U.
 // The output is collected into per-block buffers and concatenated, so
 // the memory written is proportional to the output size (the §5
-// optimization the paper credits for its single-thread edge).
-func edgeMapSparse(g graph.Graph, u VertexSubset, c func(graph.Vertex) bool,
+// optimization the paper credits for its single-thread edge). p is the
+// worker count the traversal's work merits (sparseWorkers).
+func edgeMapSparse(g graph.Graph, u VertexSubset, p int, c func(graph.Vertex) bool,
 	f func(src, dst graph.Vertex, w graph.Weight) bool, opt EdgeMapOptions) VertexSubset {
 
 	ids := u.Sparse()
 	n := g.NumVertices()
 	if opt.NoOutput {
-		parallel.For(len(ids), 16, func(i int) {
-			src := ids[i]
-			g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
-				if c(dst) {
-					f(src, dst, w)
-				}
-				return true
-			})
+		parallel.Workers(len(ids), p, func(_, lo, hi int) {
+			for _, src := range ids[lo:hi] {
+				g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
+					if c(dst) {
+						f(src, dst, w)
+					}
+					return true
+				})
+			}
 		})
 		return Empty(n)
 	}
@@ -106,8 +119,8 @@ func edgeMapSparse(g graph.Graph, u VertexSubset, c func(graph.Vertex) bool,
 	// capacity across calls, so a round-based traversal stops allocating
 	// once the per-worker high-water marks are reached.
 	var out []graph.Vertex
-	withWorkerParts(parallel.Procs(), func(parts [][]graph.Vertex) {
-		parallel.Workers(len(ids), func(worker, lo, hi int) {
+	withWorkerParts(p, func(parts [][]graph.Vertex) {
+		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
 			local := parts[worker]
 			for i := lo; i < hi; i++ {
 				src := ids[i]
@@ -187,14 +200,13 @@ func edgeMapDense(g graph.Graph, u VertexSubset, c func(graph.Vertex) bool,
 func EdgeMapTagged[T any](g graph.Graph, u VertexSubset, c func(v graph.Vertex) bool,
 	f func(src, dst graph.Vertex, w graph.Weight) (T, bool)) Tagged[T] {
 
-	ids := u.Sparse()
+	ids, p := u.Sparse(), sparseWorkers(g, u)
 	n := g.NumVertices()
-	p := parallel.Procs()
 	var outIDs []graph.Vertex
 	var outVals []T
 	withWorkerParts(p, func(idParts [][]graph.Vertex) {
 		withWorkerParts(p, func(valParts [][]T) {
-			parallel.Workers(len(ids), func(worker, lo, hi int) {
+			parallel.Workers(len(ids), p, func(worker, lo, hi int) {
 				localIDs := idParts[worker]
 				localVals := valParts[worker]
 				for i := lo; i < hi; i++ {
@@ -233,10 +245,10 @@ func EdgeMapCount(g graph.Graph, u VertexSubset, c func(v graph.Vertex) bool,
 	n := g.NumVertices()
 	scratch.ensure(n)
 	cnt := scratch.counts
-	ids := u.Sparse()
+	ids, p := u.Sparse(), sparseWorkers(g, u)
 	var touched []graph.Vertex
-	withWorkerParts(parallel.Procs(), func(parts [][]graph.Vertex) {
-		parallel.Workers(len(ids), func(worker, lo, hi int) {
+	withWorkerParts(p, func(parts [][]graph.Vertex) {
+		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
 			claimed := parts[worker]
 			for i := lo; i < hi; i++ {
 				src := ids[i]
@@ -282,18 +294,20 @@ func (s *CountScratch) ensure(n int) {
 func EdgeMapFilterCount(g graph.Graph, u VertexSubset,
 	pred func(src, dst graph.Vertex) bool) Tagged[uint32] {
 
-	ids := u.Sparse()
+	ids, p := u.Sparse(), sparseWorkers(g, u)
 	vals := make([]uint32, len(ids))
-	parallel.For(len(ids), 16, func(i int) {
-		src := ids[i]
-		var c uint32
-		g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
-			if pred(src, dst) {
-				c++
-			}
-			return true
-		})
-		vals[i] = c
+	parallel.Workers(len(ids), p, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			src := ids[i]
+			var c uint32
+			g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
+				if pred(src, dst) {
+					c++
+				}
+				return true
+			})
+			vals[i] = c
+		}
 	})
 	return NewTagged(g.NumVertices(), ids, vals)
 }
@@ -304,13 +318,15 @@ func EdgeMapFilterCount(g graph.Graph, u VertexSubset,
 func EdgeMapPack(g graph.Packer, u VertexSubset,
 	pred func(src, dst graph.Vertex) bool) Tagged[uint32] {
 
-	ids := u.Sparse()
+	ids, p := u.Sparse(), sparseWorkers(g, u)
 	vals := make([]uint32, len(ids))
-	parallel.For(len(ids), 4, func(i int) {
-		src := ids[i]
-		vals[i] = uint32(g.PackOut(src, func(dst graph.Vertex) bool {
-			return pred(src, dst)
-		}))
+	parallel.Workers(len(ids), p, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			src := ids[i]
+			vals[i] = uint32(g.PackOut(src, func(dst graph.Vertex) bool {
+				return pred(src, dst)
+			}))
+		}
 	})
 	return NewTagged(g.NumVertices(), ids, vals)
 }

@@ -404,3 +404,78 @@ func TestVertexForEach(t *testing.T) {
 		t.Fatalf("sum=%d", sum)
 	}
 }
+
+// TestFrontierCachesOutDegreeSum: the sum Frontier computes is the one
+// a plain subset walks for, and a traversal of it does not walk again.
+func TestFrontierCachesOutDegreeSum(t *testing.T) {
+	g := gen.RMAT(1<<10, 1<<13, true, 5)
+	ids := []graph.Vertex{3, 17, 512, 1000}
+	var want int64
+	for _, v := range ids {
+		want += int64(g.OutDegree(v))
+	}
+	if got := FromSparse(g.NumVertices(), ids).OutDegreeSum(g); got != want {
+		t.Fatalf("plain subset: OutDegreeSum = %d, want %d", got, want)
+	}
+	f := Frontier(g, ids)
+	before := parallel.ForkStats()
+	if got := f.OutDegreeSum(g); got != want {
+		t.Fatalf("frontier: OutDegreeSum = %d, want %d", got, want)
+	}
+	if d := parallel.ForkStats().Sub(before); d != (parallel.ForkCounts{}) {
+		t.Errorf("a cached OutDegreeSum ran %+v regions, want none", d)
+	}
+}
+
+// TestSparseTraversalsForkOnWorkNotSize pins the cut-off at its users:
+// every push traversal runs inline on a frontier whose |U| + Σ outdeg(U)
+// is small, however many vertices that is, and through the helper pool
+// on one that is large, however few.
+func TestSparseTraversalsForkOnWorkNotSize(t *testing.T) {
+	defer parallel.SetProcs(parallel.SetProcs(2))
+	// A star has one vertex carrying all the work and many carrying none.
+	const leaves = 1 << 15
+	edges := make([]graph.Edge, 0, leaves)
+	for v := 1; v <= leaves; v++ {
+		edges = append(edges, graph.Edge{U: 0, V: graph.Vertex(v)})
+	}
+	g := graph.Symmetrized(graph.FromEdges(leaves+1, edges, graph.BuildOptions{}))
+	hub := []graph.Vertex{0}             // 1 vertex, 32768 edges
+	rim := make([]graph.Vertex, 0, 2000) // 2000 vertices, 2000 edges
+	for v := 1; v <= cap(rim); v++ {
+		rim = append(rim, graph.Vertex(v))
+	}
+	all := func(graph.Vertex) bool { return true }
+	var scratch CountScratch
+	traversals := map[string]func(u VertexSubset){
+		"EdgeMap": func(u VertexSubset) {
+			EdgeMap(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) bool { return false }, EdgeMapOptions{NoDense: true})
+		},
+		"EdgeMapNoOutput": func(u VertexSubset) {
+			EdgeMap(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) bool { return false }, EdgeMapOptions{NoDense: true, NoOutput: true})
+		},
+		"EdgeMapTagged": func(u VertexSubset) {
+			EdgeMapTagged(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) (uint32, bool) { return 0, false })
+		},
+		"EdgeMapCount":       func(u VertexSubset) { EdgeMapCount(g, u, func(graph.Vertex) bool { return false }, &scratch) },
+		"EdgeMapFilterCount": func(u VertexSubset) { EdgeMapFilterCount(g, u, func(_, _ graph.Vertex) bool { return true }) },
+	}
+	forks := func(traverse func(VertexSubset), ids []graph.Vertex) int64 {
+		u := Frontier(g, ids)
+		before := parallel.ForkStats()
+		traverse(u)
+		return parallel.ForkStats().Sub(before).Forked
+	}
+	for name, traverse := range traversals {
+		if n := forks(traverse, rim); n != 0 {
+			t.Errorf("%s over 2000 vertices of degree 1 forked %d regions, want 0", name, n)
+		}
+		// One vertex is one block: nothing to hand out, so still inline.
+		if n := forks(traverse, hub); n != 0 {
+			t.Errorf("%s over the hub alone forked %d regions, want 0", name, n)
+		}
+		if n := forks(traverse, append([]graph.Vertex{0}, rim[:7]...)); n != 1 {
+			t.Errorf("%s over the hub and 7 leaves forked %d regions, want 1", name, n)
+		}
+	}
+}

@@ -20,6 +20,9 @@ type VertexSubset struct {
 	sparse []graph.Vertex // valid iff dense == nil
 	dense  []bool
 	size   int
+	// outEdges caches OutDegreeSum for subsets built by Frontier.
+	outEdges    int64
+	hasOutEdges bool
 }
 
 // Empty returns the empty subset of a universe of size n.
@@ -37,6 +40,17 @@ func Single(n int, v graph.Vertex) VertexSubset {
 func FromSparse(n int, ids []graph.Vertex) VertexSubset {
 	debugCheckSparse(n, ids)
 	return VertexSubset{n: n, sparse: ids, size: len(ids)}
+}
+
+// Frontier is FromSparse for a subset about to be traversed on g: it
+// sums the members' out-degrees, once, and the subset carries the sum.
+// A round's edge count, the direction heuristic's threshold quantity
+// and the work the fork cut-off is keyed on are that one number, so a
+// kernel that builds its frontier here walks it once per round.
+func Frontier(g graph.Graph, ids []graph.Vertex) VertexSubset {
+	s := FromSparse(g.NumVertices(), ids)
+	s.outEdges, s.hasOutEdges = s.OutDegreeSum(g), true
+	return s
 }
 
 // FromDense wraps a dense membership array as a subset. The slice is
@@ -117,9 +131,14 @@ func (s VertexSubset) Contains(v graph.Vertex) bool {
 	return false
 }
 
-// outDegreeSum returns the sum of live out-degrees over the subset,
-// the quantity Ligra's direction optimization thresholds on.
-func (s VertexSubset) outDegreeSum(g graph.Graph) int64 {
+// OutDegreeSum returns the sum of live out-degrees in g over the
+// subset: the quantity Ligra's direction optimization thresholds on
+// and the exact work of a sparse traversal. A subset built by Frontier
+// (on the same g) answers from its cache; any other walks its members.
+func (s VertexSubset) OutDegreeSum(g graph.Graph) int64 {
+	if s.hasOutEdges {
+		return s.outEdges
+	}
 	if s.dense != nil {
 		return parallel.Sum(s.n, 0, func(i int) int64 {
 			if s.dense[i] {
@@ -128,8 +147,9 @@ func (s VertexSubset) outDegreeSum(g graph.Graph) int64 {
 			return 0
 		})
 	}
-	return parallel.Sum(len(s.sparse), 0, func(i int) int64 {
-		return int64(g.OutDegree(s.sparse[i]))
+	ids := s.sparse // the closure escapes: capture the slice, not the subset
+	return parallel.Sum(len(ids), 0, func(i int) int64 {
+		return int64(g.OutDegree(ids[i]))
 	})
 }
 

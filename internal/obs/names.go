@@ -86,6 +86,14 @@ var (
 	// frontier per edgeMap call (the work bound of the sparse
 	// direction, and the threshold quantity of Beamer's heuristic).
 	CtrEdgeMapEdges = newCounter("edgemap.edges")
+	// CtrParallelForked, CtrParallelInline and CtrParallelWakes are the
+	// fork budget of the recorded rounds (parallel.ForkStats deltas,
+	// summed by RecordRound): fork-join regions that went through the
+	// helper pool, regions that ran inline on their caller, and parked
+	// helpers woken.
+	CtrParallelForked = newCounter("parallel.forked")
+	CtrParallelInline = newCounter("parallel.inline")
+	CtrParallelWakes  = newCounter("parallel.wakes")
 	// GaugeEdgeMapLastDense is 1 when the most recent edgeMap call
 	// chose the dense direction, 0 for sparse. Round observers read it
 	// to label the round's traversal direction.

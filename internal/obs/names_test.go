@@ -77,14 +77,17 @@ func TestHandleTable(t *testing.T) {
 
 // stableExposition drops the wall-clock-dependent lines of a /metrics
 // scrape (the uptime sample, and the buckets and sum of every *_ns
-// duration histogram), leaving series names, TYPE lines, counter and
-// gauge values, sample counts, and the size histograms in full.
+// duration histogram) and the fork-budget counters, which depend on
+// GOMAXPROCS and on what else the process is running, leaving series
+// names, TYPE lines, counter and gauge values, sample counts, and the
+// size histograms in full.
 func stableExposition(text string) string {
 	var out []string
 	for _, line := range strings.SplitAfter(text, "\n") {
 		switch {
 		case strings.HasPrefix(line, obs.MetricsPrefix+"uptime_seconds "):
 		case strings.Contains(line, "_ns_bucket{"), strings.Contains(line, "_ns_sum "):
+		case strings.Contains(line, obs.MetricsPrefix+"parallel_"):
 		default:
 			out = append(out, line)
 		}

@@ -27,6 +27,13 @@ type RoundMetrics struct {
 	// Extracted, Moved, Skipped are the round's bucket-structure
 	// traffic deltas.
 	Extracted, Moved, Skipped int64
+	// Forked, Inline and Wakes are the round's fork budget: deltas of
+	// parallel.ForkStats (regions that went through the helper pool,
+	// regions run inline on their caller, parked helpers woken). The
+	// source counters are process-wide, so a kernel running beside
+	// another one sees both; RecordRound accumulates them under
+	// CtrParallelForked/Inline/Wakes.
+	Forked, Inline, Wakes int64
 	// Duration is the round's wall-clock time.
 	Duration time.Duration
 }
@@ -63,8 +70,14 @@ func (r *Recorder) RecordRound(m RoundMetrics) {
 			"extracted": m.Extracted,
 			"moved":     m.Moved,
 			"skipped":   m.Skipped,
+			"forked":    m.Forked,
 		},
 	})
+	if m.Forked|m.Inline|m.Wakes != 0 { // absent, not zero, for kernels that do not report it
+		r.Add(CtrParallelForked, m.Forked)
+		r.Add(CtrParallelInline, m.Inline)
+		r.Add(CtrParallelWakes, m.Wakes)
+	}
 	r.Observe(HistRoundLatencyNs, m.Duration.Nanoseconds())
 	r.Observe(HistRoundFrontier, int64(m.FrontierSize))
 	r.mu.Lock()

@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"julienne/internal/rng"
 )
@@ -137,4 +139,79 @@ func TestFilterInto(t *testing.T) {
 			t.Fatalf("empty src: len=%d", len(got))
 		}
 	})
+}
+
+// TestInlineRegionsZeroAlloc pins the sequential paths of the adapters:
+// a region that runs inline on its caller allocates nothing, whichever
+// adapter it came through. (Sum and friends allocate the one generic
+// operator closure they hand to Reduce, forked or not.)
+func TestInlineRegionsZeroAlloc(t *testing.T) {
+	skipIfAllocsUnmeasurable(t)
+	old := SetProcs(1)
+	defer SetProcs(old)
+	src := make([]uint32, 1<<13)
+	body := func(i int) { src[i]++ }
+	blocked := func(lo, hi int) { src[lo]++ }
+	worker := func(_, lo, hi int) { src[lo]++ }
+	if avg := testing.AllocsPerRun(50, func() {
+		For(len(src), 64, body)
+		Blocked(len(src), 64, blocked)
+		Workers(len(src), WorkersFor(int64(len(src))), worker)
+	}); avg != 0 {
+		t.Fatalf("inline regions allocate %v allocs/op, want 0", avg)
+	}
+}
+
+// TestForkedRegionAllocs pins the fork path: the job is pooled and the
+// caller parks on a channel the job owns, so a forked region allocates
+// its block-adapter closure and nothing else (the goroutine-per-block
+// fork it replaced allocated a closure per block plus the join state).
+// AllocsPerRun pins GOMAXPROCS to 1, where nothing forks, so this one
+// counts mallocs itself.
+func TestForkedRegionAllocs(t *testing.T) {
+	skipIfAllocsUnmeasurable(t)
+	old := SetProcs(2)
+	defer SetProcs(old)
+	src := make([]uint32, 1<<13)
+	body := func(i int) { src[i]++ }
+	region := func() { For(len(src), 64, body) }
+	region() // start the helper, fill the job pool
+	const runs = 200
+	before := ForkStats()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		region()
+	}
+	runtime.ReadMemStats(&m1)
+	if d := ForkStats().Sub(before); d.Forked != runs {
+		t.Fatalf("%d of %d regions forked", d.Forked, runs)
+	}
+	if avg := float64(m1.Mallocs-m0.Mallocs) / runs; avg > 2 {
+		t.Fatalf("a forked For allocates %.2f objects/op, want at most 2", avg)
+	}
+}
+
+// TestHelpersParkAtProcs1: at GOMAXPROCS=1 no region is published, so
+// every helper a wider phase left behind ends up parked and stays
+// parked — none is woken, none spins, none is started.
+func TestHelpersParkAtProcs1(t *testing.T) {
+	withProcs(t, 4, func() { For(1<<14, 64, func(int) {}) }) // make sure helpers exist
+	old := SetProcs(1)
+	defer SetProcs(old)
+	allParked := func() bool { return pool.parked.Load() == pool.started.Load() }
+	for deadline := time.Now().Add(5 * time.Second); !allParked(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d helpers parked at P=1", pool.parked.Load(), pool.started.Load())
+		}
+	}
+	started, before := pool.started.Load(), ForkStats()
+	src := make([]uint32, 1<<14)
+	for i := 0; i < 100; i++ {
+		For(len(src), 64, func(i int) { src[i]++ })
+		Scan(src, src)
+	}
+	if d := ForkStats().Sub(before); d.Forked != 0 || d.Wakes != 0 || pool.started.Load() != started || !allParked() {
+		t.Fatalf("at P=1: %+v, helpers %d→%d, %d parked", d, started, pool.started.Load(), pool.parked.Load())
+	}
 }

@@ -1,16 +1,5 @@
 package parallel
 
-// filterBlocks mirrors scanBlocks for the filter kernels.
-func filterBlocks(n int) (nb, blockSize int) {
-	nb = numBlocks(n, DefaultGrain)
-	if p := 4 * Procs(); nb > p {
-		nb = p
-	}
-	blockSize = (n + nb - 1) / nb
-	nb = (n + blockSize - 1) / blockSize
-	return nb, blockSize
-}
-
 // Filter returns the elements of src satisfying pred, in their original
 // order (the Filter primitive of §2). Work O(n), depth O(n/P + P).
 func Filter[T any](src []T, pred func(T) bool) []T {
@@ -35,8 +24,9 @@ func FilterInto[T any](buf, src []T, pred func(T) bool) []T {
 	// wraps panics itself to keep the re-raised value uniform (the
 	// parallel path inherits containment from For).
 	defer rewrapPanic()
-	nb, blockSize := filterBlocks(n)
-	if nb == 1 || Procs() == 1 {
+	nb, blockSize, _ := blocks(n, DefaultGrain)
+	if nb == 1 {
+		inlined.Add(1)
 		out := buf[:0]
 		for _, v := range src {
 			if pred(v) {
@@ -113,8 +103,9 @@ func FilterIndex[T any](src []T, pred func(i int, v T) bool) []T {
 		return nil
 	}
 	defer rewrapPanic() // sequential path calls pred unwrapped
-	nb, blockSize := filterBlocks(n)
-	if nb == 1 || Procs() == 1 {
+	nb, blockSize, _ := blocks(n, DefaultGrain)
+	if nb == 1 {
+		inlined.Add(1)
 		out := make([]T, 0, n/4+4)
 		for i, v := range src {
 			if pred(i, v) {
@@ -182,8 +173,9 @@ func MapFilter[T any](n int, f func(i int) (T, bool)) []T {
 		return nil
 	}
 	defer rewrapPanic() // sequential path calls f unwrapped
-	nb, blockSize := filterBlocks(n)
-	if nb == 1 || Procs() == 1 {
+	nb, blockSize, _ := blocks(n, DefaultGrain)
+	if nb == 1 {
+		inlined.Add(1)
 		out := make([]T, 0, n/4+4)
 		for i := 0; i < n; i++ {
 			if v, ok := f(i); ok {

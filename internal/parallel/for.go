@@ -3,30 +3,29 @@
 // prefix sums (scan), filtering/packing, histograms, and the atomic
 // writeMin/writeMax primitives from the paper's preliminaries (§2).
 //
-// The model is the classic work-depth model realized with goroutines:
-// a parallel loop over n items splits the index space into contiguous
-// blocks of at least `grain` items, forks one goroutine per block (capped
-// at GOMAXPROCS blocks per wave), and joins. There is no work stealing —
-// Go's runtime lacks fine-grained stealing for loop iterations — so every
-// primitive uses blocked decomposition, which is also how the paper's own
-// practical implementation of updateBuckets works (§3.3 processes blocks
-// of M=2048 sequentially and combines them with a scan).
+// The model is the classic work-depth model: a parallel loop over n
+// items splits the index space into contiguous blocks of at least
+// `grain` items (at most 4*GOMAXPROCS of them) and hands the blocks to
+// the one scheduling core in run.go — the caller claims blocks off an
+// atomic counter alongside at most GOMAXPROCS-1 persistent helper
+// goroutines, and returns when the last block is done. There is no work
+// stealing between regions; within one, the shared counter balances
+// blocks of unequal cost. Blocked decomposition is also how the paper's
+// own practical implementation of updateBuckets works (§3.3 processes
+// blocks of M=2048 sequentially and combines them with a scan).
 //
-// All primitives degrade gracefully to purely sequential execution when
-// the input is below the grain or GOMAXPROCS is 1, so single-threaded
-// baselines pay no synchronization cost.
+// All primitives degrade to purely sequential execution when the input
+// is below the grain or GOMAXPROCS is 1, so single-threaded baselines
+// pay no synchronization cost and never touch the helper pool.
 package parallel
 
-import (
-	"runtime"
-	"sync"
-
-	"julienne/internal/chaos"
-)
+import "runtime"
 
 // DefaultGrain is the block size used when a caller passes grain <= 0.
-// 1024 amortizes goroutine startup (~hundreds of ns) against per-item work
-// of a few ns, the regime of the loops in this repository.
+// 1024 items of a few ns each is a block of several µs, the scale of
+// what a forked region costs on top of its work: measured 2–3 µs per
+// region with a helper polling (6 µs with a goroutine per block before
+// the shared core) and ≈10 µs when the second core has to be woken.
 const DefaultGrain = 1024
 
 // Procs reports the current parallelism level (GOMAXPROCS).
@@ -36,63 +35,43 @@ func Procs() int { return runtime.GOMAXPROCS(0) }
 // harness uses it to sweep thread counts; library code never calls it.
 func SetProcs(p int) int { return runtime.GOMAXPROCS(p) }
 
-// numBlocks returns how many blocks of at least grain items n splits into.
-func numBlocks(n, grain int) int {
+// blocks is the one block decomposition every primitive uses: n items
+// split into nb contiguous blocks of size items (the last may be
+// short), each of at least grain items, at most 4*p of them so that
+// block-to-block imbalance smooths out while the claim counter stays
+// cold. nb == 1 means the region runs inline, which is always the case
+// at p == 1.
+func blocks(n, grain int) (nb, size, p int) {
+	p = Procs()
 	if grain <= 0 {
 		grain = DefaultGrain
 	}
-	b := (n + grain - 1) / grain
-	if b < 1 {
-		b = 1
+	if p == 1 || n < 2*grain {
+		return 1, n, p
 	}
-	return b
+	nb = min(n/grain, 4*p)
+	size = (n + nb - 1) / nb
+	return (n + size - 1) / size, size, p
 }
 
 // Blocked runs body(lo, hi) over contiguous blocks covering [0, n) in
-// parallel. It is the root primitive: everything else is written on top.
-// Blocks have at least `grain` items (except possibly the last), and at
-// most 4*GOMAXPROCS blocks are created so oversubscription stays bounded
-// while still smoothing out block-to-block load imbalance.
+// parallel; see blocks for the decomposition.
 //
-// A panic in body is contained: all workers join, and a single wrapped
-// *PanicError re-raises on the caller (see panics.go for the contract).
+// A panic in body is contained: every block finishes, and a single
+// wrapped *PanicError re-raises on the caller (see panics.go for the
+// contract).
 func Blocked(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	defer rewrapPanic()
-	p := Procs()
-	nb := numBlocks(n, grain)
-	if maxb := 4 * p; nb > maxb {
-		nb = maxb
-	}
-	if p == 1 || nb == 1 {
-		if chaos.Enabled {
-			chaos.Point(chaos.SiteWorker)
-		}
+	nb, size, p := blocks(n, grain)
+	if nb == 1 {
+		defer rewrapPanic()
+		inline()
 		body(0, n)
 		return
 	}
-	blockSize := (n + nb - 1) / nb
-	var pc panicCatcher
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += blockSize {
-		hi := lo + blockSize
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer pc.recoverPanic()
-			if chaos.Enabled {
-				chaos.Point(chaos.SiteWorker)
-			}
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	pc.rethrow()
+	run(nb, p, func(_, c int) { body(c*size, min((c+1)*size, n)) })
 }
 
 // For runs body(i) for every i in [0, n) in parallel with the given grain.
@@ -102,19 +81,17 @@ func For(n, grain int, body func(i int)) {
 	if n <= 0 {
 		return
 	}
-	nb := numBlocks(n, grain)
-	if Procs() == 1 || nb == 1 {
+	nb, size, p := blocks(n, grain)
+	if nb == 1 {
 		defer rewrapPanic()
-		if chaos.Enabled {
-			chaos.Point(chaos.SiteWorker)
-		}
+		inline()
 		for i := 0; i < n; i++ {
 			body(i)
 		}
 		return
 	}
-	Blocked(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	run(nb, p, func(_, c int) {
+		for i, hi := c*size, min((c+1)*size, n); i < hi; i++ {
 			body(i)
 		}
 	})
@@ -122,79 +99,42 @@ func For(n, grain int, body func(i int)) {
 
 // Do runs each of the given thunks, in parallel when GOMAXPROCS allows.
 // It is the binary/n-ary fork-join used for divide-and-conquer helpers.
-// A panic in any thunk (including the one run on the caller's own
-// goroutine) surfaces only after every thunk has finished.
+// Every thunk runs even if an earlier one panics; the first panic
+// surfaces only after every thunk has finished.
 func Do(thunks ...func()) {
 	if len(thunks) == 0 {
 		return
 	}
-	defer rewrapPanic()
-	if Procs() == 1 || len(thunks) == 1 {
-		// Every thunk runs even if an earlier one panics, matching the
-		// parallel path (where the spawned thunks are already running
-		// when the inline one unwinds); the first panic re-raises after.
-		var pc panicCatcher
-		for _, t := range thunks {
-			pc.protect(t)
-		}
-		pc.rethrow()
+	if p := Procs(); p > 1 && len(thunks) > 1 {
+		run(len(thunks), p, func(_, c int) { thunks[c]() })
 		return
 	}
+	defer rewrapPanic()
+	inline()
 	var pc panicCatcher
-	var wg sync.WaitGroup
-	wg.Add(len(thunks) - 1)
-	for _, t := range thunks[1:] {
-		go func(t func()) {
-			defer wg.Done()
-			defer pc.recoverPanic()
-			t()
-		}(t)
+	for _, t := range thunks {
+		pc.protect(t)
 	}
-	pc.protect(thunks[0])
-	wg.Wait()
 	pc.rethrow()
 }
 
-// Workers partitions [0, n) into exactly one contiguous block per worker
-// (at most GOMAXPROCS workers) and calls body(worker, lo, hi). Unlike
-// Blocked it guarantees a stable worker index, which callers use to give
-// each goroutine a private scratch buffer.
-func Workers(n int, body func(worker, lo, hi int)) {
+// Workers runs body(worker, lo, hi) over contiguous blocks covering
+// [0, n) on at most `workers` participants (WorkersFor sizes that from
+// the region's work, not from n). Unlike Blocked it passes a stable
+// worker index below `workers`, which callers use to give each
+// participant a private buffer; one worker may be handed several
+// blocks, in no particular order.
+func Workers(n, workers int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	defer rewrapPanic()
-	p := Procs()
-	if p > n {
-		p = n
-	}
-	if p == 1 {
-		if chaos.Enabled {
-			chaos.Point(chaos.SiteWorker)
-		}
+	workers = min(workers, n)
+	if workers <= 1 {
+		defer rewrapPanic()
+		inline()
 		body(0, 0, n)
 		return
 	}
-	blockSize := (n + p - 1) / p
-	var pc panicCatcher
-	var wg sync.WaitGroup
-	w := 0
-	for lo := 0; lo < n; lo += blockSize {
-		hi := lo + blockSize
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer pc.recoverPanic()
-			if chaos.Enabled {
-				chaos.Point(chaos.SiteWorker)
-			}
-			body(w, lo, hi)
-		}(w, lo, hi)
-		w++
-	}
-	wg.Wait()
-	pc.rethrow()
+	size := (n + 4*workers - 1) / (4 * workers)
+	run((n+size-1)/size, workers, func(w, c int) { body(w, c*size, min((c+1)*size, n)) })
 }

@@ -10,14 +10,18 @@ import (
 // semantics (DESIGN.md §9). The contract every fork-join primitive in
 // this package honors:
 //
-//   - a panic in a user callback never escapes from a non-caller
-//     goroutine (which would crash the whole process: Go terminates on
-//     any unrecovered panic, whichever goroutine it is on);
-//   - all workers of the region are joined before the panic resurfaces,
-//     so no goroutine outlives the call that spawned it;
+//   - a panic in a user callback never escapes from a pool helper
+//     (which would crash the whole process: Go terminates on any
+//     unrecovered panic, whichever goroutine it is on): the core runs
+//     every chunk, on the caller and on helpers alike, under
+//     recoverPanic (job.chunk in run.go), and a helper that caught one
+//     goes back to the pool;
+//   - every chunk of the region still runs, and the caller's join
+//     completes before the panic resurfaces, so no helper is left
+//     inside the job of a call that has returned;
 //   - the panic re-raised on the caller is a single *PanicError wrapping
-//     the first captured value and its worker stack, regardless of how
-//     many workers panicked;
+//     the first captured value and the stack of the goroutine it was
+//     raised on, regardless of how many chunks panicked;
 //   - pooled scratch held across the region is released on the unwind
 //     path (WithScratch, the only way to borrow, defers the return), so
 //     a contained panic leaves the pool balanced.
@@ -67,18 +71,17 @@ func rewrapPanic() {
 	}
 }
 
-// panicCatcher collects the first panic of a group of worker
-// goroutines. Workers register `defer pc.recoverPanic()` before any
-// user code runs; the forking goroutine calls rethrow after the join.
-// The deferred recover runs while the worker's frames are still live,
+// panicCatcher collects the first panic of a region. Each chunk runs
+// under `defer pc.recoverPanic()`; the caller re-raises after the join.
+// The deferred recover runs while the panicking frames are still live,
 // so the captured stack includes the true panic site.
 type panicCatcher struct {
 	first atomic.Pointer[PanicError]
 }
 
-// recoverPanic is the worker-side recover wrapper. It must be deferred
-// directly (`defer pc.recoverPanic()`) so recover() sees the worker's
-// own panic.
+// recoverPanic is the chunk-side recover wrapper. It must be deferred
+// directly (`defer pc.recoverPanic()`) so recover() sees the panic of
+// the goroutine running the chunk.
 func (pc *panicCatcher) recoverPanic() {
 	if v := recover(); v != nil {
 		pc.first.CompareAndSwap(nil, wrapPanic(v))
@@ -86,15 +89,15 @@ func (pc *panicCatcher) recoverPanic() {
 }
 
 // protect runs f on the current goroutine under the same capture the
-// workers use; Do applies it to the thunk it runs inline so the join
-// always completes before any panic resurfaces.
+// chunks of a forked region get; Do's inline path applies it to every
+// thunk so that all of them run before any panic resurfaces.
 func (pc *panicCatcher) protect(f func()) {
 	defer pc.recoverPanic()
 	f()
 }
 
 // rethrow re-raises the captured panic, if any, on the calling
-// goroutine. It must only be called after all workers have joined.
+// goroutine, once everything that could still capture one is done.
 func (pc *panicCatcher) rethrow() {
 	if pe := pc.first.Load(); pe != nil {
 		panic(pe)

@@ -227,7 +227,7 @@ func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 			})
 		}},
 		{"Workers", n, func(cb func()) {
-			parallel.Workers(n, func(w, lo, hi int) {
+			parallel.Workers(n, parallel.Procs(), func(w, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					cb()
 				}

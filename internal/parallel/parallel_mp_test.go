@@ -1,8 +1,10 @@
 package parallel
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"julienne/internal/rng"
 )
@@ -55,7 +57,16 @@ func TestWorkersParallelPath(t *testing.T) {
 		hits := make([]int32, n)
 		workers := map[int]bool{}
 		var mu int32
-		Workers(n, func(w, lo, hi int) {
+		var joined atomic.Bool
+		Workers(n, 4, func(w, lo, hi int) {
+			// The caller could finish all of this before a parked helper
+			// wakes; hold its blocks until one has, to see the index.
+			if w != 0 {
+				joined.Store(true)
+			}
+			for deadline := time.Now().Add(5 * time.Second); !joined.Load() && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
 			for atomic.CompareAndSwapInt32(&mu, 0, 1) == false {
 			}
 			workers[w] = true

@@ -68,7 +68,7 @@ func TestWorkersDisjointStableIndices(t *testing.T) {
 	hits := make([]int32, n)
 	seen := make(map[int]bool)
 	var mu atomic.Int32
-	Workers(n, func(w, lo, hi int) {
+	Workers(n, Procs(), func(w, lo, hi int) {
 		mu.Add(1)
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&hits[i], 1)

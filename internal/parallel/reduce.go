@@ -18,19 +18,15 @@ func Reduce[T any](n, grain int, id T, f func(i int) T, op func(a, b T) T) T {
 		return id
 	}
 	defer rewrapPanic() // sequential path calls f/op unwrapped
-	nb := numBlocks(n, grain)
-	if p := 4 * Procs(); nb > p {
-		nb = p
-	}
-	if nb == 1 || Procs() == 1 {
+	nb, blockSize, _ := blocks(n, grain)
+	if nb == 1 {
+		inlined.Add(1)
 		acc := id
 		for i := 0; i < n; i++ {
 			acc = op(acc, f(i))
 		}
 		return acc
 	}
-	blockSize := (n + nb - 1) / nb
-	nb = (n + blockSize - 1) / blockSize
 	result := id
 	WithScratch(nb, func(partial []T) {
 		For(nb, 1, func(b int) {

@@ -2,19 +2,6 @@ package parallel
 
 import "unsafe"
 
-// scanBlocks computes the block decomposition shared by the scan
-// kernels: at least DefaultGrain items per block and at most 4*Procs()
-// blocks, the same worker cap every other primitive respects.
-func scanBlocks(n int) (nb, blockSize int) {
-	nb = numBlocks(n, DefaultGrain)
-	if p := 4 * Procs(); nb > p {
-		nb = p
-	}
-	blockSize = (n + nb - 1) / nb
-	nb = (n + blockSize - 1) / blockSize
-	return nb, blockSize
-}
-
 // Scan computes the exclusive prefix sum of src into dst and returns the
 // total: dst[i] = src[0] + ... + src[i-1], dst[0] = 0. dst and src may be
 // the same slice (the common in-place use). This is the Scan primitive of
@@ -23,10 +10,9 @@ func scanBlocks(n int) (nb, blockSize int) {
 // The implementation is the standard two-pass blocked scan: a parallel
 // pass computes per-block sums, a short sequential scan combines them into
 // block offsets, and a second parallel pass writes the prefix sums. Work
-// O(n), depth O(n/P + P). Both passes run through the blocked-For worker
-// machinery (so the 4*Procs goroutine cap holds) and the per-block sums
-// live in a pooled scratch buffer, so steady-state calls allocate
-// nothing beyond the fork-join bookkeeping.
+// O(n), depth O(n/P + P). Both passes are For regions over the blocks and
+// the per-block sums live in a pooled scratch buffer, so steady-state
+// calls allocate nothing beyond the two regions' closures.
 func Scan[T Number](dst, src []T) T {
 	n := len(src)
 	if len(dst) != n {
@@ -35,8 +21,9 @@ func Scan[T Number](dst, src []T) T {
 	if n == 0 {
 		return 0
 	}
-	nb, blockSize := scanBlocks(n)
-	if nb == 1 || Procs() == 1 {
+	nb, blockSize, _ := blocks(n, DefaultGrain)
+	if nb == 1 {
+		inlined.Add(1)
 		var acc T
 		for i := 0; i < n; i++ {
 			v := src[i]
@@ -121,8 +108,9 @@ func ScanInclusive[T Number](dst, src []T) T {
 // src[lo:hi] and writes dst[lo:hi] only.
 func scanInclusiveInto[T Number](dst, src []T) T {
 	n := len(src)
-	nb, blockSize := scanBlocks(n)
-	if nb == 1 || Procs() == 1 {
+	nb, blockSize, _ := blocks(n, DefaultGrain)
+	if nb == 1 {
+		inlined.Add(1)
 		var acc T
 		for i := 0; i < n; i++ {
 			acc += src[i]

@@ -1,7 +1,5 @@
 package parallel
 
-import "sync"
-
 // SortByKey sorts items ascending by a 64-bit key, stably, using a
 // parallel least-significant-digit radix sort (8-bit digits). It is
 // the sorting substrate for graph construction: CSR builds sort edge
@@ -35,59 +33,33 @@ func SortByKey[T any](items []T, key func(T) uint64) []T {
 	}
 
 	src, dst := items, make([]T, n)
-	nb := numBlocks(n, DefaultGrain)
-	if p := 4 * Procs(); nb > p {
-		nb = p
-	}
-	blockSize := (n + nb - 1) / nb
-	nb = (n + blockSize - 1) / blockSize
+	nb, blockSize, _ := blocks(n, DefaultGrain)
 	counts := make([]uint32, radix*nb)
 
 	for shift := 0; shift < 64; shift += digitBits {
 		if (varying>>shift)&mask == 0 {
 			continue // this digit is constant everywhere
 		}
-		for i := range counts {
-			counts[i] = 0
-		}
+		clear(counts)
 		// Pass 1: per-block digit histograms, digit-major layout so a
-		// single scan yields stable scatter offsets. Both waves contain
-		// panics from the caller-supplied key function: every worker
-		// joins before the wrapped panic re-raises on the caller.
-		var pc panicCatcher
-		var wg sync.WaitGroup
-		for b := 0; b < nb; b++ {
-			lo, hi := b*blockSize, min((b+1)*blockSize, n)
-			wg.Add(1)
-			go func(b, lo, hi int) {
-				defer wg.Done()
-				defer pc.recoverPanic()
-				for i := lo; i < hi; i++ {
-					d := (key(src[i]) >> shift) & mask
-					counts[int(d)*nb+b]++
-				}
-			}(b, lo, hi)
-		}
-		wg.Wait()
-		pc.rethrow()
+		// single scan yields stable scatter offsets.
+		from, to := src, dst // the passes capture these, not the swapped pair
+		For(nb, 1, func(b int) {
+			for i, hi := b*blockSize, min((b+1)*blockSize, n); i < hi; i++ {
+				d := (key(from[i]) >> shift) & mask
+				counts[int(d)*nb+b]++
+			}
+		})
 		Scan(counts, counts)
 		// Pass 2: stable scatter.
-		for b := 0; b < nb; b++ {
-			lo, hi := b*blockSize, min((b+1)*blockSize, n)
-			wg.Add(1)
-			go func(b, lo, hi int) {
-				defer wg.Done()
-				defer pc.recoverPanic()
-				for i := lo; i < hi; i++ {
-					d := (key(src[i]) >> shift) & mask
-					slot := int(d)*nb + b
-					dst[counts[slot]] = src[i]
-					counts[slot]++
-				}
-			}(b, lo, hi)
-		}
-		wg.Wait()
-		pc.rethrow()
+		For(nb, 1, func(b int) {
+			for i, hi := b*blockSize, min((b+1)*blockSize, n); i < hi; i++ {
+				d := (key(from[i]) >> shift) & mask
+				slot := int(d)*nb + b
+				to[counts[slot]] = from[i]
+				counts[slot]++
+			}
+		})
 		src, dst = dst, src
 	}
 	if &src[0] != &items[0] {
