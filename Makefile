@@ -2,12 +2,12 @@
 # CI gate: build + full tests, static checks, race-testing the
 # concurrency-sensitive packages (the parallel substrate and its helper
 # pool, bucket structure, algorithms, Ligra layer, obs recorder, leak
-# checker) including a short property-test pass, and the julienne_debug
-# build with invariant assertions compiled in.
+# checker, the serving layer) including a short property-test pass, and
+# the julienne_debug build with invariant assertions compiled in.
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint race debug chaos fuzz bench bench-smoke bench-go obs-demo serve-smoke check
+.PHONY: all build test vet fmt lint race debug chaos fuzz bench bench-smoke bench-go obs-demo serve-smoke loc check
 
 all: check
 
@@ -26,18 +26,15 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # lint runs the stock toolchain passes (go vet: copylocks, atomic,
-# nilfunc, ...) plus julvet, the in-repo multichecker that enforces the
-# framework's concurrency and serving contracts (DESIGN.md §8/§13):
-# atomicmix, atomicalign, tagdrift, norandtime, panicguard, ctxguard,
-# semabalance. Contracts the APIs carry themselves (typed obs handles,
-# parallel.WithScratch, serve's refusals table, debug-poisoned bucket
-# arenas) need no analyzer. Obligations (cancel, semaphore release,
-# recover guards) are tracked interprocedurally: per-function facts are
-# computed over the whole unit, serialized, and consulted when an
-# obligation crosses a helper call — same package or across packages.
-# The tagged invocations re-analyze the tree with the other half of
-# each race/julienne_debug file pair (and the chaos-injection hooks)
-# active, each as its own unit with its own fact store.
+# nilfunc, lostcancel, ...) plus julvet, the in-repo multichecker that
+# enforces the framework's concurrency contracts (DESIGN.md §8):
+# atomicmix, atomicalign, tagdrift, norandtime — four per-package
+# analyzers, no interprocedural layer. Contracts the APIs carry
+# themselves (typed obs handles, parallel.WithScratch, serve's refusals
+# table and its one query wrapper over admission.with, debug-poisoned
+# bucket arenas) need no analyzer. The tagged invocations re-analyze
+# the tree with the other half of each race/julienne_debug file pair
+# (and the chaos-injection hooks) active.
 lint: vet
 	$(GO) run ./cmd/julvet ./...
 	$(GO) run ./cmd/julvet -tags race ./...
@@ -48,14 +45,14 @@ race:
 	$(GO) test -race -short ./internal/parallel/... ./internal/harness/... \
 		./internal/bucket/... ./internal/obs/... \
 		./internal/algo/... ./internal/ligra/... ./internal/proptest/... \
-		./internal/bench/...
+		./internal/bench/... ./internal/serve/...
 
 # debug builds with the julienne_debug tag, which compiles invariant
 # assertions into the bucket structure and Ligra layer and poisons
 # every bucket-arena slice the moment its lifetime ends, then runs the
 # assertion-sensitive suites under it — including every algorithm that
 # consumes NextBucket's slice (kcore, the ∆-stepping wave driver under
-# both its bodies, set cover, densest, truss), so a stale read anywhere
+# fused and unfused, set cover, densest, truss), so a stale read anywhere
 # indexes out of range.
 debug:
 	$(GO) build -tags julienne_debug ./...
@@ -124,6 +121,12 @@ serve-smoke:
 # while iterating; use `make bench` for the reproducible reports).
 bench-go:
 	$(GO) test -run xxx -bench . -benchtime 1x .
+
+# loc prints the size every simplification PR reports: non-test,
+# non-fixture Go lines outside the gated benchmark.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' \
+		-not -path './benchmark/*' | xargs cat | wc -l
 
 check: build test lint fmt race debug chaos serve-smoke
 	@echo "check: ok"

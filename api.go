@@ -327,11 +327,6 @@ func DeltaSteppingFull(g Graph, src Vertex, delta int64, opt BucketOptions) SSSP
 	return sssp.DeltaStepping(g, src, delta, sssp.Options{Buckets: opt})
 }
 
-// DeltaSteppingLH is ∆-stepping with the light/heavy edge split.
-func DeltaSteppingLH(g Graph, src Vertex, delta int64) SSSPResult {
-	return sssp.DeltaSteppingLH(g, src, delta, sssp.Options{})
-}
-
 // DeltaSteppingBins is the GAP-style thread-local-bin ∆-stepping.
 func DeltaSteppingBins(g Graph, src Vertex, delta int64) SSSPResult {
 	return sssp.DeltaSteppingBins(g, src, delta)
@@ -342,9 +337,6 @@ func BellmanFord(g Graph, src Vertex) SSSPResult { return sssp.BellmanFord(g, sr
 
 // Dijkstra is the sequential binary-heap solver.
 func Dijkstra(g Graph, src Vertex) SSSPResult { return sssp.DijkstraHeap(g, src) }
-
-// Dial is sequential Dial's algorithm (bucket queue).
-func Dial(g Graph, src Vertex) SSSPResult { return sssp.Dial(g, src) }
 
 // SetCoverResult carries the chosen cover and measurements.
 type SetCoverResult = setcover.Result

@@ -147,12 +147,9 @@ func TestMiscFacade(t *testing.T) {
 	w := HeavyWeights(g, 1)
 	a := DeltaStepping(w, 0, 32768)
 	b := DeltaSteppingBins(w, 0, 32768)
-	c := DeltaSteppingLH(w, 0, 32768)
 	d := BellmanFord(w, 0)
-	e := Dial(LogWeights(g, 1), 0)
-	_ = e
 	for v := range a {
-		if a[v] != b.Dist[v] || a[v] != c.Dist[v] || a[v] != d.Dist[v] {
+		if a[v] != b.Dist[v] || a[v] != d.Dist[v] {
 			t.Fatal("SSSP mismatch")
 		}
 	}

@@ -140,14 +140,6 @@ func BenchmarkTable3WBFSDijkstraSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkTable3WBFSDialSequential(b *testing.B) {
-	g := gen.LogWeights(benchGraph(), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sssp.Dial(g, 0)
-	}
-}
-
 // --- Table 3: ∆-stepping (weights [1, 1e5)) --------------------------------
 
 const benchDelta = 32768
@@ -279,22 +271,6 @@ func BenchmarkAblationRangeSize128(b *testing.B)  { benchAblationRange(b, 128) }
 func BenchmarkAblationRangeSize1024(b *testing.B) { benchAblationRange(b, 1024) }
 func BenchmarkAblationRangeSizeExact(b *testing.B) {
 	benchAblationRange(b, 1<<20) // effectively no overflow bucket
-}
-
-func BenchmarkAblationLightHeavyOff(b *testing.B) {
-	g := gen.HeavyWeights(benchRoad(), 11)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sssp.DeltaStepping(g, 0, benchDelta, sssp.Options{})
-	}
-}
-
-func BenchmarkAblationLightHeavyOn(b *testing.B) {
-	g := gen.HeavyWeights(benchRoad(), 11)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sssp.DeltaSteppingLH(g, 0, benchDelta, sssp.Options{})
-	}
 }
 
 func BenchmarkAblationCompressionCSR(b *testing.B) {

@@ -1,13 +1,11 @@
 // Command julvet is julienne's multichecker: it runs the custom
 // analyzers of internal/analysis (atomicmix, atomicalign, tagdrift,
-// norandtime, panicguard, ctxguard, semabalance) over the packages
-// matching its arguments and exits non-zero if any diagnostic survives
-// the //lint:ignore directives. The run is interprocedural: the driver
-// builds a unit-wide fact store so obligations are followed through
-// helper calls, and stale suppressions are reported by the
-// unuseddirective driver check. `make lint` runs it over ./... next to `go vet` (which
-// contributes the stock copylocks/atomic/nilfunc passes the vendorless
-// build cannot import from x/tools).
+// norandtime) over the packages matching its arguments, one package at
+// a time, and exits non-zero if any diagnostic survives the
+// //lint:ignore directives; stale suppressions are reported by the
+// unuseddirective driver check. `make lint` runs it over ./... next to
+// `go vet` (which contributes the stock copylocks/atomic/nilfunc/
+// lostcancel passes the vendorless build cannot import from x/tools).
 //
 // Usage:
 //

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	sssp [-algo wbfs|delta|delta-lh|gap-bins|bellman-ford|dijkstra|dial]
+//	sssp [-algo wbfs|delta|gap-bins|bellman-ford|dijkstra]
 //	     [-src V] [-delta D] [-fuse-frontier F] [-fuse-span S] [graph flags]
 //	     [-trace out.json] [-stats] [-pprof :6060]
 //
@@ -25,10 +25,10 @@ import (
 )
 
 func main() {
-	algo := flag.String("algo", "delta", "algorithm: wbfs|delta|delta-lh|gap-bins|bellman-ford|dijkstra|dial")
+	algo := flag.String("algo", "delta", "algorithm: wbfs|delta|gap-bins|bellman-ford|dijkstra")
 	src := flag.Uint("src", 0, "source vertex")
 	delta := flag.Int64("delta", 32768, "delta parameter (delta-stepping variants)")
-	fuseFrontier := flag.Int("fuse-frontier", 0, "bucket fusion: fuse consecutive buckets while the combined frontier stays at or under this size (wbfs/delta/delta-lh; 0 = fusion off)")
+	fuseFrontier := flag.Int("fuse-frontier", 0, "bucket fusion: fuse consecutive buckets while the combined frontier stays at or under this size (wbfs/delta; 0 = fusion off)")
 	fuseSpan := flag.Int("fuse-span", 0, "bucket fusion: cap the fused run at this many consecutive bucket ids (0 = unbounded; only meaningful with -fuse-frontier)")
 	timeout := flag.Duration("timeout", 0, "stop the run after this long, exit 3 with partial stats (bucketed algos; 0 = no limit)")
 	gf := cli.Register(flag.CommandLine)
@@ -60,16 +60,12 @@ func main() {
 			res = sssp.WBFS(g, s, opt)
 		case "delta":
 			res = sssp.DeltaStepping(g, s, *delta, opt)
-		case "delta-lh":
-			res = sssp.DeltaSteppingLH(g, s, *delta, opt)
 		case "gap-bins":
 			res = sssp.DeltaSteppingBins(g, s, *delta)
 		case "bellman-ford":
 			res = sssp.BellmanFord(g, s)
 		case "dijkstra":
 			res = sssp.DijkstraHeap(g, s)
-		case "dial":
-			res = sssp.Dial(g, s)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown -algo %q\n", *algo)
 			os.Exit(2)

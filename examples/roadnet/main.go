@@ -45,9 +45,6 @@ func main() {
 		"gap-bins (thread-local bins)": func() julienne.SSSPResult {
 			return julienne.DeltaSteppingBins(g, 0, delta)
 		},
-		"light/heavy split": func() julienne.SSSPResult {
-			return julienne.DeltaSteppingLH(g, 0, delta)
-		},
 		"bellman-ford": func() julienne.SSSPResult {
 			return julienne.BellmanFord(g, 0)
 		},

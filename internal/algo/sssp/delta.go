@@ -43,8 +43,8 @@ type Options struct {
 	Fusion bucket.Fusion
 }
 
-// waves is the state the one ∆-stepping wave driver (runWaves) shares
-// with an algorithm's per-segment body.
+// waves is the state the ∆-stepping wave driver (DeltaStepping) shares
+// with its per-segment body.
 type waves struct {
 	// res comes first so its counters, which the relax loops update
 	// with sync/atomic, stay 8-aligned under 32-bit layout.
@@ -109,24 +109,19 @@ func (w *waves) endRound(sp *obs.Span, id bucket.ID, frontier int, edges int64) 
 	})
 }
 
-// segmentFunc is an algorithm's per-segment body: relax the frontier
-// ids drawn from the bucket range [id, last] and rebucket what moved.
-// ids aliases the bucket structure's arena: valid only until the
-// body's next call into the structure.
-type segmentFunc func(id, last bucket.ID, ids []uint32)
-
-// runWaves is the bucketed ∆-stepping driver DeltaStepping, WBFS and
-// DeltaSteppingLH share; body builds the algorithm's segmentFunc over
-// the validated, initialized run. Bodies are named functions, not
-// literals at the call site: the entry points are small enough to be
-// inlined into other packages, and a literal copied along with them
-// loses the inlining of relaxCapture in the per-edge path. Each wave extracts the next bucket —
-// or, with opt.Fusion enabled, the next fused bucket range [id, last] —
-// and hands the frontier to the segment body. Vertices relaxed back
-// into a fused span return in the same wave as further segments via
-// DrainLazy; without fusion last == id, no span opens, DrainLazy
-// returns nil, and every wave is exactly one segment.
-func runWaves(g graph.Graph, src graph.Vertex, delta int64, opt Options, body func(w *waves) segmentFunc) Result {
+// DeltaStepping implements Algorithm 2 of the paper: bucketed
+// ∆-stepping where bucket i is the annulus of tentative distances
+// [i∆, (i+1)∆). Unreached vertices are outside the structure (their D
+// is Nil) and enter it on first relaxation, so the work is proportional
+// to edges relaxed, not to n per round.
+//
+// It is the wave driver WBFS runs on too. Each wave extracts the next
+// bucket — or, with opt.Fusion enabled, the next fused bucket range
+// [id, last] — and hands the frontier to the segment body. Vertices
+// relaxed back into a fused span return in the same wave as further
+// segments via DrainLazy; without fusion last == id, no span opens,
+// DrainLazy returns nil, and every wave is exactly one segment.
+func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Result {
 	checkInput(g, src)
 	if delta <= 0 {
 		panic("sssp: delta must be positive")
@@ -141,7 +136,7 @@ func runWaves(g graph.Graph, src graph.Vertex, delta int64, opt Options, body fu
 	}
 	w.b = bucket.New(n, func(i uint32) bucket.ID { return w.bktOf(w.sp[i] &^ flag) },
 		bucket.Increasing, bopt)
-	segment := body(w)
+	segment := deltaSegment(w)
 	w.prevForks = parallel.ForkStats() // the rounds' budget, not the construction's
 
 	fus := opt.Fusion
@@ -182,18 +177,18 @@ run:
 	return w.res
 }
 
-// DeltaStepping implements Algorithm 2 of the paper: bucketed
-// ∆-stepping where bucket i is the annulus of tentative distances
-// [i∆, (i+1)∆). Unreached vertices are outside the structure (their D
-// is Nil) and enter it on first relaxation, so the work is proportional
-// to edges relaxed, not to n per round.
-func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Result {
-	return runWaves(g, src, delta, opt, deltaSegment)
-}
-
-// deltaSegment is Algorithm 2's round: one segment is one relaxation
-// round over the whole frontier.
-func deltaSegment(w *waves) segmentFunc {
+// deltaSegment builds Algorithm 2's round over the initialized run:
+// one segment is one relaxation round over the frontier ids drawn from
+// the bucket range [id, last], rebucketing what moved. ids aliases the
+// bucket structure's arena: valid only until the body's next call into
+// the structure.
+//
+// Not inlined into the driver on purpose: in the copy the inliner makes
+// of the relax literal, relaxCapture is an out-of-line call on the
+// per-edge path.
+//
+//go:noinline
+func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) {
 	// res is taken once, here: &w.res inside relax would nil-check w by
 	// loading its first word on every call, and that word shares a cache
 	// line with the Relaxations counter every worker is adding to

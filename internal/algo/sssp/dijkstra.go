@@ -58,46 +58,3 @@ func (h *distHeap) Pop() interface{} {
 	*h = old[:n-1]
 	return item
 }
-
-// Dial is sequential Dial's algorithm [18]: a bucket queue indexed by
-// tentative distance, the algorithm wBFS parallelizes. It is efficient
-// when the maximum edge weight (hence the bucket span) is small.
-func Dial(g graph.Graph, src graph.Vertex) Result {
-	checkInput(g, src)
-	n := g.NumVertices()
-	dist := make([]uint64, n)
-	for i := range dist {
-		dist[i] = inf
-	}
-	dist[src] = 0
-	res := Result{}
-	// Buckets grow on demand; bucket d holds vertices with tentative
-	// distance exactly d (lazy deletion via the dist check at pop).
-	bkts := [][]graph.Vertex{{src}}
-	for cur := 0; cur < len(bkts); cur++ {
-		for len(bkts[cur]) > 0 {
-			// Re-check liveness: stale copies are skipped.
-			v := bkts[cur][len(bkts[cur])-1]
-			bkts[cur] = bkts[cur][:len(bkts[cur])-1]
-			if dist[v] != uint64(cur) {
-				continue
-			}
-			g.OutNeighbors(v, func(u graph.Vertex, w graph.Weight) bool {
-				res.EdgesTraversed++
-				nd := uint64(cur) + uint64(w)
-				if nd < dist[u] {
-					dist[u] = nd
-					res.Relaxations++
-					for uint64(len(bkts)) <= nd {
-						bkts = append(bkts, nil)
-					}
-					bkts[nd] = append(bkts[nd], u)
-				}
-				return true
-			})
-		}
-		res.Rounds++
-	}
-	res.Dist = finalize(dist)
-	return res
-}

@@ -7,10 +7,6 @@
 //     ∆ = 1 this is wBFS, with work O(r_src + m) in expectation and
 //     depth O(r_src log n) w.h.p. (Theorem 4.2).
 //   - WBFS: DeltaStepping with ∆ = 1.
-//   - DeltaSteppingLH: the light/heavy edge-split optimization of the
-//     original Meyer–Sanders algorithm (§4.2 discusses it; the paper
-//     implemented it and found no significant gain — the ablation
-//     benchmark measures that claim).
 //   - BellmanFord: the frontier-based algorithm Ligra and most
 //     frameworks use for SSSP; work-inefficient on weighted graphs
 //     (up to O(mn)) but simple and dense-traversal friendly.
@@ -18,8 +14,6 @@
 //     thread-local bins instead of a shared bucket structure.
 //   - DijkstraHeap: the sequential binary-heap Dijkstra solver (the
 //     DIMACS-style sequential baseline of Table 3).
-//   - Dial: sequential Dial's algorithm (bucket queue), the sequential
-//     analogue of wBFS.
 //
 // All implementations agree exactly on the distance vector; the tests
 // enforce this pairwise on every graph family.

@@ -37,12 +37,10 @@ func TestAllImplementationsMatchDijkstra(t *testing.T) {
 	for name, g := range testGraphs() {
 		src := graph.Vertex(0)
 		want := DijkstraHeap(g, src).Dist
-		checkDists(t, name+"/dial", Dial(g, src).Dist, want)
 		checkDists(t, name+"/bellman-ford", BellmanFord(g, src).Dist, want)
 		checkDists(t, name+"/wbfs", WBFS(g, src, Options{}).Dist, want)
 		for _, delta := range []int64{1, 2, 16, 1024, 100000} {
 			checkDists(t, name+"/delta", DeltaStepping(g, src, delta, Options{}).Dist, want)
-			checkDists(t, name+"/delta-lh", DeltaSteppingLH(g, src, delta, Options{}).Dist, want)
 			checkDists(t, name+"/delta-bins", DeltaSteppingBins(g, src, delta).Dist, want)
 		}
 	}
@@ -68,7 +66,6 @@ func TestNonZeroSource(t *testing.T) {
 	checkDists(t, "wbfs", WBFS(g, src, Options{}).Dist, want)
 	checkDists(t, "delta", DeltaStepping(g, src, 7, Options{}).Dist, want)
 	checkDists(t, "bins", DeltaSteppingBins(g, src, 7).Dist, want)
-	checkDists(t, "lh", DeltaSteppingLH(g, src, 7, Options{}).Dist, want)
 	checkDists(t, "bf", BellmanFord(g, src).Dist, want)
 }
 

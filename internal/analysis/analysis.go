@@ -1,34 +1,28 @@
 // Package analysis is julienne's static-analysis suite: a small,
 // self-contained clone of the golang.org/x/tools/go/analysis vocabulary
 // (Analyzer, Pass, Diagnostic) plus the custom analyzers that
-// mechanically enforce the framework's concurrency and serving
-// contracts (see DESIGN.md §8/§13):
+// mechanically enforce the framework's concurrency contracts (see
+// DESIGN.md §8):
 //
 //   - atomicmix:   a field accessed via sync/atomic anywhere must be
 //     accessed atomically everywhere
+//   - atomicalign: 64-bit atomic fields must sit at 64-bit-aligned
+//     offsets under a 32-bit memory layout
 //   - tagdrift:    build-tag-paired files (race_on/race_off,
 //     debug_on/debug_off) must declare matching signatures
 //   - norandtime:  math/rand and bare time.Now are forbidden outside
 //     the rng/harness/obs plumbing
-//   - atomicalign: 64-bit atomic fields must sit at 64-bit-aligned
-//     offsets under a 32-bit memory layout
-//   - panicguard:  goroutines spawned outside internal/parallel must
-//     install the panic-containment recover
-//   - ctxguard:    context cancel funcs are called on every path and
-//     request contexts are never stored past handler return
-//   - semabalance: admission-semaphore acquire/release stay paired
-//     across serve's helper calls
 //
-// Contracts an API can carry itself are not policed here: metric names
-// are typed obs handles, pooled scratch is scoped by
-// parallel.WithScratch, serve's error→status mapping is one table, and
-// stale bucket-arena slices are poisoned by the julienne_debug build.
-//
-// The driver is interprocedural: every load is wrapped in a Unit
-// (interproc.go) that computes per-function facts to a fixpoint and
-// serializes them per package, so panicguard/ctxguard/semabalance
-// follow their obligations through helper calls, same-package and
-// cross-package alike.
+// Every analyzer looks at one package at a time; there is no
+// interprocedural layer. Contracts an API can carry itself are not
+// policed here: metric names are typed obs handles, pooled scratch is
+// scoped by parallel.WithScratch, serve's error→status mapping is one
+// table, its admission slot and request context live inside one
+// wrapper (serve.Server.query over admission.with), the one goroutine
+// internal/parallel spawns is pinned by that package's panic table
+// tests, and stale bucket-arena slices are poisoned by the
+// julienne_debug build. Cancel-func pairing is stock `go vet`
+// (lostcancel).
 //
 // The framework is built on the standard library alone (go/ast,
 // go/types, and `go list -export` for import resolution) because this
@@ -74,21 +68,8 @@ type Pass struct {
 	IgnoredFiles []*ast.File
 	Pkg          *types.Package
 	TypesInfo    *types.Info
-	// Facts is the unit-wide interprocedural fact store (interproc.go);
-	// never nil under RunAnalyzers, may be nil under hand-built passes.
-	Facts *Facts
 
-	unit  *Unit
 	diags *[]Diagnostic
-}
-
-// InUnit reports whether fn's body is part of the current load unit, so
-// the facts for it are authoritative: a unit function WITHOUT a fact
-// really does lack the property, while a function outside the unit is
-// merely unknown. Analyzers use this to decide between "trust the
-// missing fact" and "assume a conservative transfer".
-func (p *Pass) InUnit(fn *types.Func) bool {
-	return p.unit != nil && factsEnabled && p.unit.HasBody(fn)
 }
 
 // Reportf records a diagnostic at pos.
@@ -132,7 +113,6 @@ type suppression struct {
 // directives in active files that suppress nothing this run are
 // reported as driver diagnostics.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	unit := NewUnit(pkgs)
 	var diags []Diagnostic
 	type supEntry struct {
 		suppression
@@ -163,8 +143,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				IgnoredFiles: pkg.IgnoredFiles,
 				Pkg:          pkg.Types,
 				TypesInfo:    pkg.Info,
-				Facts:        unit.Facts,
-				unit:         unit,
 				diags:        &diags,
 			}
 			if err := a.Run(pass); err != nil {

@@ -36,10 +36,6 @@ func TestNoRandTime(t *testing.T) {
 	RunTest(t, "testdata/src", NoRandTime, "norandtime")
 }
 
-func TestPanicGuard(t *testing.T) {
-	RunTest(t, "testdata/src", PanicGuard, "panicguard")
-}
-
 // TestSuppressionRequiresReason pins the driver rule that a
 // //lint:ignore directive without a reason is itself a diagnostic and
 // suppresses nothing.
@@ -88,10 +84,50 @@ func TestSuppressionPlacement(t *testing.T) {
 	}
 }
 
-func TestCtxGuard(t *testing.T) {
-	RunTest(t, "testdata/src", CtxGuard, "ctxguard")
-}
+// TestUnusedDirectiveDriver pins the driver check: a directive whose
+// analyzer ran but suppressed nothing is stale; a directive naming an
+// unknown analyzer is always reported; a live directive is silent.
+func TestUnusedDirectiveDriver(t *testing.T) {
+	all, err := LoadDir("testdata/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*Package
+	for _, pkg := range all {
+		if strings.HasPrefix(pkg.Path, "unuseddirective") {
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("no unuseddirective fixture packages")
+	}
 
-func TestSemaBalance(t *testing.T) {
-	RunTest(t, "testdata/src", SemaBalance, "semabalance")
+	diags := RunAnalyzers(pkgs, []*Analyzer{NoRandTime})
+	var stale, unknown, other []Diagnostic
+	for _, d := range diags {
+		switch {
+		case strings.Contains(d.Message, "suppresses nothing"):
+			stale = append(stale, d)
+		case strings.Contains(d.Message, "unknown analyzer"):
+			unknown = append(unknown, d)
+		default:
+			other = append(other, d)
+		}
+	}
+	if len(other) != 0 {
+		t.Errorf("unexpected diagnostics: %v", other)
+	}
+	if len(stale) != 1 || stale[0].Analyzer != "driver" || !strings.Contains(stale[0].Message, "julvet/norandtime") {
+		t.Errorf("stale-directive diagnostics = %v, want one driver diagnostic for julvet/norandtime", stale)
+	}
+	if len(unknown) != 1 || !strings.Contains(unknown[0].Message, "julvet/nosuchanalyzer") {
+		t.Errorf("unknown-analyzer diagnostics = %v, want one for julvet/nosuchanalyzer", unknown)
+	}
+
+	// Run-set filtering: with norandtime not running, its directives
+	// cannot be judged stale — only the unknown name is reported.
+	diags = RunAnalyzers(pkgs, []*Analyzer{AtomicMix})
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "unknown analyzer") {
+		t.Errorf("diagnostics with norandtime excluded = %v, want only the unknown-analyzer one", diags)
+	}
 }

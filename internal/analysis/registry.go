@@ -2,7 +2,7 @@ package analysis
 
 // All returns every analyzer in the suite, in reporting order. The
 // julvet multichecker runs exactly this list; the stock toolchain
-// passes with overlapping concerns (copylocks, atomic, nilfunc, ...)
+// passes (copylocks, atomic, nilfunc, lostcancel, ...)
 // run alongside via `go vet` in `make lint`.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -10,9 +10,6 @@ func All() []*Analyzer {
 		AtomicAlign,
 		TagDrift,
 		NoRandTime,
-		PanicGuard,
-		CtxGuard,
-		SemaBalance,
 	}
 }
 

@@ -1,7 +1,7 @@
 // Fixture for the unuseddirective driver check: the first directive
 // suppresses a live norandtime finding and is kept; the second
 // suppresses nothing; the third names an analyzer that does not exist.
-// The driver tests in interproc_test.go pin the expected diagnostics
+// The driver tests in analyzers_test.go pin the expected diagnostics
 // directly (want comments only cover analyzer diagnostics).
 package a
 

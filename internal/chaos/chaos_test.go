@@ -278,29 +278,28 @@ func checkCleanReruns(t *testing.T, want []int64, run func(sssp.Options) sssp.Re
 	checkInvariants(t)
 }
 
-// TestCancellationInsideDrainedFusedSegmentLH cancels a fused
-// light/heavy ∆-stepping run from inside a wave, during the last light
-// round of a segment whose heavy relaxations land back inside the
-// fused span. The wave driver must notice at the drained-segment check
-// — the lazy drain comes back non-empty and is abandoned — rather than
-// at the next wave boundary, so the run stops after exactly that round;
-// the abandoned span and lazy buffer must not poison the re-runs.
-func TestCancellationInsideDrainedFusedSegmentLH(t *testing.T) {
+// TestCancellationInsideDrainedFusedSegment cancels a fused ∆-stepping
+// run from inside a wave, during a segment whose relaxations land back
+// inside the fused span. The wave driver must notice at the
+// drained-segment check — the lazy drain comes back non-empty and is
+// abandoned — rather than at the next wave boundary, so the run stops
+// after exactly that round; the abandoned span and lazy buffer must not
+// poison the re-runs.
+func TestCancellationInsideDrainedFusedSegment(t *testing.T) {
 	defer harness.LeakCheck(t)()
 	rows, cols := 40, 50
 	if testing.Short() {
 		rows, cols = 20, 30
 	}
 	g := gen.UniformWeights(gen.Grid2D(rows, cols), 1, 16, 7)
-	const delta = 4 // weights 5..16 are heavy and jump up to four annuli
+	const delta = 4 // a fused span covers many annuli; most edges land inside it
 	want := sssp.DijkstraHeap(g, 0)
 	fused := sssp.Options{Fusion: bucket.Fusion{MaxFrontier: 64}}
-	run := func(o sssp.Options) sssp.Result { return sssp.DeltaSteppingLH(g, 0, delta, o) }
+	run := func(o sssp.Options) sssp.Result { return sssp.DeltaStepping(g, 0, delta, o) }
 
-	// Locate a drained segment in a clean run. Bucket traffic moves at
-	// segment granularity, so a round with extraction traffic opens a
-	// segment; a second one under the same wave's bucket id is a segment
-	// DrainLazy handed back.
+	// Locate a drained segment in a clean run. Every round is one
+	// segment and reports its wave's first bucket id, so a second round
+	// under the same id is a segment DrainLazy handed back.
 	probe := fused
 	probe.Recorder = obs.NewRecorder()
 	var rounds []obs.RoundMetrics
@@ -308,12 +307,12 @@ func TestCancellationInsideDrainedFusedSegmentLH(t *testing.T) {
 	full := run(probe)
 	var cancelAt int64
 	for i := 1; i < len(rounds) && cancelAt == 0; i++ {
-		if rounds[i].Bucket == rounds[i-1].Bucket && rounds[i].Extracted > 0 {
+		if rounds[i].Bucket == rounds[i-1].Bucket {
 			cancelAt = rounds[i-1].Round
 		}
 	}
 	if full.Err != nil || cancelAt == 0 {
-		t.Fatalf("fused LH baseline: err=%v, %d rounds, no wave with a drained segment", full.Err, full.Rounds)
+		t.Fatalf("fused baseline: err=%v, %d rounds, no wave with a drained segment", full.Err, full.Rounds)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -2,27 +2,23 @@ package experiments
 
 import (
 	"julienne/internal/algo/kcore"
-	"julienne/internal/algo/sssp"
 	"julienne/internal/bucket"
 	"julienne/internal/compress"
-	"julienne/internal/gen"
 	"julienne/internal/harness"
 )
 
 // Ablations measures the design choices the paper calls out:
 //
 //   - §3.3 open-range size nB (default 128) and the overflow bucket
-//   - §4.2 light/heavy edge split ("did not find a significant
-//     improvement")
 //   - §1/Ligra+ compressed vs. plain CSR traversal
 //
-// The two §3.3 alternatives the paper rejects — a semisort-based
-// updateBuckets and an internal prev map — were measured, agreed with
-// the paper, and were deleted; EXPERIMENTS.md records the numbers and
-// the last commit that regenerates them.
+// Three alternatives the paper measures and ships without — §3.3's
+// semisort-based updateBuckets and internal prev map, §4.2's
+// light/heavy edge split — were measured, agreed with the paper, and
+// were deleted; EXPERIMENTS.md records the numbers and the last
+// commits that regenerate them.
 func (s *Suite) Ablations() {
 	s.ablationRangeSize()
-	s.ablationLightHeavy()
 	s.ablationCompression()
 }
 
@@ -35,23 +31,6 @@ func (s *Suite) ablationRangeSize() {
 		d := harness.TimeMedian(s.reps(), func() { kcore.Coreness(g, opt) })
 		res := kcore.Coreness(g, opt)
 		t.AddRow(nb, d, res.BucketStats.Moved, res.BucketStats.RangeAdvances)
-	}
-	t.Render(s.W)
-}
-
-func (s *Suite) ablationLightHeavy() {
-	s.section("Ablation: delta-stepping light/heavy edge split (par. 4.2)")
-	t := harness.NewTable("graph", "plain", "light/heavy", "lh/plain")
-	delta := s.delta()
-	for _, ng := range []NamedGraph{s.Graphs()[1], s.Graphs()[4]} {
-		w := gen.HeavyWeights(ng.G, s.seed()+600)
-		plain := harness.TimeMedian(s.reps(), func() {
-			sssp.DeltaStepping(w, 0, delta, sssp.Options{})
-		})
-		lh := harness.TimeMedian(s.reps(), func() {
-			sssp.DeltaSteppingLH(w, 0, delta, sssp.Options{})
-		})
-		t.AddRow(ng.Name, plain, lh, harness.Speedup(lh.Median, plain.Median))
 	}
 	t.Render(s.W)
 }

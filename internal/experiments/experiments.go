@@ -10,7 +10,7 @@
 //	Figure1  — bucket-structure throughput vs. identifiers/round, plus
 //	           application points
 //	Figure2..Figure5 — running time vs. thread count per application
-//	Ablations — the §3.3/§4.2 design-choice measurements
+//	Ablations — the §3.3 and Ligra+ design-choice measurements
 //
 // The cmd/experiments binary and the root-level benchmarks both drive
 // this package; EXPERIMENTS.md records one full run.

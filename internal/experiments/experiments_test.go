@@ -116,7 +116,6 @@ func TestRunAllSmall(t *testing.T) {
 		"Table 2", "Figure 1", "Table 1", "Table 3",
 		"Figure 2", "Figure 3", "Figure 4", "Figure 5",
 		"Ablation: open-range size",
-		"Ablation: delta-stepping light/heavy",
 		"Ablation: CSR vs. Ligra+",
 	} {
 		if !strings.Contains(out, want) {

@@ -123,7 +123,6 @@ func (s *Suite) Table3() {
 		add("Bellman-Ford (Ligra)", func() { sssp.BellmanFord(wlog, 0) })
 		add("wBFS (GAP bins)", func() { sssp.DeltaSteppingBins(wlog, 0, 1) })
 		add("wBFS (DIMACS seq)", func() { sssp.DijkstraHeap(wlog, 0) })
-		add("wBFS (Dial seq)", func() { sssp.Dial(wlog, 0) })
 		for _, r := range rows {
 			t.AddRow("wBFS [1,log n)", r.name, r.t1, r.tp, r.tp.Spread(),
 				harness.Speedup(r.t1.Median, r.tp.Median))

@@ -38,7 +38,7 @@ func fusionTag(f bucket.Fusion) string {
 }
 
 // TestSSSPFusionMatchesOracle sweeps every generator family and weight
-// family through the three fusion-capable algorithms at every knob
+// family through the two fusion-capable entry points at every knob
 // setting, cross-checking distances against the Dijkstra oracle and
 // requiring fusion to never extract more bucket rounds than the
 // unfused run (its entire point is extracting fewer).
@@ -52,7 +52,6 @@ func TestSSSPFusionMatchesOracle(t *testing.T) {
 		{"sssp.WBFS", func(g graph.Graph, src graph.Vertex, _ int64, opt sssp.Options) sssp.Result {
 			return sssp.WBFS(g, src, opt)
 		}},
-		{"sssp.DeltaSteppingLH", sssp.DeltaSteppingLH},
 	}
 	Check(t, gen.Families(), func(c Case, g *graph.CSR) error {
 		n := g.NumVertices()

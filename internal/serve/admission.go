@@ -51,11 +51,13 @@ func newAdmission(maxInFlight, maxQueued int, rec *obs.Recorder) *admission {
 	}
 }
 
-// acquire blocks until a slot is free, the context is done, or the
-// server starts draining. It returns nil on success (the caller must
-// release), ErrQueueFull when the wait queue is at capacity,
-// ErrClosing when draining, or the context's error.
-func (a *admission) acquire(ctx context.Context) error {
+// with runs fn while holding one slot; it is the only way to hold one,
+// so a slot cannot outlive the call — fn panicking included. It waits
+// for the slot until ctx is done or the server starts draining, and
+// returns without calling fn when it gets none: ErrQueueFull when the
+// wait queue is at capacity, ErrClosing when draining, or the
+// context's error. The in-flight gauge follows the slot.
+func (a *admission) with(ctx context.Context, fn func()) error {
 	select {
 	case <-a.closed:
 		return ErrClosing
@@ -63,32 +65,38 @@ func (a *admission) acquire(ctx context.Context) error {
 	}
 	select {
 	case a.tokens <- struct{}{}:
-		return nil
 	default:
-	}
-	if a.waiters.Add(1) > a.maxWait {
+		if a.waiters.Add(1) > a.maxWait {
+			a.waiters.Add(-1)
+			return ErrQueueFull
+		}
+		start := a.rec.Clock()
+		var err error
+		select {
+		case a.tokens <- struct{}{}:
+			a.rec.ObserveSince(obs.HistServeQueueWaitNs, start)
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-a.closed:
+			err = ErrClosing
+		}
 		a.waiters.Add(-1)
-		return ErrQueueFull
+		if err != nil {
+			return err
+		}
 	}
-	defer a.waiters.Add(-1)
-	start := a.rec.Clock()
-	select {
-	case a.tokens <- struct{}{}:
-		a.rec.ObserveSince(obs.HistServeQueueWaitNs, start)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-a.closed:
-		return ErrClosing
-	}
+	a.rec.SetGauge(obs.GaugeServeInflight, int64(a.inFlight()))
+	defer func() {
+		<-a.tokens
+		a.rec.SetGauge(obs.GaugeServeInflight, int64(a.inFlight()))
+	}()
+	fn()
+	return nil
 }
 
-// release returns the caller's slot.
-func (a *admission) release() { <-a.tokens }
-
-// close moves the gate into the draining state: every current and
-// future acquire fails with ErrClosing. In-flight holders keep their
-// slots until they release. Idempotent.
+// close moves the gate into the draining state: every waiting and
+// future with fails with ErrClosing. In-flight holders keep their
+// slots until their fn returns. Idempotent.
 func (a *admission) close() {
 	select {
 	case <-a.closed:

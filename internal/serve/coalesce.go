@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 
 	"julienne/internal/graph"
@@ -30,69 +31,115 @@ type ssspVal struct {
 	err         error
 }
 
-// ssspFlight is one in-progress computation followers wait on.
-type ssspFlight struct {
-	done chan struct{}
-	val  *ssspVal
+// errFlightAbandoned is what a flight's followers get when its leader
+// panicked out of the computation: there is no value to share, and the
+// panic itself belongs to the leader's request.
+var errFlightAbandoned = errors.New("serve: shared computation failed")
+
+// flight is one in-progress computation followers wait on.
+type flight[V any] struct {
+	done   chan struct{}
+	val    V
+	landed bool // false once done is closed: the leader panicked
 }
 
-// coalescer deduplicates concurrent identical SSSP queries
-// (singleflight) and keeps an LRU of recent successful results, so a
-// hot source costs one computation no matter how many clients ask.
-type coalescer struct {
+// flightGroup is the package's one single-flight: concurrent do calls
+// for the same key share one run of compute.
+type flightGroup[K comparable, V any] struct {
 	mu       sync.Mutex
-	inflight map[ssspKey]*ssspFlight
-	lru      *lruCache
-	rec      *obs.Recorder
+	inflight map[K]*flight[V]
+}
+
+// do returns the value for key, running compute unless cached answers
+// first or another caller's compute for key is already in flight, in
+// which case it waits for that one (shared reports this) until ctx is
+// done. cached, and keep with the finished value, run under the
+// group's lock, so a caller arriving as a flight lands sees either the
+// flight or what keep stored, never neither. The flight is taken down
+// in a defer: a compute that panics leaves nothing behind, and its
+// followers return errFlightAbandoned.
+func (g *flightGroup[K, V]) do(ctx context.Context, key K, cached func() (V, bool),
+	compute func() V, keep func(V)) (val V, shared bool, err error) {
+	g.mu.Lock()
+	if v, ok := cached(); ok {
+		g.mu.Unlock()
+		return v, false, nil
+	}
+	if f, ok := g.inflight[key]; ok {
+		g.mu.Unlock()
+		select {
+		case <-f.done:
+			if !f.landed {
+				return val, true, errFlightAbandoned
+			}
+			return f.val, true, nil
+		case <-ctx.Done():
+			return val, true, ctx.Err()
+		}
+	}
+	f := &flight[V]{done: make(chan struct{})}
+	if g.inflight == nil {
+		g.inflight = make(map[K]*flight[V])
+	}
+	g.inflight[key] = f
+	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		delete(g.inflight, key)
+		if f.landed {
+			keep(f.val)
+		}
+		g.mu.Unlock()
+		close(f.done)
+	}()
+	f.val = compute()
+	f.landed = true
+	return f.val, false, nil
+}
+
+// coalescer deduplicates concurrent identical SSSP queries and keeps
+// an LRU of recent successful results, so a hot source costs one
+// computation no matter how many clients ask.
+type coalescer struct {
+	flightGroup[ssspKey, *ssspVal]
+	lru *lruCache
+	rec *obs.Recorder
 }
 
 func newCoalescer(cacheSize int, rec *obs.Recorder) *coalescer {
-	return &coalescer{
-		inflight: make(map[ssspKey]*ssspFlight),
-		lru:      newLRU(cacheSize),
-		rec:      rec,
-	}
+	return &coalescer{lru: newLRU(cacheSize), rec: rec}
 }
 
 // do returns the result for key, computing it at most once across
 // concurrent callers. The bool results report whether the value came
 // from the cache and whether this caller coalesced onto another
-// caller's run. A non-nil error is returned only when ctx expired
-// while waiting for another caller's computation; errors from the
-// computation itself travel inside ssspVal.err so every waiter sees
-// them.
+// caller's run. A non-nil error means this caller has no value: ctx
+// expired while it waited for another caller's computation, or that
+// computation panicked. Errors from the computation itself travel
+// inside ssspVal.err so every waiter sees them.
 func (c *coalescer) do(ctx context.Context, key ssspKey,
 	compute func() *ssspVal) (val *ssspVal, cached, coalesced bool, err error) {
-	c.mu.Lock()
-	if v, ok := c.lru.get(key); ok {
-		c.mu.Unlock()
-		c.rec.Inc(obs.CtrServeCacheHits)
-		return v, true, false, nil
-	}
-	c.rec.Inc(obs.CtrServeCacheMisses)
-	if f, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
+	val, coalesced, err = c.flightGroup.do(ctx, key,
+		func() (*ssspVal, bool) {
+			v, ok := c.lru.get(key)
+			cached = ok
+			if ok {
+				c.rec.Inc(obs.CtrServeCacheHits)
+			} else {
+				c.rec.Inc(obs.CtrServeCacheMisses)
+			}
+			return v, ok
+		},
+		compute,
+		func(v *ssspVal) {
+			if v.err == nil {
+				c.lru.put(key, v)
+			}
+		})
+	if coalesced {
 		c.rec.Inc(obs.CtrServeCoalesced)
-		select {
-		case <-f.done:
-			return f.val, false, true, nil
-		case <-ctx.Done():
-			return nil, false, true, ctx.Err()
-		}
 	}
-	f := &ssspFlight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.mu.Unlock()
-
-	f.val = compute()
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.val.err == nil {
-		c.lru.put(key, f.val)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.val, false, false, nil
+	return val, cached, coalesced, err
 }
 
 // lruCache is a size-bounded map with least-recently-used eviction

@@ -4,10 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
+	"julienne/internal/algo/kcore"
+	"julienne/internal/graph"
+	"julienne/internal/harness"
 	"julienne/internal/obs"
 )
 
@@ -24,9 +30,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestSubmitQueueFullLeavesManagerBalanced pins the ErrQueueFull early
-// return audited by julvet/semabalance: a rejected submission must not
-// be remembered, must not consume queue capacity, and must leave the
-// pool able to accept work once the queue drains.
+// return: a rejected submission must not be remembered, must not
+// consume queue capacity, and must leave the pool able to accept work
+// once the queue drains.
 func TestSubmitQueueFullLeavesManagerBalanced(t *testing.T) {
 	m := newJobManager(1, 1, 10, obs.NewRecorder())
 	defer m.shutdown()
@@ -104,9 +110,9 @@ func TestSubmitQueueFullLeavesManagerBalanced(t *testing.T) {
 }
 
 // TestCoalescerFollowerCancelDoesNotPoisonFlight pins the follower
-// cancellation path audited by julvet/ctxguard: a follower whose
-// context expires while waiting gets ctx.Err(), while the leader's
-// computation still completes, caches, and leaves no inflight entry.
+// cancellation path: a follower whose context expires while waiting
+// gets ctx.Err(), while the leader's computation still completes,
+// caches, and leaves no inflight entry.
 func TestCoalescerFollowerCancelDoesNotPoisonFlight(t *testing.T) {
 	c := newCoalescer(4, obs.NewRecorder())
 	key := ssspKey{src: 7, delta: 16}
@@ -259,5 +265,229 @@ func TestTypedErrorResponses(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// drainRegistrations counts the query contexts still tied to the
+// server's drain context, by the size of its child set — there is no
+// exported view of it. The field name is the standard library's
+// (context.cancelCtx.children); ok is false if that ever changes.
+func drainRegistrations(s *Server) (n int, ok bool) {
+	children := reflect.ValueOf(s.drain).Elem().FieldByName("children")
+	if !children.IsValid() || children.Kind() != reflect.Map {
+		return 0, false
+	}
+	return children.Len(), true
+}
+
+// panicOn200 is a ResponseWriter that panics instead of starting a
+// 200 response: the one point every query body passes with its slot
+// still held.
+type panicOn200 struct{ *httptest.ResponseRecorder }
+
+func (w panicOn200) WriteHeader(status int) {
+	if status == http.StatusOK {
+		panic("panicOn200: handler body reached its 200")
+	}
+	w.ResponseRecorder.WriteHeader(status)
+}
+
+// TestQueryLeavesNothingBehind walks every query endpoint through
+// every way a query can end and checks afterwards what only query and
+// admission.with can get wrong: no admission slot or queue position
+// held, no context still tied to drain, the in-flight gauge back at
+// zero, and Close returning at once with no goroutine left.
+func TestQueryLeavesNothingBehind(t *testing.T) {
+	type endpoint struct {
+		name, path string
+		// lead runs a computation the endpoint's next request will
+		// coalesce onto: it closes started once its flight is up and
+		// computes until release is closed.
+		lead func(s *Server, started chan<- struct{}, release <-chan struct{})
+	}
+	leadDistance := func(key ssspKey) func(*Server, chan<- struct{}, <-chan struct{}) {
+		return func(s *Server, started chan<- struct{}, release <-chan struct{}) {
+			s.coal.do(context.Background(), key, func() *ssspVal {
+				close(started)
+				<-release
+				return &ssspVal{err: context.Canceled}
+			})
+		}
+	}
+	endpoints := []endpoint{
+		{"sssp", "/sssp?src=0", leadDistance(ssspKey{delta: 32768})},
+		{"wbfs", "/wbfs?src=0", leadDistance(ssspKey{delta: 1, wbfs: true})},
+		{"coreness", "/coreness?v=0", func(s *Server, started chan<- struct{}, release <-chan struct{}) {
+			s.core.do(context.Background(), struct{}{},
+				func() (kcore.Result, bool) { return kcore.Result{}, false },
+				func() kcore.Result {
+					close(started)
+					<-release
+					return kcore.Result{Err: context.Canceled}
+				},
+				func(kcore.Result) {})
+		}},
+	}
+	type outcome struct {
+		name    string
+		slow    bool   // run on slowGraph: the kernel outlives timeout_ms=1
+		params  string // appended to the endpoint's path
+		status  int    // 0: the handler panics
+		arrange func(t *testing.T, s *Server, ep endpoint) (undo func())
+	}
+	nothing := func(*testing.T, *Server, endpoint) func() { return func() {} }
+	outcomes := []outcome{
+		{"200", false, "", 200, nothing},
+		{"400 before admission", false, "&timeout_ms=x", 400, nothing},
+		{"429 queue full", false, "", 429, func(t *testing.T, s *Server, _ endpoint) func() {
+			s.adm.tokens <- struct{}{}
+			s.adm.waiters.Add(1)
+			return func() { <-s.adm.tokens; s.adm.waiters.Add(-1) }
+		}},
+		{"503 draining", false, "", 503, func(t *testing.T, s *Server, _ endpoint) func() {
+			s.adm.close()
+			return func() {}
+		}},
+		{"504 deadline in the kernel", true, "&timeout_ms=1", 504, nothing},
+		{"504 coalesced follower gives up", false, "&timeout_ms=30", 504,
+			func(t *testing.T, s *Server, ep endpoint) func() {
+				started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+				go func() { defer close(done); ep.lead(s, started, release) }()
+				<-started
+				return func() { close(release); <-done }
+			}},
+		{"handler body panics", false, "", 0, nothing},
+	}
+	for _, ep := range endpoints {
+		for _, oc := range outcomes {
+			t.Run(ep.name+"/"+oc.name, func(t *testing.T) {
+				defer harness.LeakCheck(t)()
+				rec := obs.NewRecorder()
+				g := testGraph()
+				if oc.slow {
+					g = slowGraph()
+				}
+				s := New(Config{Graph: g, Recorder: rec, MaxInFlight: 1, MaxQueued: 1})
+				undo := oc.arrange(t, s, ep)
+
+				w := httptest.NewRecorder()
+				req := httptest.NewRequest("GET", ep.path+oc.params, nil)
+				if oc.status == 0 {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Error("handler returned; want the body's panic")
+							}
+						}()
+						s.Handler().ServeHTTP(panicOn200{w}, req)
+					}()
+				} else if s.Handler().ServeHTTP(w, req); w.Code != oc.status {
+					t.Errorf("status %d, want %d (body %s)", w.Code, oc.status, w.Body)
+				}
+				undo()
+
+				if n, q := s.adm.inFlight(), s.adm.waiters.Load(); n != 0 || q != 0 {
+					t.Errorf("%d admission slots and %d queue positions still held", n, q)
+				}
+				if n, ok := drainRegistrations(s); !ok {
+					t.Error("context.cancelCtx has no children map any more; update drainRegistrations")
+				} else if n != 0 {
+					t.Errorf("%d query contexts still tied to drain", n)
+				}
+				if v := rec.Gauge(obs.GaugeServeInflight.Name()); v != 0 {
+					t.Errorf("in-flight gauge = %d, want 0", v)
+				}
+				closed := make(chan struct{})
+				go func() { defer close(closed); s.Close(context.Background()) }()
+				select {
+				case <-closed:
+				case <-time.After(5 * time.Second):
+					t.Fatal("Close still waiting on a query that has returned")
+				}
+			})
+		}
+	}
+}
+
+// hugeWeightPath is a 4-vertex path with MaxInt32 weights: with
+// delta=1 its distances need more bucket ids than exist, which the
+// ∆-stepping driver answers with a panic inside the kernel.
+func hugeWeightPath() *graph.CSR {
+	w := graph.Weight(math.MaxInt32)
+	return graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: w}, {U: 1, V: 2, W: w}, {U: 2, V: 3, W: w}},
+		graph.BuildOptions{Weighted: true, Symmetrize: true})
+}
+
+// TestPanickingLeaderLandsItsFlight pins that a computation that
+// panics takes its flight down with it: followers waiting on it are
+// answered at once with a typed 500, and the key is free for the next
+// request — it used to stay in flight for the life of the process,
+// every later identical request waiting out its whole deadline.
+func TestPanickingLeaderLandsItsFlight(t *testing.T) {
+	rec := obs.NewRecorder()
+	s := New(Config{Graph: hugeWeightPath(), Recorder: rec, MaxInFlight: 2})
+	defer s.Close(context.Background())
+	inflight := func() int {
+		s.coal.mu.Lock()
+		defer s.coal.mu.Unlock()
+		return len(s.coal.inflight)
+	}
+	get := func(path string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		return w
+	}
+
+	// A leader that panics while a request is coalesced onto it.
+	release, leaderGone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(leaderGone)
+		defer func() { _ = recover() }()
+		s.coal.do(context.Background(), ssspKey{delta: 1 << 40}, func() *ssspVal {
+			<-release
+			panic("kernel failure")
+		})
+	}()
+	waitFor(t, "the leader's flight", func() bool { return inflight() == 1 })
+	follower := make(chan *httptest.ResponseRecorder, 1)
+	start := time.Now()
+	go func() { follower <- get("/sssp?src=0&delta=1099511627776&timeout_ms=3000") }()
+	// Both lookups missed the cache under the flight lock, so the
+	// follower has found the flight by the time the second is counted.
+	waitFor(t, "the follower to join", func() bool {
+		return rec.Counter(obs.CtrServeCacheMisses.Name()) == 2
+	})
+	close(release)
+	<-leaderGone
+	w := <-follower
+	var body struct{ Error, Detail string }
+	_ = json.Unmarshal(w.Body.Bytes(), &body)
+	if w.Code != http.StatusInternalServerError || body.Error != "internal" || body.Detail == "" {
+		t.Errorf("follower of a panicked leader: %d %s, want a typed 500 internal", w.Code, w.Body)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("follower waited %v: it sat out its deadline instead of the flight landing", d)
+	}
+
+	// The same end to end: delta=1 overflows the bucket-id space inside
+	// the kernel and the handler panics (net/http's business) ...
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("/sssp?delta=1 on MaxInt32 weights did not panic; the bucket-id guard is gone?")
+			}
+		}()
+		get("/sssp?src=0&delta=1")
+	}()
+	// ... leaving no flight, slot or queue position behind, so a delta
+	// that fits is served.
+	if n := inflight(); n != 0 {
+		t.Errorf("%d flights left behind by panicked leaders", n)
+	}
+	if n := s.adm.inFlight(); n != 0 {
+		t.Errorf("%d admission slots left behind by panicked handlers", n)
+	}
+	if w := get("/sssp?src=0&delta=1073741824&target=3&timeout_ms=2000"); w.Code != http.StatusOK {
+		t.Errorf("query after the panics: %d %s, want 200", w.Code, w.Body)
 	}
 }

@@ -86,19 +86,18 @@ type Server struct {
 	jobs *jobManager
 	mux  *http.ServeMux
 
-	// Lazily-computed coreness cache (single-flight; a canceled
-	// compute does not poison the cache — the next request retries).
-	coreMu     sync.Mutex
-	coreness   []uint32
-	coreErr    error
-	coreFlight chan struct{}
+	// Lazily-computed coreness memo, single-flighted by core and
+	// guarded by its lock. A canceled compute is not kept — the next
+	// request retries.
+	core     flightGroup[struct{}, kcore.Result]
+	coreness []uint32
 
-	// In-flight query tracking for graceful drain: Close cancels
-	// these contexts when its drain budget expires, and the kernels
-	// observe the cancellation at their next round.
-	qMu      sync.Mutex
-	qCancels map[int64]context.CancelFunc
-	qSeq     int64
+	// Graceful drain: every query context is tied to drain for as long
+	// as its handler runs; Close cancels it when its budget expires and
+	// the kernels observe the cancellation at their next round. wg
+	// counts the handlers Close waits for.
+	drain    context.Context
+	drainNow context.CancelFunc
 	wg       sync.WaitGroup
 
 	closeOnce sync.Once
@@ -131,14 +130,14 @@ func New(cfg Config) *Server {
 		cfg.DefaultDelta = 32768
 	}
 	s := &Server{
-		cfg:      cfg,
-		g:        cfg.Graph,
-		rec:      cfg.Recorder,
-		adm:      newAdmission(cfg.MaxInFlight, cfg.MaxQueued, cfg.Recorder),
-		coal:     newCoalescer(cfg.CacheSize, cfg.Recorder),
-		jobs:     newJobManager(cfg.JobWorkers, cfg.JobQueue, 64, cfg.Recorder),
-		qCancels: make(map[int64]context.CancelFunc),
+		cfg:  cfg,
+		g:    cfg.Graph,
+		rec:  cfg.Recorder,
+		adm:  newAdmission(cfg.MaxInFlight, cfg.MaxQueued, cfg.Recorder),
+		coal: newCoalescer(cfg.CacheSize, cfg.Recorder),
+		jobs: newJobManager(cfg.JobWorkers, cfg.JobQueue, 64, cfg.Recorder),
 	}
+	s.drain, s.drainNow = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /sssp", func(w http.ResponseWriter, r *http.Request) {
@@ -177,70 +176,49 @@ func (s *Server) Close(ctx context.Context) error {
 		select {
 		case <-done:
 		case <-ctx.Done():
-			s.qMu.Lock()
-			for _, cancel := range s.qCancels {
-				cancel()
-			}
-			s.qMu.Unlock()
-			<-done
 		}
+		s.drainNow() // stops whatever is still running; nothing, if drained
+		<-done
 		s.jobs.shutdown()
 	})
 	return nil
 }
 
-// beginQuery derives the query context (request context + per-query
-// timeout) and registers it for drain cancellation. The returned end
-// function must be deferred.
-func (s *Server) beginQuery(r *http.Request, timeout time.Duration) (context.Context, func()) {
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+// query is the one way a handler runs a kernel: it resolves the
+// timeout (?timeout_ms, defaulted and clamped), derives the request's
+// only context from it, ties that context to drain, takes an admission
+// slot, and runs body inside all of it, timed into hist — answering
+// 400/429/503/504 itself when body never gets to run. Everything is
+// undone in query's own defers, so body has nothing to release and
+// nowhere to keep ctx.
+func (s *Server) query(w http.ResponseWriter, r *http.Request, hist obs.Hist, body func(ctx context.Context)) {
+	timeout := s.cfg.DefaultTimeout
+	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
+		ms, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil || ms <= 0 {
+			s.failJSON(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad timeout_ms %q", raw))
+			return
+		}
+		// Clamp before converting: ms·10⁶ ns wraps int64 past ≈9.2·10¹².
+		timeout = s.cfg.MaxTimeout
+		if ms < timeout.Milliseconds() {
+			timeout = time.Duration(ms) * time.Millisecond
+		}
+	}
 	s.wg.Add(1)
-	s.qMu.Lock()
-	s.qSeq++
-	id := s.qSeq
-	s.qCancels[id] = cancel
-	s.qMu.Unlock()
-	return ctx, func() {
-		s.qMu.Lock()
-		delete(s.qCancels, id)
-		s.qMu.Unlock()
-		cancel()
-		s.wg.Done()
-	}
-}
-
-// queryTimeout resolves the per-request timeout from ?timeout_ms,
-// applying the default and the clamp.
-func (s *Server) queryTimeout(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("timeout_ms")
-	if raw == "" {
-		return s.cfg.DefaultTimeout, nil
-	}
-	ms, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0, fmt.Errorf("bad timeout_ms %q", raw)
-	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d, nil
-}
-
-// admit passes the request through the admission gate, writing the
-// backpressure response itself on rejection. On success the caller
-// must call the returned release.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (func(), bool) {
-	if err := s.adm.acquire(ctx); err != nil {
+	defer s.wg.Done()
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+	stop := context.AfterFunc(s.drain, cancel)
+	defer stop()
+	err := s.adm.with(ctx, func() {
+		s.rec.Inc(obs.CtrServeRequests)
+		defer s.rec.ObserveSince(hist, s.rec.Clock())
+		body(ctx)
+	})
+	if err != nil {
 		s.refuse(w, err, nil)
-		return nil, false
 	}
-	s.rec.Inc(obs.CtrServeRequests)
-	s.rec.SetGauge(obs.GaugeServeInflight, int64(s.adm.inFlight()))
-	return func() {
-		s.adm.release()
-		s.rec.SetGauge(obs.GaugeServeInflight, int64(s.adm.inFlight()))
-	}, true
 }
 
 // distanceResponse is the JSON shape of /sssp and /wbfs.
@@ -292,79 +270,65 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, wbfs boo
 		tv := uint32(t)
 		target = &tv
 	}
-	timeout, err := s.queryTimeout(r)
-	if err != nil {
-		s.failJSON(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-
-	ctx, end := s.beginQuery(r, timeout)
-	defer end()
-	release, ok := s.admit(ctx, w)
-	if !ok {
-		return
-	}
-	defer release()
-	histName := obs.HistServeSSSPNs
+	hist := obs.HistServeSSSPNs
 	if wbfs {
-		histName = obs.HistServeWBFSNs
+		hist = obs.HistServeWBFSNs
 	}
-	start := s.rec.Clock()
-	defer s.rec.ObserveSince(histName, start)
-
-	key := ssspKey{src: src, delta: delta, wbfs: wbfs, fusion: fusion}
-	var val *ssspVal
-	var cached, coalesced bool
-	// A coalesced follower can receive a result canceled by the
-	// *leader's* shorter deadline; if our own deadline still has
-	// budget, retry once as the new leader.
-	for attempt := 0; attempt < 2; attempt++ {
-		var waitErr error
-		val, cached, coalesced, waitErr = s.coal.do(ctx, key, func() *ssspVal {
-			opt := sssp.Options{Recorder: s.rec, Ctx: ctx}
-			if fusion {
-				opt.Fusion = bucket.MaximalFusion()
+	s.query(w, r, hist, func(ctx context.Context) {
+		key := ssspKey{src: src, delta: delta, wbfs: wbfs, fusion: fusion}
+		var val *ssspVal
+		var cached, coalesced bool
+		// A coalesced follower can receive a result canceled by the
+		// *leader's* shorter deadline; if our own deadline still has
+		// budget, retry once as the new leader.
+		for attempt := 0; attempt < 2; attempt++ {
+			var waitErr error
+			val, cached, coalesced, waitErr = s.coal.do(ctx, key, func() *ssspVal {
+				opt := sssp.Options{Recorder: s.rec, Ctx: ctx}
+				if fusion {
+					opt.Fusion = bucket.MaximalFusion()
+				}
+				res := sssp.DeltaStepping(s.g, src, delta, opt)
+				return newSSSPVal(res)
+			})
+			if waitErr != nil {
+				s.refuse(w, waitErr, nil)
+				return
 			}
-			res := sssp.DeltaStepping(s.g, src, delta, opt)
-			return newSSSPVal(res)
-		})
-		if waitErr != nil {
-			s.refuse(w, waitErr, nil)
+			if coalesced && val.err != nil && errors.Is(val.err, obs.ErrCanceled) && ctx.Err() == nil {
+				continue
+			}
+			break
+		}
+		if val.err != nil {
+			s.writeCanceled(w, val.err, val.rounds)
 			return
 		}
-		if coalesced && val.err != nil && errors.Is(val.err, obs.ErrCanceled) && ctx.Err() == nil {
-			continue
+		resp := distanceResponse{
+			Algo: "delta-stepping", Src: uint32(src), Delta: delta,
+			Rounds: val.rounds, Relaxations: val.relaxations,
+			Cached: cached, Coalesced: coalesced,
 		}
-		break
-	}
-	if val.err != nil {
-		s.writeCanceled(w, val.err, val.rounds)
-		return
-	}
-	resp := distanceResponse{
-		Algo: "delta-stepping", Src: uint32(src), Delta: delta,
-		Rounds: val.rounds, Relaxations: val.relaxations,
-		Cached: cached, Coalesced: coalesced,
-	}
-	if wbfs {
-		resp.Algo, resp.Delta = "wbfs", 0
-	}
-	for _, d := range val.dist {
-		if d != sssp.Unreachable {
-			resp.Reached++
-			if d > resp.MaxDist {
-				resp.MaxDist = d
+		if wbfs {
+			resp.Algo, resp.Delta = "wbfs", 0
+		}
+		for _, d := range val.dist {
+			if d != sssp.Unreachable {
+				resp.Reached++
+				if d > resp.MaxDist {
+					resp.MaxDist = d
+				}
 			}
 		}
-	}
-	if target != nil {
-		td := val.dist[*target]
-		resp.Target, resp.TargetDist = target, &td
-	}
-	if q.Get("full") == "1" {
-		resp.Dist = val.dist
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+		if target != nil {
+			td := val.dist[*target]
+			resp.Target, resp.TargetDist = target, &td
+		}
+		if q.Get("full") == "1" {
+			resp.Dist = val.dist
+		}
+		s.writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 func newSSSPVal(res sssp.Result) *ssspVal {
@@ -382,80 +346,43 @@ func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
 		s.failJSON(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	timeout, err := s.queryTimeout(r)
-	if err != nil {
-		s.failJSON(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	ctx, end := s.beginQuery(r, timeout)
-	defer end()
-	release, ok := s.admit(ctx, w)
-	if !ok {
-		return
-	}
-	defer release()
-	start := s.rec.Clock()
-	defer s.rec.ObserveSince(obs.HistServeCorenessNs, start)
-
-	coreness, err := s.corenessValues(ctx)
-	if err != nil {
-		s.writeCanceled(w, err, 0)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"v":        uint32(v),
-		"coreness": coreness[v],
+	s.query(w, r, obs.HistServeCorenessNs, func(ctx context.Context) {
+		coreness, err := s.corenessValues(ctx)
+		if err != nil {
+			s.writeCanceled(w, err, 0)
+			return
+		}
+		s.writeJSON(w, http.StatusOK, map[string]any{
+			"v":        uint32(v),
+			"coreness": coreness[v],
+		})
 	})
 }
 
 // corenessValues returns the coreness array, computing it on first
-// use. Concurrent first requests single-flight the computation; a
-// canceled computation is reported to its requesters but not cached,
-// so the next request retries.
+// use. Concurrent first requests share one computation; a canceled one
+// is reported to its requesters but not kept, so the next request
+// retries.
 func (s *Server) corenessValues(ctx context.Context) ([]uint32, error) {
-	for {
-		s.coreMu.Lock()
-		if s.coreness != nil {
-			v := s.coreness
-			s.coreMu.Unlock()
-			return v, nil
-		}
-		if s.coreFlight == nil {
-			fl := make(chan struct{})
-			s.coreFlight = fl
-			s.coreMu.Unlock()
-			res := kcore.Coreness(s.g, kcore.Options{Recorder: s.rec, Ctx: ctx})
-			s.coreMu.Lock()
+	res, _, err := s.core.do(ctx, struct{}{},
+		func() (kcore.Result, bool) {
+			return kcore.Result{Coreness: s.coreness}, s.coreness != nil
+		},
+		func() kcore.Result {
+			return kcore.Coreness(s.g, kcore.Options{Recorder: s.rec, Ctx: ctx})
+		},
+		func(res kcore.Result) {
 			if res.Err == nil {
 				s.coreness = res.Coreness
 			}
-			s.coreErr = res.Err
-			s.coreFlight = nil
-			s.coreMu.Unlock()
-			close(fl)
-			if res.Err != nil {
-				return nil, res.Err
-			}
-			return res.Coreness, nil
-		}
-		fl := s.coreFlight
-		s.coreMu.Unlock()
-		select {
-		case <-fl:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		s.coreMu.Lock()
-		done, err := s.coreness, s.coreErr
-		s.coreMu.Unlock()
-		if done != nil {
-			return done, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Another leader is already retrying; loop and wait on it.
+		})
+	if err == nil {
+		err = res.Err
 	}
+	if err != nil {
+		return nil, err
+	}
+	return res.Coreness, nil
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -607,6 +534,7 @@ var refusals = []refusal{
 	{[]error{ErrClosing}, http.StatusServiceUnavailable, "closing", "5", obs.CtrServeRejectedClose},
 	{[]error{obs.ErrCanceled, context.DeadlineExceeded, context.Canceled},
 		http.StatusGatewayTimeout, "deadline", "", obs.CtrServeCanceled},
+	{[]error{errFlightAbandoned}, http.StatusInternalServerError, "internal", "", obs.Counter{}},
 }
 
 // refuse answers a request that failed with err. A typed error gets
@@ -619,7 +547,9 @@ func (s *Server) refuse(w http.ResponseWriter, err error, body any) {
 			if !errors.Is(err, target) {
 				continue
 			}
-			s.rec.Inc(row.counter)
+			if row.counter != (obs.Counter{}) {
+				s.rec.Inc(row.counter)
+			}
 			if row.retryAfter != "" {
 				w.Header().Set("Retry-After", row.retryAfter)
 			}

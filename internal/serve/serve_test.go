@@ -127,6 +127,15 @@ func TestBadRequestsAreTyped(t *testing.T) {
 	if m["error"] != "unknown_job" {
 		t.Fatalf("unknown job id: got %v", m)
 	}
+	// A timeout_ms too large for a time.Duration in nanoseconds is
+	// clamped to MaxTimeout like any other large value, not wrapped
+	// into an already-expired deadline.
+	for _, q := range []string{
+		"/sssp?src=1&timeout_ms=9300000000000",
+		"/coreness?v=1&timeout_ms=9223372036854775807",
+	} {
+		getJSON(t, ts.URL+q, http.StatusOK)
+	}
 }
 
 func TestDeadlineReturns504WithPartialStats(t *testing.T) {
@@ -357,26 +366,45 @@ func TestLRUCacheEviction(t *testing.T) {
 
 func TestAdmissionGate(t *testing.T) {
 	a := newAdmission(1, 1, nil)
-	if err := a.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	bg := context.Background()
+	unreachable := func() { t.Error("fn ran without a slot") }
+
+	held, release := make(chan struct{}), make(chan struct{})
+	holderErr := make(chan error, 1)
+	go func() {
+		holderErr <- a.with(bg, func() { close(held); <-release })
+	}()
+	<-held
 	// Slot taken; one waiter fits, the second is rejected.
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(bg)
 	waitErr := make(chan error, 1)
-	go func() { waitErr <- a.acquire(ctx) }()
+	go func() { waitErr <- a.with(ctx, unreachable) }()
 	for a.waiters.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := a.acquire(context.Background()); err != ErrQueueFull {
-		t.Fatalf("overflow acquire: %v, want ErrQueueFull", err)
+	if err := a.with(bg, unreachable); err != ErrQueueFull {
+		t.Fatalf("overflow with: %v, want ErrQueueFull", err)
 	}
 	cancel()
 	if err := <-waitErr; err != context.Canceled {
 		t.Fatalf("canceled waiter: %v", err)
 	}
-	a.release()
+	close(release)
+	if err := <-holderErr; err != nil {
+		t.Fatalf("holder: %v", err)
+	}
+
+	// The slot comes back when fn returns, and when it panics.
+	func() {
+		defer func() { _ = recover() }()
+		_ = a.with(bg, func() { panic("boom") })
+	}()
+	if n, w := a.inFlight(), a.waiters.Load(); n != 0 || w != 0 {
+		t.Fatalf("%d slots held, %d waiters after every with returned", n, w)
+	}
+
 	a.close()
-	if err := a.acquire(context.Background()); err != ErrClosing {
-		t.Fatalf("acquire after close: %v, want ErrClosing", err)
+	if err := a.with(bg, unreachable); err != ErrClosing {
+		t.Fatalf("with after close: %v, want ErrClosing", err)
 	}
 }
