@@ -57,7 +57,7 @@ race:
 debug:
 	$(GO) build -tags julienne_debug ./...
 	$(GO) test -tags julienne_debug -short ./internal/bucket/... ./internal/proptest/... \
-		./internal/algo/...
+		./internal/algo/... ./internal/ligra/...
 
 # chaos builds with the julienne_chaos tag, which compiles the
 # schedule-driven fault-injection points into the parallel substrate

@@ -37,6 +37,9 @@ type Edge = graph.Edge
 // *Compressed implement it.
 type Graph = graph.Graph
 
+// AdjBuf is the reusable decode buffer Graph.OutAdj and InAdj take.
+type AdjBuf = graph.AdjBuf
+
 // CSR is the mutable compressed-sparse-row graph.
 type CSR = graph.CSR
 
@@ -208,8 +211,8 @@ func DenseSubset(n int, member []bool) VertexSubset { return ligra.FromDense(n, 
 // AllVertices returns the full universe [0, n).
 func AllVertices(n int) VertexSubset { return ligra.All(n) }
 
-// EdgeMap applies F over edges out of u (direction-optimized); see
-// ligra.EdgeMap for the full contract.
+// EdgeMap applies F over edges out of u (direction-optimized); a nil c
+// admits every target. See ligra.EdgeMap for the full contract.
 func EdgeMap(g Graph, u VertexSubset, c func(Vertex) bool,
 	f func(src, dst Vertex, w Weight) bool, opt EdgeMapOptions) VertexSubset {
 	return ligra.EdgeMap(g, u, c, f, opt)

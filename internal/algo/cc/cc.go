@@ -37,7 +37,7 @@ func Components(g graph.Graph) []graph.Vertex {
 	frontier := ligra.All(n)
 	for !frontier.IsEmpty() {
 		frontier = ligra.EdgeMap(g, frontier,
-			func(graph.Vertex) bool { return true },
+			nil, // every target
 			func(s, d graph.Vertex, w graph.Weight) bool {
 				if parallel.WriteMinUint32(&label[d], atomic.LoadUint32(&label[s])) {
 					return parallel.CASUint32(&changed[d], 0, 1)

@@ -264,10 +264,12 @@ func CorenessBZ(g graph.Graph) []uint32 {
 		fill[deg[v]]++
 	}
 	core := make([]uint32, n)
+	var buf graph.AdjBuf
 	for i := 0; i < n; i++ {
 		v := vert[i]
 		core[v] = deg[v]
-		g.OutNeighbors(graph.Vertex(v), func(u graph.Vertex, w graph.Weight) bool {
+		nbrs, _ := g.OutAdj(v, &buf)
+		for _, u := range nbrs {
 			if deg[u] > deg[v] {
 				du := deg[u]
 				pu := pos[u]
@@ -282,8 +284,7 @@ func CorenessBZ(g graph.Graph) []uint32 {
 				bin[du]++
 				deg[u]--
 			}
-			return true
-		})
+		}
 	}
 	return core
 }

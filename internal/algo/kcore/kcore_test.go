@@ -10,6 +10,7 @@ import (
 	"julienne/internal/gen"
 	"julienne/internal/graph"
 	"julienne/internal/obs"
+	"julienne/internal/parallel"
 )
 
 func checkEqual(t *testing.T, name string, got, want []uint32) {
@@ -214,5 +215,32 @@ func TestCanceledCarriesFlightTail(t *testing.T) {
 	c.WriteTail(&buf)
 	if !bytes.Contains(buf.Bytes(), []byte("kcore")) {
 		t.Fatalf("WriteTail output missing algo name:\n%s", buf.String())
+	}
+}
+
+// TestCorenessAllocsScaleWithRoundsNotVertices pins the allocation
+// shape of a whole run at P=1: a bounded number of objects per peeling
+// round (frontier, count and rebucket outputs, a few closures) and
+// nothing per vertex or per edge. The per-neighbor callback handed
+// through graph.Graph used to cost one closure per peeled vertex, ≥ n
+// per run.
+func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if bucket.DebugEnabled {
+		t.Skip("julienne_debug bookkeeping allocates by design")
+	}
+	old := parallel.SetProcs(1)
+	defer parallel.SetProcs(old)
+
+	g := gen.RMAT(1<<15, 1<<18, true, 3)
+	rounds := Coreness(g, Options{}).Rounds
+	bound := float64(64*rounds + 64)
+	if bound >= float64(g.NumVertices()) {
+		t.Fatalf("%d rounds on n=%d: the bound would not notice a per-vertex allocation", rounds, g.NumVertices())
+	}
+	if allocs := testing.AllocsPerRun(3, func() { Coreness(g, Options{}) }); allocs > bound {
+		t.Errorf("Coreness: %v allocs over %d rounds (n=%d), want ≤ 64·rounds + 64 = %v", allocs, rounds, g.NumVertices(), bound)
 	}
 }

@@ -113,7 +113,7 @@ func ApproxOn(work graph.Packer, numSets int, opt Options) Result {
 		// covered, release the rest, and rebucket the sets that did
 		// not join the cover.
 		ligra.EdgeMap(work, active,
-			func(graph.Vertex) bool { return true },
+			nil, // every target
 			func(s, e graph.Vertex, w graph.Weight) bool {
 				// Only e's unique winner passes the check, but losers
 				// read el[e] concurrently with the winner's store, so

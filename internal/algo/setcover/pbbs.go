@@ -85,7 +85,7 @@ func ApproxPBBSOn(work graph.Packer, numSets int, opt Options) Result {
 			}
 		})
 		ligra.EdgeMap(work, act,
-			func(graph.Vertex) bool { return true },
+			nil, // every target
 			func(s, e graph.Vertex, w graph.Weight) bool {
 				if parallel.LoadUint32(&el[e]) == uint32(s) {
 					if d[s] == inCover {

@@ -147,7 +147,7 @@ func ApproxWeightedOn(work graph.Packer, numSets int, costs []float64, opt Optio
 			}
 		})
 		ligra.EdgeMap(work, act,
-			func(graph.Vertex) bool { return true },
+			nil, // every target
 			func(s, e graph.Vertex, w graph.Weight) bool {
 				if parallel.LoadUint32(&el[e]) == uint32(s) {
 					if d[s] == inCover {

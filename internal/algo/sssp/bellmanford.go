@@ -24,13 +24,12 @@ func BellmanFord(g graph.Graph, src graph.Vertex) Result {
 
 	res := Result{}
 	frontier := ligra.Single(n, src)
-	always := func(graph.Vertex) bool { return true }
 	for !frontier.IsEmpty() {
 		res.Rounds++
 		res.EdgesTraversed += frontierDegreeSum(g, frontier)
 		// The round flag performs Ligra's duplicate removal: the first
 		// successful relaxer of v this round adds v to the output.
-		frontier = ligra.EdgeMap(g, frontier, always,
+		frontier = ligra.EdgeMap(g, frontier, nil,
 			func(s, d graph.Vertex, w graph.Weight) bool {
 				_, captured := relaxCapture(sp, &res, s, d, w)
 				return captured

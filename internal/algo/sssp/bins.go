@@ -60,21 +60,22 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 			go func(w, lo, hi int) {
 				defer wg.Done()
 				bins := localBins[w]
+				var buf graph.AdjBuf
 				for _, v := range frontier[lo:hi] {
 					dv := atomic.LoadUint64(&dist[v])
 					if dv/udelta != curBin {
 						continue // stale copy
 					}
-					atomic.AddInt64(&res.EdgesTraversed, int64(g.OutDegree(v)))
-					g.OutNeighbors(v, func(u graph.Vertex, wt graph.Weight) bool {
-						nd := dv + uint64(wt)
+					nbrs, ws := g.OutAdj(v, &buf)
+					atomic.AddInt64(&res.EdgesTraversed, int64(len(nbrs)))
+					for j, u := range nbrs {
+						nd := dv + uint64(ws[j])
 						if parallel.WriteMinUint64(&dist[u], nd) {
 							atomic.AddInt64(&res.Relaxations, 1)
 							b := nd / udelta
 							bins[b] = append(bins[b], u)
 						}
-						return true
-					})
+					}
 				}
 			}(w, lo, hi)
 		}

@@ -194,7 +194,6 @@ func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) {
 	// line with the Relaxations counter every worker is adding to
 	// (measured: +28% on the RMAT ∆-stepping run at P=2).
 	g, sp, b, res := w.g, w.sp, w.b, &w.res
-	always := func(graph.Vertex) bool { return true }
 	relax := func(s, dst graph.Vertex, wt graph.Weight) (uint64, bool) {
 		return relaxCapture(sp, res, s, dst, wt)
 	}
@@ -205,7 +204,7 @@ func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) {
 		// Relax the out-edges of the frontier (Algorithm 2, line 18).
 		// The tagged output carries each improved vertex's distance at
 		// the start of the round, captured by the winning relaxer.
-		moved := ligra.EdgeMapTagged(g, frontier, always, relax)
+		moved := ligra.EdgeMapTagged(g, frontier, nil, relax)
 		// Reset (lines 11–13): clear the round flag and compute each
 		// vertex's bucket move from its start-of-round bucket to its
 		// new bucket.

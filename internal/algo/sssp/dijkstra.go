@@ -20,21 +20,22 @@ func DijkstraHeap(g graph.Graph, src graph.Vertex) Result {
 	dist[src] = 0
 	res := Result{}
 	pq := &distHeap{{v: src, d: 0}}
+	var buf graph.AdjBuf
 	for pq.Len() > 0 {
 		item := heap.Pop(pq).(distItem)
 		if item.d > dist[item.v] {
 			continue // stale entry
 		}
-		g.OutNeighbors(item.v, func(u graph.Vertex, w graph.Weight) bool {
-			res.EdgesTraversed++
-			nd := item.d + uint64(w)
+		nbrs, ws := g.OutAdj(item.v, &buf)
+		res.EdgesTraversed += int64(len(nbrs))
+		for j, u := range nbrs {
+			nd := item.d + uint64(ws[j])
 			if nd < dist[u] {
 				dist[u] = nd
 				res.Relaxations++
 				heap.Push(pq, distItem{v: u, d: nd})
 			}
-			return true
-		})
+		}
 	}
 	res.Dist = finalize(dist)
 	return res

@@ -6,6 +6,7 @@ import (
 	"julienne/internal/bucket"
 	"julienne/internal/gen"
 	"julienne/internal/graph"
+	"julienne/internal/parallel"
 )
 
 func checkDists(t *testing.T, name string, got, want []int64) {
@@ -174,4 +175,37 @@ func TestDeterministicDistances(t *testing.T) {
 	a := DeltaStepping(g, 0, 32768, Options{})
 	b := DeltaStepping(g, 0, 32768, Options{})
 	checkDists(t, "determinism", a.Dist, b.Dist)
+}
+
+// TestAllocsScaleWithRoundsNotVertices pins the allocation shape of
+// whole wBFS and ∆-stepping runs at P=1: a bounded number of objects
+// per round and nothing per vertex or per edge (the per-neighbor
+// callback handed through graph.Graph used to cost one closure per
+// frontier vertex, ≥ n per run).
+func TestAllocsScaleWithRoundsNotVertices(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if bucket.DebugEnabled {
+		t.Skip("julienne_debug bookkeeping allocates by design")
+	}
+	old := parallel.SetProcs(1)
+	defer parallel.SetProcs(old)
+
+	base := gen.RMAT(1<<15, 1<<18, true, 3)
+	light, heavy := gen.LogWeights(base, 3), gen.HeavyWeights(base, 3)
+	runs := map[string]func() Result{
+		"WBFS":          func() Result { return WBFS(light, 0, Options{}) },
+		"DeltaStepping": func() Result { return DeltaStepping(heavy, 0, 32768, Options{}) },
+	}
+	for name, run := range runs {
+		rounds := run().Rounds
+		bound := float64(64*rounds + 64)
+		if bound >= float64(base.NumVertices()) {
+			t.Fatalf("%s: %d rounds on n=%d: the bound would not notice a per-vertex allocation", name, rounds, base.NumVertices())
+		}
+		if allocs := testing.AllocsPerRun(3, func() { run() }); allocs > bound {
+			t.Errorf("%s: %v allocs over %d rounds (n=%d), want ≤ 64·rounds + 64 = %v", name, allocs, rounds, base.NumVertices(), bound)
+		}
+	}
 }

@@ -150,15 +150,40 @@ func (c *Graph) InDegree(v graph.Vertex) int {
 // compression-ratio experiment.
 func (c *Graph) SizeBytes() int64 { return int64(len(c.data)) }
 
-// OutNeighbors implements graph.Graph, decoding on the fly.
+// OutAdj implements graph.Graph: v's live list decoded into buf.
+func (c *Graph) OutAdj(v graph.Vertex, buf *graph.AdjBuf) ([]graph.Vertex, []graph.Weight) {
+	return decodeList(c.data, c.offs[v], c.degs[v], v, c.weighted, buf)
+}
+
+// InAdj implements graph.Graph.
+func (c *Graph) InAdj(v graph.Vertex, buf *graph.AdjBuf) ([]graph.Vertex, []graph.Weight) {
+	c.ensureIn()
+	return decodeList(c.inData, c.inOffs[v], c.inDegs[v], v, c.weighted, buf)
+}
+
+// OutNeighbors implements graph.Graph over a freshly decoded list.
 func (c *Graph) OutNeighbors(v graph.Vertex, f func(u graph.Vertex, w graph.Weight) bool) {
-	decodeList(c.data, c.offs[v], c.degs[v], v, c.weighted, f)
+	nbrs, wgts := c.OutAdj(v, nil)
+	eachAdj(nbrs, wgts, f)
 }
 
 // InNeighbors implements graph.Graph.
 func (c *Graph) InNeighbors(v graph.Vertex, f func(u graph.Vertex, w graph.Weight) bool) {
-	c.ensureIn()
-	decodeList(c.inData, c.inOffs[v], c.inDegs[v], v, c.weighted, f)
+	nbrs, wgts := c.InAdj(v, nil)
+	eachAdj(nbrs, wgts, f)
+}
+
+// eachAdj is the callback form over a decoded list.
+func eachAdj(nbrs []graph.Vertex, wgts []graph.Weight, f func(u graph.Vertex, w graph.Weight) bool) {
+	for i, u := range nbrs {
+		var w graph.Weight
+		if wgts != nil {
+			w = wgts[i]
+		}
+		if !f(u, w) {
+			return
+		}
+	}
 }
 
 // ensureIn materializes the compressed transpose for directed graphs.
@@ -181,15 +206,16 @@ func (c *Graph) buildIn() {
 		wgts []graph.Weight
 	}
 	in := make([]rec, c.n)
+	var buf graph.AdjBuf
 	for vi := 0; vi < c.n; vi++ {
 		v := graph.Vertex(vi)
-		c.OutNeighbors(v, func(u graph.Vertex, w graph.Weight) bool {
+		nbrs, wgts := c.OutAdj(v, &buf)
+		for i, u := range nbrs {
 			in[u].nbrs = append(in[u].nbrs, v)
 			if c.weighted {
-				in[u].wgts = append(in[u].wgts, w)
+				in[u].wgts = append(in[u].wgts, wgts[i])
 			}
-			return true
-		})
+		}
 	}
 	c.inOffs, c.inData, c.inDegs = encodeAdjacency(c.n, c.weighted,
 		func(v graph.Vertex) ([]graph.Vertex, []graph.Weight) {
@@ -197,15 +223,24 @@ func (c *Graph) buildIn() {
 		})
 }
 
-// decodeList walks one encoded adjacency list.
+// decodeList is the one decoder: it decodes the deg entries of the list
+// at data[pos:] into buf (a nil buf gets a fresh one) and returns the
+// neighbor slice and, for weighted graphs, the parallel weight slice.
 func decodeList(data []byte, pos uint64, deg uint32, v graph.Vertex,
-	weighted bool, f func(u graph.Vertex, w graph.Weight) bool) {
+	weighted bool, buf *graph.AdjBuf) ([]graph.Vertex, []graph.Weight) {
 
-	if deg == 0 {
-		return
+	if buf == nil {
+		buf = new(graph.AdjBuf)
 	}
-	var u graph.Vertex
-	for i := uint32(0); i < deg; i++ {
+	buf.Nbrs = grown(buf.Nbrs, int(deg))
+	nbrs := buf.Nbrs
+	var wgts []graph.Weight // stays nil on an unweighted graph
+	if weighted {
+		buf.Wgts = grown(buf.Wgts, int(deg))
+		wgts = buf.Wgts
+	}
+	u := v
+	for i := range nbrs {
 		var raw uint64
 		raw, pos = getVarint(data, pos)
 		if i == 0 {
@@ -213,16 +248,23 @@ func decodeList(data []byte, pos uint64, deg uint32, v graph.Vertex,
 		} else {
 			u += graph.Vertex(raw)
 		}
-		var w graph.Weight
+		nbrs[i] = u
 		if weighted {
-			var wr uint64
-			wr, pos = getVarint(data, pos)
-			w = graph.Weight(wr)
-		}
-		if !f(u, w) {
-			return
+			raw, pos = getVarint(data, pos)
+			wgts[i] = graph.Weight(raw)
 		}
 	}
+	return nbrs, wgts
+}
+
+// grown returns s resliced to n entries (contents arbitrary), non-nil
+// even for n = 0, reallocating geometrically so a buffer reused over
+// vertices in any order reallocates O(log maxdeg) times.
+func grown[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		s = make([]T, max(n, 2*cap(s)))
+	}
+	return s[:n]
 }
 
 // PackOut implements graph.Packer: it decodes v's live neighbors,
@@ -235,19 +277,18 @@ func (c *Graph) PackOut(v graph.Vertex, keep func(u graph.Vertex) bool) int {
 	if !c.packed.Load() {
 		c.packed.Store(true)
 	}
-	// Decode-filter into small stacks; adjacency lists are re-encoded
-	// immediately so the buffers are transient.
-	var nbrs []graph.Vertex
-	var wgts []graph.Weight
-	c.OutNeighbors(v, func(u graph.Vertex, w graph.Weight) bool {
+	// Decode, then filter in place: the list is re-encoded immediately,
+	// so the buffer is transient.
+	all, allW := c.OutAdj(v, nil)
+	nbrs, wgts := all[:0], allW[:0]
+	for i, u := range all {
 		if keep(u) {
 			nbrs = append(nbrs, u)
 			if c.weighted {
-				wgts = append(wgts, w)
+				wgts = append(wgts, allW[i])
 			}
 		}
-		return true
-	})
+	}
 	removed := int(c.degs[v]) - len(nbrs)
 	pos := c.offs[v]
 	prev := v

@@ -13,7 +13,8 @@ import (
 // round trip including in-place packing. `go test` runs the seed corpus
 // (empty list, single edge, max-degree vertex); `go test
 // -fuzz=FuzzDecode ./internal/compress` explores. The codec is in this
-// package, so the targets drive encodeAdjacency/decodeList directly.
+// package, so FuzzDecode drives encodeAdjacency directly and decodes
+// through OutAdj.
 
 func FuzzVarint(f *testing.F) {
 	f.Add(uint64(0))
@@ -82,24 +83,29 @@ func FuzzDecode(f *testing.F) {
 				}
 				return nbrs, wgts
 			})
+		// Decode through the interface method with one buffer reused
+		// across all vertices, so a stale tail left by a longer list
+		// would surface in a shorter one.
+		c := &Graph{n: n, offs: offs, data: data, degs: degs, weighted: weighted}
+		var buf graph.AdjBuf
 		for v := 0; v < n; v++ {
 			if int(degs[v]) != len(adj[v]) {
 				t.Fatalf("vertex %d: encoded degree %d, want %d", v, degs[v], len(adj[v]))
 			}
-			i := 0
-			decodeList(data, offs[v], degs[v], graph.Vertex(v), weighted,
-				func(u graph.Vertex, w graph.Weight) bool {
-					if u != adj[v][i] {
-						t.Fatalf("vertex %d neighbor %d: decoded %d, want %d", v, i, u, adj[v][i])
-					}
-					if weighted && w != weight(v, i) {
-						t.Fatalf("vertex %d neighbor %d: decoded weight %d, want %d", v, i, w, weight(v, i))
-					}
-					i++
-					return true
-				})
-			if i != len(adj[v]) {
-				t.Fatalf("vertex %d: decoded %d neighbors, want %d", v, i, len(adj[v]))
+			nbrs, wgts := c.OutAdj(graph.Vertex(v), &buf)
+			if len(nbrs) != len(adj[v]) {
+				t.Fatalf("vertex %d: decoded %d neighbors, want %d", v, len(nbrs), len(adj[v]))
+			}
+			if (wgts != nil) != weighted || (weighted && len(wgts) != len(nbrs)) {
+				t.Fatalf("vertex %d: %d weights for %d neighbors (weighted=%t)", v, len(wgts), len(nbrs), weighted)
+			}
+			for i, u := range nbrs {
+				if u != adj[v][i] {
+					t.Fatalf("vertex %d neighbor %d: decoded %d, want %d", v, i, u, adj[v][i])
+				}
+				if weighted && wgts[i] != weight(v, i) {
+					t.Fatalf("vertex %d neighbor %d: decoded weight %d, want %d", v, i, wgts[i], weight(v, i))
+				}
 			}
 		}
 	})

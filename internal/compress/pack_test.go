@@ -119,3 +119,21 @@ func TestPackThenTransposePanics(t *testing.T) {
 	}()
 	c.InNeighbors(1, func(graph.Vertex, graph.Weight) bool { return true })
 }
+
+// TestInDegreeFollowsPackOnSymmetric: on a symmetric graph the
+// in-adjacency is the out-adjacency, PackOut included, so InDegree must
+// report the live degree InNeighbors walks. graph.CSR used to answer
+// from the original offset range (path 0–1–2, drop 1→0: InNeighbors(1)
+// yielded one vertex, InDegree(1) said 2).
+func TestInDegreeFollowsPackOnSymmetric(t *testing.T) {
+	csr := gen.Path(3)
+	for name, g := range map[string]graph.Packer{"csr": csr.Clone(), "compressed": FromCSR(csr)} {
+		g.PackOut(1, func(u graph.Vertex) bool { return u != 0 })
+		walked := 0
+		g.InNeighbors(1, func(graph.Vertex, graph.Weight) bool { walked++; return true })
+		if g.OutDegree(1) != 1 || walked != 1 || g.InDegree(1) != 1 {
+			t.Errorf("%s: after packing 1→0 away: OutDegree(1)=%d, InNeighbors(1) walked %d, InDegree(1)=%d; want 1, 1, 1",
+				name, g.OutDegree(1), walked, g.InDegree(1))
+		}
+	}
+}

@@ -49,9 +49,22 @@ func BenchmarkTranspose(b *testing.B) {
 	}
 }
 
+// The two traversal benchmarks walk every adjacency list through the
+// Graph interface, as the algorithms do, and report ns/edge: the
+// callback form pays an escaping closure per vertex and an indirect
+// call per edge, the slice form one interface call per vertex.
+
+func traversalGraph() Graph {
+	return FromEdges(1<<14, benchEdges(1<<14, 1<<18), DefaultBuild)
+}
+
+func reportPerEdge(b *testing.B, g Graph) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*g.NumEdges()), "ns/edge")
+	b.SetBytes(g.NumEdges() * 4)
+}
+
 func BenchmarkOutNeighborsTraversal(b *testing.B) {
-	edges := benchEdges(1<<14, 1<<18)
-	g := FromEdges(1<<14, edges, DefaultBuild)
+	g := traversalGraph()
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
@@ -63,7 +76,24 @@ func BenchmarkOutNeighborsTraversal(b *testing.B) {
 		}
 	}
 	_ = sink
-	b.SetBytes(g.NumEdges() * 4)
+	reportPerEdge(b, g)
+}
+
+func BenchmarkOutAdjTraversal(b *testing.B) {
+	g := traversalGraph()
+	b.ResetTimer()
+	var sink int64
+	var buf AdjBuf
+	for i := 0; i < b.N; i++ {
+		for v := 0; v < g.NumVertices(); v++ {
+			nbrs, _ := g.OutAdj(Vertex(v), &buf)
+			for _, u := range nbrs {
+				sink += int64(u)
+			}
+		}
+	}
+	_ = sink
+	reportPerEdge(b, g)
 }
 
 func BenchmarkPackOut(b *testing.B) {

@@ -86,9 +86,13 @@ func (g *CSR) Weighted() bool { return g.outWgt != nil }
 // OutDegree returns the live out-degree of v.
 func (g *CSR) OutDegree(v Vertex) int { return int(g.outDeg[v]) }
 
-// InDegree returns the in-degree of v. For directed graphs it forces the
-// transpose to be built.
+// InDegree returns the live in-degree of v: on a symmetric graph the
+// live out-degree (the in-adjacency is the out-adjacency, PackOut
+// included); on a directed graph it forces the transpose to be built.
 func (g *CSR) InDegree(v Vertex) int {
+	if g.symmetric {
+		return int(g.outDeg[v])
+	}
 	g.ensureIn()
 	return int(g.inOff[v+1] - g.inOff[v])
 }
@@ -110,44 +114,44 @@ func (g *CSR) OutWeights(v Vertex) []Weight {
 	return g.outWgt[lo : lo+uint64(g.outDeg[v])]
 }
 
-// OutNeighbors implements Graph.
-func (g *CSR) OutNeighbors(v Vertex, f func(u Vertex, w Weight) bool) {
-	lo := g.outOff[v]
-	hi := lo + uint64(g.outDeg[v])
-	if g.outWgt == nil {
-		for i := lo; i < hi; i++ {
-			if !f(g.outEdg[i], 0) {
-				return
-			}
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if !f(g.outEdg[i], g.outWgt[i]) {
-			return
-		}
-	}
+// OutAdj implements Graph: views of the graph's own arrays, buf unused.
+func (g *CSR) OutAdj(v Vertex, _ *AdjBuf) ([]Vertex, []Weight) {
+	return g.OutEdges(v), g.OutWeights(v)
 }
 
-// InNeighbors implements Graph. For directed graphs the transpose is
-// built (once) on first use.
-func (g *CSR) InNeighbors(v Vertex, f func(u Vertex, w Weight) bool) {
-	g.ensureIn()
+// InAdj implements Graph. For directed graphs the transpose is built
+// (once) on first use.
+func (g *CSR) InAdj(v Vertex, _ *AdjBuf) ([]Vertex, []Weight) {
 	if g.symmetric {
-		g.OutNeighbors(v, f)
-		return
+		return g.OutAdj(v, nil)
 	}
+	g.ensureIn()
 	lo, hi := g.inOff[v], g.inOff[v+1]
 	if g.inWgt == nil {
-		for i := lo; i < hi; i++ {
-			if !f(g.inEdg[i], 0) {
-				return
-			}
-		}
-		return
+		return g.inEdg[lo:hi], nil
 	}
-	for i := lo; i < hi; i++ {
-		if !f(g.inEdg[i], g.inWgt[i]) {
+	return g.inEdg[lo:hi], g.inWgt[lo:hi]
+}
+
+// OutNeighbors implements Graph.
+func (g *CSR) OutNeighbors(v Vertex, f func(u Vertex, w Weight) bool) {
+	eachAdj(g.OutEdges(v), g.OutWeights(v), f)
+}
+
+// InNeighbors implements Graph.
+func (g *CSR) InNeighbors(v Vertex, f func(u Vertex, w Weight) bool) {
+	nbrs, wgts := g.InAdj(v, nil)
+	eachAdj(nbrs, wgts, f)
+}
+
+// eachAdj is the callback form over an adjacency slice pair.
+func eachAdj(nbrs []Vertex, wgts []Weight, f func(u Vertex, w Weight) bool) {
+	for i, u := range nbrs {
+		var w Weight
+		if wgts != nil {
+			w = wgts[i]
+		}
+		if !f(u, w) {
 			return
 		}
 	}

@@ -23,9 +23,13 @@ type Weight = int32
 
 // Graph is the read contract algorithms are written against.
 //
-// Neighbor iteration passes the neighbor and the edge weight (0 for
-// unweighted graphs) and stops early when the callback returns false.
-// For symmetric graphs In* and Out* coincide.
+// Adjacency comes in two forms over the same sequence. OutAdj/InAdj
+// return v's neighbors as slices — the form every traversal loop uses:
+// one interface call per vertex, then a plain loop. OutNeighbors/
+// InNeighbors call back per neighbor (weight 0 on unweighted graphs)
+// and stop early when the callback returns false — a convenience for
+// cold callers written over the slice form. For symmetric graphs In*
+// and Out* coincide.
 type Graph interface {
 	// NumVertices returns n.
 	NumVertices() int
@@ -36,15 +40,38 @@ type Graph interface {
 	Symmetric() bool
 	// Weighted reports whether edges carry weights.
 	Weighted() bool
-	// OutDegree returns the out-degree of v.
+	// OutDegree returns the live out-degree of v.
 	OutDegree(v Vertex) int
-	// InDegree returns the in-degree of v.
+	// InDegree returns the live in-degree of v.
 	InDegree(v Vertex) int
-	// OutNeighbors calls f for each out-neighbor of v until f returns
-	// false. The iteration order is unspecified but deterministic.
+	// OutAdj returns the out-neighbors of v and the parallel edge
+	// weights (nil when the graph is unweighted), in an unspecified but
+	// deterministic order; under Packer.PackOut, the live ones only.
+	// The slices are read-only. They may alias the graph's own storage
+	// (CSR: zero copy, buf ignored) or buf (compressed: decoded into it),
+	// and stay valid until the next OutAdj/InAdj call that passes the
+	// same buf or the next PackOut of v. A nil buf is allowed and costs
+	// a decoding representation an allocation; give each worker of a
+	// hot loop its own.
+	OutAdj(v Vertex, buf *AdjBuf) ([]Vertex, []Weight)
+	// InAdj is OutAdj over the in-neighbors of v.
+	InAdj(v Vertex, buf *AdjBuf) ([]Vertex, []Weight)
+	// OutNeighbors calls f for each out-neighbor of v, in OutAdj order,
+	// until f returns false.
 	OutNeighbors(v Vertex, f func(u Vertex, w Weight) bool)
 	// InNeighbors calls f for each in-neighbor of v until f returns false.
 	InNeighbors(v Vertex, f func(u Vertex, w Weight) bool)
+}
+
+// AdjBuf is the caller-owned decode buffer OutAdj and InAdj take: a
+// representation that cannot hand out views of its own arrays decodes
+// into it, growing it as needed, so a buffer reused across vertices
+// (one per worker) makes the traversal allocation-free once it has
+// seen the largest degree. The zero value is ready to use. Only Graph
+// implementations touch the fields.
+type AdjBuf struct {
+	Nbrs []Vertex
+	Wgts []Weight
 }
 
 // Packer is implemented by mutable graph representations that support
@@ -53,8 +80,10 @@ type Graph interface {
 type Packer interface {
 	Graph
 	// PackOut keeps only the out-neighbors of v satisfying keep and
-	// returns the new out-degree. Only out-adjacency is packed; callers
-	// that need in-adjacency coherence must not mix PackOut with
-	// InNeighbors (set cover only traverses out-edges).
+	// returns the new out-degree. Only v's own out-list is packed: on a
+	// directed graph the in-adjacency can no longer be built, and on a
+	// symmetric one the reverse edges stay in their owners' lists (set
+	// cover only traverses out-edges). PackOut may run concurrently
+	// with PackOut and OutAdj of other vertices, never of v itself.
 	PackOut(v Vertex, keep func(u Vertex) bool) int
 }

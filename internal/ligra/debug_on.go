@@ -27,3 +27,19 @@ func debugCheckSparse(n int, ids []graph.Vertex) {
 		seen[v] = struct{}{}
 	}
 }
+
+// debugCheckAdj verifies, at each traversal site, the two facts the
+// plain loops rely on: the adjacency a representation hands back is
+// exactly v's live degree long, and its weights are absent or parallel.
+func debugCheckAdj(g graph.Graph, v graph.Vertex, in bool, nbrs []graph.Vertex, ws []graph.Weight) {
+	deg := g.OutDegree(v)
+	if in {
+		deg = g.InDegree(v)
+	}
+	if len(nbrs) != deg {
+		panic(fmt.Sprintf("ligra debug: adjacency of %d (in=%t) has %d entries, degree is %d", v, in, len(nbrs), deg))
+	}
+	if len(ws) != 0 && len(ws) != len(nbrs) {
+		panic(fmt.Sprintf("ligra debug: adjacency of %d (in=%t) has %d neighbors but %d weights", v, in, len(nbrs), len(ws)))
+	}
+}

@@ -28,7 +28,8 @@ type EdgeMapOptions struct {
 }
 
 // EdgeMap applies F to edges (u, v) with u ∈ U and C(v) true, returning
-// the subset of targets v for which F returned true (§2.1).
+// the subset of targets v for which F returned true (§2.1). A nil C is
+// Ligra's cond_true: every target is admitted, with no call per edge.
 //
 // Contract (same as Ligra): in the sparse/push direction F may be called
 // concurrently for the same target v from different sources, so F must
@@ -90,52 +91,53 @@ func recordDirection(rec *obs.Recorder, dense bool, degSum int64) {
 	rec.Observe(obs.HistEdgeMapEdges, degSum)
 }
 
+// weightAt returns the weight of edge j of an adjacency whose weight
+// slice is ws: ws[j], or 0 on an unweighted graph (ws is nil).
+func weightAt(ws []graph.Weight, j int) graph.Weight {
+	if j < len(ws) {
+		return ws[j]
+	}
+	return 0
+}
+
+// Every traversal below has the same shape: one g.OutAdj (or InAdj)
+// call per vertex into the worker's own decode buffer, then a plain
+// loop over the slices with c and f called directly; a nil c admits
+// every target. Nothing is allocated per vertex or per edge: the
+// buffers and the per-worker outputs come from the scratch pool and
+// keep their capacity across calls.
+
 // edgeMapSparse is the push traversal: map over the out-edges of U.
-// The output is collected into per-block buffers and concatenated, so
-// the memory written is proportional to the output size (the §5
-// optimization the paper credits for its single-thread edge). p is the
-// worker count the traversal's work merits (sparseWorkers).
+// The output is collected into one buffer per worker and concatenated,
+// so the memory written is proportional to the output size (the §5
+// optimization the paper credits for its single-thread edge), not to
+// the source count. p is the worker count the traversal's work merits
+// (sparseWorkers).
 func edgeMapSparse(g graph.Graph, u VertexSubset, p int, c func(graph.Vertex) bool,
 	f func(src, dst graph.Vertex, w graph.Weight) bool, opt EdgeMapOptions) VertexSubset {
 
 	ids := u.Sparse()
-	n := g.NumVertices()
-	if opt.NoOutput {
-		parallel.Workers(len(ids), p, func(_, lo, hi int) {
-			for _, src := range ids[lo:hi] {
-				g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
-					if c(dst) {
-						f(src, dst, w)
-					}
-					return true
-				})
-			}
-		})
-		return Empty(n)
-	}
-	// One output buffer per worker keeps the memory written proportional
-	// to the output frontier (the §5 optimization), not to the source
-	// count. The buffers come from the scratch pool and keep their
-	// capacity across calls, so a round-based traversal stops allocating
-	// once the per-worker high-water marks are reached.
+	collect := !opt.NoOutput
 	var out []graph.Vertex
 	withWorkerParts(p, func(parts [][]graph.Vertex) {
-		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
-			local := parts[worker]
-			for i := lo; i < hi; i++ {
-				src := ids[i]
-				g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
-					if c(dst) && f(src, dst, w) {
-						local = append(local, dst)
+		parallel.WithScratch(p, func(bufs []graph.AdjBuf) {
+			parallel.Workers(len(ids), p, func(worker, lo, hi int) {
+				local, buf := parts[worker], &bufs[worker]
+				for _, src := range ids[lo:hi] {
+					nbrs, ws := g.OutAdj(src, buf)
+					debugCheckAdj(g, src, false, nbrs, ws)
+					for j, dst := range nbrs {
+						if (c == nil || c(dst)) && f(src, dst, weightAt(ws, j)) && collect {
+							local = append(local, dst)
+						}
 					}
-					return true
-				})
-			}
-			parts[worker] = local
+				}
+				parts[worker] = local
+			})
 		})
 		out = flatten(parts)
 	})
-	return FromSparse(n, out)
+	return FromSparse(g.NumVertices(), out)
 }
 
 // withWorkerParts runs f on a buffer-of-buffers (one slice per worker)
@@ -166,23 +168,37 @@ func flatten[T any](parts [][]T) []T {
 
 // edgeMapDense is the pull traversal: every target v with C(v) true
 // scans its in-neighbors for members of U and stops as soon as C(v)
-// turns false (e.g. BFS sets the parent and stops).
+// turns false (e.g. BFS sets the parent and stops). On a representation
+// that decodes, v's list is decoded in full before the scan starts.
 func edgeMapDense(g graph.Graph, u VertexSubset, c func(graph.Vertex) bool,
 	f func(src, dst graph.Vertex, w graph.Weight) bool, opt EdgeMapOptions) VertexSubset {
 
 	n := g.NumVertices()
 	inU := u.Dense()
-	outMember := make([]bool, n)
-	parallel.For(n, 256, func(vi int) {
-		dst := graph.Vertex(vi)
-		if !c(dst) {
-			return
-		}
-		g.InNeighbors(dst, func(src graph.Vertex, w graph.Weight) bool {
-			if inU[src] && f(src, dst, w) {
-				outMember[vi] = true
+	var outMember []bool // stays nil under NoOutput
+	if !opt.NoOutput {
+		outMember = make([]bool, n)
+	}
+	p := parallel.WorkersFor(int64(n) + g.NumEdges())
+	parallel.WithScratch(p, func(bufs []graph.AdjBuf) {
+		parallel.Workers(n, p, func(worker, lo, hi int) {
+			buf := &bufs[worker]
+			for vi := lo; vi < hi; vi++ {
+				dst := graph.Vertex(vi)
+				if c != nil && !c(dst) {
+					continue
+				}
+				nbrs, ws := g.InAdj(dst, buf)
+				debugCheckAdj(g, dst, true, nbrs, ws)
+				for j, src := range nbrs {
+					if inU[src] && f(src, dst, weightAt(ws, j)) && outMember != nil {
+						outMember[vi] = true
+					}
+					if c != nil && !c(dst) {
+						break // the target is settled
+					}
+				}
 			}
-			return c(dst) // early exit once the target is settled
 		})
 	})
 	if opt.NoOutput {
@@ -201,33 +217,33 @@ func EdgeMapTagged[T any](g graph.Graph, u VertexSubset, c func(v graph.Vertex) 
 	f func(src, dst graph.Vertex, w graph.Weight) (T, bool)) Tagged[T] {
 
 	ids, p := u.Sparse(), sparseWorkers(g, u)
-	n := g.NumVertices()
 	var outIDs []graph.Vertex
 	var outVals []T
 	withWorkerParts(p, func(idParts [][]graph.Vertex) {
 		withWorkerParts(p, func(valParts [][]T) {
-			parallel.Workers(len(ids), p, func(worker, lo, hi int) {
-				localIDs := idParts[worker]
-				localVals := valParts[worker]
-				for i := lo; i < hi; i++ {
-					src := ids[i]
-					g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
-						if c(dst) {
-							if val, ok := f(src, dst, w); ok {
+			parallel.WithScratch(p, func(bufs []graph.AdjBuf) {
+				parallel.Workers(len(ids), p, func(worker, lo, hi int) {
+					localIDs, localVals, buf := idParts[worker], valParts[worker], &bufs[worker]
+					for _, src := range ids[lo:hi] {
+						nbrs, ws := g.OutAdj(src, buf)
+						debugCheckAdj(g, src, false, nbrs, ws)
+						for j, dst := range nbrs {
+							if c != nil && !c(dst) {
+								continue
+							}
+							if val, ok := f(src, dst, weightAt(ws, j)); ok {
 								localIDs = append(localIDs, dst)
 								localVals = append(localVals, val)
 							}
 						}
-						return true
-					})
-				}
-				idParts[worker] = localIDs
-				valParts[worker] = localVals
+					}
+					idParts[worker], valParts[worker] = localIDs, localVals
+				})
 			})
 			outIDs, outVals = flatten(idParts), flatten(valParts)
 		})
 	})
-	return NewTagged(n, outIDs, outVals)
+	return NewTagged(g.NumVertices(), outIDs, outVals)
 }
 
 // EdgeMapCount implements the paper's edgeMapSum (§2.1: edgeMapReduce
@@ -248,20 +264,20 @@ func EdgeMapCount(g graph.Graph, u VertexSubset, c func(v graph.Vertex) bool,
 	ids, p := u.Sparse(), sparseWorkers(g, u)
 	var touched []graph.Vertex
 	withWorkerParts(p, func(parts [][]graph.Vertex) {
-		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
-			claimed := parts[worker]
-			for i := lo; i < hi; i++ {
-				src := ids[i]
-				g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
-					if c(dst) {
-						if parallel.AddUint32(&cnt[dst], 1) == 1 {
+		parallel.WithScratch(p, func(bufs []graph.AdjBuf) {
+			parallel.Workers(len(ids), p, func(worker, lo, hi int) {
+				claimed, buf := parts[worker], &bufs[worker]
+				for _, src := range ids[lo:hi] {
+					nbrs, ws := g.OutAdj(src, buf)
+					debugCheckAdj(g, src, false, nbrs, ws)
+					for _, dst := range nbrs {
+						if (c == nil || c(dst)) && parallel.AddUint32(&cnt[dst], 1) == 1 {
 							claimed = append(claimed, dst)
 						}
 					}
-					return true
-				})
-			}
-			parts[worker] = claimed
+				}
+				parts[worker] = claimed
+			})
 		})
 		touched = flatten(parts)
 	})
@@ -296,18 +312,22 @@ func EdgeMapFilterCount(g graph.Graph, u VertexSubset,
 
 	ids, p := u.Sparse(), sparseWorkers(g, u)
 	vals := make([]uint32, len(ids))
-	parallel.Workers(len(ids), p, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			src := ids[i]
-			var c uint32
-			g.OutNeighbors(src, func(dst graph.Vertex, w graph.Weight) bool {
-				if pred(src, dst) {
-					c++
+	parallel.WithScratch(p, func(bufs []graph.AdjBuf) {
+		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
+			buf := &bufs[worker]
+			for i := lo; i < hi; i++ {
+				src := ids[i]
+				nbrs, ws := g.OutAdj(src, buf)
+				debugCheckAdj(g, src, false, nbrs, ws)
+				var k uint32
+				for _, dst := range nbrs {
+					if pred(src, dst) {
+						k++
+					}
 				}
-				return true
-			})
-			vals[i] = c
-		}
+				vals[i] = k
+			}
+		})
 	})
 	return NewTagged(g.NumVertices(), ids, vals)
 }
@@ -321,11 +341,14 @@ func EdgeMapPack(g graph.Packer, u VertexSubset,
 	ids, p := u.Sparse(), sparseWorkers(g, u)
 	vals := make([]uint32, len(ids))
 	parallel.Workers(len(ids), p, func(_, lo, hi int) {
+		// One keep closure per block, re-aimed at each source: PackOut
+		// takes it through the Packer interface, so a literal inside the
+		// loop would be heap-allocated per vertex.
+		var src graph.Vertex
+		keep := func(dst graph.Vertex) bool { return pred(src, dst) }
 		for i := lo; i < hi; i++ {
-			src := ids[i]
-			vals[i] = uint32(g.PackOut(src, func(dst graph.Vertex) bool {
-				return pred(src, dst)
-			}))
+			src = ids[i]
+			vals[i] = uint32(g.PackOut(src, keep))
 		}
 	})
 	return NewTagged(g.NumVertices(), ids, vals)
