@@ -124,7 +124,25 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 	bestAlive := alive
 	var rounds int64
 	removedAt := make([]int64, n) // round at which each vertex fell (1-based)
-	var scratch ligra.CountScratch
+	// The round's one primitive, its destination and the updateBuckets
+	// feed are built once; a round reads its bucket from k.
+	var k bucket.ID
+	var removedEdges int64
+	var moved ligra.Tagged[bucket.Dest]
+	live := func(v graph.Vertex) bool { return removedAt[v] == 0 }
+	update := func(v graph.Vertex, removed uint32) (bucket.Dest, bool) {
+		parallel.AddInt64(&removedEdges, int64(removed))
+		induced := d[v]
+		if induced <= k {
+			return bucket.None, false // already in (or below) cur
+		}
+		newD := max(induced-removed, k)
+		d[v] = newD
+		dest := b.GetBucket(induced, newD)
+		return dest, dest != bucket.None
+	}
+	feed := func(j int) (uint32, bucket.Dest) { return moved.IDs[j], moved.Vals[j] }
+
 	var runErr error
 	var prevStats bucket.Stats
 	cancel := obs.NewCancelCheck(opt.Ctx, opt.Deadline)
@@ -135,11 +153,12 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 		}
 		// ids aliases the bucket structure's arena: valid only until
 		// the next NextBucket call, and fully consumed this round.
-		k, ids := b.NextBucket()
+		var ids []uint32
+		k, ids = b.NextBucket()
 		if k == bucket.Nil {
 			break
 		}
-		sp := rec.StartSpan("densest.round").Arg("bucket", k).Arg("frontier", len(ids))
+		sp := rec.StartSpan("densest.round").ArgInt("bucket", int64(k)).ArgInt("frontier", int64(len(ids)))
 		rounds++
 		frontier := ligra.FromSparse(n, ids)
 		parallel.For(len(ids), parallel.DefaultGrain, func(i int) {
@@ -147,22 +166,10 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 		})
 		// Count removed edges per *every* live neighbor (edges to
 		// survivors sitting at degree exactly k must be accounted even
-		// though those survivors cannot move buckets), then rebucket
+		// though those survivors cannot move buckets), and rebucket
 		// the neighbors above the current bucket as in Algorithm 1.
-		moved := ligra.EdgeMapCount(g, frontier,
-			func(v graph.Vertex) bool { return removedAt[v] == 0 }, &scratch)
-		var removedEdges int64
-		rebucket := ligra.TagMapTagged(moved, func(v graph.Vertex, removed uint32) (bucket.Dest, bool) {
-			parallel.AddInt64(&removedEdges, int64(removed))
-			induced := d[v]
-			if induced <= k {
-				return bucket.None, false // already in (or below) cur
-			}
-			newD := max(induced-removed, k)
-			d[v] = newD
-			dest := b.GetBucket(induced, newD)
-			return dest, dest != bucket.None
-		})
+		removedEdges = 0
+		ligra.EdgeMapSum(g, frontier, live, update, &moved)
 		// Edges internal to the peeled set fall too (each counted once
 		// per endpoint among peeled vertices, halved), plus edges to
 		// survivors (counted once, above). Recompute exactly: an edge
@@ -180,9 +187,7 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 			return c
 		})
 		removedEdges += internal / 2
-		b.UpdateBuckets(rebucket.Size(), func(j int) (uint32, bucket.Dest) {
-			return rebucket.IDs[j], rebucket.Vals[j]
-		})
+		b.UpdateBuckets(moved.Size(), feed)
 		nPeeled := len(ids)
 		alive -= int64(nPeeled)
 		liveEdges -= removedEdges
@@ -201,7 +206,7 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 			rec.RecordRound(obs.RoundMetrics{
 				Algo: "densest", Round: rounds, Bucket: k,
 				FrontierSize: nPeeled, EdgesTraversed: removedEdges,
-				Dense:     false, // EdgeMapCount is push-only
+				Dense:     false, // EdgeMapSum is push-only
 				Extracted: delta.Extracted, Moved: delta.Moved,
 				Skipped: delta.Skipped, Duration: dur,
 			})
@@ -279,7 +284,16 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 	bestAlive := alive
 	round := uint32(0)
 	var rounds int64
-	var scratch ligra.CountScratch
+	// edgeMapSum lowers each live neighbor's degree by the edges it
+	// lost; nothing is kept, so the destination only lends its counters.
+	var removedEdges int64
+	var touched ligra.Tagged[struct{}]
+	live := func(v graph.Vertex) bool { return dead[v] == 0 }
+	update := func(v graph.Vertex, removed uint32) (struct{}, bool) {
+		d[v] -= removed
+		parallel.AddInt64(&removedEdges, int64(removed))
+		return struct{}{}, false
+	}
 	var runErr error
 	rec := opt.Recorder
 	cancel := obs.NewCancelCheck(opt.Ctx, opt.Deadline)
@@ -300,19 +314,12 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 			sp.End()
 			break // cannot happen mathematically, but guard float edges
 		}
-		sp.Arg("frontier", len(ids))
+		sp.ArgInt("frontier", int64(len(ids)))
 		parallel.For(len(ids), parallel.DefaultGrain, func(i int) {
 			dead[ids[i]] = round
 		})
-		frontier := ligra.FromSparse(n, ids)
-		moved := ligra.EdgeMapCount(g, frontier,
-			func(v graph.Vertex) bool { return dead[v] == 0 }, &scratch)
-		var removedEdges int64
-		parallel.For(moved.Size(), parallel.DefaultGrain, func(i int) {
-			v, c := moved.At(i)
-			d[v] -= c
-			parallel.AddInt64(&removedEdges, int64(c))
-		})
+		removedEdges = 0
+		ligra.EdgeMapSum(g, ligra.FromSparse(n, ids), live, update, &touched)
 		internal := parallel.Sum(len(ids), 0, func(i int) int64 {
 			var c int64
 			g.OutNeighbors(ids[i], func(u graph.Vertex, w graph.Weight) bool {

@@ -110,7 +110,25 @@ func Coreness(g graph.Graph, opt Options) Result {
 	}
 	b := bucket.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, bopt)
 
-	var scratch ligra.CountScratch
+	// The round's one primitive, its destination and the updateBuckets
+	// feed are built once: a round reads its bucket from k and allocates
+	// nothing (the bucket structure's own chunks aside).
+	var k bucket.ID
+	var moved ligra.Tagged[bucket.Dest]
+	stillLive := func(v graph.Vertex) bool { return d[v] > k }
+	// Update(v, edgesRemoved) of Algorithm 1: lower D[v], clamping at k
+	// so vertices falling below the current core are placed into the
+	// current bucket and peeled this round. stillLive admitted v, and D
+	// only changes here, after the counting: D[v] > k.
+	update := func(v graph.Vertex, removed uint32) (bucket.Dest, bool) {
+		induced := d[v]
+		newD := max(induced-removed, k)
+		d[v] = newD
+		dest := b.GetBucket(induced, newD)
+		return dest, dest != bucket.None
+	}
+	feed := func(j int) (uint32, bucket.Dest) { return moved.IDs[j], moved.Vals[j] }
+
 	finished := 0
 	var edges int64
 	var prevStats bucket.Stats
@@ -123,39 +141,25 @@ func Coreness(g graph.Graph, opt Options) Result {
 		}
 		// ids aliases the bucket structure's arena: valid only until
 		// the next NextBucket call, and fully consumed this round.
-		k, ids := b.NextBucket()
+		var ids []uint32
+		k, ids = b.NextBucket()
 		if k == bucket.Nil {
 			break
 		}
-		sp := rec.StartSpan("kcore.round").Arg("bucket", k).Arg("frontier", len(ids))
+		sp := rec.StartSpan("kcore.round").ArgInt("bucket", int64(k)).ArgInt("frontier", int64(len(ids)))
 		res.Rounds++
 		finished += len(ids)
 		res.VerticesScanned += int64(len(ids))
 		// All vertices in the bucket have coreness k (their D values
 		// already equal k by the bucket-liveness invariant); their
 		// removal decrements neighbors' induced degrees. edgeMapSum
-		// counts removed edges per still-live neighbor (line 16).
+		// counts removed edges per still-live neighbor and emits the
+		// ones that change bucket (lines 16–17).
 		frontier := ligra.Frontier(g, ids)
 		roundEdges := frontier.OutDegreeSum(g)
 		edges += roundEdges
-		moved := ligra.EdgeMapCount(g, frontier,
-			func(v graph.Vertex) bool { return d[v] > k }, &scratch)
-		// Update(v, edgesRemoved) of Algorithm 1: lower D[v], clamping
-		// at k so vertices falling below the current core are placed
-		// into the current bucket and peeled this round.
-		rebucket := ligra.TagMapTagged(moved, func(v graph.Vertex, removed uint32) (bucket.Dest, bool) {
-			induced := d[v]
-			if induced <= k {
-				return bucket.None, false
-			}
-			newD := max(induced-removed, k)
-			d[v] = newD
-			dest := b.GetBucket(induced, newD)
-			return dest, dest != bucket.None
-		})
-		b.UpdateBuckets(rebucket.Size(), func(j int) (uint32, bucket.Dest) {
-			return rebucket.IDs[j], rebucket.Vals[j]
-		})
+		ligra.EdgeMapSum(g, frontier, stillLive, update, &moved)
+		b.UpdateBuckets(moved.Size(), feed)
 		dur := sp.End()
 		if rec != nil {
 			cur := b.Stats()
@@ -167,7 +171,7 @@ func Coreness(g graph.Graph, opt Options) Result {
 			rec.RecordRound(obs.RoundMetrics{
 				Algo: "kcore", Round: res.Rounds, Bucket: k,
 				FrontierSize: len(ids), EdgesTraversed: roundEdges,
-				Dense:     false, // EdgeMapCount is push-only
+				Dense:     false, // EdgeMapSum is push-only
 				Extracted: delta.Extracted, Moved: delta.Moved,
 				Skipped: delta.Skipped, Duration: dur,
 				Forked: fd.Forked, Inline: fd.Inline, Wakes: fd.Wakes,
@@ -196,9 +200,20 @@ func CorenessLigra(g graph.Graph) Result {
 		d[v] = uint32(g.OutDegree(graph.Vertex(v)))
 		alive[v] = 1
 	})
-	var scratch ligra.CountScratch
+	// Each round's output is the next round's frontier, so the cascade
+	// alternates two destinations: the one being read is never the one
+	// being written.
+	var k uint32
+	var cascade [2]ligra.Tagged[struct{}]
+	stillLive := func(v graph.Vertex) bool { return alive[v] == 1 && d[v] > k }
+	// Vertices dropping to <= k cascade within this core value.
+	update := func(v graph.Vertex, removed uint32) (struct{}, bool) {
+		newD := max(d[v]-removed, k)
+		d[v] = newD
+		return struct{}{}, newD <= k
+	}
 	finished := 0
-	for k := uint32(0); finished < n; k++ {
+	for ; finished < n; k++ {
 		// The work-inefficient step: scan every vertex to find the ones
 		// at or below the current core value.
 		res.VerticesScanned += int64(n)
@@ -216,15 +231,7 @@ func CorenessLigra(g graph.Graph) Result {
 			})
 			frontier := ligra.Frontier(g, ids)
 			res.EdgesTraversed += frontier.OutDegreeSum(g)
-			moved := ligra.EdgeMapCount(g, frontier,
-				func(v graph.Vertex) bool { return alive[v] == 1 && d[v] > k }, &scratch)
-			// Vertices dropping to <= k cascade within this core value.
-			next := ligra.TagMapTagged(moved, func(v graph.Vertex, removed uint32) (struct{}, bool) {
-				newD := max(d[v]-removed, k)
-				d[v] = newD
-				return struct{}{}, newD <= k
-			})
-			ids = next.IDs
+			ids = ligra.EdgeMapSum(g, frontier, stillLive, update, &cascade[res.Rounds%2]).IDs
 		}
 	}
 	return res

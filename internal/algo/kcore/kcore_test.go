@@ -219,11 +219,12 @@ func TestCanceledCarriesFlightTail(t *testing.T) {
 }
 
 // TestCorenessAllocsScaleWithRoundsNotVertices pins the allocation
-// shape of a whole run at P=1: a bounded number of objects per peeling
-// round (frontier, count and rebucket outputs, a few closures) and
-// nothing per vertex or per edge. The per-neighbor callback handed
-// through graph.Graph used to cost one closure per peeled vertex, ≥ n
-// per run.
+// shape of a whole run at P=1. Coreness itself allocates a handful of
+// objects per run — its closures, its destination, the result — and
+// nothing per round, per vertex or per edge. What is left is the bucket
+// structure's: on this graph 4,523 objects over 206 rounds (≈ 22 per
+// round), 83 % fresh chunks from bucket.chunkAlloc, 13 % the per-slot
+// chunk lists UpdateBuckets appends them to, 2 % freePut's free lists.
 func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -236,11 +237,11 @@ func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
 
 	g := gen.RMAT(1<<15, 1<<18, true, 3)
 	rounds := Coreness(g, Options{}).Rounds
-	bound := float64(64*rounds + 64)
+	bound := float64(32*rounds + 64)
 	if bound >= float64(g.NumVertices()) {
 		t.Fatalf("%d rounds on n=%d: the bound would not notice a per-vertex allocation", rounds, g.NumVertices())
 	}
 	if allocs := testing.AllocsPerRun(3, func() { Coreness(g, Options{}) }); allocs > bound {
-		t.Errorf("Coreness: %v allocs over %d rounds (n=%d), want ≤ 64·rounds + 64 = %v", allocs, rounds, g.NumVertices(), bound)
+		t.Errorf("Coreness: %v allocs over %d rounds (n=%d), want ≤ 32·rounds + 64 = %v", allocs, rounds, g.NumVertices(), bound)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"julienne/internal/graph"
 	"julienne/internal/ligra"
 	"julienne/internal/obs"
-	"julienne/internal/parallel"
 )
 
 // Approx runs the bucketed Blelloch et al. algorithm (Algorithm 3 of
@@ -29,21 +28,24 @@ func ApproxOn(work graph.Packer, numSets int, opt Options) Result {
 	eps := opt.epsilon()
 	bz := newBucketizer(eps)
 	n := work.NumVertices()
-
-	// El[e]: the set currently reserving element e (elmFree if none).
-	// Covered[e] != 0 marks e covered. D[s]: uncovered elements still
-	// covered by s, lazily maintained (inCover marks chosen sets).
-	el := make([]uint32, n)
-	covered := make([]uint32, n)
-	d := make([]uint32, n)
-	parallel.For(n, parallel.DefaultGrain, func(i int) {
-		el[i] = elmFree
-		if i < numSets {
-			d[i] = uint32(work.OutDegree(graph.Vertex(i)))
-		}
-	})
-
 	rec := opt.Recorder
+
+	// The round's bucket and the thresholds derived from it are loop
+	// state the closures below read; they and the destination they
+	// fill are built once per run.
+	//
+	// A set joins the cover if it won at least ⌈(1+ε)^(b-1)⌉ elements.
+	// (The paper's pseudocode tests elmsWon > ⌈(1+ε)^max(b-1,0)⌉, which
+	// at b = 0 would demand 2 wins from degree-1 sets and never
+	// terminate; ≥ with the unclamped exponent keeps the intended
+	// 1/(1+ε)-fraction rule and guarantees progress.)
+	var bkt bucket.ID
+	var degThreshold, winThreshold uint32
+	m := newManis(work, numSets, rec,
+		func(_ graph.Vertex, deg uint32) bool { return deg >= degThreshold },
+		func(_ graph.Vertex, won uint32) bool { return won >= winThreshold })
+	d := m.d
+
 	bopt := opt.Buckets
 	if bopt.Recorder == nil {
 		bopt.Recorder = rec
@@ -51,9 +53,31 @@ func ApproxOn(work graph.Packer, numSets int, opt Options) Result {
 	b := bucket.New(numSets, func(s uint32) bucket.ID { return bz.bucketOf(d[s]) },
 		bucket.Decreasing, bopt)
 
-	res := Result{InCover: make([]bool, numSets)}
-	elmUncovered := func(_, e graph.Vertex) bool { return covered[e] == 0 }
-	emOpts := ligra.EdgeMapOptions{NoDense: true, NoOutput: true, Recorder: rec}
+	var rebucket ligra.Tagged[bucket.Dest]
+	move := func(s graph.Vertex) (bucket.Dest, bool) {
+		if d[s] == inCover {
+			return bucket.None, false
+		}
+		next := bz.bucketOf(d[s])
+		if next == bkt && d[s] < degThreshold && bkt > 0 {
+			// Float rounding in bucketOf could otherwise park an
+			// inactive set in the current bucket forever.
+			next = bkt - 1
+		}
+		var dest bucket.Dest
+		if next == bkt {
+			// The set stays in the current bucket, but its physical
+			// copy was consumed by extraction: reinsert (the fused
+			// MaNIS loop revisits the bucket, §4.3).
+			dest = b.GetBucket(bucket.Nil, next)
+		} else {
+			dest = b.GetBucket(bkt, next)
+		}
+		return dest, dest != bucket.None
+	}
+	feed := func(j int) (uint32, bucket.Dest) { return rebucket.IDs[j], rebucket.Vals[j] }
+
+	res := Result{InCover: m.inCover}
 	var prevStats bucket.Stats
 	cancel := obs.NewCancelCheck(opt.Ctx, opt.Deadline)
 	for {
@@ -63,95 +87,22 @@ func ApproxOn(work graph.Packer, numSets int, opt Options) Result {
 		}
 		// sets aliases the bucket structure's arena: valid only until
 		// the next NextBucket call, and fully consumed this round.
-		bkt, sets := b.NextBucket()
+		var sets []uint32
+		bkt, sets = b.NextBucket()
 		if bkt == bucket.Nil {
 			break
 		}
-		sp := rec.StartSpan("setcover.round").Arg("bucket", bkt).Arg("sets", len(sets))
+		sp := rec.StartSpan("setcover.round").ArgInt("bucket", int64(bkt)).ArgInt("sets", int64(len(sets)))
 		res.Rounds++
 		res.SetsInspected += int64(len(sets))
 		frontier := ligra.FromSparse(n, sets)
+		degThreshold, winThreshold = ceilPow(eps, int64(bkt)), ceilPow(eps, int64(bkt)-1)
 
-		// Phase 1 (lines 25–27): pack covered elements out of the
-		// extracted sets' adjacency lists, update their degrees, and
-		// keep the sets that still clear this bucket's threshold.
-		setsD := ligra.EdgeMapPack(work, frontier, elmUncovered)
-		parallel.For(setsD.Size(), parallel.DefaultGrain, func(i int) {
-			d[setsD.IDs[i]] = setsD.Vals[i]
-		})
-		degThreshold := ceilPow(eps, int64(bkt))
-		activeT := ligra.TagMapTagged(setsD, func(s graph.Vertex, deg uint32) (struct{}, bool) {
-			return struct{}{}, deg >= degThreshold
-		})
-		active := active(activeT)
+		m.elect(m.activate(frontier))
 
-		// Phase 2 (lines 28–30): one MaNIS step. Active sets reserve
-		// uncovered elements with writeMin on their ids; a set joins
-		// the cover if it won at least ⌈(1+ε)^(b-1)⌉ elements. (The
-		// paper's pseudocode tests elmsWon > ⌈(1+ε)^max(b-1,0)⌉, which
-		// at b = 0 would demand 2 wins from degree-1 sets and never
-		// terminate; ≥ with the unclamped exponent keeps the intended
-		// 1/(1+ε)-fraction rule and guarantees progress.)
-		ligra.EdgeMap(work, active,
-			func(e graph.Vertex) bool { return covered[e] == 0 },
-			func(s, e graph.Vertex, w graph.Weight) bool {
-				parallel.WriteMinUint32(&el[e], uint32(s))
-				return false
-			}, emOpts)
-		activeCts := ligra.EdgeMapFilterCount(work, active,
-			func(s, e graph.Vertex) bool { return el[e] == uint32(s) })
-		winThreshold := ceilPow(eps, int64(bkt)-1)
-		parallel.For(activeCts.Size(), parallel.DefaultGrain, func(i int) {
-			if activeCts.Vals[i] >= winThreshold {
-				s := activeCts.IDs[i]
-				d[s] = inCover
-				res.InCover[s] = true
-			}
-		})
-
-		// Phase 3 (lines 31–33): mark elements won by chosen sets as
-		// covered, release the rest, and rebucket the sets that did
-		// not join the cover.
-		ligra.EdgeMap(work, active,
-			nil, // every target
-			func(s, e graph.Vertex, w graph.Weight) bool {
-				// Only e's unique winner passes the check, but losers
-				// read el[e] concurrently with the winner's store, so
-				// the accesses must be atomic.
-				if parallel.LoadUint32(&el[e]) == uint32(s) {
-					if d[s] == inCover {
-						parallel.StoreUint32(&covered[e], 1)
-					} else {
-						parallel.StoreUint32(&el[e], elmFree)
-					}
-				}
-				return false
-			}, emOpts)
-
-		rebucket := ligra.TagMap(frontier, func(s graph.Vertex) (bucket.Dest, bool) {
-			if d[s] == inCover {
-				return bucket.None, false
-			}
-			next := bz.bucketOf(d[s])
-			if next == bkt && d[s] < degThreshold && bkt > 0 {
-				// Float rounding in bucketOf could otherwise park an
-				// inactive set in the current bucket forever.
-				next = bkt - 1
-			}
-			var dest bucket.Dest
-			if next == bkt {
-				// The set stays in the current bucket, but its physical
-				// copy was consumed by extraction: reinsert (the fused
-				// MaNIS loop revisits the bucket, §4.3).
-				dest = b.GetBucket(bucket.Nil, next)
-			} else {
-				dest = b.GetBucket(bkt, next)
-			}
-			return dest, dest != bucket.None
-		})
-		b.UpdateBuckets(rebucket.Size(), func(j int) (uint32, bucket.Dest) {
-			return rebucket.IDs[j], rebucket.Vals[j]
-		})
+		// Rebucket the sets that did not join the cover (line 33).
+		ligra.TagMap(frontier, move, &rebucket)
+		b.UpdateBuckets(rebucket.Size(), feed)
 		dur := sp.End()
 		if rec != nil {
 			cur := b.Stats()
@@ -169,9 +120,4 @@ func ApproxOn(work graph.Packer, numSets int, opt Options) Result {
 	res.CoverSize = len(CoverList(res.InCover))
 	res.BucketStats = b.Stats()
 	return res
-}
-
-// active converts a tagged subset to a plain one (helper for clarity).
-func active(t ligra.Tagged[struct{}]) ligra.VertexSubset {
-	return t.Untagged()
 }

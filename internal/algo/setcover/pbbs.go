@@ -25,40 +25,30 @@ func ApproxPBBSOn(work graph.Packer, numSets int, opt Options) Result {
 	bz := newBucketizer(eps)
 	n := work.NumVertices()
 
-	el := make([]uint32, n)
-	covered := make([]uint32, n)
-	d := make([]uint32, n)
+	// The step's thresholds are loop state the MaNIS closures read.
+	var degThreshold, winThreshold uint32
+	m := newManis(work, numSets, nil,
+		func(_ graph.Vertex, deg uint32) bool { return deg >= degThreshold },
+		func(_ graph.Vertex, won uint32) bool { return won >= winThreshold })
+	d := m.d
 	maxBkt := int64(0)
-	for i := 0; i < n; i++ {
-		el[i] = elmFree
-		if i < numSets {
-			d[i] = uint32(work.OutDegree(graph.Vertex(i)))
-			if b := bz.bucketOf(d[i]); b != ^uint32(0) && int64(b) > maxBkt {
-				maxBkt = int64(b)
-			}
+	for s := 0; s < numSets; s++ {
+		if b := bz.bucketOf(d[s]); b != ^uint32(0) && int64(b) > maxBkt {
+			maxBkt = int64(b)
 		}
 	}
 
-	res := Result{InCover: make([]bool, numSets)}
+	res := Result{InCover: m.inCover}
 	// The working list starts with every non-empty set and shrinks only
 	// when sets join the cover or run out of uncovered elements.
 	working := parallel.PackIndices(numSets, func(s int) bool { return d[s] > 0 })
-	elmUncovered := func(_, e graph.Vertex) bool { return covered[e] == 0 }
 
 	for bkt := maxBkt; bkt >= 0 && len(working) > 0; {
 		res.Rounds++
 		res.SetsInspected += int64(len(working))
-		frontier := ligra.FromSparse(n, working)
+		degThreshold, winThreshold = ceilPow(eps, bkt), ceilPow(eps, bkt-1)
 
-		setsD := ligra.EdgeMapPack(work, frontier, elmUncovered)
-		parallel.For(setsD.Size(), parallel.DefaultGrain, func(i int) {
-			d[setsD.IDs[i]] = setsD.Vals[i]
-		})
-		degThreshold := ceilPow(eps, bkt)
-		activeT := ligra.TagMapTagged(setsD, func(s graph.Vertex, deg uint32) (struct{}, bool) {
-			return struct{}{}, deg >= degThreshold
-		})
-		act := activeT.Untagged()
+		act := m.activate(ligra.FromSparse(n, working))
 		if act.IsEmpty() {
 			// No set clears this threshold: move to the next step.
 			working = parallel.FilterIndex(working, func(_ int, s graph.Vertex) bool {
@@ -67,35 +57,7 @@ func ApproxPBBSOn(work graph.Packer, numSets int, opt Options) Result {
 			bkt--
 			continue
 		}
-
-		ligra.EdgeMap(work, act,
-			func(e graph.Vertex) bool { return covered[e] == 0 },
-			func(s, e graph.Vertex, w graph.Weight) bool {
-				parallel.WriteMinUint32(&el[e], uint32(s))
-				return false
-			}, ligra.EdgeMapOptions{NoDense: true, NoOutput: true})
-		activeCts := ligra.EdgeMapFilterCount(work, act,
-			func(s, e graph.Vertex) bool { return el[e] == uint32(s) })
-		winThreshold := ceilPow(eps, bkt-1)
-		parallel.For(activeCts.Size(), parallel.DefaultGrain, func(i int) {
-			if activeCts.Vals[i] >= winThreshold {
-				s := activeCts.IDs[i]
-				d[s] = inCover
-				res.InCover[s] = true
-			}
-		})
-		ligra.EdgeMap(work, act,
-			nil, // every target
-			func(s, e graph.Vertex, w graph.Weight) bool {
-				if parallel.LoadUint32(&el[e]) == uint32(s) {
-					if d[s] == inCover {
-						parallel.StoreUint32(&covered[e], 1)
-					} else {
-						parallel.StoreUint32(&el[e], elmFree)
-					}
-				}
-				return false
-			}, ligra.EdgeMapOptions{NoDense: true, NoOutput: true})
+		m.elect(act)
 
 		// Carry everything not chosen and not exhausted — including
 		// sets far below the threshold (the inefficiency).

@@ -7,6 +7,7 @@ import (
 	"julienne/internal/compress"
 	"julienne/internal/gen"
 	"julienne/internal/graph"
+	"julienne/internal/parallel"
 )
 
 // instance builds a tiny hand-checked bipartite instance:
@@ -232,5 +233,34 @@ func TestApproxOnCompressedGraph(t *testing.T) {
 	g2 := Greedy(compress.FromCSR(inst.Graph), inst.Sets)
 	if err := Validate(inst.Graph, inst.Sets, g2.InCover); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestApproxAllocsScaleWithRoundsNotSets pins the allocation shape of a
+// whole run at P=1: a MaNIS round's closures and the four destinations
+// they fill are built once per run, so what a round still allocates is
+// the worker closure inside each of its two plain ligra.EdgeMap calls
+// (one object each) and the bucket structure's chunks: 724 objects over
+// 148 rounds on this instance, 4,575 (30.9 per round) before the
+// destinations. ApproxOn consumes its graph, so the clone
+// Approx makes is part of every run.
+func TestApproxAllocsScaleWithRoundsNotSets(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if bucket.DebugEnabled {
+		t.Skip("julienne_debug bookkeeping allocates by design")
+	}
+	old := parallel.SetProcs(1)
+	defer parallel.SetProcs(old)
+
+	inst := gen.SetCover(1<<14, 1<<17, 4, 5)
+	rounds := Approx(inst.Graph, inst.Sets, Options{}).Rounds
+	bound := float64(8*rounds + 64)
+	if bound >= float64(inst.Sets) {
+		t.Fatalf("%d rounds over %d sets: the bound would not notice a per-set allocation", rounds, inst.Sets)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { Approx(inst.Graph, inst.Sets, Options{}) }); allocs > bound {
+		t.Errorf("Approx: %v allocs over %d rounds (%d sets), want ≤ 8·rounds + 64 = %v", allocs, rounds, inst.Sets, bound)
 	}
 }

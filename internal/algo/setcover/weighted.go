@@ -7,7 +7,6 @@ import (
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
 	"julienne/internal/ligra"
-	"julienne/internal/parallel"
 )
 
 // Weighted set cover (§4.3: "we now describe our algorithm for
@@ -93,91 +92,57 @@ func ApproxWeightedOn(work graph.Packer, numSets int, costs []float64, opt Optio
 	vb := newValueBucketizer(eps, maxCost)
 	n := work.NumVertices()
 
-	el := make([]uint32, n)
-	covered := make([]uint32, n)
-	d := make([]uint32, n)
-	parallel.For(n, parallel.DefaultGrain, func(i int) {
-		el[i] = elmFree
-		if i < numSets {
-			d[i] = uint32(work.OutDegree(graph.Vertex(i)))
-		}
-	})
+	// The round's bucket and the value floors derived from it are loop
+	// state the closures below read; they and the destination they
+	// fill are built once per run.
+	var bkt bucket.ID
+	var valueFloor, winFloor float64
+	m := newManis(work, numSets, nil,
+		// Active: value (elements per cost) still clears this bucket.
+		func(s graph.Vertex, deg uint32) bool { return float64(deg)/costs[s] >= valueFloor },
+		func(s graph.Vertex, won uint32) bool { return float64(won)/costs[s] >= winFloor })
+	d := m.d
 
 	b := bucket.New(numSets, func(s uint32) bucket.ID { return vb.bucketOf(d[s], costs[s]) },
 		bucket.Decreasing, opt.Buckets)
 
-	res := WeightedResult{Result: Result{InCover: make([]bool, numSets)}}
-	elmUncovered := func(_, e graph.Vertex) bool { return covered[e] == 0 }
+	var rebucket ligra.Tagged[bucket.Dest]
+	move := func(s graph.Vertex) (bucket.Dest, bool) {
+		if d[s] == inCover {
+			return bucket.None, false
+		}
+		next := vb.bucketOf(d[s], costs[s])
+		if next == bkt && float64(d[s])/costs[s] < valueFloor && bkt > 0 {
+			next = bkt - 1 // float-rounding guard, as in Approx
+		}
+		var dest bucket.Dest
+		if next == bkt {
+			dest = b.GetBucket(bucket.Nil, next)
+		} else {
+			dest = b.GetBucket(bkt, next)
+		}
+		return dest, dest != bucket.None
+	}
+	feed := func(j int) (uint32, bucket.Dest) { return rebucket.IDs[j], rebucket.Vals[j] }
+
+	res := WeightedResult{Result: Result{InCover: m.inCover}}
 	for {
 		// sets aliases the bucket structure's arena: valid only until
 		// the next NextBucket call, and fully consumed this round.
-		bkt, sets := b.NextBucket()
+		var sets []uint32
+		bkt, sets = b.NextBucket()
 		if bkt == bucket.Nil {
 			break
 		}
 		res.Rounds++
 		res.SetsInspected += int64(len(sets))
 		frontier := ligra.FromSparse(n, sets)
+		valueFloor, winFloor = vb.threshold(eps, int64(bkt)), vb.threshold(eps, int64(bkt)-1)
 
-		setsD := ligra.EdgeMapPack(work, frontier, elmUncovered)
-		parallel.For(setsD.Size(), parallel.DefaultGrain, func(i int) {
-			d[setsD.IDs[i]] = setsD.Vals[i]
-		})
-		// Active: value (elements per cost) still clears this bucket.
-		valueFloor := vb.threshold(eps, int64(bkt))
-		activeT := ligra.TagMapTagged(setsD, func(s graph.Vertex, deg uint32) (struct{}, bool) {
-			return struct{}{}, float64(deg)/costs[s] >= valueFloor
-		})
-		act := activeT.Untagged()
+		m.elect(m.activate(frontier))
 
-		ligra.EdgeMap(work, act,
-			func(e graph.Vertex) bool { return covered[e] == 0 },
-			func(s, e graph.Vertex, w graph.Weight) bool {
-				parallel.WriteMinUint32(&el[e], uint32(s))
-				return false
-			}, ligra.EdgeMapOptions{NoDense: true, NoOutput: true})
-		activeCts := ligra.EdgeMapFilterCount(work, act,
-			func(s, e graph.Vertex) bool { return el[e] == uint32(s) })
-		winFloor := vb.threshold(eps, int64(bkt)-1)
-		parallel.For(activeCts.Size(), parallel.DefaultGrain, func(i int) {
-			s := activeCts.IDs[i]
-			if float64(activeCts.Vals[i])/costs[s] >= winFloor {
-				d[s] = inCover
-				res.InCover[s] = true
-			}
-		})
-		ligra.EdgeMap(work, act,
-			nil, // every target
-			func(s, e graph.Vertex, w graph.Weight) bool {
-				if parallel.LoadUint32(&el[e]) == uint32(s) {
-					if d[s] == inCover {
-						parallel.StoreUint32(&covered[e], 1)
-					} else {
-						parallel.StoreUint32(&el[e], elmFree)
-					}
-				}
-				return false
-			}, ligra.EdgeMapOptions{NoDense: true, NoOutput: true})
-
-		rebucket := ligra.TagMap(frontier, func(s graph.Vertex) (bucket.Dest, bool) {
-			if d[s] == inCover {
-				return bucket.None, false
-			}
-			next := vb.bucketOf(d[s], costs[s])
-			if next == bkt && float64(d[s])/costs[s] < valueFloor && bkt > 0 {
-				next = bkt - 1 // float-rounding guard, as in Approx
-			}
-			var dest bucket.Dest
-			if next == bkt {
-				dest = b.GetBucket(bucket.Nil, next)
-			} else {
-				dest = b.GetBucket(bkt, next)
-			}
-			return dest, dest != bucket.None
-		})
-		b.UpdateBuckets(rebucket.Size(), func(j int) (uint32, bucket.Dest) {
-			return rebucket.IDs[j], rebucket.Vals[j]
-		})
+		ligra.TagMap(frontier, move, &rebucket)
+		b.UpdateBuckets(rebucket.Size(), feed)
 	}
 	res.CoverSize = len(CoverList(res.InCover))
 	for s, in := range res.InCover {

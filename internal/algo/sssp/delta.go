@@ -78,7 +78,7 @@ func (w *waves) bktOf(dist uint64) bucket.ID {
 // size drawn from bucket id.
 func (w *waves) startRound(id bucket.ID, frontier int) *obs.Span {
 	w.res.Rounds++
-	return w.rec.StartSpan("sssp.round").Arg("bucket", id).Arg("frontier", frontier)
+	return w.rec.StartSpan("sssp.round").ArgInt("bucket", int64(id)).ArgInt("frontier", int64(frontier))
 }
 
 // endRound closes the round startRound opened and records its metrics,
@@ -88,7 +88,7 @@ func (w *waves) endRound(sp *obs.Span, id bucket.ID, frontier int, edges int64) 
 	// cells: touch them atomically so the happens-before edge is explicit.
 	atomic.AddInt64(&w.res.EdgesTraversed, edges)
 	relax := atomic.LoadInt64(&w.res.Relaxations)
-	dur := sp.Arg("relaxations", relax-w.prevRelax).End()
+	dur := sp.ArgInt("relaxations", relax-w.prevRelax).End()
 	if w.rec == nil {
 		return
 	}
@@ -197,36 +197,43 @@ func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) {
 	relax := func(s, dst graph.Vertex, wt graph.Weight) (uint64, bool) {
 		return relaxCapture(sp, res, s, dst, wt)
 	}
-	return func(id, last bucket.ID, ids []uint32) {
+	// The segment's closures and the two destinations they fill are
+	// built once per run; a segment reads its bucket range from id and
+	// last and allocates nothing (the bucket structure's chunks aside).
+	var id, last bucket.ID
+	var moved ligra.Tagged[uint64]
+	var rebucket ligra.Tagged[bucket.Dest]
+	// Reset (lines 11–13): clear the round flag and compute each
+	// vertex's bucket move from its start-of-round bucket to its new
+	// bucket.
+	reset := func(v graph.Vertex, oldDist uint64) (bucket.Dest, bool) {
+		newDist := sp[v] &^ flag
+		sp[v] = newDist
+		prevB, newB := w.bktOf(oldDist), w.bktOf(newDist)
+		if newB == prevB && newB >= id && newB <= last {
+			// v sat in the current bucket range and was improved to a
+			// distance still inside it. The extraction consumed its
+			// physical copy, so "no logical move" must still reinsert
+			// it (the light-edge iteration of ∆-stepping); prev = Nil
+			// states the physical truth. Under fusion the structure
+			// routes this to the lazy buffer for the next segment.
+			prevB = bucket.Nil
+		}
+		dest := b.GetBucket(prevB, newB)
+		return dest, dest != bucket.None
+	}
+	feed := func(j int) (uint32, bucket.Dest) { return rebucket.IDs[j], rebucket.Vals[j] }
+	return func(segID, segLast bucket.ID, ids []uint32) {
+		id, last = segID, segLast
 		span := w.startRound(id, len(ids))
 		frontier := ligra.Frontier(g, ids)
 		edges := frontier.OutDegreeSum(g)
 		// Relax the out-edges of the frontier (Algorithm 2, line 18).
 		// The tagged output carries each improved vertex's distance at
 		// the start of the round, captured by the winning relaxer.
-		moved := ligra.EdgeMapTagged(g, frontier, nil, relax)
-		// Reset (lines 11–13): clear the round flag and compute each
-		// vertex's bucket move from its start-of-round bucket to its
-		// new bucket.
-		rebucket := ligra.TagMapTagged(moved, func(v graph.Vertex, oldDist uint64) (bucket.Dest, bool) {
-			newDist := sp[v] &^ flag
-			sp[v] = newDist
-			prevB, newB := w.bktOf(oldDist), w.bktOf(newDist)
-			if newB == prevB && newB >= id && newB <= last {
-				// v sat in the current bucket range and was improved to a
-				// distance still inside it. The extraction consumed its
-				// physical copy, so "no logical move" must still reinsert
-				// it (the light-edge iteration of ∆-stepping); prev = Nil
-				// states the physical truth. Under fusion the structure
-				// routes this to the lazy buffer for the next segment.
-				prevB = bucket.Nil
-			}
-			dest := b.GetBucket(prevB, newB)
-			return dest, dest != bucket.None
-		})
-		b.UpdateBuckets(rebucket.Size(), func(j int) (uint32, bucket.Dest) {
-			return rebucket.IDs[j], rebucket.Vals[j]
-		})
+		ligra.EdgeMapTagged(g, frontier, nil, relax, &moved)
+		ligra.TagMapTagged(moved, reset, &rebucket)
+		b.UpdateBuckets(rebucket.Size(), feed)
 		w.endRound(span, id, len(ids), edges)
 	}
 }

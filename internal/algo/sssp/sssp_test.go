@@ -178,10 +178,18 @@ func TestDeterministicDistances(t *testing.T) {
 }
 
 // TestAllocsScaleWithRoundsNotVertices pins the allocation shape of
-// whole wBFS and ∆-stepping runs at P=1: a bounded number of objects
-// per round and nothing per vertex or per edge (the per-neighbor
-// callback handed through graph.Graph used to cost one closure per
-// frontier vertex, ≥ n per run).
+// whole wBFS and ∆-stepping runs at P=1: a round allocates nothing —
+// its closures, its two destinations and its span arguments are built
+// once per run or not at all — so a run costs a constant plus the
+// bucket structure's chunks. On the grid, where rounds are many and
+// tiny, that is 610 objects over 2,051 rounds of wBFS and 425 over
+// 1,416 of ∆-stepping (0.3 per round, all bucket.chunkAlloc/freePut;
+// 15.8 per round before the destinations), and the budget of half an
+// object per round fails on one closure literal put back into the
+// segment. On the RMAT graph, where rounds are few and huge, the
+// constant dominates (305 and 168 objects: ≈ 185 bucket chunks and
+// lists, ≈ 70 doublings of the destinations, the result vectors) and
+// the bound says nothing is allocated per vertex or per edge.
 func TestAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -192,20 +200,30 @@ func TestAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	old := parallel.SetProcs(1)
 	defer parallel.SetProcs(old)
 
-	base := gen.RMAT(1<<15, 1<<18, true, 3)
-	light, heavy := gen.LogWeights(base, 3), gen.HeavyWeights(base, 3)
-	runs := map[string]func() Result{
-		"WBFS":          func() Result { return WBFS(light, 0, Options{}) },
-		"DeltaStepping": func() Result { return DeltaStepping(heavy, 0, 32768, Options{}) },
+	grid, rmat := gen.Grid2D(256, 256), gen.RMAT(1<<15, 1<<18, true, 3)
+	gridLight, gridHeavy := gen.LogWeights(grid, 3), gen.HeavyWeights(grid, 3)
+	rmatLight, rmatHeavy := gen.LogWeights(rmat, 3), gen.HeavyWeights(rmat, 3)
+	perRound := func(rounds int64) float64 { return float64(rounds/2 + 64) }
+	perRun := func(rounds int64) float64 { return float64(2*rounds + 320) }
+	cases := []struct {
+		name  string
+		n     int
+		bound func(rounds int64) float64
+		run   func() Result
+	}{
+		{"WBFS/grid", grid.NumVertices(), perRound, func() Result { return WBFS(gridLight, 0, Options{}) }},
+		{"DeltaStepping/grid", grid.NumVertices(), perRound, func() Result { return DeltaStepping(gridHeavy, 0, 32768, Options{}) }},
+		{"WBFS/rmat", rmat.NumVertices(), perRun, func() Result { return WBFS(rmatLight, 0, Options{}) }},
+		{"DeltaStepping/rmat", rmat.NumVertices(), perRun, func() Result { return DeltaStepping(rmatHeavy, 0, 32768, Options{}) }},
 	}
-	for name, run := range runs {
-		rounds := run().Rounds
-		bound := float64(64*rounds + 64)
-		if bound >= float64(base.NumVertices()) {
-			t.Fatalf("%s: %d rounds on n=%d: the bound would not notice a per-vertex allocation", name, rounds, base.NumVertices())
+	for _, c := range cases {
+		rounds := c.run().Rounds
+		bound := c.bound(rounds)
+		if bound >= float64(c.n) {
+			t.Fatalf("%s: %d rounds on n=%d: the bound would not notice a per-vertex allocation", c.name, rounds, c.n)
 		}
-		if allocs := testing.AllocsPerRun(3, func() { run() }); allocs > bound {
-			t.Errorf("%s: %v allocs over %d rounds (n=%d), want ≤ 64·rounds + 64 = %v", name, allocs, rounds, base.NumVertices(), bound)
+		if allocs := testing.AllocsPerRun(3, func() { c.run() }); allocs > bound {
+			t.Errorf("%s: %v allocs over %d rounds (n=%d), want ≤ %v", c.name, allocs, rounds, c.n, bound)
 		}
 	}
 }

@@ -38,14 +38,29 @@ func BenchmarkEdgeMapDense(b *testing.B) {
 	}
 }
 
-func BenchmarkEdgeMapCount(b *testing.B) {
+// BenchmarkEdgeMapSum measures k-core's whole step — count, Update,
+// compact — into a destination the loop owns, as kcore.Coreness runs
+// it. Update leaves D alone so every iteration does the same work.
+func BenchmarkEdgeMapSum(b *testing.B) {
 	g := gen.RMAT(1<<14, 1<<17, true, 1)
 	u := benchFrontier(g, 16)
-	var scratch CountScratch
-	always := func(graph.Vertex) bool { return true }
+	n := g.NumVertices()
+	d := make([]uint32, n)
+	for v := range d {
+		d[v] = uint32(g.OutDegree(graph.Vertex(v)))
+	}
+	const k = 2
+	stillLive := func(v graph.Vertex) bool { return d[v] > k }
+	update := func(v graph.Vertex, removed uint32) (uint32, bool) {
+		induced := d[v]
+		newD := max(induced-removed, k)
+		return newD, newD != induced
+	}
+	var moved Tagged[uint32]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EdgeMapCount(g, u, always, &scratch)
+		EdgeMapSum(g, u, stillLive, update, &moved)
 	}
 }
 
@@ -54,6 +69,8 @@ func BenchmarkEdgeMapTagged(b *testing.B) {
 	u := benchFrontier(g, 16)
 	claimed := make([]uint32, g.NumVertices())
 	var epoch uint32
+	var out Tagged[uint32]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		epoch++
@@ -65,7 +82,7 @@ func BenchmarkEdgeMapTagged(b *testing.B) {
 					return uint32(s), true
 				}
 				return 0, false
-			})
+			}, &out)
 	}
 }
 

@@ -10,3 +10,5 @@ func debugCheckSparse(n int, ids []graph.Vertex) {}
 
 func debugCheckAdj(g graph.Graph, v graph.Vertex, in bool, nbrs []graph.Vertex, ws []graph.Weight) {
 }
+
+func debugPoison[T any](dst *Tagged[T]) {}

@@ -43,3 +43,15 @@ func debugCheckAdj(g graph.Graph, v graph.Vertex, in bool, nbrs []graph.Vertex, 
 		panic(fmt.Sprintf("ligra debug: adjacency of %d (in=%t) has %d neighbors but %d weights", v, in, len(nbrs), len(ws)))
 	}
 }
+
+// debugPoison ends the lifetime of the result a destination last
+// handed out, at the start of the next call that writes into it: every
+// id is overwritten with ^0 and the arrays are dropped from dst, so the
+// new result lands in fresh storage and a Tagged the caller kept indexes
+// its per-vertex arrays out of range instead of reading the new round.
+func debugPoison[T any](dst *Tagged[T]) {
+	for i := range dst.IDs {
+		dst.IDs[i] = ^graph.Vertex(0)
+	}
+	dst.IDs, dst.Vals = nil, nil
+}

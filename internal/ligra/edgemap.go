@@ -1,6 +1,8 @@
 package ligra
 
 import (
+	"slices"
+
 	"julienne/internal/graph"
 	"julienne/internal/obs"
 	"julienne/internal/parallel"
@@ -209,147 +211,239 @@ func edgeMapDense(g graph.Graph, u VertexSubset, c func(graph.Vertex) bool,
 
 // EdgeMapTagged is the push-only edge map whose F returns an optional
 // value of type T for the target vertex; the output is the tagged subset
-// of targets that received a value. This is the maybe(T)-returning
-// edgeMap the paper's ∆-stepping uses to capture each visited vertex's
-// distance at the start of the round (Algorithm 2, lines 4–10): F must
-// arrange (via CAS) that at most one source wins each target.
+// of targets that received a value, written to dst (see Tagged). This is
+// the maybe(T)-returning edgeMap the paper's ∆-stepping uses to capture
+// each visited vertex's distance at the start of the round (Algorithm 2,
+// lines 4–10): F must arrange (via CAS) that at most one source wins
+// each target.
 func EdgeMapTagged[T any](g graph.Graph, u VertexSubset, c func(v graph.Vertex) bool,
-	f func(src, dst graph.Vertex, w graph.Weight) (T, bool)) Tagged[T] {
+	f func(src, dst graph.Vertex, w graph.Weight) (T, bool), dst *Tagged[T]) Tagged[T] {
 
 	ids, p := u.Sparse(), sparseWorkers(g, u)
-	var outIDs []graph.Vertex
-	var outVals []T
-	withWorkerParts(p, func(idParts [][]graph.Vertex) {
-		withWorkerParts(p, func(valParts [][]T) {
-			parallel.WithScratch(p, func(bufs []graph.AdjBuf) {
-				parallel.Workers(len(ids), p, func(worker, lo, hi int) {
-					localIDs, localVals, buf := idParts[worker], valParts[worker], &bufs[worker]
-					for _, src := range ids[lo:hi] {
-						nbrs, ws := g.OutAdj(src, buf)
-						debugCheckAdj(g, src, false, nbrs, ws)
-						for j, dst := range nbrs {
-							if c != nil && !c(dst) {
-								continue
-							}
-							if val, ok := f(src, dst, weightAt(ws, j)); ok {
-								localIDs = append(localIDs, dst)
-								localVals = append(localVals, val)
-							}
-						}
-					}
-					idParts[worker], valParts[worker] = localIDs, localVals
-				})
-			})
-			outIDs, outVals = flatten(idParts), flatten(valParts)
+	outIDs, outVals := dst.take()
+	withParts(p, func(parts []part[T]) {
+		if p == 1 {
+			outIDs, outVals = relaxInto(g, ids, c, f, &parts[0].buf, outIDs, outVals)
+			return
+		}
+		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
+			w := &parts[worker]
+			w.ids, w.vals = relaxInto(g, ids[lo:hi], c, f, &w.buf, w.ids, w.vals)
 		})
+		outIDs, outVals = collect(parts, outIDs, outVals)
 	})
-	return NewTagged(g.NumVertices(), outIDs, outVals)
+	return dst.put(g.NumVertices(), outIDs, outVals)
 }
 
-// EdgeMapCount implements the paper's edgeMapSum (§2.1: edgeMapReduce
-// with M = 1 and R = +): for every vertex v adjacent to U with C(v)
-// true, it counts the number of edges from U reaching v and returns the
-// tagged subset of touched vertices with their counts. k-core uses it to
-// count edges removed from each neighbor of the peeled set.
+// relaxInto is EdgeMapTagged over one block of sources: the pairs f
+// emits are appended to outIDs and outVals.
+func relaxInto[T any](g graph.Graph, ids []graph.Vertex, c func(graph.Vertex) bool,
+	f func(src, dst graph.Vertex, w graph.Weight) (T, bool), buf *graph.AdjBuf,
+	outIDs []graph.Vertex, outVals []T) ([]graph.Vertex, []T) {
+
+	for _, src := range ids {
+		nbrs, ws := g.OutAdj(src, buf)
+		debugCheckAdj(g, src, false, nbrs, ws)
+		for j, dst := range nbrs {
+			if c != nil && !c(dst) {
+				continue
+			}
+			if val, ok := f(src, dst, weightAt(ws, j)); ok {
+				outIDs = push(outIDs, dst)
+				outVals = push(outVals, val)
+			}
+		}
+	}
+	return outIDs, outVals
+}
+
+// EdgeMapSum is the paper's edgeMapSum(G, U, Update) (§2.1:
+// edgeMapReduce with M = 1 and R = +; Algorithm 1, line 16): for every
+// vertex v adjacent to U with C(v) true it counts the edges from U
+// reaching v, then calls update(v, count) — exactly once per touched
+// vertex, after all counting has finished, so update may change the
+// state C reads — and returns the tagged subset of the vertices and
+// values update kept, written to dst (see Tagged). k-core's update
+// lowers v's induced degree and reports the bucket move, so the output
+// is the updateBuckets feed and nothing else is materialized.
 //
-// The reduction uses an atomic counter per touched vertex; the vertex
-// that increments a counter from zero claims v for the output, so the
-// output contains each touched vertex exactly once.
-func EdgeMapCount(g graph.Graph, u VertexSubset, c func(v graph.Vertex) bool,
-	scratch *CountScratch) Tagged[uint32] {
+// Pass 1 adds to an atomic counter per target; the edge that raises a
+// counter from zero claims v into its worker's buffer, so each touched
+// vertex is claimed once. Pass 2 reads and zeroes each claimed counter,
+// calls update and compacts the survivors in place: one loop over the
+// destination's own array at Procs() == 1, at most two forked regions
+// otherwise. update runs concurrently for distinct vertices.
+func EdgeMapSum[T any](g graph.Graph, u VertexSubset, c func(v graph.Vertex) bool,
+	update func(v graph.Vertex, count uint32) (T, bool), dst *Tagged[T]) Tagged[T] {
 
 	n := g.NumVertices()
-	scratch.ensure(n)
-	cnt := scratch.counts
 	ids, p := u.Sparse(), sparseWorkers(g, u)
-	var touched []graph.Vertex
-	withWorkerParts(p, func(parts [][]graph.Vertex) {
-		parallel.WithScratch(p, func(bufs []graph.AdjBuf) {
-			parallel.Workers(len(ids), p, func(worker, lo, hi int) {
-				claimed, buf := parts[worker], &bufs[worker]
-				for _, src := range ids[lo:hi] {
-					nbrs, ws := g.OutAdj(src, buf)
-					debugCheckAdj(g, src, false, nbrs, ws)
-					for _, dst := range nbrs {
-						if (c == nil || c(dst)) && parallel.AddUint32(&cnt[dst], 1) == 1 {
-							claimed = append(claimed, dst)
-						}
-					}
-				}
-				parts[worker] = claimed
-			})
+	outIDs, outVals := dst.take()
+	cnt := dst.counters(n)
+	withParts(p, func(parts []part[T]) {
+		if p == 1 {
+			outIDs = countInto(g, ids, c, cnt, &parts[0].buf, outIDs)
+			outIDs, outVals = sumInto(cnt, update, outIDs, outIDs[:0], outVals)
+			return
+		}
+		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
+			w := &parts[worker]
+			w.ids = countInto(g, ids[lo:hi], c, cnt, &w.buf, w.ids)
 		})
-		touched = flatten(parts)
+		// The join above orders every atomic add before the plain reads
+		// and resets of pass 2.
+		touched := 0
+		for i := range parts {
+			touched += len(parts[i].ids)
+		}
+		if parallel.WorkersFor(int64(touched)) == 1 {
+			for i := range parts {
+				outIDs, outVals = sumInto(cnt, update, parts[i].ids, outIDs, outVals)
+			}
+			return
+		}
+		parallel.Workers(len(parts), len(parts), func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				w := &parts[i]
+				w.ids, w.vals = sumInto(cnt, update, w.ids, w.ids[:0], w.vals)
+			}
+		})
+		outIDs, outVals = collect(parts, outIDs, outVals)
 	})
-	outIDs := touched // never reassigned, so the workers below capture it by value
-	outVals := make([]uint32, len(outIDs))
-	parallel.For(len(outIDs), parallel.DefaultGrain, func(i int) {
-		v := outIDs[i]
-		outVals[i] = cnt[v]
-		cnt[v] = 0 // reset for the next call
-	})
-	return NewTagged(n, outIDs, outVals)
+	return dst.put(n, outIDs, outVals)
 }
 
-// CountScratch is the reusable counter array for EdgeMapCount. Reusing
-// it across rounds keeps each round's allocation proportional to the
-// frontier, not to n.
-type CountScratch struct {
-	counts []uint32
-}
-
-func (s *CountScratch) ensure(n int) {
-	if len(s.counts) < n {
-		s.counts = make([]uint32, n)
+// counters returns dst's counter array for a universe of n vertices,
+// all zero; a nil dst gets a fresh one.
+func (dst *Tagged[T]) counters(n int) []uint32 {
+	if dst == nil {
+		return make([]uint32, n)
 	}
+	if len(dst.counts) < n {
+		dst.counts = make([]uint32, n)
+	}
+	return dst.counts
+}
+
+// countInto is pass 1 of EdgeMapSum over one block of sources: the
+// targets this block was first to touch are appended to claimed.
+func countInto(g graph.Graph, ids []graph.Vertex, c func(graph.Vertex) bool, cnt []uint32,
+	buf *graph.AdjBuf, claimed []graph.Vertex) []graph.Vertex {
+
+	for _, src := range ids {
+		nbrs, ws := g.OutAdj(src, buf)
+		debugCheckAdj(g, src, false, nbrs, ws)
+		for _, dst := range nbrs {
+			if (c == nil || c(dst)) && parallel.AddUint32(&cnt[dst], 1) == 1 {
+				claimed = push(claimed, dst)
+			}
+		}
+	}
+	return claimed
+}
+
+// sumInto is pass 2 of EdgeMapSum over one block of claimed vertices:
+// each counter is read and reset for the next call, and the pairs
+// update keeps are appended to ids and vals. ids may be claimed[:0]:
+// the survivors are then compacted in place.
+func sumInto[T any](cnt []uint32, update func(graph.Vertex, uint32) (T, bool), claimed []graph.Vertex,
+	ids []graph.Vertex, vals []T) ([]graph.Vertex, []T) {
+
+	for _, v := range claimed {
+		count := cnt[v]
+		cnt[v] = 0
+		if val, ok := update(v, count); ok {
+			ids = push(ids, v)
+			vals = push(vals, val)
+		}
+	}
+	return ids, vals
 }
 
 // EdgeMapFilterCount implements the counting half of the paper's
 // edgeMapFilter (§2.1): for each u ∈ U it counts the out-neighbors
-// satisfying pred and returns the tagged subset of U with those counts.
+// satisfying pred and returns the tagged subset of U with those counts,
+// written to dst (see Tagged), in U's order.
 func EdgeMapFilterCount(g graph.Graph, u VertexSubset,
-	pred func(src, dst graph.Vertex) bool) Tagged[uint32] {
+	pred func(src, dst graph.Vertex) bool, dst *Tagged[uint32]) Tagged[uint32] {
 
 	ids, p := u.Sparse(), sparseWorkers(g, u)
-	vals := make([]uint32, len(ids))
+	outIDs, outVals := dst.take()
+	outIDs = append(outIDs, ids...)
+	vals := slices.Grow(outVals, len(ids))[:len(ids)] // never reassigned: the workers capture it by value
 	parallel.WithScratch(p, func(bufs []graph.AdjBuf) {
+		if p == 1 {
+			filterCountInto(g, ids, pred, &bufs[0], vals)
+			return
+		}
 		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
-			buf := &bufs[worker]
-			for i := lo; i < hi; i++ {
-				src := ids[i]
-				nbrs, ws := g.OutAdj(src, buf)
-				debugCheckAdj(g, src, false, nbrs, ws)
-				var k uint32
-				for _, dst := range nbrs {
-					if pred(src, dst) {
-						k++
-					}
-				}
-				vals[i] = k
-			}
+			filterCountInto(g, ids[lo:hi], pred, &bufs[worker], vals[lo:hi])
 		})
 	})
-	return NewTagged(g.NumVertices(), ids, vals)
+	return dst.put(g.NumVertices(), outIDs, vals)
+}
+
+// filterCountInto is EdgeMapFilterCount over one block of sources.
+func filterCountInto(g graph.Graph, ids []graph.Vertex, pred func(src, dst graph.Vertex) bool,
+	buf *graph.AdjBuf, counts []uint32) {
+
+	for i, src := range ids {
+		nbrs, ws := g.OutAdj(src, buf)
+		debugCheckAdj(g, src, false, nbrs, ws)
+		var k uint32
+		for _, dst := range nbrs {
+			if pred(src, dst) {
+				k++
+			}
+		}
+		counts[i] = k
+	}
 }
 
 // EdgeMapPack implements edgeMapFilter with the Pack option (§2.1): it
 // removes the out-edges of each u ∈ U whose target fails pred, mutating
-// the graph, and returns the tagged subset of U with the new degrees.
+// the graph, and returns the tagged subset of U with the new degrees,
+// written to dst (see Tagged), in U's order.
 func EdgeMapPack(g graph.Packer, u VertexSubset,
-	pred func(src, dst graph.Vertex) bool) Tagged[uint32] {
+	pred func(src, dst graph.Vertex) bool, dst *Tagged[uint32]) Tagged[uint32] {
 
 	ids, p := u.Sparse(), sparseWorkers(g, u)
-	vals := make([]uint32, len(ids))
-	parallel.Workers(len(ids), p, func(_, lo, hi int) {
-		// One keep closure per block, re-aimed at each source: PackOut
-		// takes it through the Packer interface, so a literal inside the
-		// loop would be heap-allocated per vertex.
-		var src graph.Vertex
-		keep := func(dst graph.Vertex) bool { return pred(src, dst) }
-		for i := lo; i < hi; i++ {
-			src = ids[i]
-			vals[i] = uint32(g.PackOut(src, keep))
+	outIDs, outVals := dst.take()
+	outIDs = append(outIDs, ids...)
+	vals := slices.Grow(outVals, len(ids))[:len(ids)] // never reassigned: the workers capture it by value
+	parallel.WithScratch(p, func(keeps []packKeep) {
+		if p == 1 {
+			keeps[0].pack(g, ids, pred, vals)
+			return
 		}
+		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
+			keeps[worker].pack(g, ids[lo:hi], pred, vals[lo:hi])
+		})
 	})
-	return NewTagged(g.NumVertices(), ids, vals)
+	return dst.put(g.NumVertices(), outIDs, vals)
+}
+
+// packKeep is one worker's keep predicate for PackOut. PackOut takes it
+// through the Packer interface, so a literal would be heap-allocated
+// where it is written; this one lives in the scratch pool, is built
+// once, and is re-aimed at each pred and source. Padded to a cache line:
+// a worker stores src per vertex and loads it per edge.
+type packKeep struct {
+	src  graph.Vertex
+	pred func(src, dst graph.Vertex) bool
+	keep func(dst graph.Vertex) bool
+	_    [40]byte
+}
+
+// pack is EdgeMapPack over one block of sources.
+func (k *packKeep) pack(g graph.Packer, ids []graph.Vertex, pred func(src, dst graph.Vertex) bool, degs []uint32) {
+	if k.keep == nil {
+		k.keep = func(dst graph.Vertex) bool { return k.pred(k.src, dst) }
+	}
+	k.pred = pred
+	for i, src := range ids {
+		k.src = src
+		degs[i] = uint32(g.PackOut(src, k.keep))
+	}
+	k.pred = nil // the pool must not keep the caller's closure alive
 }

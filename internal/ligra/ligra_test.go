@@ -1,10 +1,13 @@
 package ligra
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
 
+	"julienne/internal/compress"
 	"julienne/internal/gen"
 	"julienne/internal/graph"
 	"julienne/internal/parallel"
@@ -92,7 +95,7 @@ func TestTagMap(t *testing.T) {
 	s := FromSparse(10, []graph.Vertex{1, 2, 3, 4})
 	tg := TagMap(s, func(v graph.Vertex) (uint32, bool) {
 		return uint32(v * 10), v%2 == 0
-	})
+	}, nil)
 	if tg.Size() != 2 {
 		t.Fatalf("size=%d", tg.Size())
 	}
@@ -108,7 +111,7 @@ func TestTagMapTagged(t *testing.T) {
 	tg := NewTagged(10, []graph.Vertex{1, 2, 3}, []uint32{10, 20, 30})
 	out := TagMapTagged(tg, func(v graph.Vertex, val uint32) (uint32, bool) {
 		return val + 1, val >= 20
-	})
+	}, nil)
 	if out.Size() != 2 {
 		t.Fatalf("size=%d", out.Size())
 	}
@@ -242,7 +245,7 @@ func TestEdgeMapTagged(t *testing.T) {
 				return uint32(d) * 2, true
 			}
 			return 0, false
-		})
+		}, nil)
 	if tg.Size() != 9 {
 		t.Fatalf("size=%d want 9", tg.Size())
 	}
@@ -254,14 +257,18 @@ func TestEdgeMapTagged(t *testing.T) {
 	}
 }
 
-func TestEdgeMapCount(t *testing.T) {
+// keepCount is the EdgeMapSum update that keeps every touched vertex
+// with its count.
+func keepCount(_ graph.Vertex, count uint32) (uint32, bool) { return count, true }
+
+func TestEdgeMapSum(t *testing.T) {
 	// Triangle 0-1-2 plus pendant 2-3: counting from frontier {0,1}
 	// must give count 2 for vertex 2 and 1 for each of 0,1.
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3}},
 		graph.BuildOptions{Symmetrize: true, DropSelfLoops: true, Dedup: true})
-	var scratch CountScratch
-	tg := EdgeMapCount(g, FromSparse(4, []graph.Vertex{0, 1}),
-		func(v graph.Vertex) bool { return true }, &scratch)
+	var dst Tagged[uint32]
+	tg := EdgeMapSum(g, FromSparse(4, []graph.Vertex{0, 1}),
+		func(v graph.Vertex) bool { return true }, keepCount, &dst)
 	got := map[graph.Vertex]uint32{}
 	for i := 0; i < tg.Size(); i++ {
 		v, c := tg.At(i)
@@ -276,8 +283,13 @@ func TestEdgeMapCount(t *testing.T) {
 			t.Fatalf("count[%d]=%d want %d", v, got[v], c)
 		}
 	}
-	// Scratch must be clean for reuse.
-	tg2 := EdgeMapCount(g, Single(4, 3), func(graph.Vertex) bool { return true }, &scratch)
+	// The destination's counters must be clean for reuse.
+	for v, c := range dst.counts {
+		if c != 0 {
+			t.Fatalf("counter of %d left at %d", v, c)
+		}
+	}
+	tg2 := EdgeMapSum(g, Single(4, 3), func(graph.Vertex) bool { return true }, keepCount, &dst)
 	if tg2.Size() != 1 {
 		t.Fatalf("second call size=%d", tg2.Size())
 	}
@@ -287,11 +299,34 @@ func TestEdgeMapCount(t *testing.T) {
 	}
 }
 
-func TestEdgeMapCountRespectsCond(t *testing.T) {
+// TestEdgeMapSumUpdateFilters: update sees every touched vertex once
+// and only the pairs it keeps come back, with its values.
+func TestEdgeMapSumUpdateFilters(t *testing.T) {
+	g := gen.Star(8) // hub 0 with leaves 1..7
+	calls := make([]int32, 8)
+	tg := EdgeMapSum(g, Single(8, 0), nil, func(v graph.Vertex, count uint32) (string, bool) {
+		atomic.AddInt32(&calls[v], 1)
+		return fmt.Sprint(v, "x", count), v%2 == 1
+	}, nil)
+	if tg.Size() != 4 {
+		t.Fatalf("size=%d want 4", tg.Size())
+	}
+	for i := 0; i < tg.Size(); i++ {
+		if v, val := tg.At(i); v%2 != 1 || val != fmt.Sprint(v, "x", 1) {
+			t.Fatalf("bad pair (%d,%q)", v, val)
+		}
+	}
+	for v, c := range calls {
+		if want := int32(min(v, 1)); c != want {
+			t.Fatalf("update ran %d times on %d, want %d", c, v, want)
+		}
+	}
+}
+
+func TestEdgeMapSumRespectsCond(t *testing.T) {
 	g := gen.Star(5)
-	var scratch CountScratch
-	tg := EdgeMapCount(g, Single(5, 0),
-		func(v graph.Vertex) bool { return v%2 == 0 }, &scratch)
+	tg := EdgeMapSum(g, Single(5, 0),
+		func(v graph.Vertex) bool { return v%2 == 0 }, keepCount, nil)
 	for i := 0; i < tg.Size(); i++ {
 		v, _ := tg.At(i)
 		if v%2 != 0 {
@@ -306,7 +341,7 @@ func TestEdgeMapCountRespectsCond(t *testing.T) {
 func TestEdgeMapFilterCount(t *testing.T) {
 	g := gen.Star(6) // hub 0 with leaves 1..5
 	tg := EdgeMapFilterCount(g, Single(6, 0),
-		func(src, dst graph.Vertex) bool { return dst >= 3 })
+		func(src, dst graph.Vertex) bool { return dst >= 3 }, nil)
 	if tg.Size() != 1 {
 		t.Fatalf("size=%d", tg.Size())
 	}
@@ -319,7 +354,7 @@ func TestEdgeMapFilterCount(t *testing.T) {
 func TestEdgeMapPack(t *testing.T) {
 	g := gen.Star(6)
 	tg := EdgeMapPack(g, Single(6, 0),
-		func(src, dst graph.Vertex) bool { return dst%2 == 1 })
+		func(src, dst graph.Vertex) bool { return dst%2 == 1 }, nil)
 	if tg.Size() != 1 {
 		t.Fatalf("size=%d", tg.Size())
 	}
@@ -427,6 +462,177 @@ func TestFrontierCachesOutDegreeSum(t *testing.T) {
 	}
 }
 
+// TestOutDegreeSumBothArms: a sparse subset below the fork cut-off is
+// summed by a plain loop and one above it by parallel.Sum; both give
+// the sum of the members' degrees, on every family and at every P.
+func TestOutDegreeSumBothArms(t *testing.T) {
+	graphs := map[string]graph.Graph{"rmat-16k": gen.RMAT(1<<14, 1<<16, true, 5)} // all of it is above the cut-off
+	for _, fam := range gen.Families() {
+		graphs[fam.Name] = fam.Build(200, 800, 5)
+	}
+	for name, g := range graphs {
+		n := g.NumVertices()
+		for _, ids := range [][]graph.Vertex{All(n).Sparse(), All(n).Sparse()[:n/3]} {
+			var want int64
+			for _, v := range ids {
+				want += int64(g.OutDegree(v))
+			}
+			for _, p := range []int{1, 2, 4} {
+				old := parallel.SetProcs(p)
+				got := FromSparse(n, ids).OutDegreeSum(g)
+				cached := Frontier(g, ids).OutDegreeSum(g)
+				parallel.SetProcs(old)
+				if got != want || cached != want {
+					t.Errorf("%s, |U|=%d, P=%d: OutDegreeSum = %d, through Frontier %d, want %d", name, len(ids), p, got, cached, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEdgeMapSumForkedArms drives EdgeMapSum through its forked
+// regions — pass 1 always, pass 2 when enough vertices were touched —
+// and holds every P against a sequential count followed by update, on
+// both representations, with one destination reused over a growing
+// then shrinking frontier.
+func TestEdgeMapSumForkedArms(t *testing.T) {
+	csr := gen.RMAT(1<<14, 1<<17, true, 7)
+	n := csr.NumVertices()
+	for name, g := range map[string]graph.Graph{"csr": csr, "compressed": compress.FromCSR(csr)} {
+		for _, p := range []int{1, 2, 4} {
+			old := parallel.SetProcs(p)
+			var dst Tagged[uint32]
+			arms := map[int64]bool{}
+			// Inline, both passes forked, the first only (under half of
+			// the vertices are admitted, so under the cut-off touched).
+			for _, call := range []struct{ stride, mod int }{{512, 5}, {1, 5}, {1, 2}} {
+				stride := call.stride
+				var ids []graph.Vertex
+				for v := stride - 1; v < n; v += stride { // the hubs are the low ids
+					ids = append(ids, graph.Vertex(v))
+				}
+				admitted := func(v graph.Vertex) bool { return int(v)%call.mod != 0 }
+				want := map[graph.Vertex]uint32{}
+				for _, src := range ids {
+					for _, v := range csr.OutEdges(src) {
+						if admitted(v) {
+							want[v]++
+						}
+					}
+				}
+				touched := len(want)
+				for v, count := range want {
+					if (v+count)%3 == 0 {
+						delete(want, v)
+					}
+				}
+				calls := make([]int32, n)
+				u := Frontier(g, ids) // carries its degree sum: the call below walks nothing
+				var regions int64     // pass 2 forks only behind a forked pass 1
+				if parallel.WorkersFor(int64(len(ids))+u.OutDegreeSum(g)) > 1 {
+					regions = 1 + int64(min(parallel.WorkersFor(int64(touched)), 2)-1)
+				}
+				arms[regions] = true
+				before := parallel.ForkStats()
+				got := EdgeMapSum(g, u, admitted, func(v graph.Vertex, count uint32) (uint32, bool) {
+					atomic.AddInt32(&calls[v], 1)
+					return count, (v+count)%3 != 0
+				}, &dst)
+				if forked := parallel.ForkStats().Sub(before).Forked; forked != regions {
+					t.Errorf("%s P=%d call %v: %d forked regions, want %d", name, p, call, forked, regions)
+				}
+				if got.Size() != len(want) || len(got.Vals) != len(got.IDs) {
+					t.Fatalf("%s P=%d call %v: %d ids, %d values, want %d pairs", name, p, call, len(got.IDs), len(got.Vals), len(want))
+				}
+				for i := 0; i < got.Size(); i++ {
+					if v, count := got.At(i); want[v] != count {
+						t.Fatalf("%s P=%d call %v: pair (%d, %d), want count %d", name, p, call, v, count, want[v])
+					}
+				}
+				ran := 0
+				for v, k := range calls {
+					if k > 1 {
+						t.Fatalf("%s P=%d call %v: update ran %d times on %d", name, p, call, k, v)
+					}
+					ran += int(k)
+				}
+				if ran != touched {
+					t.Fatalf("%s P=%d call %v: update ran on %d vertices, %d were touched", name, p, call, ran, touched)
+				}
+				for v, c := range dst.counts {
+					if c != 0 {
+						t.Fatalf("%s P=%d call %v: counter of %d left at %d", name, p, call, v, c)
+					}
+				}
+			}
+			parallel.SetProcs(old)
+			if p > 1 && len(arms) != 3 {
+				t.Errorf("%s P=%d: the three frontiers took the arms %v, want one each of 0, 1 and 2 forked regions", name, p, arms)
+			}
+		}
+	}
+}
+
+// TestTaggedPrimitivesSameAcrossProcs: the forked arm of every
+// primitive that fills a destination returns the pairs its inline arm
+// does (in any order), into a destination the inline arm used before.
+func TestTaggedPrimitivesSameAcrossProcs(t *testing.T) {
+	base := gen.RMAT(1<<14, 1<<17, true, 7)
+	n := base.NumVertices()
+	u := Frontier(base, All(n).Sparse())
+	degrees := EdgeMapFilterCount(base, u, func(_, _ graph.Vertex) bool { return true }, nil)
+	odd := func(v graph.Vertex) bool { return v%2 == 1 }
+	primitives := map[string]func(dst *Tagged[uint32]) Tagged[uint32]{
+		"TagMap": func(dst *Tagged[uint32]) Tagged[uint32] {
+			return TagMap(u, func(v graph.Vertex) (uint32, bool) { return v * 3, odd(v) }, dst)
+		},
+		"TagMapTagged": func(dst *Tagged[uint32]) Tagged[uint32] {
+			return TagMapTagged(degrees, func(v graph.Vertex, deg uint32) (uint32, bool) { return deg + v, !odd(v) }, dst)
+		},
+		"EdgeMapTagged": func(dst *Tagged[uint32]) Tagged[uint32] {
+			claimed := make([]uint32, n)
+			return EdgeMapTagged(base, u, odd, func(_, d graph.Vertex, _ graph.Weight) (uint32, bool) {
+				return d + 1, parallel.CASUint32(&claimed[d], 0, 1)
+			}, dst)
+		},
+		"EdgeMapFilterCount": func(dst *Tagged[uint32]) Tagged[uint32] {
+			return EdgeMapFilterCount(base, u, func(_, d graph.Vertex) bool { return odd(d) }, dst)
+		},
+		"EdgeMapPack": func(dst *Tagged[uint32]) Tagged[uint32] {
+			return EdgeMapPack(base.Clone(), u, func(s, d graph.Vertex) bool { return odd(s + d) }, dst)
+		},
+	}
+	pairs := func(tg Tagged[uint32]) []uint64 {
+		out := make([]uint64, tg.Size())
+		for i := range out {
+			v, val := tg.At(i)
+			out[i] = uint64(v)<<32 | uint64(val)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for name, run := range primitives {
+		var dst Tagged[uint32]
+		old := parallel.SetProcs(1)
+		want := pairs(run(&dst))
+		for _, p := range []int{2, 4} {
+			parallel.SetProcs(p)
+			before := parallel.ForkStats()
+			got := pairs(run(&dst))
+			if forked := parallel.ForkStats().Sub(before).Forked; forked == 0 {
+				t.Errorf("%s at P=%d over %d vertices did not fork: the forked arm went untested", name, p, n)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s at P=%d: %d pairs that differ from the %d of P=1", name, p, len(got), len(want))
+			}
+		}
+		parallel.SetProcs(old)
+		if len(want) == 0 {
+			t.Errorf("%s kept nothing: the comparison is vacuous", name)
+		}
+	}
+}
+
 // TestSparseTraversalsForkOnWorkNotSize pins the cut-off at its users:
 // every push traversal runs inline on a frontier whose |U| + Σ outdeg(U)
 // is small, however many vertices that is, and through the helper pool
@@ -446,7 +652,6 @@ func TestSparseTraversalsForkOnWorkNotSize(t *testing.T) {
 		rim = append(rim, graph.Vertex(v))
 	}
 	all := func(graph.Vertex) bool { return true }
-	var scratch CountScratch
 	traversals := map[string]func(u VertexSubset){
 		"EdgeMap": func(u VertexSubset) {
 			EdgeMap(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) bool { return false }, EdgeMapOptions{NoDense: true})
@@ -455,10 +660,10 @@ func TestSparseTraversalsForkOnWorkNotSize(t *testing.T) {
 			EdgeMap(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) bool { return false }, EdgeMapOptions{NoDense: true, NoOutput: true})
 		},
 		"EdgeMapTagged": func(u VertexSubset) {
-			EdgeMapTagged(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) (uint32, bool) { return 0, false })
+			EdgeMapTagged(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) (uint32, bool) { return 0, false }, nil)
 		},
-		"EdgeMapCount":       func(u VertexSubset) { EdgeMapCount(g, u, func(graph.Vertex) bool { return false }, &scratch) },
-		"EdgeMapFilterCount": func(u VertexSubset) { EdgeMapFilterCount(g, u, func(_, _ graph.Vertex) bool { return true }) },
+		"EdgeMapSum":         func(u VertexSubset) { EdgeMapSum(g, u, func(graph.Vertex) bool { return false }, keepCount, nil) },
+		"EdgeMapFilterCount": func(u VertexSubset) { EdgeMapFilterCount(g, u, func(_, _ graph.Vertex) bool { return true }, nil) },
 	}
 	forks := func(traverse func(VertexSubset), ids []graph.Vertex) int64 {
 		u := Frontier(g, ids)

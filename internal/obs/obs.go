@@ -166,6 +166,17 @@ func (s *Span) Arg(key string, value any) *Span {
 	return s
 }
 
+// ArgInt is Arg for an integer. Arg's value is boxed by its caller,
+// before the nil check can run, and an integer of 256 or more costs an
+// allocation to box: a kernel that attaches its round's counts this way
+// pays nothing when telemetry is off.
+func (s *Span) ArgInt(key string, v int64) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.Arg(key, v)
+}
+
 // End closes the span, records its trace event, and returns its
 // duration (0 on a nil span).
 func (s *Span) End() time.Duration {

@@ -29,8 +29,8 @@ func TestNilRecorder(t *testing.T) {
 	if sp != nil {
 		t.Fatal("nil recorder should hand out nil spans")
 	}
-	if sp.Arg("k", 1) != nil {
-		t.Fatal("Arg on nil span should stay nil")
+	if sp.Arg("k", 1) != nil || sp.ArgInt("k", 1) != nil {
+		t.Fatal("Arg and ArgInt on nil span should stay nil")
 	}
 	if sp.End() != 0 {
 		t.Fatal("End on nil span should return 0")
@@ -110,9 +110,25 @@ func TestGauges(t *testing.T) {
 	}
 }
 
+// TestArgIntFreeWhenOff: a span argument on a disabled recorder must
+// cost nothing. Arg's value is boxed at the call site, before Arg's nil
+// check runs, and boxing an integer of 256 or more allocates; ArgInt
+// takes the integer unboxed. v is a run-time value: a constant would be
+// boxed statically and hide the difference.
+func TestArgIntFreeWhenOff(t *testing.T) {
+	var off *Recorder
+	v := int64(len(t.Name())) + 1000
+	if allocs := testing.AllocsPerRun(100, func() { off.StartSpan("x").ArgInt("k", v).End() }); allocs != 0 {
+		t.Errorf("ArgInt on a nil recorder: %v allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { off.StartSpan("x").Arg("k", v).End() }); allocs != 1 {
+		t.Errorf("Arg on a nil recorder: %v allocs; if it no longer boxes, ArgInt has no reason to exist", allocs)
+	}
+}
+
 func TestSpansAndTraceRoundTrip(t *testing.T) {
 	r := NewRecorder()
-	sp := r.StartSpan("kcore.round").Arg("bucket", 3).Arg("frontier", 17)
+	sp := r.StartSpan("kcore.round").Arg("bucket", 3).ArgInt("frontier", 17)
 	time.Sleep(time.Millisecond)
 	d := sp.End()
 	if d < time.Millisecond {

@@ -164,49 +164,3 @@ func PackIndices(n int, pred func(i int) bool) []uint32 {
 	})
 	return out
 }
-
-// MapFilter applies f to every index in [0, n) and keeps the values for
-// which f reports ok, preserving index order. It fuses a map with a
-// filter so callers avoid materializing the mapped slice.
-func MapFilter[T any](n int, f func(i int) (T, bool)) []T {
-	if n == 0 {
-		return nil
-	}
-	defer rewrapPanic() // sequential path calls f unwrapped
-	nb, blockSize, _ := blocks(n, DefaultGrain)
-	if nb == 1 {
-		inlined.Add(1)
-		out := make([]T, 0, n/4+4)
-		for i := 0; i < n; i++ {
-			if v, ok := f(i); ok {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	// Per-block survivor buffers come from the pool and keep their
-	// capacity across calls, so repeated MapFilters stop allocating once
-	// the per-block high-water marks are reached.
-	var out []T
-	WithScratch(nb, func(parts [][]T) {
-		For(nb, 1, func(b int) {
-			lo, hi := b*blockSize, min((b+1)*blockSize, n)
-			part := parts[b][:0]
-			for i := lo; i < hi; i++ {
-				if v, ok := f(i); ok {
-					part = append(part, v)
-				}
-			}
-			parts[b] = part
-		})
-		total := 0
-		for b := 0; b < nb; b++ {
-			total += len(parts[b])
-		}
-		out = make([]T, 0, total)
-		for b := 0; b < nb; b++ {
-			out = append(out, parts[b]...)
-		}
-	})
-	return out
-}

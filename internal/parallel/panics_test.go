@@ -252,9 +252,6 @@ func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 		{"FilterAppend", n, func(cb func()) {
 			parallel.FilterAppend(buf[:0], in, func(v uint32) bool { cb(); return v%2 == 0 })
 		}},
-		{"MapFilter", n, func(cb func()) {
-			parallel.MapFilter(n, func(i int) (uint32, bool) { cb(); return uint32(i), i%3 == 0 })
-		}},
 		{"PackIndices", n, func(cb func()) {
 			parallel.PackIndices(n, func(i int) bool { cb(); return i%2 == 0 })
 		}},

@@ -143,21 +143,6 @@ func TestFilterParallelPath(t *testing.T) {
 	})
 }
 
-func TestMapFilterParallelPath(t *testing.T) {
-	withProcs(t, 4, func() {
-		n := 150000
-		got := MapFilter(n, func(i int) (int, bool) { return -i, i%3 == 0 })
-		if len(got) != (n+2)/3 {
-			t.Fatalf("len=%d", len(got))
-		}
-		for i, v := range got {
-			if v != -i*3 {
-				t.Fatalf("got[%d]=%d", i, v)
-			}
-		}
-	})
-}
-
 func TestScanInclusiveParallelPath(t *testing.T) {
 	withProcs(t, 4, func() {
 		n := 60000

@@ -289,35 +289,6 @@ func TestPackIndices(t *testing.T) {
 	}
 }
 
-func TestMapFilter(t *testing.T) {
-	got := MapFilter(10, func(i int) (int, bool) { return i * i, i%2 == 1 })
-	want := []int{1, 9, 25, 49, 81}
-	if len(got) != len(want) {
-		t.Fatalf("len=%d want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("got[%d]=%d want %d", i, got[i], want[i])
-		}
-	}
-	if out := MapFilter(0, func(i int) (int, bool) { return 0, true }); out != nil {
-		t.Fatal("MapFilter(0) should be nil")
-	}
-}
-
-func TestMapFilterLarge(t *testing.T) {
-	n := 50000
-	got := MapFilter(n, func(i int) (uint32, bool) { return uint32(i), i%7 == 0 })
-	if len(got) != (n+6)/7 {
-		t.Fatalf("len=%d want %d", len(got), (n+6)/7)
-	}
-	for i := range got {
-		if got[i] != uint32(i*7) {
-			t.Fatalf("got[%d]=%d want %d", i, got[i], i*7)
-		}
-	}
-}
-
 func TestWriteMinUint32(t *testing.T) {
 	var x uint32 = 100
 	if !WriteMinUint32(&x, 50) || x != 50 {

@@ -9,11 +9,10 @@ import (
 // This file implements the pooled scratch buffers behind the
 // allocation-free steady state of the sequence primitives. Every
 // primitive that needs per-call temporary storage (block sums in Scan,
-// per-block survivor counts in Filter, per-block output buffers in
-// MapFilter, partial results in Reduce) borrows it from a type-indexed
-// sync.Pool instead of allocating, so a hot loop that calls the same
-// primitive every round reaches a steady state with no per-round
-// garbage — the property the paper's work bounds implicitly assume and
+// per-block survivor counts in Filter, partial results in Reduce)
+// borrows it from a type-indexed sync.Pool instead of allocating, so a
+// hot loop that calls the same primitive every round reaches a steady
+// state with no per-round garbage — the property the paper's work bounds implicitly assume and
 // GBBS identifies as a large constant-factor win in practice.
 //
 // Buffers travel through the pool as *scratch[T] rather than []T so the
