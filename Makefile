@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint race debug chaos fuzz bench bench-smoke bench-go obs-demo serve-smoke loc check
+.PHONY: all build test vet fmt lint race debug chaos fuzz bench bench-smoke bench-check bench-go obs-demo serve-smoke loc check
 
 all: check
 
@@ -84,23 +84,30 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime $(FUZZTIME) ./internal/graphio/
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime $(FUZZTIME) ./internal/graphio/
 
-# bench regenerates the committed performance baseline
-# (BENCH_bucket.json / BENCH_algos.json in the repo root), including
-# the before/after comparison against the pinned pre-arena numbers.
-# bench-smoke is the CI-sized variant: small inputs, no comparison,
-# output under bench-out/. See DESIGN.md §7 for the report schema.
+# bench regenerates the committed reports (BENCH_bucket.json and
+# BENCH_algos.json in the repo root): every workload of the
+# internal/bench registry at GOMAXPROCS 1 and NumCPU, by the one timing
+# method. EXPERIMENTS.md's tables are `go run ./cmd/bench -print
+# <artifact>` over those files. DESIGN.md §7 has the method and schema.
 BENCH_OUT ?= .
 bench:
-	$(GO) run ./cmd/bench -out $(BENCH_OUT)
+	$(GO) run ./cmd/bench -dir $(BENCH_OUT)
 
-# bench-smoke also gates the fusion ablation: the fused grid-family
-# entries must extract fewer bucket rounds than their unfused
-# counterparts (obs counter, not wall time), wbfs at least 3x fewer.
-# And the fork budget: wbfs on the grid family at P>1 — thousands of
-# tiny frontiers — may fork in only a small fraction of its rounds
-# (parallel.forked against rounds, counters again, never wall time).
+# bench-smoke is the CI-sized run: small inputs, reports under
+# bench-out/, gated on counters and never on wall time — the fusion
+# ablation (fused road-graph rows extract fewer bucket rounds, wbfs at
+# least 3x fewer) and the fork budget (wbfs on the road graph at P>1
+# forks in only a small fraction of its rounds).
 bench-smoke:
-	$(GO) run ./cmd/bench -smoke -assert-fusion -assert-forks -out bench-out
+	$(GO) run ./cmd/bench -smoke -dir bench-out -check
+
+# bench-check is the nightly gate: a full-budget run into bench-out/,
+# held to the same two rules and compared with the committed root
+# reports — at P=1 every n, m, rounds, obs counter and answer counter
+# exactly, allocs_per_op within tolerance. A PR that changes rounds,
+# counters or allocations without regenerating the files fails here.
+bench-check:
+	$(GO) run ./cmd/bench -dir bench-out -check .
 
 # obs-demo smoke-tests the observability plane end to end: run kcore
 # with -http on an ephemeral port, scrape /metrics until the
@@ -117,10 +124,11 @@ obs-demo:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-# bench-go runs the raw go-test benchmarks once each (quick signal
-# while iterating; use `make bench` for the reproducible reports).
+# bench-go runs every registry row once under the testing harness
+# (quick signal while iterating, and the way to profile one row: add
+# -cpuprofile and narrow -bench to Workloads/<key>).
 bench-go:
-	$(GO) test -run xxx -bench . -benchtime 1x .
+	$(GO) test -run xxx -bench Workloads -benchtime 1x .
 
 # loc prints the size every simplification PR reports: non-test,
 # non-fixture Go lines outside the gated benchmark.

@@ -1,121 +1,90 @@
-// Command bench regenerates the repository's performance baseline:
+// Command bench is the repository's one measuring command:
 //
-//	bench [-smoke] [-out dir] [-reps n] [-seed s] [-http :9090] [-assert-fusion] [-assert-forks]
+//	bench [-smoke] [-dir d]              measure, write d/BENCH_*.json
+//	bench [-smoke] [-dir d] -check [c]   measure, then gate the run
+//	bench [-dir d] -print <artifact>     render a table from d/BENCH_*.json
 //
-// It measures the bucket structure's hot paths and the four bucketed
-// applications (k-core, ∆-stepping, wBFS, approximate set cover) at
-// GOMAXPROCS ∈ {1, NumCPU} and writes BENCH_bucket.json and
-// BENCH_algos.json into -out. Full-budget runs (the default; `make
-// bench`) additionally re-measure the pre-arena go-test benchmarks so
-// the files carry a before/after allocator comparison; -smoke (`make
-// bench-smoke`) shrinks inputs to CI size and skips the comparison.
+// A run measures every workload of the internal/bench registry — the
+// paper's Table 3 rows on the five Table 2 stand-ins, the §3.4
+// microbenchmark of Figure 1, the ablations, the extensions and the
+// bucket structure's two hot paths — at GOMAXPROCS ∈ {1, NumCPU} by
+// one method (one warm-up, 20 timed samples, fast-decile mean, median
+// and quartile spread; DESIGN.md §7) and writes BENCH_bucket.json and
+// BENCH_algos.json into -dir. -smoke shrinks the inputs to CI size.
 //
-// The algos report includes the bucket-fusion ablation on the grid
-// family (wbfs-fused, delta-stepping-fused vs their unfused
-// counterparts; DESIGN.md §11). -assert-fusion turns the ablation into
-// a gate: the run fails unless the fused entries extracted fewer
-// bucket rounds (obs bucket.buckets_returned) than the unfused ones,
-// with wbfs at least 3x fewer. -assert-forks gates the fork budget the
-// same way, on counters only: wbfs on the grid family at procs > 1 may
-// go through the helper pool (obs parallel.forked, reported per entry
-// as forks_per_round) in only a small fraction of its rounds. CI's
-// bench-smoke job runs with both flags.
+// -print measures nothing: it renders table1|table2|table3|fig1..fig5|
+// ablation|extension|bucket from the report files, which is how
+// EXPERIMENTS.md is regenerated from what is committed.
 //
-// With -http the suite's merged telemetry (counters plus round-latency
-// histograms from every instrumented run) is served live on the obs
-// debug surface (/metrics, /debug/obs, /debug/pprof/), and the process
-// keeps serving after the reports are written until interrupted.
-//
-// DESIGN.md §7 documents the report schema and the measurement
-// methodology; cmd/experiments produces the paper-style tables and
-// figures instead.
+// -check gates the fresh run on counters, never on wall time: the
+// fusion ablation (fused road-graph rows extract fewer bucket rounds,
+// wbfs at least 3x fewer) and the fork budget (wbfs on the road graph
+// forks in at most 5 % of its rounds at procs > 1), and, when a
+// directory c is given, the fresh run against c/BENCH_*.json — at
+// procs = 1 every n, m, rounds, obs counter and answer counter exactly
+// and allocs_per_op within tolerance. A check never overwrites the
+// reports it checks against: with c equal to -dir nothing is written.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
+	"strings"
 
 	"julienne/internal/bench"
-	"julienne/internal/obs"
 )
 
 func main() {
-	smoke := flag.Bool("smoke", false, "CI-sized inputs, no before/after re-measurement")
-	out := flag.String("out", ".", "output directory for BENCH_*.json")
-	reps := flag.Int("reps", 0, "timing repetitions per configuration (default 5, 3 with -smoke)")
-	seed := flag.Uint64("seed", 0, "workload seed (default 2017)")
-	httpAddr := flag.String("http", "", "serve live /metrics, /debug/obs, /debug/pprof on this address while benchmarking; keeps serving after the run until interrupted")
-	assertFusion := flag.Bool("assert-fusion", false, "fail unless the fused grid-family entries extract fewer bucket rounds than their unfused counterparts (wbfs: at least 3x fewer), judged by the obs bucket.buckets_returned counter")
-	assertForks := flag.Bool("assert-forks", false, "fail if wbfs on the grid family forks in more than a small fraction of its rounds at procs > 1, judged by the obs parallel.forked counter")
+	smoke := flag.Bool("smoke", false, "CI-sized inputs")
+	dir := flag.String("dir", ".", "directory of BENCH_bucket.json and BENCH_algos.json: written by a run, read by -print")
+	artifact := flag.String("print", "", "render one artifact from the reports in -dir without measuring: "+strings.Join(bench.Artifacts(), "|"))
+	check := flag.Bool("check", false, "gate the fresh run on the fusion and fork-budget rules and, given a directory argument, on the reports committed there (counters and allocations, never wall time)")
 	flag.Parse()
 
-	cfg := bench.Config{Smoke: *smoke, Reps: *reps, Seed: *seed}
-	serving := ""
-	if *httpAddr != "" {
-		cfg.Live = obs.NewRecorder()
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: -http listen on %s: %v\n", *httpAddr, err)
-			os.Exit(2)
+	if *artifact != "" {
+		bucketRep, algosRep, err := bench.ReadReports(*dir)
+		if err == nil {
+			err = bench.Print(os.Stdout, *artifact, bucketRep, algosRep)
 		}
-		serving = ln.Addr().String()
-		srv := &http.Server{Handler: obs.ServeMux(cfg.Live)}
-		go func() {
-			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintf(os.Stderr, "bench: http server on %s: %v\n", serving, err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "bench: serving http://%s/metrics\n", serving)
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-	write := func(name string, rep *bench.Report) {
-		path := filepath.Join(*out, name)
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rep.Write(f); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("wrote %s (%d results)\n", path, len(rep.Results))
-		fmt.Print(bench.FormatSummary(rep))
-	}
-	write("BENCH_bucket.json", bench.Bucket(cfg))
-	algos := bench.Algos(cfg)
-	write("BENCH_algos.json", algos)
-	if *assertFusion {
-		if err := bench.CheckFusionAblation(algos); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("fusion ablation: fused grid entries extract fewer bucket rounds than unfused (wbfs >= 3x)")
-	}
-	if *assertForks {
-		checked, err := bench.CheckForkBudget(algos)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("fork budget: %d wbfs/grid entries at procs > 1 fork in at most a small fraction of their rounds\n", checked)
+		exitOn(err)
+		return
 	}
 
-	if serving != "" {
-		fmt.Fprintf(os.Stderr, "bench: run complete; still serving http://%s (interrupt to exit)\n", serving)
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
+	var committed [2]*bench.Report
+	against := ""
+	if *check {
+		against = flag.Arg(0)
+	}
+	if against != "" {
+		var err error
+		committed[0], committed[1], err = bench.ReadReports(against)
+		exitOn(err)
+	}
+	bucketRep, algosRep := bench.Run(*smoke, os.Stderr)
+	if against == "" || filepath.Clean(*dir) != filepath.Clean(against) {
+		exitOn(bench.WriteReports(*dir, bucketRep, algosRep))
+		fmt.Printf("wrote %s and %s in %s (%d + %d results)\n", bench.BucketFile, bench.AlgosFile, *dir, len(bucketRep.Results), len(algosRep.Results))
+	}
+	if !*check {
+		return
+	}
+	exitOn(bench.CheckFusionAblation(algosRep))
+	fmt.Println("fusion ablation: fused road-graph entries extract fewer bucket rounds than unfused (wbfs >= 3x)")
+	forks, err := bench.CheckForkBudget(algosRep)
+	exitOn(err)
+	fmt.Printf("fork budget: %d wbfs/road entries at procs > 1 fork in at most a small fraction of their rounds\n", forks)
+	if against != "" {
+		exitOn(bench.Check(bucketRep, committed[0]))
+		exitOn(bench.Check(algosRep, committed[1]))
+		fmt.Printf("check: every procs=1 entry agrees with %s on n, m, rounds, counters and answers; allocs_per_op within tolerance\n", against)
+	}
+}
+
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -1,12 +1,14 @@
 // Command servedload drives a running served instance with concurrent
-// queries and reports per-endpoint throughput and latency quantiles —
-// the source of BENCH_serve.json and the serve-smoke check.
+// queries and reports per-endpoint throughput and latency quantiles:
+// the driver of the serve-smoke check. It commits no numbers; the
+// gated benchmark's serve-zipf workload reports cold and cached latency
+// apart.
 //
 // Usage:
 //
 //	servedload -addr 127.0.0.1:8090 [-duration 5s] [-conc 8]
 //	           [-mix sssp,wbfs,coreness] [-sources 64] [-seed 2017]
-//	           [-jobs] [-out BENCH_serve.json]
+//	           [-jobs] [-out report.json]
 //
 // Sources are drawn from a bounded pool so the server's coalescing and
 // cache paths are exercised alongside cold computations; -sources 0

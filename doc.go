@@ -10,8 +10,8 @@
 // four bucketing-based applications — k-core (coreness), ∆-stepping,
 // weighted BFS and (1+ε)-approximate set cover — together with every
 // baseline its evaluation compares against, graph generators, Ligra+
-// style byte-compressed graphs, and an experiment harness that
-// regenerates every table and figure of the paper.
+// style byte-compressed graphs, and one measuring harness whose
+// committed reports every table and figure of the paper is read from.
 //
 // # Quick start
 //
@@ -29,7 +29,8 @@
 //   - internal/graph, internal/compress — CSR and compressed graphs
 //   - internal/gen, internal/graphio — workload generators and I/O
 //   - internal/algo/... — the four applications and their baselines
-//   - internal/experiments — the Table/Figure reproduction drivers
+//   - internal/bench — the workload registry, the one timing method,
+//     the committed BENCH_*.json reports and their table views
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for a full
 // paper-vs-measured comparison.

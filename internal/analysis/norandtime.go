@@ -16,11 +16,14 @@ import (
 //     that -race and the differential harness cannot replay.
 //
 //   - bare time.Now is forbidden outside internal/harness,
-//     internal/obs and the gated benchmark. Timing flows through the harness (TimeMedian,
-//     Time, ThreadSweep) or the obs recorder so that every reported
-//     number carries the same warm-up, repetition, and median
-//     discipline — an inline time.Now measurement silently skips all
-//     three.
+//     internal/obs and the gated benchmark. A wall-clock reading is
+//     either harness.Time — one shot, what a CLI prints, and the only
+//     clock internal/bench's measure reads, once per sample after its
+//     warm-up — or a span or histogram of the obs recorder. measure is
+//     the one function that turns repeated readings into a reported
+//     number (fast-decile mean, median, quartile spread); an inline
+//     time.Now measurement silently skips the warm-up, the repetition
+//     and the statistics.
 //
 // Deliberate exceptions carry a `//lint:ignore julvet/norandtime
 // reason` directive.
@@ -77,7 +80,7 @@ func runNoRandTime(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"bare time.Now: route timing through internal/harness (Time/TimeMedian) or the obs recorder")
+				"bare time.Now: read the clock through harness.Time (repeated measurement is internal/bench's measure) or the obs recorder")
 			return true
 		})
 	}

@@ -13,11 +13,11 @@ func jitter() int64 {
 }
 
 func stamp() time.Time {
-	return time.Now() // want "bare time.Now: route timing through internal/harness"
+	return time.Now() // want "bare time.Now: read the clock through harness.Time"
 }
 
-// since is fine: only Now is the measurement primitive the harness
-// owns; arithmetic on times obtained elsewhere is not flagged.
+// since is fine: only Now is the clock reading harness.Time owns;
+// arithmetic on times obtained elsewhere is not flagged.
 func since(t0, t1 time.Time) time.Duration {
 	return t1.Sub(t0)
 }

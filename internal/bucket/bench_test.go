@@ -41,35 +41,3 @@ func BenchmarkUpdateBucketsHistogram(b *testing.B) {
 	}
 	b.SetBytes(int64(len(ids) * 8))
 }
-
-func BenchmarkNextBucket(b *testing.B) {
-	n := 1 << 18
-	d := make([]ID, n)
-	for i := range d {
-		d[i] = ID(rng.UintNAt(3, uint64(i), 1024))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		par := New(n, func(j uint32) ID { return d[j] }, Increasing, Options{})
-		b.StartTimer()
-		for {
-			id, _ := par.NextBucket()
-			if id == Nil {
-				break
-			}
-		}
-	}
-}
-
-func BenchmarkMakeBuckets(b *testing.B) {
-	n := 1 << 18
-	d := make([]ID, n)
-	for i := range d {
-		d[i] = ID(rng.UintNAt(4, uint64(i), 1024))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		New(n, func(j uint32) ID { return d[j] }, Increasing, Options{})
-	}
-}

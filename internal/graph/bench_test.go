@@ -18,37 +18,6 @@ func benchEdges(n, m int) []Edge {
 	return edges
 }
 
-func BenchmarkFromEdges(b *testing.B) {
-	edges := benchEdges(1<<16, 1<<19)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FromEdges(1<<16, edges, DefaultBuild)
-	}
-	b.SetBytes(int64(len(edges) * 12))
-}
-
-func BenchmarkFromEdgesSymmetrized(b *testing.B) {
-	edges := benchEdges(1<<16, 1<<18)
-	opt := DefaultBuild
-	opt.Symmetrize = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FromEdges(1<<16, edges, opt)
-	}
-}
-
-func BenchmarkTranspose(b *testing.B) {
-	edges := benchEdges(1<<15, 1<<18)
-	g := FromEdges(1<<15, edges, DefaultBuild)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c := g.Clone() // fresh, un-transposed copy
-		b.StartTimer()
-		c.InDegree(0) // forces the transpose build
-	}
-}
-
 // The two traversal benchmarks walk every adjacency list through the
 // Graph interface, as the algorithms do, and report ns/edge: the
 // callback form pays an escaping closure per vertex and an indirect
@@ -94,18 +63,4 @@ func BenchmarkOutAdjTraversal(b *testing.B) {
 	}
 	_ = sink
 	reportPerEdge(b, g)
-}
-
-func BenchmarkPackOut(b *testing.B) {
-	edges := benchEdges(1<<14, 1<<18)
-	base := FromEdges(1<<14, edges, DefaultBuild)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		g := base.Clone()
-		b.StartTimer()
-		for v := 0; v < g.NumVertices(); v++ {
-			g.PackOut(Vertex(v), func(u Vertex) bool { return u%2 == 0 })
-		}
-	}
 }

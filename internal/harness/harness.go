@@ -1,129 +1,24 @@
-// Package harness provides the experiment plumbing shared by the
-// cmd/experiments driver and the root benchmark suite: repeated timing
-// with medians, GOMAXPROCS sweeps (the thread-count axes of Figures
-// 2–5), and fixed-width table rendering that mirrors the layout of the
-// paper's Table 3.
+// Package harness is the plumbing the CLIs, the bench harness and the
+// tests share: the single-shot clock (Time), fixed-width table
+// rendering (Table), the goroutine leak check and DeadlineIn. Repeated,
+// warmed-up measurement lives in internal/bench, the only package that
+// takes more than one sample of anything.
 package harness
 
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
-
-	"julienne/internal/parallel"
 )
 
-// Sample summarizes repeated timings of one workload: the median the
-// tables report plus the min/max spread, so wall-clock variance can be
-// sanity-checked against trace-derived numbers.
-type Sample struct {
-	Median, Min, Max time.Duration
-}
-
-// Spread renders the min..max interval in milliseconds.
-func (s Sample) Spread() string {
-	return Ms(s.Min) + ".." + Ms(s.Max)
-}
-
-// Time runs f once and returns its wall-clock duration. It is the
-// single-shot measurement primitive for the CLI drivers; anything
-// reported in a table or figure should prefer TimeMedian's repetition
-// and spread discipline.
+// Time runs f once and returns its wall-clock duration: what a CLI
+// prints for the one run it was asked for, and the clock
+// internal/bench's measure reads once per sample.
 func Time(f func()) time.Duration {
 	start := time.Now()
 	f()
 	return time.Since(start)
-}
-
-// TimeMedian runs f `reps` times and returns the median wall-clock
-// duration together with the sample spread. reps < 1 is treated as 1.
-func TimeMedian(reps int, f func()) Sample {
-	if reps < 1 {
-		reps = 1
-	}
-	times := make([]time.Duration, reps)
-	for i := range times {
-		start := time.Now()
-		f()
-		times[i] = time.Since(start)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return Sample{
-		Median: times[len(times)/2],
-		Min:    times[0],
-		Max:    times[len(times)-1],
-	}
-}
-
-// AllocSample summarizes allocator traffic per run of a workload,
-// measured with runtime.ReadMemStats deltas (total bytes and object
-// counts, the same quantities `go test -benchmem` reports).
-type AllocSample struct {
-	// BytesPerOp is the average heap bytes allocated per run.
-	BytesPerOp int64
-	// AllocsPerOp is the average number of heap objects allocated per
-	// run.
-	AllocsPerOp int64
-}
-
-// MeasureAlloc runs f once to warm pools, caches and arenas, then
-// measures the allocator traffic of reps further runs. Per-op figures
-// are averages, so one-time growth that survives the warm-up is
-// amortized — which is exactly the steady-state quantity the
-// allocation-free hot-path work targets. Not concurrency-safe: nothing
-// else may allocate significantly while it runs.
-func MeasureAlloc(reps int, f func()) AllocSample {
-	if reps < 1 {
-		reps = 1
-	}
-	f()
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < reps; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return AllocSample{
-		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / int64(reps),
-		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / int64(reps),
-	}
-}
-
-// ThreadCounts returns the GOMAXPROCS values the sweeps use: powers of
-// two up to the machine's CPU count (always including 1 and the full
-// count). On a 1-CPU machine this is just {1}; the sweep code is the
-// same one that produces the paper's 72-core curves.
-func ThreadCounts() []int {
-	maxP := runtime.NumCPU()
-	var ps []int
-	for p := 1; p < maxP; p *= 2 {
-		ps = append(ps, p)
-	}
-	ps = append(ps, maxP)
-	return ps
-}
-
-// SweepPoint is one (threads, timing) sample of a scaling curve.
-type SweepPoint struct {
-	Threads int
-	Sample
-}
-
-// ThreadSweep times f at every thread count, restoring GOMAXPROCS
-// afterwards. f must be a complete self-contained run (Figures 2–5
-// time whole algorithm executions).
-func ThreadSweep(reps int, f func()) []SweepPoint {
-	defer parallel.SetProcs(parallel.SetProcs(0))
-	var pts []SweepPoint
-	for _, p := range ThreadCounts() {
-		parallel.SetProcs(p)
-		pts = append(pts, SweepPoint{Threads: p, Sample: TimeMedian(reps, f)})
-	}
-	return pts
 }
 
 // Table accumulates rows and renders them with aligned columns.
@@ -145,8 +40,6 @@ func (t *Table) AddRow(cells ...any) {
 		switch v := c.(type) {
 		case time.Duration:
 			row[i] = Ms(v)
-		case Sample:
-			row[i] = Ms(v.Median)
 		case float64:
 			row[i] = fmt.Sprintf("%.3g", v)
 		default:
@@ -198,12 +91,4 @@ func pad(s string, w int) string {
 // the unit the paper's tables effectively use at laptop scale.
 func Ms(d time.Duration) string {
 	return fmt.Sprintf("%.3gms", float64(d.Microseconds())/1000.0)
-}
-
-// Speedup formats t1/tp, the per-row speedup column of Table 3.
-func Speedup(t1, tp time.Duration) string {
-	if tp <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2fx", float64(t1)/float64(tp))
 }

@@ -5,98 +5,12 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"julienne/internal/parallel"
 )
-
-func TestTimeMedian(t *testing.T) {
-	calls := 0
-	s := TimeMedian(5, func() { calls++ })
-	if calls != 5 {
-		t.Fatalf("calls=%d", calls)
-	}
-	if s.Median < 0 || s.Min < 0 || s.Max < 0 {
-		t.Fatalf("negative duration: %+v", s)
-	}
-	if s.Min > s.Median || s.Median > s.Max {
-		t.Fatalf("spread not ordered: %+v", s)
-	}
-	s = TimeMedian(0, func() { calls++ })
-	if calls != 6 {
-		t.Fatal("reps<1 should run once")
-	}
-	if s.Min != s.Median || s.Median != s.Max {
-		t.Fatalf("single rep should collapse the spread: %+v", s)
-	}
-}
-
-func TestTimeMedianSpread(t *testing.T) {
-	// Alternate a fast and a deliberately slow iteration so Min and Max
-	// must differ and the median sits strictly inside the interval.
-	i := 0
-	s := TimeMedian(5, func() {
-		i++
-		if i%2 == 0 {
-			time.Sleep(2 * time.Millisecond)
-		}
-	})
-	if s.Max < 2*time.Millisecond {
-		t.Fatalf("Max missed the slow iterations: %+v", s)
-	}
-	if s.Min > s.Median || s.Median > s.Max {
-		t.Fatalf("spread not ordered: %+v", s)
-	}
-	if !strings.Contains(s.Spread(), "..") {
-		t.Fatalf("Spread()=%q", s.Spread())
-	}
-}
-
-func TestThreadCounts(t *testing.T) {
-	ps := ThreadCounts()
-	if len(ps) == 0 || ps[0] != 1 {
-		t.Fatalf("ThreadCounts=%v", ps)
-	}
-	for i := 1; i < len(ps); i++ {
-		if ps[i] <= ps[i-1] {
-			t.Fatalf("not increasing: %v", ps)
-		}
-	}
-}
-
-func TestThreadSweepRestoresProcs(t *testing.T) {
-	before := parallel.Procs()
-	pts := ThreadSweep(1, func() { time.Sleep(time.Microsecond) })
-	if parallel.Procs() != before {
-		t.Fatalf("GOMAXPROCS not restored: %d vs %d", parallel.Procs(), before)
-	}
-	if len(pts) != len(ThreadCounts()) {
-		t.Fatalf("points=%d", len(pts))
-	}
-	for i, pt := range pts {
-		if pt.Threads != ThreadCounts()[i] {
-			t.Fatalf("point %d has threads=%d, want %d", i, pt.Threads, ThreadCounts()[i])
-		}
-		if pt.Min > pt.Median || pt.Median > pt.Max {
-			t.Fatalf("point %d spread not ordered: %+v", i, pt.Sample)
-		}
-	}
-}
-
-func TestThreadSweepRestoresProcsOnPanic(t *testing.T) {
-	before := parallel.Procs()
-	func() {
-		defer func() { recover() }()
-		ThreadSweep(1, func() { panic("boom") })
-	}()
-	if parallel.Procs() != before {
-		t.Fatalf("GOMAXPROCS not restored after panic: %d vs %d", parallel.Procs(), before)
-	}
-}
 
 func TestTableRender(t *testing.T) {
 	tbl := NewTable("name", "time", "speedup")
-	tbl.AddRow("k-core", 1500*time.Microsecond, Speedup(3*time.Millisecond, 1500*time.Microsecond))
-	tbl.AddRow("wBFS", Sample{Median: 250 * time.Microsecond, Min: 200 * time.Microsecond, Max: 300 * time.Microsecond}, "-")
+	tbl.AddRow("k-core", 1500*time.Microsecond, "2.00x")
+	tbl.AddRow("wBFS", 250*time.Microsecond, "-")
 	var buf bytes.Buffer
 	tbl.Render(&buf)
 	out := buf.String()
@@ -111,14 +25,15 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestMsAndSpeedup(t *testing.T) {
+func TestMs(t *testing.T) {
 	if Ms(1500*time.Microsecond) != "1.5ms" {
 		t.Fatalf("Ms=%q", Ms(1500*time.Microsecond))
 	}
-	if Speedup(time.Second, 0) != "-" {
-		t.Fatal("zero divisor")
-	}
-	if Speedup(4*time.Second, 2*time.Second) != "2.00x" {
-		t.Fatal("speedup format")
+}
+
+func TestTime(t *testing.T) {
+	calls := 0
+	if d := Time(func() { calls++; time.Sleep(2 * time.Millisecond) }); calls != 1 || d < 2*time.Millisecond {
+		t.Fatalf("Time ran f %d times and measured %v", calls, d)
 	}
 }

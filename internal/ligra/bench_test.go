@@ -85,13 +85,3 @@ func BenchmarkEdgeMapTagged(b *testing.B) {
 			}, &out)
 	}
 }
-
-func BenchmarkSparseDenseConversion(b *testing.B) {
-	n := 1 << 18
-	u := FromSparse(n, parallel.PackIndices(n, func(v int) bool { return v%3 == 0 }))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := FromDense(n, u.Dense())
-		_ = d.Sparse()
-	}
-}

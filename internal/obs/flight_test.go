@@ -198,7 +198,6 @@ func TestNilRecorderNewMethods(t *testing.T) {
 	if s := r.HistSummary("h"); s.Count != 0 {
 		t.Fatal("nil recorder HistSummary should be zero")
 	}
-	r.Merge(NewRecorder())
 	if r.FlightTail(5) != nil {
 		t.Fatal("nil recorder FlightTail should be nil")
 	}

@@ -13,9 +13,8 @@ import (
 //
 //   - Record must be wait-free and allocation-free: a handful of
 //     atomic adds, callable from every worker of a parallel round.
-//   - Snapshots must merge, so per-run recorders can fold into a
-//     process-wide one (cmd/bench -http) and sharded recorders can be
-//     combined before exposition.
+//   - Snapshots must merge, so sharded recorders can be combined
+//     before exposition.
 //   - Resolution must be good enough for latency quantiles: buckets
 //     grow geometrically with histSub sub-buckets per power-of-two
 //     octave, giving a worst-case relative error of 1/histSub = 12.5%,
@@ -339,23 +338,4 @@ func (r *Recorder) Gauges() map[string]int64 {
 		return true
 	})
 	return out
-}
-
-// Merge folds src's counters, gauges, and histograms into r: counters
-// and histograms add, gauges take src's value. Flight-recorder rings
-// and trace events are not merged (they are per-run diagnostics).
-// No-op when either recorder is nil.
-func (r *Recorder) Merge(src *Recorder) {
-	if r == nil || src == nil {
-		return
-	}
-	for name, v := range src.Counters() {
-		r.Add(Counter{name}, v)
-	}
-	for name, v := range src.Gauges() {
-		r.SetGauge(Gauge{name}, v)
-	}
-	for name, s := range src.Histograms() {
-		r.histogram(name).AddSnapshot(s)
-	}
 }

@@ -131,33 +131,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestRecorderMerge(t *testing.T) {
-	src := NewRecorder()
-	c, g, h := CtrBucketMoved, GaugeServeInflight, HistOpLatencyNs
-	src.Add(c, 3)
-	src.SetGauge(g, 9)
-	src.Observe(h, 100)
-	src.Observe(h, 200)
-	dst := NewRecorder()
-	dst.Add(c, 1)
-	dst.Observe(h, 50)
-	dst.Merge(src)
-	if dst.Counter(c.Name()) != 4 {
-		t.Fatalf("merged counter = %d, want 4", dst.Counter(c.Name()))
-	}
-	if dst.Gauge(g.Name()) != 9 {
-		t.Fatalf("merged gauge = %d, want 9", dst.Gauge(g.Name()))
-	}
-	s := dst.HistSummary(h.Name())
-	if s.Count != 3 || s.Max != 200 || s.Sum != 350 {
-		t.Fatalf("merged histogram summary = %+v", s)
-	}
-	// Nil on either side is a no-op.
-	var nilRec *Recorder
-	nilRec.Merge(src)
-	dst.Merge(nil)
-}
-
 // TestHistogramConcurrent hammers Record and Snapshot from P
 // goroutines; run under -race this pins the lock-freedom claim, and
 // the final totals pin that no sample is lost.

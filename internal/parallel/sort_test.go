@@ -124,19 +124,3 @@ func TestSortByKeyParallelPath(t *testing.T) {
 		}
 	})
 }
-
-func BenchmarkSortByKey(b *testing.B) {
-	r := rng.New(1)
-	n := 1 << 19
-	base := make([]uint64, n)
-	for i := range base {
-		base[i] = r.Uint64()
-	}
-	xs := make([]uint64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(xs, base)
-		SortByKey(xs, func(x uint64) uint64 { return x })
-	}
-	b.SetBytes(int64(n * 8))
-}
