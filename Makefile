@@ -1,13 +1,14 @@
 # Developer targets for the julienne repository. `make check` is the
-# CI gate: build + full tests, static checks, race-testing the
-# concurrency-sensitive packages (the parallel substrate and its helper
-# pool, bucket structure, algorithms, Ligra layer, obs recorder, leak
-# checker, the serving layer) including a short property-test pass, and
-# the julienne_debug build with invariant assertions compiled in.
+# CI gate: build + full tests, go vet under every build-tag set,
+# race-testing the concurrency-sensitive packages (the parallel
+# substrate and its helper pool, bucket structure, algorithms, Ligra
+# layer, obs recorder, leak checker, the serving layer) including a
+# short property-test pass, the 32-bit test run, and the julienne_debug
+# build with invariant assertions compiled in.
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint race debug chaos fuzz bench bench-smoke bench-check bench-go obs-demo serve-smoke loc check
+.PHONY: all build test test32 vet fmt lint race debug chaos fuzz bench bench-smoke bench-check bench-go obs-demo serve-smoke loc check
 
 all: check
 
@@ -17,6 +18,13 @@ build:
 test:
 	$(GO) test ./...
 
+# test32 runs the short suite on a 32-bit layout, where the runtime
+# panics on any 64-bit atomic that is not 8-aligned. Every field
+# touched atomically is a typed sync/atomic value, which the compiler
+# aligns; this run is what shows nothing slipped back to a raw int64.
+test32:
+	GOARCH=386 $(GO) test -short ./...
+
 vet:
 	$(GO) vet ./...
 
@@ -25,21 +33,16 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# lint runs the stock toolchain passes (go vet: copylocks, atomic,
-# nilfunc, lostcancel, ...) plus julvet, the in-repo multichecker that
-# enforces the framework's concurrency contracts (DESIGN.md §8):
-# atomicmix, atomicalign, tagdrift, norandtime — four per-package
-# analyzers, no interprocedural layer. Contracts the APIs carry
-# themselves (typed obs handles, parallel.WithScratch, serve's refusals
-# table and its one query wrapper over admission.with, debug-poisoned
-# bucket arenas) need no analyzer. The tagged invocations re-analyze
-# the tree with the other half of each race/julienne_debug file pair
-# (and the chaos-injection hooks) active.
-lint: vet
-	$(GO) run ./cmd/julvet ./...
-	$(GO) run ./cmd/julvet -tags race ./...
-	$(GO) run ./cmd/julvet -tags julienne_debug ./...
-	$(GO) run ./cmd/julvet -tags julienne_chaos ./...
+# lint runs go vet (copylocks, atomic, nilfunc, lostcancel, ...) under
+# each build-tag set, so the other half of every race/julienne_debug
+# file pair and the chaos-injection hooks are type-checked too: a pair
+# whose halves drift apart fails in the configuration that uses the
+# missing or mismatched name; plus gofmt. The framework's contracts are
+# carried by types and tests, not an analyzer (DESIGN.md §8).
+lint: vet fmt
+	$(GO) vet -tags race ./...
+	$(GO) vet -tags julienne_debug ./...
+	$(GO) vet -tags julienne_chaos ./...
 
 race:
 	$(GO) test -race -short ./internal/parallel/... ./internal/harness/... \
@@ -136,5 +139,5 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' \
 		-not -path './benchmark/*' | xargs cat | wc -l
 
-check: build test lint fmt race debug chaos serve-smoke
+check: build test lint race test32 debug chaos serve-smoke
 	@echo "check: ok"

@@ -39,7 +39,6 @@ func main() {
 	}
 	var results []outcome
 	run := func(name string, f func() julienne.SetCoverResult) {
-		//lint:ignore julvet/norandtime examples show only the public API; internal/harness is not importable outside the module
 		start := time.Now()
 		res := f()
 		elapsed := time.Since(start)

@@ -78,7 +78,6 @@ func main() {
 	g := julienne.LogWeights(julienne.RMAT(1<<14, 1<<17, true, 99), 1)
 	fmt.Printf("graph: n=%d m=%d (weights [1, log n))\n", g.NumVertices(), g.NumEdges())
 
-	//lint:ignore julvet/norandtime examples show only the public API; internal/harness is not importable outside the module
 	start := time.Now()
 	mine := customWBFS(g, 0)
 	fmt.Printf("hand-written bucketed wBFS: %v\n", time.Since(start).Round(time.Microsecond))

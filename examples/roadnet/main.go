@@ -30,7 +30,6 @@ func main() {
 	fmt.Println("\ndelta sweep (bucketed delta-stepping, Algorithm 2):")
 	fmt.Printf("%-12s %-10s %-8s %s\n", "delta", "time", "rounds", "relaxations")
 	for _, delta := range []int64{1 << 10, 1 << 13, 1 << 15, 1 << 17, 1 << 30} {
-		//lint:ignore julvet/norandtime examples show only the public API; internal/harness is not importable outside the module
 		start := time.Now()
 		res := julienne.DeltaSteppingFull(g, 0, delta, julienne.BucketOptions{})
 		elapsed := time.Since(start)
@@ -49,7 +48,6 @@ func main() {
 			return julienne.BellmanFord(g, 0)
 		},
 	} {
-		//lint:ignore julvet/norandtime examples show only the public API; internal/harness is not importable outside the module
 		start := time.Now()
 		res := run()
 		check(ref.Dist, res.Dist)

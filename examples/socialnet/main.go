@@ -26,7 +26,6 @@ func main() {
 	fmt.Printf("social network: n=%d m=%d maxdeg=%d\n",
 		g.NumVertices(), g.NumEdges(), g.MaxDegree())
 
-	//lint:ignore julvet/norandtime examples show only the public API; internal/harness is not importable outside the module
 	start := time.Now()
 	res := julienne.KCoreFull(g, julienne.BucketOptions{})
 	fmt.Printf("work-efficient k-core: %v (%d peeling rounds)\n",

@@ -40,12 +40,12 @@ func Components(g graph.Graph) []graph.Vertex {
 			nil, // every target
 			func(s, d graph.Vertex, w graph.Weight) bool {
 				if parallel.WriteMinUint32(&label[d], atomic.LoadUint32(&label[s])) {
-					return parallel.CASUint32(&changed[d], 0, 1)
+					return atomic.CompareAndSwapUint32(&changed[d], 0, 1)
 				}
 				return false
 			}, ligra.EdgeMapOptions{NoDense: true})
 		frontier.ForEach(func(v graph.Vertex) {
-			parallel.StoreUint32(&changed[v], 0)
+			atomic.StoreUint32(&changed[v], 0)
 		})
 	}
 	out := make([]graph.Vertex, n)

@@ -20,6 +20,7 @@ package densest
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"julienne/internal/bucket"
@@ -127,11 +128,11 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 	// The round's one primitive, its destination and the updateBuckets
 	// feed are built once; a round reads its bucket from k.
 	var k bucket.ID
-	var removedEdges int64
+	var removedEdges atomic.Int64
 	var moved ligra.Tagged[bucket.Dest]
 	live := func(v graph.Vertex) bool { return removedAt[v] == 0 }
 	update := func(v graph.Vertex, removed uint32) (bucket.Dest, bool) {
-		parallel.AddInt64(&removedEdges, int64(removed))
+		removedEdges.Add(int64(removed))
 		induced := d[v]
 		if induced <= k {
 			return bucket.None, false // already in (or below) cur
@@ -168,7 +169,7 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 		// survivors sitting at degree exactly k must be accounted even
 		// though those survivors cannot move buckets), and rebucket
 		// the neighbors above the current bucket as in Algorithm 1.
-		removedEdges = 0
+		removedEdges.Store(0)
 		ligra.EdgeMapSum(g, frontier, live, update, &moved)
 		// Edges internal to the peeled set fall too (each counted once
 		// per endpoint among peeled vertices, halved), plus edges to
@@ -186,11 +187,11 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 			})
 			return c
 		})
-		removedEdges += internal / 2
+		removed := removedEdges.Load() + internal/2
 		b.UpdateBuckets(moved.Size(), feed)
 		nPeeled := len(ids)
 		alive -= int64(nPeeled)
-		liveEdges -= removedEdges
+		liveEdges -= removed
 		if alive > 0 {
 			density := float64(liveEdges) / float64(alive)
 			if density > bestDensity {
@@ -205,7 +206,7 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 			prevStats = cur
 			rec.RecordRound(obs.RoundMetrics{
 				Algo: "densest", Round: rounds, Bucket: k,
-				FrontierSize: nPeeled, EdgesTraversed: removedEdges,
+				FrontierSize: nPeeled, EdgesTraversed: removed,
 				Dense:     false, // EdgeMapSum is push-only
 				Extracted: delta.Extracted, Moved: delta.Moved,
 				Skipped: delta.Skipped, Duration: dur,
@@ -286,12 +287,12 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 	var rounds int64
 	// edgeMapSum lowers each live neighbor's degree by the edges it
 	// lost; nothing is kept, so the destination only lends its counters.
-	var removedEdges int64
+	var removedEdges atomic.Int64
 	var touched ligra.Tagged[struct{}]
 	live := func(v graph.Vertex) bool { return dead[v] == 0 }
 	update := func(v graph.Vertex, removed uint32) (struct{}, bool) {
 		d[v] -= removed
-		parallel.AddInt64(&removedEdges, int64(removed))
+		removedEdges.Add(int64(removed))
 		return struct{}{}, false
 	}
 	var runErr error
@@ -318,7 +319,7 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 		parallel.For(len(ids), parallel.DefaultGrain, func(i int) {
 			dead[ids[i]] = round
 		})
-		removedEdges = 0
+		removedEdges.Store(0)
 		ligra.EdgeMapSum(g, ligra.FromSparse(n, ids), live, update, &touched)
 		internal := parallel.Sum(len(ids), 0, func(i int) int64 {
 			var c int64
@@ -330,9 +331,9 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 			})
 			return c
 		})
-		removedEdges += internal / 2
+		removed := removedEdges.Load() + internal/2
 		alive -= int64(len(ids))
-		liveEdges -= removedEdges
+		liveEdges -= removed
 		if alive > 0 {
 			density := float64(liveEdges) / float64(alive)
 			if density > bestDensity {
@@ -344,7 +345,7 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 		if rec != nil {
 			rec.RecordRound(obs.RoundMetrics{
 				Algo: "densest", Round: rounds, Bucket: ^uint32(0),
-				FrontierSize: len(ids), EdgesTraversed: removedEdges,
+				FrontierSize: len(ids), EdgesTraversed: removed,
 				Dense: false, Duration: dur,
 			})
 		}

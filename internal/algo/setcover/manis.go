@@ -1,6 +1,8 @@
 package setcover
 
 import (
+	"sync/atomic"
+
 	"julienne/internal/graph"
 	"julienne/internal/ligra"
 	"julienne/internal/obs"
@@ -76,11 +78,11 @@ func newManis(work graph.Packer, numSets int, rec *obs.Recorder,
 		// Only e's unique winner passes the check, but losers read
 		// el[e] concurrently with the winner's store, so the accesses
 		// must be atomic.
-		if parallel.LoadUint32(&el[e]) == uint32(s) {
+		if atomic.LoadUint32(&el[e]) == uint32(s) {
 			if d[s] == inCover {
-				parallel.StoreUint32(&covered[e], 1)
+				atomic.StoreUint32(&covered[e], 1)
 			} else {
-				parallel.StoreUint32(&el[e], elmFree)
+				atomic.StoreUint32(&el[e], elmFree)
 			}
 		}
 		return false

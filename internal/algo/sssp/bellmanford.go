@@ -23,6 +23,7 @@ func BellmanFord(g graph.Graph, src graph.Vertex) Result {
 	sp[src] = 0
 
 	res := Result{}
+	var relaxations atomic.Int64
 	frontier := ligra.Single(n, src)
 	for !frontier.IsEmpty() {
 		res.Rounds++
@@ -31,7 +32,7 @@ func BellmanFord(g graph.Graph, src graph.Vertex) Result {
 		// successful relaxer of v this round adds v to the output.
 		frontier = ligra.EdgeMap(g, frontier, nil,
 			func(s, d graph.Vertex, w graph.Weight) bool {
-				_, captured := relaxCapture(sp, &res, s, d, w)
+				_, captured := relaxCapture(sp, &relaxations, s, d, w)
 				return captured
 			}, ligra.EdgeMapOptions{})
 		// Clear round flags for the next iteration.
@@ -39,14 +40,15 @@ func BellmanFord(g graph.Graph, src graph.Vertex) Result {
 			atomic.StoreUint64(&sp[v], sp[v]&^flag)
 		})
 	}
+	res.Relaxations = relaxations.Load()
 	res.Dist = finalize(sp)
 	return res
 }
 
 func frontierDegreeSum(g graph.Graph, f ligra.VertexSubset) int64 {
-	var sum int64
+	var sum atomic.Int64
 	f.ForEach(func(v graph.Vertex) {
-		atomic.AddInt64(&sum, int64(g.OutDegree(v)))
+		sum.Add(int64(g.OutDegree(v)))
 	})
-	return sum
+	return sum.Load()
 }

@@ -37,6 +37,7 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 		localBins[w] = make(map[uint64][]graph.Vertex)
 	}
 	res := Result{}
+	var edges, relaxations atomic.Int64
 
 	frontier := []graph.Vertex{src}
 	curBin := uint64(0)
@@ -67,11 +68,11 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 						continue // stale copy
 					}
 					nbrs, ws := g.OutAdj(v, &buf)
-					atomic.AddInt64(&res.EdgesTraversed, int64(len(nbrs)))
+					edges.Add(int64(len(nbrs)))
 					for j, u := range nbrs {
 						nd := dv + uint64(ws[j])
 						if parallel.WriteMinUint64(&dist[u], nd) {
-							atomic.AddInt64(&res.Relaxations, 1)
+							relaxations.Add(1)
 							b := nd / udelta
 							bins[b] = append(bins[b], u)
 						}
@@ -108,6 +109,7 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 		}
 		curBin = next
 	}
+	res.EdgesTraversed, res.Relaxations = edges.Load(), relaxations.Load()
 	res.Dist = finalize(dist)
 	return res
 }

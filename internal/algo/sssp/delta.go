@@ -46,14 +46,15 @@ type Options struct {
 // waves is the state the ∆-stepping wave driver (DeltaStepping) shares
 // with its per-segment body.
 type waves struct {
-	// res comes first so its counters, which the relax loops update
-	// with sync/atomic, stay 8-aligned under 32-bit layout.
-	res       Result
-	prevStats bucket.Stats
-	prevForks parallel.ForkCounts
-	prevRelax int64
-	udelta    uint64
-	g         graph.Graph
+	// relaxations is Result.Relaxations while the run is in flight: the
+	// relax workers add to it concurrently.
+	relaxations atomic.Int64
+	res         Result
+	prevStats   bucket.Stats
+	prevForks   parallel.ForkCounts
+	prevRelax   int64
+	udelta      uint64
+	g           graph.Graph
 	// sp holds the tentative distances, one per vertex; the flag bit
 	// marks a vertex whose distance changed in the current round.
 	sp  []uint64
@@ -84,10 +85,8 @@ func (w *waves) startRound(id bucket.ID, frontier int) *obs.Span {
 // endRound closes the round startRound opened and records its metrics,
 // attributing the bucket traffic since the previous round to it.
 func (w *waves) endRound(sp *obs.Span, id bucket.ID, frontier int, edges int64) {
-	// The round's workers have joined, but the counters are atomic
-	// cells: touch them atomically so the happens-before edge is explicit.
-	atomic.AddInt64(&w.res.EdgesTraversed, edges)
-	relax := atomic.LoadInt64(&w.res.Relaxations)
+	w.res.EdgesTraversed += edges
+	relax := w.relaxations.Load()
 	dur := sp.ArgInt("relaxations", relax-w.prevRelax).End()
 	if w.rec == nil {
 		return
@@ -172,6 +171,7 @@ run:
 			}
 		}
 	}
+	w.res.Relaxations = w.relaxations.Load()
 	w.res.BucketStats = w.b.Stats()
 	w.res.Dist = finalize(w.sp)
 	return w.res
@@ -189,13 +189,13 @@ run:
 //
 //go:noinline
 func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) {
-	// res is taken once, here: &w.res inside relax would nil-check w by
-	// loading its first word on every call, and that word shares a cache
-	// line with the Relaxations counter every worker is adding to
-	// (measured: +28% on the RMAT ∆-stepping run at P=2).
-	g, sp, b, res := w.g, w.sp, w.b, &w.res
+	// The counter pointer is taken once, here: &w.relaxations inside
+	// relax would nil-check w by loading its first word on every call,
+	// and that word shares a cache line with the counter every worker is
+	// adding to (measured: +28% on the RMAT ∆-stepping run at P=2).
+	g, sp, b, relaxations := w.g, w.sp, w.b, &w.relaxations
 	relax := func(s, dst graph.Vertex, wt graph.Weight) (uint64, bool) {
-		return relaxCapture(sp, res, s, dst, wt)
+		return relaxCapture(sp, relaxations, s, dst, wt)
 	}
 	// The segment's closures and the two destinations they fill are
 	// built once per run; a segment reads its bucket range from id and

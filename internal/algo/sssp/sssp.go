@@ -44,13 +44,11 @@ const flag uint64 = 1 << 63
 
 // Result carries distances plus the measurements the harness reports.
 type Result struct {
-	// The int64 counters come first so they stay 8-aligned under
-	// 32-bit layout: the parallel relax loops update them with
-	// sync/atomic, which requires 64-bit alignment.
-
 	// Rounds is the number of frontier/bucket rounds executed.
 	Rounds int64
-	// Relaxations counts successful distance improvements.
+	// Relaxations counts successful distance improvements. The relax
+	// loops count into an atomic.Int64 of their own and copy it here
+	// once, at the end of the run.
 	Relaxations int64
 	// EdgesTraversed counts edge visits (frontier out-degrees summed).
 	EdgesTraversed int64
@@ -98,10 +96,10 @@ func load(sp []uint64, v graph.Vertex) uint64 {
 
 // relaxCapture attempts the relaxation s→d with edge weight w
 // (Algorithm 2, Update): on improvement it writeMins the distance,
-// counts the relaxation in res, and sets the round flag; the caller
-// that transitions the flag from clear to set captures the pre-round
-// distance (returned with ok=true).
-func relaxCapture(sp []uint64, res *Result, s, d graph.Vertex, w graph.Weight) (uint64, bool) {
+// counts the relaxation in relaxations, and sets the round flag; the
+// caller that transitions the flag from clear to set captures the
+// pre-round distance (returned with ok=true).
+func relaxCapture(sp []uint64, relaxations *atomic.Int64, s, d graph.Vertex, w graph.Weight) (uint64, bool) {
 	nDist := load(sp, s) + uint64(w)
 	for {
 		old := atomic.LoadUint64(&sp[d])
@@ -110,7 +108,7 @@ func relaxCapture(sp []uint64, res *Result, s, d graph.Vertex, w graph.Weight) (
 			return 0, false
 		}
 		if atomic.CompareAndSwapUint64(&sp[d], old, flag|nDist) {
-			atomic.AddInt64(&res.Relaxations, 1)
+			relaxations.Add(1)
 			if old&flag == 0 {
 				return oDist, true // unique capturer this round
 			}

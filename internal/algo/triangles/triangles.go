@@ -12,6 +12,8 @@
 package triangles
 
 import (
+	"sync/atomic"
+
 	"julienne/internal/graph"
 	"julienne/internal/parallel"
 )
@@ -69,9 +71,9 @@ func PerVertex(g graph.Graph) []int64 {
 					j++
 				default:
 					w := a[i]
-					parallel.AddInt64(&counts[u], 1)
-					parallel.AddInt64(&counts[v], 1)
-					parallel.AddInt64(&counts[w], 1)
+					atomic.AddInt64(&counts[u], 1)
+					atomic.AddInt64(&counts[v], 1)
+					atomic.AddInt64(&counts[w], 1)
 					i++
 					j++
 				}

@@ -2,6 +2,7 @@ package bucket
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 // wrapping the scatter offsets. The guard fires before f is evaluated,
 // so a synthetic f that would be far too slow to actually run suffices.
 func TestUpdateBucketsOverflowGuard(t *testing.T) {
-	if ^uint(0)>>32 == 0 {
-		t.Skip("k >= 2^32 is unrepresentable on a 32-bit int")
+	if strconv.IntSize == 32 {
+		t.Skip("a 2^32-update batch is unrepresentable in a 32-bit int")
 	}
 	d := []ID{0, 1, 2, 3}
 	b := New(len(d), func(i uint32) ID { return d[i] }, Increasing, Options{OpenBuckets: 4})
@@ -28,7 +29,10 @@ func TestUpdateBucketsOverflowGuard(t *testing.T) {
 			t.Fatalf("unhelpful panic value: %v", r)
 		}
 	}()
-	b.UpdateBuckets(int(int64(1)<<32), func(j int) (uint32, Dest) {
+	// A variable shift, so the count is not a constant that overflows a
+	// 32-bit int at compile time.
+	shift := 32
+	b.UpdateBuckets(1<<shift, func(j int) (uint32, Dest) {
 		t.Error("f evaluated before the overflow guard fired")
 		return 0, None
 	})

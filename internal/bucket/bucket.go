@@ -175,10 +175,9 @@ func MaximalFusion() Fusion { return Fusion{MaxFrontier: math.MaxInt} }
 // plus identifiers physically moved by UpdateBuckets (moves to Nil are
 // excluded — they are the skipped None destinations).
 //
-// Both implementations maintain these counters with atomic operations
-// and snapshot them with atomic loads in Stats(), so Stats may be read
-// concurrently with structure operations (e.g. by a telemetry poller)
-// without data races.
+// Stats is a plain snapshot: both implementations keep the live
+// counters as typed atomics, so Stats may be called concurrently with
+// structure operations (e.g. by a telemetry poller) without data races.
 type Stats struct {
 	// Extracted is the total number of identifiers returned by
 	// NextBucket.
@@ -198,15 +197,19 @@ type Stats struct {
 // Throughput returns Extracted + Moved, the §3.4 numerator.
 func (s Stats) Throughput() int64 { return s.Extracted + s.Moved }
 
-// load snapshots the live counter struct with atomic reads, pairing
-// with the atomic adds the implementations perform.
-func (s *Stats) load() Stats {
+// counters is the live form of Stats that Par and Seq update.
+type counters struct {
+	extracted, moved, skipped, returned, rangeAdvances atomic.Int64
+}
+
+// snapshot builds the public plain Stats from the live counters.
+func (c *counters) snapshot() Stats {
 	return Stats{
-		Extracted:       atomic.LoadInt64(&s.Extracted),
-		Moved:           atomic.LoadInt64(&s.Moved),
-		Skipped:         atomic.LoadInt64(&s.Skipped),
-		BucketsReturned: atomic.LoadInt64(&s.BucketsReturned),
-		RangeAdvances:   atomic.LoadInt64(&s.RangeAdvances),
+		Extracted:       c.extracted.Load(),
+		Moved:           c.moved.Load(),
+		Skipped:         c.skipped.Load(),
+		BucketsReturned: c.returned.Load(),
+		RangeAdvances:   c.rangeAdvances.Load(),
 	}
 }
 

@@ -14,7 +14,6 @@ const DebugEnabled = false
 // empty in release builds so the structs pay no memory cost.
 type debugState struct{}
 
-func (b *Par) debugReset()                                        {}
 func (b *Par) debugPoisonArena()                                  {}
 func (b *Par) debugCheckExtract(first, last ID, live []uint32)    {}
 func (b *Par) debugCheckUpdate(k int, f func(int) (uint32, Dest)) {}

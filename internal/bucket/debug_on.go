@@ -179,8 +179,6 @@ func (d *debugState) checkUpdateTotals(k int, moved, skipped int64, s Stats) {
 	}
 }
 
-func (b *Par) debugReset() { b.dbg = debugState{} }
-
 func (b *Par) debugPoisonArena() {
 	if b.dbg.poison() {
 		b.scr.live = nil

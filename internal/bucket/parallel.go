@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"julienne/internal/chaos"
 	"julienne/internal/obs"
@@ -54,7 +53,7 @@ type Par struct {
 	rangeLo ID              // lowest logical id in the open range
 	rangeHi ID              // highest logical id in the open range
 	done    bool
-	stats   Stats
+	ctr     counters
 	rec     *obs.Recorder
 
 	// span is the active fused span set by NextBucketFused and cleared
@@ -143,12 +142,11 @@ const slotChunkCap = 4
 // pass closures. f is cleared after the call so the structure does not
 // pin the caller's update function between rounds.
 type updState struct {
-	k, nb   int
-	f       func(j int) (uint32, Dest)
-	counts  []uint32
-	starts  []uint32
-	chunks  [][]uint32
-	skipped int64
+	k, nb  int
+	f      func(j int) (uint32, Dest)
+	counts []uint32
+	starts []uint32
+	chunks [][]uint32
 }
 
 // fusedSpan is the logical id interval [lo, hi] covered by the most
@@ -209,17 +207,10 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 	b.histPass = func(blk int) {
 		u := &b.upd
 		lo, hi := blk*updateBlock, min((blk+1)*updateBlock, u.k)
-		var skip int64
 		for j := lo; j < hi; j++ {
-			_, dest := u.f(j)
-			if dest == None {
-				skip++
-				continue
+			if _, dest := u.f(j); dest != None {
+				u.counts[int(dest)*u.nb+blk]++
 			}
-			u.counts[int(dest)*u.nb+blk]++
-		}
-		if skip > 0 {
-			parallel.AddInt64(&u.skipped, skip)
 		}
 	}
 	b.resizePass = func(s int) {
@@ -286,16 +277,14 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 
 	// Bulk-insert the initial identifiers through the same machinery
 	// updates use (§3.2: "inserting identifiers into B can be done by
-	// then calling updateBuckets(D, n)").
-	b.UpdateBuckets(n, func(j int) (uint32, Dest) {
+	// then calling updateBuckets(D, n)"). The bulk insert is
+	// bookkeeping, not algorithmic movement: it bypasses the counting
+	// wrapper, and the recorder is attached afterwards, so Stats and
+	// the recorder see only post-construction traffic.
+	b.update(n, func(j int) (uint32, Dest) {
 		id := uint32(j)
 		return id, b.GetBucket(Nil, d(id))
 	})
-	// The bulk insert is bookkeeping, not algorithmic movement: reset
-	// the counters so Stats reflects only post-construction traffic.
-	// The recorder is attached afterwards for the same reason.
-	b.stats = Stats{}
-	b.debugReset()
 	b.rec = opt.Recorder
 	return b
 }
@@ -502,8 +491,8 @@ func (b *Par) extract(fuse bool, maxFrontier, maxSpan int) (first, last ID, live
 		b.span = newFusedSpan(b.order, first, last)
 	}
 	live = b.scr.live
-	atomic.AddInt64(&b.stats.Extracted, int64(len(live)))
-	atomic.AddInt64(&b.stats.BucketsReturned, 1)
+	b.ctr.extracted.Add(int64(len(live)))
+	b.ctr.returned.Add(1)
 	b.rec.Add(obs.CtrBucketExtracted, int64(len(live)))
 	b.rec.Inc(obs.CtrBucketReturned)
 	b.debugCheckExtract(first, last, live)
@@ -534,7 +523,7 @@ func (b *Par) DrainLazy() []uint32 {
 	if len(live) == 0 {
 		return nil
 	}
-	atomic.AddInt64(&b.stats.Extracted, int64(len(live)))
+	b.ctr.extracted.Add(int64(len(live)))
 	b.rec.Add(obs.CtrBucketExtracted, int64(len(live)))
 	b.rec.Add(obs.CtrBucketLazyDrained, int64(len(live)))
 	b.debugCheckLazyDrain(live)
@@ -696,7 +685,7 @@ func (b *Par) nextCompacted() (ID, bool) {
 		}
 		prevLo, prevHi := b.rangeLo, b.rangeHi
 		b.setRange(anchor)
-		atomic.AddInt64(&b.stats.RangeAdvances, 1)
+		b.ctr.rangeAdvances.Add(1)
 		b.rec.Inc(obs.CtrBucketRangeAdvances)
 		// Reinsert live overflow identifiers under the new range. An
 		// identifier is stale if its current logical bucket falls in
@@ -732,6 +721,21 @@ func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 	}
 	start := b.rec.Clock()
 	defer b.rec.ObserveSince(obs.HistUpdateBucketsNs, start)
+	moved := b.update(k, f)
+	// Every request either moved or had Dest None.
+	skipped := int64(k) - moved
+	b.ctr.moved.Add(moved)
+	b.ctr.skipped.Add(skipped)
+	b.rec.Add(obs.CtrBucketMoved, moved)
+	b.rec.Add(obs.CtrBucketSkipped, skipped)
+	b.debugCheckUpdateTotals(k, moved, skipped)
+	// Only now: f may have been reading the extracted identifiers.
+	b.debugPoisonArena()
+}
+
+// update is UpdateBuckets without the accounting: it applies the k > 0
+// updates and returns how many identifiers it moved.
+func (b *Par) update(k int, f func(j int) (uint32, Dest)) int64 {
 	// The block histograms and scatter offsets are uint32; a batch of
 	// 2^32 or more updates would silently wrap the offsets and scatter
 	// identifiers into the wrong buckets. Fail loudly instead, mirroring
@@ -802,22 +806,13 @@ func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 	// identifiers at block-exclusive offsets, so no synchronization is
 	// needed within a slot.
 	parallel.For(nb, 1, b.scatterPass)
-	// The scatter workers have quiesced, but the counter is an atomic
-	// cell: load it atomically so the happens-before edge is explicit.
-	skipped := atomic.LoadInt64(&b.upd.skipped)
 	b.upd.f = nil
-	atomic.AddInt64(&b.stats.Moved, int64(total))
-	atomic.AddInt64(&b.stats.Skipped, skipped)
-	b.rec.Add(obs.CtrBucketMoved, int64(total))
-	b.rec.Add(obs.CtrBucketSkipped, skipped)
-	b.debugCheckUpdateTotals(k, int64(total), skipped)
-	// Only now: f may have been reading the extracted identifiers.
-	b.debugPoisonArena()
+	return int64(total)
 }
 
-// Stats implements Structure. The snapshot uses atomic loads so it is
-// safe to call concurrently with NextBucket/UpdateBuckets.
-func (b *Par) Stats() Stats { return b.stats.load() }
+// Stats implements Structure; it is safe to call concurrently with
+// NextBucket/UpdateBuckets.
+func (b *Par) Stats() Stats { return b.ctr.snapshot() }
 
 // CurrentRange reports the open range and traversal position; the tests
 // use it to assert the §3.3 overflow behaviour.

@@ -1,10 +1,6 @@
 package bucket
 
-import (
-	"sync/atomic"
-
-	"julienne/internal/obs"
-)
+import "julienne/internal/obs"
 
 // Seq is the sequential bucketing implementation of §3.2: buckets are
 // represented exactly (one dynamic array per logical bucket id), updates
@@ -20,7 +16,7 @@ type Seq struct {
 	order Order
 	bkts  [][]uint32 // bkts[b] holds (possibly stale) copies for bucket b
 	cur   int64      // logical id of the current bucket (may be -1 done)
-	stats Stats
+	ctr   counters
 	rec   *obs.Recorder
 
 	// span mirrors Par's fused span: while active, UpdateBuckets
@@ -177,8 +173,8 @@ func (s *Seq) extract(fuse bool, maxFrontier, maxSpan int) (first, last ID, out 
 		s.rec.Observe(obs.HistFusedRunLen, int64(run))
 		s.span = newFusedSpan(s.order, first, last)
 	}
-	atomic.AddInt64(&s.stats.Extracted, int64(len(out)))
-	atomic.AddInt64(&s.stats.BucketsReturned, 1)
+	s.ctr.extracted.Add(int64(len(out)))
+	s.ctr.returned.Add(1)
 	s.rec.Add(obs.CtrBucketExtracted, int64(len(out)))
 	s.rec.Inc(obs.CtrBucketReturned)
 	s.debugCheckExtract(first, last, out)
@@ -204,7 +200,7 @@ func (s *Seq) DrainLazy() []uint32 {
 	if len(out) == 0 {
 		return nil
 	}
-	atomic.AddInt64(&s.stats.Extracted, int64(len(out)))
+	s.ctr.extracted.Add(int64(len(out)))
 	s.rec.Add(obs.CtrBucketExtracted, int64(len(out)))
 	s.rec.Add(obs.CtrBucketLazyDrained, int64(len(out)))
 	s.debugCheckLazyDrain(out)
@@ -279,8 +275,8 @@ func (s *Seq) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 		s.bkts[b] = append(s.bkts[b], id)
 		moved++
 	}
-	atomic.AddInt64(&s.stats.Moved, moved)
-	atomic.AddInt64(&s.stats.Skipped, skipped)
+	s.ctr.moved.Add(moved)
+	s.ctr.skipped.Add(skipped)
 	s.rec.Add(obs.CtrBucketMoved, moved)
 	s.rec.Add(obs.CtrBucketSkipped, skipped)
 	s.debugCheckUpdateTotals(k, moved, skipped)
@@ -288,9 +284,9 @@ func (s *Seq) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 	s.debugPoisonArena()
 }
 
-// Stats implements Structure. The snapshot uses atomic loads so it is
-// safe to call concurrently with NextBucket/UpdateBuckets.
-func (s *Seq) Stats() Stats { return s.stats.load() }
+// Stats implements Structure; it is safe to call concurrently with
+// NextBucket/UpdateBuckets.
+func (s *Seq) Stats() Stats { return s.ctr.snapshot() }
 
 // Observe attaches a telemetry recorder receiving obs.CtrBucket*
 // counters (NewSeq takes no Options, so the recorder is attached

@@ -31,9 +31,9 @@ import (
 // signed first-neighbor code), and the decoder reads exactly `degree`
 // entries so trailing stale bytes are unreachable.
 type Graph struct {
-	m         int64 // live edge count (atomic under PackOut); first field so it stays 8-aligned on 32-bit
 	n         int
-	offs      []uint64 // byte offset of each vertex's encoded list
+	m         atomic.Int64 // live edge count (PackOut decrements it concurrently)
+	offs      []uint64     // byte offset of each vertex's encoded list
 	data      []byte
 	degs      []uint32 // live degree per vertex
 	weighted  bool
@@ -60,10 +60,10 @@ func FromCSR(g *graph.CSR) *Graph {
 	n := g.NumVertices()
 	c := &Graph{
 		n:         n,
-		m:         g.NumEdges(),
 		weighted:  g.Weighted(),
 		symmetric: g.Symmetric(),
 	}
+	c.m.Store(g.NumEdges())
 	c.offs, c.data, c.degs = encodeAdjacency(n, c.weighted,
 		func(v graph.Vertex) ([]graph.Vertex, []graph.Weight) {
 			return g.OutEdges(v), g.OutWeights(v)
@@ -129,7 +129,7 @@ func encodeAdjacency(n int, weighted bool,
 func (c *Graph) NumVertices() int { return c.n }
 
 // NumEdges implements graph.Graph (live count under PackOut).
-func (c *Graph) NumEdges() int64 { return atomic.LoadInt64(&c.m) }
+func (c *Graph) NumEdges() int64 { return c.m.Load() }
 
 // Symmetric implements graph.Graph.
 func (c *Graph) Symmetric() bool { return c.symmetric }
@@ -308,7 +308,7 @@ func (c *Graph) PackOut(v graph.Vertex, keep func(u graph.Vertex) bool) int {
 	}
 	c.degs[v] = uint32(len(nbrs))
 	if removed > 0 {
-		atomic.AddInt64(&c.m, -int64(removed))
+		c.m.Add(-int64(removed))
 	}
 	return len(nbrs)
 }
@@ -316,13 +316,14 @@ func (c *Graph) PackOut(v graph.Vertex, keep func(u graph.Vertex) bool) int {
 // Clone returns a deep copy (used by algorithms that pack edges).
 func (c *Graph) Clone() *Graph {
 	n := &Graph{
-		n: c.n, m: c.NumEdges(),
+		n:         c.n,
 		offs:      c.offs, // offsets are immutable region bounds: shared
 		data:      append([]byte(nil), c.data...),
 		degs:      append([]uint32(nil), c.degs...),
 		weighted:  c.weighted,
 		symmetric: c.symmetric,
 	}
+	n.m.Store(c.NumEdges())
 	n.packed.Store(c.packed.Load())
 	if c.symmetric {
 		n.inOffs, n.inData, n.inDegs = n.offs, n.data, n.degs

@@ -18,9 +18,9 @@ import (
 // vertex's live adjacency is the prefix of its CSR range of length
 // outDeg[v], and m tracks the total live edge count.
 type CSR struct {
-	m         int64 // live directed edge count (atomic under PackOut); first field so it stays 8-aligned on 32-bit
 	n         int
-	outOff    []uint64 // len n+1; outOff[v]..outOff[v+1] bound v's range
+	m         atomic.Int64 // live directed edge count (PackOut decrements it concurrently)
+	outOff    []uint64     // len n+1; outOff[v]..outOff[v+1] bound v's range
 	outEdg    []Vertex
 	outWgt    []Weight // nil for unweighted graphs
 	outDeg    []uint32 // live out-degree (= range length until packed)
@@ -37,11 +37,6 @@ var (
 	_ Packer = (*CSR)(nil)
 )
 
-// addUint64 is an atomic fetch-and-add returning the new value.
-func addUint64(addr *uint64, delta uint64) uint64 {
-	return atomic.AddUint64(addr, delta)
-}
-
 // NewCSR assembles a CSR from raw offset/edge arrays. offsets must have
 // length n+1 with offsets[0] == 0 and offsets[n] == len(edges); weights
 // must be nil or parallel to edges. The arrays are adopted, not copied.
@@ -56,10 +51,11 @@ func NewCSR(n int, offsets []uint64, edges []Vertex, weights []Weight, symmetric
 		panic("graph: weights not parallel to edges")
 	}
 	g := &CSR{
-		n: n, m: int64(len(edges)),
+		n:      n,
 		outOff: offsets, outEdg: edges, outWgt: weights,
 		symmetric: symmetric,
 	}
+	g.m.Store(int64(len(edges)))
 	g.outDeg = make([]uint32, n)
 	parallel.For(n, parallel.DefaultGrain, func(v int) {
 		g.outDeg[v] = uint32(offsets[v+1] - offsets[v])
@@ -75,7 +71,7 @@ func (g *CSR) NumVertices() int { return g.n }
 
 // NumEdges returns the number of live directed edges (a symmetric graph
 // stores each undirected edge twice; PackOut decrements the count).
-func (g *CSR) NumEdges() int64 { return atomic.LoadInt64(&g.m) }
+func (g *CSR) NumEdges() int64 { return g.m.Load() }
 
 // Symmetric reports whether the graph is undirected.
 func (g *CSR) Symmetric() bool { return g.symmetric }
@@ -202,7 +198,7 @@ func (g *CSR) PackOut(v Vertex, keep func(u Vertex) bool) int {
 	}
 	newDeg := uint32(k - lo)
 	if removed := uint32(d) - newDeg; removed > 0 {
-		atomic.AddInt64(&g.m, -int64(removed))
+		g.m.Add(-int64(removed))
 	}
 	g.outDeg[v] = newDeg
 	return int(newDeg)
@@ -211,7 +207,8 @@ func (g *CSR) PackOut(v Vertex, keep func(u Vertex) bool) int {
 // Clone returns a deep copy of the graph (used by algorithms like set
 // cover that mutate adjacency via PackOut).
 func (g *CSR) Clone() *CSR {
-	c := &CSR{n: g.n, m: g.NumEdges(), symmetric: g.symmetric}
+	c := &CSR{n: g.n, symmetric: g.symmetric}
+	c.m.Store(g.NumEdges())
 	c.packed.Store(g.packed.Load())
 	c.outOff = append([]uint64(nil), g.outOff...)
 	c.outEdg = append([]Vertex(nil), g.outEdg...)
@@ -247,7 +244,7 @@ func transpose(n int, off []uint64, edg []Vertex, wgt []Weight) ([]uint64, []Ver
 	// per-worker scratch; contention is proportional to degree skew.
 	inCnt := make([]uint64, n+1)
 	parallel.For(m, parallel.DefaultGrain, func(i int) {
-		addUint64(&inCnt[edg[i]], 1)
+		atomic.AddUint64(&inCnt[edg[i]], 1)
 	})
 	inOff := make([]uint64, n+1)
 	parallel.Scan(inOff, inCnt)
@@ -262,7 +259,7 @@ func transpose(n int, off []uint64, edg []Vertex, wgt []Weight) ([]uint64, []Ver
 		lo, hi := off[v], off[v+1]
 		for i := lo; i < hi; i++ {
 			u := edg[i]
-			slot := addUint64(&next[u], 1) - 1
+			slot := atomic.AddUint64(&next[u], 1) - 1
 			inEdg[slot] = Vertex(v)
 			if wgt != nil {
 				inWgt[slot] = wgt[i]

@@ -2,6 +2,7 @@ package ligra
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"julienne/internal/graph"
 	"julienne/internal/obs"
@@ -334,7 +335,7 @@ func countInto(g graph.Graph, ids []graph.Vertex, c func(graph.Vertex) bool, cnt
 		nbrs, ws := g.OutAdj(src, buf)
 		debugCheckAdj(g, src, false, nbrs, ws)
 		for _, dst := range nbrs {
-			if (c == nil || c(dst)) && parallel.AddUint32(&cnt[dst], 1) == 1 {
+			if (c == nil || c(dst)) && atomic.AddUint32(&cnt[dst], 1) == 1 {
 				claimed = push(claimed, dst)
 			}
 		}

@@ -241,7 +241,7 @@ func TestEdgeMapTagged(t *testing.T) {
 	tg := EdgeMapTagged(g, Single(10, 0),
 		func(v graph.Vertex) bool { return v != 0 },
 		func(s, d graph.Vertex, w graph.Weight) (uint32, bool) {
-			if parallel.CASUint32(&claimed[d], 0, 1) {
+			if atomic.CompareAndSwapUint32(&claimed[d], 0, 1) {
 				return uint32(d) * 2, true
 			}
 			return 0, false
@@ -592,7 +592,7 @@ func TestTaggedPrimitivesSameAcrossProcs(t *testing.T) {
 		"EdgeMapTagged": func(dst *Tagged[uint32]) Tagged[uint32] {
 			claimed := make([]uint32, n)
 			return EdgeMapTagged(base, u, odd, func(_, d graph.Vertex, _ graph.Weight) (uint32, bool) {
-				return d + 1, parallel.CASUint32(&claimed[d], 0, 1)
+				return d + 1, atomic.CompareAndSwapUint32(&claimed[d], 0, 1)
 			}, dst)
 		},
 		"EdgeMapFilterCount": func(dst *Tagged[uint32]) Tagged[uint32] {

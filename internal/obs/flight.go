@@ -20,9 +20,9 @@ import (
 // then publish fields with atomic stores bracketed by a seqlock-style
 // sequence word (negative while the write is in flight, the ticket
 // value once published). Readers re-check the sequence after reading
-// the payload and discard torn slots. Every slot field is an int64
-// accessed only through sync/atomic, so the scheme is exact under the
-// race detector, not merely "benign".
+// the payload and discard torn slots. Every slot field is an
+// atomic.Int64, so the scheme is exact under the race detector, not
+// merely "benign".
 
 // flightSlots is the ring capacity. Power of two so the slot index is
 // a mask; 256 rounds of history is bigger than the peeling depth of
@@ -33,31 +33,26 @@ const flightSlots = 256
 // (cancellation errors, CLI panic handlers, chaos failures) include.
 const flightTailDefault = 16
 
-// flightSlot is one published round record. All fields are int64 and
-// accessed exclusively with sync/atomic; they are 8-aligned because
-// the ring lives in a heap-allocated flightRing whose fields are all
-// 64-bit (julvet atomicalign verifies this layout).
+// flightSlot is one published round record.
 type flightSlot struct {
-	seq      int64 // ticket once published, -ticket while being written
-	ts       int64 // nanoseconds since recorder start
-	algo     int64 // index into Recorder.flightAlgos
-	round    int64
-	bucket   int64 // logical bucket id; -1 when not bucketed
-	frontier int64
-	edges    int64
-	ext      int64 // extracted
-	moved    int64
-	skipped  int64
-	dur      int64 // round duration, nanoseconds
-	allocs   int64 // heap objects allocated since the previous record
+	seq      atomic.Int64 // ticket once published, -ticket while being written
+	ts       atomic.Int64 // nanoseconds since recorder start
+	algo     atomic.Int64 // index into Recorder.flightAlgos
+	round    atomic.Int64
+	bucket   atomic.Int64 // logical bucket id; -1 when not bucketed
+	frontier atomic.Int64
+	edges    atomic.Int64
+	ext      atomic.Int64 // extracted
+	moved    atomic.Int64
+	skipped  atomic.Int64
+	dur      atomic.Int64 // round duration, nanoseconds
+	allocs   atomic.Int64 // heap objects allocated since the previous record
 }
 
-// flightRing is the ring buffer plus its cursors. It is reached from
-// the Recorder through a pointer so its atomics start at offset 0
-// regardless of the Recorder's own layout.
+// flightRing is the ring buffer plus its cursors.
 type flightRing struct {
-	cursor     int64 // total records ever written (next ticket = cursor+1)
-	lastAllocs int64 // previous /gc/heap/allocs:objects sample
+	cursor     atomic.Int64 // total records ever written (next ticket = cursor+1)
+	lastAllocs atomic.Int64 // previous /gc/heap/allocs:objects sample
 	slots      [flightSlots]flightSlot
 }
 
@@ -106,9 +101,9 @@ func (r *Recorder) flightAlgoIDLocked(name string) int64 {
 // recordFlight publishes one round into the ring.
 func (r *Recorder) recordFlight(m RoundMetrics, algoID int64) {
 	f := r.flight
-	ticket := atomic.AddInt64(&f.cursor, 1)
+	ticket := f.cursor.Add(1)
 	allocs := heapAllocsSample()
-	prev := atomic.SwapInt64(&f.lastAllocs, allocs)
+	prev := f.lastAllocs.Swap(allocs)
 	delta := allocs - prev
 	if prev == 0 || delta < 0 {
 		delta = 0 // first record, or interleaved swaps under contention
@@ -118,19 +113,19 @@ func (r *Recorder) recordFlight(m RoundMetrics, algoID int64) {
 		bucket = -1
 	}
 	s := &f.slots[(ticket-1)&(flightSlots-1)]
-	atomic.StoreInt64(&s.seq, -ticket)
-	atomic.StoreInt64(&s.ts, int64(time.Since(r.start)))
-	atomic.StoreInt64(&s.algo, algoID)
-	atomic.StoreInt64(&s.round, m.Round)
-	atomic.StoreInt64(&s.bucket, bucket)
-	atomic.StoreInt64(&s.frontier, int64(m.FrontierSize))
-	atomic.StoreInt64(&s.edges, m.EdgesTraversed)
-	atomic.StoreInt64(&s.ext, m.Extracted)
-	atomic.StoreInt64(&s.moved, m.Moved)
-	atomic.StoreInt64(&s.skipped, m.Skipped)
-	atomic.StoreInt64(&s.dur, m.Duration.Nanoseconds())
-	atomic.StoreInt64(&s.allocs, delta)
-	atomic.StoreInt64(&s.seq, ticket)
+	s.seq.Store(-ticket)
+	s.ts.Store(int64(time.Since(r.start)))
+	s.algo.Store(algoID)
+	s.round.Store(m.Round)
+	s.bucket.Store(bucket)
+	s.frontier.Store(int64(m.FrontierSize))
+	s.edges.Store(m.EdgesTraversed)
+	s.ext.Store(m.Extracted)
+	s.moved.Store(m.Moved)
+	s.skipped.Store(m.Skipped)
+	s.dur.Store(m.Duration.Nanoseconds())
+	s.allocs.Store(delta)
+	s.seq.Store(ticket)
 }
 
 // FlightTail returns up to n of the most recent ring records in write
@@ -142,7 +137,7 @@ func (r *Recorder) FlightTail(n int) []FlightRecord {
 		return nil
 	}
 	f := r.flight
-	newest := atomic.LoadInt64(&f.cursor)
+	newest := f.cursor.Load()
 	if newest == 0 {
 		return nil
 	}
@@ -158,24 +153,24 @@ func (r *Recorder) FlightTail(n int) []FlightRecord {
 	out := make([]FlightRecord, 0, n)
 	for ticket := newest - int64(n) + 1; ticket <= newest; ticket++ {
 		s := &f.slots[(ticket-1)&(flightSlots-1)]
-		if atomic.LoadInt64(&s.seq) != ticket {
+		if s.seq.Load() != ticket {
 			continue // not yet published, or already overwritten
 		}
 		rec := FlightRecord{
 			Seq:          ticket,
-			T:            time.Duration(atomic.LoadInt64(&s.ts)),
-			Round:        atomic.LoadInt64(&s.round),
-			Bucket:       atomic.LoadInt64(&s.bucket),
-			FrontierSize: atomic.LoadInt64(&s.frontier),
-			Edges:        atomic.LoadInt64(&s.edges),
-			Extracted:    atomic.LoadInt64(&s.ext),
-			Moved:        atomic.LoadInt64(&s.moved),
-			Skipped:      atomic.LoadInt64(&s.skipped),
-			Duration:     time.Duration(atomic.LoadInt64(&s.dur)),
-			Allocs:       atomic.LoadInt64(&s.allocs),
+			T:            time.Duration(s.ts.Load()),
+			Round:        s.round.Load(),
+			Bucket:       s.bucket.Load(),
+			FrontierSize: s.frontier.Load(),
+			Edges:        s.edges.Load(),
+			Extracted:    s.ext.Load(),
+			Moved:        s.moved.Load(),
+			Skipped:      s.skipped.Load(),
+			Duration:     time.Duration(s.dur.Load()),
+			Allocs:       s.allocs.Load(),
 		}
-		id := atomic.LoadInt64(&s.algo)
-		if atomic.LoadInt64(&s.seq) != ticket {
+		id := s.algo.Load()
+		if s.seq.Load() != ticket {
 			continue // torn read: slot was reclaimed while decoding
 		}
 		if id >= 0 && id < int64(len(algos)) {
@@ -192,7 +187,7 @@ func (r *Recorder) FlightLen() int64 {
 	if r == nil {
 		return 0
 	}
-	return atomic.LoadInt64(&r.flight.cursor)
+	return r.flight.cursor.Load()
 }
 
 // WriteFlightText renders records as an aligned plain-text table, the

@@ -13,8 +13,6 @@ import (
 //
 //   - Record must be wait-free and allocation-free: a handful of
 //     atomic adds, callable from every worker of a parallel round.
-//   - Snapshots must merge, so sharded recorders can be combined
-//     before exposition.
 //   - Resolution must be good enough for latency quantiles: buckets
 //     grow geometrically with histSub sub-buckets per power-of-two
 //     octave, giving a worst-case relative error of 1/histSub = 12.5%,
@@ -69,19 +67,16 @@ func histUpper(i int) int64 {
 }
 
 // Histogram is a fixed-size, lock-free log-bucketed histogram of
-// non-negative int64 values (negative samples clamp to 0). All fields
-// are updated with sync/atomic operations only; the struct is safe for
-// any number of concurrent writers and snapshot readers. A nil
-// *Histogram is valid and inert.
-//
-// The 64-bit fields must stay first for 32-bit atomic alignment
-// (julvet atomicalign); the struct is ~4KB, so Histograms are created
-// once per name and cached in the Recorder's registry.
+// non-negative int64 values (negative samples clamp to 0). Every field
+// is an atomic cell, so the struct is safe for any number of concurrent
+// writers and snapshot readers. A nil *Histogram is valid and inert.
+// The struct is ~4KB, so Histograms are created once per name and
+// cached in the Recorder's registry.
 type Histogram struct {
-	count  int64
-	sum    int64
-	max    int64
-	counts [numHistBuckets]int64
+	count  atomic.Int64
+	sum    atomic.Int64
+	max    atomic.Int64
+	counts [numHistBuckets]atomic.Int64
 }
 
 // Record adds one sample. Wait-free: three atomic adds plus a CAS loop
@@ -93,12 +88,12 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	atomic.AddInt64(&h.count, 1)
-	atomic.AddInt64(&h.sum, v)
-	atomic.AddInt64(&h.counts[histIndex(v)], 1)
+	h.count.Add(1)
+	h.sum.Add(v)
+	h.counts[histIndex(v)].Add(1)
 	for {
-		old := atomic.LoadInt64(&h.max)
-		if v <= old || atomic.CompareAndSwapInt64(&h.max, old, v) {
+		old := h.max.Load()
+		if v <= old || h.max.CompareAndSwap(old, v) {
 			return
 		}
 	}
@@ -106,27 +101,6 @@ func (h *Histogram) Record(v int64) {
 
 // RecordDuration records d in nanoseconds.
 func (h *Histogram) RecordDuration(d time.Duration) { h.Record(d.Nanoseconds()) }
-
-// AddSnapshot merges a snapshot into the live histogram (atomic adds;
-// safe concurrently with Record).
-func (h *Histogram) AddSnapshot(s HistogramSnapshot) {
-	if h == nil || s.Count == 0 {
-		return
-	}
-	atomic.AddInt64(&h.count, s.Count)
-	atomic.AddInt64(&h.sum, s.Sum)
-	for i, c := range s.Counts {
-		if c != 0 && i < numHistBuckets {
-			atomic.AddInt64(&h.counts[i], c)
-		}
-	}
-	for {
-		old := atomic.LoadInt64(&h.max)
-		if s.Max <= old || atomic.CompareAndSwapInt64(&h.max, old, s.Max) {
-			return
-		}
-	}
-}
 
 // Snapshot returns a point-in-time copy. Concurrent Records may tear
 // *between* cells (a sample's count visible before its sum), which is
@@ -137,13 +111,13 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		return HistogramSnapshot{}
 	}
 	s := HistogramSnapshot{
-		Count:  atomic.LoadInt64(&h.count),
-		Sum:    atomic.LoadInt64(&h.sum),
-		Max:    atomic.LoadInt64(&h.max),
+		Count:  h.count.Load(),
+		Sum:    h.sum.Load(),
+		Max:    h.max.Load(),
 		Counts: make([]int64, numHistBuckets),
 	}
 	for i := range h.counts {
-		s.Counts[i] = atomic.LoadInt64(&h.counts[i])
+		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
 }
@@ -256,8 +230,9 @@ func (r *Recorder) ObserveDuration(h Hist, d time.Duration) {
 // Clock returns the current time on a live recorder and the zero time
 // on a nil one — the start-half of the ObserveSince pair. Instrumented
 // packages outside internal/obs and internal/harness are barred from
-// calling time.Now directly (julvet norandtime), and routing the reads
-// through the recorder also makes them free when telemetry is off.
+// calling time.Now directly (the root package's TestNoRandTime), and
+// routing the reads through the recorder also makes them free when
+// telemetry is off.
 func (r *Recorder) Clock() time.Time {
 	if r == nil {
 		return time.Time{}
@@ -334,7 +309,7 @@ func (r *Recorder) Gauges() map[string]int64 {
 	}
 	out := make(map[string]int64)
 	r.gauges.Range(func(k, v any) bool {
-		out[k.(string)] = atomic.LoadInt64(v.(*int64))
+		out[k.(string)] = v.(*atomic.Int64).Load()
 		return true
 	})
 	return out

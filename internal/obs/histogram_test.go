@@ -123,12 +123,6 @@ func TestHistogramMerge(t *testing.T) {
 	if sa.Sum != sb.Sum+99*100/2 {
 		t.Fatalf("merged sum = %d", sa.Sum)
 	}
-	// AddSnapshot is the live-side merge.
-	var c Histogram
-	c.AddSnapshot(sa)
-	if got := c.Snapshot(); got.Count != 200 || got.Max != 1099 || got.Sum != sa.Sum {
-		t.Fatalf("AddSnapshot round-trip mismatch: %+v", got.Summary())
-	}
 }
 
 // TestHistogramConcurrent hammers Record and Snapshot from P

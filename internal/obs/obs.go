@@ -29,13 +29,11 @@ import (
 type Recorder struct {
 	start time.Time
 
-	counters sync.Map // string -> *int64, atomic adds
-	gauges   sync.Map // string -> *int64, atomic stores
+	counters sync.Map // string -> *atomic.Int64
+	gauges   sync.Map // string -> *atomic.Int64
 	hists    sync.Map // string -> *Histogram, atomic cells
 
-	// flight is the always-on per-round ring (flight.go). It lives
-	// behind a pointer so its 64-bit atomic fields start at offset 0
-	// on 32-bit platforms irrespective of the Recorder's own layout.
+	// flight is the always-on per-round ring (flight.go).
 	flight *flightRing
 
 	mu          sync.Mutex
@@ -50,17 +48,17 @@ func NewRecorder() *Recorder {
 	r := &Recorder{start: time.Now(), flight: new(flightRing)}
 	// Seed the allocation sample so the first round's delta is
 	// measured from here rather than from process start.
-	atomic.StoreInt64(&r.flight.lastAllocs, heapAllocsSample())
+	r.flight.lastAllocs.Store(heapAllocsSample())
 	return r
 }
 
 // cell returns the atomic slot for name in m, creating it on first use.
-func cell(m *sync.Map, name string) *int64 {
+func cell(m *sync.Map, name string) *atomic.Int64 {
 	if v, ok := m.Load(name); ok {
-		return v.(*int64)
+		return v.(*atomic.Int64)
 	}
-	v, _ := m.LoadOrStore(name, new(int64))
-	return v.(*int64)
+	v, _ := m.LoadOrStore(name, new(atomic.Int64))
+	return v.(*atomic.Int64)
 }
 
 // Add adds delta to the counter.
@@ -68,7 +66,7 @@ func (r *Recorder) Add(c Counter, delta int64) {
 	if r == nil {
 		return
 	}
-	atomic.AddInt64(cell(&r.counters, c.name), delta)
+	cell(&r.counters, c.name).Add(delta)
 }
 
 // Inc increments the counter by one.
@@ -81,7 +79,7 @@ func (r *Recorder) Counter(name string) int64 {
 		return 0
 	}
 	if v, ok := r.counters.Load(name); ok {
-		return atomic.LoadInt64(v.(*int64))
+		return v.(*atomic.Int64).Load()
 	}
 	return 0
 }
@@ -91,7 +89,7 @@ func (r *Recorder) SetGauge(g Gauge, v int64) {
 	if r == nil {
 		return
 	}
-	atomic.StoreInt64(cell(&r.gauges, g.name), v)
+	cell(&r.gauges, g.name).Store(v)
 }
 
 // Gauge returns the current value of the named gauge (0 if unset).
@@ -100,7 +98,7 @@ func (r *Recorder) Gauge(name string) int64 {
 		return 0
 	}
 	if v, ok := r.gauges.Load(name); ok {
-		return atomic.LoadInt64(v.(*int64))
+		return v.(*atomic.Int64).Load()
 	}
 	return 0
 }
@@ -112,7 +110,7 @@ func (r *Recorder) Counters() map[string]int64 {
 	}
 	out := make(map[string]int64)
 	r.counters.Range(func(k, v any) bool {
-		out[k.(string)] = atomic.LoadInt64(v.(*int64))
+		out[k.(string)] = v.(*atomic.Int64).Load()
 		return true
 	})
 	return out

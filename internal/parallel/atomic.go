@@ -2,18 +2,12 @@ package parallel
 
 import "sync/atomic"
 
-// This file provides the two atomic primitives the paper assumes in its
-// model (§2): compare-and-swap and writeMin (priority update). Both take
-// O(1) work in the model; writeMin is implemented as the usual CAS loop
-// that only retries while it would still improve the stored value, the
-// "priority update" of Shun et al. [52] that the paper cites for low
-// contention in practice.
-
-// CASUint32 atomically replaces *addr with newV if it currently holds
-// oldV, reporting whether the swap happened.
-func CASUint32(addr *uint32, oldV, newV uint32) bool {
-	return atomic.CompareAndSwapUint32(addr, oldV, newV)
-}
+// The paper's model (§2) assumes two atomic primitives: compare-and-swap,
+// which is sync/atomic's CompareAndSwap, and writeMin (priority update),
+// which this file provides. Both take O(1) work in the model; writeMin
+// is the usual CAS loop that only retries while it would still improve
+// the stored value, the "priority update" of Shun et al. [52] that the
+// paper cites for low contention in practice.
 
 // WriteMinUint32 atomically updates *addr to min(*addr, val) and reports
 // whether it strictly decreased the stored value.
@@ -56,20 +50,3 @@ func WriteMinUint64(addr *uint64, val uint64) bool {
 		}
 	}
 }
-
-// AddInt64 is a convenience wrapper over atomic.AddInt64 used by the
-// operation counters in the work-efficiency experiments.
-func AddInt64(addr *int64, delta int64) int64 {
-	return atomic.AddInt64(addr, delta)
-}
-
-// AddUint32 is an atomic fetch-and-add returning the new value.
-func AddUint32(addr *uint32, delta uint32) uint32 {
-	return atomic.AddUint32(addr, delta)
-}
-
-// LoadUint32 is a convenience wrapper over atomic.LoadUint32.
-func LoadUint32(addr *uint32) uint32 { return atomic.LoadUint32(addr) }
-
-// StoreUint32 is a convenience wrapper over atomic.StoreUint32.
-func StoreUint32(addr *uint32, v uint32) { atomic.StoreUint32(addr, v) }
