@@ -53,10 +53,10 @@ race:
 # debug builds with the julienne_debug tag, which compiles invariant
 # assertions into the bucket structure and Ligra layer and poisons
 # every bucket-arena slice the moment its lifetime ends, then runs the
-# assertion-sensitive suites under it — including every algorithm that
-# consumes NextBucket's slice (kcore, the ∆-stepping wave driver under
-# fused and unfused, set cover, densest, truss), so a stale read anywhere
-# indexes out of range.
+# assertion-sensitive suites under it — including the round driver
+# bucket.Loop (fused and unfused) and every round body that consumes
+# its bucket's slice (kcore, ∆-stepping, both set covers, densest,
+# truss), so a stale read anywhere indexes out of range.
 debug:
 	$(GO) build -tags julienne_debug ./...
 	$(GO) test -tags julienne_debug -short ./internal/bucket/... ./internal/proptest/... \

@@ -115,15 +115,14 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 	parallel.For(n, parallel.DefaultGrain, func(v int) {
 		d[v] = uint32(g.OutDegree(graph.Vertex(v)))
 	})
-	rec := opt.Recorder
-	b := bucket.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing,
-		bucket.Options{Recorder: rec})
+	lp := bucket.Loop{Algo: "densest", Recorder: opt.Recorder, Ctx: opt.Ctx, Deadline: opt.Deadline}
+	b := lp.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, bucket.Options{})
 
 	alive := int64(n)
 	liveEdges := g.NumEdges() / 2 // undirected edges
 	bestDensity := float64(liveEdges) / float64(alive)
 	bestAlive := alive
-	var rounds int64
+	var round int64               // the round being peeled
 	removedAt := make([]int64, n) // round at which each vertex fell (1-based)
 	// The round's one primitive, its destination and the updateBuckets
 	// feed are built once; a round reads its bucket from k.
@@ -144,26 +143,12 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 	}
 	feed := func(j int) (uint32, bucket.Dest) { return moved.IDs[j], moved.Vals[j] }
 
-	var runErr error
-	var prevStats bucket.Stats
-	cancel := obs.NewCancelCheck(opt.Ctx, opt.Deadline)
-	for alive > 0 {
-		if cause := cancel.Stopped(); cause != nil {
-			runErr = rec.NewCanceled("densest", rounds, cause)
-			break
-		}
-		// ids aliases the bucket structure's arena: valid only until
-		// the next NextBucket call, and fully consumed this round.
-		var ids []uint32
-		k, ids = b.NextBucket()
-		if k == bucket.Nil {
-			break
-		}
-		sp := rec.StartSpan("densest.round").ArgInt("bucket", int64(k)).ArgInt("frontier", int64(len(ids)))
-		rounds++
+	rounds, err := lp.Run(b, func(bkt, _ bucket.ID, ids []uint32) (int64, bool) {
+		k = bkt
+		round++
 		frontier := ligra.FromSparse(n, ids)
 		parallel.For(len(ids), parallel.DefaultGrain, func(i int) {
-			removedAt[ids[i]] = rounds
+			removedAt[ids[i]] = round
 		})
 		// Count removed edges per *every* live neighbor (edges to
 		// survivors sitting at degree exactly k must be accounted even
@@ -180,7 +165,7 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 		internal := parallel.Sum(len(ids), 0, func(i int) int64 {
 			var c int64
 			g.OutNeighbors(ids[i], func(u graph.Vertex, w graph.Weight) bool {
-				if removedAt[u] == rounds {
+				if removedAt[u] == round {
 					c++
 				}
 				return true
@@ -189,8 +174,7 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 		})
 		removed := removedEdges.Load() + internal/2
 		b.UpdateBuckets(moved.Size(), feed)
-		nPeeled := len(ids)
-		alive -= int64(nPeeled)
+		alive -= int64(len(ids))
 		liveEdges -= removed
 		if alive > 0 {
 			density := float64(liveEdges) / float64(alive)
@@ -199,20 +183,8 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 				bestAlive = alive
 			}
 		}
-		dur := sp.End()
-		if rec != nil {
-			cur := b.Stats()
-			delta := cur.Sub(prevStats)
-			prevStats = cur
-			rec.RecordRound(obs.RoundMetrics{
-				Algo: "densest", Round: rounds, Bucket: k,
-				FrontierSize: nPeeled, EdgesTraversed: removed,
-				Dense:     false, // EdgeMapSum is push-only
-				Extracted: delta.Extracted, Moved: delta.Moved,
-				Skipped: delta.Skipped, Duration: dur,
-			})
-		}
-	}
+		return removed, alive == 0
+	})
 	// Reconstruct the best prefix: the survivors just before density
 	// peaked are exactly the vertices removed in the latest rounds.
 	// Find the cutoff round: survivors after round r = vertices with
@@ -221,7 +193,7 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 		Vertices: survivorsOfSize(removedAt, bestAlive),
 		Density:  bestDensity,
 		Rounds:   rounds,
-		Err:      runErr,
+		Err:      err,
 	}
 }
 
@@ -346,7 +318,7 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 			rec.RecordRound(obs.RoundMetrics{
 				Algo: "densest", Round: rounds, Bucket: ^uint32(0),
 				FrontierSize: len(ids), EdgesTraversed: removed,
-				Dense: false, Duration: dur,
+				Duration: dur,
 			})
 		}
 	}

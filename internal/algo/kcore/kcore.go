@@ -103,12 +103,8 @@ func Coreness(g graph.Graph, opt Options) Result {
 	parallel.For(n, parallel.DefaultGrain, func(v int) {
 		d[v] = uint32(g.OutDegree(graph.Vertex(v)))
 	})
-	rec := opt.Recorder
-	bopt := opt.Buckets
-	if bopt.Recorder == nil {
-		bopt.Recorder = rec
-	}
-	b := bucket.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, bopt)
+	lp := bucket.Loop{Algo: "kcore", Recorder: opt.Recorder, Ctx: opt.Ctx, Deadline: opt.Deadline}
+	b := lp.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, opt.Buckets)
 
 	// The round's one primitive, its destination and the updateBuckets
 	// feed are built once: a round reads its bucket from k and allocates
@@ -130,24 +126,8 @@ func Coreness(g graph.Graph, opt Options) Result {
 	feed := func(j int) (uint32, bucket.Dest) { return moved.IDs[j], moved.Vals[j] }
 
 	finished := 0
-	var edges int64
-	var prevStats bucket.Stats
-	prevForks := parallel.ForkStats() // the rounds' budget, not the construction's
-	cancel := obs.NewCancelCheck(opt.Ctx, opt.Deadline)
-	for finished < n {
-		if cause := cancel.Stopped(); cause != nil {
-			res.Err = rec.NewCanceled("kcore", res.Rounds, cause)
-			break
-		}
-		// ids aliases the bucket structure's arena: valid only until
-		// the next NextBucket call, and fully consumed this round.
-		var ids []uint32
-		k, ids = b.NextBucket()
-		if k == bucket.Nil {
-			break
-		}
-		sp := rec.StartSpan("kcore.round").ArgInt("bucket", int64(k)).ArgInt("frontier", int64(len(ids)))
-		res.Rounds++
+	res.Rounds, res.Err = lp.Run(b, func(bkt, _ bucket.ID, ids []uint32) (int64, bool) {
+		k = bkt
 		finished += len(ids)
 		res.VerticesScanned += int64(len(ids))
 		// All vertices in the bucket have coreness k (their D values
@@ -156,30 +136,13 @@ func Coreness(g graph.Graph, opt Options) Result {
 		// counts removed edges per still-live neighbor and emits the
 		// ones that change bucket (lines 16–17).
 		frontier := ligra.Frontier(g, ids)
-		roundEdges := frontier.OutDegreeSum(g)
-		edges += roundEdges
+		edges := frontier.OutDegreeSum(g)
+		res.EdgesTraversed += edges
 		ligra.EdgeMapSum(g, frontier, stillLive, update, &moved)
 		b.UpdateBuckets(moved.Size(), feed)
-		dur := sp.End()
-		if rec != nil {
-			cur := b.Stats()
-			delta := cur.Sub(prevStats)
-			prevStats = cur
-			forks := parallel.ForkStats()
-			fd := forks.Sub(prevForks)
-			prevForks = forks
-			rec.RecordRound(obs.RoundMetrics{
-				Algo: "kcore", Round: res.Rounds, Bucket: k,
-				FrontierSize: len(ids), EdgesTraversed: roundEdges,
-				Dense:     false, // EdgeMapSum is push-only
-				Extracted: delta.Extracted, Moved: delta.Moved,
-				Skipped: delta.Skipped, Duration: dur,
-				Forked: fd.Forked, Inline: fd.Inline, Wakes: fd.Wakes,
-			})
-		}
-	}
+		return edges, finished == n
+	})
 	res.BucketStats = b.Stats()
-	res.EdgesTraversed = edges
 	return res
 }
 

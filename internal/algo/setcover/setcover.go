@@ -47,15 +47,17 @@ type Options struct {
 	// Epsilon is the bucketing granularity; the approximation factor is
 	// (1+ε)·H_n. The paper's experiments use 0.01 (the default).
 	Epsilon float64
-	// Buckets is passed through to the bucket structure (Approx only).
+	// Buckets is passed through to the bucket structure (Approx and
+	// ApproxWeighted; ApproxPBBS has none).
 	Buckets bucket.Options
 	// Recorder, when non-nil, receives one span and one RoundMetrics
-	// per MaNIS round plus bucket and edgeMap counters (Approx only).
-	// Nil disables telemetry with only nil-check overhead.
+	// per MaNIS round plus bucket and edgeMap counters (Approx and
+	// ApproxWeighted). Nil disables telemetry with only nil-check
+	// overhead.
 	Recorder *obs.Recorder
-	// Ctx, when non-nil, is checked once per MaNIS round (Approx only);
-	// if it is done the run stops and Result.Err reports a
-	// *obs.Canceled with partial progress. Nil keeps today's
+	// Ctx, when non-nil, is checked once per MaNIS round (Approx and
+	// ApproxWeighted); if it is done the run stops and Result.Err
+	// reports a *obs.Canceled with partial progress. Nil keeps today's
 	// zero-overhead behavior.
 	Ctx context.Context
 	// Deadline, when non-zero, stops the run once it passes (checked
@@ -90,7 +92,8 @@ type Result struct {
 	// work-efficiency comparison between Approx and ApproxPBBS reads
 	// this (the PBBS version re-inspects carried sets every round).
 	SetsInspected int64
-	// BucketStats is the bucket-structure traffic (Approx only).
+	// BucketStats is the bucket-structure traffic (Approx and
+	// ApproxWeighted).
 	BucketStats bucket.Stats
 	// Err is nil on a completed run, or a *obs.Canceled (wrapping
 	// obs.ErrCanceled) if the run was stopped by Options.Ctx or

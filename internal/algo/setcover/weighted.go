@@ -6,7 +6,6 @@ import (
 
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
-	"julienne/internal/ligra"
 )
 
 // Weighted set cover (§4.3: "we now describe our algorithm for
@@ -90,67 +89,16 @@ func ApproxWeightedOn(work graph.Packer, numSets int, costs []float64, opt Optio
 	}
 	eps := opt.epsilon()
 	vb := newValueBucketizer(eps, maxCost)
-	n := work.NumVertices()
-
-	// The round's bucket and the value floors derived from it are loop
-	// state the closures below read; they and the destination they
-	// fill are built once per run.
-	var bkt bucket.ID
-	var valueFloor, winFloor float64
-	m := newManis(work, numSets, nil,
-		// Active: value (elements per cost) still clears this bucket.
-		func(s graph.Vertex, deg uint32) bool { return float64(deg)/costs[s] >= valueFloor },
-		func(s graph.Vertex, won uint32) bool { return float64(won)/costs[s] >= winFloor })
-	d := m.d
-
-	b := bucket.New(numSets, func(s uint32) bucket.ID { return vb.bucketOf(d[s], costs[s]) },
-		bucket.Decreasing, opt.Buckets)
-
-	var rebucket ligra.Tagged[bucket.Dest]
-	move := func(s graph.Vertex) (bucket.Dest, bool) {
-		if d[s] == inCover {
-			return bucket.None, false
-		}
-		next := vb.bucketOf(d[s], costs[s])
-		if next == bkt && float64(d[s])/costs[s] < valueFloor && bkt > 0 {
-			next = bkt - 1 // float-rounding guard, as in Approx
-		}
-		var dest bucket.Dest
-		if next == bkt {
-			dest = b.GetBucket(bucket.Nil, next)
-		} else {
-			dest = b.GetBucket(bkt, next)
-		}
-		return dest, dest != bucket.None
-	}
-	feed := func(j int) (uint32, bucket.Dest) { return rebucket.IDs[j], rebucket.Vals[j] }
-
-	res := WeightedResult{Result: Result{InCover: m.inCover}}
-	for {
-		// sets aliases the bucket structure's arena: valid only until
-		// the next NextBucket call, and fully consumed this round.
-		var sets []uint32
-		bkt, sets = b.NextBucket()
-		if bkt == bucket.Nil {
-			break
-		}
-		res.Rounds++
-		res.SetsInspected += int64(len(sets))
-		frontier := ligra.FromSparse(n, sets)
-		valueFloor, winFloor = vb.threshold(eps, int64(bkt)), vb.threshold(eps, int64(bkt)-1)
-
-		m.elect(m.activate(frontier))
-
-		ligra.TagMap(frontier, move, &rebucket)
-		b.UpdateBuckets(rebucket.Size(), feed)
-	}
-	res.CoverSize = len(CoverList(res.InCover))
+	// A set's value is its uncovered elements per unit cost.
+	res := WeightedResult{Result: approx(work, numSets, opt,
+		func(s, d uint32) bucket.ID { return vb.bucketOf(d, costs[s]) },
+		func(s graph.Vertex, count uint32) float64 { return float64(count) / costs[s] },
+		func(b int64) float64 { return vb.threshold(eps, b) })}
 	for s, in := range res.InCover {
 		if in {
 			res.Cost += costs[s]
 		}
 	}
-	res.BucketStats = b.Stats()
 	return res
 }
 

@@ -1,11 +1,14 @@
 package setcover
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"julienne/internal/bucket"
 	"julienne/internal/gen"
 	"julienne/internal/graph"
+	"julienne/internal/obs"
 	"julienne/internal/rng"
 )
 
@@ -156,5 +159,37 @@ func TestWeightedDeterministic(t *testing.T) {
 		if a.InCover[s] != b.InCover[s] {
 			t.Fatal("covers differ")
 		}
+	}
+}
+
+// TestWeightedHonoursCancellation cancels a weighted run from the
+// recorder's round observer at round 2: the run stops there with a
+// *obs.Canceled whose flight tail holds the completed rounds, and the
+// partial cover is still a set of chosen sets.
+func TestWeightedHonoursCancellation(t *testing.T) {
+	inst := gen.SetCover(400, 4000, 8, 5)
+	costs := make([]float64, inst.Sets)
+	for i := range costs {
+		costs[i] = 1 + float64(i%7)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := obs.NewRecorder()
+	rec.OnRound(func(m obs.RoundMetrics) {
+		if m.Round == 2 {
+			cancel()
+		}
+	})
+	res := ApproxWeighted(inst.Graph, inst.Sets, costs, Options{Recorder: rec, Ctx: ctx})
+	var c *obs.Canceled
+	if !errors.As(res.Err, &c) {
+		t.Fatalf("Err = %v, want *obs.Canceled", res.Err)
+	}
+	if c.Algo != "setcover" || c.Rounds != 2 || res.Rounds != 2 || len(c.Tail) == 0 {
+		t.Errorf("Canceled{%q, Rounds %d, %d tail records} after %d rounds, want setcover stopped at 2 with a tail",
+			c.Algo, c.Rounds, len(c.Tail), res.Rounds)
+	}
+	if res.CoverSize != len(CoverList(res.InCover)) {
+		t.Errorf("CoverSize %d disagrees with InCover", res.CoverSize)
 	}
 }

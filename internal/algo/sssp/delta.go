@@ -27,7 +27,7 @@ type Options struct {
 	// Deadline, when non-zero, stops the run once it passes (checked
 	// once per round, composing with Ctx — whichever trips first).
 	Deadline time.Time
-	// Fusion enables fused bucket extraction (NextBucketFused, DESIGN.md
+	// Fusion enables fused bucket extraction (bucket.Loop, DESIGN.md
 	// §11): runs of consecutive small buckets drain into one frontier,
 	// and vertices relaxed back into the fused span are processed in
 	// the same round via the lazy buffer instead of round-tripping
@@ -43,23 +43,18 @@ type Options struct {
 	Fusion bucket.Fusion
 }
 
-// waves is the state the ∆-stepping wave driver (DeltaStepping) shares
-// with its per-segment body.
+// waves is the state DeltaStepping shares with its per-segment body.
 type waves struct {
 	// relaxations is Result.Relaxations while the run is in flight: the
 	// relax workers add to it concurrently.
 	relaxations atomic.Int64
-	res         Result
-	prevStats   bucket.Stats
-	prevForks   parallel.ForkCounts
-	prevRelax   int64
+	edges       int64
 	udelta      uint64
 	g           graph.Graph
 	// sp holds the tentative distances, one per vertex; the flag bit
 	// marks a vertex whose distance changed in the current round.
-	sp  []uint64
-	b   *bucket.Par
-	rec *obs.Recorder
+	sp []uint64
+	b  *bucket.Par
 }
 
 // bktOf is GetBucketNum of Algorithm 2 (line 3): bucket i is the
@@ -75,106 +70,34 @@ func (w *waves) bktOf(dist uint64) bucket.ID {
 	return bucket.ID(b)
 }
 
-// startRound opens one relaxation round over a frontier of the given
-// size drawn from bucket id.
-func (w *waves) startRound(id bucket.ID, frontier int) *obs.Span {
-	w.res.Rounds++
-	return w.rec.StartSpan("sssp.round").ArgInt("bucket", int64(id)).ArgInt("frontier", int64(frontier))
-}
-
-// endRound closes the round startRound opened and records its metrics,
-// attributing the bucket traffic since the previous round to it.
-func (w *waves) endRound(sp *obs.Span, id bucket.ID, frontier int, edges int64) {
-	w.res.EdgesTraversed += edges
-	relax := w.relaxations.Load()
-	dur := sp.ArgInt("relaxations", relax-w.prevRelax).End()
-	if w.rec == nil {
-		return
-	}
-	cur := w.b.Stats()
-	sd := cur.Sub(w.prevStats)
-	w.prevStats = cur
-	w.prevRelax = relax
-	forks := parallel.ForkStats()
-	fd := forks.Sub(w.prevForks)
-	w.prevForks = forks
-	w.rec.RecordRound(obs.RoundMetrics{
-		Algo: "sssp", Round: w.res.Rounds, Bucket: id,
-		FrontierSize: frontier, EdgesTraversed: edges,
-		Dense:     false, // EdgeMapTagged is push-only
-		Extracted: sd.Extracted, Moved: sd.Moved,
-		Skipped: sd.Skipped, Duration: dur,
-		Forked: fd.Forked, Inline: fd.Inline, Wakes: fd.Wakes,
-	})
-}
-
 // DeltaStepping implements Algorithm 2 of the paper: bucketed
 // ∆-stepping where bucket i is the annulus of tentative distances
 // [i∆, (i+1)∆). Unreached vertices are outside the structure (their D
 // is Nil) and enter it on first relaxation, so the work is proportional
-// to edges relaxed, not to n per round.
+// to edges relaxed, not to n per round. WBFS is its ∆ = 1 call.
 //
-// It is the wave driver WBFS runs on too. Each wave extracts the next
-// bucket — or, with opt.Fusion enabled, the next fused bucket range
-// [id, last] — and hands the frontier to the segment body. Vertices
-// relaxed back into a fused span return in the same wave as further
-// segments via DrainLazy; without fusion last == id, no span opens,
-// DrainLazy returns nil, and every wave is exactly one segment.
+// With opt.Fusion enabled, bucket.Loop extracts fused bucket ranges
+// [id, last] and hands the vertices relaxed back into a range to the
+// same segment body as further segments of the wave (DESIGN.md §11).
 func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Result {
 	checkInput(g, src)
 	if delta <= 0 {
 		panic("sssp: delta must be positive")
 	}
 	n := g.NumVertices()
-	w := &waves{g: g, udelta: uint64(delta), sp: make([]uint64, n), rec: opt.Recorder}
+	w := &waves{g: g, udelta: uint64(delta), sp: make([]uint64, n)}
 	parallel.For(n, parallel.DefaultGrain, func(i int) { w.sp[i] = inf })
 	w.sp[src] = 0
-	bopt := opt.Buckets
-	if bopt.Recorder == nil {
-		bopt.Recorder = w.rec
-	}
-	w.b = bucket.New(n, func(i uint32) bucket.ID { return w.bktOf(w.sp[i] &^ flag) },
-		bucket.Increasing, bopt)
-	segment := deltaSegment(w)
-	w.prevForks = parallel.ForkStats() // the rounds' budget, not the construction's
-
-	fus := opt.Fusion
-	cancel := obs.NewCancelCheck(opt.Ctx, opt.Deadline)
-	stopped := func() bool {
-		cause := cancel.Stopped()
-		if cause != nil {
-			w.res.Err = w.rec.NewCanceled("sssp", w.res.Rounds, cause)
-		}
-		return cause != nil
-	}
-run:
-	for !stopped() {
-		var id, last bucket.ID
-		var ids []uint32
-		if fus.Enabled() {
-			id, last, ids = w.b.NextBucketFused(fus.MaxFrontier, fus.MaxSpan)
-		} else {
-			id, ids = w.b.NextBucket()
-			last = id
-		}
-		if id == bucket.Nil {
-			break
-		}
-		for len(ids) > 0 {
-			segment(id, last, ids)
-			// Same-wave processing of the fused span: everything relaxed
-			// into [id, last] comes back immediately instead of waiting
-			// for another synchronization round.
-			ids = w.b.DrainLazy()
-			if len(ids) > 0 && stopped() {
-				break run
-			}
-		}
-	}
-	w.res.Relaxations = w.relaxations.Load()
-	w.res.BucketStats = w.b.Stats()
-	w.res.Dist = finalize(w.sp)
-	return w.res
+	lp := bucket.Loop{Algo: "sssp", Recorder: opt.Recorder, Ctx: opt.Ctx, Deadline: opt.Deadline, Fusion: opt.Fusion}
+	w.b = lp.New(n, func(i uint32) bucket.ID { return w.bktOf(w.sp[i] &^ flag) },
+		bucket.Increasing, opt.Buckets)
+	var res Result
+	res.Rounds, res.Err = lp.Run(w.b, deltaSegment(w))
+	res.Relaxations = w.relaxations.Load()
+	res.EdgesTraversed = w.edges
+	res.BucketStats = w.b.Stats()
+	res.Dist = finalize(w.sp)
+	return res
 }
 
 // deltaSegment builds Algorithm 2's round over the initialized run:
@@ -183,12 +106,12 @@ run:
 // bucket structure's arena: valid only until the body's next call into
 // the structure.
 //
-// Not inlined into the driver on purpose: in the copy the inliner makes
-// of the relax literal, relaxCapture is an out-of-line call on the
-// per-edge path.
+// Not inlined into DeltaStepping on purpose: in the copy the inliner
+// makes of the relax literal, relaxCapture is an out-of-line call on
+// the per-edge path.
 //
 //go:noinline
-func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) {
+func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) (int64, bool) {
 	// The counter pointer is taken once, here: &w.relaxations inside
 	// relax would nil-check w by loading its first word on every call,
 	// and that word shares a cache line with the counter every worker is
@@ -223,18 +146,18 @@ func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) {
 		return dest, dest != bucket.None
 	}
 	feed := func(j int) (uint32, bucket.Dest) { return rebucket.IDs[j], rebucket.Vals[j] }
-	return func(segID, segLast bucket.ID, ids []uint32) {
+	return func(segID, segLast bucket.ID, ids []uint32) (int64, bool) {
 		id, last = segID, segLast
-		span := w.startRound(id, len(ids))
 		frontier := ligra.Frontier(g, ids)
 		edges := frontier.OutDegreeSum(g)
+		w.edges += edges
 		// Relax the out-edges of the frontier (Algorithm 2, line 18).
 		// The tagged output carries each improved vertex's distance at
 		// the start of the round, captured by the winning relaxer.
 		ligra.EdgeMapTagged(g, frontier, nil, relax, &moved)
 		ligra.TagMapTagged(moved, reset, &rebucket)
 		b.UpdateBuckets(rebucket.Size(), feed)
-		w.endRound(span, id, len(ids), edges)
+		return edges, false
 	}
 }
 

@@ -132,14 +132,8 @@ func Trussness(g *graph.CSR) Result {
 	finished := 0
 	var updIDs []uint32
 	var updDests []bucket.Dest
-	for finished < m {
-		// ids aliases the bucket structure's arena: valid only until
-		// the next NextBucket call, and fully consumed this round.
-		k, ids := b.NextBucket()
-		if k == bucket.Nil {
-			break
-		}
-		res.Rounds++
+	// The loop has no Ctx or Deadline, so Run's error is always nil.
+	res.Rounds, _ = bucket.Loop{Algo: "truss"}.Run(b, func(k, _ bucket.ID, ids []uint32) (int64, bool) {
 		finished += len(ids)
 		updIDs, updDests = updIDs[:0], updDests[:0]
 		// Peel the batch sequentially: each destroyed triangle
@@ -174,7 +168,8 @@ func Trussness(g *graph.CSR) Result {
 		b.UpdateBuckets(len(updIDs), func(j int) (uint32, bucket.Dest) {
 			return updIDs[j], updDests[j]
 		})
-	}
+		return 0, finished == m
+	})
 	res.BucketStats = b.Stats()
 	return res
 }

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"julienne/internal/algo/kcore"
+	"julienne/internal/algo/setcover"
 	"julienne/internal/algo/sssp"
 	"julienne/internal/bucket"
 	"julienne/internal/chaos"
@@ -138,51 +139,95 @@ func TestInjectedWorkerPanic(t *testing.T) {
 
 // TestForcedCancellationAtRound forces a context cancellation at round
 // k from inside the round boundary and asserts the typed error, the
-// partial stats, and an oracle-correct re-run.
+// partial stats, and an oracle-correct re-run, for k-core and for
+// weighted set cover (SiteRound fires inside NextBucket, so it reaches
+// every kernel bucket.Loop drives).
 func TestForcedCancellationAtRound(t *testing.T) {
 	defer harness.LeakCheck(t)()
 	g := testGraph(2)
-	want := kcore.CorenessBZ(g)
-	full := kcore.Coreness(g, kcore.Options{})
-	if full.Rounds < 3 {
-		t.Fatalf("test graph peels in %d rounds; need >= 3", full.Rounds)
+	inst := gen.SetCover(600, 6000, 8, 2)
+	costs := make([]float64, inst.Sets)
+	for s := range costs {
+		costs[s] = float64(1 + s%7)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rec := flightDumpRecorder(t)
-	chaos.Arm(chaos.Plan{CancelAtRound: 2, Cancel: cancel})
-	res := kcore.Coreness(g, kcore.Options{Ctx: ctx, Recorder: rec})
-	chaos.Disarm()
-	if res.Err == nil {
-		t.Fatal("canceled run returned nil Err")
+	weighted := func(o setcover.Options) setcover.WeightedResult {
+		return setcover.ApproxWeighted(inst.Graph, inst.Sets, costs, o)
 	}
-	if !errors.Is(res.Err, obs.ErrCanceled) {
-		t.Errorf("errors.Is(Err, ErrCanceled) = false: %v", res.Err)
+	rows := []struct {
+		name, algo string
+		// run is the kernel under ctx and rec; it returns its rounds and
+		// error.
+		run func(ctx context.Context, rec *obs.Recorder) (int64, error)
+		// checkRerun asserts that an immediate clean run is correct.
+		checkRerun func(t *testing.T)
+	}{
+		{"kcore", "kcore",
+			func(ctx context.Context, rec *obs.Recorder) (int64, error) {
+				r := kcore.Coreness(g, kcore.Options{Ctx: ctx, Recorder: rec})
+				return r.Rounds, r.Err
+			},
+			func(t *testing.T) {
+				clean := kcore.Coreness(g, kcore.Options{})
+				if clean.Err != nil {
+					t.Fatalf("clean re-run errored: %v", clean.Err)
+				}
+				corenessEqual(t, clean.Coreness, kcore.CorenessBZ(g))
+			}},
+		{"weighted-setcover", "setcover",
+			func(ctx context.Context, rec *obs.Recorder) (int64, error) {
+				r := weighted(setcover.Options{Ctx: ctx, Recorder: rec})
+				return r.Rounds, r.Err
+			},
+			func(t *testing.T) {
+				clean := weighted(setcover.Options{})
+				if clean.Err != nil {
+					t.Fatalf("clean re-run errored: %v", clean.Err)
+				}
+				if err := setcover.Validate(inst.Graph, inst.Sets, clean.InCover); err != nil {
+					t.Fatal(err)
+				}
+			}},
 	}
-	var c *obs.Canceled
-	if !errors.As(res.Err, &c) {
-		t.Fatalf("Err is %T, want *obs.Canceled", res.Err)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			full, _ := row.run(nil, nil)
+			if full < 3 {
+				t.Fatalf("test input runs in %d rounds; need >= 3", full)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rec := flightDumpRecorder(t)
+			chaos.Arm(chaos.Plan{CancelAtRound: 2, Cancel: cancel})
+			_, err := row.run(ctx, rec)
+			chaos.Disarm()
+			if err == nil {
+				t.Fatal("canceled run returned nil Err")
+			}
+			if !errors.Is(err, obs.ErrCanceled) {
+				t.Errorf("errors.Is(Err, ErrCanceled) = false: %v", err)
+			}
+			var c *obs.Canceled
+			if !errors.As(err, &c) {
+				t.Fatalf("Err is %T, want *obs.Canceled", err)
+			}
+			if c.Algo != row.algo {
+				t.Errorf("Canceled.Algo = %q, want %s", c.Algo, row.algo)
+			}
+			if c.Rounds < 1 || c.Rounds >= full {
+				t.Errorf("Canceled.Rounds = %d, want partial progress in [1, %d)", c.Rounds, full)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("cause not surfaced: errors.Is(Err, context.Canceled) = false")
+			}
+			if len(c.Tail) == 0 || int64(len(c.Tail)) > c.Rounds {
+				t.Errorf("Canceled.Tail has %d records for %d rounds; want a non-empty tail", len(c.Tail), c.Rounds)
+			} else if last := c.Tail[len(c.Tail)-1]; last.Algo != row.algo || last.Round != c.Rounds {
+				t.Errorf("Canceled.Tail ends at %s round %d, want %s round %d", last.Algo, last.Round, row.algo, c.Rounds)
+			}
+			checkInvariants(t)
+			row.checkRerun(t)
+		})
 	}
-	if c.Algo != "kcore" {
-		t.Errorf("Canceled.Algo = %q, want kcore", c.Algo)
-	}
-	if c.Rounds < 1 || c.Rounds >= full.Rounds {
-		t.Errorf("Canceled.Rounds = %d, want partial progress in [1, %d)", c.Rounds, full.Rounds)
-	}
-	if !errors.Is(res.Err, context.Canceled) {
-		t.Errorf("cause not surfaced: errors.Is(Err, context.Canceled) = false")
-	}
-	if len(c.Tail) == 0 || int64(len(c.Tail)) > c.Rounds {
-		t.Errorf("Canceled.Tail has %d records for %d rounds; want a non-empty tail", len(c.Tail), c.Rounds)
-	} else if last := c.Tail[len(c.Tail)-1]; last.Algo != "kcore" || last.Round != c.Rounds {
-		t.Errorf("Canceled.Tail ends at %s round %d, want kcore round %d", last.Algo, last.Round, c.Rounds)
-	}
-	checkInvariants(t)
-	clean := kcore.Coreness(g, kcore.Options{})
-	if clean.Err != nil {
-		t.Fatalf("clean re-run errored: %v", clean.Err)
-	}
-	corenessEqual(t, clean.Coreness, want)
 }
 
 // TestDelayAtRoundTripsDeadline injects a delay at a round boundary so

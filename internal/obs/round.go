@@ -21,9 +21,6 @@ type RoundMetrics struct {
 	// EdgesTraversed is the number of edges relaxed/visited this round
 	// (0 when the algorithm does not track it per round).
 	EdgesTraversed int64
-	// Dense reports the edgeMap traversal direction this round (false
-	// for push/sparse; bucketed algorithms are push-only).
-	Dense bool
 	// Extracted, Moved, Skipped are the round's bucket-structure
 	// traffic deltas.
 	Extracted, Moved, Skipped int64
