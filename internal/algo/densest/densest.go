@@ -32,10 +32,10 @@ import (
 
 // Options configures the peeling algorithms.
 type Options struct {
-	// Recorder, when non-nil, receives one span and one RoundMetrics
-	// per peeling round plus the bucket structure's counters
-	// (Charikar only; PeelBatch has no bucket structure). Nil disables
-	// telemetry with only nil-check overhead.
+	// Recorder, when non-nil, receives one RoundMetrics per peeling
+	// round plus the bucket structure's counters (Charikar only;
+	// PeelBatch has no bucket structure). Nil disables telemetry with
+	// only nil-check overhead.
 	Recorder *obs.Recorder
 	// Ctx, when non-nil, is checked once per peeling round; if it is
 	// done the run stops and Result.Err reports a *obs.Canceled with
@@ -275,7 +275,7 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 			runErr = rec.NewCanceled("densest", rounds, cause)
 			break
 		}
-		sp := rec.StartSpan("densest.batch_round")
+		begin := rec.Clock()
 		rounds++
 		round++
 		rho := float64(liveEdges) / float64(alive)
@@ -284,10 +284,8 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 			return dead[v] == 0 && float64(d[v]) <= threshold
 		})
 		if len(ids) == 0 {
-			sp.End()
 			break // cannot happen mathematically, but guard float edges
 		}
-		sp.ArgInt("frontier", int64(len(ids)))
 		parallel.For(len(ids), parallel.DefaultGrain, func(i int) {
 			dead[ids[i]] = round
 		})
@@ -313,12 +311,11 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 				bestAlive = alive
 			}
 		}
-		dur := sp.End()
 		if rec != nil {
 			rec.RecordRound(obs.RoundMetrics{
 				Algo: "densest", Round: rounds, Bucket: ^uint32(0),
 				FrontierSize: len(ids), EdgesTraversed: removed,
-				Duration: dur,
+				Duration: time.Since(begin),
 			})
 		}
 	}

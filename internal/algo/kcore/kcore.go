@@ -37,9 +37,9 @@ type Options struct {
 	// Buckets is passed through to the bucket structure (open-range
 	// size).
 	Buckets bucket.Options
-	// Recorder, when non-nil, receives one span and one RoundMetrics
-	// per peeling round plus the bucket structure's counters. Nil
-	// disables telemetry with only nil-check overhead.
+	// Recorder, when non-nil, receives one RoundMetrics per peeling
+	// round plus the bucket structure's counters. Nil disables
+	// telemetry with only nil-check overhead.
 	Recorder *obs.Recorder
 	// Ctx, when non-nil, is checked once per peeling round; if it is
 	// done the run stops and Result.Err reports a *obs.Canceled with

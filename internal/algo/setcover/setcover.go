@@ -50,8 +50,8 @@ type Options struct {
 	// Buckets is passed through to the bucket structure (Approx and
 	// ApproxWeighted; ApproxPBBS has none).
 	Buckets bucket.Options
-	// Recorder, when non-nil, receives one span and one RoundMetrics
-	// per MaNIS round plus bucket and edgeMap counters (Approx and
+	// Recorder, when non-nil, receives one RoundMetrics per MaNIS
+	// round plus bucket and edgeMap counters (Approx and
 	// ApproxWeighted). Nil disables telemetry with only nil-check
 	// overhead.
 	Recorder *obs.Recorder

@@ -16,9 +16,9 @@ import (
 type Options struct {
 	// Buckets is passed through to the bucket structure.
 	Buckets bucket.Options
-	// Recorder, when non-nil, receives one span and one RoundMetrics
-	// per ∆-stepping round plus the bucket structure's counters. Nil
-	// disables telemetry with only nil-check overhead.
+	// Recorder, when non-nil, receives one RoundMetrics per ∆-stepping
+	// round plus the bucket structure's counters. Nil disables
+	// telemetry with only nil-check overhead.
 	Recorder *obs.Recorder
 	// Ctx, when non-nil, is checked once per bucket round; if it is
 	// done the run stops and Result.Err reports a *obs.Canceled with

@@ -13,17 +13,17 @@ import (
 // map, update buckets, repeat. A kernel supplies only the round body;
 // Run owns what every round has in common — the cancel check and its
 // *obs.Canceled, fused or unfused extraction with the DrainLazy loop,
-// the "<Algo>.round" span, the round count, and the bucket and fork
-// deltas each RoundMetrics carries — so the contract is the same for
-// every kernel. DESIGN.md §9 lists its invariants and the tests that
+// the round count, and the round's time and the bucket and fork deltas
+// each RoundMetrics carries — so the contract is the same for every
+// kernel. DESIGN.md §9 lists its invariants and the tests that
 // pin them.
 type Loop struct {
-	// Algo names the kernel in its round spans, round records and
-	// cancellation error.
+	// Algo names the kernel in its round records and cancellation
+	// error.
 	Algo string
-	// Recorder, when non-nil, receives one span and one RoundMetrics per
-	// round; New hands it to the structure as well. Nil costs a nil
-	// check per round.
+	// Recorder, when non-nil, receives one RoundMetrics per round; New
+	// hands it to the structure as well. Nil costs a nil check per
+	// round.
 	Recorder *obs.Recorder
 	// Ctx and Deadline, when set, stop the run between rounds (composed
 	// by obs.NewCancelCheck); the zero values never stop it.
@@ -58,12 +58,11 @@ func (l Loop) New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 // carrying that count.
 func (l Loop) Run(b Structure, round func(first, last ID, ids []uint32) (edges int64, done bool)) (rounds int64, err error) {
 	rec, fus := l.Recorder, l.Fusion
-	var span string
 	var prevStats Stats
 	var prevForks parallel.ForkCounts
 	if rec != nil {
 		// Baselines taken here charge the rounds, not the construction.
-		span, prevStats, prevForks = l.Algo+".round", b.Stats(), parallel.ForkStats()
+		prevStats, prevForks = b.Stats(), parallel.ForkStats()
 	}
 	cancel := obs.NewCancelCheck(l.Ctx, l.Deadline)
 	var first, last ID
@@ -84,10 +83,10 @@ func (l Loop) Run(b Structure, round func(first, last ID, ids []uint32) (edges i
 			}
 		}
 		rounds++
-		sp := rec.StartSpan(span).ArgInt("bucket", int64(first)).ArgInt("frontier", int64(len(ids)))
+		begin := rec.Clock()
 		edges, done := round(first, last, ids)
-		dur := sp.End()
 		if rec != nil {
+			dur := time.Since(begin)
 			cur, forks := b.Stats(), parallel.ForkStats()
 			sd, fd := cur.Sub(prevStats), forks.Sub(prevForks)
 			prevStats, prevForks = cur, forks

@@ -29,10 +29,10 @@ func eightBuckets(l Loop) *countingStructure {
 	return &countingStructure{Structure: l.New(64, func(i uint32) ID { return i / 8 }, Increasing, Options{})}
 }
 
-// TestLoopRecordsEveryRound pins what Run records per round: one span
-// named after the kernel with its bucket and frontier, and one
+// TestLoopRecordsEveryRound pins what Run records per round: one
 // RoundMetrics numbered 1…R whose bucket deltas add up to the
-// structure's totals.
+// structure's totals, which the trace renders as a span named after the
+// kernel with its bucket and frontier.
 func TestLoopRecordsEveryRound(t *testing.T) {
 	rec := obs.NewRecorder()
 	l := Loop{Algo: "test", Recorder: rec}

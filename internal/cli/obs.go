@@ -130,7 +130,7 @@ func (of *ObsFlags) Wait() {
 }
 
 // maxRoundRows caps the per-round table so -stats stays readable on
-// long peelings; the trace file always contains every round.
+// long peelings.
 const maxRoundRows = 64
 
 // Finish writes the trace file and prints the -stats report. Call it
@@ -181,13 +181,17 @@ func (of *ObsFlags) printStats(w io.Writer) {
 	if len(rounds) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "\nper-round metrics (%d rounds):\n", len(rounds))
+	retained := fmt.Sprintf("%d rounds", len(rounds))
+	if total := of.rec.NumRounds(); total > len(rounds) {
+		retained = fmt.Sprintf("%d of %d rounds retained", len(rounds), total)
+	}
+	fmt.Fprintf(w, "\nper-round metrics (%s):\n", retained)
 	t = harness.NewTable("round", "algo", "bucket", "frontier", "edges",
 		"extracted", "moved", "skipped", "time")
 	step := 1
 	if len(rounds) > maxRoundRows {
 		step = (len(rounds) + maxRoundRows - 1) / maxRoundRows
-		fmt.Fprintf(w, "(showing every %d-th round; the trace file has all of them)\n", step)
+		fmt.Fprintf(w, "(showing every %d-th round)\n", step)
 	}
 	for i := 0; i < len(rounds); i += step {
 		m := rounds[i]

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -69,9 +70,36 @@ func TestObsFlagsTraceAndStats(t *testing.T) {
 	if err := json.Unmarshal(data, &tf); err != nil {
 		t.Fatalf("trace file: %v", err)
 	}
-	// The "work" span, the round counter event, and counters.final.
-	if len(tf.TraceEvents) != 3 {
-		t.Fatalf("trace events=%d, want 3", len(tf.TraceEvents))
+	// The "work" span, the round's span and counter sample, and
+	// counters.final.
+	if len(tf.TraceEvents) != 4 {
+		t.Fatalf("trace events=%d, want 4", len(tf.TraceEvents))
+	}
+}
+
+// TestStatsSaysRoundsRetained: when a run outgrows the flight ring,
+// -stats says how many of its rounds the table is drawn from.
+func TestStatsSaysRoundsRetained(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	of := RegisterObs(fs)
+	if err := fs.Parse([]string{"-stats"}); err != nil {
+		t.Fatal(err)
+	}
+	rec := of.Recorder()
+	const total = 5000
+	for i := 1; i <= total; i++ {
+		rec.RecordRound(obs.RoundMetrics{Algo: "wbfs", Round: int64(i), FrontierSize: 1})
+	}
+	kept := len(rec.Rounds())
+	if kept >= total {
+		t.Fatalf("the ring kept all %d rounds; the test needs a run that outgrows it", total)
+	}
+	var buf bytes.Buffer
+	if err := of.Finish(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("(%d of %d rounds retained)", kept, total); !strings.Contains(buf.String(), want) {
+		t.Fatalf("stats output missing %q:\n%s", want, buf.String())
 	}
 }
 

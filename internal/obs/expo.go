@@ -121,9 +121,14 @@ type debugDump struct {
 	Flight     []FlightRecord              `json:"flight"`
 }
 
+// debugFlightTail is how many of the ring's newest records /debug/obs
+// shows: one page, not the whole ring.
+const debugFlightTail = 256
+
 // WriteDebugJSON writes the one-page JSON diagnostic dump: counter and
-// gauge values, histogram summaries, and the flight-recorder tail.
-// Valid (an empty dump) on a nil recorder.
+// gauge values, histogram summaries, the number of rounds ever
+// recorded, and the last debugFlightTail of them. Valid (an empty
+// dump) on a nil recorder.
 func (r *Recorder) WriteDebugJSON(w io.Writer) error {
 	d := debugDump{
 		UptimeNs:   r.Elapsed().Nanoseconds(),
@@ -131,7 +136,7 @@ func (r *Recorder) WriteDebugJSON(w io.Writer) error {
 		Gauges:     r.Gauges(),
 		Histograms: map[string]HistogramSummary{},
 		Rounds:     r.NumRounds(),
-		Flight:     r.FlightTail(flightSlots),
+		Flight:     r.FlightTail(debugFlightTail),
 	}
 	if d.Counters == nil {
 		d.Counters = map[string]int64{}

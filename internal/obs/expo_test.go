@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
@@ -173,6 +174,31 @@ func TestServeMuxEndpoints(t *testing.T) {
 	}
 	if body := get("/").Body.String(); !strings.Contains(body, "/metrics") {
 		t.Fatalf("index page should list routes, got %q", body)
+	}
+}
+
+// TestDebugObsTailIsOnePage: /debug/obs shows the newest
+// debugFlightTail records however full the ring is, and "rounds" stays
+// the all-time count.
+func TestDebugObsTailIsOnePage(t *testing.T) {
+	r := NewRecorder()
+	total := flightSlots + 10
+	for i := 1; i <= total; i++ {
+		r.RecordRound(RoundMetrics{Algo: "kcore", Round: int64(i)})
+	}
+	var buf bytes.Buffer
+	if err := r.WriteDebugJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Rounds int            `json:"rounds"`
+		Flight []FlightRecord `json:"flight"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	if dump.Rounds != total || len(dump.Flight) != debugFlightTail || dump.Flight[len(dump.Flight)-1].Round != int64(total) {
+		t.Fatalf("dump has rounds=%d and %d flight records, want %d and the last %d", dump.Rounds, len(dump.Flight), total, debugFlightTail)
 	}
 }
 

@@ -8,13 +8,14 @@ import (
 	"time"
 )
 
-// This file implements the always-on flight recorder (DESIGN.md §10):
-// a fixed-size ring of the most recent per-round records, written with
-// a handful of atomic stores per round and read back for post-mortem
-// dumps on panic, cancellation, and chaos-harness failure. Unlike the
-// rounds slice (which grows without bound and is meant for -stats and
-// trace output), the ring's memory is a fixed ~18KB per recorder, so
-// long-running servers keep it armed permanently.
+// This file implements the flight ring (DESIGN.md §5, §10): the
+// recorder's one per-round store, a fixed ring of the most recent
+// round records. RecordRound writes a round with a handful of atomic
+// stores; Rounds, the trace's per-round events, -stats, /debug/obs and
+// the post-mortem dumps on panic, cancellation and chaos-harness
+// failure are all views of it. Its memory is fixed (≈0.5 MB per
+// recorder), so a long-running server keeps it armed permanently: when
+// the ring wraps, the oldest rounds are overwritten.
 //
 // Concurrency: writers claim a slot with one atomic ticket increment,
 // then publish fields with atomic stores bracketed by a seqlock-style
@@ -25,9 +26,8 @@ import (
 // merely "benign".
 
 // flightSlots is the ring capacity. Power of two so the slot index is
-// a mask; 256 rounds of history is bigger than the peeling depth of
-// most failures while keeping the ring under 20KB.
-const flightSlots = 256
+// a mask; 4,096 rounds hold every run the in-tree tests read whole.
+const flightSlots = 4096
 
 // flightTailDefault is how many trailing records automatic dumps
 // (cancellation errors, CLI panic handlers, chaos failures) include.
@@ -35,16 +35,19 @@ const flightTailDefault = 16
 
 // flightSlot is one published round record.
 type flightSlot struct {
-	seq      atomic.Int64 // ticket once published, -ticket while being written
-	ts       atomic.Int64 // nanoseconds since recorder start
-	algo     atomic.Int64 // index into Recorder.flightAlgos
+	seq      atomic.Int64           // ticket once published, -ticket while being written
+	ts       atomic.Int64           // nanoseconds since recorder start, at the round's end
+	algo     atomic.Pointer[string] // interned in Recorder.algos
 	round    atomic.Int64
-	bucket   atomic.Int64 // logical bucket id; -1 when not bucketed
+	bucket   atomic.Int64
 	frontier atomic.Int64
 	edges    atomic.Int64
 	ext      atomic.Int64 // extracted
 	moved    atomic.Int64
 	skipped  atomic.Int64
+	forked   atomic.Int64
+	inline   atomic.Int64
+	wakes    atomic.Int64
 	dur      atomic.Int64 // round duration, nanoseconds
 	allocs   atomic.Int64 // heap objects allocated since the previous record
 }
@@ -59,18 +62,10 @@ type flightRing struct {
 // FlightRecord is one decoded ring entry, ordered by Seq (a 1-based,
 // monotonically increasing write ticket).
 type FlightRecord struct {
-	Seq          int64         `json:"seq"`
-	T            time.Duration `json:"t_ns"` // offset from recorder start
-	Algo         string        `json:"algo"`
-	Round        int64         `json:"round"`
-	Bucket       int64         `json:"bucket"` // -1 when not bucketed
-	FrontierSize int64         `json:"frontier"`
-	Edges        int64         `json:"edges"`
-	Extracted    int64         `json:"extracted"`
-	Moved        int64         `json:"moved"`
-	Skipped      int64         `json:"skipped"`
-	Duration     time.Duration `json:"duration_ns"`
-	Allocs       int64         `json:"allocs"`
+	Seq int64         `json:"seq"`
+	T   time.Duration `json:"t_ns"` // offset from recorder start, at the round's end
+	RoundMetrics
+	Allocs int64 `json:"allocs"`
 }
 
 // heapAllocsSample reads the cumulative heap-object allocation count.
@@ -86,20 +81,19 @@ func heapAllocsSample() int64 {
 	return int64(s[0].Value.Uint64())
 }
 
-// flightAlgoID interns an algorithm name, returning its table index.
-// Called with r.mu held.
-func (r *Recorder) flightAlgoIDLocked(name string) int64 {
-	for i, n := range r.flightAlgos {
-		if n == name {
-			return int64(i)
-		}
+// algoName interns an algorithm name, so a slot can hold it in one
+// atomic pointer; only a name not seen before allocates.
+func (r *Recorder) algoName(name string) *string {
+	if p, ok := r.algos.Load(name); ok {
+		return p.(*string)
 	}
-	r.flightAlgos = append(r.flightAlgos, name)
-	return int64(len(r.flightAlgos) - 1)
+	interned := name
+	p, _ := r.algos.LoadOrStore(name, &interned)
+	return p.(*string)
 }
 
 // recordFlight publishes one round into the ring.
-func (r *Recorder) recordFlight(m RoundMetrics, algoID int64) {
+func (r *Recorder) recordFlight(m RoundMetrics) {
 	f := r.flight
 	ticket := f.cursor.Add(1)
 	allocs := heapAllocsSample()
@@ -108,21 +102,20 @@ func (r *Recorder) recordFlight(m RoundMetrics, algoID int64) {
 	if prev == 0 || delta < 0 {
 		delta = 0 // first record, or interleaved swaps under contention
 	}
-	bucket := int64(m.Bucket)
-	if m.Bucket == ^uint32(0) {
-		bucket = -1
-	}
 	s := &f.slots[(ticket-1)&(flightSlots-1)]
 	s.seq.Store(-ticket)
 	s.ts.Store(int64(time.Since(r.start)))
-	s.algo.Store(algoID)
+	s.algo.Store(r.algoName(m.Algo))
 	s.round.Store(m.Round)
-	s.bucket.Store(bucket)
+	s.bucket.Store(int64(m.Bucket))
 	s.frontier.Store(int64(m.FrontierSize))
 	s.edges.Store(m.EdgesTraversed)
 	s.ext.Store(m.Extracted)
 	s.moved.Store(m.Moved)
 	s.skipped.Store(m.Skipped)
+	s.forked.Store(m.Forked)
+	s.inline.Store(m.Inline)
+	s.wakes.Store(m.Wakes)
 	s.dur.Store(m.Duration.Nanoseconds())
 	s.allocs.Store(delta)
 	s.seq.Store(ticket)
@@ -141,15 +134,7 @@ func (r *Recorder) FlightTail(n int) []FlightRecord {
 	if newest == 0 {
 		return nil
 	}
-	if int64(n) > newest {
-		n = int(newest)
-	}
-	if n > flightSlots {
-		n = flightSlots
-	}
-	r.mu.Lock()
-	algos := append([]string(nil), r.flightAlgos...)
-	r.mu.Unlock()
+	n = int(min(int64(n), newest, flightSlots))
 	out := make([]FlightRecord, 0, n)
 	for ticket := newest - int64(n) + 1; ticket <= newest; ticket++ {
 		s := &f.slots[(ticket-1)&(flightSlots-1)]
@@ -157,37 +142,64 @@ func (r *Recorder) FlightTail(n int) []FlightRecord {
 			continue // not yet published, or already overwritten
 		}
 		rec := FlightRecord{
-			Seq:          ticket,
-			T:            time.Duration(s.ts.Load()),
-			Round:        s.round.Load(),
-			Bucket:       s.bucket.Load(),
-			FrontierSize: s.frontier.Load(),
-			Edges:        s.edges.Load(),
-			Extracted:    s.ext.Load(),
-			Moved:        s.moved.Load(),
-			Skipped:      s.skipped.Load(),
-			Duration:     time.Duration(s.dur.Load()),
-			Allocs:       s.allocs.Load(),
+			Seq: ticket,
+			T:   time.Duration(s.ts.Load()),
+			RoundMetrics: RoundMetrics{
+				Round:          s.round.Load(),
+				Bucket:         uint32(s.bucket.Load()),
+				FrontierSize:   int(s.frontier.Load()),
+				EdgesTraversed: s.edges.Load(),
+				Extracted:      s.ext.Load(),
+				Moved:          s.moved.Load(),
+				Skipped:        s.skipped.Load(),
+				Forked:         s.forked.Load(),
+				Inline:         s.inline.Load(),
+				Wakes:          s.wakes.Load(),
+				Duration:       time.Duration(s.dur.Load()),
+			},
+			Allocs: s.allocs.Load(),
 		}
-		id := s.algo.Load()
+		algo := s.algo.Load()
 		if s.seq.Load() != ticket {
 			continue // torn read: slot was reclaimed while decoding
 		}
-		if id >= 0 && id < int64(len(algos)) {
-			rec.Algo = algos[id]
-		}
+		rec.Algo = *algo
 		out = append(out, rec)
 	}
 	return out
 }
 
-// FlightLen returns the total number of rounds ever written to the
-// ring (not capped at the ring size).
-func (r *Recorder) FlightLen() int64 {
-	if r == nil {
-		return 0
+// roundEvents renders the retained rounds as trace events: per round,
+// one "<algo>.round" complete span with its bucket (when bucketed) and
+// frontier, and one "<algo>.round_metrics" counter sample, so the
+// frontier size and bucket traffic plot as time series under the
+// spans in the trace viewer.
+func (r *Recorder) roundEvents() []TraceEvent {
+	recs := r.FlightTail(flightSlots)
+	evs := make([]TraceEvent, 0, 2*len(recs))
+	for _, rec := range recs {
+		args := map[string]any{"frontier": int64(rec.FrontierSize)}
+		if rec.Bucket != ^uint32(0) {
+			args["bucket"] = int64(rec.Bucket)
+		}
+		evs = append(evs, TraceEvent{
+			Name: rec.Algo + ".round", Phase: "X",
+			Ts: micros(rec.T - rec.Duration), Dur: micros(rec.Duration),
+			Pid: 1, Tid: 1, Args: args,
+		}, TraceEvent{
+			Name: rec.Algo + ".round_metrics", Phase: "C",
+			Ts: micros(rec.T), Pid: 1,
+			Args: map[string]any{
+				"frontier":  int64(rec.FrontierSize),
+				"edges":     rec.EdgesTraversed,
+				"extracted": rec.Extracted,
+				"moved":     rec.Moved,
+				"skipped":   rec.Skipped,
+				"forked":    rec.Forked,
+			},
+		})
 	}
-	return r.flight.cursor.Load()
+	return evs
 }
 
 // WriteFlightText renders records as an aligned plain-text table, the
@@ -202,11 +214,11 @@ func WriteFlightText(w io.Writer, recs []FlightRecord) {
 		"seq", "algo", "round", "bucket", "frontier", "edges", "extracted", "moved", "skipped", "duration", "allocs")
 	for _, rec := range recs {
 		bucket := "-"
-		if rec.Bucket >= 0 {
+		if rec.Bucket != ^uint32(0) {
 			bucket = fmt.Sprintf("%d", rec.Bucket)
 		}
 		fmt.Fprintf(w, "  %6d %-10s %6d %7s %9d %10d %9d %9d %9d %12v %8d\n",
-			rec.Seq, rec.Algo, rec.Round, bucket, rec.FrontierSize, rec.Edges,
+			rec.Seq, rec.Algo, rec.Round, bucket, rec.FrontierSize, rec.EdgesTraversed,
 			rec.Extracted, rec.Moved, rec.Skipped, rec.Duration, rec.Allocs)
 	}
 }

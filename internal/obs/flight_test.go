@@ -3,9 +3,11 @@ package obs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -24,8 +26,8 @@ func recordN(r *Recorder, algo string, n int) {
 func TestFlightTailBasic(t *testing.T) {
 	r := NewRecorder()
 	recordN(r, "kcore", 5)
-	if r.FlightLen() != 5 {
-		t.Fatalf("FlightLen = %d, want 5", r.FlightLen())
+	if r.NumRounds() != 5 {
+		t.Fatalf("NumRounds = %d, want 5", r.NumRounds())
 	}
 	tail := r.FlightTail(3)
 	if len(tail) != 3 {
@@ -39,7 +41,7 @@ func TestFlightTailBasic(t *testing.T) {
 		if rec.Algo != "kcore" {
 			t.Fatalf("tail[%d].Algo = %q, want kcore", i, rec.Algo)
 		}
-		if rec.FrontierSize != 10*wantRound {
+		if int64(rec.FrontierSize) != 10*wantRound {
 			t.Fatalf("tail[%d].FrontierSize = %d", i, rec.FrontierSize)
 		}
 		if rec.Duration != time.Duration(wantRound)*time.Microsecond {
@@ -74,13 +76,18 @@ func TestFlightUnbucketedRound(t *testing.T) {
 	r := NewRecorder()
 	r.RecordRound(RoundMetrics{Algo: "densest", Round: 1, Bucket: ^uint32(0), FrontierSize: 4})
 	tail := r.FlightTail(1)
-	if len(tail) != 1 || tail[0].Bucket != -1 {
-		t.Fatalf("unbucketed round should expose Bucket=-1, got %+v", tail)
+	if len(tail) != 1 || tail[0].Bucket != ^uint32(0) {
+		t.Fatalf("unbucketed round should keep Bucket=^uint32(0), got %+v", tail)
 	}
 	var buf bytes.Buffer
 	WriteFlightText(&buf, tail)
-	if !strings.Contains(buf.String(), "densest") {
-		t.Fatalf("flight text missing algo name:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "densest") || !strings.Contains(buf.String(), " - ") {
+		t.Fatalf("flight text missing algo name or unbucketed \"-\":\n%s", buf.String())
+	}
+	for _, ev := range r.Events() {
+		if _, ok := ev.Args["bucket"]; ok {
+			t.Fatalf("unbucketed round rendered with a bucket: %+v", ev)
+		}
 	}
 }
 
@@ -94,9 +101,13 @@ func TestWriteFlightTextEmpty(t *testing.T) {
 
 // TestFlightConcurrent hammers ring writes and tail reads from P
 // goroutines under -race: every decoded record must be internally
-// consistent (the seqlock must never expose a torn slot).
+// consistent (the seqlock must never expose a torn slot), and the
+// copy-on-write algo-name table and observer list must stay intact
+// while writers intern new names and register observers mid-run.
 func TestFlightConcurrent(t *testing.T) {
 	r := NewRecorder()
+	var observed atomic.Int64
+	r.OnRound(func(RoundMetrics) { observed.Add(1) })
 	workers := runtime.GOMAXPROCS(0)
 	const perWorker = 2000
 	stop := make(chan struct{})
@@ -114,11 +125,13 @@ func TestFlightConcurrent(t *testing.T) {
 				for _, rec := range r.FlightTail(32) {
 					// Writers encode round = frontier = duration(ns), so a
 					// torn slot shows up as a field mismatch.
-					if rec.FrontierSize != rec.Round || int64(rec.Duration) != rec.Round {
+					if int64(rec.FrontierSize) != rec.Round || int64(rec.Duration) != rec.Round ||
+						!strings.HasPrefix(rec.Algo, "hammer") {
 						t.Errorf("torn flight record: %+v", rec)
 						return
 					}
 				}
+				_ = r.Rounds()
 			}
 		}()
 	}
@@ -130,17 +143,23 @@ func TestFlightConcurrent(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				v := int64(w*perWorker + i)
 				r.RecordRound(RoundMetrics{
-					Algo: "hammer", Round: v, FrontierSize: int(v),
+					Algo: fmt.Sprintf("hammer%d", i%5), Round: v, FrontierSize: int(v),
 					Duration: time.Duration(v),
 				})
+				if i%500 == 0 {
+					r.OnRound(func(RoundMetrics) {})
+				}
 			}
 		}(w)
 	}
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if got := r.FlightLen(); got != int64(workers)*perWorker {
-		t.Fatalf("FlightLen = %d, want %d", got, int64(workers)*perWorker)
+	if got := r.NumRounds(); got != workers*perWorker {
+		t.Fatalf("NumRounds = %d, want %d", got, workers*perWorker)
+	}
+	if got := observed.Load(); got != int64(workers)*perWorker {
+		t.Fatalf("first observer saw %d rounds, want %d", got, int64(workers)*perWorker)
 	}
 }
 
@@ -199,9 +218,6 @@ func TestNilRecorderNewMethods(t *testing.T) {
 	}
 	if r.FlightTail(5) != nil {
 		t.Fatal("nil recorder FlightTail should be nil")
-	}
-	if r.FlightLen() != 0 {
-		t.Fatal("nil recorder FlightLen should be 0")
 	}
 	var buf bytes.Buffer
 	if err := r.WriteMetrics(&buf); err != nil {

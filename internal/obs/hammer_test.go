@@ -164,7 +164,7 @@ func checkFlightTail(t *testing.T, recs []FlightRecord) {
 		}
 		lastSeq = rec.Seq
 		r := rec.Round
-		if rec.FrontierSize != r || rec.Edges != r || rec.Extracted != r ||
+		if int64(rec.FrontierSize) != r || rec.EdgesTraversed != r || rec.Extracted != r ||
 			rec.Moved != r || rec.Skipped != r || rec.Duration != time.Duration(r) {
 			t.Fatalf("torn flight record: %+v", rec)
 		}

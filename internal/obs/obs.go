@@ -32,15 +32,15 @@ type Recorder struct {
 	counters sync.Map // string -> *atomic.Int64
 	gauges   sync.Map // string -> *atomic.Int64
 	hists    sync.Map // string -> *Histogram, atomic cells
+	algos    sync.Map // string -> *string, the flight ring's algo names
 
-	// flight is the always-on per-round ring (flight.go).
+	// flight is the round log (flight.go): every per-round view reads it.
 	flight *flightRing
+	// observers is copy-on-write, so RecordRound reads it without r.mu.
+	observers atomic.Pointer[[]RoundObserver]
 
-	mu          sync.Mutex
-	events      []TraceEvent
-	rounds      []RoundMetrics
-	observers   []RoundObserver
-	flightAlgos []string // interned algo names for the flight ring
+	mu     sync.Mutex // guards events (the spans) and OnRound's swap
+	events []TraceEvent
 }
 
 // NewRecorder creates an empty recorder whose trace clock starts now.
@@ -164,17 +164,6 @@ func (s *Span) Arg(key string, value any) *Span {
 	return s
 }
 
-// ArgInt is Arg for an integer. Arg's value is boxed by its caller,
-// before the nil check can run, and an integer of 256 or more costs an
-// allocation to box: a kernel that attaches its round's counts this way
-// pays nothing when telemetry is off.
-func (s *Span) ArgInt(key string, v int64) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.Arg(key, v)
-}
-
 // End closes the span, records its trace event, and returns its
 // duration (0 on a nil span).
 func (s *Span) End() time.Duration {
@@ -182,15 +171,11 @@ func (s *Span) End() time.Duration {
 		return 0
 	}
 	d := time.Since(s.begin)
-	s.r.emit(TraceEvent{
-		Name:  s.name,
-		Phase: "X",
-		Ts:    micros(s.begin.Sub(s.r.start)),
-		Dur:   micros(d),
-		Pid:   1,
-		Tid:   1,
-		Args:  s.args,
-	})
+	ev := TraceEvent{Name: s.name, Phase: "X", Ts: micros(s.begin.Sub(s.r.start)),
+		Dur: micros(d), Pid: 1, Tid: 1, Args: s.args}
+	s.r.mu.Lock()
+	s.r.events = append(s.r.events, ev)
+	s.r.mu.Unlock()
 	return d
 }
 
@@ -225,15 +210,6 @@ type traceFile struct {
 
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-func (r *Recorder) emit(ev TraceEvent) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.events = append(r.events, ev)
-	r.mu.Unlock()
-}
-
 // Elapsed returns the time since the recorder was created.
 func (r *Recorder) Elapsed() time.Duration {
 	if r == nil {
@@ -242,27 +218,28 @@ func (r *Recorder) Elapsed() time.Duration {
 	return time.Since(r.start)
 }
 
-// Events returns a copy of the trace events recorded so far.
+// Events returns the trace events recorded so far: the spans, then
+// the per-round events rendered from the rounds the flight ring
+// retains.
 func (r *Recorder) Events() []TraceEvent {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]TraceEvent(nil), r.events...)
+	evs := append([]TraceEvent(nil), r.events...)
+	r.mu.Unlock()
+	return append(evs, r.roundEvents()...)
 }
 
-// WriteTrace writes the accumulated events as a Chrome trace-event
-// JSON object ({"traceEvents": [...]}) loadable by chrome://tracing
-// and Perfetto. Counter totals are appended as one final metadata
-// event so they survive into the trace file. Writing on a nil recorder
-// writes an empty, still-valid trace.
+// WriteTrace writes Events as a Chrome trace-event JSON object
+// ({"traceEvents": [...]}) loadable by chrome://tracing and Perfetto.
+// Counter totals are appended as one final metadata event so they
+// survive into the trace file. Writing on a nil recorder writes an
+// empty, still-valid trace.
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	var evs []TraceEvent
 	if r != nil {
-		r.mu.Lock()
-		evs = append(evs, r.events...)
-		r.mu.Unlock()
+		evs = r.Events()
 		if counters := r.Counters(); len(counters) > 0 {
 			args := make(map[string]any, len(counters))
 			for k, v := range counters {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -29,11 +30,17 @@ func TestNilRecorder(t *testing.T) {
 	if sp != nil {
 		t.Fatal("nil recorder should hand out nil spans")
 	}
-	if sp.Arg("k", 1) != nil || sp.ArgInt("k", 1) != nil {
-		t.Fatal("Arg and ArgInt on nil span should stay nil")
+	if sp.Arg("k", 1) != nil {
+		t.Fatal("Arg on nil span should stay nil")
 	}
 	if sp.End() != 0 {
 		t.Fatal("End on nil span should return 0")
+	}
+	// A span on a disabled recorder costs nothing: no Span, no args map.
+	// (An argument's value is boxed by the caller before Arg's nil check
+	// runs; a constant, as here, is boxed statically.)
+	if allocs := testing.AllocsPerRun(100, func() { r.StartSpan("x").Arg("k", 1).End() }); allocs != 0 {
+		t.Errorf("StartSpan(...).Arg(...).End() on a nil recorder: %v allocs, want 0", allocs)
 	}
 	ran := false
 	r.Phase("p", func() { ran = true })
@@ -110,25 +117,9 @@ func TestGauges(t *testing.T) {
 	}
 }
 
-// TestArgIntFreeWhenOff: a span argument on a disabled recorder must
-// cost nothing. Arg's value is boxed at the call site, before Arg's nil
-// check runs, and boxing an integer of 256 or more allocates; ArgInt
-// takes the integer unboxed. v is a run-time value: a constant would be
-// boxed statically and hide the difference.
-func TestArgIntFreeWhenOff(t *testing.T) {
-	var off *Recorder
-	v := int64(len(t.Name())) + 1000
-	if allocs := testing.AllocsPerRun(100, func() { off.StartSpan("x").ArgInt("k", v).End() }); allocs != 0 {
-		t.Errorf("ArgInt on a nil recorder: %v allocs, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { off.StartSpan("x").Arg("k", v).End() }); allocs != 1 {
-		t.Errorf("Arg on a nil recorder: %v allocs; if it no longer boxes, ArgInt has no reason to exist", allocs)
-	}
-}
-
 func TestSpansAndTraceRoundTrip(t *testing.T) {
 	r := NewRecorder()
-	sp := r.StartSpan("kcore.round").Arg("bucket", 3).ArgInt("frontier", 17)
+	sp := r.StartSpan("kcore.round").Arg("bucket", 3).Arg("frontier", 17)
 	time.Sleep(time.Millisecond)
 	d := sp.End()
 	if d < time.Millisecond {
@@ -202,16 +193,69 @@ func TestRecordRoundAndObservers(t *testing.T) {
 	if rounds[2].FrontierSize != 30 || rounds[2].Moved != 6 {
 		t.Fatalf("round 3 = %+v", rounds[2])
 	}
-	// Each round also emits a "C" trace event.
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("events=%d, want 3", len(evs))
+	// The trace renders each round as one "X" span with its bucket and
+	// frontier and one "C" sample with its counts.
+	var spans, samples []TraceEvent
+	for _, ev := range r.Events() {
+		switch {
+		case ev.Name == "kcore.round" && ev.Phase == "X":
+			spans = append(spans, ev)
+		case ev.Name == "kcore.round_metrics" && ev.Phase == "C":
+			samples = append(samples, ev)
+		default:
+			t.Fatalf("unexpected event %+v", ev)
+		}
 	}
-	if evs[0].Name != "kcore.round_metrics" || evs[0].Phase != "C" {
-		t.Fatalf("round event %+v", evs[0])
+	if len(spans) != 3 || len(samples) != 3 {
+		t.Fatalf("%d round spans and %d round samples, want 3 of each", len(spans), len(samples))
 	}
-	if evs[1].Args["frontier"] != 20 {
-		t.Fatalf("round event args %v", evs[1].Args)
+	if spans[1].Args["bucket"] != int64(2) || spans[1].Args["frontier"] != int64(20) {
+		t.Fatalf("round span args %v", spans[1].Args)
+	}
+	want := map[string]any{"frontier": int64(20), "edges": int64(0), "extracted": int64(2),
+		"moved": int64(4), "skipped": int64(6), "forked": int64(0)}
+	if !maps.Equal(samples[1].Args, want) {
+		t.Fatalf("round sample args %v, want %v", samples[1].Args, want)
+	}
+}
+
+// TestRecordRoundIsCheap pins the per-round cost on a warm recorder: no
+// Span, no map and no event — the round goes to the ring, the two
+// round histograms and the fork counters. The one allocation is the
+// runtime/metrics sample behind the record's Allocs delta.
+func TestRecordRoundIsCheap(t *testing.T) {
+	r := NewRecorder()
+	r.OnRound(func(RoundMetrics) {})
+	m := RoundMetrics{Algo: "kcore", Round: 1, Bucket: 3, FrontierSize: 1000,
+		Extracted: 1000, Forked: 1, Duration: time.Millisecond}
+	r.RecordRound(m)
+	if allocs := testing.AllocsPerRun(1000, func() { r.RecordRound(m) }); allocs != 1 {
+		t.Errorf("RecordRound on a warm recorder: %v allocs, want 1", allocs)
+	}
+	if len(r.events) != 0 {
+		t.Errorf("RecordRound stored %d events; rounds live only in the ring", len(r.events))
+	}
+}
+
+// TestRoundsAreTheRing: a run longer than the ring keeps its last
+// flightSlots rounds, in order, and every view agrees — Rounds, the
+// rendered trace, and NumRounds as the all-time count.
+func TestRoundsAreTheRing(t *testing.T) {
+	r := NewRecorder()
+	total := flightSlots + 100
+	for i := 1; i <= total; i++ {
+		r.RecordRound(RoundMetrics{Algo: "sssp", Round: int64(i), Bucket: uint32(i), FrontierSize: i})
+	}
+	if r.NumRounds() != total {
+		t.Fatalf("NumRounds = %d, want %d", r.NumRounds(), total)
+	}
+	rounds := r.Rounds()
+	if len(rounds) != flightSlots || rounds[0].Round != 101 || rounds[len(rounds)-1].Round != int64(total) {
+		t.Fatalf("Rounds kept %d rounds [%d, %d], want the last %d", len(rounds),
+			rounds[0].Round, rounds[len(rounds)-1].Round, flightSlots)
+	}
+	if evs := r.Events(); len(evs) != 2*flightSlots {
+		t.Fatalf("trace renders %d round events, want %d", len(evs), 2*flightSlots)
 	}
 }
 
