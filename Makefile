@@ -114,10 +114,10 @@ bench-smoke:
 bench-check:
 	$(GO) run ./cmd/bench -dir bench-out -check .
 
-# obs-demo smoke-tests the observability plane end to end: run kcore
-# with -http on an ephemeral port, scrape /metrics until the
-# round-latency histogram is populated, and check /debug/obs. Needs
-# curl. DESIGN.md §10 documents the exposed surface.
+# obs-demo smoke-tests the observability plane end to end: run
+# `julienne kcore` with -http on an ephemeral port, scrape /metrics
+# until the round-latency histogram is populated, and check /debug/obs.
+# Needs curl. DESIGN.md §10 documents the exposed surface.
 obs-demo:
 	sh scripts/obs-demo.sh
 

@@ -60,7 +60,7 @@ func main() {
 	}
 	if !g.Weighted() {
 		// SSSP endpoints need weights; default to the paper's wBFS
-		// weighting, as cmd/sssp does.
+		// weighting, as `julienne sssp` does.
 		g = gen.LogWeights(g, *gf.Seed+1)
 	}
 	fmt.Fprintln(os.Stderr, "served:", cli.Describe(g))

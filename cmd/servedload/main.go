@@ -1,6 +1,6 @@
 // Command servedload drives a running served instance with concurrent
-// queries and reports per-endpoint throughput and latency quantiles:
-// the driver of the serve-smoke check. It commits no numbers; the
+// queries and reports per-endpoint request counts and throughput: the
+// smoke driver of the serve-smoke check. It measures no latency; the
 // gated benchmark's serve-zipf workload reports cold and cached latency
 // apart.
 //
@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"julienne/internal/harness"
-	"julienne/internal/obs"
 	"julienne/internal/rng"
 )
 
@@ -41,9 +40,13 @@ type endpointStats struct {
 	Rejected int64   `json:"rejected"` // 429/503 backpressure
 	Timeouts int64   `json:"timeouts"` // 504 deadline cancellations
 	QPS      float64 `json:"qps"`
-	P50Ns    int64   `json:"p50_ns"`
-	P99Ns    int64   `json:"p99_ns"`
-	MaxNs    int64   `json:"max_ns"`
+}
+
+// queries maps each -mix endpoint to its query path, given a vertex.
+var queries = map[string]string{
+	"sssp":     "/sssp?src=%d",
+	"wbfs":     "/wbfs?src=%d",
+	"coreness": "/coreness?v=%d",
 }
 
 type report struct {
@@ -64,26 +67,32 @@ func main() {
 	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	flag.Parse()
 
-	base := "http://" + *addr
-	n, err := vertexCount(base)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "servedload: %s: %v\n", base, err)
-		os.Exit(2)
-	}
-	pool := *sources
-	if pool <= 0 || pool > n {
-		pool = n
-	}
-
 	endpoints := strings.Split(*mix, ",")
-	rec := obs.NewRecorder()
 	stats := map[string]*endpointStats{}
 	var mu sync.Mutex
 	for _, ep := range endpoints {
+		if queries[ep] == "" {
+			fmt.Fprintf(os.Stderr, "servedload: unknown endpoint %q in -mix\n", ep)
+			os.Exit(2)
+		}
 		stats[ep] = &endpointStats{}
 	}
 
+	base := "http://" + *addr
 	client := &http.Client{}
+	var health struct {
+		Vertices int `json:"vertices"`
+	}
+	_, err := call(context.Background(), client, http.MethodGet, base+"/healthz", &health)
+	if err != nil || health.Vertices <= 0 {
+		fmt.Fprintf(os.Stderr, "servedload: %s/healthz: %d vertices, %v\n", base, health.Vertices, err)
+		os.Exit(2)
+	}
+	pool := *sources
+	if pool <= 0 || pool > health.Vertices {
+		pool = health.Vertices
+	}
+
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -95,27 +104,7 @@ func main() {
 				r := rng.New(*seed + uint64(worker))
 				for i := 0; ctx.Err() == nil; i++ {
 					ep := endpoints[i%len(endpoints)]
-					src := r.IntN(pool)
-					var url string
-					switch ep {
-					case "sssp":
-						url = fmt.Sprintf("%s/sssp?src=%d", base, src)
-					case "wbfs":
-						url = fmt.Sprintf("%s/wbfs?src=%d", base, src)
-					case "coreness":
-						url = fmt.Sprintf("%s/coreness?v=%d", base, src)
-					default:
-						fmt.Fprintf(os.Stderr, "servedload: unknown endpoint %q in -mix\n", ep)
-						os.Exit(2)
-					}
-					start := rec.Clock()
-					status, err := get(ctx, client, url)
-					if err == nil && status == http.StatusOK {
-						// Quantiles cover served queries only; rejected
-						// (429/503) and timed-out (504) requests are
-						// counted but would skew the latency picture.
-						rec.ObserveSince(histFor(ep), start)
-					}
+					status, err := call(ctx, client, http.MethodGet, base+fmt.Sprintf(queries[ep], r.IntN(pool)), nil)
 					mu.Lock()
 					st := stats[ep]
 					st.Requests++
@@ -142,55 +131,35 @@ func main() {
 		driveJobs(base, client)
 	}
 
-	rep := report{Addr: *addr, DurationSec: elapsed.Seconds(), Concurrency: *conc, Endpoints: stats}
-	for _, ep := range endpoints {
-		st := stats[ep]
-		ok := st.Requests - st.Errors - st.Rejected
+	for _, st := range stats {
 		if elapsed > 0 {
-			st.QPS = float64(ok) / elapsed.Seconds()
+			st.QPS = float64(st.Requests-st.Errors-st.Rejected) / elapsed.Seconds()
 		}
-		sum := rec.HistSummary(histFor(ep).Name())
-		st.P50Ns, st.P99Ns, st.MaxNs = sum.P50, sum.P99, sum.Max
 	}
-	writeReport(rep, *out)
-}
-
-// histFor maps an endpoint to the latency histogram the driver observes
-// its client-side latencies under.
-func histFor(ep string) obs.Hist {
-	switch ep {
-	case "sssp":
-		return obs.HistServeSSSPNs
-	case "wbfs":
-		return obs.HistServeWBFSNs
-	case "coreness":
-		return obs.HistServeCorenessNs
-	default:
-		return obs.HistOpLatencyNs
-	}
-}
-
-func writeReport(rep report, out string) {
-	var w io.Writer = os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "servedload: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	rep := report{Addr: *addr, DurationSec: elapsed.Seconds(), Concurrency: *conc, Endpoints: stats}
+	if err := writeReport(rep, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "servedload: %v\n", err)
 		os.Exit(2)
 	}
 }
 
-func get(ctx context.Context, client *http.Client, url string) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+func writeReport(rep report, out string) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if out == "" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(out, data, 0o644)
+}
+
+// call sends one request and decodes the JSON reply into v, or discards
+// the reply when v is nil.
+func call(ctx context.Context, client *http.Client, method, url string, v any) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -198,47 +167,27 @@ func get(ctx context.Context, client *http.Client, url string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
-// vertexCount asks /healthz for the graph size.
-func vertexCount(base string) (int, error) {
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		return 0, err
-	}
 	defer resp.Body.Close()
-	var h struct {
-		Vertices int `json:"vertices"`
+	if v == nil {
+		_, err = io.Copy(io.Discard, resp.Body)
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(v)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return 0, err
-	}
-	if h.Vertices <= 0 {
-		return 0, fmt.Errorf("server reports %d vertices", h.Vertices)
-	}
-	return h.Vertices, nil
+	return resp.StatusCode, err
 }
 
 // driveJobs submits one of each async job and polls both to a
 // terminal state, printing the outcomes to stderr.
 func driveJobs(base string, client *http.Client) {
+	ctx := context.Background()
 	ids := []string{}
 	for _, kind := range []string{"setcover", "densest"} {
-		resp, err := client.Post(base+"/jobs/"+kind, "", nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "servedload: submit %s: %v\n", kind, err)
-			continue
-		}
 		var info struct {
 			ID string `json:"id"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
+		status, err := call(ctx, client, http.MethodPost, base+"/jobs/"+kind, &info)
 		if err != nil || info.ID == "" {
-			fmt.Fprintf(os.Stderr, "servedload: submit %s: status %d\n", kind, resp.StatusCode)
+			fmt.Fprintf(os.Stderr, "servedload: submit %s: status %d: %v\n", kind, status, err)
 			continue
 		}
 		ids = append(ids, info.ID)
@@ -246,17 +195,10 @@ func driveJobs(base string, client *http.Client) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		for {
-			resp, err := client.Get(base + "/jobs/" + id)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "servedload: poll %s: %v\n", id, err)
-				return
-			}
 			var info struct {
 				Status string `json:"status"`
 			}
-			err = json.NewDecoder(resp.Body).Decode(&info)
-			resp.Body.Close()
-			if err != nil {
+			if _, err := call(ctx, client, http.MethodGet, base+"/jobs/"+id, &info); err != nil {
 				fmt.Fprintf(os.Stderr, "servedload: poll %s: %v\n", id, err)
 				return
 			}

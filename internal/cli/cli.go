@@ -1,10 +1,11 @@
-// Package cli holds the flag plumbing shared by the cmd/ binaries:
+// Package cli holds the graph flags cmd/julienne and cmd/served share:
 // building or loading input graphs and applying weight distributions.
 package cli
 
 import (
 	"flag"
 	"fmt"
+	"math"
 
 	"julienne/internal/gen"
 	"julienne/internal/graph"
@@ -39,49 +40,64 @@ func Register(fs *flag.FlagSet) *GraphFlags {
 	}
 }
 
-// Build constructs the graph the flags describe.
+// Build constructs the graph the flags describe. Every flag is checked
+// before any generator runs, and an error names the flag at fault: the
+// generators panic or loop forever on input outside their domain.
 func (gf *GraphFlags) Build() (*graph.CSR, error) {
-	var g *graph.CSR
-	var err error
-	if *gf.File != "" {
-		g, err = graphio.LoadFile(*gf.File, *gf.Symmetric)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		switch *gf.Gen {
-		case "rmat":
-			g = gen.RMAT(*gf.N, *gf.M, *gf.Symmetric, *gf.Seed)
-		case "er":
-			g = gen.ErdosRenyi(*gf.N, *gf.M, *gf.Symmetric, *gf.Seed)
-		case "chunglu":
-			g = gen.ChungLu(*gf.N, *gf.M, 2.3, *gf.Symmetric, *gf.Seed)
-		case "grid":
-			g = gen.Grid2D(*gf.Rows, *gf.Cols)
-		case "regular":
-			d := *gf.M / max(*gf.N, 1)
-			if d < 1 {
-				d = 8
-			}
-			g = gen.RandomRegular(*gf.N, d, *gf.Symmetric, *gf.Seed)
-		default:
-			return nil, fmt.Errorf("unknown generator %q", *gf.Gen)
+	var lo, hi graph.Weight
+	if w := *gf.Weights; w != "" && w != "log" && w != "heavy" {
+		if _, err := fmt.Sscanf(w, "uniform:%d:%d", &lo, &hi); err != nil || lo < 0 || hi <= lo {
+			return nil, fmt.Errorf("bad -weights %q (want ''|log|heavy|uniform:<lo>:<hi> with 0 <= lo < hi)", w)
 		}
 	}
-	switch w := *gf.Weights; {
-	case w == "":
-	case w == "log":
+	g, err := gf.input()
+	if err != nil {
+		return nil, err
+	}
+	switch *gf.Weights {
+	case "":
+	case "log":
 		g = gen.LogWeights(g, *gf.Seed+1)
-	case w == "heavy":
+	case "heavy":
 		g = gen.HeavyWeights(g, *gf.Seed+1)
 	default:
-		var lo, hi int
-		if _, err := fmt.Sscanf(w, "uniform:%d:%d", &lo, &hi); err != nil {
-			return nil, fmt.Errorf("bad -weights %q (want ''|log|heavy|uniform:<lo>:<hi>)", w)
-		}
-		g = gen.UniformWeights(g, graph.Weight(lo), graph.Weight(hi), *gf.Seed+1)
+		g = gen.UniformWeights(g, lo, hi, *gf.Seed+1)
 	}
 	return g, nil
+}
+
+// input loads or generates the unweighted graph.
+func (gf *GraphFlags) input() (*graph.CSR, error) {
+	n, m, rows, cols, sym, seed := *gf.N, *gf.M, *gf.Rows, *gf.Cols, *gf.Symmetric, *gf.Seed
+	switch {
+	case *gf.File != "":
+		return graphio.LoadFile(*gf.File, sym)
+	case *gf.Gen == "grid" && (rows < 1 || cols < 1 || int64(rows) > math.MaxUint32/int64(cols)):
+		return nil, fmt.Errorf("bad -rows %d -cols %d (want each >= 1, rows*cols < 2^32)", rows, cols)
+	case *gf.Gen == "grid":
+		return gen.Grid2D(rows, cols), nil
+	case m < 0:
+		return nil, fmt.Errorf("bad -m %d (want >= 0)", m)
+	case n < 1 || int64(n) > math.MaxUint32:
+		return nil, fmt.Errorf("bad -n %d (want 1 <= n < 2^32)", n)
+	case n < 2 && m > 0:
+		return nil, fmt.Errorf("bad -n %d: -gen %s needs at least 2 vertices to sample -m %d edges", n, *gf.Gen, m)
+	}
+	switch *gf.Gen {
+	case "rmat":
+		return gen.RMAT(n, m, sym, seed), nil
+	case "er":
+		return gen.ErdosRenyi(n, m, sym, seed), nil
+	case "chunglu":
+		return gen.ChungLu(n, m, 2.3, sym, seed), nil
+	case "regular":
+		d := m / n
+		if d < 1 {
+			d = 8
+		}
+		return gen.RandomRegular(n, d, sym, seed), nil
+	}
+	return nil, fmt.Errorf("unknown generator %q", *gf.Gen)
 }
 
 // Describe returns a one-line summary of g for banners.

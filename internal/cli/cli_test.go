@@ -2,9 +2,11 @@ package cli
 
 import (
 	"flag"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"julienne/internal/gen"
 	"julienne/internal/graphio"
@@ -42,6 +44,46 @@ func TestUnknownGenerator(t *testing.T) {
 	gf := flagsFor(t, "-gen", "mystery")
 	if _, err := gf.Build(); err == nil {
 		t.Fatal("unknown generator accepted")
+	}
+}
+
+// TestBadFlagsFailFast: input outside a generator's domain is an error
+// naming the flag, returned promptly — never a panic or a generator
+// that samples forever (rmat with one vertex rejects every edge as a
+// self-loop).
+func TestBadFlagsFailFast(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-gen", "rmat", "-n", "0"}, "-n"},
+		{[]string{"-gen", "rmat", "-n", "1"}, "-n"},
+		{[]string{"-gen", "er", "-n", "-5", "-m", "0"}, "-n"},
+		{[]string{"-gen", "rmat", "-m", "-1"}, "-m"},
+		{[]string{"-gen", "grid", "-rows", "-1"}, "-rows"},
+		{[]string{"-gen", "grid", "-cols", "0"}, "-cols"},
+		{[]string{"-gen", "grid", "-rows", "4", "-cols", "4", "-weights", "uniform:5:1"}, "-weights"},
+		{[]string{"-gen", "grid", "-rows", "4", "-cols", "4", "-weights", "uniform:-1:5"}, "-weights"},
+	} {
+		gf := flagsFor(t, tc.args...)
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("panic: %v", r)
+				}
+			}()
+			_, err := gf.Build()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.flag) || strings.HasPrefix(err.Error(), "panic") {
+				t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: Build still running after 10s", tc.args)
+		}
 	}
 }
 

@@ -1,16 +1,16 @@
 #!/bin/sh
 # obs-demo: end-to-end smoke test of the observability plane.
 #
-# Builds cmd/kcore, runs it on a generated RMAT graph with the -http
-# debug surface bound to an ephemeral port, scrapes /metrics until the
-# round-latency histogram is non-empty, sanity-checks /debug/obs, and
-# shuts the process down. Exits non-zero if the scrape never sees a
+# Builds cmd/julienne, runs `julienne kcore` on a generated RMAT graph
+# with the -http debug surface bound to an ephemeral port, scrapes
+# /metrics until the round-latency histogram is non-empty, sanity-checks
+# /debug/obs, and shuts the process down. Exits non-zero if the scrape never sees a
 # populated histogram. Used by `make obs-demo` and the bench-smoke CI
 # job; needs only a Go toolchain and curl.
 set -eu
 
 workdir=$(mktemp -d)
-log="$workdir/kcore.log"
+log="$workdir/julienne.log"
 pid=""
 cleanup() {
     [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
@@ -19,14 +19,14 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "obs-demo: building cmd/kcore"
-go build -o "$workdir/kcore" ./cmd/kcore
+echo "obs-demo: building cmd/julienne"
+go build -o "$workdir/julienne" ./cmd/julienne
 
 # -http :0 binds an ephemeral port; the CLI reports the bound address
-# on stderr as "obs: serving http://HOST:PORT/metrics ...". kcore keeps
+# on stderr as "obs: serving http://HOST:PORT/metrics ...". The process keeps
 # serving after the run completes until interrupted, so the surface
 # stays up for scraping.
-"$workdir/kcore" -gen rmat -n 4096 -m 32768 -http 127.0.0.1:0 >"$log" 2>&1 &
+"$workdir/julienne" kcore -gen rmat -n 4096 -m 32768 -http 127.0.0.1:0 >"$log" 2>&1 &
 pid=$!
 
 addr=""
@@ -34,14 +34,14 @@ for _ in $(seq 1 50); do
     addr=$(sed -n 's|.*obs: serving http://\([^/]*\)/metrics.*|\1|p' "$log" | head -n 1)
     [ -n "$addr" ] && break
     if ! kill -0 "$pid" 2>/dev/null; then
-        echo "obs-demo: kcore exited before binding -http:" >&2
+        echo "obs-demo: julienne kcore exited before binding -http:" >&2
         cat "$log" >&2
         exit 1
     fi
     sleep 0.2
 done
 if [ -z "$addr" ]; then
-    echo "obs-demo: never saw the serving line in kcore output:" >&2
+    echo "obs-demo: never saw the serving line in julienne kcore output:" >&2
     cat "$log" >&2
     exit 1
 fi
