@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -73,12 +74,17 @@ type runner struct {
 	timeout time.Duration
 }
 
-// kernel times call, the run's one operation, under the -timeout
-// deadline.
-func (r *runner) kernel(call func(deadline time.Time) error) (time.Duration, error) {
+// kernel times call, the run's one operation, under a context that
+// expires after -timeout (nil, which never stops a kernel, without one).
+func (r *runner) kernel(call func(ctx context.Context) error) (time.Duration, error) {
+	var ctx context.Context
+	if r.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(context.Background(), r.timeout)
+		defer cancel()
+	}
 	var err error
-	deadline := harness.DeadlineIn(r.timeout)
-	elapsed := harness.Time(func() { err = call(deadline) })
+	elapsed := harness.Time(func() { err = call(ctx) })
 	r.rec.ObserveDuration(obs.HistOpLatencyNs, elapsed)
 	return elapsed, err
 }
@@ -171,10 +177,10 @@ func kcoreCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 		fmt.Fprintln(r.out, cli.Describe(g))
 		var cores []uint32
 		rounds := int64(-1)
-		elapsed, err := r.kernel(func(deadline time.Time) (err error) {
+		elapsed, err := r.kernel(func(ctx context.Context) (err error) {
 			switch r.impl {
 			case "julienne":
-				res := kcore.Coreness(g, kcore.Options{Recorder: r.rec, Deadline: deadline})
+				res := kcore.Coreness(g, kcore.Options{Recorder: r.rec, Ctx: ctx})
 				cores, rounds, err = res.Coreness, res.Rounds, res.Err
 			case "ligra":
 				res := kcore.CorenessLigra(g)
@@ -237,8 +243,8 @@ func ssspCmd(fs *flag.FlagSet, gf *cli.GraphFlags) func(*runner) error {
 		fmt.Fprintln(r.out, cli.Describe(g))
 		s := graph.Vertex(*src)
 		var res sssp.Result
-		elapsed, err := r.kernel(func(deadline time.Time) error {
-			opt := sssp.Options{Recorder: r.rec, Deadline: deadline,
+		elapsed, err := r.kernel(func(ctx context.Context) error {
+			opt := sssp.Options{Recorder: r.rec, Ctx: ctx,
 				Fusion: bucket.Fusion{MaxFrontier: *fuseFrontier, MaxSpan: *fuseSpan}}
 			switch r.impl {
 			case "wbfs":
@@ -301,8 +307,8 @@ func setcoverCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 		}
 		fmt.Fprintf(r.out, "instance: sets=%d elements=%d M=%d\n", *sets, g.NumVertices()-*sets, g.NumEdges())
 		var res setcover.Result
-		elapsed, err := r.kernel(func(deadline time.Time) error {
-			opt := setcover.Options{Epsilon: *eps, Recorder: r.rec, Deadline: deadline}
+		elapsed, err := r.kernel(func(ctx context.Context) error {
+			opt := setcover.Options{Epsilon: *eps, Recorder: r.rec, Ctx: ctx}
 			switch r.impl {
 			case "julienne":
 				res = setcover.Approx(g, *sets, opt)
@@ -337,8 +343,8 @@ func densestCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 		g := undirected(r.g)
 		fmt.Fprintln(r.out, cli.Describe(g))
 		var res densest.Result
-		elapsed, err := r.kernel(func(deadline time.Time) error {
-			opt := densest.Options{Recorder: r.rec, Deadline: deadline}
+		elapsed, err := r.kernel(func(ctx context.Context) error {
+			opt := densest.Options{Recorder: r.rec, Ctx: ctx}
 			if r.impl == "batch" {
 				res = densest.PeelBatchWithOptions(g, *eps, opt)
 			} else {

@@ -71,11 +71,3 @@ func Eccentricity(g graph.Graph, src graph.Vertex) int32 {
 	}
 	return ecc
 }
-
-// ComponentOf returns the vertices reachable from src (including src).
-func ComponentOf(g graph.Graph, src graph.Vertex) []graph.Vertex {
-	res := BFS(g, src)
-	return parallel.PackIndices(g.NumVertices(), func(v int) bool {
-		return res.Level[v] != Unreached
-	})
-}

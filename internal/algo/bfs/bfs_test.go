@@ -85,19 +85,6 @@ func TestEccentricityOnPath(t *testing.T) {
 	}
 }
 
-func TestComponentOf(t *testing.T) {
-	g := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}},
-		graph.BuildOptions{Symmetrize: true, DropSelfLoops: true, Dedup: true})
-	comp := ComponentOf(g, 0)
-	if len(comp) != 3 {
-		t.Fatalf("component %v", comp)
-	}
-	comp2 := ComponentOf(g, 5)
-	if len(comp2) != 1 || comp2[0] != 5 {
-		t.Fatalf("singleton component %v", comp2)
-	}
-}
-
 func TestRoundsEqualsEccentricityPlusOne(t *testing.T) {
 	g := gen.Grid2D(10, 10)
 	res := BFS(g, 0)

@@ -61,21 +61,3 @@ func Count(labels []graph.Vertex) int {
 		return labels[v] == graph.Vertex(v)
 	})
 }
-
-// Largest returns the label and size of the largest component.
-func Largest(labels []graph.Vertex) (graph.Vertex, int) {
-	if len(labels) == 0 {
-		return graph.NilVertex, 0
-	}
-	sizes := map[graph.Vertex]int{}
-	for _, l := range labels {
-		sizes[l]++
-	}
-	best, bestSize := graph.NilVertex, 0
-	for l, s := range sizes {
-		if s > bestSize || (s == bestSize && l < best) {
-			best, bestSize = l, s
-		}
-	}
-	return best, bestSize
-}

@@ -73,7 +73,7 @@ func TestComponentsMatchUnionFind(t *testing.T) {
 	}
 }
 
-func TestCountAndLargest(t *testing.T) {
+func TestCount(t *testing.T) {
 	g := graph.FromEdges(7,
 		[]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}},
 		graph.BuildOptions{Symmetrize: true, DropSelfLoops: true, Dedup: true})
@@ -81,12 +81,8 @@ func TestCountAndLargest(t *testing.T) {
 	if Count(labels) != 4 { // {0,1,2}, {3,4}, {5}, {6}
 		t.Fatalf("Count=%d want 4", Count(labels))
 	}
-	l, size := Largest(labels)
-	if l != 0 || size != 3 {
-		t.Fatalf("Largest=(%d,%d) want (0,3)", l, size)
-	}
-	if _, s := Largest(nil); s != 0 {
-		t.Fatal("Largest(nil)")
+	if Count(nil) != 0 {
+		t.Fatal("Count(nil) != 0")
 	}
 }
 

@@ -41,9 +41,6 @@ type Options struct {
 	// done the run stops and Result.Err reports a *obs.Canceled with
 	// partial progress. Nil keeps today's zero-overhead behavior.
 	Ctx context.Context
-	// Deadline, when non-zero, stops the run once it passes (checked
-	// once per round, composing with Ctx — whichever trips first).
-	Deadline time.Time
 }
 
 // Result describes a dense subgraph.
@@ -55,10 +52,10 @@ type Result struct {
 	// Rounds is the number of peeling rounds executed.
 	Rounds int64
 	// Err is nil on a completed run, or a *obs.Canceled (wrapping
-	// obs.ErrCanceled) if the run was stopped by Options.Ctx or
-	// Options.Deadline. The partial result is the densest prefix seen
-	// over the completed rounds — a valid subgraph and density, but
-	// without the approximation guarantee.
+	// obs.ErrCanceled) if the run was stopped by Options.Ctx. The
+	// partial result is the densest prefix seen over the completed
+	// rounds — a valid subgraph and density, but without the
+	// approximation guarantee.
 	Err error
 }
 
@@ -115,7 +112,7 @@ func CharikarWithOptions(g graph.Graph, opt Options) Result {
 	parallel.For(n, parallel.DefaultGrain, func(v int) {
 		d[v] = uint32(g.OutDegree(graph.Vertex(v)))
 	})
-	lp := bucket.Loop{Algo: "densest", Recorder: opt.Recorder, Ctx: opt.Ctx, Deadline: opt.Deadline}
+	lp := bucket.Loop{Algo: "densest", Recorder: opt.Recorder, Ctx: opt.Ctx}
 	b := lp.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, bucket.Options{})
 
 	alive := int64(n)
@@ -269,7 +266,7 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 	}
 	var runErr error
 	rec := opt.Recorder
-	cancel := obs.NewCancelCheck(opt.Ctx, opt.Deadline)
+	cancel := obs.NewCancelCheck(opt.Ctx)
 	for alive > 0 {
 		if cause := cancel.Stopped(); cause != nil {
 			runErr = rec.NewCanceled("densest", rounds, cause)

@@ -23,7 +23,6 @@ package kcore
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
@@ -45,9 +44,6 @@ type Options struct {
 	// done the run stops and Result.Err reports a *obs.Canceled with
 	// partial progress. Nil keeps today's zero-overhead behavior.
 	Ctx context.Context
-	// Deadline, when non-zero, stops the run once it passes (checked
-	// once per round, composing with Ctx — whichever trips first).
-	Deadline time.Time
 
 	// There is deliberately no bucket-fusion knob here (compare
 	// sssp.Options.Fusion): peeling must process buckets in exact order
@@ -74,9 +70,9 @@ type Result struct {
 	// EdgesTraversed counts neighbor visits.
 	EdgesTraversed int64
 	// Err is nil on a completed run, or a *obs.Canceled (wrapping
-	// obs.ErrCanceled) if the run was stopped by Options.Ctx or
-	// Options.Deadline. The partial Coreness values cover exactly the
-	// peeled vertices; the counters cover the completed rounds.
+	// obs.ErrCanceled) if the run was stopped by Options.Ctx. The
+	// partial Coreness values cover exactly the peeled vertices; the
+	// counters cover the completed rounds.
 	Err error
 }
 
@@ -103,7 +99,7 @@ func Coreness(g graph.Graph, opt Options) Result {
 	parallel.For(n, parallel.DefaultGrain, func(v int) {
 		d[v] = uint32(g.OutDegree(graph.Vertex(v)))
 	})
-	lp := bucket.Loop{Algo: "kcore", Recorder: opt.Recorder, Ctx: opt.Ctx, Deadline: opt.Deadline}
+	lp := bucket.Loop{Algo: "kcore", Recorder: opt.Recorder, Ctx: opt.Ctx}
 	b := lp.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, opt.Buckets)
 
 	// The round's one primitive, its destination and the updateBuckets

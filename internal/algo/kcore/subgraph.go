@@ -32,7 +32,9 @@ type CoreSubgraph struct {
 // ExtractCore returns the k-core(s) of g given its coreness values
 // (from any of the Coreness implementations). Every vertex of the
 // returned subgraph has induced degree ≥ k; the subgraph's connected
-// components are the individual k-cores.
+// components are the individual k-cores. g's adjacency lists are taken
+// to be sorted, as every graph.FromEdges build and generator makes
+// them; the subgraph's lists then come out sorted as well.
 func ExtractCore(g graph.Graph, coreness []uint32, k uint32) CoreSubgraph {
 	requireSymmetric(g)
 	n := g.NumVertices()
@@ -46,36 +48,53 @@ func ExtractCore(g graph.Graph, coreness []uint32, k uint32) CoreSubgraph {
 	parallel.For(len(keep), parallel.DefaultGrain, func(i int) {
 		renum[keep[i]] = graph.Vertex(i)
 	})
-	// Induced edges, built per kept vertex in parallel.
-	// The graph's edge count bounds the work from above; a few spare
-	// workers on a small core cost nothing next to the rebuild below.
-	p := parallel.WorkersFor(int64(len(keep)) + g.NumEdges())
-	parts := make([][]graph.Edge, p)
-	parallel.Workers(len(keep), p, func(worker, lo, hi int) {
-		local := parts[worker]
-		for i := lo; i < hi; i++ {
-			v := keep[i]
-			g.OutNeighbors(v, func(u graph.Vertex, w graph.Weight) bool {
-				if renum[u] != graph.NilVertex {
-					local = append(local, graph.Edge{U: graph.Vertex(i), V: renum[u], W: w})
-				}
-				return true
-			})
-		}
-		parts[worker] = local
-	})
-	var edges []graph.Edge
-	for _, p := range parts {
-		edges = append(edges, p...)
+	// The induced CSR is built in place: count each kept vertex's kept
+	// neighbours, scan the counts into offsets, fill. The renumbering is
+	// monotone, so sorted adjacency lists stay sorted; self-loops and
+	// repeats of the previous neighbour are dropped, as graph.FromEdges'
+	// DropSelfLoops and Dedup (first weight wins) would. Both directions
+	// of every undirected edge survive induction, so the subgraph is
+	// undirected too. The graph's edge count bounds the work from above.
+	nk := len(keep)
+	p := parallel.WorkersFor(int64(nk) + g.NumEdges())
+	bufs := make([]graph.AdjBuf, p)
+	kept := func(v graph.Vertex, nbrs []graph.Vertex, j int) bool {
+		u := nbrs[j]
+		return renum[u] != graph.NilVertex && u != v && (j == 0 || nbrs[j-1] != u)
 	}
-	// Both directions of every undirected edge survive induction, so
-	// no re-symmetrization is needed; FromEdges just sorts and builds.
-	sub := graph.FromEdges(len(keep), edges, graph.BuildOptions{
-		Weighted:      g.Weighted(),
-		DropSelfLoops: true,
-		Dedup:         true,
+	offsets := make([]uint64, nk+1)
+	parallel.Workers(nk, p, func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			nbrs, _ := g.OutAdj(keep[i], &bufs[w])
+			for j := range nbrs {
+				if kept(keep[i], nbrs, j) {
+					offsets[i]++
+				}
+			}
+		}
 	})
-	sub = markSymmetric(sub)
+	m := parallel.Scan(offsets, offsets) // the trailing zero becomes offsets[nk] = m
+	edges := make([]graph.Vertex, m)
+	var weights []graph.Weight
+	if g.Weighted() {
+		weights = make([]graph.Weight, m)
+	}
+	parallel.Workers(nk, p, func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			nbrs, ws := g.OutAdj(keep[i], &bufs[w])
+			at := offsets[i]
+			for j, u := range nbrs {
+				if kept(keep[i], nbrs, j) {
+					edges[at] = renum[u]
+					if weights != nil {
+						weights[at] = ws[j]
+					}
+					at++
+				}
+			}
+		}
+	})
+	sub := graph.NewCSR(nk, offsets, edges, weights, true)
 
 	res := CoreSubgraph{K: k, Vertices: keep, Graph: sub}
 	if len(keep) > 0 {
@@ -83,30 +102,4 @@ func ExtractCore(g graph.Graph, coreness []uint32, k uint32) CoreSubgraph {
 		res.NumCores = cc.Count(res.Components)
 	}
 	return res
-}
-
-// markSymmetric rebuilds the CSR flagged undirected. Induced subgraphs
-// of undirected graphs contain both edge directions already, so the
-// flag is a statement of fact, not a transformation.
-func markSymmetric(g *graph.CSR) *graph.CSR {
-	n := g.NumVertices()
-	offsets := make([]uint64, n+1)
-	var m uint64
-	for v := 0; v < n; v++ {
-		offsets[v] = m
-		m += uint64(g.OutDegree(graph.Vertex(v)))
-	}
-	offsets[n] = m
-	edges := make([]graph.Vertex, 0, m)
-	var weights []graph.Weight
-	if g.Weighted() {
-		weights = make([]graph.Weight, 0, m)
-	}
-	for v := 0; v < n; v++ {
-		edges = append(edges, g.OutEdges(graph.Vertex(v))...)
-		if weights != nil {
-			weights = append(weights, g.OutWeights(graph.Vertex(v))...)
-		}
-	}
-	return graph.NewCSR(n, offsets, edges, weights, true)
 }

@@ -51,7 +51,7 @@ func approx(work graph.Packer, numSets int, opt Options,
 	floor func(b int64) float64) Result {
 
 	n := work.NumVertices()
-	lp := bucket.Loop{Algo: "setcover", Recorder: opt.Recorder, Ctx: opt.Ctx, Deadline: opt.Deadline}
+	lp := bucket.Loop{Algo: "setcover", Recorder: opt.Recorder, Ctx: opt.Ctx}
 
 	// The round's bucket and the thresholds derived from it are loop
 	// state the closures below read; they and the destination they

@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
@@ -60,9 +59,6 @@ type Options struct {
 	// reports a *obs.Canceled with partial progress. Nil keeps today's
 	// zero-overhead behavior.
 	Ctx context.Context
-	// Deadline, when non-zero, stops the run once it passes (checked
-	// once per round, composing with Ctx — whichever trips first).
-	Deadline time.Time
 
 	// There is deliberately no bucket-fusion knob here (compare
 	// sssp.Options.Fusion): the greedy guarantee depends on processing
@@ -96,9 +92,9 @@ type Result struct {
 	// ApproxWeighted).
 	BucketStats bucket.Stats
 	// Err is nil on a completed run, or a *obs.Canceled (wrapping
-	// obs.ErrCanceled) if the run was stopped by Options.Ctx or
-	// Options.Deadline. A partial InCover is a valid partial cover but
-	// not a (1+ε)·H_n-approximate one.
+	// obs.ErrCanceled) if the run was stopped by Options.Ctx. A
+	// partial InCover is a valid partial cover but not a
+	// (1+ε)·H_n-approximate one.
 	Err error
 }
 

@@ -1,7 +1,6 @@
 package sssp
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"julienne/internal/graph"
@@ -14,7 +13,8 @@ import (
 // relaxation round (§5: "Instead of having shared buckets, it uses
 // thread-local bins to represent buckets"). Duplicate bin entries are
 // filtered lazily by re-checking the tentative distance at pop time,
-// exactly as GAP does.
+// exactly as GAP does. Each round's relaxation is one parallel.Workers
+// region, whose worker index selects the bins.
 //
 // GAP stores bins in dense per-thread vectors; here they are sparse
 // maps so that pathological ∆/weight combinations (e.g. ∆ = 1 with
@@ -36,51 +36,47 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 	for w := range localBins {
 		localBins[w] = make(map[uint64][]graph.Vertex)
 	}
+	bufs := make([]graph.AdjBuf, p)
 	res := Result{}
 	var edges, relaxations atomic.Int64
 
 	frontier := []graph.Vertex{src}
 	curBin := uint64(0)
 	const noBin = uint64(1<<63 - 1)
+	// relax is one worker's share of a round: it scatters the vertices
+	// it improves into its own bins. Built once; a round reads frontier
+	// and curBin.
+	relax := func(w, lo, hi int) {
+		bins := localBins[w]
+		for _, v := range frontier[lo:hi] {
+			dv := atomic.LoadUint64(&dist[v])
+			if dv/udelta != curBin {
+				continue // stale copy
+			}
+			nbrs, ws := g.OutAdj(v, &bufs[w])
+			edges.Add(int64(len(nbrs)))
+			for j, u := range nbrs {
+				nd := dv + uint64(ws[j])
+				if parallel.WriteMinUint64(&dist[u], nd) {
+					relaxations.Add(1)
+					b := nd / udelta
+					bins[b] = append(bins[b], u)
+				}
+			}
+		}
+	}
 	for {
 		res.Rounds++
-		// Relax the current frontier; each worker scatters improved
-		// vertices into its own bins.
-		var wg sync.WaitGroup
-		chunk := (len(frontier) + p - 1) / p
-		if chunk == 0 {
-			chunk = 1
-		}
-		for w := 0; w < p; w++ {
-			lo := w * chunk
-			if lo >= len(frontier) {
-				break
+		// The fork cut-off is Julienne's sparse edgeMap's: the work is
+		// the frontier (stale copies included) plus its out-degrees,
+		// summed only when a second worker could be had.
+		work := int64(len(frontier))
+		if p > 1 {
+			for _, v := range frontier {
+				work += int64(g.OutDegree(v))
 			}
-			hi := min(lo+chunk, len(frontier))
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				bins := localBins[w]
-				var buf graph.AdjBuf
-				for _, v := range frontier[lo:hi] {
-					dv := atomic.LoadUint64(&dist[v])
-					if dv/udelta != curBin {
-						continue // stale copy
-					}
-					nbrs, ws := g.OutAdj(v, &buf)
-					edges.Add(int64(len(nbrs)))
-					for j, u := range nbrs {
-						nd := dv + uint64(ws[j])
-						if parallel.WriteMinUint64(&dist[u], nd) {
-							relaxations.Add(1)
-							b := nd / udelta
-							bins[b] = append(bins[b], u)
-						}
-					}
-				}
-			}(w, lo, hi)
 		}
-		wg.Wait()
+		parallel.Workers(len(frontier), min(parallel.WorkersFor(work), p), relax)
 
 		// Find the lowest non-empty bin across workers (it may equal
 		// curBin: intra-annulus light-edge reinsertion). Bins behind

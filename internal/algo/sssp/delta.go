@@ -3,7 +3,6 @@ package sssp
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
@@ -24,9 +23,6 @@ type Options struct {
 	// done the run stops and Result.Err reports a *obs.Canceled with
 	// partial progress. Nil keeps today's zero-overhead behavior.
 	Ctx context.Context
-	// Deadline, when non-zero, stops the run once it passes (checked
-	// once per round, composing with Ctx — whichever trips first).
-	Deadline time.Time
 	// Fusion enables fused bucket extraction (bucket.Loop, DESIGN.md
 	// §11): runs of consecutive small buckets drain into one frontier,
 	// and vertices relaxed back into the fused span are processed in
@@ -88,7 +84,7 @@ func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Re
 	w := &waves{g: g, udelta: uint64(delta), sp: make([]uint64, n)}
 	parallel.For(n, parallel.DefaultGrain, func(i int) { w.sp[i] = inf })
 	w.sp[src] = 0
-	lp := bucket.Loop{Algo: "sssp", Recorder: opt.Recorder, Ctx: opt.Ctx, Deadline: opt.Deadline, Fusion: opt.Fusion}
+	lp := bucket.Loop{Algo: "sssp", Recorder: opt.Recorder, Ctx: opt.Ctx, Fusion: opt.Fusion}
 	w.b = lp.New(n, func(i uint32) bucket.ID { return w.bktOf(w.sp[i] &^ flag) },
 		bucket.Increasing, opt.Buckets)
 	var res Result

@@ -59,10 +59,10 @@ type Result struct {
 	// only).
 	BucketStats bucket.Stats
 	// Err is nil on a completed run, or a *obs.Canceled (wrapping
-	// obs.ErrCanceled) if the run was stopped by Options.Ctx or
-	// Options.Deadline. Dist still covers every vertex, but distances
-	// not yet settled when the run stopped may exceed the true
-	// shortest-path distance (or be Unreachable).
+	// obs.ErrCanceled) if the run was stopped by Options.Ctx. Dist
+	// still covers every vertex, but distances not yet settled when the
+	// run stopped may exceed the true shortest-path distance (or be
+	// Unreachable).
 	Err error
 }
 

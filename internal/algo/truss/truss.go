@@ -132,7 +132,7 @@ func Trussness(g *graph.CSR) Result {
 	finished := 0
 	var updIDs []uint32
 	var updDests []bucket.Dest
-	// The loop has no Ctx or Deadline, so Run's error is always nil.
+	// The loop has no Ctx, so Run's error is always nil.
 	res.Rounds, _ = bucket.Loop{Algo: "truss"}.Run(b, func(k, _ bucket.ID, ids []uint32) (int64, bool) {
 		finished += len(ids)
 		updIDs, updDests = updIDs[:0], updDests[:0]

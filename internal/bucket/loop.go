@@ -25,10 +25,9 @@ type Loop struct {
 	// hands it to the structure as well. Nil costs a nil check per
 	// round.
 	Recorder *obs.Recorder
-	// Ctx and Deadline, when set, stop the run between rounds (composed
-	// by obs.NewCancelCheck); the zero values never stop it.
-	Ctx      context.Context
-	Deadline time.Time
+	// Ctx, when non-nil, stops the run between rounds once it is done;
+	// nil never stops it.
+	Ctx context.Context
 	// Fusion selects NextBucketFused and the same-wave DrainLazy loop
 	// (DESIGN.md §11); the zero value extracts one bucket per round.
 	Fusion Fusion
@@ -64,7 +63,7 @@ func (l Loop) Run(b Structure, round func(first, last ID, ids []uint32) (edges i
 		// Baselines taken here charge the rounds, not the construction.
 		prevStats, prevForks = b.Stats(), parallel.ForkStats()
 	}
-	cancel := obs.NewCancelCheck(l.Ctx, l.Deadline)
+	cancel := obs.NewCancelCheck(l.Ctx)
 	var first, last ID
 	var ids []uint32 // non-empty between rounds only for a drained segment
 	for {

@@ -8,9 +8,10 @@
 // Plan at the instrumented sites:
 //
 //   - SiteWorker fires at the start of every parallel worker block
-//     (parallel.Blocked / parallel.Workers), the place a user callback
-//     runs — an injected panic here exercises the substrate's panic
-//     containment exactly where a buggy callback would.
+//     (every region of parallel.For / parallel.Workers and the
+//     primitives built on them), the place a user callback runs — an
+//     injected panic here exercises the substrate's panic containment
+//     exactly where a buggy callback would.
 //   - SiteRound fires at every bucket round boundary (the entry of
 //     bucket.(*Par).NextBucket) — delays here widen the windows the
 //     race detector inspects, and forced cancellations exercise the

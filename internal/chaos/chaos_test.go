@@ -238,8 +238,10 @@ func TestDelayAtRoundTripsDeadline(t *testing.T) {
 	g := gen.UniformWeights(testGraph(3), 1, 16, 3)
 	want := sssp.DijkstraHeap(g, 0)
 	rec := flightDumpRecorder(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
 	chaos.Arm(chaos.Plan{DelayAtRound: 2, Delay: 50 * time.Millisecond})
-	res := sssp.WBFS(g, 0, sssp.Options{Recorder: rec, Deadline: harness.DeadlineIn(5 * time.Millisecond)})
+	res := sssp.WBFS(g, 0, sssp.Options{Recorder: rec, Ctx: ctx})
 	chaos.Disarm()
 	if res.Err == nil {
 		t.Fatal("deadline run returned nil Err")
@@ -427,12 +429,11 @@ func TestSeededSweep(t *testing.T) {
 				if res.Err == nil || !errors.Is(res.Err, obs.ErrCanceled) {
 					t.Fatalf("seed %d: cancel at round %d: Err = %v", seed, round, res.Err)
 				}
-			case 2: // delay at a round boundary + deadline
+			case 2: // delay at a round boundary + timeout
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+				defer cancel()
 				chaos.Arm(chaos.Plan{DelayAtRound: round, Delay: 20 * time.Millisecond})
-				res := kcore.Coreness(g, kcore.Options{
-					Recorder: rec,
-					Deadline: harness.DeadlineIn(2 * time.Millisecond),
-				})
+				res := kcore.Coreness(g, kcore.Options{Ctx: ctx, Recorder: rec})
 				chaos.Disarm()
 				if res.Err == nil || !errors.Is(res.Err, context.DeadlineExceeded) {
 					t.Fatalf("seed %d: delay at round %d: Err = %v", seed, round, res.Err)

@@ -222,11 +222,6 @@ func (g *CSR) Clone() *CSR {
 	return c
 }
 
-// Degrees returns a freshly allocated slice of live out-degrees.
-func (g *CSR) Degrees() []uint32 {
-	return append([]uint32(nil), g.outDeg...)
-}
-
 // MaxDegree returns the maximum out-degree, or 0 for an empty graph.
 func (g *CSR) MaxDegree() int {
 	if g.n == 0 {

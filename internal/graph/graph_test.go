@@ -244,9 +244,8 @@ func TestMaxDegreeAndDegrees(t *testing.T) {
 	if g.MaxDegree() != 3 {
 		t.Fatalf("MaxDegree=%d want 3", g.MaxDegree())
 	}
-	deg := g.Degrees()
-	if deg[2] != 3 || deg[3] != 1 {
-		t.Fatalf("Degrees=%v", deg)
+	if d2, d3 := g.OutDegree(2), g.OutDegree(3); d2 != 3 || d3 != 1 {
+		t.Fatalf("degrees of 2 and 3 = %d, %d, want 3, 1", d2, d3)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package harness is the plumbing the CLIs, the bench harness and the
 // tests share: the single-shot clock (Time), fixed-width table
-// rendering (Table), the goroutine leak check and DeadlineIn. Repeated,
-// warmed-up measurement lives in internal/bench, the only package that
-// takes more than one sample of anything.
+// rendering (Table) and the goroutine leak check. Repeated, warmed-up
+// measurement lives in internal/bench, the only package that takes
+// more than one sample of anything.
 package harness
 
 import (

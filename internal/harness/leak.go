@@ -56,14 +56,3 @@ func LeakCheck(t TB) func() {
 func liveGoroutines() int {
 	return runtime.NumGoroutine() - parallel.IdleHelpers()
 }
-
-// DeadlineIn converts a relative timeout to the absolute deadline the
-// algorithm Options take. A non-positive d returns the zero time,
-// meaning "no deadline" — so a CLI can pass its -timeout flag through
-// unconditionally.
-func DeadlineIn(d time.Duration) time.Time {
-	if d <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(d)
-}

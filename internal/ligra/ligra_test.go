@@ -430,16 +430,6 @@ func TestVertexFilter(t *testing.T) {
 	}
 }
 
-func TestVertexForEach(t *testing.T) {
-	var sum int64
-	VertexForEach(FromSparse(10, []graph.Vertex{2, 3, 4}), func(v graph.Vertex) {
-		atomic.AddInt64(&sum, int64(v))
-	})
-	if sum != 9 {
-		t.Fatalf("sum=%d", sum)
-	}
-}
-
 // TestFrontierCachesOutDegreeSum: the sum Frontier computes is the one
 // a plain subset walks for, and a traversal of it does not walk again.
 func TestFrontierCachesOutDegreeSum(t *testing.T) {

@@ -34,13 +34,6 @@ func VertexMap(u VertexSubset, f func(v graph.Vertex) bool) VertexSubset {
 		func(i int, _ graph.Vertex) bool { return keep[i] }))
 }
 
-// VertexForEach applies F to every member for its side effects only,
-// skipping output construction (the vertexMap calls whose result the
-// paper's pseudocode discards, e.g. UpdateD in Algorithm 3).
-func VertexForEach(u VertexSubset, f func(v graph.Vertex)) {
-	u.ForEach(f)
-}
-
 // VertexFilter returns the members of U satisfying the pure predicate
 // P (the vertexFilter of Algorithm 3, line 27). Unlike VertexMap, P
 // must not side-effect: it may be evaluated more than once per member.

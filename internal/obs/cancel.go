@@ -5,17 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 )
 
 // This file implements the cooperative-cancellation half of the failure
 // semantics (DESIGN.md §9). Algorithms check a CancelCheck once per
 // NextBucket round — never per edge — so cancellation costs one nil
-// check per round when disabled and one select + time comparison when
-// armed. A canceled run returns a *Canceled error wrapping ErrCanceled
-// and carries whatever partial-progress statistics the kernel had
-// accumulated; the bucket structure and scratch arenas are left
-// consistent, so a fresh run on the same graph is correct.
+// check per round when disabled and one select when armed. A canceled
+// run returns a *Canceled error wrapping ErrCanceled and carries
+// whatever partial-progress statistics the kernel had accumulated; the
+// bucket structure and scratch arenas are left consistent, so a fresh
+// run on the same graph is correct.
 
 // ErrCanceled is the sentinel all cancellation errors wrap. Callers
 // test with errors.Is(err, obs.ErrCanceled).
@@ -31,8 +30,8 @@ type Canceled struct {
 	// Rounds is the number of completed NextBucket (or peeling) rounds
 	// before the cancellation was observed.
 	Rounds int64
-	// Cause is the reason the run stopped: the context's cause or
-	// context.DeadlineExceeded for an expired deadline.
+	// Cause is the reason the run stopped: the context's cause
+	// (context.DeadlineExceeded for an expired deadline).
 	Cause error
 	// Tail holds the flight-recorder tail at cancellation time — the
 	// last rounds the run completed before it was stopped, for
@@ -66,39 +65,32 @@ func (r *Recorder) NewCanceled(algo string, rounds int64, cause error) *Canceled
 // CancelCheck is the per-round cancellation probe. The zero value never
 // cancels and its Stopped method is a nil-compare fast path, so
 // algorithms embed the check unconditionally without a per-round cost
-// when no context or deadline was supplied.
+// when no context was supplied.
 type CancelCheck struct {
-	done     <-chan struct{}
-	ctx      context.Context
-	deadline time.Time
+	done <-chan struct{}
+	ctx  context.Context
 }
 
-// NewCancelCheck builds a probe from an optional context and an
-// optional absolute deadline; either (or both) may be zero. A context
-// deadline and an explicit deadline compose: whichever trips first
-// stops the run.
-func NewCancelCheck(ctx context.Context, deadline time.Time) CancelCheck {
-	c := CancelCheck{deadline: deadline}
-	if ctx != nil {
-		c.ctx = ctx
-		c.done = ctx.Done()
+// NewCancelCheck builds a probe from an optional context; a nil ctx
+// never cancels. A timeout is a context.WithTimeout.
+func NewCancelCheck(ctx context.Context) CancelCheck {
+	if ctx == nil {
+		return CancelCheck{}
 	}
-	return c
+	return CancelCheck{done: ctx.Done(), ctx: ctx}
 }
 
-// Stopped returns nil while the run may continue, or the cause once the
-// context is done or the deadline has passed. It is called once per
-// round from the algorithm's driver loop (single goroutine).
+// Stopped returns nil while the run may continue, or the context's
+// cause once it is done. It is called once per round from the
+// algorithm's driver loop (single goroutine).
 func (c *CancelCheck) Stopped() error {
-	if c.done != nil {
-		select {
-		case <-c.done:
-			return context.Cause(c.ctx)
-		default:
-		}
+	if c.done == nil {
+		return nil
 	}
-	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-		return context.DeadlineExceeded
+	select {
+	case <-c.done:
+		return context.Cause(c.ctx)
+	default:
+		return nil
 	}
-	return nil
 }

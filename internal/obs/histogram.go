@@ -131,23 +131,6 @@ type HistogramSnapshot struct {
 	Counts []int64
 }
 
-// Merge folds o into s in place.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	if len(s.Counts) < len(o.Counts) {
-		grown := make([]int64, len(o.Counts))
-		copy(grown, s.Counts)
-		s.Counts = grown
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-}
-
 // Quantile returns an upper bound for the q-quantile (q in [0,1]): the
 // exclusive upper edge of the bucket holding the ceil(q*count)-th
 // smallest sample, clamped to the observed max. Relative error is at
@@ -281,20 +264,6 @@ func (r *Recorder) HistogramNames() []string {
 	}
 	var names []string
 	r.hists.Range(func(k, _ any) bool {
-		names = append(names, k.(string))
-		return true
-	})
-	sort.Strings(names)
-	return names
-}
-
-// GaugeNames returns the gauge names in sorted order.
-func (r *Recorder) GaugeNames() []string {
-	if r == nil {
-		return nil
-	}
-	var names []string
-	r.gauges.Range(func(k, _ any) bool {
 		names = append(names, k.(string))
 		return true
 	})

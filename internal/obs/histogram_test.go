@@ -106,25 +106,6 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for v := int64(0); v < 100; v++ {
-		a.Record(v)
-		b.Record(v + 1000)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 200 {
-		t.Fatalf("merged count = %d, want 200", sa.Count)
-	}
-	if sa.Max != 1099 {
-		t.Fatalf("merged max = %d, want 1099", sa.Max)
-	}
-	if sa.Sum != sb.Sum+99*100/2 {
-		t.Fatalf("merged sum = %d", sa.Sum)
-	}
-}
-
 // TestHistogramConcurrent hammers Record and Snapshot from P
 // goroutines; run under -race this pins the lock-freedom claim, and
 // the final totals pin that no sample is lost.

@@ -70,7 +70,7 @@ func TestHandleTable(t *testing.T) {
 		}
 		exposed(h.Name(), "_count")
 	}
-	if got, want := len(rec.CounterNames())+len(rec.GaugeNames())+len(rec.HistogramNames()), len(seen); got != want {
+	if got, want := len(rec.CounterNames())+len(rec.Gauges())+len(rec.HistogramNames()), len(seen); got != want {
 		t.Errorf("read side lists %d names, the table declares %d", got, want)
 	}
 }

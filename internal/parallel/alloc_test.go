@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"julienne/internal/rng"
 )
 
 // skipIfAllocsUnmeasurable skips tests that assert exact allocation
@@ -29,9 +27,6 @@ func TestScanZeroAllocSteadyState(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, func() { Scan(dst, src) }); avg != 0 {
 		t.Fatalf("Scan allocates %v allocs/op in steady state, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(50, func() { ScanInclusive(dst, src) }); avg != 0 {
-		t.Fatalf("ScanInclusive allocates %v allocs/op in steady state, want 0", avg)
-	}
 }
 
 func TestScratchPoolZeroAlloc(t *testing.T) {
@@ -45,67 +40,6 @@ func TestScratchPoolZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("WithScratch round-trip allocates %v allocs/op, want 0", avg)
 	}
-}
-
-// scanInclusiveSeq is the sequential oracle for the aliasing tests.
-func scanInclusiveSeq(src []uint64) ([]uint64, uint64) {
-	out := make([]uint64, len(src))
-	var acc uint64
-	for i, v := range src {
-		acc += v
-		out[i] = acc
-	}
-	return out, acc
-}
-
-func TestScanInclusiveAliasing(t *testing.T) {
-	withProcs(t, 4, func() {
-		r := rng.New(11)
-		n := 40000
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = r.Uint64() % 100
-		}
-		want, wantTotal := scanInclusiveSeq(vals)
-
-		check := func(name string, dst, got []uint64, total uint64) {
-			t.Helper()
-			if total != wantTotal {
-				t.Fatalf("%s: total=%d want %d", name, total, wantTotal)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: dst[%d]=%d want %d", name, i, got[i], want[i])
-				}
-			}
-			_ = dst
-		}
-
-		// Identical: dst and src are the same slice (in-place).
-		buf := make([]uint64, n)
-		copy(buf, vals)
-		total := ScanInclusive(buf, buf)
-		check("identical", buf, buf, total)
-
-		// Disjoint: separate backing arrays.
-		src := make([]uint64, n)
-		copy(src, vals)
-		dst := make([]uint64, n)
-		total = ScanInclusive(dst, src)
-		check("disjoint", dst, dst, total)
-		for i := range src {
-			if src[i] != vals[i] {
-				t.Fatalf("disjoint: src[%d] clobbered", i)
-			}
-		}
-
-		// Partial overlap: dst shifted one element into src's backing
-		// array. The kernel must copy src aside before writing.
-		backing := make([]uint64, n+1)
-		copy(backing, vals)
-		total = ScanInclusive(backing[1:], backing[:n])
-		check("partial-overlap", backing[1:], backing[1:], total)
-	})
 }
 
 func TestFilterInto(t *testing.T) {
@@ -151,11 +85,9 @@ func TestInlineRegionsZeroAlloc(t *testing.T) {
 	defer SetProcs(old)
 	src := make([]uint32, 1<<13)
 	body := func(i int) { src[i]++ }
-	blocked := func(lo, hi int) { src[lo]++ }
 	worker := func(_, lo, hi int) { src[lo]++ }
 	if avg := testing.AllocsPerRun(50, func() {
 		For(len(src), 64, body)
-		Blocked(len(src), 64, blocked)
 		Workers(len(src), WorkersFor(int64(len(src))), worker)
 	}); avg != 0 {
 		t.Fatalf("inline regions allocate %v allocs/op, want 0", avg)

@@ -23,20 +23,6 @@ func WriteMinUint32(addr *uint32, val uint32) bool {
 	}
 }
 
-// WriteMaxUint32 atomically updates *addr to max(*addr, val) and reports
-// whether it strictly increased the stored value.
-func WriteMaxUint32(addr *uint32, val uint32) bool {
-	for {
-		old := atomic.LoadUint32(addr)
-		if val <= old {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(addr, old, val) {
-			return true
-		}
-	}
-}
-
 // WriteMinUint64 atomically updates *addr to min(*addr, val) and reports
 // whether it strictly decreased the stored value.
 func WriteMinUint64(addr *uint64, val uint64) bool {

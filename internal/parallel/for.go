@@ -1,7 +1,7 @@
 // Package parallel provides the fork-join primitives that every other
 // package in this repository is built on: parallel loops, reductions,
 // prefix sums (scan), filtering/packing, histograms, and the atomic
-// writeMin/writeMax primitives from the paper's preliminaries (§2).
+// writeMin primitive from the paper's preliminaries (§2).
 //
 // The model is the classic work-depth model: a parallel loop over n
 // items splits the index space into contiguous blocks of at least
@@ -54,26 +54,6 @@ func blocks(n, grain int) (nb, size, p int) {
 	return (n + size - 1) / size, size, p
 }
 
-// Blocked runs body(lo, hi) over contiguous blocks covering [0, n) in
-// parallel; see blocks for the decomposition.
-//
-// A panic in body is contained: every block finishes, and a single
-// wrapped *PanicError re-raises on the caller (see panics.go for the
-// contract).
-func Blocked(n, grain int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	nb, size, p := blocks(n, grain)
-	if nb == 1 {
-		defer rewrapPanic()
-		inline()
-		body(0, n)
-		return
-	}
-	run(nb, p, func(_, c int) { body(c*size, min((c+1)*size, n)) })
-}
-
 // For runs body(i) for every i in [0, n) in parallel with the given grain.
 // The sequential case returns before the block-adapter closure literal is
 // evaluated, so single-threaded callers pay no allocation for it.
@@ -97,33 +77,14 @@ func For(n, grain int, body func(i int)) {
 	})
 }
 
-// Do runs each of the given thunks, in parallel when GOMAXPROCS allows.
-// It is the binary/n-ary fork-join used for divide-and-conquer helpers.
-// Every thunk runs even if an earlier one panics; the first panic
-// surfaces only after every thunk has finished.
-func Do(thunks ...func()) {
-	if len(thunks) == 0 {
-		return
-	}
-	if p := Procs(); p > 1 && len(thunks) > 1 {
-		run(len(thunks), p, func(_, c int) { thunks[c]() })
-		return
-	}
-	defer rewrapPanic()
-	inline()
-	var pc panicCatcher
-	for _, t := range thunks {
-		pc.protect(t)
-	}
-	pc.rethrow()
-}
-
 // Workers runs body(worker, lo, hi) over contiguous blocks covering
 // [0, n) on at most `workers` participants (WorkersFor sizes that from
-// the region's work, not from n). Unlike Blocked it passes a stable
-// worker index below `workers`, which callers use to give each
-// participant a private buffer; one worker may be handed several
-// blocks, in no particular order.
+// the region's work, not from n). It passes a stable worker index below
+// `workers`, which callers use to give each participant a private
+// buffer; one worker may be handed several blocks, in no particular
+// order. A panic in body is contained: every block finishes, and a
+// single wrapped *PanicError re-raises on the caller (see panics.go for
+// the contract).
 func Workers(n, workers int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return

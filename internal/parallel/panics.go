@@ -87,19 +87,3 @@ func (pc *panicCatcher) recoverPanic() {
 		pc.first.CompareAndSwap(nil, wrapPanic(v))
 	}
 }
-
-// protect runs f on the current goroutine under the same capture the
-// chunks of a forked region get; Do's inline path applies it to every
-// thunk so that all of them run before any panic resurfaces.
-func (pc *panicCatcher) protect(f func()) {
-	defer pc.recoverPanic()
-	f()
-}
-
-// rethrow re-raises the captured panic, if any, on the calling
-// goroutine, once everything that could still capture one is done.
-func (pc *panicCatcher) rethrow() {
-	if pe := pc.first.Load(); pe != nil {
-		panic(pe)
-	}
-}

@@ -98,16 +98,15 @@ func TestPanicErrorUnwrapNonError(t *testing.T) {
 func TestPanicNotDoubleWrapped(t *testing.T) {
 	defer harness.LeakCheck(t)()
 	pe := recoverPanicError(t, func() {
-		parallel.Do(
-			func() {
+		parallel.For(2, 1, func(outer int) {
+			if outer == 0 {
 				parallel.For(1000, 1, func(i int) {
 					if i == 500 {
 						panic("inner")
 					}
 				})
-			},
-			func() {},
-		)
+			}
+		})
 	})
 	if pe.Value != "inner" {
 		t.Errorf("Value = %v (%T), want the innermost panic value", pe.Value, pe.Value)
@@ -126,23 +125,26 @@ func TestMultiplePanicsSingleRethrow(t *testing.T) {
 	}
 }
 
-// TestDoInlineThunkPanicJoinsWorkers: Do runs thunks[0] on the caller;
-// a panic there must still wait for the spawned thunks before
-// re-raising, so their effects are visible afterwards.
-func TestDoInlineThunkPanicJoinsWorkers(t *testing.T) {
+// TestPanicJoinsOtherChunks: a forked region whose first chunk panics
+// still waits for its other chunk before re-raising, so that chunk's
+// effects are visible afterwards.
+func TestPanicJoinsOtherChunks(t *testing.T) {
 	defer harness.LeakCheck(t)()
+	defer parallel.SetProcs(parallel.SetProcs(2))
 	var other atomic.Bool
 	pe := recoverPanicError(t, func() {
-		parallel.Do(
-			func() { panic("inline") },
-			func() { other.Store(true) },
-		)
+		parallel.Workers(2, 2, func(_, lo, _ int) {
+			if lo == 0 {
+				panic("first")
+			}
+			other.Store(true)
+		})
 	})
-	if pe.Value != "inline" {
-		t.Errorf("Value = %v, want the inline thunk's panic", pe.Value)
+	if pe.Value != "first" {
+		t.Errorf("Value = %v, want the first chunk's panic", pe.Value)
 	}
 	if !other.Load() {
-		t.Errorf("spawned thunk did not complete before the re-raise")
+		t.Errorf("the other chunk did not complete before the re-raise")
 	}
 }
 
@@ -219,13 +221,6 @@ func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 		{"For", n, func(cb func()) {
 			parallel.For(n, 1, func(i int) { cb() })
 		}},
-		{"Blocked", n, func(cb func()) {
-			parallel.Blocked(n, 1, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					cb()
-				}
-			})
-		}},
 		{"Workers", n, func(cb func()) {
 			parallel.Workers(n, parallel.Procs(), func(w, lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -235,13 +230,19 @@ func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 		}},
 		// Scan takes no user callback, so its deferred release cannot be
 		// unwound by user code directly (the chaos harness injects panics
-		// inside its workers instead). Here a sibling thunk panics while
-		// it holds scratch, checking the panic joins it and the balance
-		// holds; cb fires once per run.
+		// inside its workers instead). Here a sibling chunk panics while
+		// the Scan holds scratch, checking the panic joins it and the
+		// balance holds; cb fires once per run.
 		{"Scan", 1, func(cb func()) {
 			dst := make([]uint32, n)
 			src := make([]uint32, n)
-			parallel.Do(func() { parallel.Scan(dst, src) }, cb)
+			parallel.For(2, 1, func(i int) {
+				if i == 0 {
+					parallel.Scan(dst, src)
+				} else {
+					cb()
+				}
+			})
 		}},
 		{"Filter", n, func(cb func()) {
 			parallel.Filter(in, func(v uint32) bool { cb(); return v%2 == 0 })

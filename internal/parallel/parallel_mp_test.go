@@ -19,11 +19,13 @@ func withProcs(t *testing.T, p int, f func()) {
 	f()
 }
 
+// TestBlockedParallelPath: at P=4 the blocks Workers hands out cover
+// every index once.
 func TestBlockedParallelPath(t *testing.T) {
 	withProcs(t, 4, func() {
 		for _, n := range []int{1, 7, 4096, 100001} {
 			hits := make([]int32, n)
-			Blocked(n, 64, func(lo, hi int) {
+			Workers(n, 4, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -37,14 +39,10 @@ func TestBlockedParallelPath(t *testing.T) {
 	})
 }
 
-func TestDoParallelPath(t *testing.T) {
+func TestForOneItemPerBlock(t *testing.T) {
 	withProcs(t, 4, func() {
 		var count int32
-		Do(
-			func() { atomic.AddInt32(&count, 1) },
-			func() { atomic.AddInt32(&count, 2) },
-			func() { atomic.AddInt32(&count, 4) },
-		)
+		For(3, 1, func(i int) { atomic.AddInt32(&count, 1<<i) })
 		if count != 7 {
 			t.Fatalf("count=%d", count)
 		}
@@ -138,25 +136,6 @@ func TestFilterParallelPath(t *testing.T) {
 		for i, v := range got {
 			if v != i*5 {
 				t.Fatalf("got[%d]=%d (order broken)", i, v)
-			}
-		}
-	})
-}
-
-func TestScanInclusiveParallelPath(t *testing.T) {
-	withProcs(t, 4, func() {
-		n := 60000
-		src := make([]int64, n)
-		for i := range src {
-			src[i] = 1
-		}
-		dst := make([]int64, n)
-		if total := ScanInclusive(dst, src); total != int64(n) {
-			t.Fatalf("total=%d", total)
-		}
-		for i := range dst {
-			if dst[i] != int64(i+1) {
-				t.Fatalf("dst[%d]=%d", i, dst[i])
 			}
 		}
 	})

@@ -21,10 +21,12 @@ func TestForCoversAllIndices(t *testing.T) {
 	}
 }
 
+// The blocked decomposition: the blocks Workers hands out are
+// non-empty, inside [0, n), and cover every index once.
 func TestBlockedCoversDisjointRanges(t *testing.T) {
 	for _, n := range []int{1, 5, 1000, 4096, 12345} {
 		hits := make([]int32, n)
-		Blocked(n, 100, func(lo, hi int) {
+		Workers(n, Procs(), func(_, lo, hi int) {
 			if lo < 0 || hi > n || lo >= hi {
 				t.Errorf("bad block [%d,%d) for n=%d", lo, hi, n)
 			}
@@ -42,24 +44,12 @@ func TestBlockedCoversDisjointRanges(t *testing.T) {
 
 func TestBlockedEmptyAndNegative(t *testing.T) {
 	called := false
-	Blocked(0, 10, func(lo, hi int) { called = true })
-	Blocked(-5, 10, func(lo, hi int) { called = true })
+	For(0, 10, func(int) { called = true })
+	For(-5, 10, func(int) { called = true })
+	Workers(0, 2, func(_, _, _ int) { called = true })
+	Workers(-5, 2, func(_, _, _ int) { called = true })
 	if called {
-		t.Fatal("Blocked called body for empty range")
-	}
-}
-
-func TestDoRunsAllThunks(t *testing.T) {
-	var count int32
-	Do()
-	Do(func() { atomic.AddInt32(&count, 1) })
-	Do(
-		func() { atomic.AddInt32(&count, 1) },
-		func() { atomic.AddInt32(&count, 1) },
-		func() { atomic.AddInt32(&count, 1) },
-	)
-	if count != 4 {
-		t.Fatalf("Do ran %d thunks, want 4", count)
+		t.Fatal("a blocked loop called its body for an empty range")
 	}
 }
 
@@ -106,8 +96,9 @@ func TestReduceMaxMin(t *testing.T) {
 	if got := Max(len(xs), 2, func(i int) int { return xs[i] }); got != 9 {
 		t.Fatalf("Max=%d want 9", got)
 	}
-	if got := Min(len(xs), 2, func(i int) int { return xs[i] }); got != -2 {
-		t.Fatalf("Min=%d want -2", got)
+	if got := Reduce(len(xs), 2, xs[0], func(i int) int { return xs[i] },
+		func(a, b int) int { return min(a, b) }); got != -2 {
+		t.Fatalf("min reduction=%d want -2", got)
 	}
 }
 
@@ -117,11 +108,14 @@ func TestCountAndAny(t *testing.T) {
 	if got := Count(n, 0, even); got != n/2 {
 		t.Fatalf("Count=%d want %d", got, n/2)
 	}
-	if !Any(n, 0, func(i int) bool { return i == n-1 }) {
-		t.Fatal("Any missed the last index")
+	anyOf := func(pred func(i int) bool) bool {
+		return Reduce(n, 0, false, pred, func(a, b bool) bool { return a || b })
 	}
-	if Any(n, 0, func(i int) bool { return false }) {
-		t.Fatal("Any reported a hit on a false predicate")
+	if !anyOf(func(i int) bool { return i == n-1 }) {
+		t.Fatal("or-reduction missed the last index")
+	}
+	if anyOf(func(i int) bool { return false }) {
+		t.Fatal("or-reduction reported a hit on a false predicate")
 	}
 }
 
@@ -168,31 +162,6 @@ func TestScanInPlace(t *testing.T) {
 	for i := range src {
 		if src[i] != want[i] {
 			t.Fatalf("src[%d]=%d want %d", i, src[i], want[i])
-		}
-	}
-}
-
-func TestScanInclusive(t *testing.T) {
-	src := []int{1, 2, 3, 4}
-	dst := make([]int, 4)
-	total := ScanInclusive(dst, src)
-	want := []int{1, 3, 6, 10}
-	if total != 10 {
-		t.Fatalf("total=%d want 10", total)
-	}
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("dst[%d]=%d want %d", i, dst[i], want[i])
-		}
-	}
-	// Aliased form.
-	total = ScanInclusive(src, src)
-	if total != 10 {
-		t.Fatalf("aliased total=%d want 10", total)
-	}
-	for i := range src {
-		if src[i] != want[i] {
-			t.Fatalf("aliased src[%d]=%d want %d", i, src[i], want[i])
 		}
 	}
 }
@@ -324,16 +293,6 @@ func TestWriteMinConcurrent(t *testing.T) {
 	}
 	if successes < 1 {
 		t.Fatal("no successful writeMin")
-	}
-}
-
-func TestWriteMaxUint32(t *testing.T) {
-	var x uint32 = 10
-	if !WriteMaxUint32(&x, 20) || x != 20 {
-		t.Fatalf("WriteMax failed: x=%d", x)
-	}
-	if WriteMaxUint32(&x, 5) || x != 20 {
-		t.Fatalf("WriteMax decreased value: x=%d", x)
 	}
 }
 

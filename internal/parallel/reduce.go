@@ -76,26 +76,3 @@ func Max[T Number](n, grain int, f func(i int) T) T {
 		return b
 	})
 }
-
-// Min returns the minimum of f(i) over [0, n); n must be positive.
-func Min[T Number](n, grain int, f func(i int) T) T {
-	if n <= 0 {
-		panic("parallel: Min over empty range")
-	}
-	return Reduce(n, grain, f(0), f, func(a, b T) T {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
-// Any reports whether pred(i) holds for at least one i in [0, n).
-// It does not short-circuit across blocks (the loops it guards are cheap),
-// but it does short-circuit within each block.
-func Any(n, grain int, pred func(i int) bool) bool {
-	found := Reduce(n, grain, false,
-		func(i int) bool { return pred(i) },
-		func(a, b bool) bool { return a || b })
-	return found
-}

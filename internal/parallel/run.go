@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the scheduling core: the one fork-join implementation
-// under Blocked, For, Do, Workers and, through them, every sequence
-// primitive of the package.
+// under For, Workers and, through them, every sequence primitive of the
+// package.
 //
 // A region is a job of nChunks chunks claimed off one atomic counter.
 // The calling goroutine is worker 0 and claims chunks like everyone

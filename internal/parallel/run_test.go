@@ -59,18 +59,8 @@ func entryPoints() []entryPoint {
 		return func(v uint32) bool { hook(); return v%2 == 0 }
 	}
 	return []entryPoint{
-		{"Blocked", true, func(hook func()) {
-			parallel.Blocked(tableN, 64, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					hook()
-				}
-			})
-		}},
 		{"For", true, func(hook func()) {
 			parallel.For(tableN, 64, func(int) { hook() })
-		}},
-		{"Do", true, func(hook func()) {
-			parallel.Do(hook, hook, hook, hook, hook, hook, hook, hook)
 		}},
 		{"Workers", true, func(hook func()) {
 			parallel.Workers(tableN, 4, func(_, lo, hi int) {
@@ -83,7 +73,6 @@ func entryPoints() []entryPoint {
 			parallel.Sum(tableN, 64, func(i int) int64 { hook(); return int64(i) })
 		}},
 		{"Scan", false, func(func()) { parallel.Scan(dst, in) }},
-		{"ScanInclusive", false, func(func()) { parallel.ScanInclusive(dst, in) }},
 		{"Filter", true, func(hook func()) { parallel.Filter(in, even(hook)) }},
 		{"FilterInto", true, func(hook func()) { parallel.FilterInto(buf, in, even(hook)) }},
 		{"FilterAppend", true, func(hook func()) { parallel.FilterAppend(buf[:0], in, even(hook)) }},
@@ -176,25 +165,21 @@ func panicOn(t *testing.T, ep entryPoint, onHelper bool) {
 	checkScratchBalanced(t)
 }
 
-// TestNestedRegions: For inside Workers inside Do. Every index of every
+// TestNestedRegions: For inside Workers inside For. Every index of every
 // inner loop is visited exactly once, whoever ends up running it.
 func TestNestedRegions(t *testing.T) {
 	defer harness.LeakCheck(t)()
-	const thunks, n, inner = 4, 64, 512
+	const outer, n, inner = 4, 64, 512
 	atProcs(4, func() {
-		hits := make([]int32, thunks*n*inner)
-		var fs []func()
-		for d := 0; d < thunks; d++ {
-			fs = append(fs, func() {
-				parallel.Workers(n, 4, func(_, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						base := (d*n + i) * inner
-						parallel.For(inner, 32, func(k int) { atomic.AddInt32(&hits[base+k], 1) })
-					}
-				})
+		hits := make([]int32, outer*n*inner)
+		parallel.For(outer, 1, func(d int) {
+			parallel.Workers(n, 4, func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					base := (d*n + i) * inner
+					parallel.For(inner, 32, func(k int) { atomic.AddInt32(&hits[base+k], 1) })
+				}
 			})
-		}
-		parallel.Do(fs...)
+		})
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("index %d visited %d times", i, h)

@@ -67,13 +67,3 @@ func SortByKey[T any](items []T, key func(T) uint64) []T {
 	}
 	return items
 }
-
-// IsSortedByKey reports whether items are ascending by key.
-func IsSortedByKey[T any](items []T, key func(T) uint64) bool {
-	for i := 1; i < len(items); i++ {
-		if key(items[i-1]) > key(items[i]) {
-			return false
-		}
-	}
-	return true
-}

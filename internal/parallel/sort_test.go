@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 func TestSortByKeyBasic(t *testing.T) {
 	xs := []uint64{5, 3, 9, 3, 0, 1 << 40, 7}
 	SortByKey(xs, func(x uint64) uint64 { return x })
-	if !IsSortedByKey(xs, func(x uint64) uint64 { return x }) {
+	if !slices.IsSorted(xs) {
 		t.Fatalf("not sorted: %v", xs)
 	}
 	if xs[0] != 0 || xs[6] != 1<<40 {
@@ -70,7 +71,7 @@ func TestSortByKeyRandomSizes(t *testing.T) {
 			sum += xs[i]
 		}
 		SortByKey(xs, func(x uint64) uint64 { return x })
-		if !IsSortedByKey(xs, func(x uint64) uint64 { return x }) {
+		if !slices.IsSorted(xs) {
 			t.Fatalf("n=%d not sorted", n)
 		}
 		var sum2 uint64
@@ -87,7 +88,7 @@ func TestSortByKeyProperty(t *testing.T) {
 	f := func(raw []uint32) bool {
 		xs := append([]uint32(nil), raw...)
 		SortByKey(xs, func(x uint32) uint64 { return uint64(x) })
-		if !IsSortedByKey(xs, func(x uint32) uint64 { return uint64(x) }) {
+		if !slices.IsSorted(xs) {
 			return false
 		}
 		// Multiset preserved.
@@ -119,7 +120,7 @@ func TestSortByKeyParallelPath(t *testing.T) {
 			xs[i] = r.Uint64()
 		}
 		SortByKey(xs, func(x uint64) uint64 { return x })
-		if !IsSortedByKey(xs, func(x uint64) uint64 { return x }) {
+		if !slices.IsSorted(xs) {
 			t.Fatal("parallel sort failed")
 		}
 	})

@@ -54,9 +54,6 @@ func At(seed, i uint64) uint64 {
 // readability at call sites that mix widths).
 func (r *SplitMix64) Uint64() uint64 { return r.Next() }
 
-// Uint32 returns the next value truncated to 32 bits.
-func (r *SplitMix64) Uint32() uint32 { return uint32(r.Next() >> 32) }
-
 // UintN returns a uniform value in [0, n). n must be positive.
 // It uses Lemire's multiply-shift reduction, which is unbiased enough for
 // workload generation (the bias is < 2^-32 for the n used here).
@@ -95,11 +92,6 @@ func UintNAt(seed, i, n uint64) uint64 {
 		panic("rng: UintNAt(0)")
 	}
 	return mulHi(At(seed, i), n)
-}
-
-// Float64At is the stateless counterpart of Float64.
-func Float64At(seed, i uint64) float64 {
-	return float64(At(seed, i)>>11) / (1 << 53)
 }
 
 // mulHi returns the high 64 bits of x*n, i.e. floor(x*n / 2^64), which maps

@@ -117,15 +117,6 @@ func TestUintNAtInRange(t *testing.T) {
 	}
 }
 
-func TestFloat64At(t *testing.T) {
-	for i := uint64(0); i < 1000; i++ {
-		f := Float64At(5, i)
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float64At = %v out of [0,1)", f)
-		}
-	}
-}
-
 func TestHash64Bijective(t *testing.T) {
 	// mix is bijective, so no collisions among distinct small inputs.
 	seen := map[uint64]bool{}
@@ -153,9 +144,7 @@ func TestPanicBranches(t *testing.T) {
 	mustPanic("UintNAt(0)", func() { UintNAt(1, 2, 0) })
 }
 
-func TestUint32AndUint64Aliases(t *testing.T) {
-	r := New(9)
-	_ = r.Uint32()
+func TestUint64AliasesNext(t *testing.T) {
 	a, b := New(5), New(5)
 	if a.Uint64() != b.Next() {
 		t.Fatal("Uint64 alias differs from Next")
