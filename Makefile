@@ -1,9 +1,10 @@
 # Developer targets for the julienne repository. `make check` is the
 # CI gate: build + full tests, go vet under every build-tag set,
 # race-testing the concurrency-sensitive packages (the facade's shared
-# graph and recorder, the parallel substrate and its helper pool,
-# bucket structure, algorithms, Ligra layer, obs recorder, leak
-# checker, the serving layer) including a short property-test pass, the 32-bit test run, and the julienne_debug
+# graph and recorder, the parallel substrate and its helper pool, the
+# graph build and the generators, bucket structure, algorithms, Ligra
+# layer, obs recorder, leak checker, the serving layer) including a
+# short property-test pass, the 32-bit test run, and the julienne_debug
 # build with invariant assertions compiled in.
 
 GO ?= go
@@ -48,6 +49,7 @@ lint: vet fmt
 # every Recorder path from concurrent kernels while scraping the ring.
 race:
 	$(GO) test -race -short . ./internal/parallel/... ./internal/harness/... \
+		./internal/graph/... ./internal/gen/... \
 		./internal/bucket/... ./internal/obs/... \
 		./internal/algo/... ./internal/ligra/... ./internal/proptest/... \
 		./internal/bench/... ./internal/serve/...

@@ -8,7 +8,7 @@
 //	julienne setcover [-impl julienne|pbbs|greedy] [-sets S] [-elements E] [-cover C]
 //	                  [-epsilon 0.01] [-file F] [-seed N]
 //	julienne densest  [-impl charikar|batch] [-epsilon 0.1]
-//	julienne gen      -out graph.bin
+//	julienne gen      -out graph.bin   (prints the build time)
 //
 // All but setcover take the graph flags (-file, or -gen with -n, -m,
 // -rows, -cols, -seed, -symmetric; and -weights); all but gen take
@@ -68,7 +68,8 @@ var commands = map[string]command{
 // invalid or cannot be written.
 type runner struct {
 	impl    string
-	g       *graph.CSR // nil without the graph flags
+	g       *graph.CSR    // nil without the graph flags
+	built   time.Duration // how long building or loading g took
 	out     io.Writer
 	rec     *obs.Recorder
 	timeout time.Duration
@@ -137,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var err error
 	if gf != nil {
-		if r.g, err = gf.Build(); err != nil {
+		if r.built = harness.Time(func() { r.g, err = gf.Build() }); err != nil {
 			return fail(2, err)
 		}
 	}
@@ -369,7 +370,7 @@ func densestCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 }
 
 // genCmd writes the graph to -out in Ligra text (.adj/.txt) or binary
-// format.
+// format, and says how long building it took.
 func genCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 	out := fs.String("out", "", "output path (.adj/.txt = Ligra text, else binary)")
 	return func(r *runner) error {
@@ -379,7 +380,7 @@ func genCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 		if err := graphio.SaveFile(*out, r.g); err != nil {
 			return err
 		}
-		fmt.Fprintf(r.out, "wrote %s: %s\n", *out, cli.Describe(r.g))
+		fmt.Fprintf(r.out, "wrote %s: %s build=%v\n", *out, cli.Describe(r.g), r.built)
 		return nil
 	}
 }

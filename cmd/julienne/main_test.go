@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"julienne/internal/cli"
 	"julienne/internal/graphio"
@@ -129,20 +130,24 @@ func TestErrorExitCodes(t *testing.T) {
 }
 
 // TestGenRoundTrip: gen writes a file that loads back as the graph it
-// describes, in both formats.
+// describes, in both formats, and says how long the build took.
 func TestGenRoundTrip(t *testing.T) {
 	for _, name := range []string{"g.adj", "g.bin"} {
 		path := filepath.Join(t.TempDir(), name)
 		code, out, errOut := runArgs(with([]string{"gen", "-out", path}, rmatArgs...)...)
-		described, ok := strings.CutPrefix(out, "wrote "+path+": ")
-		if code != 0 || !ok {
+		line, ok := strings.CutPrefix(out, "wrote "+path+": ")
+		described, built, timed := strings.Cut(strings.TrimSuffix(line, "\n"), " build=")
+		if code != 0 || !ok || !timed {
 			t.Fatalf("%s: exit %d, stdout %q\n%s", name, code, out, errOut)
+		}
+		if d, err := time.ParseDuration(built); err != nil || d <= 0 {
+			t.Errorf("%s: build=%q is not a positive duration", name, built)
 		}
 		g, err := graphio.LoadFile(path, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := cli.Describe(g) + "\n"; got != described {
+		if got := cli.Describe(g); got != described {
 			t.Errorf("%s: loaded %q, wrote %q", name, got, described)
 		}
 	}

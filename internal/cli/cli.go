@@ -42,7 +42,8 @@ func Register(fs *flag.FlagSet) *GraphFlags {
 
 // Build constructs the graph the flags describe. Every flag is checked
 // before any generator runs, and an error names the flag at fault: the
-// generators panic or loop forever on input outside their domain.
+// generators panic, or return a degenerate graph, on input outside
+// their domain.
 func (gf *GraphFlags) Build() (*graph.CSR, error) {
 	var lo, hi graph.Weight
 	if w := *gf.Weights; w != "" && w != "log" && w != "heavy" {

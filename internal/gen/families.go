@@ -34,8 +34,10 @@ func Families() []Family {
 			Build: func(n, m int, seed uint64) *graph.CSR { return ErdosRenyi(n, m, false, seed) }},
 		{Name: "erdos-renyi-sym", Symmetric: true,
 			Build: func(n, m int, seed uint64) *graph.CSR { return ErdosRenyi(n, m, true, seed) }},
-		{Name: "rmat", Symmetric: false, Build: buildRMAT(false)},
-		{Name: "rmat-sym", Symmetric: true, Build: buildRMAT(true)},
+		{Name: "rmat", Symmetric: false,
+			Build: func(n, m int, seed uint64) *graph.CSR { return RMAT(n, m, false, seed) }},
+		{Name: "rmat-sym", Symmetric: true,
+			Build: func(n, m int, seed uint64) *graph.CSR { return RMAT(n, m, true, seed) }},
 		{Name: "chung-lu", Symmetric: false,
 			Build: func(n, m int, seed uint64) *graph.CSR { return ChungLu(n, m, 2.5, false, seed) }},
 		{Name: "chung-lu-sym", Symmetric: true,
@@ -77,8 +79,7 @@ func Families() []Family {
 			}},
 	}
 	// Normalize the n = 0 corner uniformly: several generators would
-	// otherwise reject-sample forever or panic drawing from an empty
-	// vertex range.
+	// otherwise panic drawing from an empty vertex range.
 	for i := range fams {
 		fams[i].Build = emptyGuard(fams[i].Build, fams[i].Symmetric)
 	}
@@ -94,18 +95,6 @@ func emptyGuard(build func(n, m int, seed uint64) *graph.CSR, symmetric bool) fu
 			return graph.FromEdges(0, nil, opt)
 		}
 		return build(n, m, seed)
-	}
-}
-
-// buildRMAT adapts RMAT, which loops until it accepts m in-range edges
-// and so would spin forever on n < 2 (every sample is rejected as a
-// self-loop or out of range).
-func buildRMAT(symmetric bool) func(n, m int, seed uint64) *graph.CSR {
-	return func(n, m int, seed uint64) *graph.CSR {
-		if n < 2 {
-			return ErdosRenyi(n, 0, symmetric, seed)
-		}
-		return RMAT(n, m, symmetric, seed)
 	}
 }
 

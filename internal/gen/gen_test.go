@@ -76,6 +76,39 @@ func TestRMATSkew(t *testing.T) {
 	}
 }
 
+// RMAT on fewer than two vertices has no edge to accept (every sample
+// is a self-loop or out of range), so it returns the edgeless graph at
+// once instead of sampling forever.
+func TestRMATTinyNIsEdgeless(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		for _, m := range []int{0, 5, 1 << 20} {
+			for _, sym := range []bool{false, true} {
+				g := RMAT(n, m, sym, 1)
+				validOrFatal(t, g)
+				if g.NumVertices() != n || g.NumEdges() != 0 || g.Symmetric() != sym {
+					t.Fatalf("RMAT(%d, %d, %v): n=%d m=%d symmetric=%v", n, m, sym,
+						g.NumVertices(), g.NumEdges(), g.Symmetric())
+				}
+			}
+		}
+	}
+}
+
+// The integer quadrant thresholds split the 53-bit draws exactly where
+// the float test Float64() < t does, for the three sums the sampler
+// compares against (untyped constants, rounded once, as in that test).
+func TestRMATCutsMatchFloatTest(t *testing.T) {
+	const a, b, c = 0.57, 0.19, 0.19
+	for i, th := range []float64{a, a + b, a + b + c} {
+		cut := rmatCuts[i]
+		for y := cut - 2; y <= cut+1; y++ {
+			if float := float64(y)/(1<<53) < th; float != (y < cut) {
+				t.Errorf("threshold %v: y=%d float test %v, integer test %v", th, y, float, y < cut)
+			}
+		}
+	}
+}
+
 func TestChungLu(t *testing.T) {
 	g := ChungLu(4000, 30000, 2.3, true, 5)
 	validOrFatal(t, g)

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"julienne/internal/parallel"
 )
@@ -37,6 +38,14 @@ var DefaultBuild = BuildOptions{DropSelfLoops: true, Dedup: true}
 // The input slice is not modified. Adjacency lists come out sorted by
 // neighbor id, which Dedup requires and which makes traversal order
 // deterministic everywhere else.
+//
+// The entries sorted are the edges in input order, each followed by its
+// reverse when symmetrizing, self-loops dropped if asked. Two stable
+// counting sorts put them in (source, target) order, duplicates in
+// input order: one by target into per-target buckets that keep only
+// the source (and weight), then one by source that walks those buckets
+// in target order and scatters straight into the CSR arrays. Work
+// O(m + P·n), with length-(n+1) histograms, one per block.
 func FromEdges(n int, edges []Edge, opt BuildOptions) *CSR {
 	for _, e := range edges {
 		if int(e.U) >= n || int(e.V) >= n {
@@ -46,47 +55,164 @@ func FromEdges(n int, edges []Edge, opt BuildOptions) *CSR {
 			panic(fmt.Sprintf("graph: negative weight %d on edge (%d,%d)", e.W, e.U, e.V))
 		}
 	}
-	work := make([]Edge, 0, len(edges)*2)
-	for _, e := range edges {
-		if opt.DropSelfLoops && e.U == e.V {
-			continue
-		}
-		work = append(work, e)
-		if opt.Symmetrize && e.U != e.V {
-			work = append(work, Edge{U: e.V, V: e.U, W: e.W})
-		}
-	}
+	nb := parallel.WorkersFor(int64(len(edges)))
 
-	// Sort by (U, V) to get sorted adjacency lists; the radix sort is
-	// stable, so deduping keeps the first duplicate (and its weight).
-	parallel.SortByKey(work, func(e Edge) uint64 {
-		return uint64(e.U)<<32 | uint64(e.V)
+	// Pass 1, by target: bucket v holds the sources of the entries
+	// (·, v) in input order.
+	block := func(b, total int) (int, int) { return b * total / nb, (b + 1) * total / nb }
+	// One histogram of n+1 counters per block; the last stays 0, so an
+	// exclusive scan ends in the total.
+	hist := make([][]uint64, nb)
+	for b := range hist {
+		hist[b] = make([]uint64, n+1)
+	}
+	parallel.For(nb, 1, func(b int) {
+		h := hist[b]
+		lo, hi := block(b, len(edges))
+		for _, e := range edges[lo:hi] {
+			switch {
+			case e.U != e.V && opt.Symmetrize:
+				h[e.U]++
+				h[e.V]++
+			case e.U != e.V || !opt.DropSelfLoops:
+				h[e.V]++
+			}
+		}
 	})
-	if opt.Dedup {
-		work = slices.CompactFunc(work, func(a, b Edge) bool {
-			return a.U == b.U && a.V == b.V
-		})
+	byTarget, total := cursors(hist)
+	src := make([]Vertex, total)
+	var srcW []Weight
+	if opt.Weighted {
+		srcW = make([]Weight, total)
 	}
+	parallel.For(nb, 1, func(b int) {
+		next := hist[b]
+		put := func(u, v Vertex, w Weight) {
+			i := next[v]
+			next[v]++
+			src[i] = u
+			if srcW != nil {
+				srcW[i] = w
+			}
+		}
+		lo, hi := block(b, len(edges))
+		for _, e := range edges[lo:hi] {
+			if e.U == e.V && opt.DropSelfLoops {
+				continue
+			}
+			put(e.U, e.V, e.W)
+			if e.U != e.V && opt.Symmetrize {
+				put(e.V, e.U, e.W)
+			}
+		}
+	})
 
-	m := len(work)
-	counts := make([]uint64, n+1)
-	for _, e := range work {
-		counts[e.U]++
+	// Pass 2, by source: walking the target buckets in order appends
+	// each source's neighbors already sorted.
+	for _, h := range hist {
+		clear(h)
 	}
-	offsets := make([]uint64, n+1)
-	parallel.Scan(offsets, counts)
-	edg := make([]Vertex, m)
+	parallel.For(nb, 1, func(b int) {
+		h := hist[b]
+		lo, hi := block(b, int(total))
+		for _, u := range src[lo:hi] {
+			h[u]++
+		}
+	})
+	offsets, _ := cursors(hist)
+	edg := make([]Vertex, total)
 	var wgt []Weight
 	if opt.Weighted {
-		wgt = make([]Weight, m)
+		wgt = make([]Weight, total)
 	}
-	parallel.For(m, parallel.DefaultGrain, func(i int) {
-		edg[i] = work[i].V
-		if wgt != nil {
-			wgt[i] = work[i].W
+	parallel.For(nb, 1, func(b int) {
+		next := hist[b]
+		lo, hi := block(b, int(total))
+		// v is the target bucket holding position lo.
+		v := sort.Search(n, func(x int) bool { return byTarget[x+1] > uint64(lo) })
+		for i := lo; i < hi; i++ {
+			for byTarget[v+1] <= uint64(i) {
+				v++
+			}
+			u := src[i]
+			j := next[u]
+			next[u]++
+			edg[j] = Vertex(v)
+			if wgt != nil {
+				wgt[j] = srcW[i]
+			}
 		}
 	})
+	src, srcW, hist = nil, nil, nil // collectable before dedup allocates
+	if opt.Dedup {
+		offsets, edg, wgt = dedup(n, offsets, edg, wgt)
+	}
 	return NewCSR(n, offsets, edg, wgt, opt.Symmetrize)
+}
+
+// cursors turns per-block key histograms into stable scatter cursors:
+// afterwards hist[b][k] is where block b writes its first entry with
+// key k, after every entry of a smaller key and every entry of key k
+// in an earlier block. It returns the bucket starts (starts[k] is the
+// first slot of key k, starts[n] the total) and the total.
+func cursors(hist [][]uint64) ([]uint64, uint64) {
+	starts := make([]uint64, len(hist[0]))
+	parallel.For(len(starts), parallel.DefaultGrain, func(k int) {
+		var s uint64
+		for _, h := range hist {
+			s += h[k]
+		}
+		starts[k] = s
+	})
+	total := parallel.Scan(starts, starts)
+	parallel.For(len(starts), parallel.DefaultGrain, func(k int) {
+		run := starts[k]
+		for _, h := range hist {
+			h[k], run = run, run+h[k]
+		}
+	})
+	return starts, total
+}
+
+// dedup drops repeated neighbors from every adjacency list, which the
+// sort leaves adjacent, keeping the first one and its weight. The
+// arrays are compacted only if something was dropped.
+func dedup(n int, offsets []uint64, edg []Vertex, wgt []Weight) ([]uint64, []Vertex, []Weight) {
+	deg := make([]uint64, n+1)
+	parallel.For(n, 64, func(u int) {
+		lo, hi := offsets[u], offsets[u+1]
+		if lo == hi {
+			return
+		}
+		w := lo + 1
+		for i := lo + 1; i < hi; i++ {
+			if edg[i] != edg[w-1] {
+				edg[w] = edg[i]
+				if wgt != nil {
+					wgt[w] = wgt[i]
+				}
+				w++
+			}
+		}
+		deg[u] = w - lo
+	})
+	m := parallel.Scan(deg, deg)
+	if m == uint64(len(edg)) {
+		return offsets, edg, wgt
+	}
+	outEdg := make([]Vertex, m)
+	var outWgt []Weight
+	if wgt != nil {
+		outWgt = make([]Weight, m)
+	}
+	parallel.For(n, 64, func(u int) {
+		lo, k := offsets[u], deg[u+1]-deg[u]
+		copy(outEdg[deg[u]:deg[u+1]], edg[lo:lo+k])
+		if wgt != nil {
+			copy(outWgt[deg[u]:deg[u+1]], wgt[lo:lo+k])
+		}
+	})
+	return deg, outEdg, outWgt
 }
 
 // Symmetrized returns the undirected version of g: every directed edge

@@ -268,8 +268,8 @@ func TestIsolatedVertices(t *testing.T) {
 	}
 }
 
-// TestFromEdgesPropertyVsMapOracle cross-checks the CSR builder (radix
-// sort + dedup + symmetrize) against a naive adjacency-map oracle on
+// TestFromEdgesPropertyVsMapOracle cross-checks the CSR builder
+// (counting sorts + dedup + symmetrize) against a naive adjacency-map oracle on
 // random edge lists.
 func TestFromEdgesPropertyVsMapOracle(t *testing.T) {
 	f := func(raw []uint16, symmetrize bool) bool {

@@ -259,10 +259,6 @@ func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 		{"Reduce", n, func(cb func()) {
 			parallel.Sum(n, 1, func(i int) int64 { cb(); return int64(i) })
 		}},
-		{"SortByKey", n, func(cb func()) {
-			tmp := append([]uint32(nil), in...)
-			parallel.SortByKey(tmp, func(v uint32) uint64 { cb(); return uint64(v ^ 0x5a5a) })
-		}},
 	}
 	for _, tc := range cases {
 		tc := tc

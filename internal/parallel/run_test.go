@@ -82,10 +82,6 @@ func entryPoints() []entryPoint {
 		{"PackIndices", true, func(hook func()) {
 			parallel.PackIndices(tableN, func(i int) bool { hook(); return i%2 == 0 })
 		}},
-		{"SortByKey", true, func(hook func()) {
-			tmp := append([]uint32(nil), in...)
-			parallel.SortByKey(tmp, func(v uint32) uint64 { hook(); return uint64(v ^ 0x5a5a) })
-		}},
 	}
 }
 

@@ -23,6 +23,14 @@ func New(seed uint64) *SplitMix64 {
 	return &SplitMix64{state: seed}
 }
 
+// NextAt returns the value the k'th call to Next on New(seed) returns
+// (k from 0), without making the calls before it: splitmix64's state
+// after k+1 steps is seed + (k+1)·γ. A parallel sampler that must
+// reproduce one sequential stream exactly reads its draws this way.
+func NextAt(seed, k uint64) uint64 {
+	return Hash64(seed + k*0x9e3779b97f4a7c15)
+}
+
 // Next returns the next value in the stream.
 func (r *SplitMix64) Next() uint64 {
 	r.state += 0x9e3779b97f4a7c15

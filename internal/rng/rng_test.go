@@ -150,3 +150,15 @@ func TestUint64AliasesNext(t *testing.T) {
 		t.Fatal("Uint64 alias differs from Next")
 	}
 }
+
+// NextAt(seed, k) is the k'th value of the stream New(seed).
+func TestNextAtIsTheSequentialStream(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 2017, math.MaxUint64} {
+		r := New(seed)
+		for k := uint64(0); k < 200; k++ {
+			if got, want := NextAt(seed, k), r.Next(); got != want {
+				t.Fatalf("seed %d: NextAt(%d) = %#x, Next #%d = %#x", seed, k, got, k, want)
+			}
+		}
+	}
+}
