@@ -262,8 +262,8 @@ type PanicError = parallel.PanicError
 // optional Recorder).
 type KCoreOptions = kcore.Options
 
-// SSSPOptions configures the bucketed SSSP entry points (bucket tuning
-// plus an optional Recorder).
+// SSSPOptions configures the bucketed SSSP entry points (bucket tuning,
+// the Fusion switch, and an optional Recorder).
 type SSSPOptions = sssp.Options
 
 // KCoreWithOptions is KCore with full options: set Options.Recorder to

@@ -103,11 +103,12 @@ func TestConcurrentSharedGraphQueries(t *testing.T) {
 
 // TestKernelsIdenticalAcrossProcs pins what the scheduling core and the
 // work-keyed cut-off may not change: at GOMAXPROCS 1, 2 and 4 — inline,
-// one helper, several — the three benchmarked kernels return identical
-// answers, and k-core and wBFS, whose rounds are set by the bucket
-// semantics alone, also identical round counts and bucket traffic.
-// (∆-stepping with ∆ > 1 relaxes within a bucket in schedule order, so
-// its round count may differ by a few between P=1 and P>1.)
+// one helper, several — the three benchmarked kernels, and wBFS and
+// ∆-stepping fused, return identical answers, and unfused k-core and
+// wBFS, whose rounds are set by the bucket semantics alone, also
+// identical round counts and bucket traffic. (∆-stepping with ∆ > 1
+// relaxes within a bucket in schedule order, so its round count may
+// differ by a few between P=1 and P>1, fused or not.)
 func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	n, m := 1<<14, 1<<18
@@ -121,6 +122,7 @@ func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 	type outcome struct {
 		core                   []uint32
 		wbfs, delta            []int64
+		fusedWBFS, fusedDelta  []int64
 		coreRounds, wbfsRounds int64
 		coreStats, wbfsStats   BucketStats
 	}
@@ -129,13 +131,18 @@ func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 		k := KCoreWithOptions(g, KCoreOptions{})
 		w := WBFSWithOptions(light, 0, SSSPOptions{})
 		d := DeltaSteppingWithOptions(heavy, 0, 32768, SSSPOptions{})
-		return outcome{k.Coreness, w.Dist, d.Dist, k.Rounds, w.Rounds, k.BucketStats, w.BucketStats}
+		fw := WBFSWithOptions(light, 0, SSSPOptions{Fusion: true})
+		fd := DeltaSteppingWithOptions(heavy, 0, 32768, SSSPOptions{Fusion: true})
+		return outcome{k.Coreness, w.Dist, d.Dist, fw.Dist, fd.Dist, k.Rounds, w.Rounds, k.BucketStats, w.BucketStats}
 	}
 	want := at(1)
 	for _, p := range []int{2, 4} {
 		got := at(p)
 		if !slices.Equal(got.core, want.core) || !slices.Equal(got.wbfs, want.wbfs) || !slices.Equal(got.delta, want.delta) {
 			t.Errorf("P=%d: kernel outputs differ from P=1", p)
+		}
+		if !slices.Equal(got.fusedWBFS, want.fusedWBFS) || !slices.Equal(got.fusedDelta, want.fusedDelta) {
+			t.Errorf("P=%d: fused SSSP distances differ from P=1", p)
 		}
 		if got.coreRounds != want.coreRounds || got.coreStats != want.coreStats {
 			t.Errorf("P=%d: k-core ran %d rounds %+v, P=1 ran %d rounds %+v",

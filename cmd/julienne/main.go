@@ -4,7 +4,7 @@
 //
 //	julienne kcore    [-impl julienne|ligra|bz] [-hist K] [-k K]
 //	julienne sssp     [-impl delta|wbfs|gap-bins|bellman-ford|dijkstra] [-src V] [-delta D]
-//	                  [-fuse-frontier F] [-fuse-span S]
+//	                  [-fuse]
 //	julienne setcover [-impl julienne|pbbs|greedy] [-sets S] [-elements E] [-cover C]
 //	                  [-epsilon 0.01] [-file F] [-seed N]
 //	julienne densest  [-impl charikar|batch] [-epsilon 0.1]
@@ -34,7 +34,6 @@ import (
 	"julienne/internal/algo/kcore"
 	"julienne/internal/algo/setcover"
 	"julienne/internal/algo/sssp"
-	"julienne/internal/bucket"
 	"julienne/internal/cli"
 	"julienne/internal/gen"
 	"julienne/internal/graph"
@@ -231,9 +230,11 @@ func kcoreCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 func ssspCmd(fs *flag.FlagSet, gf *cli.GraphFlags) func(*runner) error {
 	src := fs.Uint("src", 0, "source vertex")
 	delta := fs.Int64("delta", 32768, "delta parameter (delta-stepping variants)")
-	fuseFrontier := fs.Int("fuse-frontier", 0, "bucket fusion: fuse consecutive buckets while the combined frontier stays at or under this size (wbfs/delta; 0 = fusion off)")
-	fuseSpan := fs.Int("fuse-span", 0, "bucket fusion: cap the fused run at this many consecutive bucket ids (0 = unbounded; only meaningful with -fuse-frontier)")
+	fuse := fs.Bool("fuse", false, "bucket fusion: drain every non-empty bucket of the open range in one round (wbfs and delta only)")
 	return func(r *runner) error {
+		if *fuse && r.impl != "wbfs" && r.impl != "delta" {
+			return badInput{fmt.Errorf("-impl %s cannot fuse buckets, so it cannot honour -fuse", r.impl)}
+		}
 		g := r.g
 		if !g.Weighted() {
 			g = gen.LogWeights(g, *gf.Seed+1)
@@ -245,8 +246,7 @@ func ssspCmd(fs *flag.FlagSet, gf *cli.GraphFlags) func(*runner) error {
 		s := graph.Vertex(*src)
 		var res sssp.Result
 		elapsed, err := r.kernel(func(ctx context.Context) error {
-			opt := sssp.Options{Recorder: r.rec, Ctx: ctx,
-				Fusion: bucket.Fusion{MaxFrontier: *fuseFrontier, MaxSpan: *fuseSpan}}
+			opt := sssp.Options{Recorder: r.rec, Ctx: ctx, Fusion: *fuse}
 			switch r.impl {
 			case "wbfs":
 				res = sssp.WBFS(g, s, opt)

@@ -24,19 +24,19 @@ type Options struct {
 	// partial progress. Nil keeps today's zero-overhead behavior.
 	Ctx context.Context
 	// Fusion enables fused bucket extraction (bucket.Loop, DESIGN.md
-	// §11): runs of consecutive small buckets drain into one frontier,
-	// and vertices relaxed back into the fused span are processed in
-	// the same round via the lazy buffer instead of round-tripping
-	// through bucket storage. This is safe for the algorithms in this
-	// package because their priorities are monotone — with non-negative
-	// weights a relaxation never lands behind the bucket that produced
-	// it — and it pays off on large-diameter inputs where per-round
-	// synchronization dominates. The zero value disables fusion and
-	// reproduces the classic loop exactly. kcore and setcover expose no
-	// such knob on purpose: peeling moves identifiers in both
-	// directions relative to the traversal, so fusing their rounds
+	// §11): every non-empty bucket up to the end of the open range
+	// drains into one frontier, and vertices relaxed back into the
+	// fused span are processed in the same round via the lazy buffer
+	// instead of round-tripping through bucket storage. This is safe
+	// for the algorithms in this package because their priorities are
+	// monotone — with non-negative weights a relaxation never lands
+	// behind the bucket that produced it — and it pays off on
+	// large-diameter inputs where per-round synchronization dominates.
+	// False reproduces the classic loop exactly. kcore and setcover
+	// expose no such switch on purpose: peeling moves identifiers in
+	// both directions relative to the traversal, so fusing their rounds
 	// would change the computed cores/covers.
-	Fusion bucket.Fusion
+	Fusion bool
 }
 
 // waves is the state DeltaStepping shares with its per-segment body.
@@ -72,7 +72,7 @@ func (w *waves) bktOf(dist uint64) bucket.ID {
 // is Nil) and enter it on first relaxation, so the work is proportional
 // to edges relaxed, not to n per round. WBFS is its ∆ = 1 call.
 //
-// With opt.Fusion enabled, bucket.Loop extracts fused bucket ranges
+// With opt.Fusion set, bucket.Loop extracts fused bucket ranges
 // [id, last] and hands the vertices relaxed back into a range to the
 // same segment body as further segments of the wave (DESIGN.md §11).
 func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Result {

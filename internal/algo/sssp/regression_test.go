@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"julienne/internal/bucket"
 	"julienne/internal/graph"
 )
 
@@ -33,8 +32,8 @@ func TestBucketOverflowGuard(t *testing.T) {
 		"WBFS":          func(o Options) { WBFS(g, 0, o) },
 	}
 	for name, run := range entries {
-		for _, opt := range []Options{{}, {Fusion: bucket.MaximalFusion()}} {
-			t.Run(fmt.Sprintf("%s/fused=%t", name, opt.Fusion.Enabled()), func(t *testing.T) {
+		for _, opt := range []Options{{}, {Fusion: true}} {
+			t.Run(fmt.Sprintf("%s/fused=%t", name, opt.Fusion), func(t *testing.T) {
 				defer func() {
 					// The guard fires inside a parallel worker, so it may
 					// arrive wrapped in a *parallel.PanicError.

@@ -496,7 +496,7 @@ func TestReportRoundTrip(t *testing.T) {
 func TestFusionReducesRounds(t *testing.T) {
 	g := gen.LogWeights(gen.Grid2D(40, 50), 2017)
 	unfused := sssp.WBFS(g, 0, sssp.Options{})
-	fused := sssp.WBFS(g, 0, sssp.Options{Fusion: bucket.MaximalFusion()})
+	fused := sssp.WBFS(g, 0, sssp.Options{Fusion: true})
 	ur, fr := unfused.BucketStats.BucketsReturned, fused.BucketStats.BucketsReturned
 	if ur <= 0 || fr <= 0 {
 		t.Fatalf("degenerate runs: unfused %d rounds, fused %d", ur, fr)

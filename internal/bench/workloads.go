@@ -273,12 +273,11 @@ func Workloads(smoke bool) []Workload {
 			return r
 		})
 	}
-	fused := bucket.MaximalFusion()
 	on("ablation", "wbfs", "fused", road, road.wlog, func(g *graph.CSR, rec *obs.Recorder) Result {
-		return ssspResult(sssp.WBFS(g, 0, sssp.Options{Recorder: rec, Fusion: fused}))
+		return ssspResult(sssp.WBFS(g, 0, sssp.Options{Recorder: rec, Fusion: true}))
 	})
 	on("ablation", "delta", "fused", road, road.wheavy, func(g *graph.CSR, rec *obs.Recorder) Result {
-		return ssspResult(sssp.DeltaStepping(g, 0, delta, sssp.Options{Recorder: rec, Fusion: fused}))
+		return ssspResult(sssp.DeltaStepping(g, 0, delta, sssp.Options{Recorder: rec, Fusion: true}))
 	})
 
 	// Extensions beyond the paper's four applications.

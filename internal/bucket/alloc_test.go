@@ -1,7 +1,6 @@
 package bucket
 
 import (
-	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -118,7 +117,7 @@ func TestFusedRoundZeroAlloc(t *testing.T) {
 		return curIDs[j], b.GetBucket(cur, cur+1)
 	}
 	round := func() {
-		first, last, ids := b.NextBucketFused(math.MaxInt, 1)
+		first, last, ids := b.NextBucketFused()
 		if first == Nil || first != last {
 			t.Fatalf("fused run [%d, %d], want a single open bucket", first, last)
 		}

@@ -2,10 +2,7 @@
 
 package bucket
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // This file proves the arena-lifetime rule of debug_on.go is
 // load-bearing: a caller deliberately keeps the slice an extraction
@@ -33,19 +30,19 @@ func allNil(ids []uint32) bool {
 }
 
 func TestDebugStaleArenaSliceIsPoisoned(t *testing.T) {
-	// Each producer returns bucket 0's identifiers, or a lazy re-drain
-	// of one of them.
+	// Each producer returns live identifiers: bucket 0's, the fused run
+	// of all four buckets, or a lazy re-drain of one of them.
 	producers := map[string]func(b Structure) []uint32{
 		"NextBucket": func(b Structure) []uint32 {
 			_, ids := b.NextBucket()
 			return ids
 		},
 		"NextBucketFused": func(b Structure) []uint32 {
-			_, _, ids := b.NextBucketFused(math.MaxInt, 1)
+			_, _, ids := b.NextBucketFused()
 			return ids
 		},
 		"DrainLazy": func(b Structure) []uint32 {
-			b.NextBucketFused(math.MaxInt, 1)
+			b.NextBucketFused()
 			dest := b.GetBucket(0, 0) // back into the active span
 			b.UpdateBuckets(1, func(int) (uint32, Dest) { return 0, dest })
 			return b.DrainLazy()
@@ -53,7 +50,7 @@ func TestDebugStaleArenaSliceIsPoisoned(t *testing.T) {
 	}
 	enders := map[string]func(b Structure){
 		"NextBucket":      func(b Structure) { b.NextBucket() },
-		"NextBucketFused": func(b Structure) { b.NextBucketFused(math.MaxInt, 1) },
+		"NextBucketFused": func(b Structure) { b.NextBucketFused() },
 		"DrainLazy":       func(b Structure) { b.DrainLazy() },
 		"UpdateBuckets": func(b Structure) {
 			b.UpdateBuckets(1, func(int) (uint32, Dest) { return 5, None })

@@ -111,32 +111,28 @@ type Structure interface {
 	// such as ∆-stepping and wBFS — peeling algorithms like k-core and
 	// set cover require exact bucket order and must call NextBucket).
 
-	// NextBucketFused drains a maximal run of consecutive non-empty
-	// buckets, starting at the next one the traversal would visit, into
-	// a single frontier. A candidate bucket is fused into the run while
-	// the combined live frontier stays within maxFrontier identifiers
-	// (values below 1 behave as 1, so the first bucket is always
-	// returned whole) and the covered logical id span stays within
-	// maxSpan buckets (values below 1 mean unbounded). It returns the
-	// first and last bucket id of the fused run in traversal order plus
-	// the combined identifiers, or (Nil, Nil, nil) when exhausted. The
-	// returned slice obeys the NextBucket arena contract: it is valid
-	// only until the next NextBucket/NextBucketFused/DrainLazy call or
-	// the return of the next UpdateBuckets, and a julienne_debug build
-	// poisons it then.
+	// NextBucketFused drains every non-empty bucket from the next one
+	// the traversal would visit onward into a single frontier. It
+	// returns the first and last bucket id of the fused run in traversal
+	// order plus the combined identifiers, or (Nil, Nil, nil) when
+	// exhausted. The returned slice obeys the NextBucket arena contract:
+	// it is valid only until the next NextBucket/NextBucketFused/DrainLazy
+	// call or the return of the next UpdateBuckets, and a julienne_debug
+	// build poisons it then.
 	//
-	// Implementations may end a run early at an internal storage
-	// boundary: the parallel structure never fuses across its open-range
-	// boundary, because advancing the range mid-run would strand this
-	// round's insertions behind the new range (raise Options.OpenBuckets
-	// to lengthen runs). The run resumes at the next extraction call
-	// after a normal range advance.
+	// The parallel structure ends a run at its open-range boundary,
+	// because advancing the range mid-run would strand this round's
+	// insertions behind the new range (raise Options.OpenBuckets to
+	// lengthen runs). The run resumes at the next extraction call after
+	// a normal range advance. Either way the cursor is left just after
+	// the run, so this round's insertions into the empty buckets the
+	// walk passed are still ahead of the traversal.
 	//
 	// Until the next extraction call, the structure treats [first, last]
 	// as the active fused span: GetBucket destinations inside the span
 	// are routed to a lazy buffer instead of bucket storage, so the
 	// caller can process them in the same round via DrainLazy.
-	NextBucketFused(maxFrontier, maxSpan int) (first, last ID, ids []uint32)
+	NextBucketFused() (first, last ID, ids []uint32)
 	// DrainLazy returns the live identifiers lazily inserted into the
 	// active fused span since the last NextBucketFused/DrainLazy call,
 	// emptying the lazy buffer. It returns nil when the span has fully
@@ -148,27 +144,6 @@ type Structure interface {
 	// when the span closes are dropped (a julienne_debug build panics).
 	DrainLazy() []uint32
 }
-
-// Fusion is the consumer-facing fusion knob (sssp.Options.Fusion, the
-// sssp CLI, cmd/bench). The zero value disables fusion entirely: the
-// algorithm runs the classic one-bucket-per-round loop, bit-for-bit
-// identical to a build without fusion support.
-type Fusion struct {
-	// MaxFrontier bounds the combined live identifiers per fused run.
-	// Zero (or negative) disables fusion; math.MaxInt fuses maximally.
-	MaxFrontier int
-	// MaxSpan bounds the logical bucket ids a fused run may cover.
-	// Zero (or negative) means unbounded.
-	MaxSpan int
-}
-
-// Enabled reports whether the knob turns fusion on.
-func (f Fusion) Enabled() bool { return f.MaxFrontier > 0 }
-
-// MaximalFusion fuses without frontier or span bounds: every run
-// extends until the structure (or, for the parallel implementation,
-// the open bucket range) is exhausted.
-func MaximalFusion() Fusion { return Fusion{MaxFrontier: math.MaxInt} }
 
 // Stats counts the structure's work, matching the §3.4 throughput
 // definition: throughput counts identifiers extracted by NextBucket

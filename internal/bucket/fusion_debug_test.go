@@ -3,7 +3,6 @@
 package bucket
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -42,8 +41,8 @@ func TestDebugSpanClosedWithPending(t *testing.T) {
 		} else {
 			b = NewSeq(len(d), dfn, Increasing)
 		}
-		if _, _, ids := b.NextBucketFused(math.MaxInt, 2); len(ids) != 2 {
-			t.Fatalf("%s: fused frontier %v, want 2 identifiers", name, ids)
+		if _, _, ids := b.NextBucketFused(); len(ids) != 3 {
+			t.Fatalf("%s: fused frontier %v, want 3 identifiers", name, ids)
 		}
 		// Same-bucket reinsertion into the active span: lands in the
 		// lazy buffer.
@@ -86,7 +85,7 @@ func TestDebugDoubleLazyCopy(t *testing.T) {
 	d := []ID{0, 3}
 	dfn := func(i uint32) ID { return d[i] }
 	b := New(len(d), dfn, Increasing, Options{OpenBuckets: 8})
-	if _, _, ids := b.NextBucketFused(math.MaxInt, 0); len(ids) != 2 {
+	if _, _, ids := b.NextBucketFused(); len(ids) != 2 {
 		t.Fatalf("fused frontier %v, want 2 identifiers", ids)
 	}
 	d[0] = 1

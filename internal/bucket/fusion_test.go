@@ -1,9 +1,6 @@
 package bucket
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // --- fused extraction (DESIGN.md §11) ------------------------------------
 
@@ -26,66 +23,60 @@ func wantSet(t *testing.T, what string, got []uint32, want ...uint32) {
 	}
 }
 
-// TestNextBucketFusedRuns exercises the fusion rule on a handcrafted
-// layout — runs bounded by maxFrontier, runs bounded by maxSpan with a
-// rejected bucket written back, and the cursor rewind that lets this
-// round's insertions land between the fused span and the rejection
-// point.
+// TestNextBucketFusedRuns pins the maximal run and the cursor rewind on
+// both implementations: one call drains every non-empty bucket (Par's
+// open range covers them all), and an insertion this round into an
+// empty bucket past the run — one the walk already passed — is still
+// ahead of the traversal and comes out next.
 func TestNextBucketFusedRuns(t *testing.T) {
-	// Buckets: 0:{0,1} 1:{2} 2:{3,4,5} 5:{6,7} 9:{8,9}.
-	d := []ID{0, 0, 1, 2, 2, 2, 5, 5, 9, 9}
-	dfn := func(i uint32) ID { return d[i] }
-	b := New(len(d), dfn, Increasing, Options{OpenBuckets: 16})
+	for _, impl := range []string{"par", "seq"} {
+		t.Run(impl, func(t *testing.T) {
+			// Buckets: 0:{0,1} 1:{2} 2:{3,4,5} 5:{6,7} 9:{8,9}, and a copy
+			// of 10 in bucket 12 that goes stale before the extraction, so
+			// the walk passes empty buckets up to 12 in both structures.
+			d := []ID{0, 0, 1, 2, 2, 2, 5, 5, 9, 9, 12}
+			dfn := func(i uint32) ID { return d[i] }
+			var b Structure = NewSeq(len(d), dfn, Increasing)
+			if impl == "par" {
+				b = New(len(d), dfn, Increasing, Options{OpenBuckets: 16})
+			}
+			d[10] = Nil
 
-	// maxFrontier 6 admits buckets 0,1,2 (2+1+3 identifiers) and then
-	// stops: the frontier is full, bucket 5 cannot join.
-	first, last, ids := b.NextBucketFused(6, 0)
-	if first != 0 || last != 2 {
-		t.Fatalf("fused run = [%d, %d], want [0, 2]", first, last)
-	}
-	wantSet(t, "fused frontier", ids, 0, 1, 2, 3, 4, 5)
-	for _, id := range ids {
-		d[id] = Nil // retire the whole frontier
-	}
+			first, last, ids := b.NextBucketFused()
+			if first != 0 || last != 9 {
+				t.Fatalf("fused run = [%d, %d], want [0, 9]", first, last)
+			}
+			wantSet(t, "maximal frontier", ids, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 
-	// maxSpan 3 admits bucket 5 alone: 9 is 5 ids away, so it is
-	// rejected and written back for a later extraction.
-	first, last, ids = b.NextBucketFused(10, 3)
-	if first != 5 || last != 5 {
-		t.Fatalf("fused run = [%d, %d], want [5, 5]", first, last)
-	}
-	wantSet(t, "span-bounded frontier", ids, 6, 7)
+			prev := d[6]
+			for i := range d {
+				d[i] = Nil
+			}
+			d[6] = 11
+			dest := b.GetBucket(prev, 11)
+			if dest == None {
+				t.Fatal("insertion past the fused run was dropped")
+			}
+			b.UpdateBuckets(1, func(int) (uint32, Dest) { return 6, dest })
+			if got := b.DrainLazy(); got != nil {
+				t.Fatalf("DrainLazy returned %v for an out-of-span insertion", got)
+			}
 
-	// The walk probed past buckets 6..8 before rejecting 9; an insertion
-	// into bucket 7 this round must still be accepted (cursor rewound to
-	// just after the fused run) and extracted before bucket 9.
-	d[6], d[7] = 7, Nil
-	dest := b.GetBucket(5, 7)
-	if dest == None {
-		t.Fatal("insertion between the fused run and the rejected bucket was dropped")
-	}
-	b.UpdateBuckets(1, func(int) (uint32, Dest) { return 6, dest })
-	if got := b.DrainLazy(); got != nil {
-		t.Fatalf("DrainLazy returned %v for an out-of-span insertion", got)
-	}
+			first, last, ids = b.NextBucketFused()
+			if first != 11 || last != 11 {
+				t.Fatalf("fused run = [%d, %d], want [11, 11]", first, last)
+			}
+			wantSet(t, "rewound frontier", ids, 6)
+			d[6] = Nil
+			if first, _, _ := b.NextBucketFused(); first != Nil {
+				t.Fatalf("exhausted structure returned bucket %d", first)
+			}
 
-	first, last, ids = b.NextBucketFused(10, 1)
-	if first != 7 || last != 7 {
-		t.Fatalf("fused run = [%d, %d], want [7, 7]", first, last)
-	}
-	wantSet(t, "rewound frontier", ids, 6)
-	d[6] = Nil
-
-	// The rejected bucket finally comes out intact.
-	first, last, ids = b.NextBucketFused(10, 0)
-	if first != 9 || last != 9 {
-		t.Fatalf("fused run = [%d, %d], want [9, 9]", first, last)
-	}
-	wantSet(t, "rejected bucket", ids, 8, 9)
-
-	s := b.Stats()
-	if s.BucketsReturned != 4 || s.Extracted != 11 {
-		t.Fatalf("Stats = %+v, want BucketsReturned=4 Extracted=11", s)
+			s := b.Stats()
+			if s.BucketsReturned != 2 || s.Extracted != 11 {
+				t.Fatalf("Stats = %+v, want BucketsReturned=2 Extracted=11", s)
+			}
+		})
 	}
 }
 
@@ -100,7 +91,7 @@ func TestFusedLazyInsertion(t *testing.T) {
 		"par": New(len(d), dfn, Increasing, Options{OpenBuckets: 8}),
 		"seq": NewSeq(len(d), dfn, Increasing),
 	} {
-		first, last, ids := b.NextBucketFused(math.MaxInt, 0)
+		first, last, ids := b.NextBucketFused()
 		if first != 0 || last != 3 {
 			t.Fatalf("%s: fused run = [%d, %d], want [0, 3]", name, first, last)
 		}
@@ -151,7 +142,7 @@ func TestFusedProbeDoesNotExhaust(t *testing.T) {
 		d := []ID{7, Nil, Nil}
 		dfn := func(i uint32) ID { return d[i] }
 		b := New(len(d), dfn, order, Options{OpenBuckets: 4})
-		first, last, ids := b.NextBucketFused(math.MaxInt, 0)
+		first, last, ids := b.NextBucketFused()
 		if first != 7 || last != 7 {
 			t.Fatalf("order %v: fused run = [%d, %d], want [7, 7]", order, first, last)
 		}
@@ -188,7 +179,7 @@ func TestFusedRangeBoundary(t *testing.T) {
 	dfn := func(i uint32) ID { return d[i] }
 	b := New(len(d), dfn, Increasing, Options{OpenBuckets: 4})
 
-	first, last, ids := b.NextBucketFused(math.MaxInt, 0)
+	first, last, ids := b.NextBucketFused()
 	if first != 0 || last != 3 {
 		t.Fatalf("fused run = [%d, %d], want [0, 3] (must stop at the range boundary)", first, last)
 	}
@@ -203,14 +194,14 @@ func TestFusedRangeBoundary(t *testing.T) {
 	}
 	b.UpdateBuckets(1, func(int) (uint32, Dest) { return 0, dest })
 
-	first, last, ids = b.NextBucketFused(math.MaxInt, 0)
+	first, last, ids = b.NextBucketFused()
 	if first != 5 || last != 5 {
 		t.Fatalf("fused run = [%d, %d], want [5, 5]", first, last)
 	}
 	wantSet(t, "stranded insertion", ids, 0)
 	d[0] = Nil
 
-	first, last, ids = b.NextBucketFused(math.MaxInt, 0)
+	first, last, ids = b.NextBucketFused()
 	if first != 10 || last != 10 {
 		t.Fatalf("fused run = [%d, %d], want [10, 10]", first, last)
 	}
@@ -218,40 +209,6 @@ func TestFusedRangeBoundary(t *testing.T) {
 	if adv := b.Stats().RangeAdvances; adv < 1 {
 		t.Fatalf("RangeAdvances = %d, want >= 1", adv)
 	}
-}
-
-// TestSeqFusedCursorRewind is the Seq half of the rewind regression: a
-// rejected bucket leaves the cursor just after the fused run, so
-// insertions between the run and the rejection point are accepted.
-func TestSeqFusedCursorRewind(t *testing.T) {
-	d := []ID{0, 9}
-	dfn := func(i uint32) ID { return d[i] }
-	s := NewSeq(len(d), dfn, Increasing)
-
-	first, last, ids := s.NextBucketFused(10, 3)
-	if first != 0 || last != 0 {
-		t.Fatalf("fused run = [%d, %d], want [0, 0]", first, last)
-	}
-	wantSet(t, "span-bounded run", ids, 0)
-
-	d[0] = 4
-	dest := s.GetBucket(0, 4)
-	if dest == None {
-		t.Fatal("insertion behind the rejected bucket was dropped")
-	}
-	s.UpdateBuckets(1, func(int) (uint32, Dest) { return 0, dest })
-
-	first, last, ids = s.NextBucketFused(10, 3)
-	if first != 4 || last != 4 {
-		t.Fatalf("fused run = [%d, %d], want [4, 4]", first, last)
-	}
-	wantSet(t, "rewound insertion", ids, 0)
-	d[0] = Nil
-	id, ids2 := s.NextBucket()
-	if id != 9 {
-		t.Fatalf("next bucket = %d, want 9", id)
-	}
-	wantSet(t, "rejected bucket", ids2, 1)
 }
 
 // TestDrainLazyDropsStale checks the liveness rule on the lazy slot: an
@@ -264,7 +221,7 @@ func TestDrainLazyDropsStale(t *testing.T) {
 		"par": New(len(d), dfn, Increasing, Options{OpenBuckets: 8}),
 		"seq": NewSeq(len(d), dfn, Increasing),
 	} {
-		_, _, ids := b.NextBucketFused(math.MaxInt, 0)
+		_, _, ids := b.NextBucketFused()
 		wantSet(t, name+" frontier", ids, 0, 1, 2)
 		// 0 and 1 reinsert into the span...
 		d[0], d[1] = 1, 1
@@ -278,18 +235,4 @@ func TestDrainLazyDropsStale(t *testing.T) {
 		wantSet(t, name+" lazy drain", lz, 0)
 		d[0], d[1], d[2] = 0, 0, 2 // reset for the second implementation
 	}
-}
-
-// TestFusedMaxFrontierClamp pins the clamp: maxFrontier below 1 still
-// returns the first bucket whole (fusion disabled is expressed by not
-// calling NextBucketFused at all, not by a zero budget).
-func TestFusedMaxFrontierClamp(t *testing.T) {
-	d := []ID{4, 4, 4, 5}
-	dfn := func(i uint32) ID { return d[i] }
-	b := New(len(d), dfn, Increasing, Options{OpenBuckets: 8})
-	first, last, ids := b.NextBucketFused(0, 0)
-	if first != 4 || last != 4 {
-		t.Fatalf("fused run = [%d, %d], want [4, 4]", first, last)
-	}
-	wantSet(t, "clamped frontier", ids, 0, 1, 2)
 }

@@ -29,8 +29,8 @@ type Loop struct {
 	// nil never stops it.
 	Ctx context.Context
 	// Fusion selects NextBucketFused and the same-wave DrainLazy loop
-	// (DESIGN.md §11); the zero value extracts one bucket per round.
-	Fusion Fusion
+	// (DESIGN.md §11); false extracts one bucket per round.
+	Fusion bool
 }
 
 // New is bucket.New for the loop's run: the structure reports to the
@@ -71,8 +71,8 @@ func (l Loop) Run(b Structure, round func(first, last ID, ids []uint32) (edges i
 			return rounds, rec.NewCanceled(l.Algo, rounds, cause)
 		}
 		if len(ids) == 0 {
-			if fus.Enabled() {
-				first, last, ids = b.NextBucketFused(fus.MaxFrontier, fus.MaxSpan)
+			if fus {
+				first, last, ids = b.NextBucketFused()
 			} else {
 				first, ids = b.NextBucket()
 				last = first
@@ -105,7 +105,7 @@ func (l Loop) Run(b Structure, round func(first, last ID, ids []uint32) (edges i
 		// of waiting for another extraction. A plain NextBucket opens no
 		// span, so an unfused wave is always one segment.
 		ids = nil
-		if fus.Enabled() {
+		if fus {
 			ids = b.DrainLazy()
 		}
 	}

@@ -19,9 +19,9 @@ func (c *countingStructure) NextBucket() (ID, []uint32) {
 	return c.Structure.NextBucket()
 }
 
-func (c *countingStructure) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
+func (c *countingStructure) NextBucketFused() (ID, ID, []uint32) {
 	c.extractions++
-	return c.Structure.NextBucketFused(maxFrontier, maxSpan)
+	return c.Structure.NextBucketFused()
 }
 
 // eightBuckets holds identifiers [0, 64) in buckets 0..7, eight each.
@@ -107,7 +107,7 @@ func TestLoopDrainsFusedSegments(t *testing.T) {
 	for _, stop := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
 		d := []ID{0, 1, 2, 3, 4, Nil}
-		l := Loop{Algo: "test", Ctx: ctx, Fusion: MaximalFusion()}
+		l := Loop{Algo: "test", Ctx: ctx, Fusion: true}
 		b := &countingStructure{Structure: l.New(len(d), func(i uint32) ID { return d[i] }, Increasing, Options{})}
 		var segments [][]uint32
 		rounds, err := l.Run(b, func(first, last ID, ids []uint32) (int64, bool) {

@@ -243,32 +243,7 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 	// Find the first/last non-empty logical bucket in parallel (§3.2:
 	// "calculating the number of initial buckets in parallel using
 	// reduce") and anchor the open range there.
-	var anchor ID
-	if order == Increasing {
-		anchor = parallel.Reduce(n, 0, Nil,
-			func(i int) ID { return d(uint32(i)) },
-			func(a, c ID) ID {
-				if a == Nil {
-					return c
-				}
-				if c == Nil {
-					return a
-				}
-				return min(a, c)
-			})
-	} else {
-		anchor = parallel.Reduce(n, 0, Nil,
-			func(i int) ID { return d(uint32(i)) },
-			func(a, c ID) ID {
-				if a == Nil {
-					return c
-				}
-				if c == Nil {
-					return a
-				}
-				return max(a, c)
-			})
-	}
+	anchor := nearest(order, n, func(i int) ID { return d(uint32(i)) })
 	if anchor == Nil {
 		b.done = true
 		return b
@@ -287,6 +262,31 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 	})
 	b.rec = opt.Recorder
 	return b
+}
+
+// nearest reduces the logical ids id(0), …, id(k-1) to the one a
+// traversal in the given order reaches first, skipping Nil; it returns
+// Nil when every id is Nil. Both combiners are plain functions, so the
+// reduce allocates no closure for them.
+func nearest(order Order, k int, id func(int) ID) ID {
+	if order == Increasing {
+		return parallel.Reduce(k, 0, Nil, id, lowerID)
+	}
+	return parallel.Reduce(k, 0, Nil, id, higherID)
+}
+
+// lowerID is min: Nil is the largest ID, so it never wins.
+func lowerID(a, c ID) ID { return min(a, c) }
+
+// higherID is max over the ids that are not Nil.
+func higherID(a, c ID) ID {
+	if a == Nil {
+		return c
+	}
+	if c == Nil {
+		return a
+	}
+	return max(a, c)
 }
 
 // setRange positions the open range so that `first` is the first
@@ -411,32 +411,24 @@ func (b *Par) GetBucket(prev, next ID) Dest {
 // this repository consume the slice within the round, so the steady
 // state allocates nothing.
 func (b *Par) NextBucket() (ID, []uint32) {
-	id, _, live := b.extract(false, 0, 0)
+	id, _, live := b.extract(false)
 	return id, live
 }
 
 // NextBucketFused implements Structure (see the interface for the
-// caller contract and DESIGN.md §11 for the safety argument). The
-// fusion rule is deterministic and deliberately identical between Par
-// and Seq so the differential suite can compare them in lockstep: the
-// first non-empty bucket is always included whole; each subsequent
-// non-empty bucket joins the run iff the combined compacted frontier
-// stays within maxFrontier identifiers and the covered logical span
-// stays within maxSpan bucket ids. A rejected bucket is written back
-// to storage as a single compacted chunk, and the traversal resumes
-// just after the last fused bucket, so the next extraction revisits
-// everything behind the rejection point that this round refills.
-//
-// Only the first bucket of a run may trigger a range advance; the run
-// itself never crosses the open-range boundary (see Structure).
-func (b *Par) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
-	return b.extract(true, maxFrontier, maxSpan)
+// caller contract and DESIGN.md §11 for the safety argument). The run
+// is every non-empty bucket up to the end of the open range, the same
+// run Seq returns up to the end of its storage, so the differential
+// suite can compare the two in lockstep. Only the first bucket of a run
+// may trigger a range advance.
+func (b *Par) NextBucketFused() (ID, ID, []uint32) {
+	return b.extract(true)
 }
 
 // extract is the one extraction walk behind NextBucket (fuse false: one
 // bucket, no span, the cursor stays on it so same-bucket reinsertions
 // are revisited) and NextBucketFused.
-func (b *Par) extract(fuse bool, maxFrontier, maxSpan int) (first, last ID, live []uint32) {
+func (b *Par) extract(fuse bool) (first, last ID, live []uint32) {
 	b.debugPoisonArena()
 	if b.done {
 		return Nil, Nil, nil
@@ -457,34 +449,20 @@ func (b *Par) extract(fuse bool, maxFrontier, maxSpan int) (first, last ID, live
 	}
 	last = first
 	if fuse {
+		// The run stays inside the open range: crossing into the
+		// overflow bucket would redistribute it before this round's
+		// insertions exist, stranding updates that land between the run
+		// and the new range (and, on an empty overflow, marking a
+		// structure done that is about to receive insertions).
 		run := 1
-		// The first bucket is always returned whole, so maxFrontier < 1
-		// behaves as 1. A non-empty candidate adds at least one
-		// identifier, so once the frontier holds maxFrontier identifiers
-		// no candidate can be accepted — stop probing. Probing is
-		// restricted to the open range: crossing into the overflow bucket
-		// would redistribute it before this round's insertions exist,
-		// stranding updates that land between the run and the new range
-		// (and, on an empty overflow, marking a structure done that is
-		// about to receive insertions).
-		for len(b.scr.live) < maxFrontier {
-			base := len(b.scr.live)
-			id, ok := b.nextCompactedInRange()
-			if !ok {
-				break
-			}
-			if len(b.scr.live) > maxFrontier || (maxSpan >= 1 && b.spanWidth(first, id) > maxSpan) {
-				b.unconsume(id, base)
-				break
-			}
+		for id, ok := b.nextCompactedInRange(); ok; id, ok = b.nextCompactedInRange() {
 			last = id
 			run++
 		}
-		// The walk passed over empty buckets (probed slots, or the
-		// stretch up to a rejected candidate) that this round's
-		// relaxations may yet land in. Rewind the cursor to just after the
-		// last fused bucket so those insertions stay ahead of the
-		// traversal instead of being dropped as behind it.
+		// The walk passed over empty buckets after the run that this
+		// round's relaxations may yet land in. Rewind the cursor to just
+		// after the last fused bucket so those insertions stay ahead of
+		// the traversal instead of being dropped as behind it.
 		b.cur = b.slotFor(last) + 1
 		b.rec.Add(obs.CtrBucketRoundsSaved, int64(run-1))
 		b.rec.Observe(obs.HistFusedRunLen, int64(run))
@@ -552,39 +530,13 @@ func (b *Par) closeSpan() {
 	b.span = fusedSpan{}
 }
 
-// spanWidth is the number of logical bucket ids a fused run from
-// `first` through `id` covers, inclusive, in traversal order.
-func (b *Par) spanWidth(first, id ID) int {
-	if b.order == Increasing {
-		return int(id-first) + 1
-	}
-	return int(first-id) + 1
-}
-
-// unconsume returns a bucket the fusion walk compacted but rejected
-// (accepting it would overflow maxFrontier or maxSpan) to storage as a
-// single compacted chunk and rewinds the traversal cursor to it. base
-// is the scr.live offset where the rejected bucket's identifiers
-// start.
-func (b *Par) unconsume(id ID, base int) {
-	live := b.scr.live[base:]
-	c := b.chunkAlloc(len(live))
-	copy(c, live)
-	bk := &b.bkts[b.slotFor(id)]
-	bk.chunks = append(bk.chunks, c)
-	bk.n += len(c)
-	b.cur = b.slotFor(id)
-	b.scr.live = b.scr.live[:base]
-}
-
 // nextCompactedInRange advances the traversal to the next non-empty
 // bucket of the current open range, compacts its live identifiers onto
 // the end of b.scr.live (recycling the spent chunks through the free
 // list), and returns its logical id. It never touches the overflow
 // bucket or the done flag: (Nil, false) only means the open range is
 // exhausted. The fusion walk uses it for every bucket after the first,
-// so fused runs deliberately end at the range boundary (see
-// extract).
+// so fused runs deliberately end at the range boundary (see extract).
 func (b *Par) nextCompactedInRange() (ID, bool) {
 	for b.cur <= b.nB-1 {
 		slot := b.cur
@@ -641,44 +593,13 @@ func (b *Par) nextCompacted() (ID, bool) {
 		b.resetSlot(obk)
 		// The next range is anchored at the nearest live bucket among
 		// overflow identifiers.
-		var anchor ID
-		if b.order == Increasing {
-			anchor = parallel.Reduce(len(over), 0, Nil,
-				func(j int) ID {
-					id := b.d(over[j])
-					if id == Nil || id <= b.rangeHi {
-						return Nil // stale copy: extracted or moved back
-					}
-					return id
-				},
-				func(a, c ID) ID {
-					if a == Nil {
-						return c
-					}
-					if c == Nil {
-						return a
-					}
-					return min(a, c)
-				})
-		} else {
-			anchor = parallel.Reduce(len(over), 0, Nil,
-				func(j int) ID {
-					id := b.d(over[j])
-					if id == Nil || id >= b.rangeLo {
-						return Nil
-					}
-					return id
-				},
-				func(a, c ID) ID {
-					if a == Nil {
-						return c
-					}
-					if c == Nil {
-						return a
-					}
-					return max(a, c)
-				})
-		}
+		anchor := nearest(b.order, len(over), func(j int) ID {
+			id := b.d(over[j])
+			if !b.beyond(id) {
+				return Nil // stale copy: extracted or moved back
+			}
+			return id
+		})
 		if anchor == Nil {
 			b.done = true
 			return Nil, false

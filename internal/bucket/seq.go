@@ -77,7 +77,7 @@ func NewSeq(n int, d func(uint32) ID, order Order) *Seq {
 // NextBucket implements Structure. The returned slice is the consumed
 // bucket's own storage.
 func (s *Seq) NextBucket() (ID, []uint32) {
-	id, _, live := s.extract(false, 0, 0)
+	id, _, live := s.extract(false)
 	return id, live
 }
 
@@ -102,21 +102,17 @@ func (s *Seq) compact() ([]uint32, bool) {
 	return live, true
 }
 
-// NextBucketFused implements Structure with the exact fusion rule Par
-// uses (the differential suite compares the two in lockstep): the
-// first non-empty bucket is always included whole; each subsequent
-// non-empty bucket joins the run iff the combined frontier stays
-// within maxFrontier and the covered span stays within maxSpan. A
-// rejected bucket's compacted survivors are written back and revisited
-// by the next extraction.
-func (s *Seq) NextBucketFused(maxFrontier, maxSpan int) (ID, ID, []uint32) {
-	return s.extract(true, maxFrontier, maxSpan)
+// NextBucketFused implements Structure with the run Par returns (the
+// differential suite compares the two in lockstep): every non-empty
+// bucket Seq holds, from the next one onward.
+func (s *Seq) NextBucketFused() (ID, ID, []uint32) {
+	return s.extract(true)
 }
 
 // extract is the one extraction walk behind NextBucket (fuse false: the
 // walk stops at the first non-empty bucket and leaves the cursor on it)
 // and NextBucketFused.
-func (s *Seq) extract(fuse bool, maxFrontier, maxSpan int) (first, last ID, out []uint32) {
+func (s *Seq) extract(fuse bool) (first, last ID, out []uint32) {
 	s.debugPoisonArena()
 	s.closeSpan()
 	step := int64(1)
@@ -132,27 +128,11 @@ func (s *Seq) extract(fuse bool, maxFrontier, maxSpan int) (first, last ID, out 
 			continue
 		}
 		if first == Nil {
-			first, last = ID(s.cur), ID(s.cur)
-			run = 1
+			first = ID(s.cur)
 			if !fuse {
-				out = live
+				last, out = first, live
 				break
 			}
-			out = append(out, live...)
-			s.cur += step
-			continue
-		}
-		width := int(s.cur-int64(first)) + 1
-		if s.order == Decreasing {
-			width = int(int64(first)-s.cur) + 1
-		}
-		// out and live are both non-empty here, so maxFrontier < 1 rejects
-		// every candidate exactly as 1 does.
-		if len(out)+len(live) > maxFrontier || (maxSpan >= 1 && width > maxSpan) {
-			// Rejected: put the compacted survivors back for the next
-			// extraction, which starts here.
-			s.bkts[s.cur] = live
-			break
 		}
 		last = ID(s.cur)
 		run++
@@ -163,11 +143,10 @@ func (s *Seq) extract(fuse bool, maxFrontier, maxSpan int) (first, last ID, out 
 		return Nil, Nil, nil
 	}
 	if fuse {
-		// The walk passed over empty buckets (probed, or the stretch up
-		// to a rejected candidate) that this round's insertions may yet
-		// land in. Rewind the cursor to just after the last fused bucket
-		// so they stay ahead of the traversal instead of being dropped as
-		// behind it.
+		// The walk passed over the empty buckets after the run, which
+		// this round's insertions may yet land in. Rewind the cursor to
+		// just after the last fused bucket so they stay ahead of the
+		// traversal instead of being dropped as behind it.
 		s.cur = int64(last) + step
 		s.rec.Add(obs.CtrBucketRoundsSaved, int64(run-1))
 		s.rec.Observe(obs.HistFusedRunLen, int64(run))

@@ -29,7 +29,6 @@ import (
 	"julienne/internal/algo/kcore"
 	"julienne/internal/algo/setcover"
 	"julienne/internal/algo/sssp"
-	"julienne/internal/bucket"
 	"julienne/internal/chaos"
 	"julienne/internal/gen"
 	"julienne/internal/graph"
@@ -277,7 +276,7 @@ func TestForcedCancellationMidFusedRound(t *testing.T) {
 	}
 	g := gen.UniformWeights(gen.Grid2D(rows, cols), 1, 16, 7)
 	want := sssp.DijkstraHeap(g, 0)
-	fused := sssp.Options{Fusion: bucket.Fusion{MaxFrontier: 64}}
+	fused := sssp.Options{Fusion: true}
 	full := sssp.WBFS(g, 0, fused)
 	if full.Err != nil || full.Rounds < 3 {
 		t.Fatalf("fused wBFS baseline: err=%v rounds=%d; need a clean run of >= 3 rounds",
@@ -341,7 +340,7 @@ func TestCancellationInsideDrainedFusedSegment(t *testing.T) {
 	g := gen.UniformWeights(gen.Grid2D(rows, cols), 1, 16, 7)
 	const delta = 4 // a fused span covers many annuli; most edges land inside it
 	want := sssp.DijkstraHeap(g, 0)
-	fused := sssp.Options{Fusion: bucket.Fusion{MaxFrontier: 64}}
+	fused := sssp.Options{Fusion: true}
 	run := func(o sssp.Options) sssp.Result { return sssp.DeltaStepping(g, 0, delta, o) }
 
 	// Locate a drained segment in a clean run. Every round is one

@@ -2,7 +2,6 @@ package proptest
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"julienne/internal/algo/sssp"
@@ -13,33 +12,9 @@ import (
 	"julienne/internal/rng"
 )
 
-// fusionSweep is the knob grid every SSSP fusion property runs under:
-// the minimal budget (every bucket alone, so the lazy same-round path
-// carries all reinsertions), a small budget with a tight span cap
-// (constant rejections and cursor rewinds), a generous budget, and the
-// unbounded maximal setting.
-var fusionSweep = []bucket.Fusion{
-	{MaxFrontier: 1},
-	{MaxFrontier: 8, MaxSpan: 2},
-	{MaxFrontier: 1 << 10},
-	bucket.MaximalFusion(),
-}
-
-func fusionTag(f bucket.Fusion) string {
-	span := fmt.Sprint(f.MaxSpan)
-	if f.MaxSpan < 1 {
-		span = "inf"
-	}
-	frontier := fmt.Sprint(f.MaxFrontier)
-	if f.MaxFrontier == math.MaxInt {
-		frontier = "inf"
-	}
-	return fmt.Sprintf("fused{frontier=%s,span=%s}", frontier, span)
-}
-
 // TestSSSPFusionMatchesOracle sweeps every generator family and weight
-// family through the two fusion-capable entry points at every knob
-// setting, cross-checking distances against the Dijkstra oracle and
+// family through the two fusion-capable entry points, fused and
+// unfused, cross-checking distances against the Dijkstra oracle and
 // requiring fusion to never extract more bucket rounds than the
 // unfused run (its entire point is extracting fewer).
 func TestSSSPFusionMatchesOracle(t *testing.T) {
@@ -70,18 +45,16 @@ func TestSSSPFusionMatchesOracle(t *testing.T) {
 			if err := oracle.Diff(v.name+" unfused", ref.Dist, want); err != nil {
 				return err
 			}
-			for _, fus := range fusionSweep {
-				opt := base
-				opt.Fusion = fus
-				res := v.run(h, src, delta, opt)
-				tag := v.name + " " + fusionTag(fus)
-				if err := oracle.Diff(tag, res.Dist, want); err != nil {
-					return err
-				}
-				if fusedRounds, refRounds := res.BucketStats.BucketsReturned, ref.BucketStats.BucketsReturned; fusedRounds > refRounds {
-					return fmt.Errorf("%s extracted %d bucket rounds, unfused run only %d",
-						tag, fusedRounds, refRounds)
-				}
+			opt := base
+			opt.Fusion = true
+			res := v.run(h, src, delta, opt)
+			tag := v.name + " fused"
+			if err := oracle.Diff(tag, res.Dist, want); err != nil {
+				return err
+			}
+			if fusedRounds, refRounds := res.BucketStats.BucketsReturned, ref.BucketStats.BucketsReturned; fusedRounds > refRounds {
+				return fmt.Errorf("%s extracted %d bucket rounds, unfused run only %d",
+					tag, fusedRounds, refRounds)
 			}
 		}
 		return nil
@@ -96,33 +69,29 @@ func TestSSSPFusionMatchesOracle(t *testing.T) {
 // extraction totals at every step. Par runs with OpenBuckets covering
 // the whole id universe so its open-range boundary (a Par-only
 // representation limit, pinned by unit tests) never ends a run early.
+// Each seed and order runs fusedDiffScripts independent scripts.
 func TestBucketFusedParMatchesSeq(t *testing.T) {
-	fusions := []bucket.Fusion{
-		{MaxFrontier: 1},
-		{MaxFrontier: 4, MaxSpan: 3},
-		{MaxFrontier: 1 << 20, MaxSpan: 5},
-		bucket.MaximalFusion(),
-	}
 	cfg := DefaultConfig()
 	for s := 0; s < cfg.Seeds*2; s++ {
 		seed := rng.At(uint64(0xf05ed), uint64(s))
 		n := 1 + int(rng.UintNAt(seed, 1, uint64(cfg.MaxN)+1))
 		for _, order := range []bucket.Order{bucket.Increasing, bucket.Decreasing} {
-			for fi, fus := range fusions {
-				for si := 0; si < 2; si++ {
-					runFusedBucketDiff(t, n, rng.At(seed, uint64(8*fi+si)), order, fus)
-				}
+			for si := 0; si < fusedDiffScripts; si++ {
+				runFusedBucketDiff(t, n, rng.At(seed, uint64(si)), order)
 			}
 		}
 	}
 }
+
+// fusedDiffScripts is the number of scripts per seed and order.
+const fusedDiffScripts = 8
 
 // fusedDiffBuckets bounds the logical id universe of the fused
 // differential script; Par runs with OpenBuckets equal to it so the
 // whole universe fits one open range.
 const fusedDiffBuckets = 96
 
-func runFusedBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order, fus bucket.Fusion) {
+func runFusedBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order) {
 	t.Helper()
 	r := rng.New(seed)
 	dvals := make([]bucket.ID, n)
@@ -142,8 +111,7 @@ func runFusedBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order, fu
 		if order == bucket.Decreasing {
 			dir = "dec"
 		}
-		return fmt.Sprintf("%s: n=%d seed=%d order=%s %s",
-			t.Name(), n, seed, dir, fusionTag(fus))
+		return fmt.Sprintf("%s: n=%d seed=%d order=%s", t.Name(), n, seed, dir)
 	}
 	diffWave := func(what string, rounds int, liveP, liveS []uint32) []uint32 {
 		t.Helper()
@@ -196,8 +164,8 @@ func runFusedBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order, fu
 		if rounds > 8*n+64 {
 			t.Fatalf("%s: no convergence after %d rounds", ctx(), rounds)
 		}
-		fP, lP, liveP := par.NextBucketFused(fus.MaxFrontier, fus.MaxSpan)
-		fS, lS, liveS := seq.NextBucketFused(fus.MaxFrontier, fus.MaxSpan)
+		fP, lP, liveP := par.NextBucketFused()
+		fS, lS, liveS := seq.NextBucketFused()
 		if fP != fS || lP != lS {
 			t.Fatalf("%s: round %d: Par fused [%d, %d], Seq fused [%d, %d]",
 				ctx(), rounds, fP, lP, fS, lS)

@@ -41,7 +41,7 @@ func TestRoundContract(t *testing.T) {
 			return r.Rounds, r.BucketStats
 		}},
 		{"delta-fused", func(rec *obs.Recorder) (int64, bucket.Stats) {
-			r := sssp.DeltaStepping(wg, 0, 64, sssp.Options{Recorder: rec, Fusion: bucket.MaximalFusion()})
+			r := sssp.DeltaStepping(wg, 0, 64, sssp.Options{Recorder: rec, Fusion: true})
 			return r.Rounds, r.BucketStats
 		}},
 		{"setcover", func(rec *obs.Recorder) (int64, bucket.Stats) {

@@ -39,7 +39,6 @@ import (
 	"julienne/internal/algo/kcore"
 	"julienne/internal/algo/setcover"
 	"julienne/internal/algo/sssp"
-	"julienne/internal/bucket"
 	"julienne/internal/graph"
 	"julienne/internal/obs"
 )
@@ -259,7 +258,16 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, wbfs boo
 			return
 		}
 	}
-	fusion := q.Get("fusion") == "1" || q.Get("fusion") == "true"
+	fusion, err := boolParam("fusion", q.Get("fusion"))
+	if err != nil {
+		s.failJSON(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
+	full, err := boolParam("full", q.Get("full"))
+	if err != nil {
+		s.failJSON(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
 	var target *uint32
 	if raw := q.Get("target"); raw != "" {
 		t, err := s.vertexParam(raw, true)
@@ -284,10 +292,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, wbfs boo
 		for attempt := 0; attempt < 2; attempt++ {
 			var waitErr error
 			val, cached, coalesced, waitErr = s.coal.do(ctx, key, func() *ssspVal {
-				opt := sssp.Options{Recorder: s.rec, Ctx: ctx}
-				if fusion {
-					opt.Fusion = bucket.MaximalFusion()
-				}
+				opt := sssp.Options{Recorder: s.rec, Ctx: ctx, Fusion: fusion}
 				res := sssp.DeltaStepping(s.g, src, delta, opt)
 				return newSSSPVal(res)
 			})
@@ -324,7 +329,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, wbfs boo
 			td := val.dist[*target]
 			resp.Target, resp.TargetDist = target, &td
 		}
-		if q.Get("full") == "1" {
+		if full {
 			resp.Dist = val.dist
 		}
 		s.writeJSON(w, http.StatusOK, resp)
@@ -579,6 +584,19 @@ func (s *Server) vertexParam(raw string, required bool) (graph.Vertex, error) {
 		return 0, fmt.Errorf("vertex %d out of range [0,%d)", v, s.g.NumVertices())
 	}
 	return graph.Vertex(v), nil
+}
+
+// boolParam parses an optional flag parameter with strconv.ParseBool;
+// absent is false.
+func boolParam(name, raw string) (bool, error) {
+	if raw == "" {
+		return false, nil
+	}
+	v, err := strconv.ParseBool(raw)
+	if err != nil {
+		return false, fmt.Errorf("bad %s %q", name, raw)
+	}
+	return v, nil
 }
 
 func floatParam(raw string, def float64) (float64, error) {

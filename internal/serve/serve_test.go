@@ -109,6 +109,30 @@ func TestQueryEndpointsMatchDirectComputation(t *testing.T) {
 	}
 }
 
+// TestBoolParamsAreParsed: fusion and full accept every strconv.ParseBool
+// spelling (TestBadRequestsAreTyped has the values they refuse).
+func TestBoolParamsAreParsed(t *testing.T) {
+	g := testGraph()
+	_, ts := newTestServer(t, Config{Graph: g})
+	fused := sssp.WBFS(g, 7, sssp.Options{Fusion: true})
+	unfused := sssp.WBFS(g, 7, sssp.Options{})
+	if fused.Rounds >= unfused.Rounds {
+		t.Fatalf("fused wBFS ran %d rounds, unfused %d; the test needs fewer", fused.Rounds, unfused.Rounds)
+	}
+	for q, rounds := range map[string]int64{
+		"fusion=TRUE": fused.Rounds, "fusion=t": fused.Rounds,
+		"fusion=False": unfused.Rounds, "fusion=0": unfused.Rounds,
+	} {
+		m := getJSON(t, ts.URL+"/wbfs?src=7&"+q, http.StatusOK)
+		if got := int64(m["rounds"].(float64)); got != rounds {
+			t.Errorf("%s: %d rounds, want %d", q, got, rounds)
+		}
+	}
+	if m := getJSON(t, ts.URL+"/wbfs?src=7&full=TRUE", http.StatusOK); m["dist"] == nil {
+		t.Error("full=TRUE did not return the distance vector")
+	}
+}
+
 func TestBadRequestsAreTyped(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, q := range []string{
@@ -116,10 +140,12 @@ func TestBadRequestsAreTyped(t *testing.T) {
 		"/sssp?src=999999",     // out of range
 		"/sssp?src=1&delta=-3", // bad delta
 		"/sssp?src=1&timeout_ms=x",
+		"/wbfs?src=1&fusion=yes", // not a strconv.ParseBool spelling
+		"/sssp?src=1&full=2",
 		"/coreness?v=abc",
 	} {
 		m := getJSON(t, ts.URL+q, http.StatusBadRequest)
-		if m["error"] == "" {
+		if m["error"] != "bad_request" {
 			t.Fatalf("%s: no typed error code in %v", q, m)
 		}
 	}
