@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test test32 vet fmt lint race debug chaos fuzz bench bench-smoke bench-check bench-go obs-demo serve-smoke loc check
+.PHONY: all build test test32 vet fmt lint race debug chaos fuzz bench bench-smoke bench-check bench-go microbench obs-demo serve-smoke loc check
 
 all: check
 
@@ -137,11 +137,17 @@ serve-smoke:
 bench-go:
 	$(GO) test -run xxx -bench Workloads -benchtime 1x .
 
+# microbench runs every micro-benchmark of the bucket structure and the
+# Ligra layer once, so none of them can stop compiling or start failing
+# unnoticed; -run '^$' skips the tests, which `make test` already ran.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/bucket/ ./internal/ligra/
+
 # loc prints the size every simplification PR reports: non-test,
 # non-fixture Go lines outside the gated benchmark.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' \
 		-not -path './benchmark/*' | xargs cat | wc -l
 
-check: build test lint race test32 debug chaos serve-smoke
+check: build test lint race test32 debug chaos microbench serve-smoke
 	@echo "check: ok"

@@ -273,6 +273,10 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 			break
 		}
 		begin := rec.Clock()
+		var forks parallel.ForkCounts
+		if rec != nil {
+			forks = parallel.ForkStats()
+		}
 		rounds++
 		round++
 		rho := float64(liveEdges) / float64(alive)
@@ -309,9 +313,11 @@ func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
 			}
 		}
 		if rec != nil {
+			fd := parallel.ForkStats().Sub(forks)
 			rec.RecordRound(obs.RoundMetrics{
 				Algo: "densest", Round: rounds, Bucket: ^uint32(0),
 				FrontierSize: len(ids), EdgesTraversed: removed,
+				Forked: fd.Forked, Inline: fd.Inline, Wakes: fd.Wakes,
 				Duration: time.Since(begin),
 			})
 		}

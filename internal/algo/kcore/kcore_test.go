@@ -222,9 +222,11 @@ func TestCanceledCarriesFlightTail(t *testing.T) {
 // shape of a whole run at P=1. Coreness itself allocates a handful of
 // objects per run — its closures, its destination, the result — and
 // nothing per round, per vertex or per edge. What is left is the bucket
-// structure's: on this graph 4,523 objects over 206 rounds (≈ 22 per
+// structure's: on this graph 4,522 objects over 206 rounds (≈ 22 per
 // round), 83 % fresh chunks from bucket.chunkAlloc, 13 % the per-slot
-// chunk lists UpdateBuckets appends them to, 2 % freePut's free lists.
+// chunk lists UpdateBuckets appends them to, 2 % the free list's class
+// slices growing in freePut (the list has no lock: only the caller
+// touches it).
 func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -243,5 +245,28 @@ func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(3, func() { Coreness(g, Options{}) }); allocs > bound {
 		t.Errorf("Coreness: %v allocs over %d rounds (n=%d), want ≤ 32·rounds + 64 = %v", allocs, rounds, g.NumVertices(), bound)
+	}
+}
+
+// TestCorenessRegionsPerRound pins what a k-core round costs in
+// parallel regions at P=1 on the benchmark's graph (RMAT, n = 2¹⁷,
+// m = 2²¹, seed 2017; 382 rounds): at most 11 per round. Bucket calls
+// below the fork cut-off open none, and a slot compacts in one pass
+// over all of its chunks, not one filter region per chunk. Measured: 1
+// region in the whole run — the degree initialisation; before updates
+// and compaction below the cut-off ran on the caller it was 15,555
+// (40.7 per round).
+func TestCorenessRegionsPerRound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2-million-edge graph")
+	}
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	g := gen.RMAT(1<<17, 1<<21, true, 2017)
+	before := parallel.ForkStats()
+	res := Coreness(g, Options{})
+	forks := parallel.ForkStats().Sub(before)
+	if regions := forks.Forked + forks.Inline; regions > 11*res.Rounds {
+		t.Errorf("%d regions over %d rounds (%.1f per round), want ≤ 11 per round",
+			regions, res.Rounds, float64(regions)/float64(res.Rounds))
 	}
 }

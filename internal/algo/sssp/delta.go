@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"context"
+	"math/bits"
 	"sync/atomic"
 
 	"julienne/internal/bucket"
@@ -45,12 +46,23 @@ type waves struct {
 	// relax workers add to it concurrently.
 	relaxations atomic.Int64
 	edges       int64
-	udelta      uint64
-	g           graph.Graph
+	// udelta is ∆; when ∆ is a power of two, shift is log2(∆) and
+	// pow2 is set, so bktOf shifts instead of dividing.
+	udelta uint64
+	shift  uint8
+	pow2   bool
+	g      graph.Graph
 	// sp holds the tentative distances, one per vertex; the flag bit
 	// marks a vertex whose distance changed in the current round.
 	sp []uint64
 	b  *bucket.Par
+}
+
+// setDelta sets ∆ and the shift that stands in for dividing by it.
+func (w *waves) setDelta(delta int64) {
+	w.udelta = uint64(delta)
+	w.pow2 = w.udelta&(w.udelta-1) == 0
+	w.shift = uint8(bits.TrailingZeros64(w.udelta))
 }
 
 // bktOf is GetBucketNum of Algorithm 2 (line 3): bucket i is the
@@ -59,7 +71,12 @@ func (w *waves) bktOf(dist uint64) bucket.ID {
 	if dist >= inf {
 		return bucket.Nil
 	}
-	b := dist / w.udelta
+	var b uint64
+	if w.pow2 {
+		b = dist >> w.shift
+	} else {
+		b = dist / w.udelta
+	}
 	if b >= uint64(bucket.Nil) {
 		panic("sssp: distance/delta exceeds the bucket id space; increase delta")
 	}
@@ -81,7 +98,8 @@ func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Re
 		panic("sssp: delta must be positive")
 	}
 	n := g.NumVertices()
-	w := &waves{g: g, udelta: uint64(delta), sp: make([]uint64, n)}
+	w := &waves{g: g, sp: make([]uint64, n)}
+	w.setDelta(delta)
 	parallel.For(n, parallel.DefaultGrain, func(i int) { w.sp[i] = inf })
 	w.sp[src] = 0
 	lp := bucket.Loop{Algo: "sssp", Recorder: opt.Recorder, Ctx: opt.Ctx, Fusion: opt.Fusion}

@@ -7,6 +7,7 @@ import (
 	"julienne/internal/gen"
 	"julienne/internal/graph"
 	"julienne/internal/parallel"
+	"julienne/internal/rng"
 )
 
 func checkDists(t *testing.T, name string, got, want []int64) {
@@ -182,14 +183,15 @@ func TestDeterministicDistances(t *testing.T) {
 // its closures, its two destinations and its span arguments are built
 // once per run or not at all — so a run costs a constant plus the
 // bucket structure's chunks. On the grid, where rounds are many and
-// tiny, that is 610 objects over 2,051 rounds of wBFS and 425 over
-// 1,416 of ∆-stepping (0.3 per round, all bucket.chunkAlloc/freePut;
-// 15.8 per round before the destinations), and the budget of half an
-// object per round fails on one closure literal put back into the
-// segment. On the RMAT graph, where rounds are few and huge, the
-// constant dominates (305 and 168 objects: ≈ 185 bucket chunks and
-// lists, ≈ 70 doublings of the destinations, the result vectors) and
-// the bound says nothing is allocated per vertex or per edge.
+// tiny, that is 598 objects over 2,051 rounds of wBFS and 412 over
+// 1,416 of ∆-stepping (0.3 per round: bucket chunks from
+// bucket.chunkAlloc and the free list's class slices growing in
+// freePut; 15.8 per round before the destinations), and the budget of
+// half an object per round fails on one closure literal put back into
+// the segment. On the RMAT graph, where rounds are few and huge, the
+// constant dominates (271 and 128 objects: bucket chunks and lists,
+// doublings of the destinations, the result vectors) and the bound
+// says nothing is allocated per vertex or per edge.
 func TestAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -224,6 +226,54 @@ func TestAllocsScaleWithRoundsNotVertices(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(3, func() { c.run() }); allocs > bound {
 			t.Errorf("%s: %v allocs over %d rounds (n=%d), want ≤ %v", c.name, allocs, rounds, c.n, bound)
+		}
+	}
+}
+
+// TestBktOfShiftMatchesDivide: bktOf shifts when ∆ is a power of two
+// and divides otherwise, and both give ⌊dist/∆⌋ — over random
+// distances, distances near inf, and bucket-boundary neighbours — with
+// the same panic once the bucket id leaves the id space.
+func TestBktOfShiftMatchesDivide(t *testing.T) {
+	r := rng.New(31)
+	for _, c := range []struct {
+		delta int64
+		pow2  bool
+	}{{1, true}, {2, true}, {1024, true}, {32768, true}, {3, false}, {1000, false}, {100000, false}} {
+		w := &waves{}
+		w.setDelta(c.delta)
+		if w.pow2 != c.pow2 {
+			t.Fatalf("∆=%d: pow2 = %v, want %v", c.delta, w.pow2, c.pow2)
+		}
+		ud := uint64(c.delta)
+		// The largest distance whose bucket id is below Nil.
+		top := min(uint64(bucket.Nil)*ud-1, inf-1)
+		dists := []uint64{0, 1, ud - 1, ud, ud + 1, top, top - 1, top - ud}
+		for range 2000 {
+			dists = append(dists, r.Uint64()%(top+1))
+		}
+		for _, dist := range dists {
+			if got, want := w.bktOf(dist), bucket.ID(dist/ud); got != want {
+				t.Fatalf("∆=%d: bktOf(%d) = %d, want %d", c.delta, dist, got, want)
+			}
+		}
+		for _, dist := range []uint64{inf, inf + 1, ^uint64(0)} {
+			if got := w.bktOf(dist); got != bucket.Nil {
+				t.Fatalf("∆=%d: bktOf(%d) = %d, want Nil", c.delta, dist, got)
+			}
+		}
+		if top < inf-1 {
+			// One past top is bucket id Nil: both paths must refuse it.
+			for _, dist := range []uint64{top + 1, inf - 1} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("∆=%d: bktOf(%d) returned without the bucket-id overflow panic", c.delta, dist)
+						}
+					}()
+					w.bktOf(dist)
+				}()
+			}
 		}
 	}
 }

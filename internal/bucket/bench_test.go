@@ -41,3 +41,28 @@ func BenchmarkUpdateBucketsHistogram(b *testing.B) {
 	}
 	b.SetBytes(int64(len(ids) * 8))
 }
+
+// BenchmarkUpdateBucketsOneBlock is the round of a small-frontier run
+// (wBFS on a grid, most k-core rounds): NextBucket hands over 64
+// identifiers and UpdateBuckets moves them all to the next bucket — a
+// batch far below one block — with the default open range. Extraction
+// recycles the chunks each batch allocates, so the loop runs in the
+// steady state a real run reaches.
+func BenchmarkUpdateBucketsOneBlock(b *testing.B) {
+	const k = 64
+	d := make([]ID, k)
+	par := New(k, func(i uint32) ID { return d[i] }, Increasing, Options{})
+	var ids []uint32
+	var dest Dest
+	move := func(j int) (uint32, Dest) { return ids[j], dest }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var cur ID
+		cur, ids = par.NextBucket()
+		for _, v := range ids {
+			d[v] = cur + 1
+		}
+		dest = par.GetBucket(cur, cur+1)
+		par.UpdateBuckets(len(ids), move)
+	}
+}

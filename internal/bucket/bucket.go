@@ -10,7 +10,8 @@
 //   - Parallel (the default, §3.2–3.3): represents an open range of nB
 //     buckets plus one overflow bucket, updates buckets with the
 //     block-histogram strategy (blocks of M = 2048, per-block counts,
-//     one scan, then direct scatter), and compacts lazily. The two
+//     one scan, then direct scatter; a batch below the fork cut-off is
+//     one count and one scatter on the caller), and compacts lazily. The two
 //     alternatives §3.3 measures and rejects — a semisort-based update
 //     and an internal identifier→bucket map — are recorded findings in
 //     EXPERIMENTS.md, not code.
@@ -93,7 +94,7 @@ type Structure interface {
 	// UpdateBuckets applies k updates; the j'th update is given by
 	// f(j). Updates whose Dest is None are skipped. f must be pure:
 	// the parallel implementation evaluates it in parallel and more
-	// than once per index (histogram pass and scatter pass). In
+	// than once per index (count pass and scatter pass). In
 	// practice callers index into materialized (identifier, dest)
 	// arrays, e.g. the output of a tagged edge map.
 	UpdateBuckets(k int, f func(j int) (uint32, Dest))

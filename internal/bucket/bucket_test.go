@@ -1,6 +1,7 @@
 package bucket
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -578,10 +579,11 @@ func TestSeqStatsAndThroughput(t *testing.T) {
 	}
 }
 
-// TestUpdateBucketsForksOnBatchNotSlots: a batch of one block (M = 2048)
-// runs all five §3.3 passes inline, whatever the slot count — the resize
-// pass used to fork over the 130 slots for a 2-identifier batch — and a
-// batch of many blocks goes through the helper pool.
+// TestUpdateBucketsForksOnBatchNotSlots: a batch below the fork cut-off
+// — one block (M = 2048) or several — is a plain count and scatter on
+// the caller that opens no parallel region at all, whatever the slot
+// count: neither Forked nor Inline moves. A batch past the cut-off
+// goes through the helper pool.
 func TestUpdateBucketsForksOnBatchNotSlots(t *testing.T) {
 	defer parallel.SetProcs(parallel.SetProcs(2))
 	n := 1 << 16
@@ -602,13 +604,75 @@ func TestUpdateBucketsForksOnBatchNotSlots(t *testing.T) {
 			b.UpdateBuckets(k, func(j int) (uint32, Dest) { return uint32(j), dests[j] })
 			return parallel.ForkStats().Sub(before)
 		}
-		for _, k := range []int{2, updateBlock} {
-			if got := move(k); got.Forked != 0 {
-				t.Errorf("opt=%+v: a batch of %d forked %d regions, want 0", opt, k, got.Forked)
+		for _, k := range []int{2, updateBlock, 3*updateBlock + 1} {
+			if got := move(k); got.Forked != 0 || got.Inline != 0 {
+				t.Errorf("opt=%+v: a batch of %d opened regions (%+v), want none", opt, k, got)
 			}
 		}
 		if got := move(16 * updateBlock); got.Forked == 0 {
 			t.Errorf("opt=%+v: a batch of %d ran entirely inline (%+v)", opt, 16*updateBlock, got)
 		}
+	}
+}
+
+// TestCompactionIsOneRegionPerSlot: NextBucket compacts a slot in one
+// pass over all of its chunks. A slot below the fork cut-off opens no
+// parallel region; one above it opens exactly one, however many chunks
+// it holds, and its blocks, which straddle chunk boundaries, keep the
+// live identifiers in storage order while dropping the stale copies.
+func TestCompactionIsOneRegionPerSlot(t *testing.T) {
+	defer parallel.SetProcs(parallel.SetProcs(2))
+	batches := []int{3000, 5000, 1, 7000, 2049, 6000, 4000} // one chunk each
+	n := 1
+	for _, k := range batches {
+		n += k
+	}
+	n += 3 * 10 // three small chunks for bucket 2
+	d := make([]ID, n)
+	for i := range d {
+		d[i] = Nil
+	}
+	d[0] = 0
+	b := New(n, func(i uint32) ID { return d[i] }, Increasing, Options{})
+	if id, _ := b.NextBucket(); id != 0 {
+		t.Fatalf("first bucket %d, want 0", id)
+	}
+	next := uint32(1)
+	insert := func(k int, bkt ID) {
+		lo := next
+		next += uint32(k)
+		for v := lo; v < next; v++ {
+			d[v] = bkt
+		}
+		b.UpdateBuckets(k, func(j int) (uint32, Dest) { return lo + uint32(j), b.GetBucket(Nil, bkt) })
+	}
+	for _, k := range batches {
+		insert(k, 1)
+	}
+	for range 3 {
+		insert(10, 2)
+	}
+	// Every third identifier of bucket 1 moves on: its copy there is stale.
+	var want []uint32
+	for v := uint32(1); v < next-30; v++ {
+		if v%3 == 0 {
+			d[v] = 5
+		} else {
+			want = append(want, v)
+		}
+	}
+	before := parallel.ForkStats()
+	id, got := b.NextBucket()
+	if forks := parallel.ForkStats().Sub(before); id != 1 || forks.Forked+forks.Inline != 1 {
+		t.Fatalf("bucket %d of %d identifiers in %d chunks opened %+v regions, want bucket 1 and one region",
+			id, len(want), len(batches), forks)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("compacted bucket 1 has %d identifiers, want the %d live ones in storage order", len(got), len(want))
+	}
+	before = parallel.ForkStats()
+	id, got = b.NextBucket()
+	if forks := parallel.ForkStats().Sub(before); id != 2 || len(got) != 30 || forks != (parallel.ForkCounts{}) {
+		t.Fatalf("bucket %d of %d identifiers opened %+v regions, want bucket 2, 30 identifiers and none", id, len(got), forks)
 	}
 }

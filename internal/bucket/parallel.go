@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
+	"slices"
 
 	"julienne/internal/chaos"
 	"julienne/internal/obs"
@@ -18,6 +18,15 @@ const DefaultOpenBuckets = 128
 // updateBlock is the block length M of the block-histogram update
 // (§3.3: "we set M to 2048 in our implementation").
 const updateBlock = 2048
+
+// forks reports whether a pass over the given number of items merits a
+// parallel region (parallel.WorkersFor's cut-off). It is the one place
+// the structure makes that choice, for the anchor reduce, compaction
+// and updates alike: a pass below the cut-off is a plain loop on the
+// caller and opens no region at all, not even one the substrate would
+// run inline and count, so a small round costs only the identifiers it
+// moves and the slots it touches.
+func forks(items int) bool { return parallel.WorkersFor(int64(items)) > 1 }
 
 // Options configures the parallel bucket structure.
 type Options struct {
@@ -61,33 +70,23 @@ type Par struct {
 	// destinations inside [span.lo, span.hi] to the lazy slot, and
 	// DrainLazy hands them back to the caller within the same round.
 	span fusedSpan
-	// lazyPred is the compaction predicate for DrainLazy (live iff D
-	// still falls inside the active span), cached like livePred so the
-	// per-drain filter does not allocate a closure.
-	lazyPred func(uint32) bool
 
 	// scr is the scratch arena reused across rounds; see the arena type
 	// for the ownership rules.
-	scr    arena
-	freeMu sync.Mutex
+	scr arena
 
-	// livePred is the compaction predicate for NextBucket, cached so the
-	// per-round filter does not allocate a closure; it tests D(id)
-	// against liveCur.
-	livePred func(uint32) bool
-	liveCur  ID
-
-	// The histogram-update passes are cached closures reading their
-	// per-call parameters from upd: a closure literal evaluated inside
-	// UpdateBuckets would be heap-allocated on every call (it escapes
-	// into parallel.For's goroutines), defeating the allocation-free
-	// steady state. Creating them once in New makes each UpdateBuckets
+	// The block passes are cached closures reading their per-call
+	// parameters from upd and cmp: a closure literal evaluated inside
+	// UpdateBuckets or a compaction would be heap-allocated on every call
+	// (it escapes into parallel.For's goroutines), defeating the
+	// allocation-free steady state. Creating them once in New makes each
 	// call closure-free.
 	upd         updState
 	zeroPass    func(i int)
 	histPass    func(blk int)
-	resizePass  func(s int)
 	scatterPass func(blk int)
+	cmp         compactState
+	compactPass func(blk int)
 
 	// dbg holds invariant-assertion state; zero-sized unless the build
 	// is tagged julienne_debug (see debug_on.go / debug_off.go).
@@ -116,15 +115,19 @@ type chunkedBucket struct {
 // documents — in particular the slice returned by NextBucket aliases
 // live and is overwritten by the next NextBucket call.
 type arena struct {
-	counts []uint32   // slot-major block histograms (UpdateBuckets)
-	starts []uint32   // per-slot incoming offsets (UpdateBuckets)
+	counts []uint32   // slot-major block histograms (forked UpdateBuckets)
+	starts []uint32   // per-slot incoming offsets, or the slots a caller-side batch touches
+	fill   []uint32   // per-slot counts of a caller-side batch, all zero between calls
 	chunks [][]uint32 // per-slot chunk of the current UpdateBuckets call
 	live   []uint32   // compacted survivors returned by NextBucket
+	at     []int      // chunk offsets of a forked compaction
+	kept   []int      // per-block survivor counts of a forked compaction
 	// free holds spent identifier chunks (compacted or redistributed
-	// slots) for chunkAlloc to reuse, protected by freeMu and
-	// segregated by capacity class: free[c] holds arrays with cap in
-	// [2^c, 2^(c+1)), so put and get are O(1) instead of a linear scan
-	// over the whole pool.
+	// slots) for chunkAlloc to reuse, segregated by capacity class:
+	// free[c] holds arrays with cap in [2^c, 2^(c+1)), so put and get are
+	// O(1) instead of a linear scan over the whole pool. Only the
+	// structure's caller touches it (every pass that allocates or
+	// recycles a chunk runs on the caller), so it needs no lock.
 	free      [33][][]uint32
 	freeCount int
 }
@@ -147,6 +150,19 @@ type updState struct {
 	counts []uint32
 	starts []uint32
 	chunks [][]uint32
+}
+
+// compactState holds one forked compaction's parameters for the cached
+// compactPass: the slot's chunks read as one array of len(out)
+// identifiers (chunk i starts at at[i]), split into blocks of size;
+// block blk writes the identifiers whose bucket lies in [lo, lo+width]
+// to out[blk*size:] and their count to kept[blk].
+type compactState struct {
+	lo, width ID
+	chunks    [][]uint32
+	at, kept  []int
+	size      int
+	out       []uint32
 }
 
 // fusedSpan is the logical id interval [lo, hi] covered by the most
@@ -186,6 +202,8 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 	}
 	b := &Par{n: n, d: d, order: order, nB: nB}
 	b.bkts = make([]chunkedBucket, nB+2)
+	b.scr.fill = make([]uint32, nB+2)
+	b.scr.chunks = make([][]uint32, nB+2)
 	// Seed every slot's chunk list with capacity carved from one shared
 	// backing array: the first insert into a virgin slot would otherwise
 	// allocate a header array, costing one allocation per round in
@@ -195,14 +213,8 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 	for i := range b.bkts {
 		b.bkts[i].chunks = hdrs[i*slotChunkCap : i*slotChunkCap : (i+1)*slotChunkCap]
 	}
-	// Built once so the per-round compaction filter does not allocate a
-	// closure; NextBucket points liveCur at the slot being compacted.
-	b.livePred = func(id uint32) bool { return b.d(id) == b.liveCur }
-	// Likewise for the DrainLazy filter: an identifier in the lazy slot
-	// is live while its bucket still falls inside the active span.
-	b.lazyPred = func(id uint32) bool { return b.span.contains(b.d(id)) }
-	// The histogram-update passes, likewise built once (see the Par
-	// fields for why). Each reads its parameters from b.upd.
+	// The block passes, built once (see the Par fields for why). Each
+	// reads its parameters from b.upd or b.cmp.
 	b.zeroPass = func(i int) { b.upd.counts[i] = 0 }
 	b.histPass = func(blk int) {
 		u := &b.upd
@@ -212,18 +224,6 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 				u.counts[int(dest)*u.nb+blk]++
 			}
 		}
-	}
-	b.resizePass = func(s int) {
-		u := &b.upd
-		incoming := int(u.starts[s+1] - u.starts[s])
-		if incoming == 0 {
-			return
-		}
-		c := b.chunkAlloc(incoming)
-		u.chunks[s] = c
-		bk := &b.bkts[s]
-		bk.chunks = append(bk.chunks, c)
-		bk.n += incoming
 	}
 	b.scatterPass = func(blk int) {
 		u := &b.upd
@@ -238,6 +238,27 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 			u.counts[s*u.nb+blk] = off + 1
 			u.chunks[s][int(off-u.starts[s])] = id
 		}
+	}
+	b.compactPass = func(blk int) {
+		c := &b.cmp
+		lo, hi := min(blk*c.size, len(c.out)), min((blk+1)*c.size, len(c.out))
+		// The chunk holding position lo: the last one starting at or
+		// before it.
+		i, found := slices.BinarySearch(c.at, lo)
+		if !found {
+			i--
+		}
+		out := c.out[lo:lo]
+		for pos := lo; pos < hi; i++ {
+			ch := c.chunks[i][pos-c.at[i] : min(len(c.chunks[i]), hi-c.at[i])]
+			for _, id := range ch {
+				if b.d(id)-c.lo <= c.width {
+					out = append(out, id)
+				}
+			}
+			pos += len(ch)
+		}
+		c.kept[blk] = len(out)
 	}
 
 	// Find the first/last non-empty logical bucket in parallel (§3.2:
@@ -269,10 +290,18 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 // Nil when every id is Nil. Both combiners are plain functions, so the
 // reduce allocates no closure for them.
 func nearest(order Order, k int, id func(int) ID) ID {
-	if order == Increasing {
-		return parallel.Reduce(k, 0, Nil, id, lowerID)
+	op := lowerID
+	if order == Decreasing {
+		op = higherID
 	}
-	return parallel.Reduce(k, 0, Nil, id, higherID)
+	if forks(k) {
+		return parallel.Reduce(k, 0, Nil, id, op)
+	}
+	acc := Nil
+	for i := 0; i < k; i++ {
+		acc = op(acc, id(i))
+	}
+	return acc
 }
 
 // lowerID is min: Nil is the largest ID, so it never wins.
@@ -397,11 +426,12 @@ func (b *Par) GetBucket(prev, next ID) Dest {
 }
 
 // NextBucket implements Structure. It compacts the current slot with a
-// parallel filter (§3.2), advances through the open range, and when the
-// range is exhausted redistributes the overflow bucket into a new range
-// anchored at the nearest remaining bucket (§3.3's range advance; we
-// jump directly to the next non-empty bucket rather than walking empty
-// ranges, which only reduces the O(T) term of Lemma 3.2).
+// filter (§3.2) in one pass over its chunks (compact), advances through
+// the open range, and when the range is exhausted redistributes the
+// overflow bucket into a new range anchored at the nearest remaining
+// bucket (§3.3's range advance; we jump directly to the next non-empty
+// bucket rather than walking empty ranges, which only reduces the O(T)
+// term of Lemma 3.2).
 //
 // The returned slice is backed by an arena buffer owned by the
 // structure: it is valid only until the next extraction call, which
@@ -491,13 +521,9 @@ func (b *Par) DrainLazy() []uint32 {
 	if lz.n == 0 {
 		return nil
 	}
-	live := b.scr.live[:0]
-	for _, c := range lz.chunks {
-		live = parallel.FilterAppend(live, c, b.lazyPred)
-		b.freePut(c)
-	}
-	b.scr.live = live
-	b.resetSlot(lz)
+	b.scr.live = b.scr.live[:0]
+	b.compact(lz, b.span.lo, b.span.hi)
+	live := b.scr.live
 	if len(live) == 0 {
 		return nil
 	}
@@ -521,12 +547,7 @@ func (b *Par) closeSpan() {
 	}
 	lz := &b.bkts[b.nB+1]
 	b.debugCheckSpanClosed(lz.n)
-	if lz.n > 0 {
-		for _, c := range lz.chunks {
-			b.freePut(c)
-		}
-		b.resetSlot(lz)
-	}
+	b.recycle(lz)
 	b.span = fusedSpan{}
 }
 
@@ -546,22 +567,97 @@ func (b *Par) nextCompactedInRange() (ID, bool) {
 			continue
 		}
 		cur := b.logical(slot)
-		b.liveCur = cur
 		base := len(b.scr.live)
-		live := b.scr.live
-		for _, c := range bk.chunks {
-			live = parallel.FilterAppend(live, c, b.livePred)
-			b.freePut(c)
-		}
-		b.scr.live = live
-		b.resetSlot(bk)
-		if len(live) == base {
+		b.compact(bk, cur, cur)
+		if len(b.scr.live) == base {
 			b.cur++
 			continue
 		}
 		return cur, true
 	}
 	return Nil, false
+}
+
+// compact appends the identifiers of slot bk whose bucket D still lies
+// in [lo, hi] — the slot's own bucket, or the active fused span — to
+// b.scr.live, in storage order, then recycles the slot's chunks. The
+// other identifiers are stale copies (lazy deletion, §3.2) and are
+// dropped. Below the fork cut-off the pass is one plain loop over every
+// chunk; above it, one order-preserving region whose blocks span chunk
+// boundaries (compactForked). live grows the way one filter per chunk
+// would grow it: by at least a chunk, and to at least double.
+func (b *Par) compact(bk *chunkedBucket, lo, hi ID) {
+	if forks(bk.n) {
+		b.compactForked(bk, lo, hi)
+	} else {
+		live, width := b.scr.live, hi-lo
+		for _, c := range bk.chunks {
+			live = reserve(live, len(c))
+			for _, id := range c {
+				// Unsigned wrap-around makes this lo <= D <= hi; Nil is
+				// never inside, since hi is at most rangeHi < Nil.
+				if b.d(id)-lo <= width {
+					live = append(live, id)
+				}
+			}
+		}
+		b.scr.live = live
+	}
+	b.recycle(bk)
+}
+
+// compactForked is compact's forked arm: every block filters its share
+// of the slot into its own range of live's spare capacity, then one
+// sequential pass closes the gaps between the blocks' survivors.
+func (b *Par) compactForked(bk *chunkedBucket, lo, hi ID) {
+	live := reserve(b.scr.live, bk.n)
+	base := len(live)
+	at := b.scr.at[:0]
+	off := 0
+	for _, c := range bk.chunks {
+		at = append(at, off)
+		off += len(c)
+	}
+	nb := 4 * parallel.WorkersFor(int64(bk.n))
+	if cap(b.scr.kept) < nb {
+		b.scr.kept = make([]int, nb)
+	}
+	b.scr.at = at
+	b.cmp = compactState{
+		lo: lo, width: hi - lo, chunks: bk.chunks, at: at, kept: b.scr.kept[:nb],
+		size: (bk.n + nb - 1) / nb, out: live[base : base+bk.n],
+	}
+	parallel.For(nb, 1, b.compactPass)
+	end := base
+	for blk, kept := range b.cmp.kept {
+		from := base + min(blk*b.cmp.size, bk.n)
+		end += copy(live[end:cap(live)], live[from:from+kept])
+	}
+	b.scr.live = live[:end]
+	b.cmp = compactState{}
+}
+
+// reserve returns buf with room for n more elements, growing it to at
+// least twice its capacity when it must grow.
+func reserve(buf []uint32, n int) []uint32 {
+	if cap(buf)-len(buf) >= n {
+		return buf
+	}
+	grown := make([]uint32, len(buf), max(len(buf)+n, 2*cap(buf)))
+	copy(grown, buf)
+	return grown
+}
+
+// recycle hands every chunk of slot bk to the free list and empties the
+// slot, clearing the chunk pointers so the retained header array does
+// not pin the recycled chunks against eviction from the free list.
+func (b *Par) recycle(bk *chunkedBucket) {
+	for i, c := range bk.chunks {
+		b.freePut(c)
+		bk.chunks[i] = nil
+	}
+	bk.chunks = bk.chunks[:0]
+	bk.n = 0
 }
 
 // nextCompacted is nextCompactedInRange extended with §3.3's range
@@ -586,11 +682,9 @@ func (b *Par) nextCompacted() (ID, bool) {
 		over := b.chunkAlloc(obk.n)
 		off := 0
 		for _, c := range obk.chunks {
-			copy(over[off:], c)
-			off += len(c)
-			b.freePut(c)
+			off += copy(over[off:], c)
 		}
-		b.resetSlot(obk)
+		b.recycle(obk)
 		// The next range is anchored at the nearest live bucket among
 		// overflow identifiers.
 		anchor := nearest(b.order, len(over), func(j int) ID {
@@ -629,12 +723,8 @@ func (b *Par) nextCompacted() (ID, bool) {
 	}
 }
 
-// UpdateBuckets implements Structure using the block-histogram strategy
-// of §3.3: the k updates are split into blocks of M = 2048; each block
-// counts its identifiers per destination slot; one scan over the
-// slot-major count matrix yields exact write offsets; a second pass
-// scatters identifiers directly into a fresh exact-size chunk per
-// destination bucket.
+// UpdateBuckets implements Structure (§3.2 with §3.3's block
+// histogram; see update).
 func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 	if k <= 0 || b.done {
 		b.debugPoisonArena()
@@ -655,19 +745,73 @@ func (b *Par) UpdateBuckets(k int, f func(j int) (uint32, Dest)) {
 }
 
 // update is UpdateBuckets without the accounting: it applies the k > 0
-// updates and returns how many identifiers it moved.
+// updates and returns how many identifiers it moved. A batch below the
+// fork cut-off is counted and scattered on the caller (updateSeq); a
+// larger one runs §3.3's block histogram in parallel (updateBlocks).
 func (b *Par) update(k int, f func(j int) (uint32, Dest)) int64 {
-	// The block histograms and scatter offsets are uint32; a batch of
-	// 2^32 or more updates would silently wrap the offsets and scatter
-	// identifiers into the wrong buckets. Fail loudly instead, mirroring
-	// the DeltaStepping bucket-id guard.
+	// The block histograms, per-slot counts and scatter offsets are
+	// uint32; a batch of 2^32 or more updates would silently wrap them
+	// and scatter identifiers into the wrong buckets. Fail loudly
+	// instead, mirroring the DeltaStepping bucket-id guard.
 	if uint64(k) > math.MaxUint32 {
 		panic(fmt.Sprintf("bucket: UpdateBuckets batch of %d updates overflows the uint32 offset space; split the batch below 2^32 identifiers", k))
 	}
 	b.debugCheckUpdate(k, f)
-	// nB open slots, the overflow slot, and the lazy slot (which only
-	// receives identifiers while a fused span is active, but is always
-	// accounted for so the pass layout does not depend on span state).
+	if forks(k) {
+		return b.updateBlocks(k, f)
+	}
+	return b.updateSeq(k, f)
+}
+
+// updateSeq applies a batch on the caller: one count over the batch
+// that records the slots it touches, one exact chunk per touched slot,
+// one scatter. It costs O(k + touched slots). Each chunk is filled in
+// batch order, so a slot receives exactly the chunk the block histogram
+// would give it; the chunks are only allocated in a different order
+// (first touch, not slot order), which the free list may answer
+// differently.
+func (b *Par) updateSeq(k int, f func(j int) (uint32, Dest)) int64 {
+	fill, chunks := b.scr.fill, b.scr.chunks
+	touched := b.scr.starts[:0]
+	for j := 0; j < k; j++ {
+		if _, dest := f(j); dest != None {
+			if fill[dest] == 0 {
+				touched = append(touched, uint32(dest))
+			}
+			fill[dest]++
+		}
+	}
+	var total int64
+	for _, s := range touched {
+		n := int(fill[s])
+		c := b.chunkAlloc(n)
+		chunks[s] = c
+		bk := &b.bkts[s]
+		bk.chunks = append(bk.chunks, c)
+		bk.n += n
+		total += int64(n)
+		fill[s] = 0
+	}
+	for j := 0; j < k; j++ {
+		if id, dest := f(j); dest != None {
+			chunks[dest][fill[dest]] = id
+			fill[dest]++
+		}
+	}
+	for _, s := range touched {
+		fill[s] = 0
+	}
+	b.scr.starts = touched
+	return total
+}
+
+// updateBlocks applies a batch above the fork cut-off by §3.3's block
+// histogram: the k updates are split into blocks of M = 2048; each
+// block counts its identifiers per destination slot; one scan over the
+// slot-major count matrix yields exact write offsets; a second pass
+// scatters identifiers directly into a fresh exact-size chunk per
+// destination bucket.
+func (b *Par) updateBlocks(k int, f func(j int) (uint32, Dest)) int64 {
 	nSlots := b.nB + 2
 	nb := (k + updateBlock - 1) / updateBlock
 	need := nSlots * nb
@@ -677,51 +821,43 @@ func (b *Par) update(k int, f func(j int) (uint32, Dest)) int64 {
 	if cap(b.scr.starts) < nSlots+1 {
 		b.scr.starts = make([]uint32, nSlots+1)
 	}
-	if cap(b.scr.chunks) < nSlots {
-		b.scr.chunks = make([][]uint32, nSlots)
-	}
 	b.upd = updState{
 		k: k, nb: nb, f: f,
 		counts: b.scr.counts[:need],
 		starts: b.scr.starts[:nSlots+1],
-		chunks: b.scr.chunks[:nSlots],
+		chunks: b.scr.chunks,
 	}
 	counts, starts := b.upd.counts, b.upd.starts
-	// A batch of one block has no parallelism to offer, whatever the slot
-	// count (the same 130 for a 2-identifier batch as for a 2 M one): all
-	// five passes then run inline on the caller — the two over blocks by
-	// their own grain, the three over slots by one they cannot reach.
-	zeroGrain, resizeGrain := parallel.DefaultGrain, 8
-	if nb == 1 {
-		zeroGrain, resizeGrain = need, nSlots
-	}
-	parallel.For(need, zeroGrain, b.zeroPass)
 
 	// Pass 1: per-block histograms, laid out slot-major so that one
 	// exclusive scan produces, for every (slot, block), the offset of
 	// that block's contribution within the slot's incoming batch.
+	parallel.For(need, parallel.DefaultGrain, b.zeroPass)
 	parallel.For(nb, 1, b.histPass)
-	var total uint32
-	if nb == 1 {
-		for s, c := range counts {
-			counts[s], total = total, total+c
-		}
-	} else {
-		total = parallel.Scan(counts, counts)
-	}
+	total := parallel.Scan(counts, counts)
 
 	// Allocate each destination bucket's chunk once (§3.2: "in
 	// parallel, resize all buckets that have identifiers moving to
 	// them" — chunking makes the resize a fresh exact-size array
-	// instead of a copying reallocation). The chunk table comes from
-	// the arena; it needs no clearing because pass 2 only reads entries
-	// for slots with incoming identifiers, which the pass above always
-	// writes.
+	// instead of a copying reallocation). It runs on the caller, which
+	// keeps the free list single-threaded, and walks every slot: nB + 2
+	// steps against a batch past the fork cut-off, after a scan that
+	// already read nB + 2 counts per block. The chunk table needs no
+	// clearing because pass 2 only reads entries for slots with incoming
+	// identifiers, which this loop always writes.
 	for s := 0; s < nSlots; s++ {
 		starts[s] = counts[s*nb]
 	}
 	starts[nSlots] = total
-	parallel.For(nSlots, resizeGrain, b.resizePass)
+	for s, end := range starts[1:] {
+		if incoming := int(end - starts[s]); incoming > 0 {
+			c := b.chunkAlloc(incoming)
+			b.upd.chunks[s] = c
+			bk := &b.bkts[s]
+			bk.chunks = append(bk.chunks, c)
+			bk.n += incoming
+		}
+	}
 
 	// Pass 2: scatter. Each block re-evaluates f and writes its
 	// identifiers at block-exclusive offsets, so no synchronization is
@@ -739,17 +875,6 @@ func (b *Par) Stats() Stats { return b.ctr.snapshot() }
 // use it to assert the §3.3 overflow behaviour.
 func (b *Par) CurrentRange() (lo, hi ID, overflow int) {
 	return b.rangeLo, b.rangeHi, b.bkts[b.nB].n
-}
-
-// resetSlot empties a slot whose chunks have all been handed to
-// freePut, clearing the chunk pointers so the retained header array
-// does not pin the recycled chunks against eviction from the free list.
-func (b *Par) resetSlot(bk *chunkedBucket) {
-	for i := range bk.chunks {
-		bk.chunks[i] = nil
-	}
-	bk.chunks = bk.chunks[:0]
-	bk.n = 0
 }
 
 // chunkAlloc returns a length-n array for an overflow chunk (or the
@@ -771,8 +896,6 @@ func (b *Par) freePut(s []uint32) {
 		return
 	}
 	cls := bits.Len(uint(cap(s))) - 1
-	b.freeMu.Lock()
-	defer b.freeMu.Unlock()
 	if b.scr.freeCount >= maxFreeArrays {
 		// Full: displace an array from the smallest nonempty class if
 		// this one is strictly larger, so the pool converges on the
@@ -805,8 +928,6 @@ func (b *Par) freeGet(need int) []uint32 {
 		return nil
 	}
 	c0 := bits.Len(uint(need - 1))
-	b.freeMu.Lock()
-	defer b.freeMu.Unlock()
 	// Class c0-1 straddles need: its arrays have cap in [2^(c0-1),
 	// 2^c0), some of which suffice. Check the most recently freed few —
 	// the common hit is a just-recycled array of nearly the same size

@@ -46,6 +46,15 @@ func testGraph(seed uint64) *graph.CSR {
 	return gen.RMAT(n, 8*n, true, seed)
 }
 
+// forkingGraph is a graph on which a k-core run keeps reaching worker
+// sites. Below the fork cut-off a round opens no parallel region at
+// all, so testGraph's runs reach the worker site about once; on RMAT
+// 2¹⁵ at P=2 the early rounds fork 18 regions of 8 chunks each, about
+// 145 worker-site hits per run. Callers pin GOMAXPROCS to 2.
+func forkingGraph(seed uint64) *graph.CSR {
+	return gen.RMAT(1<<15, 8<<15, true, seed)
+}
+
 // flightDumpRecorder arms the always-on flight recorder for one chaos
 // run and dumps its tail if the test fails, so a failed invariant
 // check ships a post-mortem of the rounds that led up to it.
@@ -103,7 +112,8 @@ func corenessEqual(t *testing.T, got, want []uint32) {
 // middle of a k-core run and asserts the whole contract.
 func TestInjectedWorkerPanic(t *testing.T) {
 	defer harness.LeakCheck(t)()
-	g := testGraph(1)
+	defer parallel.SetProcs(parallel.SetProcs(2))
+	g := forkingGraph(1)
 	want := kcore.CorenessBZ(g)
 	rec := flightDumpRecorder(t)
 	for _, hit := range []int64{1, 7, 40} {
@@ -401,7 +411,8 @@ func TestSeededSweep(t *testing.T) {
 		}
 		seeds = v
 	}
-	g := testGraph(4)
+	defer parallel.SetProcs(parallel.SetProcs(2))
+	g := forkingGraph(4)
 	want := kcore.CorenessBZ(g)
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed

@@ -268,7 +268,8 @@ func relaxInto[T any](g graph.Graph, ids []graph.Vertex, c func(graph.Vertex) bo
 // lowers v's induced degree and reports the bucket move, so the output
 // is the updateBuckets feed and nothing else is materialized.
 //
-// Pass 1 adds to an atomic counter per target; the edge that raises a
+// Pass 1 adds to a counter per target — atomically when the pass forks,
+// with plain increments when it runs inline; the edge that raises a
 // counter from zero claims v into its worker's buffer, so each touched
 // vertex is claimed once. Pass 2 reads and zeroes each claimed counter,
 // calls update and compacts the survivors in place: one loop over the
@@ -283,7 +284,7 @@ func EdgeMapSum[T any](g graph.Graph, u VertexSubset, c func(v graph.Vertex) boo
 	cnt := dst.counters(n)
 	withParts(p, func(parts []part[T]) {
 		if p == 1 {
-			outIDs = countInto(g, ids, c, cnt, &parts[0].buf, outIDs)
+			outIDs = countOwned(g, ids, c, cnt, &parts[0].buf, outIDs)
 			outIDs, outVals = sumInto(cnt, update, outIDs, outIDs[:0], outVals)
 			return
 		}
@@ -337,6 +338,26 @@ func countInto(g graph.Graph, ids []graph.Vertex, c func(graph.Vertex) bool, cnt
 		for _, dst := range nbrs {
 			if (c == nil || c(dst)) && atomic.AddUint32(&cnt[dst], 1) == 1 {
 				claimed = push(claimed, dst)
+			}
+		}
+	}
+	return claimed
+}
+
+// countOwned is countInto for a caller that owns cnt outright, the
+// inline arm of EdgeMapSum: no other worker touches the counters, so it
+// counts with plain increments instead of atomic adds.
+func countOwned(g graph.Graph, ids []graph.Vertex, c func(graph.Vertex) bool, cnt []uint32,
+	buf *graph.AdjBuf, claimed []graph.Vertex) []graph.Vertex {
+
+	for _, src := range ids {
+		nbrs, ws := g.OutAdj(src, buf)
+		debugCheckAdj(g, src, false, nbrs, ws)
+		for _, dst := range nbrs {
+			if c == nil || c(dst) {
+				if cnt[dst]++; cnt[dst] == 1 {
+					claimed = push(claimed, dst)
+				}
 			}
 		}
 	}

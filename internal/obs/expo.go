@@ -12,9 +12,9 @@ import (
 // This file is the stdlib-only HTTP debug surface (DESIGN.md §10):
 // Prometheus-text-format /metrics, a JSON /debug/obs dump, and the
 // net/http/pprof handlers, all mounted on a private mux so binaries
-// never leak debug handlers onto http.DefaultServeMux. The cmd/
-// binaries expose it behind -http; the planned cmd/served service
-// (ROADMAP item 1) mounts the same mux verbatim.
+// never leak debug handlers onto http.DefaultServeMux. The kernel CLI
+// exposes it behind -http; the service (internal/serve, cmd/served)
+// routes /metrics, /debug/obs and /debug/pprof/ to the same mux.
 
 // MetricsPrefix namespaces every exposed metric name.
 const MetricsPrefix = "julienne_"

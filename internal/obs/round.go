@@ -72,11 +72,11 @@ func (r *Recorder) RecordRound(m RoundMetrics) {
 	if r == nil {
 		return
 	}
-	if m.Forked|m.Inline|m.Wakes != 0 { // absent, not zero, for kernels that do not report it
-		r.Add(CtrParallelForked, m.Forked)
-		r.Add(CtrParallelInline, m.Inline)
-		r.Add(CtrParallelWakes, m.Wakes)
-	}
+	// Every round reports its fork budget, and a round below the fork
+	// cut-off may open no region at all: zero is a value, not absence.
+	r.Add(CtrParallelForked, m.Forked)
+	r.Add(CtrParallelInline, m.Inline)
+	r.Add(CtrParallelWakes, m.Wakes)
 	r.Observe(HistRoundLatencyNs, m.Duration.Nanoseconds())
 	r.Observe(HistRoundFrontier, int64(m.FrontierSize))
 	r.recordFlight(m)

@@ -10,8 +10,7 @@ func Filter[T any](src []T, pred func(T) bool) []T {
 // in their original order. buf's contents are overwritten and its
 // backing array is grown as needed (only its capacity matters); buf and
 // src must not overlap. Callers that filter every round pass the same
-// buffer back in and reach a steady state with zero allocations — the
-// bucket structure's NextBucket compaction is the motivating use.
+// buffer back in and reach a steady state with zero allocations.
 func FilterInto[T any](buf, src []T, pred func(T) bool) []T {
 	n := len(src)
 	if n == 0 {
@@ -71,27 +70,6 @@ func FilterInto[T any](buf, src []T, pred func(T) bool) []T {
 		out = kept
 	})
 	return out
-}
-
-// FilterAppend appends src's survivors to buf (after its existing
-// elements, growing the backing array as needed) and returns the
-// extended slice. buf and src must not overlap. Like FilterInto it
-// reaches a zero-allocation steady state when the caller passes the
-// same buffer back every round; the bucket structure uses it to compact
-// a slot stored as multiple chunks into one contiguous result.
-func FilterAppend[T any](buf, src []T, pred func(T) bool) []T {
-	n := len(src)
-	if n == 0 {
-		return buf
-	}
-	base := len(buf)
-	if cap(buf) < base+n {
-		grown := make([]T, base, max(base+n, 2*cap(buf)))
-		copy(grown, buf)
-		buf = grown
-	}
-	out := FilterInto(buf[base:base:cap(buf)], src, pred)
-	return buf[:base+len(out)]
 }
 
 // FilterIndex is Filter where the predicate also sees the element index.

@@ -250,9 +250,6 @@ func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 		{"FilterInto", n, func(cb func()) {
 			parallel.FilterInto(buf, in, func(v uint32) bool { cb(); return v%2 == 0 })
 		}},
-		{"FilterAppend", n, func(cb func()) {
-			parallel.FilterAppend(buf[:0], in, func(v uint32) bool { cb(); return v%2 == 0 })
-		}},
 		{"PackIndices", n, func(cb func()) {
 			parallel.PackIndices(n, func(i int) bool { cb(); return i%2 == 0 })
 		}},

@@ -75,7 +75,6 @@ func entryPoints() []entryPoint {
 		{"Scan", false, func(func()) { parallel.Scan(dst, in) }},
 		{"Filter", true, func(hook func()) { parallel.Filter(in, even(hook)) }},
 		{"FilterInto", true, func(hook func()) { parallel.FilterInto(buf, in, even(hook)) }},
-		{"FilterAppend", true, func(hook func()) { parallel.FilterAppend(buf[:0], in, even(hook)) }},
 		{"FilterIndex", true, func(hook func()) {
 			parallel.FilterIndex(in, func(i int, _ uint32) bool { hook(); return i%2 == 0 })
 		}},

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"julienne/internal/bucket"
+	"julienne/internal/parallel"
 	"julienne/internal/rng"
 )
 
@@ -32,21 +33,64 @@ func TestBucketParMatchesSeq(t *testing.T) {
 		n := 1 + int(rng.UintNAt(seed, 1, uint64(cfg.MaxN)+1))
 		for _, order := range []bucket.Order{bucket.Increasing, bucket.Decreasing} {
 			for oi, opt := range opts {
-				runBucketDiff(t, n, rng.At(seed, uint64(oi)), order, opt)
+				runBucketDiff(t, diffScript{n: n, seed: rng.At(seed, uint64(oi)), order: order, opt: opt,
+					lo: 0, span: 300, step: 40})
 			}
 		}
 	}
 }
 
-func runBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order, opt bucket.Options) {
+// TestBucketParMatchesSeqLargeBatches is TestBucketParMatchesSeq where
+// both of Par's UpdateBuckets arms run: n is past the fork cut-off, so
+// New's bulk insert takes the forked block histogram at P=2, and the
+// identifiers start in two adjacent buckets and move one or two
+// buckets at a time, so buckets stay thousands strong and every round
+// moves its identifiers in batches of the given size — one block short
+// of full, exactly full, one over and three blocks and one, all counted
+// on the caller, and one past the fork cut-off — under both orders, with the default open range
+// and a 2-bucket one.
+func TestBucketParMatchesSeqLargeBatches(t *testing.T) {
+	defer parallel.SetProcs(parallel.SetProcs(2))
+	const n = 20000
+	for bi, batch := range []int{2047, 2048, 2049, 6145, 8193} {
+		for _, order := range []bucket.Order{bucket.Increasing, bucket.Decreasing} {
+			lo := bucket.ID(0)
+			if order == bucket.Decreasing {
+				lo = 200
+			}
+			for oi, opt := range []bucket.Options{{}, {OpenBuckets: 2}} {
+				runBucketDiff(t, diffScript{n: n, seed: rng.At(0xba7c4, uint64(2*bi+oi)), order: order, opt: opt,
+					lo: lo, span: 2, step: 2, batch: batch})
+			}
+		}
+	}
+}
+
+// diffScript is one lockstep run of runBucketDiff: n identifiers, each
+// starting Nil with probability 1/8 and otherwise in a bucket drawn
+// from [lo, lo+span); a move goes 1…step buckets in traversal order;
+// every round's updates reach the structures in UpdateBuckets calls of
+// batch updates (0: one call).
+type diffScript struct {
+	n          int
+	seed       uint64
+	order      bucket.Order
+	opt        bucket.Options
+	lo         bucket.ID
+	span, step uint64
+	batch      int
+}
+
+func runBucketDiff(t *testing.T, sc diffScript) {
 	t.Helper()
+	n, seed, order, opt := sc.n, sc.seed, sc.order, sc.opt
 	r := rng.New(seed)
 	dvals := make([]bucket.ID, n)
 	for i := range dvals {
 		if r.UintN(8) == 0 {
 			dvals[i] = bucket.Nil
 		} else {
-			dvals[i] = bucket.ID(r.UintN(300))
+			dvals[i] = sc.lo + bucket.ID(r.UintN(sc.span))
 		}
 	}
 	d := func(i uint32) bucket.ID { return dvals[i] }
@@ -54,8 +98,9 @@ func runBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order, opt buc
 	seq := bucket.NewSeq(n, d, order)
 
 	ctx := func() string {
-		return t.Name() + ": " + describeDiff(n, seed, order, opt)
+		return t.Name() + ": " + describeDiff(n, seed, order, opt) + fmt.Sprintf(" batch=%d", sc.batch)
 	}
+	fullBatch := sc.batch == 0
 	for rounds := 0; ; rounds++ {
 		if rounds > 4*n+16 {
 			t.Fatalf("%s: no convergence after %d rounds", ctx(), rounds)
@@ -99,7 +144,7 @@ func runBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order, opt buc
 			case 1:
 				// stays put: filtered as a no-op move
 			default:
-				step := bucket.ID(1 + r.UintN(40))
+				step := bucket.ID(1 + r.UintN(sc.step))
 				if order == bucket.Increasing {
 					next = prev + step
 				} else if prev > step {
@@ -119,10 +164,21 @@ func runBucketDiff(t *testing.T, n int, seed uint64, order bucket.Order, opt buc
 			destsP[i] = par.GetBucket(u.prev, u.next)
 			destsS[i] = seq.GetBucket(u.prev, u.next)
 		}
-		par.UpdateBuckets(len(ups), func(j int) (uint32, bucket.Dest) { return ups[j].id, destsP[j] })
-		seq.UpdateBuckets(len(ups), func(j int) (uint32, bucket.Dest) { return ups[j].id, destsS[j] })
+		batch := sc.batch
+		if batch == 0 {
+			batch = max(len(ups), 1)
+		}
+		for lo := 0; lo < len(ups); lo += batch {
+			hi := min(lo+batch, len(ups))
+			fullBatch = fullBatch || hi-lo == sc.batch
+			par.UpdateBuckets(hi-lo, func(j int) (uint32, bucket.Dest) { return ups[lo+j].id, destsP[lo+j] })
+			seq.UpdateBuckets(hi-lo, func(j int) (uint32, bucket.Dest) { return ups[lo+j].id, destsS[lo+j] })
+		}
 	}
 
+	if !fullBatch {
+		t.Fatalf("%s: no round moved a full batch", ctx())
+	}
 	sp, ss := par.Stats(), seq.Stats()
 	if sp.Extracted != ss.Extracted || sp.BucketsReturned != ss.BucketsReturned {
 		t.Fatalf("%s: stats diverged: Par extracted %d over %d buckets, Seq %d over %d",
