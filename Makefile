@@ -88,7 +88,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/
 	$(GO) test -fuzz=FuzzReadText -fuzztime $(FUZZTIME) ./internal/graphio/
-	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime $(FUZZTIME) ./internal/graphio/
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime $(FUZZTIME) ./internal/graphio/
 
 # bench regenerates the committed reports (BENCH_bucket.json and

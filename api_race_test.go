@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"julienne/internal/gen"
 )
 
 // TestConcurrentSharedGraphQueries pins the shared-read-path contract
@@ -16,17 +18,17 @@ import (
 // `make race`; lazy CSR state (in-edge construction) and all Recorder
 // paths are exercised across the concurrent callers.
 func TestConcurrentSharedGraphQueries(t *testing.T) {
-	g := UniformWeights(Grid2D(24, 24), 1, 8, 7)
+	g := gen.UniformWeights(Grid2D(24, 24), 1, 8, 7)
 	rec := NewRecorder()
 
 	srcs := []Vertex{0, 17, 255, 575}
 	wantDelta := make(map[Vertex][]int64, len(srcs))
 	wantWBFS := make(map[Vertex][]int64, len(srcs))
 	for _, s := range srcs {
-		wantDelta[s] = DeltaStepping(g, s, 4)
-		wantWBFS[s] = WBFS(g, s)
+		wantDelta[s] = DeltaSteppingWithOptions(g, s, 4, SSSPOptions{}).Dist
+		wantWBFS[s] = WBFSWithOptions(g, s, SSSPOptions{}).Dist
 	}
-	wantCore := KCore(g)
+	wantCore := KCoreWithOptions(g, KCoreOptions{}).Coreness
 
 	sameInt64 := func(t *testing.T, what string, got, want []int64) {
 		t.Helper()

@@ -347,9 +347,9 @@ func densestCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 		elapsed, err := r.kernel(func(ctx context.Context) error {
 			opt := densest.Options{Recorder: r.rec, Ctx: ctx}
 			if r.impl == "batch" {
-				res = densest.PeelBatchWithOptions(g, *eps, opt)
+				res = densest.PeelBatch(g, *eps, opt)
 			} else {
-				res = densest.CharikarWithOptions(g, opt)
+				res = densest.Charikar(g, opt)
 			}
 			return res.Err
 		})

@@ -96,13 +96,8 @@ func requireSymmetric(g graph.Graph) {
 // vertex (hence every vertex of the optimum S*) has degree ≥ the
 // minimum degree being peeled, and ρ* ≤ max-min-degree/... — the
 // recorded density at the round *before* any vertex of the best
-// prefix falls is at least ρ*/2.
-func Charikar(g graph.Graph) Result {
-	return CharikarWithOptions(g, Options{})
-}
-
-// CharikarWithOptions is Charikar with cancellation support.
-func CharikarWithOptions(g graph.Graph, opt Options) Result {
+// prefix falls is at least ρ*/2. The zero Options is the plain run.
+func Charikar(g graph.Graph, opt Options) Result {
 	requireSymmetric(g)
 	n := g.NumVertices()
 	if n == 0 {
@@ -228,13 +223,8 @@ func survivorsOfSize(removedAt []int64, want int64) []graph.Vertex {
 // PeelBatch is the Bahmani et al. parallel batch peel: while vertices
 // remain, remove every vertex with degree ≤ 2(1+ε)·ρ(S). The densest
 // intermediate S is a (2+2ε)-approximation, reached in
-// O(log_{1+ε} n) rounds.
-func PeelBatch(g graph.Graph, eps float64) Result {
-	return PeelBatchWithOptions(g, eps, Options{})
-}
-
-// PeelBatchWithOptions is PeelBatch with cancellation support.
-func PeelBatchWithOptions(g graph.Graph, eps float64, opt Options) Result {
+// O(log_{1+ε} n) rounds. The zero Options is the plain run.
+func PeelBatch(g graph.Graph, eps float64, opt Options) Result {
 	requireSymmetric(g)
 	if eps <= 0 {
 		eps = 0.1

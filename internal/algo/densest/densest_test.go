@@ -51,12 +51,12 @@ func TestCliquePlusFringe(t *testing.T) {
 	g := graph.FromEdges(60, edges,
 		graph.BuildOptions{Symmetrize: true, DropSelfLoops: true, Dedup: true})
 
-	ch := Charikar(g)
+	ch := Charikar(g, Options{})
 	checkResult(t, "charikar", g, ch)
 	if ch.Density < 4.5-1e-9 {
 		t.Fatalf("charikar density %v < clique density 4.5", ch.Density)
 	}
-	pb := PeelBatch(g, 0.1)
+	pb := PeelBatch(g, 0.1, Options{})
 	checkResult(t, "peelbatch", g, pb)
 	// (2+2ε)-approx of optimum >= 4.5.
 	if pb.Density < 4.5/(2+0.2)-1e-9 {
@@ -68,8 +68,8 @@ func TestCompleteGraph(t *testing.T) {
 	g := gen.Complete(8)
 	want := 3.5 // 28 edges / 8 vertices
 	for name, res := range map[string]Result{
-		"charikar":  Charikar(g),
-		"peelbatch": PeelBatch(g, 0.1),
+		"charikar":  Charikar(g, Options{}),
+		"peelbatch": PeelBatch(g, 0.1, Options{}),
 	} {
 		checkResult(t, name, g, res)
 		if res.Density != want {
@@ -89,9 +89,9 @@ func TestGuaranteesOnRandomGraphs(t *testing.T) {
 		"grid":    gen.Grid2D(20, 20),
 	}
 	for name, g := range graphs {
-		ch := Charikar(g)
+		ch := Charikar(g, Options{})
 		checkResult(t, name+"/charikar", g, ch)
-		pb := PeelBatch(g, 0.1)
+		pb := PeelBatch(g, 0.1, Options{})
 		checkResult(t, name+"/peelbatch", g, pb)
 		// Charikar is a 2-approx and PeelBatch a (2+2ε)-approx of the
 		// same optimum, so they can differ by at most a factor
@@ -113,7 +113,7 @@ func TestGuaranteesOnRandomGraphs(t *testing.T) {
 
 func TestPeelBatchLogRounds(t *testing.T) {
 	g := gen.RMAT(1<<12, 40000, true, 7)
-	res := PeelBatch(g, 0.5)
+	res := PeelBatch(g, 0.5, Options{})
 	// O(log_{1.5} n) rounds: generous cap at 4*log2(n).
 	maxRounds := int64(4 * 12)
 	if res.Rounds > maxRounds {
@@ -123,14 +123,14 @@ func TestPeelBatchLogRounds(t *testing.T) {
 
 func TestEmptyAndTiny(t *testing.T) {
 	empty := graph.FromEdges(0, nil, graph.BuildOptions{Symmetrize: true})
-	if res := Charikar(empty); len(res.Vertices) != 0 {
+	if res := Charikar(empty, Options{}); len(res.Vertices) != 0 {
 		t.Fatal("empty graph")
 	}
-	if res := PeelBatch(empty, 0.1); len(res.Vertices) != 0 {
+	if res := PeelBatch(empty, 0.1, Options{}); len(res.Vertices) != 0 {
 		t.Fatal("empty graph peelbatch")
 	}
 	single := gen.Star(2) // one edge
-	res := Charikar(single)
+	res := Charikar(single, Options{})
 	checkResult(t, "single-edge", single, res)
 	if res.Density != 0.5 {
 		t.Fatalf("single edge density %v", res.Density)
@@ -144,5 +144,5 @@ func TestPanicsOnDirected(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Charikar(g)
+	Charikar(g, Options{})
 }

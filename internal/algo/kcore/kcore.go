@@ -255,14 +255,6 @@ func CorenessBZ(g graph.Graph) []uint32 {
 	return core
 }
 
-// Rho returns the peeling complexity ρ of g (§4.1): the number of
-// rounds needed to peel the graph completely, where each round removes
-// all minimum-degree vertices. It is measured by running the bucketed
-// peeling algorithm.
-func Rho(g graph.Graph) int64 {
-	return Coreness(g, Options{}).Rounds
-}
-
 // MaxCoreness returns k_max, the largest core number.
 func MaxCoreness(coreness []uint32) uint32 {
 	if len(coreness) == 0 {

@@ -148,14 +148,55 @@ func TestWorkEfficiency(t *testing.T) {
 	}
 }
 
+// TestRhoMatchesRounds checks that a run takes exactly ρ rounds, the
+// peeling complexity of §4.1, counted here by a sequential peel that
+// removes, each round, every vertex whose remaining degree is at most
+// the current core level k (k never decreases).
 func TestRhoMatchesRounds(t *testing.T) {
-	g := gen.RMAT(1<<10, 8000, true, 11)
-	if Rho(g) != Coreness(g, Options{}).Rounds {
-		t.Fatal("Rho disagrees with Rounds")
+	rho := func(g graph.Graph) int64 {
+		n := g.NumVertices()
+		deg := make([]int, n)
+		for v := range deg {
+			deg[v] = g.OutDegree(graph.Vertex(v))
+		}
+		removed := make([]bool, n)
+		var rounds int64
+		k := 0
+		for left := n; left > 0; rounds++ {
+			lo := n
+			for v := range deg {
+				if !removed[v] {
+					lo = min(lo, deg[v])
+				}
+			}
+			k = max(k, lo)
+			var peel []graph.Vertex
+			for v := range deg {
+				if !removed[v] && deg[v] <= k {
+					peel = append(peel, graph.Vertex(v))
+				}
+			}
+			for _, v := range peel {
+				removed[v] = true
+			}
+			for _, v := range peel {
+				g.OutNeighbors(v, func(u graph.Vertex, _ graph.Weight) bool {
+					deg[u]--
+					return true
+				})
+			}
+			left -= len(peel)
+		}
+		return rounds
 	}
-	// A complete graph peels in exactly 1 round; a path in few rounds.
-	if r := Rho(gen.Complete(10)); r != 1 {
-		t.Fatalf("rho(K10)=%d want 1", r)
+	for name, g := range map[string]graph.Graph{
+		"rmat": gen.RMAT(1<<10, 8000, true, 11),
+		"grid": gen.Grid2D(12, 9),
+		"K10":  gen.Complete(10), // one round
+	} {
+		if got, want := Coreness(g, Options{}).Rounds, rho(g); got != want {
+			t.Errorf("%s: %d rounds, ρ = %d", name, got, want)
+		}
 	}
 }
 

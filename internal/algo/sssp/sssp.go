@@ -68,7 +68,7 @@ type Result struct {
 
 func checkInput(g graph.Graph, src graph.Vertex) {
 	if !g.Weighted() {
-		panic("sssp: graph must be weighted (use bfs for unweighted graphs)")
+		panic("sssp: graph must be weighted")
 	}
 	if int(src) >= g.NumVertices() {
 		panic(fmt.Sprintf("sssp: source %d out of range for n=%d", src, g.NumVertices()))

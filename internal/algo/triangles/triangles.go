@@ -82,17 +82,3 @@ func PerVertex(g graph.Graph) []int64 {
 	})
 	return counts
 }
-
-// GlobalClusteringCoefficient returns 3·triangles / open-wedges, the
-// standard transitivity measure, or 0 for wedge-free graphs.
-func GlobalClusteringCoefficient(g graph.Graph) float64 {
-	tri := Count(g)
-	wedges := parallel.Sum(g.NumVertices(), 0, func(v int) int64 {
-		d := int64(g.OutDegree(graph.Vertex(v)))
-		return d * (d - 1) / 2
-	})
-	if wedges == 0 {
-		return 0
-	}
-	return 3 * float64(tri) / float64(wedges)
-}

@@ -89,19 +89,6 @@ func TestCompressedGraph(t *testing.T) {
 	}
 }
 
-func TestClusteringCoefficient(t *testing.T) {
-	// Complete graphs have transitivity exactly 1.
-	if c := GlobalClusteringCoefficient(gen.Complete(6)); c != 1 {
-		t.Fatalf("K6 transitivity %v want 1", c)
-	}
-	if c := GlobalClusteringCoefficient(gen.Star(10)); c != 0 {
-		t.Fatalf("star transitivity %v want 0", c)
-	}
-	if c := GlobalClusteringCoefficient(gen.Path(2)); c != 0 {
-		t.Fatalf("edge transitivity %v want 0", c)
-	}
-}
-
 func TestPanicsOnDirected(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -283,10 +283,10 @@ func Workloads(smoke bool) []Workload {
 	// Extensions beyond the paper's four applications.
 	for _, in := range []input{rmat, byName["powerlaw"]} {
 		on("extension", "densest", "charikar", in, in.g, func(g *graph.CSR, rec *obs.Recorder) Result {
-			return densestResult(densest.CharikarWithOptions(g, densest.Options{Recorder: rec}))
+			return densestResult(densest.Charikar(g, densest.Options{Recorder: rec}))
 		})
 		on("extension", "densest", "peel-batch", in, in.g, func(g *graph.CSR, _ *obs.Recorder) Result {
-			return densestResult(densest.PeelBatch(g, 0.1))
+			return densestResult(densest.PeelBatch(g, 0.1, densest.Options{}))
 		})
 	}
 	cores := sync.OnceValue(func() []uint32 { return kcore.Coreness(rmat.g(), kcore.Options{}).Coreness })

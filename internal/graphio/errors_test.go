@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"julienne/internal/gen"
-	"julienne/internal/graph"
 )
 
 // Each case here pins a loader bug found by the fuzz targets (or by
@@ -132,24 +131,4 @@ func TestReadBinaryCorruptHeader(t *testing.T) {
 	requireTyped(t, mangle(func(raw []byte) { raw[8] = 99 }), ErrCorrupt)      // version
 	requireTyped(t, mangle(func(raw []byte) { raw[31] = 0xff }), ErrCorrupt)   // absurd n
 	requireTyped(t, mangle(func(raw []byte) { raw[5*8] ^= 0x01 }), ErrCorrupt) // first offset
-}
-
-func TestReadEdgeListNegativeWeight(t *testing.T) {
-	_, err := ReadEdgeList(strings.NewReader("0 1 -3\n"), graph.DefaultBuild)
-	requireTyped(t, err, ErrCorrupt)
-}
-
-func TestEdgeListErrorsTyped(t *testing.T) {
-	for name, in := range map[string]string{
-		"too many fields": "0 1 2 3\n",
-		"bad int":         "x 1\n",
-		"negative id":     "-1 2\n",
-		"bad weight":      "0 1 zz\n",
-	} {
-		_, err := ReadEdgeList(strings.NewReader(in), graph.DefaultBuild)
-		if err == nil {
-			t.Fatalf("%s: accepted", name)
-		}
-		requireTyped(t, err, ErrCorrupt)
-	}
 }

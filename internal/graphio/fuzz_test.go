@@ -83,26 +83,6 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
-func FuzzReadEdgeList(f *testing.F) {
-	f.Add("0 1\n1 2\n")
-	f.Add("0 1 7\n")
-	f.Add("# comment\n\n3 4\n")
-	f.Add("x y\n")
-	f.Add("1")
-	f.Add("0 1 -7\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		g, err := ReadEdgeList(strings.NewReader(in), graph.DefaultBuild)
-		if err != nil {
-			checkTypedError(t, err)
-			return
-		}
-		if err := graph.Validate(g); err != nil {
-			t.Fatalf("invalid graph accepted: %v", err)
-		}
-		checkWeights(t, g)
-	})
-}
-
 func FuzzReadBinary(f *testing.F) {
 	var buf bytes.Buffer
 	_ = WriteBinary(&buf, gen.Grid2D(3, 3))

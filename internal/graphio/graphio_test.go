@@ -143,83 +143,3 @@ func TestPackedGraphSavesLiveEdges(t *testing.T) {
 		t.Fatalf("packed save degree %d want 3", got.OutDegree(0))
 	}
 }
-
-func TestEdgeListRoundTrip(t *testing.T) {
-	for name, g := range families() {
-		var buf bytes.Buffer
-		if err := WriteEdgeList(&buf, g); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		opt := graph.BuildOptions{Weighted: g.Weighted(), DropSelfLoops: true, Dedup: true}
-		got, err := ReadEdgeList(&buf, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if name == "empty" {
-			if got.NumVertices() != 0 {
-				t.Fatalf("empty graph read back %d vertices", got.NumVertices())
-			}
-			continue // edge lists cannot represent trailing isolated vertices
-		}
-		// Isolated max-id vertices survive since n = maxID+1; compare
-		// edges structurally via a trimmed oracle.
-		if got.NumEdges() != g.NumEdges() {
-			t.Fatalf("%s: m %d vs %d", name, got.NumEdges(), g.NumEdges())
-		}
-		for v := 0; v < got.NumVertices(); v++ {
-			we, ge := g.OutEdges(graph.Vertex(v)), got.OutEdges(graph.Vertex(v))
-			if len(we) != len(ge) {
-				t.Fatalf("%s: degree(%d)", name, v)
-			}
-			for i := range we {
-				if we[i] != ge[i] {
-					t.Fatalf("%s: edge %d of %d", name, i, v)
-				}
-			}
-			ww, gw := g.OutWeights(graph.Vertex(v)), got.OutWeights(graph.Vertex(v))
-			for i := range ww {
-				if ww[i] != gw[i] {
-					t.Fatalf("%s: weight %d of %d", name, i, v)
-				}
-			}
-		}
-	}
-}
-
-func TestEdgeListComments(t *testing.T) {
-	in := "# comment\n\n0 1\n1 2 \n# more\n2 0\n"
-	g, err := ReadEdgeList(strings.NewReader(in), graph.DefaultBuild)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 3 || g.NumEdges() != 3 {
-		t.Fatalf("n=%d m=%d", g.NumVertices(), g.NumEdges())
-	}
-}
-
-func TestEdgeListWeightInference(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0 1 7\n1 2 9\n"), graph.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Weighted() {
-		t.Fatal("weights not inferred")
-	}
-	w := g.OutWeights(0)
-	if len(w) != 1 || w[0] != 7 {
-		t.Fatalf("weights %v", w)
-	}
-}
-
-func TestEdgeListErrors(t *testing.T) {
-	for name, in := range map[string]string{
-		"too many fields": "0 1 2 3\n",
-		"bad int":         "x 1\n",
-		"negative":        "-1 2\n",
-		"bad weight":      "0 1 zz\n",
-	} {
-		if _, err := ReadEdgeList(strings.NewReader(in), graph.DefaultBuild); err == nil {
-			t.Fatalf("%s: accepted", name)
-		}
-	}
-}

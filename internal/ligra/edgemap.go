@@ -46,7 +46,7 @@ func EdgeMap(g graph.Graph, u VertexSubset, c func(v graph.Vertex) bool,
 
 	n := g.NumVertices()
 	if u.IsEmpty() {
-		return Empty(n)
+		return VertexSubset{n: n}
 	}
 	if opt.NoDense && opt.Recorder == nil {
 		return edgeMapSparse(g, u, sparseWorkers(g, u), c, f, opt)
@@ -205,7 +205,7 @@ func edgeMapDense(g graph.Graph, u VertexSubset, c func(graph.Vertex) bool,
 		})
 	})
 	if opt.NoOutput {
-		return Empty(n)
+		return VertexSubset{n: n}
 	}
 	return FromDense(n, outMember)
 }

@@ -24,9 +24,9 @@ func TestVertexSubsetBasics(t *testing.T) {
 	if s.Size() != 1 || s.IsEmpty() || !s.Contains(3) || s.Contains(4) {
 		t.Fatal("Single misbehaves")
 	}
-	e := Empty(10)
+	e := FromSparse(10, nil)
 	if !e.IsEmpty() || e.Size() != 0 {
-		t.Fatal("Empty misbehaves")
+		t.Fatal("empty FromSparse misbehaves")
 	}
 	a := All(5)
 	if a.Size() != 5 {
@@ -165,12 +165,17 @@ func seqBFS(g graph.Graph, src graph.Vertex) []int32 {
 	return level
 }
 
+// TestEdgeMapBFSMatchesSequential runs BFS by EdgeMap, whose c turns
+// false at a target's first write, so the dense arm's early exit runs
+// (the star's first round is dense), on CSR and compressed inputs.
 func TestEdgeMapBFSMatchesSequential(t *testing.T) {
 	graphs := map[string]graph.Graph{
-		"rmat":  gen.RMAT(1<<11, 16000, true, 3),
-		"grid":  gen.Grid2D(30, 40),
-		"star":  gen.Star(100),
-		"cycle": gen.Cycle(57),
+		"rmat":            gen.RMAT(1<<11, 16000, true, 3),
+		"grid":            gen.Grid2D(30, 40),
+		"star":            gen.Star(100),
+		"cycle":           gen.Cycle(57),
+		"rmat-compressed": compress.FromCSR(gen.RMAT(1<<11, 16000, true, 3)),
+		"star-compressed": compress.FromCSR(gen.Star(100)),
 	}
 	for name, g := range graphs {
 		want := seqBFS(g, 0)
@@ -208,7 +213,7 @@ func TestEdgeMapDenseDirected(t *testing.T) {
 
 func TestEdgeMapEmptyFrontier(t *testing.T) {
 	g := gen.Cycle(10)
-	out := EdgeMap(g, Empty(10),
+	out := EdgeMap(g, FromSparse(10, nil),
 		func(graph.Vertex) bool { return true },
 		func(s, d graph.Vertex, w graph.Weight) bool { return true },
 		EdgeMapOptions{})
@@ -389,49 +394,6 @@ func TestEdgeMapOnWeightedGraph(t *testing.T) {
 	}
 }
 
-func TestVertexMap(t *testing.T) {
-	// Sparse input: F side-effects and filters.
-	touched := make([]int32, 10)
-	s := FromSparse(10, []graph.Vertex{1, 4, 7})
-	out := VertexMap(s, func(v graph.Vertex) bool {
-		atomic.AddInt32(&touched[v], 1)
-		return v >= 4
-	})
-	if out.Size() != 2 || !out.Contains(4) || !out.Contains(7) || out.Contains(1) {
-		t.Fatalf("VertexMap output wrong")
-	}
-	for v, c := range touched {
-		want := int32(0)
-		if v == 1 || v == 4 || v == 7 {
-			want = 1
-		}
-		if c != want {
-			t.Fatalf("F called %d times on %d", c, v)
-		}
-	}
-	// Dense input.
-	d := FromDense(6, []bool{true, true, false, true, false, false})
-	out2 := VertexMap(d, func(v graph.Vertex) bool { return v%2 == 1 })
-	if out2.Size() != 2 || !out2.Contains(1) || !out2.Contains(3) {
-		t.Fatalf("dense VertexMap wrong: %v", out2.Sparse())
-	}
-}
-
-func TestVertexFilter(t *testing.T) {
-	s := FromSparse(10, []graph.Vertex{0, 2, 5, 9})
-	out := VertexFilter(s, func(v graph.Vertex) bool { return v > 2 })
-	if out.Size() != 2 || !out.Contains(5) || !out.Contains(9) {
-		t.Fatal("sparse VertexFilter wrong")
-	}
-	d := FromDense(4, []bool{true, false, true, true})
-	out2 := VertexFilter(d, func(v graph.Vertex) bool { return v != 2 })
-	if out2.Size() != 2 || out2.Contains(2) || !out2.Contains(0) || !out2.Contains(3) {
-		t.Fatal("dense VertexFilter wrong")
-	}
-}
-
-// TestFrontierCachesOutDegreeSum: the sum Frontier computes is the one
-// a plain subset walks for, and a traversal of it does not walk again.
 func TestFrontierCachesOutDegreeSum(t *testing.T) {
 	g := gen.RMAT(1<<10, 1<<13, true, 5)
 	ids := []graph.Vertex{3, 17, 512, 1000}

@@ -1,6 +1,6 @@
 // Package ligra implements the Ligra programming model that Julienne
-// extends (§2.1 of the paper): vertexSubsets and the edgeMap/vertexMap
-// family of traversal primitives, including the direction-optimized
+// extends (§2.1 of the paper): vertexSubsets and the edgeMap family of
+// traversal primitives, including the direction-optimized
 // (sparse push / dense pull) edge map and the additional primitives the
 // paper adds — tagged subsets (vertexSubset_T), edgeMapSum and
 // edgeMapFilter with optional packing.
@@ -25,11 +25,6 @@ type VertexSubset struct {
 	// outEdges caches OutDegreeSum for subsets built by Frontier.
 	outEdges    int64
 	hasOutEdges bool
-}
-
-// Empty returns the empty subset of a universe of size n.
-func Empty(n int) VertexSubset {
-	return VertexSubset{n: n, sparse: []graph.Vertex{}}
 }
 
 // Single returns the subset {v} of a universe of size n.
@@ -69,17 +64,11 @@ func All(n int) VertexSubset {
 	return VertexSubset{n: n, dense: member, size: n}
 }
 
-// Universe returns n, the size of the underlying vertex universe.
-func (s VertexSubset) Universe() int { return s.n }
-
 // Size returns the number of vertices in the subset.
 func (s VertexSubset) Size() int { return s.size }
 
 // IsEmpty reports whether the subset is empty.
 func (s VertexSubset) IsEmpty() bool { return s.size == 0 }
-
-// IsDense reports which representation the subset currently holds.
-func (s VertexSubset) IsDense() bool { return s.dense != nil }
 
 // Sparse returns the subset as a list of vertex ids (converting from the
 // dense form if needed; the result of a conversion is in increasing id
@@ -236,9 +225,6 @@ func push[T any](s []T, v T) []T {
 
 //go:noinline
 func doubled[T any](s []T) []T { return slices.Grow(s, max(len(s), 16)) }
-
-// Universe returns the size of the underlying vertex universe.
-func (t Tagged[T]) Universe() int { return t.n }
 
 // Size returns the number of members.
 func (t Tagged[T]) Size() int { return len(t.IDs) }

@@ -22,9 +22,9 @@ package oracle
 
 import "fmt"
 
-// Diff compares two per-vertex results (coreness, distances, BFS
-// levels, component labels) and reports the first mismatching vertex,
-// for small, readable failure messages.
+// Diff compares two per-vertex results (coreness, distances, component
+// labels) and reports the first mismatching vertex, for small, readable
+// failure messages.
 func Diff[T comparable](name string, got, want []T) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%s: length %d, want %d", name, len(got), len(want))

@@ -46,27 +46,13 @@ func TestDijkstraHand(t *testing.T) {
 	}
 }
 
-func TestBFSAndComponentsHand(t *testing.T) {
+func TestComponentsHand(t *testing.T) {
 	// Path 0-1-2 plus edge 3-4: two components.
 	g := sym(5, [2]graph.Vertex{0, 1}, [2]graph.Vertex{1, 2}, [2]graph.Vertex{3, 4})
-	lvl := BFSLevels(g, 0)
-	wantLvl := []int32{0, 1, 2, Unreached, Unreached}
-	if err := Diff("bfs", lvl, wantLvl); err != nil {
-		t.Fatal(err)
-	}
 	labels := Components(g)
 	wantLab := []graph.Vertex{0, 0, 0, 3, 3}
 	if err := Diff("cc", labels, wantLab); err != nil {
 		t.Fatal(err)
-	}
-	// VerifyBFS must accept a valid parent tree and reject a broken one.
-	parent := []graph.Vertex{graph.NilVertex, 0, 1, graph.NilVertex, graph.NilVertex}
-	if err := VerifyBFS(g, 0, lvl, parent); err != nil {
-		t.Fatalf("valid tree rejected: %v", err)
-	}
-	parent[2] = 0 // 0 is not adjacent to 2
-	if err := VerifyBFS(g, 0, lvl, parent); err == nil {
-		t.Fatal("invalid parent accepted")
 	}
 }
 
@@ -106,8 +92,5 @@ func TestDegenerateOracles(t *testing.T) {
 	one := sym(1)
 	if got := Coreness(one); got[0] != 0 {
 		t.Fatalf("singleton coreness = %d, want 0", got[0])
-	}
-	if got := BFSLevels(one, 0); got[0] != 0 {
-		t.Fatalf("singleton BFS level = %d, want 0", got[0])
 	}
 }

@@ -1,11 +1,5 @@
 package parallel
 
-// Filter returns the elements of src satisfying pred, in their original
-// order (the Filter primitive of §2). Work O(n), depth O(n/P + P).
-func Filter[T any](src []T, pred func(T) bool) []T {
-	return FilterIndex(src, func(_ int, v T) bool { return pred(v) })
-}
-
 // FilterInto filters src into buf's storage and returns the survivors
 // in their original order. buf's contents are overwritten and its
 // backing array is grown as needed (only its capacity matters); buf and
@@ -72,9 +66,11 @@ func FilterInto[T any](buf, src []T, pred func(T) bool) []T {
 	return out
 }
 
-// FilterIndex is Filter where the predicate also sees the element index.
-// pred must be pure: it is evaluated twice per element (count pass and
-// copy pass), which avoids buffering survivors per block.
+// FilterIndex returns the elements of src satisfying pred, which also
+// sees the element index, in their original order (the Filter primitive
+// of §2). Work O(n), depth O(n/P + P). pred must be pure: it is
+// evaluated twice per element (count pass and copy pass), which avoids
+// buffering survivors per block.
 func FilterIndex[T any](src []T, pred func(i int, v T) bool) []T {
 	n := len(src)
 	if n == 0 {

@@ -244,8 +244,8 @@ func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 				}
 			})
 		}},
-		{"Filter", n, func(cb func()) {
-			parallel.Filter(in, func(v uint32) bool { cb(); return v%2 == 0 })
+		{"FilterIndex", n, func(cb func()) {
+			parallel.FilterIndex(in, func(_ int, v uint32) bool { cb(); return v%2 == 0 })
 		}},
 		{"FilterInto", n, func(cb func()) {
 			parallel.FilterInto(buf, in, func(v uint32) bool { cb(); return v%2 == 0 })

@@ -129,7 +129,7 @@ func TestFilterParallelPath(t *testing.T) {
 		for i := range src {
 			src[i] = i
 		}
-		got := Filter(src, func(v int) bool { return v%5 == 0 })
+		got := FilterIndex(src, func(_ int, v int) bool { return v%5 == 0 })
 		if len(got) != (n+4)/5 {
 			t.Fatalf("len=%d", len(got))
 		}

@@ -200,7 +200,7 @@ func TestFilterPreservesOrder(t *testing.T) {
 			src[i] = r.IntN(100)
 		}
 		pred := func(v int) bool { return v%3 == 0 }
-		got := Filter(src, pred)
+		got := FilterIndex(src, func(_ int, v int) bool { return pred(v) })
 		var want []int
 		for _, v := range src {
 			if pred(v) {
@@ -220,7 +220,7 @@ func TestFilterPreservesOrder(t *testing.T) {
 
 func TestFilterProperty(t *testing.T) {
 	f := func(src []int8) bool {
-		got := Filter(src, func(v int8) bool { return v > 0 })
+		got := FilterIndex(src, func(_ int, v int8) bool { return v > 0 })
 		var want []int8
 		for _, v := range src {
 			if v > 0 {

@@ -73,7 +73,6 @@ func entryPoints() []entryPoint {
 			parallel.Sum(tableN, 64, func(i int) int64 { hook(); return int64(i) })
 		}},
 		{"Scan", false, func(func()) { parallel.Scan(dst, in) }},
-		{"Filter", true, func(hook func()) { parallel.Filter(in, even(hook)) }},
 		{"FilterInto", true, func(hook func()) { parallel.FilterInto(buf, in, even(hook)) }},
 		{"FilterIndex", true, func(hook func()) {
 			parallel.FilterIndex(in, func(i int, _ uint32) bool { hook(); return i%2 == 0 })

@@ -9,7 +9,7 @@ import (
 // This file implements the pooled scratch buffers behind the
 // allocation-free steady state of the sequence primitives. Every
 // primitive that needs per-call temporary storage (block sums in Scan,
-// per-block survivor counts in Filter, partial results in Reduce)
+// per-block survivor counts in FilterIndex, partial results in Reduce)
 // borrows it from a type-indexed sync.Pool instead of allocating, so a
 // hot loop that calls the same primitive every round reaches a steady
 // state with no per-round garbage — the property the paper's work bounds implicitly assume and

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"julienne/internal/algo/bfs"
 	"julienne/internal/algo/cc"
 	"julienne/internal/algo/kcore"
 	"julienne/internal/algo/setcover"
@@ -91,18 +90,6 @@ func TestSSSPMatchesOracle(t *testing.T) {
 			return err
 		}
 		return nil
-	})
-}
-
-func TestBFSMatchesOracle(t *testing.T) {
-	Check(t, gen.Families(), func(c Case, g *graph.CSR) error {
-		n := g.NumVertices()
-		if n == 0 {
-			return nil
-		}
-		src := graph.Vertex(c.Rand(5, uint64(n)))
-		res := bfs.BFS(c.Wrap(g), src)
-		return oracle.VerifyBFS(g, src, res.Level, res.Parent)
 	})
 }
 

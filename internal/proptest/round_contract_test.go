@@ -67,7 +67,7 @@ func TestRoundContract(t *testing.T) {
 		{"charikar", 1, false, func(rec *obs.Recorder) (int64, bucket.Stats) {
 			// densest.Result has no BucketStats: the structure's own
 			// counters stand in for them.
-			r := densest.CharikarWithOptions(g, densest.Options{Recorder: rec})
+			r := densest.Charikar(g, densest.Options{Recorder: rec})
 			return r.Rounds, bucket.Stats{
 				Extracted: rec.Counter(obs.CtrBucketExtracted.Name()),
 				Moved:     rec.Counter(obs.CtrBucketMoved.Name()),

@@ -330,12 +330,20 @@ func TestQueryLeavesNothingBehind(t *testing.T) {
 	}
 	type outcome struct {
 		name    string
-		slow    bool   // run on slowGraph: the kernel outlives timeout_ms=1
+		slow    bool   // run on slowGraph, where every kernel runs hundreds of rounds
 		params  string // appended to the endpoint's path
 		status  int    // 0: the handler panics
 		arrange func(t *testing.T, s *Server, ep endpoint) (undo func())
 	}
 	nothing := func(*testing.T, *Server, endpoint) func() { return func() {} }
+	// A 1 ms deadline is a runtime timer, which can fire milliseconds
+	// late while the kernel keeps its P busy, so a fast kernel can
+	// finish first. A kernel that sleeps 2 ms per round outlives the
+	// deadline, and its timer runs during the first sleep.
+	slowRounds := func(_ *testing.T, s *Server, _ endpoint) func() {
+		s.rec.OnRound(func(obs.RoundMetrics) { time.Sleep(2 * time.Millisecond) })
+		return func() {}
+	}
 	outcomes := []outcome{
 		{"200", false, "", 200, nothing},
 		{"400 before admission", false, "&timeout_ms=x", 400, nothing},
@@ -348,7 +356,7 @@ func TestQueryLeavesNothingBehind(t *testing.T) {
 			s.adm.close()
 			return func() {}
 		}},
-		{"504 deadline in the kernel", true, "&timeout_ms=1", 504, nothing},
+		{"504 deadline in the kernel", true, "&timeout_ms=1", 504, slowRounds},
 		{"504 coalesced follower gives up", false, "&timeout_ms=30", 504,
 			func(t *testing.T, s *Server, ep endpoint) func() {
 				started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})

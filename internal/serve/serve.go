@@ -440,9 +440,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			opt := densest.Options{Recorder: s.rec, Ctx: ctx}
 			var res densest.Result
 			if eps > 0 {
-				res = densest.PeelBatchWithOptions(s.g, eps, opt)
+				res = densest.PeelBatch(s.g, eps, opt)
 			} else {
-				res = densest.CharikarWithOptions(s.g, opt)
+				res = densest.Charikar(s.g, opt)
 			}
 			if res.Err != nil {
 				return nil, res.Err
