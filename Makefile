@@ -59,8 +59,8 @@ race:
 # every bucket-arena slice the moment its lifetime ends, then runs the
 # assertion-sensitive suites under it — including the round driver
 # bucket.Loop (fused and unfused) and every round body that consumes
-# its bucket's slice (kcore, ∆-stepping, both set covers, densest,
-# truss), so a stale read anywhere indexes out of range.
+# its bucket's slice (kcore, ∆-stepping, both set covers, densest),
+# so a stale read anywhere indexes out of range.
 debug:
 	$(GO) build -tags julienne_debug ./...
 	$(GO) test -tags julienne_debug -short ./internal/bucket/... ./internal/proptest/... \

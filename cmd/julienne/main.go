@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -91,6 +92,16 @@ func (r *runner) kernel(call func(ctx context.Context) error) (time.Duration, er
 
 // badInput marks an error in the command's input (exit status 2).
 type badInput struct{ error }
+
+// checkEpsilon refuses an -epsilon that leaves the approximation with
+// no guarantee: negative, NaN or infinite. Zero picks the kernel's
+// default.
+func checkEpsilon(eps float64) error {
+	if eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
+		return badInput{fmt.Errorf("bad -epsilon %v (want finite, >= 0)", eps)}
+	}
+	return nil
+}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -294,6 +305,9 @@ func setcoverCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 	file := fs.String("file", "", "load bipartite instance from graph file")
 	seed := fs.Uint64("seed", 2017, "generator seed")
 	return func(r *runner) error {
+		if err := checkEpsilon(*eps); err != nil {
+			return err
+		}
 		var g *graph.CSR
 		if *file != "" {
 			var err error
@@ -341,6 +355,9 @@ func setcoverCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 func densestCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 	eps := fs.Float64("epsilon", 0.1, "batch peel epsilon")
 	return func(r *runner) error {
+		if err := checkEpsilon(*eps); err != nil {
+			return err
+		}
 		g := undirected(r.g)
 		fmt.Fprintln(r.out, cli.Describe(g))
 		var res densest.Result

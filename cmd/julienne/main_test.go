@@ -154,6 +154,10 @@ func TestErrorExitCodes(t *testing.T) {
 		{[]string{"sssp", "-impl", "dijkstra", "-fuse"}, 2, "-fuse"},
 		{[]string{"sssp", "-fuse=-1"}, 2, "-fuse"},
 		{[]string{"setcover", "-sets", "0"}, 2, "-sets 0"},
+		{[]string{"setcover", "-epsilon", "NaN"}, 2, "-epsilon NaN"},
+		{[]string{"setcover", "-epsilon", "-0.5"}, 2, "-epsilon -0.5"},
+		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "batch", "-epsilon", "Inf"}, 2, "-epsilon +Inf"},
+		{[]string{"densest", "-n", "8", "-m", "8", "-epsilon", "-Inf"}, 2, "-epsilon -Inf"},
 		{[]string{"gen", "-n", "8", "-m", "8"}, 2, "-out is required"},
 		{[]string{"gen", "-n", "8", "-m", "8", "-out", missing}, 1, "missing"},
 		{[]string{"kcore", "-n", "8", "-m", "8", "-trace", missing}, 1, "missing"},

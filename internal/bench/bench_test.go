@@ -164,6 +164,11 @@ func TestEveryWorkloadRunsAtSmokeScale(t *testing.T) {
 			if returned := rec.Counter(obs.CtrBucketReturned.Name()); returned > 0 && res.Rounds <= 0 {
 				t.Errorf("%s procs=%d: extracted %d buckets but reports %d rounds", w.Key(), p, returned, res.Rounds)
 			}
+			// A julienne row's rounds all go through bucket.Loop, which
+			// records each one: the round contract (DESIGN.md §8).
+			if recorded := int64(rec.NumRounds()); w.Impl == "julienne" && recorded != res.Rounds {
+				t.Errorf("%s procs=%d: reports %d rounds, recorder holds %d", w.Key(), p, res.Rounds, recorded)
+			}
 			if res.Answer != nil {
 				if answers[w.Key()] = res.Answer(); len(answers[w.Key()]) == 0 {
 					t.Errorf("%s procs=%d: empty answer", w.Key(), p)
@@ -327,7 +332,7 @@ func TestPrintRendersEveryArtifact(t *testing.T) {
 		"fig4":      {"Figure 4", "gap-bins", "bellman-ford", "road"},
 		"fig5":      {"Figure 5", "pbbs"},
 		"ablation":  {"open-range size", "128 (default)", "1048576", "CSR vs. Ligra+", "bucket fusion"},
-		"extension": {"densest", "charikar", "extract-core", "weighted-cover", "ktruss", "triangles"},
+		"extension": {"densest", "charikar", "extract-core", "weighted-cover"},
 		"bucket":    {"update-histogram", "new-and-drain"},
 	} {
 		t.Run(id, func(t *testing.T) {

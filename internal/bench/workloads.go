@@ -8,8 +8,6 @@ import (
 	"julienne/internal/algo/kcore"
 	"julienne/internal/algo/setcover"
 	"julienne/internal/algo/sssp"
-	"julienne/internal/algo/triangles"
-	"julienne/internal/algo/truss"
 	"julienne/internal/bucket"
 	"julienne/internal/compress"
 	"julienne/internal/gen"
@@ -321,17 +319,6 @@ func Workloads(smoke bool) []Workload {
 	onCover("extension", "weighted-cover", "greedy-seq", func(inst gen.SetCoverInstance, _ *obs.Recorder) Result {
 		res := setcover.GreedyWeighted(inst.Graph, inst.Sets, costs())
 		return coverResult(res.Result, res.Cost)
-	})
-	dense := byName["rmat-dense"]
-	on("extension", "ktruss", "julienne", dense, dense.g, func(g *graph.CSR, _ *obs.Recorder) Result {
-		res := truss.Trussness(g)
-		return Result{Rounds: res.Rounds, Answer: func() map[string]int64 {
-			return map[string]int64{"max_trussness": int64(res.MaxTrussness()), "edges": int64(len(res.Trussness))}
-		}}
-	})
-	on("extension", "triangles", "julienne", rmat, rmat.g, func(g *graph.CSR, _ *obs.Recorder) Result {
-		count := triangles.Count(g)
-		return Result{Answer: func() map[string]int64 { return map[string]int64{"triangles": count} }}
 	})
 	return ws
 }

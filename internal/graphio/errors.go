@@ -30,7 +30,7 @@ var (
 // ParseError reports which loader failed, why, and with which
 // underlying cause (when an io or strconv error triggered it).
 type ParseError struct {
-	// Format is the loader that failed: "text", "binary", "edgelist".
+	// Format is the loader that failed: "text" or "binary".
 	Format string
 	// Detail is a human-readable description of the violation.
 	Detail string

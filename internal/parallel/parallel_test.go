@@ -85,7 +85,7 @@ func TestSumMatchesSequential(t *testing.T) {
 			xs[i] = int64(r.IntN(1000)) - 500
 			want += xs[i]
 		}
-		if got := SumSlice(xs); got != want {
+		if got := Sum(len(xs), 0, func(i int) int64 { return xs[i] }); got != want {
 			t.Fatalf("n=%d: Sum=%d want %d", n, got, want)
 		}
 	}

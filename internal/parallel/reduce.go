@@ -49,11 +49,6 @@ func Sum[T Number](n, grain int, f func(i int) T) T {
 	return Reduce(n, grain, T(0), f, func(a, b T) T { return a + b })
 }
 
-// SumSlice returns the sum of the elements of s.
-func SumSlice[T Number](s []T) T {
-	return Sum(len(s), 0, func(i int) T { return s[i] })
-}
-
 // Count returns the number of i in [0, n) for which pred(i) is true.
 func Count(n, grain int, pred func(i int) bool) int {
 	return Sum(n, grain, func(i int) int {

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -604,8 +605,8 @@ func floatParam(raw string, def float64) (float64, error) {
 		return def, nil
 	}
 	f, err := strconv.ParseFloat(raw, 64)
-	if err != nil || f < 0 {
-		return 0, fmt.Errorf("bad float %q", raw)
+	if err != nil || f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("bad float %q (want finite, >= 0)", raw)
 	}
 	return f, nil
 }

@@ -149,6 +149,25 @@ func TestBadRequestsAreTyped(t *testing.T) {
 			t.Fatalf("%s: no typed error code in %v", q, m)
 		}
 	}
+	// ε is an approximation parameter: NaN or ±Inf leaves the job with
+	// no guarantee, so it is refused like a negative one.
+	for _, q := range []string{
+		"/jobs/setcover?eps=NaN",
+		"/jobs/setcover?eps=-1",
+		"/jobs/densest?eps=Inf",
+		"/jobs/densest?eps=-Inf",
+	} {
+		resp, err := http.Post(ts.URL+q, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || m["error"] != "bad_request" {
+			t.Fatalf("POST %s: status %d body %v err %v, want 400 bad_request", q, resp.StatusCode, m, err)
+		}
+	}
 	m := getJSON(t, ts.URL+"/jobs/nope-1", http.StatusNotFound)
 	if m["error"] != "unknown_job" {
 		t.Fatalf("unknown job id: got %v", m)
