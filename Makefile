@@ -136,11 +136,12 @@ serve-smoke:
 bench-go:
 	$(GO) test -run xxx -bench Workloads -benchtime 1x .
 
-# microbench runs every micro-benchmark of the bucket structure and the
-# Ligra layer once, so none of them can stop compiling or start failing
-# unnoticed; -run '^$' skips the tests, which `make test` already ran.
+# microbench runs every micro-benchmark of the bucket structure, the
+# Ligra layer and the graph's adjacency traversal once, so none of them
+# can stop compiling or start failing unnoticed; -run '^$' skips the
+# tests, which `make test` already ran.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/bucket/ ./internal/ligra/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/bucket/ ./internal/ligra/ ./internal/graph/
 
 # loc prints the size every simplification PR reports: non-test,
 # non-fixture Go lines outside the gated benchmark.

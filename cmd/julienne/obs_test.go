@@ -56,7 +56,7 @@ func TestObsFlagsTraceAndStats(t *testing.T) {
 		t.Fatal("trace flag should enable the recorder")
 	}
 	rec.Add(obs.CtrBucketMoved, 7)
-	rec.Phase("work", func() {})
+	rec.StartSpan("work").End()
 	rec.RecordRound(obs.RoundMetrics{Algo: "kcore", Round: 1, FrontierSize: 3})
 
 	var buf bytes.Buffer

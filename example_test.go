@@ -97,6 +97,7 @@ func ExampleNewBuckets_weightedBFS() {
 	b := julienne.NewBuckets(g.NumVertices(), d, julienne.IncreasingBuckets, julienne.BucketOptions{})
 	var ids []uint32
 	var dests []julienne.BucketDest
+	var buf julienne.AdjBuf
 	for {
 		cur, frontier := b.NextBucket()
 		if cur == julienne.NilBucket {
@@ -104,8 +105,9 @@ func ExampleNewBuckets_weightedBFS() {
 		}
 		ids, dests = ids[:0], dests[:0]
 		for _, v := range frontier {
-			g.OutNeighbors(julienne.Vertex(v), func(u julienne.Vertex, w julienne.Weight) bool {
-				if nd := dist[v] + int64(w); nd < dist[u] {
+			nbrs, ws := g.OutAdj(julienne.Vertex(v), &buf)
+			for i, u := range nbrs {
+				if nd := dist[v] + int64(ws[i]); nd < dist[u] {
 					prev := d(uint32(u))
 					dist[u] = nd
 					if dest := b.GetBucket(prev, julienne.BucketID(nd)); dest != julienne.NoBucketDest {
@@ -113,8 +115,7 @@ func ExampleNewBuckets_weightedBFS() {
 						dests = append(dests, dest)
 					}
 				}
-				return true
-			})
+			}
 		}
 		b.UpdateBuckets(len(ids), func(j int) (uint32, julienne.BucketDest) {
 			return ids[j], dests[j]

@@ -23,7 +23,8 @@ func seqComponents(g graph.Graph) []graph.Vertex {
 		return x
 	}
 	for v := 0; v < n; v++ {
-		g.OutNeighbors(graph.Vertex(v), func(u graph.Vertex, w graph.Weight) bool {
+		nbrs, _ := g.OutAdj(graph.Vertex(v), nil)
+		for _, u := range nbrs {
 			a, b := find(v), find(int(u))
 			if a != b {
 				if a < b {
@@ -32,8 +33,7 @@ func seqComponents(g graph.Graph) []graph.Vertex {
 					parent[a] = b
 				}
 			}
-			return true
-		})
+		}
 	}
 	out := make([]graph.Vertex, n)
 	for v := range out {

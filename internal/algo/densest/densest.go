@@ -68,17 +68,28 @@ func Density(g graph.Graph, vertices []graph.Vertex) float64 {
 	for _, v := range vertices {
 		in[v] = true
 	}
-	edges := parallel.Sum(len(vertices), 0, func(i int) int64 {
-		var c int64
-		g.OutNeighbors(vertices[i], func(u graph.Vertex, w graph.Weight) bool {
+	var edges int64
+	var buf graph.AdjBuf
+	for _, v := range vertices {
+		nbrs, _ := g.OutAdj(v, &buf)
+		for _, u := range nbrs {
 			if in[u] {
-				c++
+				edges++
 			}
-			return true
-		})
-		return c
-	})
+		}
+	}
 	return float64(edges) / 2 / float64(len(vertices))
+}
+
+// internalEdges counts the edges with both endpoints in the peeled
+// frontier: one EdgeMapFilterCount (a decode buffer per worker) whose
+// per-vertex counts see each such edge from both ends. dst is the
+// caller's per-run destination.
+func internalEdges(g graph.Graph, frontier ligra.VertexSubset,
+	peeled func(_, u graph.Vertex) bool, dst *ligra.Tagged[uint32]) int64 {
+
+	counts := ligra.EdgeMapFilterCount(g, frontier, peeled, dst).Vals
+	return parallel.Sum(len(counts), 0, func(i int) int64 { return int64(counts[i]) }) / 2
 }
 
 func requireSymmetric(g graph.Graph) {
@@ -134,6 +145,8 @@ func Charikar(g graph.Graph, opt Options) Result {
 		return dest, dest != bucket.None
 	}
 	feed := func(j int) (uint32, bucket.Dest) { return moved.IDs[j], moved.Vals[j] }
+	var internal ligra.Tagged[uint32]
+	peeled := func(_, u graph.Vertex) bool { return removedAt[u] == round }
 
 	rounds, err := lp.Run(b, func(bkt, _ bucket.ID, ids []uint32) (int64, bool) {
 		k = bkt
@@ -154,17 +167,7 @@ func Charikar(g graph.Graph, opt Options) Result {
 		// dies when its first endpoint dies. This must read ids before
 		// UpdateBuckets below: the slice aliases the bucket arena,
 		// which that call invalidates.
-		internal := parallel.Sum(len(ids), 0, func(i int) int64 {
-			var c int64
-			g.OutNeighbors(ids[i], func(u graph.Vertex, w graph.Weight) bool {
-				if removedAt[u] == round {
-					c++
-				}
-				return true
-			})
-			return c
-		})
-		removed := removedEdges.Load() + internal/2
+		removed := removedEdges.Load() + internalEdges(g, frontier, peeled, &internal)
 		b.UpdateBuckets(moved.Size(), feed)
 		alive -= int64(len(ids))
 		liveEdges -= removed
@@ -254,6 +257,8 @@ func PeelBatch(g graph.Graph, eps float64, opt Options) Result {
 		removedEdges.Add(int64(removed))
 		return struct{}{}, false
 	}
+	var internal ligra.Tagged[uint32]
+	peeled := func(_, u graph.Vertex) bool { return dead[u] == round }
 	var runErr error
 	rec := opt.Recorder
 	cancel := obs.NewCancelCheck(opt.Ctx)
@@ -281,18 +286,9 @@ func PeelBatch(g graph.Graph, eps float64, opt Options) Result {
 			dead[ids[i]] = round
 		})
 		removedEdges.Store(0)
-		ligra.EdgeMapSum(g, ligra.FromSparse(n, ids), live, update, &touched)
-		internal := parallel.Sum(len(ids), 0, func(i int) int64 {
-			var c int64
-			g.OutNeighbors(ids[i], func(u graph.Vertex, w graph.Weight) bool {
-				if dead[u] == round {
-					c++
-				}
-				return true
-			})
-			return c
-		})
-		removed := removedEdges.Load() + internal/2
+		frontier := ligra.FromSparse(n, ids)
+		ligra.EdgeMapSum(g, frontier, live, update, &touched)
+		removed := removedEdges.Load() + internalEdges(g, frontier, peeled, &internal)
 		alive -= int64(len(ids))
 		liveEdges -= removed
 		if alive > 0 {

@@ -4,8 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"julienne/internal/bucket"
+	"julienne/internal/compress"
 	"julienne/internal/gen"
 	"julienne/internal/graph"
+	"julienne/internal/parallel"
 )
 
 func TestDensityHelper(t *testing.T) {
@@ -82,7 +85,7 @@ func TestCompleteGraph(t *testing.T) {
 }
 
 func TestGuaranteesOnRandomGraphs(t *testing.T) {
-	graphs := map[string]graph.Graph{
+	graphs := map[string]*graph.CSR{
 		"rmat":    gen.RMAT(1<<10, 12000, true, 1),
 		"chunglu": gen.ChungLu(1000, 8000, 2.3, true, 2),
 		"er":      gen.ErdosRenyi(800, 4000, true, 3),
@@ -107,6 +110,21 @@ func TestGuaranteesOnRandomGraphs(t *testing.T) {
 		whole := float64(g.NumEdges()) / 2 / float64(g.NumVertices())
 		if ch.Density < whole-1e-9 {
 			t.Fatalf("%s: charikar %v below whole-graph density %v", name, ch.Density, whole)
+		}
+		// Both peels read adjacency through a decode buffer on the
+		// compressed representation and must land on the same subgraph.
+		c := compress.FromCSR(g)
+		for _, run := range []struct {
+			name      string
+			csr, comp Result
+		}{
+			{"charikar", ch, Charikar(c, Options{})},
+			{"peelbatch", pb, PeelBatch(c, 0.1, Options{})},
+		} {
+			if run.comp.Density != run.csr.Density || len(run.comp.Vertices) != len(run.csr.Vertices) {
+				t.Errorf("%s/%s: compressed density %v over %d vertices, CSR %v over %d", name, run.name,
+					run.comp.Density, len(run.comp.Vertices), run.csr.Density, len(run.csr.Vertices))
+			}
 		}
 	}
 }
@@ -145,4 +163,37 @@ func TestPanicsOnDirected(t *testing.T) {
 		}
 	}()
 	Charikar(g, Options{})
+}
+
+// TestPeelsAllocsScaleWithRoundsNotVertices pins the allocation shape
+// of a whole run of each peel at P=1, as
+// kcore.TestCorenessAllocsScaleWithRoundsNotVertices does: a few objects per round — the bucket structure's chunks for
+// Charikar, the round's frontier for PeelBatch — and nothing per peeled
+// vertex. Measured on this graph: Charikar 5,157 objects over 206
+// rounds, PeelBatch 68 over 5. Counting the edges inside a peeled set
+// through a per-vertex callback cost two allocations per vertex, and
+// the runs 70,692 and 65,603.
+func TestPeelsAllocsScaleWithRoundsNotVertices(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if bucket.DebugEnabled {
+		t.Skip("julienne_debug bookkeeping allocates by design")
+	}
+	defer parallel.SetProcs(parallel.SetProcs(1))
+
+	g := gen.RMAT(1<<15, 1<<18, true, 3)
+	for name, run := range map[string]func() Result{
+		"charikar":  func() Result { return Charikar(g, Options{}) },
+		"peelbatch": func() Result { return PeelBatch(g, 0.1, Options{}) },
+	} {
+		rounds := run().Rounds
+		bound := float64(32*rounds + 64)
+		if bound >= float64(g.NumVertices()) {
+			t.Fatalf("%s: %d rounds on n=%d: the bound would not notice a per-vertex allocation", name, rounds, g.NumVertices())
+		}
+		if allocs := testing.AllocsPerRun(3, func() { run() }); allocs > bound {
+			t.Errorf("%s: %v allocs over %d rounds (n=%d), want ≤ 32·rounds + 64 = %v", name, allocs, rounds, g.NumVertices(), bound)
+		}
+	}
 }

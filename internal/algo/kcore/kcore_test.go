@@ -180,10 +180,10 @@ func TestRhoMatchesRounds(t *testing.T) {
 				removed[v] = true
 			}
 			for _, v := range peel {
-				g.OutNeighbors(v, func(u graph.Vertex, _ graph.Weight) bool {
+				nbrs, _ := g.OutAdj(v, nil)
+				for _, u := range nbrs {
 					deg[u]--
-					return true
-				})
+				}
 			}
 			left -= len(peel)
 		}

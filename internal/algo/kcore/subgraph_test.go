@@ -138,12 +138,16 @@ func extractCoreReference(g graph.Graph, coreness []uint32, k uint32) *graph.CSR
 		if renum[v] == graph.NilVertex {
 			continue
 		}
-		g.OutNeighbors(graph.Vertex(v), func(u graph.Vertex, w graph.Weight) bool {
+		nbrs, ws := g.OutAdj(graph.Vertex(v), nil)
+		for i, u := range nbrs {
 			if renum[u] != graph.NilVertex {
-				edges = append(edges, graph.Edge{U: renum[v], V: renum[u], W: w})
+				e := graph.Edge{U: renum[v], V: renum[u]}
+				if ws != nil {
+					e.W = ws[i]
+				}
+				edges = append(edges, e)
 			}
-			return true
-		})
+		}
 	}
 	built := graph.FromEdges(kept, edges, graph.BuildOptions{Weighted: g.Weighted(), DropSelfLoops: true, Dedup: true})
 	offsets := make([]uint64, kept+1)

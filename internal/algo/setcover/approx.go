@@ -4,6 +4,7 @@ import (
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
 	"julienne/internal/ligra"
+	"julienne/internal/parallel"
 )
 
 // Approx runs the bucketed Blelloch et al. algorithm (Algorithm 3 of
@@ -103,7 +104,7 @@ func approx(work graph.Packer, numSets int, opt Options,
 		b.UpdateBuckets(rebucket.Size(), feed)
 		return 0, false
 	})
-	res.CoverSize = len(CoverList(res.InCover))
+	res.CoverSize = parallel.Count(len(res.InCover), 0, func(i int) bool { return res.InCover[i] })
 	res.BucketStats = b.Stats()
 	return res
 }

@@ -10,12 +10,11 @@ import (
 // degrees with lazy (stale-entry) deletion. It is the oracle the
 // parallel implementations' cover quality is compared against.
 func Greedy(g graph.Graph, numSets int) Result {
-	work := g // read-only: uncovered counts are maintained externally
-	n := work.NumVertices()
+	n := g.NumVertices()
 	d := make([]uint32, numSets)
 	maxD := uint32(0)
 	for s := 0; s < numSets; s++ {
-		d[s] = uint32(work.OutDegree(graph.Vertex(s)))
+		d[s] = uint32(g.OutDegree(graph.Vertex(s)))
 		if d[s] > maxD {
 			maxD = d[s]
 		}
@@ -30,6 +29,9 @@ func Greedy(g graph.Graph, numSets int) Result {
 		}
 	}
 	res := Result{InCover: make([]bool, numSets)}
+	// The in-list is read inside the out-list loop: a decoding
+	// representation needs a buffer for each.
+	var outBuf, inBuf graph.AdjBuf
 	for k := int(maxD); k >= 1; k-- {
 		for len(bkts[k]) > 0 {
 			s := bkts[k][len(bkts[k])-1]
@@ -41,22 +43,22 @@ func Greedy(g graph.Graph, numSets int) Result {
 			// every other set that also covered them.
 			res.InCover[s] = true
 			res.CoverSize++
-			work.OutNeighbors(graph.Vertex(s), func(e graph.Vertex, w graph.Weight) bool {
+			elems, _ := g.OutAdj(graph.Vertex(s), &outBuf)
+			for _, e := range elems {
 				if covered[e] {
-					return true
+					continue
 				}
 				covered[e] = true
-				g.InNeighbors(e, func(t graph.Vertex, w2 graph.Weight) bool {
+				sets, _ := g.InAdj(e, &inBuf)
+				for _, t := range sets {
 					if t != s && d[t] > 0 && d[t] != inCover {
 						d[t]--
 						if d[t] > 0 {
-							bkts[d[t]] = append(bkts[d[t]], uint32(t))
+							bkts[d[t]] = append(bkts[d[t]], t)
 						}
 					}
-					return true
-				})
-				return true
-			})
+				}
+			}
 			d[s] = inCover
 		}
 	}

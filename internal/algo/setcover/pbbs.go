@@ -65,6 +65,6 @@ func ApproxPBBSOn(work graph.Packer, numSets int, opt Options) Result {
 			return d[s] != inCover && d[s] > 0
 		})
 	}
-	res.CoverSize = len(CoverList(res.InCover))
+	res.CoverSize = parallel.Count(len(res.InCover), 0, func(i int) bool { return res.InCover[i] })
 	return res
 }

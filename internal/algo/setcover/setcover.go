@@ -31,7 +31,6 @@ import (
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
 	"julienne/internal/obs"
-	"julienne/internal/parallel"
 )
 
 // inCover is the D-value marking a set as chosen (the paper's D[s] = ∞,
@@ -138,21 +137,16 @@ func Validate(g graph.Graph, numSets int, inCoverFlags []bool) error {
 	}
 	n := g.NumVertices()
 	covered := make([]bool, n)
-	for s := 0; s < numSets; s++ {
-		if !inCoverFlags[s] {
-			continue
-		}
-		g.OutNeighbors(graph.Vertex(s), func(e graph.Vertex, w graph.Weight) bool {
-			covered[e] = true
-			return true
-		})
-	}
 	coverable := make([]bool, n)
+	var buf graph.AdjBuf
 	for s := 0; s < numSets; s++ {
-		g.OutNeighbors(graph.Vertex(s), func(e graph.Vertex, w graph.Weight) bool {
+		elems, _ := g.OutAdj(graph.Vertex(s), &buf)
+		for _, e := range elems {
 			coverable[e] = true
-			return true
-		})
+			if inCoverFlags[s] {
+				covered[e] = true
+			}
+		}
 	}
 	for e := numSets; e < n; e++ {
 		if coverable[e] && !covered[e] {
@@ -160,9 +154,4 @@ func Validate(g graph.Graph, numSets int, inCoverFlags []bool) error {
 		}
 	}
 	return nil
-}
-
-// CoverList returns the chosen set ids in increasing order.
-func CoverList(inCoverFlags []bool) []graph.Vertex {
-	return parallel.PackIndices(len(inCoverFlags), func(i int) bool { return inCoverFlags[i] })
 }

@@ -229,10 +229,20 @@ func TestApproxOnCompressedGraph(t *testing.T) {
 	if gotP.CoverSize != want.CoverSize {
 		t.Fatalf("pbbs-on-compressed cover %d vs %d", gotP.CoverSize, want.CoverSize)
 	}
-	// Greedy over the compressed graph (read-only path).
-	g2 := Greedy(compress.FromCSR(inst.Graph), inst.Sets)
-	if err := Validate(inst.Graph, inst.Sets, g2.InCover); err != nil {
+	// Greedy over a compressed graph (read-only path): it reads each
+	// element's in-list inside a set's out-list, both decoded here, and
+	// must choose the CSR run's sets. Elements in many sets (avgCover 8)
+	// are what make the inner read matter.
+	dense := gen.SetCover(400, 4000, 8, 5)
+	g1 := Greedy(dense.Graph, dense.Sets)
+	g2 := Greedy(compress.FromCSR(dense.Graph), dense.Sets)
+	if err := Validate(dense.Graph, dense.Sets, g2.InCover); err != nil {
 		t.Fatal(err)
+	}
+	for s := range g1.InCover {
+		if g2.InCover[s] != g1.InCover[s] {
+			t.Fatalf("greedy covers differ at set %d between compressed and CSR", s)
+		}
 	}
 }
 

@@ -124,6 +124,7 @@ func GreedyWeighted(g graph.Graph, numSets int, costs []float64) WeightedResult 
 		}
 	}
 	res := WeightedResult{Result: Result{InCover: make([]bool, numSets)}}
+	var outBuf, inBuf graph.AdjBuf // nested reads: one buffer each (see Greedy)
 	for pq.Len() > 0 {
 		item := heap.Pop(pq).(valueItem)
 		s := item.s
@@ -138,19 +139,19 @@ func GreedyWeighted(g graph.Graph, numSets int, costs []float64) WeightedResult 
 		res.InCover[s] = true
 		res.CoverSize++
 		res.Cost += costs[s]
-		g.OutNeighbors(graph.Vertex(s), func(e graph.Vertex, w graph.Weight) bool {
+		elems, _ := g.OutAdj(graph.Vertex(s), &outBuf)
+		for _, e := range elems {
 			if covered[e] {
-				return true
+				continue
 			}
 			covered[e] = true
-			g.InNeighbors(e, func(t graph.Vertex, w2 graph.Weight) bool {
-				if uint32(t) != s && d[t] > 0 && d[t] != inCover {
+			sets, _ := g.InAdj(e, &inBuf)
+			for _, t := range sets {
+				if t != s && d[t] > 0 && d[t] != inCover {
 					d[t]--
 				}
-				return true
-			})
-			return true
-		})
+			}
+		}
 		d[s] = inCover
 	}
 	return res

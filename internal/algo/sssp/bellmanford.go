@@ -27,7 +27,7 @@ func BellmanFord(g graph.Graph, src graph.Vertex) Result {
 	frontier := ligra.Single(n, src)
 	for !frontier.IsEmpty() {
 		res.Rounds++
-		res.EdgesTraversed += frontierDegreeSum(g, frontier)
+		res.EdgesTraversed += frontier.OutDegreeSum(g)
 		// The round flag performs Ligra's duplicate removal: the first
 		// successful relaxer of v this round adds v to the output.
 		frontier = ligra.EdgeMap(g, frontier, nil,
@@ -43,12 +43,4 @@ func BellmanFord(g graph.Graph, src graph.Vertex) Result {
 	res.Relaxations = relaxations.Load()
 	res.Dist = finalize(sp)
 	return res
-}
-
-func frontierDegreeSum(g graph.Graph, f ligra.VertexSubset) int64 {
-	var sum atomic.Int64
-	f.ForEach(func(v graph.Vertex) {
-		sum.Add(int64(g.OutDegree(v)))
-	})
-	return sum.Load()
 }

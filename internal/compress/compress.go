@@ -161,31 +161,6 @@ func (c *Graph) InAdj(v graph.Vertex, buf *graph.AdjBuf) ([]graph.Vertex, []grap
 	return decodeList(c.inData, c.inOffs[v], c.inDegs[v], v, c.weighted, buf)
 }
 
-// OutNeighbors implements graph.Graph over a freshly decoded list.
-func (c *Graph) OutNeighbors(v graph.Vertex, f func(u graph.Vertex, w graph.Weight) bool) {
-	nbrs, wgts := c.OutAdj(v, nil)
-	eachAdj(nbrs, wgts, f)
-}
-
-// InNeighbors implements graph.Graph.
-func (c *Graph) InNeighbors(v graph.Vertex, f func(u graph.Vertex, w graph.Weight) bool) {
-	nbrs, wgts := c.InAdj(v, nil)
-	eachAdj(nbrs, wgts, f)
-}
-
-// eachAdj is the callback form over a decoded list.
-func eachAdj(nbrs []graph.Vertex, wgts []graph.Weight, f func(u graph.Vertex, w graph.Weight) bool) {
-	for i, u := range nbrs {
-		var w graph.Weight
-		if wgts != nil {
-			w = wgts[i]
-		}
-		if !f(u, w) {
-			return
-		}
-	}
-}
-
 // ensureIn materializes the compressed transpose for directed graphs.
 // Safe under concurrent traversals (see graph.CSR.ensureIn).
 func (c *Graph) ensureIn() {
@@ -197,7 +172,7 @@ func (c *Graph) buildIn() {
 		return // symmetric: aliased at construction
 	}
 	if c.packed.Load() {
-		panic("compress: InNeighbors after PackOut on a directed graph")
+		panic("compress: InAdj after PackOut on a directed graph")
 	}
 	// Build the transposed lists (sorted by construction of the
 	// counting pass) and encode them.

@@ -8,23 +8,6 @@ import (
 	"julienne/internal/graph"
 )
 
-// neighborsOf collects (neighbor, weight) pairs via the interface.
-func neighborsOf(g graph.Graph, v graph.Vertex, in bool) ([]graph.Vertex, []graph.Weight) {
-	var ns []graph.Vertex
-	var ws []graph.Weight
-	visit := func(u graph.Vertex, w graph.Weight) bool {
-		ns = append(ns, u)
-		ws = append(ws, w)
-		return true
-	}
-	if in {
-		g.InNeighbors(v, visit)
-	} else {
-		g.OutNeighbors(v, visit)
-	}
-	return ns, ws
-}
-
 func assertSameGraph(t *testing.T, name string, want, got graph.Graph) {
 	t.Helper()
 	if want.NumVertices() != got.NumVertices() || want.NumEdges() != got.NumEdges() {
@@ -39,15 +22,14 @@ func assertSameGraph(t *testing.T, name string, want, got graph.Graph) {
 		if want.OutDegree(vv) != got.OutDegree(vv) {
 			t.Fatalf("%s: degree(%d) %d vs %d", name, v, want.OutDegree(vv), got.OutDegree(vv))
 		}
-		wn, ww := neighborsOf(want, vv, false)
-		gn, gw := neighborsOf(got, vv, false)
-		if len(wn) != len(gn) {
-			t.Fatalf("%s: neighbor count of %d differs", name, v)
+		wn, ww := want.OutAdj(vv, nil)
+		gn, gw := got.OutAdj(vv, nil)
+		if len(wn) != len(gn) || len(ww) != len(gw) {
+			t.Fatalf("%s: neighbor or weight count of %d differs", name, v)
 		}
 		for i := range wn {
-			if wn[i] != gn[i] || ww[i] != gw[i] {
-				t.Fatalf("%s: neighbor %d of %d: (%d,%d) vs (%d,%d)",
-					name, i, v, wn[i], ww[i], gn[i], gw[i])
+			if wn[i] != gn[i] || (ww != nil && ww[i] != gw[i]) {
+				t.Fatalf("%s: neighbor %d of %d: %d vs %d", name, i, v, wn[i], gn[i])
 			}
 		}
 	}
@@ -80,28 +62,15 @@ func TestEmptyAndIsolated(t *testing.T) {
 	}
 }
 
-func TestInNeighborsDirected(t *testing.T) {
+func TestInAdjDirected(t *testing.T) {
 	g := graph.FromEdges(5, []graph.Edge{{U: 0, V: 3}, {U: 1, V: 3}, {U: 4, V: 3}},
 		graph.DefaultBuild)
 	c := FromCSR(g)
-	ns, _ := neighborsOf(c, 3, true)
-	if len(ns) != 3 {
+	if ns, _ := c.InAdj(3, nil); len(ns) != 3 {
 		t.Fatalf("in-neighbors %v", ns)
 	}
 	if c.InDegree(3) != 3 || c.InDegree(0) != 0 {
 		t.Fatal("in-degrees wrong")
-	}
-}
-
-func TestEarlyStop(t *testing.T) {
-	c := FromCSR(gen.Star(50))
-	visits := 0
-	c.OutNeighbors(0, func(u graph.Vertex, w graph.Weight) bool {
-		visits++
-		return visits < 3
-	})
-	if visits != 3 {
-		t.Fatalf("early stop visited %d", visits)
 	}
 }
 

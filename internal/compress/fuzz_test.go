@@ -141,19 +141,17 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 			want := g.OutEdges(vv)
 			wgts := g.OutWeights(vv)
-			i := 0
-			c.OutNeighbors(vv, func(u graph.Vertex, w graph.Weight) bool {
+			nbrs, ws := c.OutAdj(vv, nil)
+			if len(nbrs) != len(want) {
+				t.Fatalf("vertex %d: decoded %d neighbors, want %d", v, len(nbrs), len(want))
+			}
+			for i, u := range nbrs {
 				if u != want[i] {
 					t.Fatalf("vertex %d neighbor %d: got %d, want %d", v, i, u, want[i])
 				}
-				if weighted && w != wgts[i] {
-					t.Fatalf("vertex %d neighbor %d: weight %d, want %d", v, i, w, wgts[i])
+				if weighted && ws[i] != wgts[i] {
+					t.Fatalf("vertex %d neighbor %d: weight %d, want %d", v, i, ws[i], wgts[i])
 				}
-				i++
-				return true
-			})
-			if i != len(want) {
-				t.Fatalf("vertex %d: visited %d neighbors, want %d", v, i, len(want))
 			}
 		}
 		// PackOut must behave exactly like filtering the CSR list.
@@ -170,14 +168,12 @@ func FuzzRoundTrip(f *testing.F) {
 			if got := packed.PackOut(vv, keep); got != len(want) {
 				t.Fatalf("vertex %d: PackOut kept %d, want %d", v, got, len(want))
 			}
-			i := 0
-			packed.OutNeighbors(vv, func(u graph.Vertex, w graph.Weight) bool {
+			nbrs, _ := packed.OutAdj(vv, nil)
+			for i, u := range nbrs {
 				if u != want[i] {
 					t.Fatalf("vertex %d packed neighbor %d: got %d, want %d", v, i, u, want[i])
 				}
-				i++
-				return true
-			})
+			}
 		}
 	})
 }

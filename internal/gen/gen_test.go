@@ -174,18 +174,19 @@ func TestUniformWeightsSymmetric(t *testing.T) {
 	}
 	// w(u,v) == w(v,u) and in range.
 	for v := 0; v < g.NumVertices(); v++ {
-		g.OutNeighbors(graph.Vertex(v), func(u graph.Vertex, w graph.Weight) bool {
+		nbrs, ws := g.OutAdj(graph.Vertex(v), nil)
+		for i, u := range nbrs {
+			w := ws[i]
 			if w < 1 || w >= 100 {
 				t.Fatalf("weight %d out of range", w)
 			}
-			g.OutNeighbors(u, func(x graph.Vertex, w2 graph.Weight) bool {
-				if x == graph.Vertex(v) && w2 != w {
-					t.Fatalf("asymmetric weight (%d,%d): %d vs %d", v, u, w, w2)
+			back, backW := g.OutAdj(u, nil)
+			for j, x := range back {
+				if x == graph.Vertex(v) && backW[j] != w {
+					t.Fatalf("asymmetric weight (%d,%d): %d vs %d", v, u, w, backW[j])
 				}
-				return true
-			})
-			return true
-		})
+			}
+		}
 	}
 }
 
@@ -195,24 +196,20 @@ func TestLogAndHeavyWeights(t *testing.T) {
 	hv := HeavyWeights(g, 1)
 	maxLog, maxHeavy := graph.Weight(0), graph.Weight(0)
 	for v := 0; v < g.NumVertices(); v++ {
-		lg.OutNeighbors(graph.Vertex(v), func(u graph.Vertex, w graph.Weight) bool {
+		_, lws := lg.OutAdj(graph.Vertex(v), nil)
+		for _, w := range lws {
 			if w < 1 {
 				t.Fatalf("log weight %d < 1", w)
 			}
-			if w > maxLog {
-				maxLog = w
-			}
-			return true
-		})
-		hv.OutNeighbors(graph.Vertex(v), func(u graph.Vertex, w graph.Weight) bool {
+			maxLog = max(maxLog, w)
+		}
+		_, hws := hv.OutAdj(graph.Vertex(v), nil)
+		for _, w := range hws {
 			if w < 1 || w >= 100000 {
 				t.Fatalf("heavy weight %d out of range", w)
 			}
-			if w > maxHeavy {
-				maxHeavy = w
-			}
-			return true
-		})
+			maxHeavy = max(maxHeavy, w)
+		}
 	}
 	if maxLog >= 10 { // log2(400) ≈ 8.6 -> hi=9
 		t.Fatalf("log weight cap wrong: max=%d", maxLog)
@@ -233,13 +230,13 @@ func TestSetCoverInstance(t *testing.T) {
 	// run from sets to elements.
 	covered := make([]bool, inst.Elements)
 	for s := 0; s < inst.Sets; s++ {
-		g.OutNeighbors(graph.Vertex(s), func(u graph.Vertex, w graph.Weight) bool {
+		elems, _ := g.OutAdj(graph.Vertex(s), nil)
+		for _, u := range elems {
 			if int(u) < inst.Sets {
 				t.Fatalf("set->set edge (%d,%d)", s, u)
 			}
 			covered[int(u)-inst.Sets] = true
-			return true
-		})
+		}
 	}
 	for e := inst.Sets; e < g.NumVertices(); e++ {
 		if g.OutDegree(graph.Vertex(e)) != 0 {

@@ -18,10 +18,9 @@ func benchEdges(n, m int) []Edge {
 	return edges
 }
 
-// The two traversal benchmarks walk every adjacency list through the
-// Graph interface, as the algorithms do, and report ns/edge: the
-// callback form pays an escaping closure per vertex and an indirect
-// call per edge, the slice form one interface call per vertex.
+// The traversal benchmark walks every adjacency list through the Graph
+// interface, as the algorithms do — one interface call per vertex,
+// then a plain loop — and reports ns/edge.
 
 func traversalGraph() Graph {
 	return FromEdges(1<<14, benchEdges(1<<14, 1<<18), DefaultBuild)
@@ -30,22 +29,6 @@ func traversalGraph() Graph {
 func reportPerEdge(b *testing.B, g Graph) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*g.NumEdges()), "ns/edge")
 	b.SetBytes(g.NumEdges() * 4)
-}
-
-func BenchmarkOutNeighborsTraversal(b *testing.B) {
-	g := traversalGraph()
-	b.ResetTimer()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		for v := 0; v < g.NumVertices(); v++ {
-			g.OutNeighbors(Vertex(v), func(u Vertex, w Weight) bool {
-				sink += int64(u)
-				return true
-			})
-		}
-	}
-	_ = sink
-	reportPerEdge(b, g)
 }
 
 func BenchmarkOutAdjTraversal(b *testing.B) {

@@ -129,30 +129,6 @@ func (g *CSR) InAdj(v Vertex, _ *AdjBuf) ([]Vertex, []Weight) {
 	return g.inEdg[lo:hi], g.inWgt[lo:hi]
 }
 
-// OutNeighbors implements Graph.
-func (g *CSR) OutNeighbors(v Vertex, f func(u Vertex, w Weight) bool) {
-	eachAdj(g.OutEdges(v), g.OutWeights(v), f)
-}
-
-// InNeighbors implements Graph.
-func (g *CSR) InNeighbors(v Vertex, f func(u Vertex, w Weight) bool) {
-	nbrs, wgts := g.InAdj(v, nil)
-	eachAdj(nbrs, wgts, f)
-}
-
-// eachAdj is the callback form over an adjacency slice pair.
-func eachAdj(nbrs []Vertex, wgts []Weight, f func(u Vertex, w Weight) bool) {
-	for i, u := range nbrs {
-		var w Weight
-		if wgts != nil {
-			w = wgts[i]
-		}
-		if !f(u, w) {
-			return
-		}
-	}
-}
-
 // ensureIn materializes the transposed adjacency for directed graphs.
 // It is safe to call from concurrent traversals (the dense edge map's
 // first pull over a directed graph triggers it from a parallel loop).
@@ -162,7 +138,7 @@ func (g *CSR) ensureIn() {
 			return // symmetric: aliased at construction
 		}
 		if g.packed.Load() {
-			panic("graph: InNeighbors after PackOut on a directed graph")
+			panic("graph: InAdj after PackOut on a directed graph")
 		}
 		g.inOff, g.inEdg, g.inWgt = transpose(g.n, g.outOff, g.outEdg, g.outWgt)
 	})

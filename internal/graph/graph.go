@@ -3,9 +3,10 @@
 // with optional integral edge weights and, for directed graphs, the
 // transposed adjacency needed by Ligra's pull-based (dense) edge map.
 //
-// Algorithms are written against the Graph interface so they run unchanged
-// over the plain CSR here and the byte-compressed representation in
-// internal/compress, mirroring how Julienne inherits Ligra+'s compression
+// Algorithms are written against the Graph interface, reading adjacency
+// through its one slice accessor pair (OutAdj/InAdj), so they run
+// unchanged over the plain CSR here and the byte-compressed
+// representation in internal/compress, mirroring how Julienne inherits Ligra+'s compression
 // (§1 of the paper: the 225B-edge Hyperlink graph only fits compressed).
 package graph
 
@@ -23,13 +24,10 @@ type Weight = int32
 
 // Graph is the read contract algorithms are written against.
 //
-// Adjacency comes in two forms over the same sequence. OutAdj/InAdj
-// return v's neighbors as slices — the form every traversal loop uses:
-// one interface call per vertex, then a plain loop. OutNeighbors/
-// InNeighbors call back per neighbor (weight 0 on unweighted graphs)
-// and stop early when the callback returns false — a convenience for
-// cold callers written over the slice form. For symmetric graphs In*
-// and Out* coincide.
+// Adjacency has one form: OutAdj/InAdj return v's neighbors as slices,
+// so every reader — hot traversal or cold oracle — makes one interface
+// call per vertex and then runs a plain loop, with no per-neighbor
+// callback to box. For symmetric graphs InAdj and OutAdj coincide.
 type Graph interface {
 	// NumVertices returns n.
 	NumVertices() int
@@ -56,11 +54,6 @@ type Graph interface {
 	OutAdj(v Vertex, buf *AdjBuf) ([]Vertex, []Weight)
 	// InAdj is OutAdj over the in-neighbors of v.
 	InAdj(v Vertex, buf *AdjBuf) ([]Vertex, []Weight)
-	// OutNeighbors calls f for each out-neighbor of v, in OutAdj order,
-	// until f returns false.
-	OutNeighbors(v Vertex, f func(u Vertex, w Weight) bool)
-	// InNeighbors calls f for each in-neighbor of v until f returns false.
-	InNeighbors(v Vertex, f func(u Vertex, w Weight) bool)
 }
 
 // AdjBuf is the caller-owned decode buffer OutAdj and InAdj take: a

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -49,15 +50,8 @@ func TestFromEdgesDirected(t *testing.T) {
 	if g.InDegree(2) != 1 || g.InDegree(0) != 0 {
 		t.Fatal("wrong in-degrees")
 	}
-	found := false
-	g.InNeighbors(2, func(u Vertex, w Weight) bool {
-		if u == 1 {
-			found = true
-		}
-		return true
-	})
-	if !found {
-		t.Fatal("InNeighbors(2) missing 1")
+	if ins, _ := g.InAdj(2, nil); !slices.Contains(ins, 1) {
+		t.Fatal("InAdj(2) missing 1")
 	}
 }
 
@@ -98,26 +92,14 @@ func TestFromEdgesPanicsNegativeWeight(t *testing.T) {
 	FromEdges(2, []Edge{{0, 1, -3}}, BuildOptions{Weighted: true})
 }
 
-func TestOutNeighborsEarlyStop(t *testing.T) {
-	g := triPendant(t)
-	visits := 0
-	g.OutNeighbors(2, func(u Vertex, w Weight) bool {
-		visits++
-		return false
-	})
-	if visits != 1 {
-		t.Fatalf("early stop visited %d neighbors", visits)
-	}
-}
-
 func TestWeightedNeighbors(t *testing.T) {
 	g := FromEdges(3, []Edge{{0, 1, 5}, {0, 2, 9}},
 		BuildOptions{Weighted: true, DropSelfLoops: true, Dedup: true})
 	got := map[Vertex]Weight{}
-	g.OutNeighbors(0, func(u Vertex, w Weight) bool {
-		got[u] = w
-		return true
-	})
+	nbrs, ws := g.OutAdj(0, nil)
+	for i, u := range nbrs {
+		got[u] = ws[i]
+	}
 	if got[1] != 5 || got[2] != 9 {
 		t.Fatalf("weights %v", got)
 	}
@@ -199,12 +181,12 @@ func TestReweighted(t *testing.T) {
 	if !w.Weighted() {
 		t.Fatal("Reweighted graph not weighted")
 	}
-	w.OutNeighbors(2, func(u Vertex, wt Weight) bool {
-		if wt != Weight(2+u) {
-			t.Fatalf("weight(2,%d)=%d", u, wt)
+	nbrs, ws := w.OutAdj(2, nil)
+	for i, u := range nbrs {
+		if ws[i] != Weight(2+u) {
+			t.Fatalf("weight(2,%d)=%d", u, ws[i])
 		}
-		return true
-	})
+	}
 	if g.Weighted() {
 		t.Fatal("original gained weights")
 	}
@@ -214,9 +196,8 @@ func TestTransposeRoundTrip(t *testing.T) {
 	// For a symmetric graph, in-neighbors equal out-neighbors.
 	g := triPendant(t)
 	for v := 0; v < g.NumVertices(); v++ {
-		var ins, outs []Vertex
-		g.InNeighbors(Vertex(v), func(u Vertex, w Weight) bool { ins = append(ins, u); return true })
-		g.OutNeighbors(Vertex(v), func(u Vertex, w Weight) bool { outs = append(outs, u); return true })
+		ins, _ := g.InAdj(Vertex(v), nil)
+		outs, _ := g.OutAdj(Vertex(v), nil)
 		if len(ins) != len(outs) {
 			t.Fatalf("v=%d in/out mismatch", v)
 		}
@@ -227,7 +208,10 @@ func TestTransposeDirectedWeighted(t *testing.T) {
 	g := FromEdges(4, []Edge{{0, 2, 5}, {1, 2, 7}, {3, 2, 9}},
 		BuildOptions{Weighted: true, DropSelfLoops: true, Dedup: true})
 	got := map[Vertex]Weight{}
-	g.InNeighbors(2, func(u Vertex, w Weight) bool { got[u] = w; return true })
+	nbrs, ws := g.InAdj(2, nil)
+	for i, u := range nbrs {
+		got[u] = ws[i]
+	}
 	want := map[Vertex]Weight{0: 5, 1: 7, 3: 9}
 	if len(got) != len(want) {
 		t.Fatalf("in-neighbors %v", got)

@@ -113,12 +113,12 @@ func FuzzReadBinary(f *testing.F) {
 			return
 		}
 		for v := 0; v < g.NumVertices(); v++ {
-			g.OutNeighbors(graph.Vertex(v), func(u graph.Vertex, w graph.Weight) bool {
+			nbrs, _ := g.OutAdj(graph.Vertex(v), nil)
+			for _, u := range nbrs {
 				if int(u) >= g.NumVertices() {
 					t.Fatalf("out-of-range neighbor %d", u)
 				}
-				return true
-			})
+			}
 		}
 		checkWeights(t, g)
 	})

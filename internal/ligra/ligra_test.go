@@ -154,13 +154,13 @@ func seqBFS(g graph.Graph, src graph.Vertex) []int32 {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		g.OutNeighbors(v, func(u graph.Vertex, w graph.Weight) bool {
+		nbrs, _ := g.OutAdj(v, nil)
+		for _, u := range nbrs {
 			if level[u] == -1 {
 				level[u] = level[v] + 1
 				queue = append(queue, u)
 			}
-			return true
-		})
+		}
 	}
 	return level
 }
@@ -370,12 +370,12 @@ func TestEdgeMapPack(t *testing.T) {
 	if g.OutDegree(0) != 3 {
 		t.Fatalf("graph degree=%d want 3", g.OutDegree(0))
 	}
-	g.OutNeighbors(0, func(u graph.Vertex, w graph.Weight) bool {
+	nbrs, _ := g.OutAdj(0, nil)
+	for _, u := range nbrs {
 		if u%2 != 1 {
 			t.Fatalf("packed-out neighbor %d survived", u)
 		}
-		return true
-	})
+	}
 }
 
 func TestEdgeMapOnWeightedGraph(t *testing.T) {

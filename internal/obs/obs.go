@@ -179,13 +179,6 @@ func (s *Span) End() time.Duration {
 	return d
 }
 
-// Phase times f as a named span; a convenience for whole-phase scopes.
-func (r *Recorder) Phase(name string, f func()) {
-	sp := r.StartSpan(name)
-	f()
-	sp.End()
-}
-
 // --- trace output ------------------------------------------------------------
 
 // TraceEvent is one entry of the Chrome trace-event format

@@ -42,11 +42,6 @@ func TestNilRecorder(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { r.StartSpan("x").Arg("k", 1).End() }); allocs != 0 {
 		t.Errorf("StartSpan(...).Arg(...).End() on a nil recorder: %v allocs, want 0", allocs)
 	}
-	ran := false
-	r.Phase("p", func() { ran = true })
-	if !ran {
-		t.Fatal("Phase must still run f on a nil recorder")
-	}
 	r.OnRound(func(RoundMetrics) { t.Fatal("observer on nil recorder fired") })
 	r.RecordRound(RoundMetrics{Algo: "x"})
 	if r.Rounds() != nil || r.NumRounds() != 0 {
@@ -125,7 +120,9 @@ func TestSpansAndTraceRoundTrip(t *testing.T) {
 	if d < time.Millisecond {
 		t.Fatalf("span duration %v too short", d)
 	}
-	r.Phase("load", func() { time.Sleep(100 * time.Microsecond) })
+	load := r.StartSpan("load")
+	time.Sleep(100 * time.Microsecond)
+	load.End()
 	r.Add(CtrBucketExtracted, 9)
 
 	var buf bytes.Buffer
@@ -263,7 +260,7 @@ func TestTraceIsPerfettoLoadableShape(t *testing.T) {
 	// The object form must serialize with a top-level traceEvents array
 	// whose entries carry ph/ts/pid — the minimum Perfetto requires.
 	r := NewRecorder()
-	r.Phase("p", func() {})
+	r.StartSpan("p").End()
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
 		t.Fatal(err)

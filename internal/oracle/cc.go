@@ -19,6 +19,7 @@ func Components(g graph.Graph) []graph.Vertex {
 		label[v] = graph.NilVertex
 	}
 	var stack []graph.Vertex
+	var buf graph.AdjBuf
 	for v := 0; v < n; v++ {
 		if label[v] != graph.NilVertex {
 			continue
@@ -29,13 +30,13 @@ func Components(g graph.Graph) []graph.Vertex {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			g.OutNeighbors(u, func(w graph.Vertex, wt graph.Weight) bool {
+			nbrs, _ := g.OutAdj(u, &buf)
+			for _, w := range nbrs {
 				if label[w] == graph.NilVertex {
 					label[w] = root
 					stack = append(stack, w)
 				}
-				return true
-			})
+			}
 		}
 	}
 	return label

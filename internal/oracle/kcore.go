@@ -14,7 +14,7 @@ import (
 // the optimized Batagelj–Zaversnik baseline it arbitrates between.
 //
 // The graph must be undirected. Self-loops and duplicate edges, if
-// present, contribute to degrees exactly as OutDegree/OutNeighbors
+// present, contribute to degrees exactly as OutDegree/OutAdj
 // report them, matching the semantics of the implementations under
 // test.
 func Coreness(g graph.Graph) []uint32 {
@@ -30,6 +30,7 @@ func Coreness(g graph.Graph) []uint32 {
 	}
 	core := make([]uint32, n)
 	k := int64(0)
+	var buf graph.AdjBuf
 	for removed := 0; removed < n; removed++ {
 		// Linear scan for a minimum-residual-degree live vertex.
 		min := graph.NilVertex
@@ -43,12 +44,12 @@ func Coreness(g graph.Graph) []uint32 {
 		}
 		core[min] = uint32(k)
 		alive[min] = false
-		g.OutNeighbors(min, func(u graph.Vertex, w graph.Weight) bool {
+		nbrs, _ := g.OutAdj(min, &buf)
+		for _, u := range nbrs {
 			if alive[u] {
 				deg[u]--
 			}
-			return true
-		})
+		}
 	}
 	return core
 }

@@ -20,6 +20,7 @@ func GreedySetCover(g graph.Graph, numSets int) []bool {
 	n := g.NumVertices()
 	covered := make([]bool, n)
 	chosen := make([]bool, numSets)
+	var buf graph.AdjBuf
 	for {
 		best, bestCount := -1, int64(0)
 		for s := 0; s < numSets; s++ {
@@ -27,12 +28,12 @@ func GreedySetCover(g graph.Graph, numSets int) []bool {
 				continue
 			}
 			var count int64
-			g.OutNeighbors(graph.Vertex(s), func(e graph.Vertex, w graph.Weight) bool {
+			elems, _ := g.OutAdj(graph.Vertex(s), &buf)
+			for _, e := range elems {
 				if !covered[e] {
 					count++
 				}
-				return true
-			})
+			}
 			if count > bestCount {
 				best, bestCount = s, count
 			}
@@ -41,10 +42,10 @@ func GreedySetCover(g graph.Graph, numSets int) []bool {
 			return chosen
 		}
 		chosen[best] = true
-		g.OutNeighbors(graph.Vertex(best), func(e graph.Vertex, w graph.Weight) bool {
+		elems, _ := g.OutAdj(graph.Vertex(best), &buf)
+		for _, e := range elems {
 			covered[e] = true
-			return true
-		})
+		}
 	}
 }
 
@@ -85,6 +86,7 @@ func VerifyCover(g graph.Graph, numSets int, inCover []bool, eps float64) error 
 	// compare against what any set could cover.
 	covered := make([]bool, n)
 	maxSet := 0
+	var buf graph.AdjBuf
 	for s := 0; s < numSets; s++ {
 		deg := g.OutDegree(graph.Vertex(s))
 		if deg > maxSet {
@@ -93,22 +95,17 @@ func VerifyCover(g graph.Graph, numSets int, inCover []bool, eps float64) error 
 		if !inCover[s] {
 			continue
 		}
-		g.OutNeighbors(graph.Vertex(s), func(e graph.Vertex, w graph.Weight) bool {
+		elems, _ := g.OutAdj(graph.Vertex(s), &buf)
+		for _, e := range elems {
 			covered[e] = true
-			return true
-		})
+		}
 	}
 	for s := 0; s < numSets; s++ {
-		var missing error
-		g.OutNeighbors(graph.Vertex(s), func(e graph.Vertex, w graph.Weight) bool {
+		elems, _ := g.OutAdj(graph.Vertex(s), &buf)
+		for _, e := range elems {
 			if !covered[e] {
-				missing = fmt.Errorf("setcover: element %d (coverable via set %d) is uncovered", e, s)
-				return false
+				return fmt.Errorf("setcover: element %d (coverable via set %d) is uncovered", e, s)
 			}
-			return true
-		})
-		if missing != nil {
-			return missing
 		}
 	}
 

@@ -29,6 +29,7 @@ func Dijkstra(g graph.Graph, src graph.Vertex) []int64 {
 		dist[v] = inf
 	}
 	dist[src] = 0
+	var buf graph.AdjBuf
 	for round := 0; round < n; round++ {
 		min := graph.NilVertex
 		for v := 0; v < n; v++ {
@@ -40,12 +41,16 @@ func Dijkstra(g graph.Graph, src graph.Vertex) []int64 {
 			break // every remaining vertex is unreachable
 		}
 		done[min] = true
-		g.OutNeighbors(min, func(u Vertex, w graph.Weight) bool {
-			if nd := dist[min] + int64(w); nd < dist[u] {
+		nbrs, ws := g.OutAdj(min, &buf)
+		for i, u := range nbrs {
+			var w int64 // an unweighted edge costs 0
+			if ws != nil {
+				w = int64(ws[i])
+			}
+			if nd := dist[min] + w; nd < dist[u] {
 				dist[u] = nd
 			}
-			return true
-		})
+		}
 	}
 	for v := range dist {
 		if dist[v] == inf {
@@ -54,9 +59,6 @@ func Dijkstra(g graph.Graph, src graph.Vertex) []int64 {
 	}
 	return dist
 }
-
-// Vertex aliases graph.Vertex for the callback signatures above.
-type Vertex = graph.Vertex
 
 // VerifyDistances checks an SSSP distance vector against the Dijkstra
 // oracle, returning the first mismatch.

@@ -66,7 +66,7 @@ func degenerateCases() []degenerateCase {
 // TestDegenerateGraphs runs every algorithm against its oracle on each
 // degenerate input, on both representations. The oracles define degree
 // semantics for self-loops and parallel edges (whatever OutDegree and
-// OutNeighbors report), so parallel implementations must agree on those
+// OutAdj report), so parallel implementations must agree on those
 // inputs too, not merely avoid crashing.
 func TestDegenerateGraphs(t *testing.T) {
 	for _, tc := range degenerateCases() {
