@@ -103,6 +103,15 @@ func checkEpsilon(eps float64) error {
 	return nil
 }
 
+// isSet reports whether the flag name was given on the command line
+// (fs.Visit visits only those), so a flag left at its default never
+// counts as one an impl ignores.
+func isSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run executes one command line and returns its exit status.
@@ -240,11 +249,14 @@ func kcoreCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 // wBFS weighting ([1, log n)).
 func ssspCmd(fs *flag.FlagSet, gf *cli.GraphFlags) func(*runner) error {
 	src := fs.Uint("src", 0, "source vertex")
-	delta := fs.Int64("delta", 32768, "delta parameter (delta-stepping variants)")
+	delta := fs.Int64("delta", 32768, "delta parameter (delta and gap-bins only)")
 	fuse := fs.Bool("fuse", false, "bucket fusion: drain every non-empty bucket of the open range in one round (wbfs and delta only)")
 	return func(r *runner) error {
 		if *fuse && r.impl != "wbfs" && r.impl != "delta" {
 			return badInput{fmt.Errorf("-impl %s cannot fuse buckets, so it cannot honour -fuse", r.impl)}
+		}
+		if isSet(fs, "delta") && r.impl != "delta" && r.impl != "gap-bins" {
+			return badInput{fmt.Errorf("-impl %s has no delta parameter, so it cannot honour -delta", r.impl)}
 		}
 		g := r.g
 		if !g.Weighted() {
@@ -353,10 +365,13 @@ func setcoverCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 // greedy peel (Charikar 2-approximation) or the parallel batch peel
 // (Bahmani (2+2ε)-approximation), and checks the density it reports.
 func densestCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
-	eps := fs.Float64("epsilon", 0.1, "batch peel epsilon")
+	eps := fs.Float64("epsilon", 0.1, "batch peel epsilon (batch only)")
 	return func(r *runner) error {
 		if err := checkEpsilon(*eps); err != nil {
 			return err
+		}
+		if isSet(fs, "epsilon") && r.impl != "batch" {
+			return badInput{fmt.Errorf("-impl %s has no epsilon parameter, so it cannot honour -epsilon", r.impl)}
 		}
 		g := undirected(r.g)
 		fmt.Fprintln(r.out, cli.Describe(g))

@@ -42,7 +42,8 @@ func TestEveryImplAnswers(t *testing.T) {
 		want  []string
 	}{
 		{"kcore", []string{"julienne", "ligra", "bz"}, with(rmatArgs, "-hist", "3"), kcoreWant},
-		{"sssp", []string{"delta", "wbfs", "gap-bins", "bellman-ford", "dijkstra"}, with(rmatArgs, "-src", "3", "-delta", "4"), ssspWant},
+		{"sssp", []string{"delta", "gap-bins"}, with(rmatArgs, "-src", "3", "-delta", "4"), ssspWant},
+		{"sssp", []string{"wbfs", "bellman-ford", "dijkstra"}, with(rmatArgs, "-src", "3"), ssspWant},
 		{"setcover", []string{"julienne", "pbbs", "greedy"}, setcoverArgs, []string{"(cover valid)"}},
 		{"densest", []string{"charikar"}, rmatArgs, []string{"densest subgraph: 97 vertices, density 19.175 (whole graph: 5.979)"}},
 		{"densest", []string{"batch"}, rmatArgs, []string{"densest subgraph: 56 vertices, density 18.482 (whole graph: 5.979)"}},
@@ -70,7 +71,7 @@ func TestEveryImplAnswers(t *testing.T) {
 // TestFuseKeepsDistances: -fuse on either bucketed impl prints the
 // unfused run's distance summary in fewer rounds.
 func TestFuseKeepsDistances(t *testing.T) {
-	grid := []string{"-gen", "grid", "-rows", "64", "-cols", "64", "-delta", "4"}
+	grid := []string{"-gen", "grid", "-rows", "64", "-cols", "64"}
 	summary := func(args []string) (rounds int, reached string) {
 		t.Helper()
 		code, out, errOut := runArgs(args...)
@@ -85,15 +86,15 @@ func TestFuseKeepsDistances(t *testing.T) {
 		}
 		return rounds, lines[len(lines)-1]
 	}
-	for _, impl := range []string{"wbfs", "delta"} {
-		base := with([]string{"sssp", "-impl", impl}, grid...)
+	for _, impl := range [][]string{{"wbfs"}, {"delta", "-delta", "4"}} {
+		base := with(append([]string{"sssp", "-impl"}, impl...), grid...)
 		rounds, want := summary(base)
 		fusedRounds, got := summary(with(base, "-fuse"))
 		if got != want || !strings.HasPrefix(got, "reached=4096/4096 ") {
-			t.Errorf("%s -fuse printed %q, unfused %q", impl, got, want)
+			t.Errorf("%s -fuse printed %q, unfused %q", impl[0], got, want)
 		}
 		if fusedRounds <= 0 || fusedRounds >= rounds {
-			t.Errorf("%s -fuse ran %d rounds, unfused %d; want fewer", impl, fusedRounds, rounds)
+			t.Errorf("%s -fuse ran %d rounds, unfused %d; want fewer", impl[0], fusedRounds, rounds)
 		}
 	}
 }
@@ -153,11 +154,15 @@ func TestErrorExitCodes(t *testing.T) {
 		{[]string{"sssp", "-impl", "bellman-ford", "-fuse"}, 2, "-fuse"},
 		{[]string{"sssp", "-impl", "dijkstra", "-fuse"}, 2, "-fuse"},
 		{[]string{"sssp", "-fuse=-1"}, 2, "-fuse"},
+		{[]string{"sssp", "-impl", "wbfs", "-delta", "4"}, 2, "cannot honour -delta"},
+		{[]string{"sssp", "-impl", "bellman-ford", "-delta", "4"}, 2, "cannot honour -delta"},
+		{[]string{"sssp", "-impl", "dijkstra", "-delta", "32768"}, 2, "cannot honour -delta"},
 		{[]string{"setcover", "-sets", "0"}, 2, "-sets 0"},
 		{[]string{"setcover", "-epsilon", "NaN"}, 2, "-epsilon NaN"},
 		{[]string{"setcover", "-epsilon", "-0.5"}, 2, "-epsilon -0.5"},
 		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "batch", "-epsilon", "Inf"}, 2, "-epsilon +Inf"},
 		{[]string{"densest", "-n", "8", "-m", "8", "-epsilon", "-Inf"}, 2, "-epsilon -Inf"},
+		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "charikar", "-epsilon", "0.1"}, 2, "cannot honour -epsilon"},
 		{[]string{"gen", "-n", "8", "-m", "8"}, 2, "-out is required"},
 		{[]string{"gen", "-n", "8", "-m", "8", "-out", missing}, 1, "missing"},
 		{[]string{"kcore", "-n", "8", "-m", "8", "-trace", missing}, 1, "missing"},

@@ -27,43 +27,15 @@ func Approx(g *graph.CSR, numSets int, opt Options) Result {
 func ApproxOn(work graph.Packer, numSets int, opt Options) Result {
 	eps := opt.epsilon()
 	bz := newBucketizer(eps)
-	// A set's value is its uncovered-element count, and it joins the
-	// cover if it won at least ⌈(1+ε)^(b-1)⌉ elements. (The paper's
-	// pseudocode tests elmsWon > ⌈(1+ε)^max(b-1,0)⌉, which at b = 0 would
-	// demand 2 wins from degree-1 sets and never terminate; ≥ with the
-	// unclamped exponent keeps the intended 1/(1+ε)-fraction rule and
-	// guarantees progress.)
-	return approx(work, numSets, opt,
-		func(_, d uint32) bucket.ID { return bz.bucketOf(d) },
-		func(_ graph.Vertex, count uint32) float64 { return float64(count) },
-		func(b int64) float64 { return float64(ceilPow(eps, b)) })
-}
-
-// approx is Algorithm 3's bucketed body, which both covers run. A cover
-// is its priority function and its two thresholds: bucketOf(s, d) is
-// the bucket of set s with d uncovered elements, value(s, count) is
-// what count of s's elements are worth, and floor(b) is the value that
-// bucket b stands for. In the round of bucket b a set stays active
-// while its uncovered elements are worth floor(b), and joins the cover
-// if the elements it won are worth floor(b-1).
-func approx(work graph.Packer, numSets int, opt Options,
-	bucketOf func(s, d uint32) bucket.ID,
-	value func(s graph.Vertex, count uint32) float64,
-	floor func(b int64) float64) Result {
-
 	n := work.NumVertices()
 	lp := bucket.Loop{Algo: "setcover", Recorder: opt.Recorder, Ctx: opt.Ctx}
 
-	// The round's bucket and the thresholds derived from it are loop
-	// state the closures below read; they and the destination they
-	// fill are built once per run.
+	// The round's bucket is loop state the closures below read; they
+	// and the destination they fill are built once per run.
 	var bkt bucket.ID
-	var activeFloor, winFloor float64
-	m := newManis(work, numSets, opt.Recorder,
-		func(s graph.Vertex, deg uint32) bool { return value(s, deg) >= activeFloor },
-		func(s graph.Vertex, won uint32) bool { return value(s, won) >= winFloor })
+	m := newManis(work, numSets, opt.Recorder)
 	d := m.d
-	b := lp.New(numSets, func(s uint32) bucket.ID { return bucketOf(s, d[s]) },
+	b := lp.New(numSets, func(s uint32) bucket.ID { return bz.bucketOf(d[s]) },
 		bucket.Decreasing, opt.Buckets)
 
 	var rebucket ligra.Tagged[bucket.Dest]
@@ -71,8 +43,8 @@ func approx(work graph.Packer, numSets int, opt Options,
 		if d[s] == inCover {
 			return bucket.None, false
 		}
-		next := bucketOf(s, d[s])
-		if next == bkt && value(s, d[s]) < activeFloor && bkt > 0 {
+		next := bz.bucketOf(d[s])
+		if next == bkt && d[s] < m.degFloor && bkt > 0 {
 			// Float rounding in bucketOf could otherwise park an
 			// inactive set in the current bucket forever.
 			next = bkt - 1
@@ -95,7 +67,7 @@ func approx(work graph.Packer, numSets int, opt Options,
 		bkt = first
 		res.SetsInspected += int64(len(sets))
 		frontier := ligra.FromSparse(n, sets)
-		activeFloor, winFloor = floor(int64(bkt)), floor(int64(bkt)-1)
+		m.setBucket(eps, int64(bkt))
 
 		m.elect(m.activate(frontier))
 

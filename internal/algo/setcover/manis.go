@@ -22,6 +22,10 @@ type manis struct {
 	el, covered, d []uint32
 	inCover        []bool
 	emOpts         ligra.EdgeMapOptions
+	// The step's thresholds (Algorithm 3, lines 8 and 13): a set stays
+	// active while it has at least degFloor uncovered elements, and
+	// joins the cover if it won at least winFloor of them.
+	degFloor, winFloor uint32
 
 	degrees ligra.Tagged[uint32]   // activate: the frontier's packed degrees
 	active  ligra.Tagged[struct{}] // activate: the sets that clear the threshold
@@ -37,13 +41,8 @@ type manis struct {
 }
 
 // newManis sets up the instance whose sets are vertices [0, numSets) of
-// work. isActive reports whether a set with deg uncovered elements
-// still clears the current step's threshold, wins whether having won
-// that many puts it in the cover; a variant reads the step's thresholds
-// from its own loop state.
-func newManis(work graph.Packer, numSets int, rec *obs.Recorder,
-	isActive, wins func(s graph.Vertex, count uint32) bool) *manis {
-
+// work.
+func newManis(work graph.Packer, numSets int, rec *obs.Recorder) *manis {
 	n := work.NumVertices()
 	m := &manis{
 		work: work, el: make([]uint32, n), covered: make([]uint32, n), d: make([]uint32, n),
@@ -60,7 +59,7 @@ func newManis(work graph.Packer, numSets int, rec *obs.Recorder,
 	m.elmUncovered = func(_, e graph.Vertex) bool { return covered[e] == 0 }
 	m.keepActive = func(s graph.Vertex, deg uint32) (struct{}, bool) {
 		d[s] = deg
-		return struct{}{}, isActive(s, deg)
+		return struct{}{}, deg >= m.degFloor
 	}
 	m.uncovered = func(e graph.Vertex) bool { return covered[e] == 0 }
 	m.reserve = func(s, e graph.Vertex, _ graph.Weight) bool {
@@ -69,7 +68,7 @@ func newManis(work graph.Packer, numSets int, rec *obs.Recorder,
 	}
 	m.wonBy = func(s, e graph.Vertex) bool { return el[e] == uint32(s) }
 	m.joinCover = func(i int) {
-		if s := m.won.IDs[i]; wins(s, m.won.Vals[i]) {
+		if s := m.won.IDs[i]; m.won.Vals[i] >= m.winFloor {
 			d[s] = inCover
 			inCoverFlags[s] = true
 		}
@@ -88,6 +87,16 @@ func newManis(work graph.Packer, numSets int, rec *obs.Recorder,
 		return false
 	}
 	return m
+}
+
+// setBucket sets the step's thresholds for bucket b: ⌈(1+ε)^b⌉
+// uncovered elements to stay active and ⌈(1+ε)^(b-1)⌉ won ones to join
+// the cover. (The paper's pseudocode tests elmsWon > ⌈(1+ε)^max(b-1,0)⌉,
+// which at b = 0 would demand 2 wins from degree-1 sets and never
+// terminate; ≥ with the unclamped exponent keeps the intended
+// 1/(1+ε)-fraction rule and guarantees progress.)
+func (m *manis) setBucket(eps float64, b int64) {
+	m.degFloor, m.winFloor = ceilPow(eps, b), ceilPow(eps, b-1)
 }
 
 // activate is phase 1 (lines 25–27): pack covered elements out of the

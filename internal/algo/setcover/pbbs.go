@@ -25,11 +25,7 @@ func ApproxPBBSOn(work graph.Packer, numSets int, opt Options) Result {
 	bz := newBucketizer(eps)
 	n := work.NumVertices()
 
-	// The step's thresholds are loop state the MaNIS closures read.
-	var degThreshold, winThreshold uint32
-	m := newManis(work, numSets, nil,
-		func(_ graph.Vertex, deg uint32) bool { return deg >= degThreshold },
-		func(_ graph.Vertex, won uint32) bool { return won >= winThreshold })
+	m := newManis(work, numSets, nil)
 	d := m.d
 	maxBkt := int64(0)
 	for s := 0; s < numSets; s++ {
@@ -46,7 +42,7 @@ func ApproxPBBSOn(work graph.Packer, numSets int, opt Options) Result {
 	for bkt := maxBkt; bkt >= 0 && len(working) > 0; {
 		res.Rounds++
 		res.SetsInspected += int64(len(working))
-		degThreshold, winThreshold = ceilPow(eps, bkt), ceilPow(eps, bkt-1)
+		m.setBucket(eps, bkt)
 
 		act := m.activate(ligra.FromSparse(n, working))
 		if act.IsEmpty() {

@@ -18,6 +18,9 @@
 //   - Greedy: the exact sequential greedy algorithm (H_n
 //     approximation) with a lazy bucket queue, the correctness oracle.
 //
+// Only unweighted set cover is implemented: it is the case the paper
+// evaluates.
+//
 // Instances are bipartite graphs where vertices [0, Sets) are sets,
 // the remaining vertices are elements, and directed edges run from a
 // set to each element it covers.
@@ -45,18 +48,16 @@ type Options struct {
 	// Epsilon is the bucketing granularity; the approximation factor is
 	// (1+ε)·H_n. The paper's experiments use 0.01 (the default).
 	Epsilon float64
-	// Buckets is passed through to the bucket structure (Approx and
-	// ApproxWeighted; ApproxPBBS has none).
+	// Buckets is passed through to the bucket structure (Approx;
+	// ApproxPBBS has none).
 	Buckets bucket.Options
 	// Recorder, when non-nil, receives one RoundMetrics per MaNIS
-	// round plus bucket and edgeMap counters (Approx and
-	// ApproxWeighted). Nil disables telemetry with only nil-check
-	// overhead.
+	// round plus bucket and edgeMap counters (Approx). Nil disables
+	// telemetry with only nil-check overhead.
 	Recorder *obs.Recorder
-	// Ctx, when non-nil, is checked once per MaNIS round (Approx and
-	// ApproxWeighted); if it is done the run stops and Result.Err
-	// reports a *obs.Canceled with partial progress. Nil keeps today's
-	// zero-overhead behavior.
+	// Ctx, when non-nil, is checked once per MaNIS round (Approx); if
+	// it is done the run stops and Result.Err reports a *obs.Canceled
+	// with partial progress. Nil keeps today's zero-overhead behavior.
 	Ctx context.Context
 
 	// There is deliberately no bucket-fusion knob here (compare
@@ -87,8 +88,7 @@ type Result struct {
 	// work-efficiency comparison between Approx and ApproxPBBS reads
 	// this (the PBBS version re-inspects carried sets every round).
 	SetsInspected int64
-	// BucketStats is the bucket-structure traffic (Approx and
-	// ApproxWeighted).
+	// BucketStats is the bucket-structure traffic (Approx).
 	BucketStats bucket.Stats
 	// Err is nil on a completed run, or a *obs.Canceled (wrapping
 	// obs.ErrCanceled) if the run was stopped by Options.Ctx. A

@@ -136,6 +136,41 @@ func TestApproxAndPBBSComputeSameCover(t *testing.T) {
 	}
 }
 
+// TestExactCovers pins both bucketed covers at P=1 to the values they
+// had when the MaNIS thresholds were last changed, so a threshold off by
+// one bucket fails here rather than only in the bench gate: validity and
+// the (1+ε)·H_n bound would both still hold. At the default ε few sets
+// contend for an element, so the win threshold shows only at ε = 0.1.
+func TestExactCovers(t *testing.T) {
+	old := parallel.SetProcs(1)
+	defer parallel.SetProcs(old)
+	inst := gen.SetCover(400, 4000, 8, 5)
+	coarse := Options{Epsilon: 0.1}
+	for _, tc := range []struct {
+		name                  string
+		res                   Result
+		size, idSum           int
+		rounds, setsInspected int64
+	}{
+		{"approx", Approx(inst.Graph, inst.Sets, Options{}), 141, 28806, 214, 1458},
+		{"pbbs", ApproxPBBS(inst.Graph, inst.Sets, Options{}), 141, 28806, 660, 84244},
+		{"approx/eps=0.1", Approx(inst.Graph, inst.Sets, coarse), 141, 28752, 70, 1353},
+		{"pbbs/eps=0.1", ApproxPBBS(inst.Graph, inst.Sets, coarse), 141, 28752, 99, 12697},
+	} {
+		idSum := 0
+		for s, in := range tc.res.InCover {
+			if in {
+				idSum += s
+			}
+		}
+		if tc.res.CoverSize != tc.size || idSum != tc.idSum || tc.res.Rounds != tc.rounds || tc.res.SetsInspected != tc.setsInspected {
+			t.Errorf("%s: cover %d (set ids sum to %d), %d rounds, %d sets inspected; want %d (%d), %d, %d",
+				tc.name, tc.res.CoverSize, idSum, tc.res.Rounds, tc.res.SetsInspected,
+				tc.size, tc.idSum, tc.rounds, tc.setsInspected)
+		}
+	}
+}
+
 func TestBucketConfigurations(t *testing.T) {
 	inst := gen.SetCover(200, 1500, 3, 7)
 	want := Approx(inst.Graph, inst.Sets, Options{})

@@ -168,7 +168,7 @@ func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) (int64, bool)
 		// Relax the out-edges of the frontier (Algorithm 2, line 18).
 		// The tagged output carries each improved vertex's distance at
 		// the start of the round, captured by the winning relaxer.
-		ligra.EdgeMapTagged(g, frontier, nil, relax, &moved)
+		ligra.EdgeMapTagged(g, frontier, relax, &moved)
 		ligra.TagMapTagged(moved, reset, &rebucket)
 		b.UpdateBuckets(rebucket.Size(), feed)
 		return edges, false

@@ -1,10 +1,6 @@
 package sssp
 
-import (
-	"container/heap"
-
-	"julienne/internal/graph"
-)
+import "julienne/internal/graph"
 
 // DijkstraHeap is the classic sequential Dijkstra algorithm with a
 // binary heap, playing the role of the DIMACS challenge sequential
@@ -19,10 +15,10 @@ func DijkstraHeap(g graph.Graph, src graph.Vertex) Result {
 	}
 	dist[src] = 0
 	res := Result{}
-	pq := &distHeap{{v: src, d: 0}}
+	pq := distHeap{{v: src, d: 0}}
 	var buf graph.AdjBuf
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(distItem)
+	for len(pq) > 0 {
+		item := pq.pop()
 		if item.d > dist[item.v] {
 			continue // stale entry
 		}
@@ -33,7 +29,7 @@ func DijkstraHeap(g graph.Graph, src graph.Vertex) Result {
 			if nd < dist[u] {
 				dist[u] = nd
 				res.Relaxations++
-				heap.Push(pq, distItem{v: u, d: nd})
+				pq.push(distItem{v: u, d: nd})
 			}
 		}
 	}
@@ -46,16 +42,42 @@ type distItem struct {
 	d uint64
 }
 
+// distHeap is a binary min-heap on d. Its sift-up and sift-down are
+// the standard library heap package's up and down, step for step, so
+// ties pop in the same order.
 type distHeap []distItem
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+func (h *distHeap) push(it distItem) {
+	q := append(*h, it)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if q[j].d >= q[i].d {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+func (h *distHeap) pop() distItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].d < q[j].d {
+			j = j2
+		}
+		if q[j].d >= q[i].d {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }

@@ -115,14 +115,9 @@ func ssspResult(res sssp.Result) Result {
 	}}
 }
 
-// coverResult reports a cover; cost is 0 for the unweighted problem.
-func coverResult(res setcover.Result, cost float64) Result {
+func coverResult(res setcover.Result) Result {
 	return Result{Rounds: res.Rounds, Answer: func() map[string]int64 {
-		a := map[string]int64{"sets_inspected": res.SetsInspected, "cover_size": int64(res.CoverSize)}
-		if cost > 0 {
-			a["cost_milli"] = int64(cost * 1000)
-		}
-		return a
+		return map[string]int64{"sets_inspected": res.SetsInspected, "cover_size": int64(res.CoverSize)}
 	}}
 }
 
@@ -195,13 +190,13 @@ func Workloads(smoke bool) []Workload {
 		}
 	}
 	onCover("table3", "setcover", "julienne", func(inst gen.SetCoverInstance, rec *obs.Recorder) Result {
-		return coverResult(setcover.Approx(inst.Graph, inst.Sets, setcover.Options{Recorder: rec}), 0)
+		return coverResult(setcover.Approx(inst.Graph, inst.Sets, setcover.Options{Recorder: rec}))
 	})
 	onCover("table3", "setcover", "pbbs", func(inst gen.SetCoverInstance, _ *obs.Recorder) Result {
-		return coverResult(setcover.ApproxPBBS(inst.Graph, inst.Sets, setcover.Options{}), 0)
+		return coverResult(setcover.ApproxPBBS(inst.Graph, inst.Sets, setcover.Options{}))
 	})
 	onCover("table3", "setcover", "greedy-seq", func(inst gen.SetCoverInstance, _ *obs.Recorder) Result {
-		return coverResult(setcover.Greedy(inst.Graph, inst.Sets), 0)
+		return coverResult(setcover.Greedy(inst.Graph, inst.Sets))
 	})
 
 	// Figure 1: the §3.4 protocol over b initial buckets and n
@@ -304,22 +299,6 @@ func Workloads(smoke bool) []Workload {
 			}}
 		})
 	}
-	costs := sync.OnceValue(func() []float64 {
-		r := rng.New(seed)
-		c := make([]float64, cover().Sets)
-		for i := range c {
-			c[i] = 0.5 + 5*r.Float64()
-		}
-		return c
-	})
-	onCover("extension", "weighted-cover", "julienne", func(inst gen.SetCoverInstance, rec *obs.Recorder) Result {
-		res := setcover.ApproxWeighted(inst.Graph, inst.Sets, costs(), setcover.Options{Recorder: rec})
-		return coverResult(res.Result, res.Cost)
-	})
-	onCover("extension", "weighted-cover", "greedy-seq", func(inst gen.SetCoverInstance, _ *obs.Recorder) Result {
-		res := setcover.GreedyWeighted(inst.Graph, inst.Sets, costs())
-		return coverResult(res.Result, res.Cost)
-	})
 	return ws
 }
 

@@ -149,19 +149,12 @@ func TestInjectedWorkerPanic(t *testing.T) {
 // TestForcedCancellationAtRound forces a context cancellation at round
 // k from inside the round boundary and asserts the typed error, the
 // partial stats, and an oracle-correct re-run, for k-core and for
-// weighted set cover (SiteRound fires inside NextBucket, so it reaches
+// set cover (SiteRound fires inside NextBucket, so it reaches
 // every kernel bucket.Loop drives).
 func TestForcedCancellationAtRound(t *testing.T) {
 	defer harness.LeakCheck(t)()
 	g := testGraph(2)
 	inst := gen.SetCover(600, 6000, 8, 2)
-	costs := make([]float64, inst.Sets)
-	for s := range costs {
-		costs[s] = float64(1 + s%7)
-	}
-	weighted := func(o setcover.Options) setcover.WeightedResult {
-		return setcover.ApproxWeighted(inst.Graph, inst.Sets, costs, o)
-	}
 	rows := []struct {
 		name, algo string
 		// run is the kernel under ctx and rec; it returns its rounds and
@@ -182,13 +175,13 @@ func TestForcedCancellationAtRound(t *testing.T) {
 				}
 				corenessEqual(t, clean.Coreness, kcore.CorenessBZ(g))
 			}},
-		{"weighted-setcover", "setcover",
+		{"setcover", "setcover",
 			func(ctx context.Context, rec *obs.Recorder) (int64, error) {
-				r := weighted(setcover.Options{Ctx: ctx, Recorder: rec})
+				r := setcover.Approx(inst.Graph, inst.Sets, setcover.Options{Ctx: ctx, Recorder: rec})
 				return r.Rounds, r.Err
 			},
 			func(t *testing.T) {
-				clean := weighted(setcover.Options{})
+				clean := setcover.Approx(inst.Graph, inst.Sets, setcover.Options{})
 				if clean.Err != nil {
 					t.Fatalf("clean re-run errored: %v", clean.Err)
 				}

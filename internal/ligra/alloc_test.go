@@ -40,7 +40,7 @@ func TestTraversalAllocsIndependentOfFrontier(t *testing.T) {
 		"EdgeMap/dense":           func(u VertexSubset) { edgeMapDense(g, u, nil, none, EdgeMapOptions{}) },
 		"EdgeMap/dense-nooutput":  func(u VertexSubset) { edgeMapDense(g, u, nil, none, EdgeMapOptions{NoOutput: true}) },
 		"EdgeMapTagged": func(u VertexSubset) {
-			EdgeMapTagged(g, u, nil, func(_, _ graph.Vertex, _ graph.Weight) (uint32, bool) { return 0, false }, nil)
+			EdgeMapTagged(g, u, func(_, _ graph.Vertex, _ graph.Weight) (uint32, bool) { return 0, false }, nil)
 		},
 		"EdgeMapSum":         func(u VertexSubset) { EdgeMapSum(g, u, func(graph.Vertex) bool { return false }, keepCount, nil) },
 		"EdgeMapFilterCount": func(u VertexSubset) { EdgeMapFilterCount(g, u, func(_, _ graph.Vertex) bool { return false }, nil) },
@@ -101,7 +101,7 @@ func TestNilCondAdmitsEveryTarget(t *testing.T) {
 	if dense != 49 || out.Size() != 49 {
 		t.Errorf("dense: %d visits, %d outputs, want 49 and 49", dense, out.Size())
 	}
-	tagged := EdgeMapTagged(g, hub, nil, func(_, d graph.Vertex, _ graph.Weight) (uint32, bool) { return d, true }, nil)
+	tagged := EdgeMapTagged(g, hub, func(_, d graph.Vertex, _ graph.Weight) (uint32, bool) { return d, true }, nil)
 	if tagged.Size() != 49 {
 		t.Errorf("EdgeMapTagged: %d outputs, want 49", tagged.Size())
 	}
@@ -157,7 +157,7 @@ func TestRoundPrimitivesZeroAllocSteadyState(t *testing.T) {
 	retag := func(v graph.Vertex, deg uint32) (uint32, bool) { return deg + 1, odd(v) }
 	primitives := map[string]func(){
 		"EdgeMapSum":         func() { EdgeMapSum(g, u, odd, keepCount, &sums) },
-		"EdgeMapTagged":      func() { EdgeMapTagged(g, u, nil, relax, &relaxed) },
+		"EdgeMapTagged":      func() { EdgeMapTagged(g, u, relax, &relaxed) },
 		"TagMap":             func() { TagMap(u, tag, &mapped) },
 		"TagMapTagged":       func() { TagMapTagged(input, retag, &remapped) },
 		"EdgeMapFilterCount": func() { EdgeMapFilterCount(g, u, wonOdd, &won) },

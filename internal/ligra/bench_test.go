@@ -75,13 +75,12 @@ func BenchmarkEdgeMapTagged(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		epoch++
 		e := epoch
-		EdgeMapTagged(g, u, func(graph.Vertex) bool { return true },
-			func(s, d graph.Vertex, w graph.Weight) (uint32, bool) {
-				old := atomic.LoadUint32(&claimed[d])
-				if old != e && atomic.CompareAndSwapUint32(&claimed[d], old, e) {
-					return uint32(s), true
-				}
-				return 0, false
-			}, &out)
+		EdgeMapTagged(g, u, func(s, d graph.Vertex, w graph.Weight) (uint32, bool) {
+			old := atomic.LoadUint32(&claimed[d])
+			if old != e && atomic.CompareAndSwapUint32(&claimed[d], old, e) {
+				return uint32(s), true
+			}
+			return 0, false
+		}, &out)
 	}
 }

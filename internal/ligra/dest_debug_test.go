@@ -23,7 +23,7 @@ func TestStaleDestinationPoisoned(t *testing.T) {
 			return EdgeMapSum(g, u, nil, keepCount, dst)
 		},
 		"EdgeMapTagged": func(u VertexSubset, dst *Tagged[uint32]) Tagged[uint32] {
-			return EdgeMapTagged(g, u, nil, func(_, d graph.Vertex, _ graph.Weight) (uint32, bool) { return d, true }, dst)
+			return EdgeMapTagged(g, u, func(_, d graph.Vertex, _ graph.Weight) (uint32, bool) { return d, true }, dst)
 		},
 		"TagMap": func(u VertexSubset, dst *Tagged[uint32]) Tagged[uint32] {
 			return TagMap(u, func(v graph.Vertex) (uint32, bool) { return v, true }, dst)

@@ -211,25 +211,26 @@ func edgeMapDense(g graph.Graph, u VertexSubset, c func(graph.Vertex) bool,
 }
 
 // EdgeMapTagged is the push-only edge map whose F returns an optional
-// value of type T for the target vertex; the output is the tagged subset
-// of targets that received a value, written to dst (see Tagged). This is
-// the maybe(T)-returning edgeMap the paper's ∆-stepping uses to capture
-// each visited vertex's distance at the start of the round (Algorithm 2,
-// lines 4–10): F must arrange (via CAS) that at most one source wins
-// each target.
-func EdgeMapTagged[T any](g graph.Graph, u VertexSubset, c func(v graph.Vertex) bool,
+// value of type T for the target vertex, over every out-edge of u (there
+// is no condition: F rejects a target itself); the output is the tagged
+// subset of targets that received a value, written to dst (see Tagged).
+// This is the maybe(T)-returning edgeMap the paper's ∆-stepping uses to
+// capture each visited vertex's distance at the start of the round
+// (Algorithm 2, lines 4–10): F must arrange (via CAS) that at most one
+// source wins each target.
+func EdgeMapTagged[T any](g graph.Graph, u VertexSubset,
 	f func(src, dst graph.Vertex, w graph.Weight) (T, bool), dst *Tagged[T]) Tagged[T] {
 
 	ids, p := u.Sparse(), sparseWorkers(g, u)
 	outIDs, outVals := dst.take()
 	withParts(p, func(parts []part[T]) {
 		if p == 1 {
-			outIDs, outVals = relaxInto(g, ids, c, f, &parts[0].buf, outIDs, outVals)
+			outIDs, outVals = relaxInto(g, ids, f, &parts[0].buf, outIDs, outVals)
 			return
 		}
 		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
 			w := &parts[worker]
-			w.ids, w.vals = relaxInto(g, ids[lo:hi], c, f, &w.buf, w.ids, w.vals)
+			w.ids, w.vals = relaxInto(g, ids[lo:hi], f, &w.buf, w.ids, w.vals)
 		})
 		outIDs, outVals = collect(parts, outIDs, outVals)
 	})
@@ -238,7 +239,7 @@ func EdgeMapTagged[T any](g graph.Graph, u VertexSubset, c func(v graph.Vertex) 
 
 // relaxInto is EdgeMapTagged over one block of sources: the pairs f
 // emits are appended to outIDs and outVals.
-func relaxInto[T any](g graph.Graph, ids []graph.Vertex, c func(graph.Vertex) bool,
+func relaxInto[T any](g graph.Graph, ids []graph.Vertex,
 	f func(src, dst graph.Vertex, w graph.Weight) (T, bool), buf *graph.AdjBuf,
 	outIDs []graph.Vertex, outVals []T) ([]graph.Vertex, []T) {
 
@@ -246,9 +247,6 @@ func relaxInto[T any](g graph.Graph, ids []graph.Vertex, c func(graph.Vertex) bo
 		nbrs, ws := g.OutAdj(src, buf)
 		debugCheckAdj(g, src, false, nbrs, ws)
 		for j, dst := range nbrs {
-			if c != nil && !c(dst) {
-				continue
-			}
 			if val, ok := f(src, dst, weightAt(ws, j)); ok {
 				outIDs = push(outIDs, dst)
 				outVals = push(outVals, val)

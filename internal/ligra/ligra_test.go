@@ -244,9 +244,8 @@ func TestEdgeMapTagged(t *testing.T) {
 	g := gen.Star(10)
 	claimed := make([]uint32, 10)
 	tg := EdgeMapTagged(g, Single(10, 0),
-		func(v graph.Vertex) bool { return v != 0 },
 		func(s, d graph.Vertex, w graph.Weight) (uint32, bool) {
-			if atomic.CompareAndSwapUint32(&claimed[d], 0, 1) {
+			if d != 0 && atomic.CompareAndSwapUint32(&claimed[d], 0, 1) {
 				return uint32(d) * 2, true
 			}
 			return 0, false
@@ -543,8 +542,8 @@ func TestTaggedPrimitivesSameAcrossProcs(t *testing.T) {
 		},
 		"EdgeMapTagged": func(dst *Tagged[uint32]) Tagged[uint32] {
 			claimed := make([]uint32, n)
-			return EdgeMapTagged(base, u, odd, func(_, d graph.Vertex, _ graph.Weight) (uint32, bool) {
-				return d + 1, atomic.CompareAndSwapUint32(&claimed[d], 0, 1)
+			return EdgeMapTagged(base, u, func(_, d graph.Vertex, _ graph.Weight) (uint32, bool) {
+				return d + 1, odd(d) && atomic.CompareAndSwapUint32(&claimed[d], 0, 1)
 			}, dst)
 		},
 		"EdgeMapFilterCount": func(dst *Tagged[uint32]) Tagged[uint32] {
@@ -612,7 +611,7 @@ func TestSparseTraversalsForkOnWorkNotSize(t *testing.T) {
 			EdgeMap(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) bool { return false }, EdgeMapOptions{NoDense: true, NoOutput: true})
 		},
 		"EdgeMapTagged": func(u VertexSubset) {
-			EdgeMapTagged(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) (uint32, bool) { return 0, false }, nil)
+			EdgeMapTagged(g, u, func(_, _ graph.Vertex, _ graph.Weight) (uint32, bool) { return 0, false }, nil)
 		},
 		"EdgeMapSum":         func(u VertexSubset) { EdgeMapSum(g, u, func(graph.Vertex) bool { return false }, keepCount, nil) },
 		"EdgeMapFilterCount": func(u VertexSubset) { EdgeMapFilterCount(g, u, func(_, _ graph.Vertex) bool { return true }, nil) },

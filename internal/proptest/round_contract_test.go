@@ -27,10 +27,6 @@ func TestRoundContract(t *testing.T) {
 	big := gen.RMAT(1<<15, 1<<19, true, 5)
 	wg := gen.LogWeights(g, 5)
 	inst := gen.SetCover(400, 4000, 8, 5)
-	costs := make([]float64, inst.Sets)
-	for s := range costs {
-		costs[s] = float64(1 + s%7)
-	}
 	// Each row runs its kernel and returns its rounds and bucket totals.
 	// procs is the row's GOMAXPROCS; forks marks the row whose rounds
 	// must record at least one forked region.
@@ -58,10 +54,6 @@ func TestRoundContract(t *testing.T) {
 		}},
 		{"setcover", 1, false, func(rec *obs.Recorder) (int64, bucket.Stats) {
 			r := setcover.Approx(inst.Graph, inst.Sets, setcover.Options{Recorder: rec})
-			return r.Rounds, r.BucketStats
-		}},
-		{"setcover-weighted", 1, false, func(rec *obs.Recorder) (int64, bucket.Stats) {
-			r := setcover.ApproxWeighted(inst.Graph, inst.Sets, costs, setcover.Options{Recorder: rec})
 			return r.Rounds, r.BucketStats
 		}},
 		{"charikar", 1, false, func(rec *obs.Recorder) (int64, bucket.Stats) {
