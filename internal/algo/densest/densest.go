@@ -132,13 +132,14 @@ func Charikar(g graph.Graph, opt Options) Result {
 	var k bucket.ID
 	var removedEdges atomic.Int64
 	var moved ligra.Tagged[bucket.Dest]
-	live := func(v graph.Vertex) bool { return removedAt[v] == 0 }
+	// The round's condition is d[v] > k: a removed vertex's d is frozen
+	// at the bucket it was peeled from, at most k, and every vertex still
+	// at k is in the round's bucket, removed before the counting. So it
+	// admits exactly removedAt[v] == 0, and update only sees d[v] > k.
+	wasLive := func(v graph.Vertex) bool { return removedAt[v] == 0 }
 	update := func(v graph.Vertex, removed uint32) (bucket.Dest, bool) {
 		removedEdges.Add(int64(removed))
 		induced := d[v]
-		if induced <= k {
-			return bucket.None, false // already in (or below) cur
-		}
 		newD := max(induced-removed, k)
 		d[v] = newD
 		dest := b.GetBucket(induced, newD)
@@ -155,11 +156,11 @@ func Charikar(g graph.Graph, opt Options) Result {
 		parallel.For(len(ids), parallel.DefaultGrain, func(i int) {
 			removedAt[ids[i]] = round
 		})
-		// Count removed edges per *every* live neighbor (edges to
-		// survivors sitting at degree exactly k must be accounted even
-		// though those survivors cannot move buckets), and rebucket
-		// the neighbors above the current bucket as in Algorithm 1.
+		// Count removed edges per live neighbor, and rebucket them as
+		// in Algorithm 1.
 		removedEdges.Store(0)
+		live := ligra.Above{D: d, K: k}
+		ligra.DebugCheckAbove("densest", live, wasLive)
 		ligra.EdgeMapSum(g, frontier, live, update, &moved)
 		// Edges internal to the peeled set fall too (each counted once
 		// per endpoint among peeled vertices, halved), plus edges to
@@ -236,10 +237,14 @@ func PeelBatch(g graph.Graph, eps float64, opt Options) Result {
 	if n == 0 {
 		return Result{}
 	}
+	// dead[v] is the round v fell in, and stillAlive until then, so the
+	// round's condition dead[v] > round admits exactly the survivors.
+	const stillAlive = ^uint32(0)
 	d := make([]uint32, n)
 	dead := make([]uint32, n)
 	parallel.For(n, parallel.DefaultGrain, func(v int) {
 		d[v] = uint32(g.OutDegree(graph.Vertex(v)))
+		dead[v] = stillAlive
 	})
 	alive := int64(n)
 	liveEdges := g.NumEdges() / 2
@@ -251,7 +256,6 @@ func PeelBatch(g graph.Graph, eps float64, opt Options) Result {
 	// lost; nothing is kept, so the destination only lends its counters.
 	var removedEdges atomic.Int64
 	var touched ligra.Tagged[struct{}]
-	live := func(v graph.Vertex) bool { return dead[v] == 0 }
 	update := func(v graph.Vertex, removed uint32) (struct{}, bool) {
 		d[v] -= removed
 		removedEdges.Add(int64(removed))
@@ -277,7 +281,7 @@ func PeelBatch(g graph.Graph, eps float64, opt Options) Result {
 		rho := float64(liveEdges) / float64(alive)
 		threshold := 2 * (1 + eps) * rho
 		ids := parallel.PackIndices(n, func(v int) bool {
-			return dead[v] == 0 && float64(d[v]) <= threshold
+			return dead[v] == stillAlive && float64(d[v]) <= threshold
 		})
 		if len(ids) == 0 {
 			break // cannot happen mathematically, but guard float edges
@@ -287,7 +291,7 @@ func PeelBatch(g graph.Graph, eps float64, opt Options) Result {
 		})
 		removedEdges.Store(0)
 		frontier := ligra.FromSparse(n, ids)
-		ligra.EdgeMapSum(g, frontier, live, update, &touched)
+		ligra.EdgeMapSum(g, frontier, ligra.Above{D: dead, K: round}, update, &touched)
 		removed := removedEdges.Load() + internalEdges(g, frontier, peeled, &internal)
 		alive -= int64(len(ids))
 		liveEdges -= removed
@@ -311,7 +315,9 @@ func PeelBatch(g graph.Graph, eps float64, opt Options) Result {
 	// Reconstruct the best survivor set by round cut, as in Charikar.
 	removedAt := make([]int64, n)
 	parallel.For(n, parallel.DefaultGrain, func(v int) {
-		removedAt[v] = int64(dead[v])
+		if dead[v] != stillAlive {
+			removedAt[v] = int64(dead[v])
+		}
 	})
 	return Result{
 		Vertices: survivorsOfSize(removedAt, bestAlive),

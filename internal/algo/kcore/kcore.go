@@ -107,11 +107,10 @@ func Coreness(g graph.Graph, opt Options) Result {
 	// nothing (the bucket structure's own chunks aside).
 	var k bucket.ID
 	var moved ligra.Tagged[bucket.Dest]
-	stillLive := func(v graph.Vertex) bool { return d[v] > k }
 	// Update(v, edgesRemoved) of Algorithm 1: lower D[v], clamping at k
 	// so vertices falling below the current core are placed into the
-	// current bucket and peeled this round. stillLive admitted v, and D
-	// only changes here, after the counting: D[v] > k.
+	// current bucket and peeled this round. The round's condition
+	// admitted v, and D only changes here, after the counting: D[v] > k.
 	update := func(v graph.Vertex, removed uint32) (bucket.Dest, bool) {
 		induced := d[v]
 		newD := max(induced-removed, k)
@@ -134,7 +133,9 @@ func Coreness(g graph.Graph, opt Options) Result {
 		frontier := ligra.Frontier(g, ids)
 		edges := frontier.OutDegreeSum(g)
 		res.EdgesTraversed += edges
-		ligra.EdgeMapSum(g, frontier, stillLive, update, &moved)
+		// Still live is D[v] > k: a peeled vertex's D is frozen at its
+		// coreness, at most k.
+		ligra.EdgeMapSum(g, frontier, ligra.Above{D: d, K: k}, update, &moved)
 		b.UpdateBuckets(moved.Size(), feed)
 		return edges, finished == n
 	})
@@ -164,7 +165,10 @@ func CorenessLigra(g graph.Graph) Result {
 	// being written.
 	var k uint32
 	var cascade [2]ligra.Tagged[struct{}]
-	stillLive := func(v graph.Vertex) bool { return alive[v] == 1 && d[v] > k }
+	// A peeled vertex's d is frozen at its coreness, at most k, and
+	// every live vertex at or below k is in the round's frontier, so
+	// d[v] > k is alive[v] == 1: the round's condition reads d alone.
+	wasAlive := func(v graph.Vertex) bool { return alive[v] == 1 }
 	// Vertices dropping to <= k cascade within this core value.
 	update := func(v graph.Vertex, removed uint32) (struct{}, bool) {
 		newD := max(d[v]-removed, k)
@@ -190,7 +194,9 @@ func CorenessLigra(g graph.Graph) Result {
 			})
 			frontier := ligra.Frontier(g, ids)
 			res.EdgesTraversed += frontier.OutDegreeSum(g)
-			ids = ligra.EdgeMapSum(g, frontier, stillLive, update, &cascade[res.Rounds%2]).IDs
+			live := ligra.Above{D: d, K: k}
+			ligra.DebugCheckAbove("kcore", live, wasAlive)
+			ids = ligra.EdgeMapSum(g, frontier, live, update, &cascade[res.Rounds%2]).IDs
 		}
 	}
 	return res

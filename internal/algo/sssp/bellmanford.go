@@ -32,12 +32,16 @@ func BellmanFord(g graph.Graph, src graph.Vertex) Result {
 		// successful relaxer of v this round adds v to the output.
 		frontier = ligra.EdgeMap(g, frontier, nil,
 			func(s, d graph.Vertex, w graph.Weight) bool {
-				_, captured := relaxCapture(sp, &relaxations, s, d, w)
-				return captured
+				base := atomic.LoadUint64(&sp[s]) &^ ligra.RoundFlag
+				_, lowered, first := ligra.WriteMin(sp, d, base+uint64(w))
+				if lowered {
+					relaxations.Add(1)
+				}
+				return first
 			}, ligra.EdgeMapOptions{})
 		// Clear round flags for the next iteration.
 		frontier.ForEach(func(v graph.Vertex) {
-			atomic.StoreUint64(&sp[v], sp[v]&^flag)
+			atomic.StoreUint64(&sp[v], sp[v]&^ligra.RoundFlag)
 		})
 	}
 	res.Relaxations = relaxations.Load()

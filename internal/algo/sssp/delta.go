@@ -3,7 +3,6 @@ package sssp
 import (
 	"context"
 	"math/bits"
-	"sync/atomic"
 
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
@@ -42,9 +41,7 @@ type Options struct {
 
 // waves is the state DeltaStepping shares with its per-segment body.
 type waves struct {
-	// relaxations is Result.Relaxations while the run is in flight: the
-	// relax workers add to it concurrently.
-	relaxations atomic.Int64
+	relaxations int64
 	edges       int64
 	// udelta is ∆; when ∆ is a power of two, shift is log2(∆) and
 	// pow2 is set, so bktOf shifts instead of dividing.
@@ -52,7 +49,7 @@ type waves struct {
 	shift  uint8
 	pow2   bool
 	g      graph.Graph
-	// sp holds the tentative distances, one per vertex; the flag bit
+	// sp holds the tentative distances, one per vertex; ligra.RoundFlag
 	// marks a vertex whose distance changed in the current round.
 	sp []uint64
 	b  *bucket.Par
@@ -103,11 +100,11 @@ func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Re
 	parallel.For(n, parallel.DefaultGrain, func(i int) { w.sp[i] = inf })
 	w.sp[src] = 0
 	lp := bucket.Loop{Algo: "sssp", Recorder: opt.Recorder, Ctx: opt.Ctx, Fusion: opt.Fusion}
-	w.b = lp.New(n, func(i uint32) bucket.ID { return w.bktOf(w.sp[i] &^ flag) },
+	w.b = lp.New(n, func(i uint32) bucket.ID { return w.bktOf(w.sp[i] &^ ligra.RoundFlag) },
 		bucket.Increasing, opt.Buckets)
 	var res Result
 	res.Rounds, res.Err = lp.Run(w.b, deltaSegment(w))
-	res.Relaxations = w.relaxations.Load()
+	res.Relaxations = w.relaxations
 	res.EdgesTraversed = w.edges
 	res.BucketStats = w.b.Stats()
 	res.Dist = finalize(w.sp)
@@ -119,21 +116,8 @@ func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Re
 // the bucket range [id, last], rebucketing what moved. ids aliases the
 // bucket structure's arena: valid only until the body's next call into
 // the structure.
-//
-// Not inlined into DeltaStepping on purpose: in the copy the inliner
-// makes of the relax literal, relaxCapture is an out-of-line call on
-// the per-edge path.
-//
-//go:noinline
 func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) (int64, bool) {
-	// The counter pointer is taken once, here: &w.relaxations inside
-	// relax would nil-check w by loading its first word on every call,
-	// and that word shares a cache line with the counter every worker is
-	// adding to (measured: +28% on the RMAT ∆-stepping run at P=2).
-	g, sp, b, relaxations := w.g, w.sp, w.b, &w.relaxations
-	relax := func(s, dst graph.Vertex, wt graph.Weight) (uint64, bool) {
-		return relaxCapture(sp, relaxations, s, dst, wt)
-	}
+	g, sp, b := w.g, w.sp, w.b
 	// The segment's closures and the two destinations they fill are
 	// built once per run; a segment reads its bucket range from id and
 	// last and allocates nothing (the bucket structure's chunks aside).
@@ -144,7 +128,7 @@ func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) (int64, bool)
 	// vertex's bucket move from its start-of-round bucket to its new
 	// bucket.
 	reset := func(v graph.Vertex, oldDist uint64) (bucket.Dest, bool) {
-		newDist := sp[v] &^ flag
+		newDist := sp[v] &^ ligra.RoundFlag
 		sp[v] = newDist
 		prevB, newB := w.bktOf(oldDist), w.bktOf(newDist)
 		if newB == prevB && newB >= id && newB <= last {
@@ -168,7 +152,8 @@ func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) (int64, bool)
 		// Relax the out-edges of the frontier (Algorithm 2, line 18).
 		// The tagged output carries each improved vertex's distance at
 		// the start of the round, captured by the winning relaxer.
-		ligra.EdgeMapTagged(g, frontier, relax, &moved)
+		_, relaxed := ligra.EdgeMapWriteMin(g, frontier, sp, &moved)
+		w.relaxations += relaxed
 		ligra.TagMapTagged(moved, reset, &rebucket)
 		b.UpdateBuckets(rebucket.Size(), feed)
 		return edges, false

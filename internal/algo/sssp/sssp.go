@@ -22,10 +22,10 @@ package sssp
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
+	"julienne/internal/ligra"
 	"julienne/internal/parallel"
 )
 
@@ -34,21 +34,15 @@ import (
 const Unreachable int64 = -1
 
 // inf is the internal "not reached" distance. It leaves the top bit
-// free for the visited flag (§4.2: "our actual implementation uses the
-// highest bit of SP to represent Fl").
+// free for ligra.RoundFlag, which marks a vertex whose distance changed
+// in the current round.
 const inf uint64 = math.MaxUint64 >> 1
-
-// flag marks a vertex whose distance changed in the current round; the
-// vertex that sets it captures the pre-round distance for rebucketing.
-const flag uint64 = 1 << 63
 
 // Result carries distances plus the measurements the harness reports.
 type Result struct {
 	// Rounds is the number of frontier/bucket rounds executed.
 	Rounds int64
-	// Relaxations counts successful distance improvements. The relax
-	// loops count into an atomic.Int64 of their own and copy it here
-	// once, at the end of the run.
+	// Relaxations counts successful distance improvements.
 	Relaxations int64
 	// EdgesTraversed counts edge visits (frontier out-degrees summed).
 	EdgesTraversed int64
@@ -79,7 +73,7 @@ func checkInput(g graph.Graph, src graph.Vertex) {
 func finalize(sp []uint64) []int64 {
 	out := make([]int64, len(sp))
 	parallel.For(len(sp), parallel.DefaultGrain, func(i int) {
-		d := sp[i] &^ flag
+		d := sp[i] &^ ligra.RoundFlag
 		if d >= inf {
 			out[i] = Unreachable
 		} else {
@@ -87,32 +81,4 @@ func finalize(sp []uint64) []int64 {
 		}
 	})
 	return out
-}
-
-// load returns the current distance of v, ignoring the round flag.
-func load(sp []uint64, v graph.Vertex) uint64 {
-	return atomic.LoadUint64(&sp[v]) &^ flag
-}
-
-// relaxCapture attempts the relaxation s→d with edge weight w
-// (Algorithm 2, Update): on improvement it writeMins the distance,
-// counts the relaxation in relaxations, and sets the round flag; the
-// caller that transitions the flag from clear to set captures the
-// pre-round distance (returned with ok=true).
-func relaxCapture(sp []uint64, relaxations *atomic.Int64, s, d graph.Vertex, w graph.Weight) (uint64, bool) {
-	nDist := load(sp, s) + uint64(w)
-	for {
-		old := atomic.LoadUint64(&sp[d])
-		oDist := old &^ flag
-		if nDist >= oDist {
-			return 0, false
-		}
-		if atomic.CompareAndSwapUint64(&sp[d], old, flag|nDist) {
-			relaxations.Add(1)
-			if old&flag == 0 {
-				return oDist, true // unique capturer this round
-			}
-			return 0, false
-		}
-	}
 }

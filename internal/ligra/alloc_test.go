@@ -34,16 +34,16 @@ func TestTraversalAllocsIndependentOfFrontier(t *testing.T) {
 		ids[i] = graph.Vertex(i)
 	}
 	none := func(_, _ graph.Vertex, _ graph.Weight) bool { return false }
+	noTarget := Above{D: make([]uint32, n)}
+	dist := make([]uint64, n) // all zero: no write lowers one
 	traversals := map[string]func(u VertexSubset){
 		"EdgeMap/sparse":          func(u VertexSubset) { EdgeMap(g, u, nil, none, EdgeMapOptions{NoDense: true}) },
 		"EdgeMap/sparse-nooutput": func(u VertexSubset) { EdgeMap(g, u, nil, none, EdgeMapOptions{NoDense: true, NoOutput: true}) },
 		"EdgeMap/dense":           func(u VertexSubset) { edgeMapDense(g, u, nil, none, EdgeMapOptions{}) },
 		"EdgeMap/dense-nooutput":  func(u VertexSubset) { edgeMapDense(g, u, nil, none, EdgeMapOptions{NoOutput: true}) },
-		"EdgeMapTagged": func(u VertexSubset) {
-			EdgeMapTagged(g, u, func(_, _ graph.Vertex, _ graph.Weight) (uint32, bool) { return 0, false }, nil)
-		},
-		"EdgeMapSum":         func(u VertexSubset) { EdgeMapSum(g, u, func(graph.Vertex) bool { return false }, keepCount, nil) },
-		"EdgeMapFilterCount": func(u VertexSubset) { EdgeMapFilterCount(g, u, func(_, _ graph.Vertex) bool { return false }, nil) },
+		"EdgeMapWriteMin":         func(u VertexSubset) { EdgeMapWriteMin(g, u, dist, nil) },
+		"EdgeMapSum":              func(u VertexSubset) { EdgeMapSum(g, u, noTarget, keepCount, nil) },
+		"EdgeMapFilterCount":      func(u VertexSubset) { EdgeMapFilterCount(g, u, func(_, _ graph.Vertex) bool { return false }, nil) },
 		// Keeps every edge, so g is left as it was.
 		"EdgeMapPack": func(u VertexSubset) { EdgeMapPack(g, u, func(_, _ graph.Vertex) bool { return true }, nil) },
 	}
@@ -75,8 +75,9 @@ func TestCompressedTraversalReusesDecodeBuffers(t *testing.T) {
 	ids := All(g.NumVertices()).Sparse()
 	u := FromSparse(g.NumVertices(), ids)
 	var dst Tagged[uint32]
+	noTarget := Above{D: make([]uint32, g.NumVertices())}
 	allocs := testing.AllocsPerRun(10, func() {
-		EdgeMapSum(g, u, func(graph.Vertex) bool { return false }, keepCount, &dst)
+		EdgeMapSum(g, u, noTarget, keepCount, &dst)
 	})
 	if allocs > 16 {
 		t.Errorf("EdgeMapSum over all %d vertices of a compressed graph: %v allocs, want a handful", len(ids), allocs)
@@ -84,7 +85,7 @@ func TestCompressedTraversalReusesDecodeBuffers(t *testing.T) {
 }
 
 // TestNilCondAdmitsEveryTarget: a nil C is cond_true in every traversal
-// that takes one, in both directions.
+// that takes one, in both directions, and so is EdgeMapSum's zero Above.
 func TestNilCondAdmitsEveryTarget(t *testing.T) {
 	g := gen.Star(50)
 	hub := Single(50, 0)
@@ -101,11 +102,7 @@ func TestNilCondAdmitsEveryTarget(t *testing.T) {
 	if dense != 49 || out.Size() != 49 {
 		t.Errorf("dense: %d visits, %d outputs, want 49 and 49", dense, out.Size())
 	}
-	tagged := EdgeMapTagged(g, hub, func(_, d graph.Vertex, _ graph.Weight) (uint32, bool) { return d, true }, nil)
-	if tagged.Size() != 49 {
-		t.Errorf("EdgeMapTagged: %d outputs, want 49", tagged.Size())
-	}
-	if counted := EdgeMapSum(g, hub, nil, keepCount, nil); counted.Size() != 49 {
+	if counted := EdgeMapSum(g, hub, Above{}, keepCount, nil); counted.Size() != 49 {
 		t.Errorf("EdgeMapSum: %d outputs, want 49", counted.Size())
 	}
 }
@@ -147,17 +144,30 @@ func TestRoundPrimitivesZeroAllocSteadyState(t *testing.T) {
 	}
 	u := FromSparse(n, ids)
 	odd := func(v graph.Vertex) bool { return v%2 == 1 }
-	var packed, won, sums, relaxed, mapped, remapped Tagged[uint32]
+	parity := make([]uint32, n)
+	// Every eighth vertex starts at distance 1, the rest at 0, and each
+	// call restores start first, so every call lowers the same vertices.
+	start, dist := make([]uint64, n), make([]uint64, n)
+	for v := range parity {
+		parity[v] = uint32(v % 2)
+		if v%8 == 0 {
+			start[v] = 1
+		}
+	}
+	var packed, won, sums, mapped, remapped Tagged[uint32]
+	var relaxed Tagged[uint64]
 	// Keeps every edge, so g is left as it was.
 	input := EdgeMapPack(g, u, func(_, _ graph.Vertex) bool { return true }, nil)
 	keepAll := func(_, _ graph.Vertex) bool { return true }
 	wonOdd := func(_, dst graph.Vertex) bool { return odd(dst) }
-	relax := func(_, dst graph.Vertex, _ graph.Weight) (uint32, bool) { return dst, dst%8 == 0 }
 	tag := func(v graph.Vertex) (uint32, bool) { return v, odd(v) }
 	retag := func(v graph.Vertex, deg uint32) (uint32, bool) { return deg + 1, odd(v) }
 	primitives := map[string]func(){
-		"EdgeMapSum":         func() { EdgeMapSum(g, u, odd, keepCount, &sums) },
-		"EdgeMapTagged":      func() { EdgeMapTagged(g, u, relax, &relaxed) },
+		"EdgeMapSum": func() { EdgeMapSum(g, u, Above{D: parity, K: 0}, keepCount, &sums) },
+		"EdgeMapWriteMin": func() {
+			copy(dist, start)
+			EdgeMapWriteMin(g, u, dist, &relaxed)
+		},
 		"TagMap":             func() { TagMap(u, tag, &mapped) },
 		"TagMapTagged":       func() { TagMapTagged(input, retag, &remapped) },
 		"EdgeMapFilterCount": func() { EdgeMapFilterCount(g, u, wonOdd, &won) },
@@ -169,7 +179,7 @@ func TestRoundPrimitivesZeroAllocSteadyState(t *testing.T) {
 			t.Errorf("%s with a warm destination: %v allocs per call, want 0", name, allocs)
 		}
 	}
-	for name, size := range map[string]int{"EdgeMapSum": sums.Size(), "EdgeMapTagged": relaxed.Size(),
+	for name, size := range map[string]int{"EdgeMapSum": sums.Size(), "EdgeMapWriteMin": relaxed.Size(),
 		"TagMap": mapped.Size(), "TagMapTagged": remapped.Size(), "EdgeMapFilterCount": won.Size(), "EdgeMapPack": packed.Size()} {
 		if size == 0 {
 			t.Errorf("%s left its destination empty: the pin measured nothing", name)

@@ -1,12 +1,12 @@
 package ligra
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"julienne/internal/gen"
 	"julienne/internal/graph"
 	"julienne/internal/parallel"
+	"julienne/internal/rng"
 )
 
 func benchFrontier(g graph.Graph, frac int) VertexSubset {
@@ -38,19 +38,35 @@ func BenchmarkEdgeMapDense(b *testing.B) {
 	}
 }
 
+// perEdgeGraph is graph.BenchmarkOutAdjTraversal's shape — 2¹⁴
+// vertices, 2¹⁸ uniform directed edges — weighted, so the two round
+// primitives below read in ns per edge against that plain traversal in
+// the same `make microbench` run.
+func perEdgeGraph() *graph.CSR {
+	return gen.UniformWeights(gen.ErdosRenyi(1<<14, 1<<18, false, 1), 1, 1<<10, 1)
+}
+
+// reportPerEdge reports ns per edge of g, each iteration traversing
+// every edge once, as the graph package's traversal benchmark does.
+func reportPerEdge(b *testing.B, g graph.Graph) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*g.NumEdges()), "ns/edge")
+}
+
 // BenchmarkEdgeMapSum measures k-core's whole step — count, Update,
-// compact — into a destination the loop owns, as kcore.Coreness runs
-// it. Update leaves D alone so every iteration does the same work.
+// compact — over every vertex, into a destination the loop owns, as
+// kcore.Coreness runs it at P=1 (the inline arm, whose per-edge cost
+// the traversal benchmark bounds from below). Update leaves D alone so
+// every iteration does the same work.
 func BenchmarkEdgeMapSum(b *testing.B) {
-	g := gen.RMAT(1<<14, 1<<17, true, 1)
-	u := benchFrontier(g, 16)
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	g := perEdgeGraph()
 	n := g.NumVertices()
+	u := FromSparse(n, All(n).Sparse())
 	d := make([]uint32, n)
 	for v := range d {
 		d[v] = uint32(g.OutDegree(graph.Vertex(v)))
 	}
 	const k = 2
-	stillLive := func(v graph.Vertex) bool { return d[v] > k }
 	update := func(v graph.Vertex, removed uint32) (uint32, bool) {
 		induced := d[v]
 		newD := max(induced-removed, k)
@@ -60,27 +76,29 @@ func BenchmarkEdgeMapSum(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EdgeMapSum(g, u, stillLive, update, &moved)
+		EdgeMapSum(g, u, Above{D: d, K: k}, update, &moved)
 	}
+	reportPerEdge(b, g)
 }
 
-func BenchmarkEdgeMapTagged(b *testing.B) {
-	g := gen.RMAT(1<<14, 1<<17, true, 1)
-	u := benchFrontier(g, 16)
-	claimed := make([]uint32, g.NumVertices())
-	var epoch uint32
-	var out Tagged[uint32]
+// BenchmarkEdgeMapWriteMin measures ∆-stepping's relaxation step at
+// P=1 over every vertex: each iteration restores the distances (n
+// words, against 16n edges) and relaxes every edge into them.
+func BenchmarkEdgeMapWriteMin(b *testing.B) {
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	g := perEdgeGraph()
+	n := g.NumVertices()
+	u := FromSparse(n, All(n).Sparse())
+	start, dist := make([]uint64, n), make([]uint64, n)
+	for v := range start {
+		start[v] = rng.UintNAt(1, uint64(v), 1<<20)
+	}
+	var moved Tagged[uint64]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		epoch++
-		e := epoch
-		EdgeMapTagged(g, u, func(s, d graph.Vertex, w graph.Weight) (uint32, bool) {
-			old := atomic.LoadUint32(&claimed[d])
-			if old != e && atomic.CompareAndSwapUint32(&claimed[d], old, e) {
-				return uint32(s), true
-			}
-			return 0, false
-		}, &out)
+		copy(dist, start)
+		EdgeMapWriteMin(g, u, dist, &moved)
 	}
+	reportPerEdge(b, g)
 }

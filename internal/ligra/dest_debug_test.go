@@ -20,10 +20,7 @@ func TestStaleDestinationPoisoned(t *testing.T) {
 	input := NewTagged(9, []graph.Vertex{5, 6, 7}, []uint32{50, 60, 70})
 	primitives := map[string]func(u VertexSubset, dst *Tagged[uint32]) Tagged[uint32]{
 		"EdgeMapSum": func(u VertexSubset, dst *Tagged[uint32]) Tagged[uint32] {
-			return EdgeMapSum(g, u, nil, keepCount, dst)
-		},
-		"EdgeMapTagged": func(u VertexSubset, dst *Tagged[uint32]) Tagged[uint32] {
-			return EdgeMapTagged(g, u, func(_, d graph.Vertex, _ graph.Weight) (uint32, bool) { return d, true }, dst)
+			return EdgeMapSum(g, u, Above{}, keepCount, dst)
 		},
 		"TagMap": func(u VertexSubset, dst *Tagged[uint32]) Tagged[uint32] {
 			return TagMap(u, func(v graph.Vertex) (uint32, bool) { return v, true }, dst)
@@ -39,21 +36,41 @@ func TestStaleDestinationPoisoned(t *testing.T) {
 		},
 	}
 	for name, run := range primitives {
-		var dst Tagged[uint32]
-		stale := run(hub, &dst)
-		if stale.IsEmpty() {
-			t.Fatalf("%s: the first call returned nothing to keep", name)
+		stalePoisoned(t, name, hub, leaves, run)
+	}
+	// Each call relaxes from fresh distances: U at 0, the rest unreached.
+	stalePoisoned(t, "EdgeMapWriteMin", hub, leaves, func(u VertexSubset, dst *Tagged[uint64]) Tagged[uint64] {
+		dist := make([]uint64, 9)
+		for v := range dist {
+			dist[v] = 1 << 40
 		}
-		fresh := run(leaves, &dst)
-		for i, v := range stale.IDs {
-			if v != ^graph.Vertex(0) {
-				t.Errorf("%s: stale id %d reads %d after the next call with its destination, want poison", name, i, v)
-			}
+		u.ForEach(func(v graph.Vertex) { dist[v] = 0 })
+		tg, _ := EdgeMapWriteMin(g, u, dist, dst)
+		return tg
+	})
+}
+
+// stalePoisoned runs one primitive from first, keeps the result, runs
+// it from second into the same destination, and requires the kept ids
+// poisoned and the new ones in range.
+func stalePoisoned[T any](t *testing.T, name string, first, second VertexSubset,
+	run func(u VertexSubset, dst *Tagged[T]) Tagged[T]) {
+
+	t.Helper()
+	var dst Tagged[T]
+	stale := run(first, &dst)
+	if stale.IsEmpty() {
+		t.Fatalf("%s: the first call returned nothing to keep", name)
+	}
+	fresh := run(second, &dst)
+	for i, v := range stale.IDs {
+		if v != ^graph.Vertex(0) {
+			t.Errorf("%s: stale id %d reads %d after the next call with its destination, want poison", name, i, v)
 		}
-		for i, v := range fresh.IDs {
-			if int(v) >= 9 {
-				t.Errorf("%s: the new result's id %d is %d: the poison reached live storage", name, i, v)
-			}
+	}
+	for i, v := range fresh.IDs {
+		if int(v) >= 9 {
+			t.Errorf("%s: the new result's id %d is %d: the poison reached live storage", name, i, v)
 		}
 	}
 }

@@ -105,10 +105,11 @@ func weightAt(ws []graph.Weight, j int) graph.Weight {
 
 // Every traversal below has the same shape: one g.OutAdj (or InAdj)
 // call per vertex into the worker's own decode buffer, then a plain
-// loop over the slices with c and f called directly; a nil c admits
-// every target. Nothing is allocated per vertex or per edge: the
-// buffers and the per-worker outputs come from the scratch pool and
-// keep their capacity across calls.
+// loop over the slices. EdgeMap calls c and f directly (a nil c admits
+// every target); EdgeMapSum and EdgeMapWriteMin take their condition
+// and write as arrays and call nothing per edge. Nothing is allocated
+// per vertex or per edge: the buffers and the per-worker outputs come
+// from the scratch pool and keep their capacity across calls.
 
 // edgeMapSparse is the push traversal: map over the out-edges of U.
 // The output is collected into one buffer per worker and concatenated,
@@ -210,58 +211,105 @@ func edgeMapDense(g graph.Graph, u VertexSubset, c func(graph.Vertex) bool,
 	return FromDense(n, outMember)
 }
 
-// EdgeMapTagged is the push-only edge map whose F returns an optional
-// value of type T for the target vertex, over every out-edge of u (there
-// is no condition: F rejects a target itself); the output is the tagged
-// subset of targets that received a value, written to dst (see Tagged).
-// This is the maybe(T)-returning edgeMap the paper's ∆-stepping uses to
-// capture each visited vertex's distance at the start of the round
-// (Algorithm 2, lines 4–10): F must arrange (via CAS) that at most one
-// source wins each target.
-func EdgeMapTagged[T any](g graph.Graph, u VertexSubset,
-	f func(src, dst graph.Vertex, w graph.Weight) (T, bool), dst *Tagged[T]) Tagged[T] {
+// RoundFlag is the top bit of a distance in EdgeMapWriteMin's array:
+// set on every vertex whose distance a round lowered, and cleared by the
+// caller when it rebucketed the vertex (§4.2: "our actual
+// implementation uses the highest bit of SP to represent Fl").
+// Distances themselves stay below it.
+const RoundFlag uint64 = 1 << 63
 
+// WriteMin lowers dist[v] to nd if nd is smaller than its distance,
+// setting RoundFlag on it (Algorithm 2, Update): lowered reports the
+// write, and the write that found the flag clear — the first to lower v
+// this round — also gets v's pre-round distance back with first set.
+// Concurrent calls on the same v are safe.
+func WriteMin(dist []uint64, v graph.Vertex, nd uint64) (pre uint64, lowered, first bool) {
+	for {
+		old := atomic.LoadUint64(&dist[v])
+		if nd >= old&^RoundFlag {
+			return 0, false, false
+		}
+		if atomic.CompareAndSwapUint64(&dist[v], old, RoundFlag|nd) {
+			return old &^ RoundFlag, true, old&RoundFlag == 0
+		}
+	}
+}
+
+// EdgeMapWriteMin is the relaxation step of Algorithm 2 (lines 4–10)
+// as one push traversal: over every out-edge (s, v) of U it lowers
+// dist[v] to dist[s] + w(s, v) with WriteMin, and returns the tagged
+// subset of the targets it was first to lower this round, each with its
+// pre-round distance — the maybe(T)-returning edgeMap that lets
+// ∆-stepping rebucket a vertex from where it was — written to dst (see
+// Tagged), together with the number of writes that lowered a distance.
+// The source's distance is read once, before its edges; a source
+// lowered during the round is in the output, so the caller revisits it.
+// The caller clears RoundFlag on the output before the next call.
+func EdgeMapWriteMin(g graph.Graph, u VertexSubset, dist []uint64, dst *Tagged[uint64]) (Tagged[uint64], int64) {
 	ids, p := u.Sparse(), sparseWorkers(g, u)
 	outIDs, outVals := dst.take()
-	withParts(p, func(parts []part[T]) {
+	var relaxed int64
+	withParts(p, func(parts []part[uint64]) {
 		if p == 1 {
-			outIDs, outVals = relaxInto(g, ids, f, &parts[0].buf, outIDs, outVals)
+			outIDs, outVals, relaxed = relaxInto(g, ids, dist, &parts[0].buf, outIDs, outVals)
 			return
 		}
 		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
 			w := &parts[worker]
-			w.ids, w.vals = relaxInto(g, ids[lo:hi], f, &w.buf, w.ids, w.vals)
+			var r int64
+			w.ids, w.vals, r = relaxInto(g, ids[lo:hi], dist, &w.buf, w.ids, w.vals)
+			w.count += r
 		})
+		for i := range parts {
+			relaxed += parts[i].count
+		}
 		outIDs, outVals = collect(parts, outIDs, outVals)
 	})
-	return dst.put(g.NumVertices(), outIDs, outVals)
+	return dst.put(g.NumVertices(), outIDs, outVals), relaxed
 }
 
-// relaxInto is EdgeMapTagged over one block of sources: the pairs f
-// emits are appended to outIDs and outVals.
-func relaxInto[T any](g graph.Graph, ids []graph.Vertex,
-	f func(src, dst graph.Vertex, w graph.Weight) (T, bool), buf *graph.AdjBuf,
-	outIDs []graph.Vertex, outVals []T) ([]graph.Vertex, []T) {
+// relaxInto is EdgeMapWriteMin over one block of sources: the targets
+// it was first to lower are appended to outIDs with their pre-round
+// distances in outVals, and the writes that lowered one are counted.
+func relaxInto(g graph.Graph, ids []graph.Vertex, dist []uint64, buf *graph.AdjBuf,
+	outIDs []graph.Vertex, outVals []uint64) ([]graph.Vertex, []uint64, int64) {
 
+	var relaxed int64
 	for _, src := range ids {
+		base := atomic.LoadUint64(&dist[src]) &^ RoundFlag
 		nbrs, ws := g.OutAdj(src, buf)
 		debugCheckAdj(g, src, false, nbrs, ws)
 		for j, dst := range nbrs {
-			if val, ok := f(src, dst, weightAt(ws, j)); ok {
+			pre, lowered, first := WriteMin(dist, dst, base+uint64(weightAt(ws, j)))
+			if lowered {
+				relaxed++
+			}
+			if first {
 				outIDs = push(outIDs, dst)
-				outVals = push(outVals, val)
+				outVals = push(outVals, pre)
 			}
 		}
 	}
-	return outIDs, outVals
+	return outIDs, outVals, relaxed
+}
+
+// Above is an edge map's condition as data: it admits the target v iff
+// D[v] > K. Every peel's liveness test has this form — a vertex's
+// degree (k-core, Charikar) or the round it died in (PeelBatch) against
+// the round's value — so the count loops test an array instead of
+// calling a function per edge. The zero value admits every target
+// (Ligra's cond_true).
+type Above struct {
+	D []uint32
+	K uint32
 }
 
 // EdgeMapSum is the paper's edgeMapSum(G, U, Update) (§2.1:
 // edgeMapReduce with M = 1 and R = +; Algorithm 1, line 16): for every
-// vertex v adjacent to U with C(v) true it counts the edges from U
+// vertex v adjacent to U that live admits it counts the edges from U
 // reaching v, then calls update(v, count) — exactly once per touched
 // vertex, after all counting has finished, so update may change the
-// state C reads — and returns the tagged subset of the vertices and
+// array live reads — and returns the tagged subset of the vertices and
 // values update kept, written to dst (see Tagged). k-core's update
 // lowers v's induced degree and reports the bucket move, so the output
 // is the updateBuckets feed and nothing else is materialized.
@@ -273,7 +321,7 @@ func relaxInto[T any](g graph.Graph, ids []graph.Vertex,
 // calls update and compacts the survivors in place: one loop over the
 // destination's own array at Procs() == 1, at most two forked regions
 // otherwise. update runs concurrently for distinct vertices.
-func EdgeMapSum[T any](g graph.Graph, u VertexSubset, c func(v graph.Vertex) bool,
+func EdgeMapSum[T any](g graph.Graph, u VertexSubset, live Above,
 	update func(v graph.Vertex, count uint32) (T, bool), dst *Tagged[T]) Tagged[T] {
 
 	n := g.NumVertices()
@@ -282,13 +330,13 @@ func EdgeMapSum[T any](g graph.Graph, u VertexSubset, c func(v graph.Vertex) boo
 	cnt := dst.counters(n)
 	withParts(p, func(parts []part[T]) {
 		if p == 1 {
-			outIDs = countOwned(g, ids, c, cnt, &parts[0].buf, outIDs)
+			outIDs = countOwned(g, ids, live, cnt, &parts[0].buf, outIDs)
 			outIDs, outVals = sumInto(cnt, update, outIDs, outIDs[:0], outVals)
 			return
 		}
 		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
 			w := &parts[worker]
-			w.ids = countInto(g, ids[lo:hi], c, cnt, &w.buf, w.ids)
+			w.ids = countInto(g, ids[lo:hi], live, cnt, &w.buf, w.ids)
 		})
 		// The join above orders every atomic add before the plain reads
 		// and resets of pass 2.
@@ -327,14 +375,15 @@ func (dst *Tagged[T]) counters(n int) []uint32 {
 
 // countInto is pass 1 of EdgeMapSum over one block of sources: the
 // targets this block was first to touch are appended to claimed.
-func countInto(g graph.Graph, ids []graph.Vertex, c func(graph.Vertex) bool, cnt []uint32,
+func countInto(g graph.Graph, ids []graph.Vertex, live Above, cnt []uint32,
 	buf *graph.AdjBuf, claimed []graph.Vertex) []graph.Vertex {
 
+	d, k := live.D, live.K
 	for _, src := range ids {
 		nbrs, ws := g.OutAdj(src, buf)
 		debugCheckAdj(g, src, false, nbrs, ws)
 		for _, dst := range nbrs {
-			if (c == nil || c(dst)) && atomic.AddUint32(&cnt[dst], 1) == 1 {
+			if (d == nil || d[dst] > k) && atomic.AddUint32(&cnt[dst], 1) == 1 {
 				claimed = push(claimed, dst)
 			}
 		}
@@ -345,14 +394,15 @@ func countInto(g graph.Graph, ids []graph.Vertex, c func(graph.Vertex) bool, cnt
 // countOwned is countInto for a caller that owns cnt outright, the
 // inline arm of EdgeMapSum: no other worker touches the counters, so it
 // counts with plain increments instead of atomic adds.
-func countOwned(g graph.Graph, ids []graph.Vertex, c func(graph.Vertex) bool, cnt []uint32,
+func countOwned(g graph.Graph, ids []graph.Vertex, live Above, cnt []uint32,
 	buf *graph.AdjBuf, claimed []graph.Vertex) []graph.Vertex {
 
+	d, k := live.D, live.K
 	for _, src := range ids {
 		nbrs, ws := g.OutAdj(src, buf)
 		debugCheckAdj(g, src, false, nbrs, ws)
 		for _, dst := range nbrs {
-			if c == nil || c(dst) {
+			if d == nil || d[dst] > k {
 				if cnt[dst]++; cnt[dst] == 1 {
 					claimed = push(claimed, dst)
 				}

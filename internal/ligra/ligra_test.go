@@ -239,25 +239,41 @@ func TestEdgeMapNoOutput(t *testing.T) {
 	}
 }
 
-func TestEdgeMapTagged(t *testing.T) {
-	// Star from the hub: each leaf is claimed once with a value.
-	g := gen.Star(10)
-	claimed := make([]uint32, 10)
-	tg := EdgeMapTagged(g, Single(10, 0),
-		func(s, d graph.Vertex, w graph.Weight) (uint32, bool) {
-			if d != 0 && atomic.CompareAndSwapUint32(&claimed[d], 0, 1) {
-				return uint32(d) * 2, true
-			}
-			return 0, false
-		}, nil)
-	if tg.Size() != 9 {
-		t.Fatalf("size=%d want 9", tg.Size())
+// TestEdgeMapWriteMin walks one round of Algorithm 2's relaxation by
+// hand: the targets a round lowers come back once each with their
+// pre-round distance, the second lowering of a vertex counts but does
+// not repeat it, a source lowered earlier in the round relaxes from its
+// new distance, and every lowered distance carries the round flag.
+func TestEdgeMapWriteMin(t *testing.T) {
+	defer parallel.SetProcs(parallel.SetProcs(1)) // the round's order is U's
+	g := graph.FromEdges(5, []graph.Edge{
+		{U: 0, V: 1, W: 5}, {U: 0, V: 2, W: 1}, {U: 0, V: 4, W: 9},
+		{U: 2, V: 1, W: 1}, {U: 2, V: 3, W: 1},
+	}, graph.BuildOptions{Weighted: true})
+	const far = 1 << 40
+	dist := []uint64{0, 10, 4, far, 9}
+	var dst Tagged[uint64]
+	tg, relaxed := EdgeMapWriteMin(g, FromSparse(5, []graph.Vertex{0, 2}), dist, &dst)
+	// 0→1 (10 → 5), 0→2 (4 → 1), 0→4 (9: not lower), 2→1 from 2's new
+	// distance (5 → 2), 2→3 (far → 2).
+	if relaxed != 4 {
+		t.Errorf("relaxed = %d, want 4", relaxed)
+	}
+	want := map[graph.Vertex]uint64{1: 10, 2: 4, 3: far}
+	if tg.Size() != len(want) {
+		t.Fatalf("%d outputs %v, want %v", tg.Size(), tg.IDs, want)
 	}
 	for i := 0; i < tg.Size(); i++ {
-		v, val := tg.At(i)
-		if val != uint32(v)*2 {
-			t.Fatalf("val(%d)=%d", v, val)
+		if v, pre := tg.At(i); want[v] != pre {
+			t.Errorf("output (%d, %d), want pre-round distance %d", v, pre, want[v])
 		}
+	}
+	if wantDist := []uint64{0, RoundFlag | 2, RoundFlag | 1, RoundFlag | 2, 9}; !slices.Equal(dist, wantDist) {
+		t.Errorf("dist = %x, want %x", dist, wantDist)
+	}
+	// A write that does not lower leaves the flag and the value alone.
+	if _, lowered, first := WriteMin(dist, 1, 2); lowered || first || dist[1] != RoundFlag|2 {
+		t.Errorf("WriteMin of an equal distance: lowered=%t first=%t, dist %x", lowered, first, dist[1])
 	}
 }
 
@@ -271,8 +287,7 @@ func TestEdgeMapSum(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3}},
 		graph.BuildOptions{Symmetrize: true, DropSelfLoops: true, Dedup: true})
 	var dst Tagged[uint32]
-	tg := EdgeMapSum(g, FromSparse(4, []graph.Vertex{0, 1}),
-		func(v graph.Vertex) bool { return true }, keepCount, &dst)
+	tg := EdgeMapSum(g, FromSparse(4, []graph.Vertex{0, 1}), Above{}, keepCount, &dst)
 	got := map[graph.Vertex]uint32{}
 	for i := 0; i < tg.Size(); i++ {
 		v, c := tg.At(i)
@@ -293,7 +308,7 @@ func TestEdgeMapSum(t *testing.T) {
 			t.Fatalf("counter of %d left at %d", v, c)
 		}
 	}
-	tg2 := EdgeMapSum(g, Single(4, 3), func(graph.Vertex) bool { return true }, keepCount, &dst)
+	tg2 := EdgeMapSum(g, Single(4, 3), Above{}, keepCount, &dst)
 	if tg2.Size() != 1 {
 		t.Fatalf("second call size=%d", tg2.Size())
 	}
@@ -308,7 +323,7 @@ func TestEdgeMapSum(t *testing.T) {
 func TestEdgeMapSumUpdateFilters(t *testing.T) {
 	g := gen.Star(8) // hub 0 with leaves 1..7
 	calls := make([]int32, 8)
-	tg := EdgeMapSum(g, Single(8, 0), nil, func(v graph.Vertex, count uint32) (string, bool) {
+	tg := EdgeMapSum(g, Single(8, 0), Above{}, func(v graph.Vertex, count uint32) (string, bool) {
 		atomic.AddInt32(&calls[v], 1)
 		return fmt.Sprint(v, "x", count), v%2 == 1
 	}, nil)
@@ -329,8 +344,8 @@ func TestEdgeMapSumUpdateFilters(t *testing.T) {
 
 func TestEdgeMapSumRespectsCond(t *testing.T) {
 	g := gen.Star(5)
-	tg := EdgeMapSum(g, Single(5, 0),
-		func(v graph.Vertex) bool { return v%2 == 0 }, keepCount, nil)
+	even := Above{D: []uint32{1, 0, 1, 0, 1}} // D[v] > 0 for even v
+	tg := EdgeMapSum(g, Single(5, 0), even, keepCount, nil)
 	for i := 0; i < tg.Size(); i++ {
 		v, _ := tg.At(i)
 		if v%2 != 0 {
@@ -462,11 +477,14 @@ func TestEdgeMapSumForkedArms(t *testing.T) {
 				for v := stride - 1; v < n; v += stride { // the hubs are the low ids
 					ids = append(ids, graph.Vertex(v))
 				}
-				admitted := func(v graph.Vertex) bool { return int(v)%call.mod != 0 }
+				rem := make([]uint32, n) // admitted iff v mod call.mod > 0
+				for v := range rem {
+					rem[v] = uint32(v % call.mod)
+				}
 				want := map[graph.Vertex]uint32{}
 				for _, src := range ids {
 					for _, v := range csr.OutEdges(src) {
-						if admitted(v) {
+						if rem[v] > 0 {
 							want[v]++
 						}
 					}
@@ -485,7 +503,7 @@ func TestEdgeMapSumForkedArms(t *testing.T) {
 				}
 				arms[regions] = true
 				before := parallel.ForkStats()
-				got := EdgeMapSum(g, u, admitted, func(v graph.Vertex, count uint32) (uint32, bool) {
+				got := EdgeMapSum(g, u, Above{D: rem, K: 0}, func(v graph.Vertex, count uint32) (uint32, bool) {
 					atomic.AddInt32(&calls[v], 1)
 					return count, (v+count)%3 != 0
 				}, &dst)
@@ -540,12 +558,6 @@ func TestTaggedPrimitivesSameAcrossProcs(t *testing.T) {
 		"TagMapTagged": func(dst *Tagged[uint32]) Tagged[uint32] {
 			return TagMapTagged(degrees, func(v graph.Vertex, deg uint32) (uint32, bool) { return deg + v, !odd(v) }, dst)
 		},
-		"EdgeMapTagged": func(dst *Tagged[uint32]) Tagged[uint32] {
-			claimed := make([]uint32, n)
-			return EdgeMapTagged(base, u, func(_, d graph.Vertex, _ graph.Weight) (uint32, bool) {
-				return d + 1, odd(d) && atomic.CompareAndSwapUint32(&claimed[d], 0, 1)
-			}, dst)
-		},
 		"EdgeMapFilterCount": func(dst *Tagged[uint32]) Tagged[uint32] {
 			return EdgeMapFilterCount(base, u, func(_, d graph.Vertex) bool { return odd(d) }, dst)
 		},
@@ -553,7 +565,34 @@ func TestTaggedPrimitivesSameAcrossProcs(t *testing.T) {
 			return EdgeMapPack(base.Clone(), u, func(s, d graph.Vertex) bool { return odd(s + d) }, dst)
 		},
 	}
-	pairs := func(tg Tagged[uint32]) []uint64 {
+	for name, run := range primitives {
+		sameAcrossProcs(t, name, run)
+	}
+	// The odd vertices start at 0 and the even at 2²⁰ + v; no write
+	// lowers an odd vertex, so which even ones a round lowers, and from
+	// where, does not depend on the order the edges are relaxed in.
+	odds := Frontier(base, parallel.PackIndices(n, func(v int) bool { return odd(graph.Vertex(v)) }))
+	sameAcrossProcs(t, "EdgeMapWriteMin", func(dst *Tagged[uint64]) Tagged[uint64] {
+		dist := make([]uint64, n)
+		for v := range dist {
+			if !odd(graph.Vertex(v)) {
+				dist[v] = 1<<20 + uint64(v)
+			}
+		}
+		tg, relaxed := EdgeMapWriteMin(base, odds, dist, dst)
+		if relaxed < int64(tg.Size()) {
+			t.Errorf("EdgeMapWriteMin at P=%d: %d lowering writes for %d lowered vertices", parallel.Procs(), relaxed, tg.Size())
+		}
+		return tg
+	})
+}
+
+// sameAcrossProcs runs one primitive into one destination at P=1, then
+// at P ∈ {2, 4}, and requires the forked arms to fork and return the
+// pairs of the inline one. Values must fit in 32 bits.
+func sameAcrossProcs[T uint32 | uint64](t *testing.T, name string, run func(dst *Tagged[T]) Tagged[T]) {
+	t.Helper()
+	pairs := func(tg Tagged[T]) []uint64 {
 		out := make([]uint64, tg.Size())
 		for i := range out {
 			v, val := tg.At(i)
@@ -562,25 +601,22 @@ func TestTaggedPrimitivesSameAcrossProcs(t *testing.T) {
 		slices.Sort(out)
 		return out
 	}
-	for name, run := range primitives {
-		var dst Tagged[uint32]
-		old := parallel.SetProcs(1)
-		want := pairs(run(&dst))
-		for _, p := range []int{2, 4} {
-			parallel.SetProcs(p)
-			before := parallel.ForkStats()
-			got := pairs(run(&dst))
-			if forked := parallel.ForkStats().Sub(before).Forked; forked == 0 {
-				t.Errorf("%s at P=%d over %d vertices did not fork: the forked arm went untested", name, p, n)
-			}
-			if !slices.Equal(got, want) {
-				t.Errorf("%s at P=%d: %d pairs that differ from the %d of P=1", name, p, len(got), len(want))
-			}
+	var dst Tagged[T]
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	want := pairs(run(&dst))
+	for _, p := range []int{2, 4} {
+		parallel.SetProcs(p)
+		before := parallel.ForkStats()
+		got := pairs(run(&dst))
+		if forked := parallel.ForkStats().Sub(before).Forked; forked == 0 {
+			t.Errorf("%s at P=%d did not fork: the forked arm went untested", name, p)
 		}
-		parallel.SetProcs(old)
-		if len(want) == 0 {
-			t.Errorf("%s kept nothing: the comparison is vacuous", name)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s at P=%d: %d pairs that differ from the %d of P=1", name, p, len(got), len(want))
 		}
+	}
+	if len(want) == 0 {
+		t.Errorf("%s kept nothing: the comparison is vacuous", name)
 	}
 }
 
@@ -603,6 +639,8 @@ func TestSparseTraversalsForkOnWorkNotSize(t *testing.T) {
 		rim = append(rim, graph.Vertex(v))
 	}
 	all := func(graph.Vertex) bool { return true }
+	noTarget := Above{D: make([]uint32, leaves+1)}
+	dist := make([]uint64, leaves+1) // all zero: no write lowers one
 	traversals := map[string]func(u VertexSubset){
 		"EdgeMap": func(u VertexSubset) {
 			EdgeMap(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) bool { return false }, EdgeMapOptions{NoDense: true})
@@ -610,10 +648,8 @@ func TestSparseTraversalsForkOnWorkNotSize(t *testing.T) {
 		"EdgeMapNoOutput": func(u VertexSubset) {
 			EdgeMap(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) bool { return false }, EdgeMapOptions{NoDense: true, NoOutput: true})
 		},
-		"EdgeMapTagged": func(u VertexSubset) {
-			EdgeMapTagged(g, u, func(_, _ graph.Vertex, _ graph.Weight) (uint32, bool) { return 0, false }, nil)
-		},
-		"EdgeMapSum":         func(u VertexSubset) { EdgeMapSum(g, u, func(graph.Vertex) bool { return false }, keepCount, nil) },
+		"EdgeMapWriteMin":    func(u VertexSubset) { EdgeMapWriteMin(g, u, dist, nil) },
+		"EdgeMapSum":         func(u VertexSubset) { EdgeMapSum(g, u, noTarget, keepCount, nil) },
 		"EdgeMapFilterCount": func(u VertexSubset) { EdgeMapFilterCount(g, u, func(_, _ graph.Vertex) bool { return true }, nil) },
 	}
 	forks := func(traverse func(VertexSubset), ids []graph.Vertex) int64 {

@@ -248,14 +248,17 @@ type part[T any] struct {
 	buf  graph.AdjBuf
 	ids  []graph.Vertex
 	vals []T
+	// count is a tally the worker keeps beside its pairs
+	// (EdgeMapWriteMin's lowering writes), summed after the join.
+	count int64
 }
 
 // withParts runs f on p parts borrowed from the scratch pool, each
-// emptied with its capacity kept.
+// emptied with its capacity kept and its count zero.
 func withParts[T any](p int, f func(parts []part[T])) {
 	parallel.WithScratch(p, func(parts []part[T]) {
 		for i := range parts {
-			parts[i].ids, parts[i].vals = parts[i].ids[:0], parts[i].vals[:0]
+			parts[i].ids, parts[i].vals, parts[i].count = parts[i].ids[:0], parts[i].vals[:0], 0
 		}
 		f(parts)
 	})

@@ -14,8 +14,9 @@ import (
 // TestEdgeMapSumMatchesOracle holds ligra.EdgeMapSum — Algorithm 1's
 // edgeMapSum(G, ids, Update) — against a sequential edge count followed
 // by Update, on every family, both representations and P ∈ {1, 2, 4}.
-// cond reads a per-vertex state that update overwrites, so an update
-// that ran before the counting had finished would change a count. One
+// The condition's D is a per-vertex state that update overwrites, so an
+// update that ran before the counting had finished would change a
+// count; its K alternates between 0 and 1. One
 // destination serves three calls over a growing then shrinking
 // frontier, and a last call over every vertex, whose counts are exact
 // only if every counter was left at zero.
@@ -43,11 +44,11 @@ func TestEdgeMapSumMatchesOracle(t *testing.T) {
 						ids = append(ids, graph.Vertex(v))
 					}
 				}
-				admitted := func(v graph.Vertex) bool { return state[v] != 0 }
+				live := ligra.Above{D: state, K: uint32(call % 2)}
 				want := map[graph.Vertex]uint32{}
 				for _, src := range ids {
 					for _, v := range csr.OutEdges(src) {
-						if admitted(v) {
+						if state[v] > live.K {
 							want[v]++
 						}
 					}
@@ -61,11 +62,11 @@ func TestEdgeMapSumMatchesOracle(t *testing.T) {
 					}
 				}
 				calls := make([]int32, n)
-				got := ligra.EdgeMapSum(g, ligra.FromSparse(n, ids), admitted,
+				got := ligra.EdgeMapSum(g, ligra.FromSparse(n, ids), live,
 					func(v graph.Vertex, count uint32) (uint32, bool) {
 						atomic.AddInt32(&calls[v], 1)
 						val := count*8 + state[v]
-						state[v] = 1 + (state[v]+count)%3 // what the next call's cond reads
+						state[v] = 1 + (state[v]+count)%3 // what the next call's condition reads
 						return val, (uint32(v)+count)%3 != 0
 					}, &dst)
 				if err := sameTagged(got, want); err != nil {
@@ -91,7 +92,7 @@ func TestEdgeMapSumMatchesOracle(t *testing.T) {
 				}
 			}
 			keep := func(_ graph.Vertex, count uint32) (uint32, bool) { return count, true }
-			if err := sameTagged(ligra.EdgeMapSum(g, ligra.FromSparse(n, all), nil, keep, &dst), indeg); err != nil {
+			if err := sameTagged(ligra.EdgeMapSum(g, ligra.FromSparse(n, all), ligra.Above{}, keep, &dst), indeg); err != nil {
 				return fmt.Errorf("P=%d: in-degrees through the used destination (a counter was left non-zero?): %w", p, err)
 			}
 		}
