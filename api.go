@@ -247,10 +247,12 @@ type DensestResult = densest.Result
 // Recorder and cancellation context.
 type DensestOptions = densest.Options
 
-// DensestSubgraphWithOptions runs the exact greedy 2-approximation
-// (Charikar's peel) work-efficiently on the bucket structure — the
-// natural fifth bucketing-based application beyond the paper's four.
-// The graph must be undirected.
+// DensestSubgraphWithOptions runs Charikar's greedy peel, a
+// 2-approximation of the densest subgraph, work-efficiently on the
+// bucket structure: one bucket of minimum-degree vertices per round,
+// keeping the densest set of survivors. It is the natural fifth
+// bucketing-based application beyond the paper's four. The graph must
+// be undirected.
 func DensestSubgraphWithOptions(g Graph, opt DensestOptions) DensestResult {
 	return densest.Charikar(g, opt)
 }

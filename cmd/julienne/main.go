@@ -7,7 +7,7 @@
 //	                  [-fuse]
 //	julienne setcover [-impl julienne|pbbs|greedy] [-sets S] [-elements E] [-cover C]
 //	                  [-epsilon 0.01] [-file F] [-seed N]
-//	julienne densest  [-impl charikar|batch] [-epsilon 0.1]
+//	julienne densest  [-impl charikar]
 //	julienne gen      -out graph.bin   (prints the build time)
 //
 // All but setcover take the graph flags (-file, or -gen with -n, -m,
@@ -58,7 +58,7 @@ var commands = map[string]command{
 	"kcore":    {impls: "julienne|ligra|bz", fixed: "ligra|bz", graph: true, register: kcoreCmd},
 	"sssp":     {impls: "delta|wbfs|gap-bins|bellman-ford|dijkstra", fixed: "gap-bins|bellman-ford|dijkstra", graph: true, register: ssspCmd},
 	"setcover": {impls: "julienne|pbbs|greedy", fixed: "pbbs|greedy", register: setcoverCmd},
-	"densest":  {impls: "charikar|batch", graph: true, register: densestCmd},
+	"densest":  {impls: "charikar", graph: true, register: densestCmd},
 	"gen":      {graph: true, register: genCmd},
 }
 
@@ -362,27 +362,15 @@ func setcoverCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 }
 
 // densestCmd finds an approximately densest subgraph with the bucketed
-// greedy peel (Charikar 2-approximation) or the parallel batch peel
-// (Bahmani (2+2ε)-approximation), and checks the density it reports.
-func densestCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
-	eps := fs.Float64("epsilon", 0.1, "batch peel epsilon (batch only)")
+// greedy peel (Charikar 2-approximation), and checks the density it
+// reports.
+func densestCmd(_ *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 	return func(r *runner) error {
-		if err := checkEpsilon(*eps); err != nil {
-			return err
-		}
-		if isSet(fs, "epsilon") && r.impl != "batch" {
-			return badInput{fmt.Errorf("-impl %s has no epsilon parameter, so it cannot honour -epsilon", r.impl)}
-		}
 		g := undirected(r.g)
 		fmt.Fprintln(r.out, cli.Describe(g))
 		var res densest.Result
 		elapsed, err := r.kernel(func(ctx context.Context) error {
-			opt := densest.Options{Recorder: r.rec, Ctx: ctx}
-			if r.impl == "batch" {
-				res = densest.PeelBatch(g, *eps, opt)
-			} else {
-				res = densest.Charikar(g, opt)
-			}
+			res = densest.Charikar(g, densest.Options{Recorder: r.rec, Ctx: ctx})
 			return res.Err
 		})
 		if err != nil {

@@ -46,7 +46,6 @@ func TestEveryImplAnswers(t *testing.T) {
 		{"sssp", []string{"wbfs", "bellman-ford", "dijkstra"}, with(rmatArgs, "-src", "3"), ssspWant},
 		{"setcover", []string{"julienne", "pbbs", "greedy"}, setcoverArgs, []string{"(cover valid)"}},
 		{"densest", []string{"charikar"}, rmatArgs, []string{"densest subgraph: 97 vertices, density 19.175 (whole graph: 5.979)"}},
-		{"densest", []string{"batch"}, rmatArgs, []string{"densest subgraph: 56 vertices, density 18.482 (whole graph: 5.979)"}},
 	} {
 		for _, impl := range tc.impls {
 			args := append([]string{tc.cmd, "-impl", impl}, tc.args...)
@@ -112,7 +111,6 @@ func TestTimeoutIsPartial(t *testing.T) {
 		{"sssp", "wbfs", rmatArgs},
 		{"setcover", "julienne", setcoverArgs},
 		{"densest", "charikar", rmatArgs},
-		{"densest", "batch", rmatArgs},
 	} {
 		args := with([]string{tc.cmd, "-impl", tc.impl, "-timeout", "1ns", "-stats"}, tc.input...)
 		code, out, errOut := runArgs(args...)
@@ -160,9 +158,10 @@ func TestErrorExitCodes(t *testing.T) {
 		{[]string{"setcover", "-sets", "0"}, 2, "-sets 0"},
 		{[]string{"setcover", "-epsilon", "NaN"}, 2, "-epsilon NaN"},
 		{[]string{"setcover", "-epsilon", "-0.5"}, 2, "-epsilon -0.5"},
-		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "batch", "-epsilon", "Inf"}, 2, "-epsilon +Inf"},
-		{[]string{"densest", "-n", "8", "-m", "8", "-epsilon", "-Inf"}, 2, "-epsilon -Inf"},
-		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "charikar", "-epsilon", "0.1"}, 2, "cannot honour -epsilon"},
+		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "batch"}, 2, `unknown -impl "batch"`},
+		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "batch", "-epsilon", "Inf"}, 2, "flag provided but not defined: -epsilon"},
+		{[]string{"densest", "-n", "8", "-m", "8", "-epsilon", "-Inf"}, 2, "flag provided but not defined: -epsilon"},
+		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "charikar", "-epsilon", "0.1"}, 2, "flag provided but not defined: -epsilon"},
 		{[]string{"gen", "-n", "8", "-m", "8"}, 2, "-out is required"},
 		{[]string{"gen", "-n", "8", "-m", "8", "-out", missing}, 1, "missing"},
 		{[]string{"kcore", "-n", "8", "-m", "8", "-trace", missing}, 1, "missing"},

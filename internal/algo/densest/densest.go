@@ -1,19 +1,11 @@
-// Package densest implements approximate densest-subgraph algorithms.
-// They are not one of the paper's four applications, but they are the
-// canonical *next* bucketing-based algorithm the framework enables —
-// peeling by remaining degree, exactly like k-core — and GBBS (the
-// paper's successor system) ships them. Implemented here as the
-// "extension" application demonstrating the bucket structure beyond
-// the paper's four:
-//
-//   - Charikar: the exact greedy 2-approximation — repeatedly remove a
-//     minimum-degree vertex, track the densest prefix. Implemented
-//     work-efficiently on the bucket structure: O(m + n) work, like
-//     coreness.
-//   - PeelBatch: the Bahmani–Kumar–Vassilvitskii batch peeling
-//     (2+2ε)-approximation — each round removes every vertex with
-//     degree ≤ 2(1+ε)·ρ(S), finishing in O(log_{1+ε} n) rounds. Fully
-//     parallel via the Ligra layer.
+// Package densest implements Charikar's greedy 2-approximation of the
+// densest subgraph. It is not one of the paper's four applications,
+// but it is the canonical *next* bucketing-based algorithm the
+// framework enables — peeling by remaining degree, exactly like k-core
+// — and GBBS (the paper's successor system) ships it. It is the
+// "extension" application showing the bucket structure on a fifth
+// problem: repeatedly remove the minimum-degree vertices and keep the
+// densest intermediate subgraph, in O(m + n) work, like coreness.
 //
 // Density of a vertex set S is |E(S)| / |S| (undirected edges).
 package densest
@@ -21,7 +13,6 @@ package densest
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
@@ -30,12 +21,11 @@ import (
 	"julienne/internal/parallel"
 )
 
-// Options configures the peeling algorithms.
+// Options configures the peel.
 type Options struct {
 	// Recorder, when non-nil, receives one RoundMetrics per peeling
-	// round plus the bucket structure's counters (Charikar only;
-	// PeelBatch has no bucket structure). Nil disables telemetry with
-	// only nil-check overhead.
+	// round plus the bucket structure's counters. Nil disables
+	// telemetry with only nil-check overhead.
 	Recorder *obs.Recorder
 	// Ctx, when non-nil, is checked once per peeling round; if it is
 	// done the run stops and Result.Err reports a *obs.Canceled with
@@ -98,16 +88,18 @@ func requireSymmetric(g graph.Graph) {
 	}
 }
 
-// Charikar runs the exact greedy peel (2-approximation): vertices are
+// Charikar runs the greedy peel (2-approximation): vertices are
 // removed in min-degree-first order via the bucket structure; after
 // each bucket is peeled the remaining subgraph's density is recorded,
 // and the densest intermediate subgraph wins. Peeling a whole bucket
-// at a time preserves the classic guarantee: the analysis only needs
-// that when the optimum's first vertex is peeled, every remaining
-// vertex (hence every vertex of the optimum S*) has degree ≥ the
-// minimum degree being peeled, and ρ* ≤ max-min-degree/... — the
-// recorded density at the round *before* any vertex of the best
-// prefix falls is at least ρ*/2. The zero Options is the plain run.
+// at a time keeps the classic guarantee. Let S* be an optimal set with
+// density ρ*: each of its vertices has at least ρ* neighbours in S*,
+// or removing it would leave a denser set. Say the first vertex of S*
+// falls at bucket k. It was live beside all of S*, so its degree, at
+// most k when it fell, was at least ρ*. When bucket k was first
+// extracted every live vertex had degree at least k, so the survivors
+// recorded just before that round have density at least k/2 ≥ ρ*/2.
+// The zero Options is the plain run.
 func Charikar(g graph.Graph, opt Options) Result {
 	requireSymmetric(g)
 	n := g.NumVertices()
@@ -222,107 +214,4 @@ func survivorsOfSize(removedAt []int64, want int64) []graph.Vertex {
 	return parallel.PackIndices(len(removedAt), func(v int) bool {
 		return removedAt[v] > cut || removedAt[v] == 0
 	})
-}
-
-// PeelBatch is the Bahmani et al. parallel batch peel: while vertices
-// remain, remove every vertex with degree ≤ 2(1+ε)·ρ(S). The densest
-// intermediate S is a (2+2ε)-approximation, reached in
-// O(log_{1+ε} n) rounds. The zero Options is the plain run.
-func PeelBatch(g graph.Graph, eps float64, opt Options) Result {
-	requireSymmetric(g)
-	if eps <= 0 {
-		eps = 0.1
-	}
-	n := g.NumVertices()
-	if n == 0 {
-		return Result{}
-	}
-	// dead[v] is the round v fell in, and stillAlive until then, so the
-	// round's condition dead[v] > round admits exactly the survivors.
-	const stillAlive = ^uint32(0)
-	d := make([]uint32, n)
-	dead := make([]uint32, n)
-	parallel.For(n, parallel.DefaultGrain, func(v int) {
-		d[v] = uint32(g.OutDegree(graph.Vertex(v)))
-		dead[v] = stillAlive
-	})
-	alive := int64(n)
-	liveEdges := g.NumEdges() / 2
-	bestDensity := float64(liveEdges) / float64(alive)
-	bestAlive := alive
-	round := uint32(0)
-	var rounds int64
-	// edgeMapSum lowers each live neighbor's degree by the edges it
-	// lost; nothing is kept, so the destination only lends its counters.
-	var removedEdges atomic.Int64
-	var touched ligra.Tagged[struct{}]
-	update := func(v graph.Vertex, removed uint32) (struct{}, bool) {
-		d[v] -= removed
-		removedEdges.Add(int64(removed))
-		return struct{}{}, false
-	}
-	var internal ligra.Tagged[uint32]
-	peeled := func(_, u graph.Vertex) bool { return dead[u] == round }
-	var runErr error
-	rec := opt.Recorder
-	cancel := obs.NewCancelCheck(opt.Ctx)
-	for alive > 0 {
-		if cause := cancel.Stopped(); cause != nil {
-			runErr = rec.NewCanceled("densest", rounds, cause)
-			break
-		}
-		begin := rec.Clock()
-		var forks parallel.ForkCounts
-		if rec != nil {
-			forks = parallel.ForkStats()
-		}
-		rounds++
-		round++
-		rho := float64(liveEdges) / float64(alive)
-		threshold := 2 * (1 + eps) * rho
-		ids := parallel.PackIndices(n, func(v int) bool {
-			return dead[v] == stillAlive && float64(d[v]) <= threshold
-		})
-		if len(ids) == 0 {
-			break // cannot happen mathematically, but guard float edges
-		}
-		parallel.For(len(ids), parallel.DefaultGrain, func(i int) {
-			dead[ids[i]] = round
-		})
-		removedEdges.Store(0)
-		frontier := ligra.FromSparse(n, ids)
-		ligra.EdgeMapSum(g, frontier, ligra.Above{D: dead, K: round}, update, &touched)
-		removed := removedEdges.Load() + internalEdges(g, frontier, peeled, &internal)
-		alive -= int64(len(ids))
-		liveEdges -= removed
-		if alive > 0 {
-			density := float64(liveEdges) / float64(alive)
-			if density > bestDensity {
-				bestDensity = density
-				bestAlive = alive
-			}
-		}
-		if rec != nil {
-			fd := parallel.ForkStats().Sub(forks)
-			rec.RecordRound(obs.RoundMetrics{
-				Algo: "densest", Round: rounds, Bucket: ^uint32(0),
-				FrontierSize: len(ids), EdgesTraversed: removed,
-				Forked: fd.Forked, Inline: fd.Inline, Wakes: fd.Wakes,
-				Duration: time.Since(begin),
-			})
-		}
-	}
-	// Reconstruct the best survivor set by round cut, as in Charikar.
-	removedAt := make([]int64, n)
-	parallel.For(n, parallel.DefaultGrain, func(v int) {
-		if dead[v] != stillAlive {
-			removedAt[v] = int64(dead[v])
-		}
-	})
-	return Result{
-		Vertices: survivorsOfSize(removedAt, bestAlive),
-		Density:  bestDensity,
-		Rounds:   rounds,
-		Err:      runErr,
-	}
 }

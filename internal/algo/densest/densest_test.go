@@ -40,8 +40,8 @@ func checkResult(t *testing.T, name string, g graph.Graph, res Result) {
 }
 
 func TestCliquePlusFringe(t *testing.T) {
-	// K10 (density 4.5) plus a long path attached: both algorithms
-	// must find (a superset as dense as) the clique.
+	// K10 (density 4.5) plus a long path attached: the peel must find
+	// (a superset as dense as) the clique.
 	var edges []graph.Edge
 	for i := 0; i < 10; i++ {
 		for j := i + 1; j < 10; j++ {
@@ -59,28 +59,18 @@ func TestCliquePlusFringe(t *testing.T) {
 	if ch.Density < 4.5-1e-9 {
 		t.Fatalf("charikar density %v < clique density 4.5", ch.Density)
 	}
-	pb := PeelBatch(g, 0.1, Options{})
-	checkResult(t, "peelbatch", g, pb)
-	// (2+2ε)-approx of optimum >= 4.5.
-	if pb.Density < 4.5/(2+0.2)-1e-9 {
-		t.Fatalf("peelbatch density %v below guarantee", pb.Density)
-	}
 }
 
 func TestCompleteGraph(t *testing.T) {
 	g := gen.Complete(8)
 	want := 3.5 // 28 edges / 8 vertices
-	for name, res := range map[string]Result{
-		"charikar":  Charikar(g, Options{}),
-		"peelbatch": PeelBatch(g, 0.1, Options{}),
-	} {
-		checkResult(t, name, g, res)
-		if res.Density != want {
-			t.Fatalf("%s: density %v want %v", name, res.Density, want)
-		}
-		if len(res.Vertices) != 8 {
-			t.Fatalf("%s: should keep the whole clique", name)
-		}
+	res := Charikar(g, Options{})
+	checkResult(t, "charikar", g, res)
+	if res.Density != want {
+		t.Fatalf("density %v want %v", res.Density, want)
+	}
+	if len(res.Vertices) != 8 {
+		t.Fatal("should keep the whole clique")
 	}
 }
 
@@ -94,48 +84,20 @@ func TestGuaranteesOnRandomGraphs(t *testing.T) {
 	for name, g := range graphs {
 		ch := Charikar(g, Options{})
 		checkResult(t, name+"/charikar", g, ch)
-		pb := PeelBatch(g, 0.1, Options{})
-		checkResult(t, name+"/peelbatch", g, pb)
-		// Charikar is a 2-approx and PeelBatch a (2+2ε)-approx of the
-		// same optimum, so they can differ by at most a factor
-		// (2+2ε)/... — in particular PeelBatch cannot beat Charikar by
-		// more than 2x and vice versa cannot be below charikar/(1+ε)
-		// by much. Assert the loose mutual bound.
-		if pb.Density > 2*ch.Density+1e-9 || ch.Density > (2+0.2)*pb.Density+1e-9 {
-			t.Fatalf("%s: densities inconsistent: charikar=%v peelbatch=%v",
-				name, ch.Density, pb.Density)
-		}
-		// Both must be at least half the max-degree-based lower bound
-		// on optimum? Optimum >= m/n (whole graph).
+		// The optimum is at least the whole graph's density, and the
+		// peel records that density before its first round.
+		// proptest.TestCharikarMatchesOracle holds the exact answer.
 		whole := float64(g.NumEdges()) / 2 / float64(g.NumVertices())
 		if ch.Density < whole-1e-9 {
 			t.Fatalf("%s: charikar %v below whole-graph density %v", name, ch.Density, whole)
 		}
-		// Both peels read adjacency through a decode buffer on the
+		// The peel reads adjacency through a decode buffer on the
 		// compressed representation and must land on the same subgraph.
-		c := compress.FromCSR(g)
-		for _, run := range []struct {
-			name      string
-			csr, comp Result
-		}{
-			{"charikar", ch, Charikar(c, Options{})},
-			{"peelbatch", pb, PeelBatch(c, 0.1, Options{})},
-		} {
-			if run.comp.Density != run.csr.Density || len(run.comp.Vertices) != len(run.csr.Vertices) {
-				t.Errorf("%s/%s: compressed density %v over %d vertices, CSR %v over %d", name, run.name,
-					run.comp.Density, len(run.comp.Vertices), run.csr.Density, len(run.csr.Vertices))
-			}
+		comp := Charikar(compress.FromCSR(g), Options{})
+		if comp.Density != ch.Density || len(comp.Vertices) != len(ch.Vertices) {
+			t.Errorf("%s: compressed density %v over %d vertices, CSR %v over %d", name,
+				comp.Density, len(comp.Vertices), ch.Density, len(ch.Vertices))
 		}
-	}
-}
-
-func TestPeelBatchLogRounds(t *testing.T) {
-	g := gen.RMAT(1<<12, 40000, true, 7)
-	res := PeelBatch(g, 0.5, Options{})
-	// O(log_{1.5} n) rounds: generous cap at 4*log2(n).
-	maxRounds := int64(4 * 12)
-	if res.Rounds > maxRounds {
-		t.Fatalf("rounds %d exceed O(log n) expectation %d", res.Rounds, maxRounds)
 	}
 }
 
@@ -143,9 +105,6 @@ func TestEmptyAndTiny(t *testing.T) {
 	empty := graph.FromEdges(0, nil, graph.BuildOptions{Symmetrize: true})
 	if res := Charikar(empty, Options{}); len(res.Vertices) != 0 {
 		t.Fatal("empty graph")
-	}
-	if res := PeelBatch(empty, 0.1, Options{}); len(res.Vertices) != 0 {
-		t.Fatal("empty graph peelbatch")
 	}
 	single := gen.Star(2) // one edge
 	res := Charikar(single, Options{})
@@ -166,13 +125,12 @@ func TestPanicsOnDirected(t *testing.T) {
 }
 
 // TestPeelsAllocsScaleWithRoundsNotVertices pins the allocation shape
-// of a whole run of each peel at P=1, as
-// kcore.TestCorenessAllocsScaleWithRoundsNotVertices does: a few objects per round — the bucket structure's chunks for
-// Charikar, the round's frontier for PeelBatch — and nothing per peeled
-// vertex. Measured on this graph: Charikar 5,157 objects over 206
-// rounds, PeelBatch 68 over 5. Counting the edges inside a peeled set
-// through a per-vertex callback cost two allocations per vertex, and
-// the runs 70,692 and 65,603.
+// of a whole Charikar run at P=1, as
+// kcore.TestCorenessAllocsScaleWithRoundsNotVertices does: a few
+// objects per round — the bucket structure's chunks — and nothing per
+// peeled vertex. Measured on this graph: 5,157 objects over 206
+// rounds. Counting the edges inside a peeled set through a per-vertex
+// callback cost two allocations per vertex, and the run 70,692.
 func TestPeelsAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -183,17 +141,12 @@ func TestPeelsAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	defer parallel.SetProcs(parallel.SetProcs(1))
 
 	g := gen.RMAT(1<<15, 1<<18, true, 3)
-	for name, run := range map[string]func() Result{
-		"charikar":  func() Result { return Charikar(g, Options{}) },
-		"peelbatch": func() Result { return PeelBatch(g, 0.1, Options{}) },
-	} {
-		rounds := run().Rounds
-		bound := float64(32*rounds + 64)
-		if bound >= float64(g.NumVertices()) {
-			t.Fatalf("%s: %d rounds on n=%d: the bound would not notice a per-vertex allocation", name, rounds, g.NumVertices())
-		}
-		if allocs := testing.AllocsPerRun(3, func() { run() }); allocs > bound {
-			t.Errorf("%s: %v allocs over %d rounds (n=%d), want ≤ 32·rounds + 64 = %v", name, allocs, rounds, g.NumVertices(), bound)
-		}
+	rounds := Charikar(g, Options{}).Rounds
+	bound := float64(32*rounds + 64)
+	if bound >= float64(g.NumVertices()) {
+		t.Fatalf("%d rounds on n=%d: the bound would not notice a per-vertex allocation", rounds, g.NumVertices())
+	}
+	if allocs := testing.AllocsPerRun(3, func() { Charikar(g, Options{}) }); allocs > bound {
+		t.Errorf("%v allocs over %d rounds (n=%d), want ≤ 32·rounds + 64 = %v", allocs, rounds, g.NumVertices(), bound)
 	}
 }

@@ -278,9 +278,6 @@ func Workloads(smoke bool) []Workload {
 		on("extension", "densest", "charikar", in, in.g, func(g *graph.CSR, rec *obs.Recorder) Result {
 			return densestResult(densest.Charikar(g, densest.Options{Recorder: rec}))
 		})
-		on("extension", "densest", "peel-batch", in, in.g, func(g *graph.CSR, _ *obs.Recorder) Result {
-			return densestResult(densest.PeelBatch(g, 0.1, densest.Options{}))
-		})
 	}
 	cores := sync.OnceValue(func() []uint32 { return kcore.Coreness(rmat.g(), kcore.Options{}).Coreness })
 	for _, c := range []struct {

@@ -85,7 +85,7 @@ func TestCompressedTraversalReusesDecodeBuffers(t *testing.T) {
 }
 
 // TestNilCondAdmitsEveryTarget: a nil C is cond_true in every traversal
-// that takes one, in both directions, and so is EdgeMapSum's zero Above.
+// that takes one, in both directions.
 func TestNilCondAdmitsEveryTarget(t *testing.T) {
 	g := gen.Star(50)
 	hub := Single(50, 0)
@@ -101,9 +101,6 @@ func TestNilCondAdmitsEveryTarget(t *testing.T) {
 	parallel.SetProcs(old)
 	if dense != 49 || out.Size() != 49 {
 		t.Errorf("dense: %d visits, %d outputs, want 49 and 49", dense, out.Size())
-	}
-	if counted := EdgeMapSum(g, hub, Above{}, keepCount, nil); counted.Size() != 49 {
-		t.Errorf("EdgeMapSum: %d outputs, want 49", counted.Size())
 	}
 }
 

@@ -295,10 +295,9 @@ func relaxInto(g graph.Graph, ids []graph.Vertex, dist []uint64, buf *graph.AdjB
 
 // Above is an edge map's condition as data: it admits the target v iff
 // D[v] > K. Every peel's liveness test has this form — a vertex's
-// degree (k-core, Charikar) or the round it died in (PeelBatch) against
-// the round's value — so the count loops test an array instead of
-// calling a function per edge. The zero value admits every target
-// (Ligra's cond_true).
+// degree against the round's bucket (k-core, Charikar) — so the count
+// loops test an array instead of calling a function per edge. D covers
+// every vertex of the graph.
 type Above struct {
 	D []uint32
 	K uint32
@@ -383,7 +382,7 @@ func countInto(g graph.Graph, ids []graph.Vertex, live Above, cnt []uint32,
 		nbrs, ws := g.OutAdj(src, buf)
 		debugCheckAdj(g, src, false, nbrs, ws)
 		for _, dst := range nbrs {
-			if (d == nil || d[dst] > k) && atomic.AddUint32(&cnt[dst], 1) == 1 {
+			if d[dst] > k && atomic.AddUint32(&cnt[dst], 1) == 1 {
 				claimed = push(claimed, dst)
 			}
 		}
@@ -402,7 +401,7 @@ func countOwned(g graph.Graph, ids []graph.Vertex, live Above, cnt []uint32,
 		nbrs, ws := g.OutAdj(src, buf)
 		debugCheckAdj(g, src, false, nbrs, ws)
 		for _, dst := range nbrs {
-			if d == nil || d[dst] > k {
+			if d[dst] > k {
 				if cnt[dst]++; cnt[dst] == 1 {
 					claimed = push(claimed, dst)
 				}

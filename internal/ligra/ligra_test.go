@@ -281,13 +281,22 @@ func TestEdgeMapWriteMin(t *testing.T) {
 // with its count.
 func keepCount(_ graph.Vertex, count uint32) (uint32, bool) { return count, true }
 
+// admitAll is the EdgeMapSum condition that admits each of n vertices.
+func admitAll(n int) Above {
+	d := make([]uint32, n)
+	for v := range d {
+		d[v] = 1
+	}
+	return Above{D: d}
+}
+
 func TestEdgeMapSum(t *testing.T) {
 	// Triangle 0-1-2 plus pendant 2-3: counting from frontier {0,1}
 	// must give count 2 for vertex 2 and 1 for each of 0,1.
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3}},
 		graph.BuildOptions{Symmetrize: true, DropSelfLoops: true, Dedup: true})
 	var dst Tagged[uint32]
-	tg := EdgeMapSum(g, FromSparse(4, []graph.Vertex{0, 1}), Above{}, keepCount, &dst)
+	tg := EdgeMapSum(g, FromSparse(4, []graph.Vertex{0, 1}), admitAll(4), keepCount, &dst)
 	got := map[graph.Vertex]uint32{}
 	for i := 0; i < tg.Size(); i++ {
 		v, c := tg.At(i)
@@ -308,7 +317,7 @@ func TestEdgeMapSum(t *testing.T) {
 			t.Fatalf("counter of %d left at %d", v, c)
 		}
 	}
-	tg2 := EdgeMapSum(g, Single(4, 3), Above{}, keepCount, &dst)
+	tg2 := EdgeMapSum(g, Single(4, 3), admitAll(4), keepCount, &dst)
 	if tg2.Size() != 1 {
 		t.Fatalf("second call size=%d", tg2.Size())
 	}
@@ -323,7 +332,7 @@ func TestEdgeMapSum(t *testing.T) {
 func TestEdgeMapSumUpdateFilters(t *testing.T) {
 	g := gen.Star(8) // hub 0 with leaves 1..7
 	calls := make([]int32, 8)
-	tg := EdgeMapSum(g, Single(8, 0), Above{}, func(v graph.Vertex, count uint32) (string, bool) {
+	tg := EdgeMapSum(g, Single(8, 0), admitAll(8), func(v graph.Vertex, count uint32) (string, bool) {
 		atomic.AddInt32(&calls[v], 1)
 		return fmt.Sprint(v, "x", count), v%2 == 1
 	}, nil)

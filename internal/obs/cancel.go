@@ -27,7 +27,7 @@ var ErrCanceled = errors.New("julienne: run canceled")
 type Canceled struct {
 	// Algo names the algorithm that was canceled ("kcore", "sssp", ...).
 	Algo string
-	// Rounds is the number of completed NextBucket (or peeling) rounds
+	// Rounds is the number of completed NextBucket rounds
 	// before the cancellation was observed.
 	Rounds int64
 	// Cause is the reason the run stopped: the context's cause

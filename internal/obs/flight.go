@@ -170,22 +170,18 @@ func (r *Recorder) FlightTail(n int) []FlightRecord {
 }
 
 // roundEvents renders the retained rounds as trace events: per round,
-// one "<algo>.round" complete span with its bucket (when bucketed) and
-// frontier, and one "<algo>.round_metrics" counter sample, so the
+// one "<algo>.round" complete span with its bucket and frontier, and one "<algo>.round_metrics" counter sample, so the
 // frontier size and bucket traffic plot as time series under the
 // spans in the trace viewer.
 func (r *Recorder) roundEvents() []TraceEvent {
 	recs := r.FlightTail(flightSlots)
 	evs := make([]TraceEvent, 0, 2*len(recs))
 	for _, rec := range recs {
-		args := map[string]any{"frontier": int64(rec.FrontierSize)}
-		if rec.Bucket != ^uint32(0) {
-			args["bucket"] = int64(rec.Bucket)
-		}
 		evs = append(evs, TraceEvent{
 			Name: rec.Algo + ".round", Phase: "X",
 			Ts: micros(rec.T - rec.Duration), Dur: micros(rec.Duration),
-			Pid: 1, Tid: 1, Args: args,
+			Pid: 1, Tid: 1,
+			Args: map[string]any{"bucket": int64(rec.Bucket), "frontier": int64(rec.FrontierSize)},
 		}, TraceEvent{
 			Name: rec.Algo + ".round_metrics", Phase: "C",
 			Ts: micros(rec.T), Pid: 1,
@@ -213,12 +209,8 @@ func WriteFlightText(w io.Writer, recs []FlightRecord) {
 	fmt.Fprintf(w, "  %6s %-10s %6s %7s %9s %10s %9s %9s %9s %12s %8s\n",
 		"seq", "algo", "round", "bucket", "frontier", "edges", "extracted", "moved", "skipped", "duration", "allocs")
 	for _, rec := range recs {
-		bucket := "-"
-		if rec.Bucket != ^uint32(0) {
-			bucket = fmt.Sprintf("%d", rec.Bucket)
-		}
-		fmt.Fprintf(w, "  %6d %-10s %6d %7s %9d %10d %9d %9d %9d %12v %8d\n",
-			rec.Seq, rec.Algo, rec.Round, bucket, rec.FrontierSize, rec.EdgesTraversed,
+		fmt.Fprintf(w, "  %6d %-10s %6d %7d %9d %10d %9d %9d %9d %12v %8d\n",
+			rec.Seq, rec.Algo, rec.Round, rec.Bucket, rec.FrontierSize, rec.EdgesTraversed,
 			rec.Extracted, rec.Moved, rec.Skipped, rec.Duration, rec.Allocs)
 	}
 }

@@ -72,25 +72,6 @@ func TestFlightRingWraps(t *testing.T) {
 	}
 }
 
-func TestFlightUnbucketedRound(t *testing.T) {
-	r := NewRecorder()
-	r.RecordRound(RoundMetrics{Algo: "densest", Round: 1, Bucket: ^uint32(0), FrontierSize: 4})
-	tail := r.FlightTail(1)
-	if len(tail) != 1 || tail[0].Bucket != ^uint32(0) {
-		t.Fatalf("unbucketed round should keep Bucket=^uint32(0), got %+v", tail)
-	}
-	var buf bytes.Buffer
-	WriteFlightText(&buf, tail)
-	if !strings.Contains(buf.String(), "densest") || !strings.Contains(buf.String(), " - ") {
-		t.Fatalf("flight text missing algo name or unbucketed \"-\":\n%s", buf.String())
-	}
-	for _, ev := range r.Events() {
-		if _, ok := ev.Args["bucket"]; ok {
-			t.Fatalf("unbucketed round rendered with a bucket: %+v", ev)
-		}
-	}
-}
-
 func TestWriteFlightTextEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	WriteFlightText(&buf, nil)

@@ -42,7 +42,7 @@ func TestExpositionHammer(t *testing.T) {
 		defer wg.Done()
 		for i := int64(1); !stop.Load(); i++ {
 			rec.RecordRound(RoundMetrics{
-				Algo: "hammer", Round: i, Bucket: ^uint32(0),
+				Algo: "hammer", Round: i, Bucket: uint32(i),
 				FrontierSize: int(i), EdgesTraversed: i,
 				Extracted: i, Moved: i, Skipped: i,
 				Duration: time.Duration(i),
@@ -164,7 +164,7 @@ func checkFlightTail(t *testing.T, recs []FlightRecord) {
 		}
 		lastSeq = rec.Seq
 		r := rec.Round
-		if int64(rec.FrontierSize) != r || rec.EdgesTraversed != r || rec.Extracted != r ||
+		if int64(rec.FrontierSize) != r || int64(rec.Bucket) != r || rec.EdgesTraversed != r || rec.Extracted != r ||
 			rec.Moved != r || rec.Skipped != r || rec.Duration != time.Duration(r) {
 			t.Fatalf("torn flight record: %+v", rec)
 		}

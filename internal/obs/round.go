@@ -17,8 +17,7 @@ type RoundMetrics struct {
 	Algo string `json:"algo"`
 	// Round is the 1-based round number.
 	Round int64 `json:"round"`
-	// Bucket is the logical bucket id processed this round
-	// (^uint32(0) when the algorithm is not bucketed).
+	// Bucket is the logical bucket id processed this round.
 	Bucket uint32 `json:"bucket"`
 	// FrontierSize is the number of identifiers extracted/processed.
 	FrontierSize int `json:"frontier"`

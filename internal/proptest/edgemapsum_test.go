@@ -84,15 +84,17 @@ func TestEdgeMapSumMatchesOracle(t *testing.T) {
 				}
 			}
 			all := make([]graph.Vertex, n)
+			admitAll := ligra.Above{D: make([]uint32, n)}
 			indeg := map[graph.Vertex]uint32{}
 			for v := range all {
 				all[v] = graph.Vertex(v)
+				admitAll.D[v] = 1
 				if d := csr.InDegree(graph.Vertex(v)); d > 0 {
 					indeg[graph.Vertex(v)] = uint32(d)
 				}
 			}
 			keep := func(_ graph.Vertex, count uint32) (uint32, bool) { return count, true }
-			if err := sameTagged(ligra.EdgeMapSum(g, ligra.FromSparse(n, all), ligra.Above{}, keep, &dst), indeg); err != nil {
+			if err := sameTagged(ligra.EdgeMapSum(g, ligra.FromSparse(n, all), admitAll, keep, &dst), indeg); err != nil {
 				return fmt.Errorf("P=%d: in-degrees through the used destination (a counter was left non-zero?): %w", p, err)
 			}
 		}

@@ -432,19 +432,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 				"densest subgraph requires an undirected graph")
 			return
 		}
-		eps, err := floatParam(q.Get("eps"), 0)
-		if err != nil {
-			s.failJSON(w, http.StatusBadRequest, "bad_request", err.Error())
+		if q.Has("eps") {
+			s.failJSON(w, http.StatusBadRequest, "bad_request",
+				"densest subgraph is Charikar's peel, which takes no eps")
 			return
 		}
 		fn = func(ctx context.Context) (any, error) {
-			opt := densest.Options{Recorder: s.rec, Ctx: ctx}
-			var res densest.Result
-			if eps > 0 {
-				res = densest.PeelBatch(s.g, eps, opt)
-			} else {
-				res = densest.Charikar(s.g, opt)
-			}
+			res := densest.Charikar(s.g, densest.Options{Recorder: s.rec, Ctx: ctx})
 			if res.Err != nil {
 				return nil, res.Err
 			}
@@ -499,7 +493,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
   GET  /wbfs?src=N[&fusion=1][&target=M][&full=1][&timeout_ms=T]
   GET  /coreness?v=N[&timeout_ms=T]
   POST /jobs/setcover[?sets=N&eps=E]
-  POST /jobs/densest[?eps=E]
+  POST /jobs/densest
   GET  /jobs/{id}
   GET  /metrics | /debug/obs | /debug/pprof/
 `)
