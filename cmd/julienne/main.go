@@ -222,7 +222,7 @@ func kcoreCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 		}
 		fmt.Fprintf(r.out, "impl=%s time=%v kmax=%d", r.impl, elapsed, kmax)
 		if rounds >= 0 {
-			fmt.Fprintf(r.out, " rounds(rho)=%d", rounds)
+			fmt.Fprintf(r.out, " rounds=%d", rounds)
 		}
 		fmt.Fprintln(r.out)
 		for k, printed := int(kmax), 0; k >= 0 && printed < *hist; k-- {

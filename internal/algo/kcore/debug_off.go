@@ -1,0 +1,11 @@
+//go:build !julienne_debug
+
+package kcore
+
+// Release half of the julienne_debug assertion pair; see debug_on.go.
+
+type debugState struct{}
+
+func (s *debugState) init(n int)                                                      {}
+func (s *debugState) peel(vs []uint32)                                                {}
+func (s *debugState) checkLocal(d []uint32, k uint32, peeled []uint32, complete bool) {}

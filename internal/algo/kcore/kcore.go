@@ -5,7 +5,9 @@
 //     (Algorithm 1, §4.1) — the first work-efficient parallel k-core
 //     algorithm with non-trivial parallelism: O(m + n) expected work
 //     and O(ρ log n) depth w.h.p., where ρ is the graph's peeling
-//     complexity (Theorem 4.1).
+//     complexity (Theorem 4.1). A round too small to fork for peels
+//     its level on the caller instead of cascading through the bucket
+//     structure (vertical granularity control, arXiv 2502.08042).
 //
 //   - CorenessLigra: the work-inefficient frontier-based algorithm that
 //     existing frameworks (Ligra et al.) use. It scans all remaining
@@ -57,8 +59,11 @@ type Options struct {
 type Result struct {
 	// Coreness[v] is the coreness (maximum core number) of v.
 	Coreness []uint32
-	// Rounds is the number of peeling rounds, an upper bound on (and in
-	// practice equal to) the peeling complexity ρ of §4.1.
+	// Rounds is the number of bucket rounds. Coreness peels a level on
+	// the caller while its work stays below the fork cut-off, so it
+	// takes between one round per distinct coreness value (every round
+	// at P=1) and the peeling complexity ρ of §4.1; CorenessLigra takes
+	// exactly ρ.
 	Rounds int64
 	// BucketStats is the traffic through the bucket structure (zero for
 	// implementations that do not use one).
@@ -119,28 +124,116 @@ func Coreness(g graph.Graph, opt Options) Result {
 		return dest, dest != bucket.None
 	}
 	feed := func(j int) (uint32, bucket.Dest) { return moved.IDs[j], moved.Vals[j] }
+	loc := local{seen: make([]uint64, (n+63)/64)}
+	loc.feed = func(j int) (uint32, bucket.Dest) { return loc.ids[j], loc.dests[j] }
+	var dbg debugState
+	dbg.init(n)
 
 	finished := 0
 	res.Rounds, res.Err = lp.Run(b, func(bkt, _ bucket.ID, ids []uint32) (int64, bool) {
 		k = bkt
-		finished += len(ids)
-		res.VerticesScanned += int64(len(ids))
 		// All vertices in the bucket have coreness k (their D values
 		// already equal k by the bucket-liveness invariant); their
-		// removal decrements neighbors' induced degrees. edgeMapSum
-		// counts removed edges per still-live neighbor and emits the
-		// ones that change bucket (lines 16–17).
+		// removal decrements neighbors' induced degrees.
 		frontier := ligra.Frontier(g, ids)
 		edges := frontier.OutDegreeSum(g)
+		peeled := len(ids)
+		if parallel.WorkersFor(int64(len(ids))+edges) == 1 {
+			// Too little work to fork for: peel level k on the caller
+			// (vertical granularity control, arXiv 2502.08042).
+			vs, e, rest := loc.peel(g, d, k, ids, b)
+			dbg.checkLocal(d, k, vs, rest == 0)
+			peeled, edges = len(vs), e
+		} else {
+			dbg.peel(ids)
+			// edgeMapSum counts removed edges per still-live neighbor
+			// and emits the ones that change bucket (lines 16–17).
+			// Still live is D[v] > k: a peeled vertex's D is frozen at
+			// its coreness, at most k.
+			ligra.EdgeMapSum(g, frontier, ligra.Above{D: d, K: k}, update, &moved)
+			b.UpdateBuckets(moved.Size(), feed)
+		}
+		finished += peeled
+		res.VerticesScanned += int64(peeled)
 		res.EdgesTraversed += edges
-		// Still live is D[v] > k: a peeled vertex's D is frozen at its
-		// coreness, at most k.
-		ligra.EdgeMapSum(g, frontier, ligra.Above{D: d, K: k}, update, &moved)
-		b.UpdateBuckets(moved.Size(), feed)
 		return edges, finished == n
 	})
 	res.BucketStats = b.Stats()
 	return res
+}
+
+// local is the caller-side arm of a k-core round, taken when the round
+// is below the fork cut-off. Its buffers live for the run, so a round
+// allocates nothing once they have grown.
+type local struct {
+	queue   []uint32 // the round's peel order: the extracted ids, then every vertex they drop to k
+	touched []uint32 // the live neighbors whose D the round lowered
+	pre     []uint32 // pre[j] is touched[j]'s D before the round
+	seen    []uint64 // bitset: v is in touched and not yet peeled
+	ids     []uint32 // the rebucketing batch, its destinations
+	dests   []bucket.Dest
+	feed    func(j int) (uint32, bucket.Dest)
+	buf     graph.AdjBuf
+}
+
+// peel removes level k's vertices one at a time: each dequeued vertex
+// lowers its live neighbors' D by one, and a neighbor reaching k joins
+// the queue and is peeled in the same round instead of going back
+// through UpdateBuckets and NextBucket. Before each vertex it checks
+// the work peeled so far against the fork cut-off: once that much work
+// would fork, the rest of the queue (all at D == k) is handed back into
+// bucket k, so the next round, which may fork, takes it. At P=1 the cut-
+// off never forks and a round exhausts its level. Only the touched
+// vertices still unpeeled are rebucketed, each from its pre-round D, in
+// one UpdateBuckets call whose destinations are materialised because
+// UpdateBuckets evaluates its feed twice.
+//
+// peel returns the vertices it peeled (a prefix of its queue, valid
+// until the next call), the edges they traversed, and how many
+// vertices it handed back.
+func (l *local) peel(g graph.Graph, d []uint32, k bucket.ID, ids []uint32, b *bucket.Par) (peeled []uint32, edges int64, rest int) {
+	l.queue = append(l.queue[:0], ids...)
+	l.touched, l.pre = l.touched[:0], l.pre[:0]
+	// The extracted ids alone are below the cut-off, so they are all
+	// peeled before the check can stop the walk. At P=1 no work forks:
+	// the check is skipped, and with it a GOMAXPROCS read per vertex.
+	capped := parallel.Procs() > 1
+	i := 0
+	for ; i < len(l.queue); i++ {
+		if capped && parallel.WorkersFor(int64(i)+edges) > 1 {
+			break
+		}
+		u := l.queue[i]
+		l.seen[u/64] &^= 1 << (u % 64)
+		nbrs, _ := g.OutAdj(u, &l.buf)
+		edges += int64(len(nbrs))
+		for _, v := range nbrs {
+			if d[v] <= k {
+				continue // peeled, or queued to be
+			}
+			if l.seen[v/64]&(1<<(v%64)) == 0 {
+				l.seen[v/64] |= 1 << (v % 64)
+				l.touched = append(l.touched, v)
+				l.pre = append(l.pre, d[v])
+			}
+			if d[v]--; d[v] == k {
+				l.queue = append(l.queue, v)
+			}
+		}
+	}
+	l.ids, l.dests = l.ids[:0], l.dests[:0]
+	for j, v := range l.touched {
+		if l.seen[v/64]&(1<<(v%64)) == 0 {
+			continue // peeled above
+		}
+		l.seen[v/64] &^= 1 << (v % 64)
+		if dest := b.GetBucket(l.pre[j], d[v]); dest != bucket.None {
+			l.ids = append(l.ids, v)
+			l.dests = append(l.dests, dest)
+		}
+	}
+	b.UpdateBuckets(len(l.ids), l.feed)
+	return l.queue[:i], edges, len(l.queue) - i
 }
 
 // CorenessLigra is the work-inefficient frontier-based algorithm used

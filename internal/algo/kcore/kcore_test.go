@@ -135,10 +135,15 @@ func TestWorkEfficiency(t *testing.T) {
 		t.Fatalf("baseline scanned %d vertices, expected >= kmax*n = %d",
 			ineff.VerticesScanned, kmax*int64(g.NumVertices()))
 	}
-	// The bucketed algorithm scans each vertex exactly once at
-	// extraction: VerticesScanned == n.
+	// The bucketed algorithm scans each vertex exactly once, when it is
+	// extracted or when a round's local peel takes it, and traverses
+	// each vertex's edges once: VerticesScanned == n, EdgesTraversed ==
+	// Σdeg.
 	if eff.VerticesScanned != int64(g.NumVertices()) {
 		t.Fatalf("bucketed scanned %d want n=%d", eff.VerticesScanned, g.NumVertices())
+	}
+	if eff.EdgesTraversed != g.NumEdges() {
+		t.Fatalf("bucketed traversed %d edges want Σdeg=%d", eff.EdgesTraversed, g.NumEdges())
 	}
 	// Bucket traffic is bounded by 2m + n (each edge causes at most one
 	// move request; Lemma 3.2 instantiation in §4.1).
@@ -148,10 +153,15 @@ func TestWorkEfficiency(t *testing.T) {
 	}
 }
 
-// TestRhoMatchesRounds checks that a run takes exactly ρ rounds, the
-// peeling complexity of §4.1, counted here by a sequential peel that
-// removes, each round, every vertex whose remaining degree is at most
-// the current core level k (k never decreases).
+// TestRhoMatchesRounds pins the round counts against ρ, the peeling
+// complexity of §4.1, counted here by a sequential peel that removes,
+// each round, every vertex whose remaining degree is at most the current
+// core level k (k never decreases). The Ligra baseline spends one round
+// per peeling step, so exactly ρ. The bucketed run peels a level to its
+// end on the caller while the work stays below the fork cut-off: at P=1
+// that is every round, so it takes one round per distinct coreness
+// value; at P>1 a round that would fork goes through the bucket
+// structure, so the count lies between the two.
 func TestRhoMatchesRounds(t *testing.T) {
 	rho := func(g graph.Graph) int64 {
 		n := g.NumVertices()
@@ -189,13 +199,70 @@ func TestRhoMatchesRounds(t *testing.T) {
 		}
 		return rounds
 	}
+	defer parallel.SetProcs(parallel.SetProcs(1))
 	for name, g := range map[string]graph.Graph{
 		"rmat": gen.RMAT(1<<10, 8000, true, 11),
 		"grid": gen.Grid2D(12, 9),
 		"K10":  gen.Complete(10), // one round
 	} {
-		if got, want := Coreness(g, Options{}).Rounds, rho(g); got != want {
-			t.Errorf("%s: %d rounds, ρ = %d", name, got, want)
+		r := rho(g)
+		if got := CorenessLigra(g).Rounds; got != r {
+			t.Errorf("%s: ligra %d rounds, ρ = %d", name, got, r)
+		}
+		parallel.SetProcs(1)
+		res := Coreness(g, Options{})
+		levels := map[uint32]bool{}
+		for _, c := range res.Coreness {
+			levels[c] = true
+		}
+		lv := int64(len(levels))
+		if res.Rounds != lv {
+			t.Errorf("%s: P=1 %d rounds, %d distinct coreness values", name, res.Rounds, lv)
+		}
+		for _, p := range []int{2, 4} {
+			parallel.SetProcs(p)
+			if got := Coreness(g, Options{}).Rounds; got < lv || got > r {
+				t.Errorf("%s: P=%d %d rounds, want between %d levels and ρ = %d", name, p, got, lv, r)
+			}
+		}
+	}
+}
+
+// TestLocalPeelHandsBackAtCutoff pins the cap on a round's local peel
+// on a path, whose ρ is n/2: one level, peeled two vertices per step.
+// At P=1 the whole path goes in one round from the two extracted
+// endpoints. At P=2 a round stops once the work it has peeled would
+// fork and hands the rest of its queue back into the bucket, so no
+// round peels much more than one fork's worth of work.
+func TestLocalPeelHandsBackAtCutoff(t *testing.T) {
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	g := gen.Path(1 << 16)
+	n := int64(g.NumVertices())
+	work := n + g.NumEdges() // Σ(1 + deg)
+	for _, p := range []int{1, 2} {
+		parallel.SetProcs(p)
+		res := Coreness(g, Options{})
+		t.Logf("P=%d: %d rounds, %d extracted", p, res.Rounds, res.BucketStats.Extracted)
+		for v, c := range res.Coreness {
+			if c != 1 {
+				t.Fatalf("P=%d: coreness[%d] = %d, want 1", p, v, c)
+			}
+		}
+		switch p {
+		case 1:
+			if res.Rounds != 1 || res.BucketStats.Extracted != 2 {
+				t.Errorf("P=1: %d rounds extracting %d vertices, want 1 round extracting the 2 endpoints",
+					res.Rounds, res.BucketStats.Extracted)
+			}
+		case 2:
+			// The smallest work at which a region forks.
+			cut := int64(1)
+			for parallel.WorkersFor(cut) == 1 {
+				cut++
+			}
+			if res.Rounds < work/cut {
+				t.Errorf("P=2: %d rounds, want ≥ Σ(1+deg)/cut-off = %d/%d = %d", res.Rounds, work, cut, work/cut)
+			}
 		}
 	}
 }
@@ -261,13 +328,14 @@ func TestCanceledCarriesFlightTail(t *testing.T) {
 
 // TestCorenessAllocsScaleWithRoundsNotVertices pins the allocation
 // shape of a whole run at P=1. Coreness itself allocates a handful of
-// objects per run — its closures, its destination, the result — and
-// nothing per round, per vertex or per edge. What is left is the bucket
-// structure's: on this graph 4,522 objects over 206 rounds (≈ 22 per
-// round), 83 % fresh chunks from bucket.chunkAlloc, 13 % the per-slot
-// chunk lists UpdateBuckets appends them to, 2 % the free list's class
+// objects per run — its closures, its destination, the result, and the
+// local peel's buffers as they grow — and nothing per round, per vertex
+// or per edge. What is left is the bucket structure's: on this graph
+// 2,225 objects over 69 rounds (≈ 32 per round: a round that peels a
+// whole level rebuckets into many slots), 74 % fresh chunks from bucket.chunkAlloc, 18 % the per-slot
+// chunk lists UpdateBuckets appends them to, 4 % the free list's class
 // slices growing in freePut (the list has no lock: only the caller
-// touches it).
+// touches it), 2 % the local peel's buffers.
 func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -291,12 +359,12 @@ func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
 
 // TestCorenessRegionsPerRound pins what a k-core round costs in
 // parallel regions at P=1 on the benchmark's graph (RMAT, n = 2¹⁷,
-// m = 2²¹, seed 2017; 382 rounds): at most 11 per round. Bucket calls
-// below the fork cut-off open none, and a slot compacts in one pass
-// over all of its chunks, not one filter region per chunk. Measured: 1
-// region in the whole run — the degree initialisation; before updates
-// and compaction below the cut-off ran on the caller it was 15,555
-// (40.7 per round).
+// m = 2²¹, seed 2017; 114 rounds, one per distinct coreness value, ρ =
+// 382): at most 11 per round. Bucket calls below the fork cut-off open
+// none, and a slot compacts in one pass over all of its chunks, not one
+// filter region per chunk. Measured: 1 region in the whole run — the
+// degree initialisation; before updates and compaction below the
+// cut-off ran on the caller it was 15,555 (40.7 per round of 382).
 func TestCorenessRegionsPerRound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 2-million-edge graph")

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -360,6 +361,37 @@ func TestPrintRendersEveryArtifact(t *testing.T) {
 
 // TestPrintMissingEntry: a report with one entry removed prints "-" in
 // that cell instead of panicking, and the row stays where it was.
+// TestTable2RhoIsLigraRounds: Table 2's ρ column is the P=1 rounds of
+// the table3/kcore/ligra row of each graph, which peels one step per
+// round, not the bucketed row's, which peels a level per round.
+func TestTable2RhoIsLigraRounds(t *testing.T) {
+	bucketRep, algosRep := fakeReports()
+	rho := map[string]int64{}
+	for _, e := range algosRep.Results {
+		if e.Artifact == "table3" && e.App == "kcore" && e.Impl == "ligra" && e.Procs == 1 {
+			rho[e.Graph] = e.Rounds
+		}
+	}
+	rows := 0
+	for _, line := range strings.Split(render(t, "table2", bucketRep, algosRep), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 {
+			continue
+		}
+		want, ok := rho[f[0]]
+		if !ok {
+			continue
+		}
+		rows++
+		if got := f[len(f)-2]; got != strconv.FormatInt(want, 10) {
+			t.Errorf("%s: rho %s, want the ligra row's P=1 rounds %d", f[0], got, want)
+		}
+	}
+	if rows == 0 || rows != len(rho) {
+		t.Fatalf("table2 has %d rows for %d ligra k-core rows", rows, len(rho))
+	}
+}
+
 func TestPrintMissingEntry(t *testing.T) {
 	bucketRep, algosRep := fakeReports()
 	full := render(t, "table3", bucketRep, algosRep)

@@ -98,7 +98,9 @@ func stableExposition(text string) string {
 // TestExpositionMatchesParentGolden pins that typed handles changed no
 // emitted byte: the /metrics text of an instrumented k-core run equals
 // testdata/kcore_metrics.golden, which was produced by the same run
-// and filter on the last commit with string-keyed write methods.
+// and filter on the last commit with string-keyed write methods. Its
+// values were regenerated, series names unchanged, when a k-core round
+// began peeling its level to the end on the caller (27 rounds, was 79).
 func TestExpositionMatchesParentGolden(t *testing.T) {
 	rec := obs.NewRecorder()
 	kcore.Coreness(gen.RMAT(1<<10, 1<<13, true, 7), kcore.Options{Recorder: rec})
