@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"julienne/internal/algo/kcore"
 	"julienne/internal/gen"
 )
 
@@ -111,11 +110,10 @@ func TestConcurrentSharedGraphQueries(t *testing.T) {
 // rounds are set by the bucket semantics alone, also identical round
 // counts and bucket traffic. (∆-stepping with ∆ > 1 relaxes within a
 // bucket in schedule order, so its round count may differ by a few
-// between P=1 and P>1, fused or not.) k-core's rounds are set by the
-// cut-off: a round below it peels its level on the caller, at P=1
-// always, so P=1 takes one round per distinct coreness value; at P>1 a
-// round that would fork goes through the bucket structure, so the
-// count lies between that and ρ, the Ligra baseline's rounds.
+// between P=1 and P>1, fused or not.) k-core's workers peel each
+// level to its end in their own queues, so at every P it takes exactly
+// one round per distinct coreness value (ρ, the Ligra baseline's
+// rounds, is larger).
 func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	n, m := 1<<14, 1<<18
@@ -148,7 +146,6 @@ func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 		distinct[c] = true
 	}
 	levels := int64(len(distinct))
-	rho := kcore.CorenessLigra(g).Rounds
 	if want.coreRounds != levels {
 		t.Errorf("P=1: k-core ran %d rounds, want one per distinct coreness value, %d", want.coreRounds, levels)
 	}
@@ -160,8 +157,8 @@ func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 		if !slices.Equal(got.fusedWBFS, want.fusedWBFS) || !slices.Equal(got.fusedDelta, want.fusedDelta) {
 			t.Errorf("P=%d: fused SSSP distances differ from P=1", p)
 		}
-		if got.coreRounds < levels || got.coreRounds > rho {
-			t.Errorf("P=%d: k-core ran %d rounds, want between %d levels and ρ = %d", p, got.coreRounds, levels, rho)
+		if got.coreRounds != levels {
+			t.Errorf("P=%d: k-core ran %d rounds, want one per distinct coreness value, %d", p, got.coreRounds, levels)
 		}
 		if got.wbfsRounds != want.wbfsRounds || got.wbfsStats != want.wbfsStats {
 			t.Errorf("P=%d: wBFS ran %d rounds %+v, P=1 ran %d rounds %+v",

@@ -6,6 +6,5 @@ package kcore
 
 type debugState struct{}
 
-func (s *debugState) init(n int)                                                      {}
-func (s *debugState) peel(vs []uint32)                                                {}
-func (s *debugState) checkLocal(d []uint32, k uint32, peeled []uint32, complete bool) {}
+func (s *debugState) init(n int)                                             {}
+func (s *debugState) check(d []uint32, k uint32, ps []peeler, complete bool) {}

@@ -6,9 +6,9 @@ import "fmt"
 
 // Debug half of the julienne_debug assertion pair (see the matching
 // files in internal/bucket). A shadow set of peeled vertices checks
-// what the local arm of a round relies on: a round that handed nothing
-// back has exhausted its level, so the next extraction finds a higher
-// one.
+// what a round's peelers rely on: each vertex is peeled once, at level
+// k; no worker leaves a mark set; and a round that handed nothing back
+// has exhausted its level, so the next extraction finds a higher one.
 
 type debugState struct {
 	peeled []bool
@@ -16,31 +16,28 @@ type debugState struct {
 
 func (s *debugState) init(n int) { s.peeled = make([]bool, n) }
 
-// peel records a round's peeled vertices; a vertex is peeled once.
-func (s *debugState) peel(vs []uint32) {
-	for _, v := range vs {
-		if s.peeled[v] {
-			panic(fmt.Sprintf("kcore debug: vertex %d peeled twice", v))
+// check records a round's peeled vertices — every peeler's traversed
+// queue prefix — and asserts that each is peeled once with D == k and
+// that no D still carries the mark; when the round handed nothing back
+// (complete), it also asserts that no unpeeled vertex is left with
+// D <= k.
+func (s *debugState) check(d []uint32, k uint32, ps []peeler, complete bool) {
+	for i := range ps {
+		for _, v := range ps[i].queue[:ps[i].head] {
+			if s.peeled[v] {
+				panic(fmt.Sprintf("kcore debug: vertex %d peeled twice", v))
+			}
+			s.peeled[v] = true
+			if d[v] != k {
+				panic(fmt.Sprintf("kcore debug: vertex %d peeled at level %d has D = %d", v, k, d[v]))
+			}
 		}
-		s.peeled[v] = true
-	}
-}
-
-// checkLocal records a local round's peeled vertices and asserts that
-// each has D == k; when the round handed nothing back (complete), it
-// also asserts that no unpeeled vertex is left with D <= k.
-func (s *debugState) checkLocal(d []uint32, k uint32, peeled []uint32, complete bool) {
-	s.peel(peeled)
-	for _, v := range peeled {
-		if d[v] != k {
-			panic(fmt.Sprintf("kcore debug: vertex %d peeled at level %d has D = %d", v, k, d[v]))
-		}
-	}
-	if !complete {
-		return
 	}
 	for v, dv := range d {
-		if !s.peeled[v] && dv <= k {
+		if dv&mark != 0 {
+			panic(fmt.Sprintf("kcore debug: vertex %d still marked after the round at level %d (D = %#x)", v, k, dv))
+		}
+		if complete && !s.peeled[v] && dv <= k {
 			panic(fmt.Sprintf("kcore debug: level %d peeled to its end, but unpeeled vertex %d has D = %d", k, v, dv))
 		}
 	}

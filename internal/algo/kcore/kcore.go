@@ -5,9 +5,13 @@
 //     (Algorithm 1, §4.1) — the first work-efficient parallel k-core
 //     algorithm with non-trivial parallelism: O(m + n) expected work
 //     and O(ρ log n) depth w.h.p., where ρ is the graph's peeling
-//     complexity (Theorem 4.1). A round too small to fork for peels
-//     its level on the caller instead of cascading through the bucket
-//     structure (vertical granularity control, arXiv 2502.08042).
+//     complexity (Theorem 4.1). A round splits its bucket over the
+//     workers its work merits, and each worker keeps peeling, in its own
+//     queue, the vertices its decrements drop to the current level, so
+//     a round exhausts its level instead of cascading through the
+//     bucket structure (vertical granularity control, arXiv
+//     2502.08042) and the rounds are the distinct coreness values at
+//     every P.
 //
 //   - CorenessLigra: the work-inefficient frontier-based algorithm that
 //     existing frameworks (Ligra et al.) use. It scans all remaining
@@ -25,6 +29,7 @@ package kcore
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"julienne/internal/bucket"
 	"julienne/internal/graph"
@@ -42,9 +47,11 @@ type Options struct {
 	// round plus the bucket structure's counters. Nil disables
 	// telemetry with only nil-check overhead.
 	Recorder *obs.Recorder
-	// Ctx, when non-nil, is checked once per peeling round; if it is
-	// done the run stops and Result.Err reports a *obs.Canceled with
-	// partial progress. Nil keeps today's zero-overhead behavior.
+	// Ctx, when non-nil, is checked before every round and, inside a
+	// round, by each worker once per pollWork of its peeled work; if
+	// it is done the run stops after the round, which hands what it
+	// had not peeled back to the bucket structure, and Result.Err
+	// reports a *obs.Canceled with partial progress. Nil costs nothing.
 	Ctx context.Context
 
 	// There is deliberately no bucket-fusion knob here (compare
@@ -59,11 +66,10 @@ type Options struct {
 type Result struct {
 	// Coreness[v] is the coreness (maximum core number) of v.
 	Coreness []uint32
-	// Rounds is the number of bucket rounds. Coreness peels a level on
-	// the caller while its work stays below the fork cut-off, so it
-	// takes between one round per distinct coreness value (every round
-	// at P=1) and the peeling complexity ρ of §4.1; CorenessLigra takes
-	// exactly ρ.
+	// Rounds is the number of bucket rounds. Coreness peels each level
+	// to its end in one round at every P, so it takes one round per
+	// distinct coreness value (fewer if canceled);
+	// CorenessLigra takes exactly the peeling complexity ρ of §4.1.
 	Rounds int64
 	// BucketStats is the traffic through the bucket structure (zero for
 	// implementations that do not use one).
@@ -88,7 +94,9 @@ func requireSymmetric(g graph.Graph) {
 }
 
 // Coreness runs the work-efficient bucketed peeling algorithm
-// (Algorithm 1). The graph must be undirected.
+// (Algorithm 1). The graph must be undirected, and no vertex may have
+// 2³¹ or more neighbors (D's top bit marks a vertex lowered in the
+// current round).
 func Coreness(g graph.Graph, opt Options) Result {
 	requireSymmetric(g)
 	n := g.NumVertices()
@@ -101,58 +109,83 @@ func Coreness(g graph.Graph, opt Options) Result {
 	// not-yet-peeled subgraph; once v is peeled it freezes at v's
 	// coreness. The bucket structure reads D through its d function.
 	d := res.Coreness
-	parallel.For(n, parallel.DefaultGrain, func(v int) {
-		d[v] = uint32(g.OutDegree(graph.Vertex(v)))
-	})
+	checkDegree(int64(parallel.Max(n, parallel.DefaultGrain, func(v int) int {
+		deg := g.OutDegree(graph.Vertex(v))
+		d[v] = uint32(deg)
+		return deg
+	})))
 	lp := bucket.Loop{Algo: "kcore", Recorder: opt.Recorder, Ctx: opt.Ctx}
 	b := lp.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, opt.Buckets)
 
-	// The round's one primitive, its destination and the updateBuckets
-	// feed are built once: a round reads its bucket from k and allocates
-	// nothing (the bucket structure's own chunks aside).
-	var k bucket.ID
-	var moved ligra.Tagged[bucket.Dest]
-	// Update(v, edgesRemoved) of Algorithm 1: lower D[v], clamping at k
-	// so vertices falling below the current core are placed into the
-	// current bucket and peeled this round. The round's condition
-	// admitted v, and D only changes here, after the counting: D[v] > k.
-	update := func(v graph.Vertex, removed uint32) (bucket.Dest, bool) {
-		induced := d[v]
-		newD := max(induced-removed, k)
-		d[v] = newD
-		dest := b.GetBucket(induced, newD)
-		return dest, dest != bucket.None
+	// The round's state and its two worker bodies are built once: a
+	// round allocates nothing once the peelers' buffers have grown (the
+	// bucket structure's own chunks aside).
+	r := round{g: g, d: d, b: b, cancel: obs.NewCancelCheck(opt.Ctx), ps: make([]peeler, parallel.Procs())}
+	peel := func(w, lo, hi int) { r.ps[w].peel(&r, r.ids[lo:hi]) }
+	rebucket := func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r.ps[i].rebucket(&r)
+		}
 	}
-	feed := func(j int) (uint32, bucket.Dest) { return moved.IDs[j], moved.Vals[j] }
-	loc := local{seen: make([]uint64, (n+63)/64)}
-	loc.feed = func(j int) (uint32, bucket.Dest) { return loc.ids[j], loc.dests[j] }
+	batch := &r.ps[0]
+	feed := func(j int) (uint32, bucket.Dest) { return batch.ids[j], batch.dests[j] }
 	var dbg debugState
 	dbg.init(n)
 
 	finished := 0
-	res.Rounds, res.Err = lp.Run(b, func(bkt, _ bucket.ID, ids []uint32) (int64, bool) {
-		k = bkt
+	res.Rounds, res.Err = lp.Run(b, func(k, _ bucket.ID, ids []uint32) (int64, bool) {
 		// All vertices in the bucket have coreness k (their D values
-		// already equal k by the bucket-liveness invariant); their
-		// removal decrements neighbors' induced degrees.
-		frontier := ligra.Frontier(g, ids)
-		edges := frontier.OutDegreeSum(g)
-		peeled := len(ids)
-		if parallel.WorkersFor(int64(len(ids))+edges) == 1 {
-			// Too little work to fork for: peel level k on the caller
-			// (vertical granularity control, arXiv 2502.08042).
-			vs, e, rest := loc.peel(g, d, k, ids, b)
-			dbg.checkLocal(d, k, vs, rest == 0)
-			peeled, edges = len(vs), e
-		} else {
-			dbg.peel(ids)
-			// edgeMapSum counts removed edges per still-live neighbor
-			// and emits the ones that change bucket (lines 16–17).
-			// Still live is D[v] > k: a peeled vertex's D is frozen at
-			// its coreness, at most k.
-			ligra.EdgeMapSum(g, frontier, ligra.Above{D: d, K: k}, update, &moved)
-			b.UpdateBuckets(moved.Size(), feed)
+		// already equal k by the bucket-liveness invariant). Each worker
+		// peels a share of them and then, in its own queue, every
+		// vertex its decrements drop to k, so the round exhausts level
+		// k (vertical granularity control, arXiv 2502.08042).
+		r.k, r.ids = k, ids
+		work := int64(len(ids)) + ligra.Frontier(g, ids).OutDegreeSum(g)
+		nw := min(parallel.WorkersFor(work), len(r.ps))
+		r.shared = nw > 1
+		for i := range r.ps[:nw] {
+			r.ps[i].reset()
 		}
+		if nw == 1 {
+			peel(0, 0, len(ids))
+		} else {
+			parallel.Workers(len(ids), nw, peel)
+		}
+		// Only after the join is each touched vertex's D final for the
+		// round: each peeler clears its own marks and computes its own
+		// destinations, then the batches go to one UpdateBuckets.
+		touched := 0
+		for i := range r.ps[:nw] {
+			touched += len(r.ps[i].touched)
+		}
+		if w := min(nw, parallel.WorkersFor(int64(touched))); w == 1 {
+			rebucket(0, 0, nw)
+		} else {
+			parallel.Workers(nw, w, rebucket)
+		}
+		peeled, edges, rest := 0, int64(0), 0
+		for i := range r.ps[:nw] {
+			p := &r.ps[i]
+			peeled, edges, rest = peeled+p.head, edges+p.edges, rest+len(p.queue)-p.head
+			if i > 0 {
+				batch.ids = append(batch.ids, p.ids...)
+				batch.dests = append(batch.dests, p.dests...)
+			}
+		}
+		if rest > 0 {
+			// The round was canceled: the untraversed queues (all at
+			// D == k) go back into bucket k, and Loop.Run stops.
+			dest := b.GetBucket(bucket.Nil, k)
+			for i := range r.ps[:nw] {
+				p := &r.ps[i]
+				for _, v := range p.queue[p.head:] {
+					batch.ids = append(batch.ids, v)
+					batch.dests = append(batch.dests, dest)
+				}
+			}
+		}
+		b.UpdateBuckets(len(batch.ids), feed)
+		dbg.check(d, k, r.ps[:nw], rest == 0)
 		finished += peeled
 		res.VerticesScanned += int64(peeled)
 		res.EdgesTraversed += edges
@@ -162,78 +195,152 @@ func Coreness(g graph.Graph, opt Options) Result {
 	return res
 }
 
-// local is the caller-side arm of a k-core round, taken when the round
-// is below the fork cut-off. Its buffers live for the run, so a round
-// allocates nothing once they have grown.
-type local struct {
-	queue   []uint32 // the round's peel order: the extracted ids, then every vertex they drop to k
-	touched []uint32 // the live neighbors whose D the round lowered
-	pre     []uint32 // pre[j] is touched[j]'s D before the round
-	seen    []uint64 // bitset: v is in touched and not yet peeled
-	ids     []uint32 // the rebucketing batch, its destinations
-	dests   []bucket.Dest
-	feed    func(j int) (uint32, bucket.Dest)
-	buf     graph.AdjBuf
+// mark is D's top bit. A worker sets it with the first decrement that
+// leaves v above k and records v's pre-round D beside it; it is
+// cleared when v reaches k and after the round's join. Degrees stay
+// below it (checkDegree).
+const mark = 1 << 31
+
+// checkDegree refuses a graph whose largest degree would reach mark.
+func checkDegree(maxDeg int64) {
+	if maxDeg >= mark {
+		panic(fmt.Sprintf("kcore: a vertex has %d neighbors; Coreness supports fewer than 2^31", maxDeg))
+	}
 }
 
-// peel removes level k's vertices one at a time: each dequeued vertex
-// lowers its live neighbors' D by one, and a neighbor reaching k joins
-// the queue and is peeled in the same round instead of going back
-// through UpdateBuckets and NextBucket. Before each vertex it checks
-// the work peeled so far against the fork cut-off: once that much work
-// would fork, the rest of the queue (all at D == k) is handed back into
-// bucket k, so the next round, which may fork, takes it. At P=1 the cut-
-// off never forks and a round exhausts its level. Only the touched
-// vertices still unpeeled are rebucketed, each from its pre-round D, in
-// one UpdateBuckets call whose destinations are materialised because
-// UpdateBuckets evaluates its feed twice.
-//
-// peel returns the vertices it peeled (a prefix of its queue, valid
-// until the next call), the edges they traversed, and how many
-// vertices it handed back.
-func (l *local) peel(g graph.Graph, d []uint32, k bucket.ID, ids []uint32, b *bucket.Par) (peeled []uint32, edges int64, rest int) {
-	l.queue = append(l.queue[:0], ids...)
-	l.touched, l.pre = l.touched[:0], l.pre[:0]
-	// The extracted ids alone are below the cut-off, so they are all
-	// peeled before the check can stop the walk. At P=1 no work forks:
-	// the check is skipped, and with it a GOMAXPROCS read per vertex.
-	capped := parallel.Procs() > 1
-	i := 0
-	for ; i < len(l.queue); i++ {
-		if capped && parallel.WorkersFor(int64(i)+edges) > 1 {
-			break
+// pollWork is how much peeled work (one unit per vertex and per edge,
+// as for parallel.WorkersFor) a worker does between two cancellation
+// polls: about the fork cut-off, ≈30–40 µs, so a poll's clock read is
+// lost in it and a deadline is overrun by no more than that.
+const pollWork = 8192
+
+// round is what a round's workers share; Coreness sets k and ids
+// before each round.
+type round struct {
+	g      graph.Graph
+	d      []uint32
+	b      *bucket.Par
+	k      bucket.ID
+	ids    []uint32
+	shared bool // the round has more than one worker
+	cancel obs.CancelCheck
+	stop   atomic.Bool // a worker's poll found the run canceled
+	ps     []peeler    // one per worker; ps[0]'s batch is the round's
+}
+
+// peeler is one worker's share of a round. Its buffers live for the
+// run, so a round allocates nothing once they have grown.
+type peeler struct {
+	queue   []uint32 // this worker's peel order: its extracted ids, then every vertex its decrements drop to k
+	head    int      // queue[:head] is peeled; the rest is handed back
+	touched []uint32 // the vertices whose mark this worker set
+	pre     []uint32 // pre[j] is touched[j]'s D before the round
+	ids     []uint32 // the rebucketing batch, its destinations
+	dests   []bucket.Dest
+	edges   int64
+	since   int64 // work since the last cancellation poll
+	buf     graph.AdjBuf
+	_       [64]byte // keeps neighboring workers' fields off one cache line
+}
+
+func (p *peeler) reset() {
+	p.queue, p.head = p.queue[:0], 0
+	p.touched, p.pre = p.touched[:0], p.pre[:0]
+	p.ids, p.dests = p.ids[:0], p.dests[:0]
+	p.edges = 0
+}
+
+// peel appends ids to the worker's queue and peels the queue to its
+// end: each dequeued vertex lowers its live neighbors' D by one, never
+// below k, and the worker whose decrement reaches k queues the
+// neighbor, so each vertex is peeled once, in this round, without going
+// back through UpdateBuckets and NextBucket. Every pollWork of peeled
+// work it polls for cancellation; once that trips, on any worker, the
+// rest of the queue is left unpeeled.
+func (p *peeler) peel(r *round, ids []uint32) {
+	p.queue = append(p.queue, ids...)
+	for ; p.head < len(p.queue); p.head++ {
+		if p.since >= pollWork {
+			p.since = 0
+			if r.stop.Load() || r.cancel.Stopped() != nil {
+				r.stop.Store(true)
+				return
+			}
 		}
-		u := l.queue[i]
-		l.seen[u/64] &^= 1 << (u % 64)
-		nbrs, _ := g.OutAdj(u, &l.buf)
-		edges += int64(len(nbrs))
-		for _, v := range nbrs {
-			if d[v] <= k {
-				continue // peeled, or queued to be
-			}
-			if l.seen[v/64]&(1<<(v%64)) == 0 {
-				l.seen[v/64] |= 1 << (v % 64)
-				l.touched = append(l.touched, v)
-				l.pre = append(l.pre, d[v])
-			}
-			if d[v]--; d[v] == k {
-				l.queue = append(l.queue, v)
+		nbrs, _ := r.g.OutAdj(p.queue[p.head], &p.buf)
+		p.edges += int64(len(nbrs))
+		p.since += 1 + int64(len(nbrs))
+		if r.shared {
+			p.lowerShared(r.d, r.k, nbrs)
+		} else {
+			p.lower(r.d, r.k, nbrs)
+		}
+	}
+}
+
+// lower is the per-edge step of a round with one worker: plain loads
+// and stores.
+func (p *peeler) lower(d []uint32, k bucket.ID, nbrs []graph.Vertex) {
+	for _, v := range nbrs {
+		if old := d[v]; old&^mark > k {
+			next := decrement(old, k)
+			d[v] = next
+			p.lowered(v, old, next)
+		}
+	}
+}
+
+// lowerShared is the per-edge step of a round whose workers share D: a
+// compare-and-swap, so two workers lowering one vertex never take it
+// below k and exactly one of them sees it reach k.
+func (p *peeler) lowerShared(d []uint32, k bucket.ID, nbrs []graph.Vertex) {
+	for _, v := range nbrs {
+		for old := atomic.LoadUint32(&d[v]); old&^mark > k; old = atomic.LoadUint32(&d[v]) {
+			if next := decrement(old, k); atomic.CompareAndSwapUint32(&d[v], old, next) {
+				p.lowered(v, old, next)
+				break
 			}
 		}
 	}
-	l.ids, l.dests = l.ids[:0], l.dests[:0]
-	for j, v := range l.touched {
-		if l.seen[v/64]&(1<<(v%64)) == 0 {
-			continue // peeled above
+}
+
+// decrement is D one lower, marked unless it has reached k.
+func decrement(old uint32, k bucket.ID) uint32 {
+	if next := old&^mark - 1; next > k {
+		return next | mark
+	}
+	return k
+}
+
+// lowered records a decrement of v from old to next: v joins the queue
+// if it reached k, or the touched list if this was its first decrement
+// and it is still above k.
+func (p *peeler) lowered(v graph.Vertex, old, next uint32) {
+	if next&mark == 0 {
+		p.queue = append(p.queue, v)
+	} else if old&mark == 0 {
+		p.touched = append(p.touched, v)
+		p.pre = append(p.pre, old)
+	}
+}
+
+// rebucket clears the marks this worker set and, for each vertex still
+// above k, emits its move from its pre-round D to its D; a vertex whose
+// mark is already clear reached k and was peeled or handed back.
+// GetBucket only reads the structure, so workers run this side by side.
+func (p *peeler) rebucket(r *round) {
+	for j, v := range p.touched {
+		dv := r.d[v]
+		if dv&mark == 0 {
+			continue
 		}
-		l.seen[v/64] &^= 1 << (v % 64)
-		if dest := b.GetBucket(l.pre[j], d[v]); dest != bucket.None {
-			l.ids = append(l.ids, v)
-			l.dests = append(l.dests, dest)
+		dv &^= mark
+		r.d[v] = dv
+		if dest := r.b.GetBucket(p.pre[j], dv); dest != bucket.None {
+			p.ids = append(p.ids, v)
+			p.dests = append(p.dests, dest)
 		}
 	}
-	b.UpdateBuckets(len(l.ids), l.feed)
-	return l.queue[:i], edges, len(l.queue) - i
 }
 
 // CorenessLigra is the work-inefficient frontier-based algorithm used

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"julienne/internal/bucket"
@@ -136,7 +140,7 @@ func TestWorkEfficiency(t *testing.T) {
 			ineff.VerticesScanned, kmax*int64(g.NumVertices()))
 	}
 	// The bucketed algorithm scans each vertex exactly once, when it is
-	// extracted or when a round's local peel takes it, and traverses
+	// extracted or when a worker's queue takes it, and traverses
 	// each vertex's edges once: VerticesScanned == n, EdgesTraversed ==
 	// Σdeg.
 	if eff.VerticesScanned != int64(g.NumVertices()) {
@@ -157,11 +161,9 @@ func TestWorkEfficiency(t *testing.T) {
 // complexity of §4.1, counted here by a sequential peel that removes,
 // each round, every vertex whose remaining degree is at most the current
 // core level k (k never decreases). The Ligra baseline spends one round
-// per peeling step, so exactly ρ. The bucketed run peels a level to its
-// end on the caller while the work stays below the fork cut-off: at P=1
-// that is every round, so it takes one round per distinct coreness
-// value; at P>1 a round that would fork goes through the bucket
-// structure, so the count lies between the two.
+// per peeling step, so exactly ρ. The bucketed run's workers peel a
+// level to its end in their own queues, so at every P it takes one
+// round per distinct coreness value.
 func TestRhoMatchesRounds(t *testing.T) {
 	rho := func(g graph.Graph) int64 {
 		n := g.NumVertices()
@@ -209,60 +211,172 @@ func TestRhoMatchesRounds(t *testing.T) {
 		if got := CorenessLigra(g).Rounds; got != r {
 			t.Errorf("%s: ligra %d rounds, ρ = %d", name, got, r)
 		}
-		parallel.SetProcs(1)
-		res := Coreness(g, Options{})
-		levels := map[uint32]bool{}
-		for _, c := range res.Coreness {
-			levels[c] = true
-		}
-		lv := int64(len(levels))
-		if res.Rounds != lv {
-			t.Errorf("%s: P=1 %d rounds, %d distinct coreness values", name, res.Rounds, lv)
-		}
-		for _, p := range []int{2, 4} {
+		for _, p := range []int{1, 2, 4} {
 			parallel.SetProcs(p)
-			if got := Coreness(g, Options{}).Rounds; got < lv || got > r {
-				t.Errorf("%s: P=%d %d rounds, want between %d levels and ρ = %d", name, p, got, lv, r)
+			res := Coreness(g, Options{})
+			if lv := levels(res.Coreness); res.Rounds != lv {
+				t.Errorf("%s: P=%d %d rounds, %d distinct coreness values (ρ = %d)", name, p, res.Rounds, lv, r)
 			}
 		}
 	}
 }
 
-// TestLocalPeelHandsBackAtCutoff pins the cap on a round's local peel
-// on a path, whose ρ is n/2: one level, peeled two vertices per step.
-// At P=1 the whole path goes in one round from the two extracted
-// endpoints. At P=2 a round stops once the work it has peeled would
-// fork and hands the rest of its queue back into the bucket, so no
-// round peels much more than one fork's worth of work.
-func TestLocalPeelHandsBackAtCutoff(t *testing.T) {
+// levels is the number of distinct coreness values.
+func levels(coreness []uint32) int64 {
+	seen := map[uint32]bool{}
+	for _, c := range coreness {
+		seen[c] = true
+	}
+	return int64(len(seen))
+}
+
+// TestPathPeelsInOneRoundAtEveryP pins a level's cascade on a path,
+// whose ρ is n/2: one level, peeled two vertices per step. At every P
+// the whole path goes in one round from the two extracted endpoints,
+// each end's cascade running in the queue of the worker that peeled it.
+func TestPathPeelsInOneRoundAtEveryP(t *testing.T) {
 	defer parallel.SetProcs(parallel.SetProcs(1))
 	g := gen.Path(1 << 16)
-	n := int64(g.NumVertices())
-	work := n + g.NumEdges() // Σ(1 + deg)
-	for _, p := range []int{1, 2} {
+	for _, p := range []int{1, 2, 4} {
 		parallel.SetProcs(p)
 		res := Coreness(g, Options{})
-		t.Logf("P=%d: %d rounds, %d extracted", p, res.Rounds, res.BucketStats.Extracted)
 		for v, c := range res.Coreness {
 			if c != 1 {
 				t.Fatalf("P=%d: coreness[%d] = %d, want 1", p, v, c)
 			}
 		}
-		switch p {
-		case 1:
-			if res.Rounds != 1 || res.BucketStats.Extracted != 2 {
-				t.Errorf("P=1: %d rounds extracting %d vertices, want 1 round extracting the 2 endpoints",
-					res.Rounds, res.BucketStats.Extracted)
+		if res.Rounds != 1 || res.BucketStats.Extracted != 2 {
+			t.Errorf("P=%d: %d rounds extracting %d vertices, want 1 round extracting the 2 endpoints",
+				p, res.Rounds, res.BucketStats.Extracted)
+		}
+	}
+}
+
+// cancelAfter is a graph whose OutAdj cancels a context on its calls'
+// limit'th: a deterministic way to stop a run inside a round.
+type cancelAfter struct {
+	graph.Graph
+	calls  atomic.Int64
+	limit  int64
+	cancel context.CancelFunc
+}
+
+func (g *cancelAfter) OutAdj(v graph.Vertex, buf *graph.AdjBuf) ([]graph.Vertex, []graph.Weight) {
+	if g.calls.Add(1) == g.limit {
+		g.cancel()
+	}
+	return g.Graph.OutAdj(v, buf)
+}
+
+// TestCanceledRoundHandsBack pins what a round does when the context is
+// canceled while it peels: its workers stop at their next poll, the
+// queued vertices they did not traverse (all at D == k) go back into
+// bucket k, and the run stops with a *obs.Canceled after that round.
+// On the path the round runs at P=1; on the star it forks at P=2 and
+// the leaves left unpeeled are handed back.
+func TestCanceledRoundHandsBack(t *testing.T) {
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	for _, tc := range []struct {
+		name  string
+		g     graph.Graph
+		procs int
+	}{
+		{"path", gen.Path(1 << 16), 1},
+		{"star", gen.Star(1 << 17), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parallel.SetProcs(tc.procs)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			g := &cancelAfter{Graph: tc.g, limit: 1000, cancel: cancel}
+			res := Coreness(g, Options{Ctx: ctx})
+			var c *obs.Canceled
+			if !errors.As(res.Err, &c) || c.Rounds != 1 || res.Rounds != 1 {
+				t.Fatalf("Err = %v after %d rounds, want a *obs.Canceled after round 1", res.Err, res.Rounds)
 			}
-		case 2:
-			// The smallest work at which a region forks.
-			cut := int64(1)
-			for parallel.WorkersFor(cut) == 1 {
-				cut++
+			n := int64(tc.g.NumVertices())
+			if res.VerticesScanned >= n || res.VerticesScanned < g.limit {
+				t.Fatalf("peeled %d of %d vertices, want the run stopped inside its round after %d", res.VerticesScanned, n, g.limit)
 			}
-			if res.Rounds < work/cut {
-				t.Errorf("P=2: %d rounds, want ≥ Σ(1+deg)/cut-off = %d/%d = %d", res.Rounds, work, cut, work/cut)
+			// A vertex at D == 1 was peeled or handed back: every leaf of
+			// the star, and on the path the peeled prefix of each end
+			// plus the neighbor queued next.
+			var atK int64
+			for _, dv := range res.Coreness {
+				if dv == 1 {
+					atK++
+				}
 			}
+			// Each handed-back vertex is moved; the only other vertex the
+			// round can move is the star's center, lowered but above 1.
+			back, moved := atK-res.VerticesScanned, res.BucketStats.Moved
+			if back < 1 || moved < back || moved > back+1 {
+				t.Errorf("%d vertices moved with %d at D = 1 and %d peeled, want the %d handed back moved",
+					moved, atK, res.VerticesScanned, back)
+			}
+		})
+	}
+}
+
+// TestForkedRoundsMatchBZ runs the per-worker arm — rounds split over
+// several workers that lower D with compare-and-swap — at P=2 and P=4
+// on a graph whose low levels are above the fork cut-off, and holds it
+// to the sequential BZ peel. make race runs it under the race detector;
+// at this size (≈17 forked regions a run) the detector reports a plain
+// store put in place of the swap, where a 2¹⁴-vertex graph's 4 regions
+// finished before a helper joined them.
+func TestForkedRoundsMatchBZ(t *testing.T) {
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	g := gen.RMAT(1<<15, 1<<19, true, 9)
+	want := CorenessBZ(g)
+	for _, p := range []int{2, 4} {
+		parallel.SetProcs(p)
+		before := parallel.ForkStats()
+		res := Coreness(g, Options{})
+		if forked := parallel.ForkStats().Sub(before).Forked; forked < 1 {
+			t.Fatalf("P=%d: %d regions forked; the graph no longer reaches the cut-off", p, forked)
+		}
+		checkEqual(t, "forked", res.Coreness, want)
+		if lv := levels(want); res.Rounds != lv {
+			t.Errorf("P=%d: %d rounds, want one per distinct coreness value, %d", p, res.Rounds, lv)
+		}
+		if res.VerticesScanned != int64(g.NumVertices()) || res.EdgesTraversed != g.NumEdges() {
+			t.Errorf("P=%d: scanned %d vertices and %d edges, want n = %d and Σdeg = %d",
+				p, res.VerticesScanned, res.EdgesTraversed, g.NumVertices(), g.NumEdges())
+		}
+	}
+}
+
+// hugeDegree claims one vertex of 2³¹ neighbors, which D's mark bit
+// cannot hold beside the count.
+type hugeDegree struct{ graph.Graph }
+
+func (hugeDegree) NumVertices() int           { return 1 }
+func (hugeDegree) Symmetric() bool            { return true }
+func (hugeDegree) OutDegree(graph.Vertex) int { return int(hugeDeg) }
+
+// hugeDeg is a variable so that the package compiles where int has 32
+// bits; TestDegreeGuard calls OutDegree only where it has 64.
+var hugeDeg int64 = mark
+
+// TestDegreeGuard pins the boundary of the degree guard: 2³¹ − 1
+// neighbors fit beside the mark bit, 2³¹ are refused with a panic that
+// says so, before anything is peeled.
+func TestDegreeGuard(t *testing.T) {
+	refused := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return ""
+	}
+	if msg := refused(func() { checkDegree(mark - 1) }); msg != "<nil>" {
+		t.Errorf("2^31-1 neighbors refused: %s", msg)
+	}
+	if msg := refused(func() { checkDegree(mark) }); !strings.Contains(msg, "fewer than 2^31") {
+		t.Errorf("2^31 neighbors: panic %q, want the guard's", msg)
+	}
+	if strconv.IntSize == 64 {
+		if msg := refused(func() { Coreness(hugeDegree{}, Options{}) }); !strings.Contains(msg, "fewer than 2^31") {
+			t.Errorf("Coreness on a vertex of 2^31 neighbors: panic %q, want the guard's", msg)
 		}
 	}
 }
@@ -328,14 +442,14 @@ func TestCanceledCarriesFlightTail(t *testing.T) {
 
 // TestCorenessAllocsScaleWithRoundsNotVertices pins the allocation
 // shape of a whole run at P=1. Coreness itself allocates a handful of
-// objects per run — its closures, its destination, the result, and the
-// local peel's buffers as they grow — and nothing per round, per vertex
+// objects per run — its closures, the result, and the per-worker
+// peelers with their buffers as they grow — and nothing per round, per vertex
 // or per edge. What is left is the bucket structure's: on this graph
 // 2,225 objects over 69 rounds (≈ 32 per round: a round that peels a
 // whole level rebuckets into many slots), 74 % fresh chunks from bucket.chunkAlloc, 18 % the per-slot
 // chunk lists UpdateBuckets appends them to, 4 % the free list's class
 // slices growing in freePut (the list has no lock: only the caller
-// touches it), 2 % the local peel's buffers.
+// touches it), 2 % the peelers' buffers.
 func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

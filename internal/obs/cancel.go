@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 )
 
 // This file implements the cooperative-cancellation half of the failure
 // semantics (DESIGN.md §9). Algorithms check a CancelCheck once per
-// NextBucket round — never per edge — so cancellation costs one nil
-// check per round when disabled and one select when armed. A canceled
+// NextBucket round — never per edge; k-core also checks inside a round,
+// once per several thousand peeled edges — so cancellation costs one
+// nil check per round when disabled, and one select plus, under a
+// deadline, one clock read when armed. A canceled
 // run returns a *Canceled error wrapping ErrCanceled and carries
 // whatever partial-progress statistics the kernel had accumulated; the
 // bucket structure and scratch arenas are left consistent, so a fresh
@@ -67,8 +70,9 @@ func (r *Recorder) NewCanceled(algo string, rounds int64, cause error) *Canceled
 // algorithms embed the check unconditionally without a per-round cost
 // when no context was supplied.
 type CancelCheck struct {
-	done <-chan struct{}
-	ctx  context.Context
+	done     <-chan struct{}
+	ctx      context.Context
+	deadline time.Time // the context's deadline; zero if it has none
 }
 
 // NewCancelCheck builds a probe from an optional context; a nil ctx
@@ -77,12 +81,16 @@ func NewCancelCheck(ctx context.Context) CancelCheck {
 	if ctx == nil {
 		return CancelCheck{}
 	}
-	return CancelCheck{done: ctx.Done(), ctx: ctx}
+	deadline, _ := ctx.Deadline()
+	return CancelCheck{done: ctx.Done(), ctx: ctx, deadline: deadline}
 }
 
 // Stopped returns nil while the run may continue, or the context's
-// cause once it is done. It is called once per round from the
-// algorithm's driver loop (single goroutine).
+// cause once it is done. A deadline is also read off the clock: a
+// kernel holding the only P keeps the context's timer from firing, so
+// Done alone can report a passed deadline milliseconds late. It is
+// called once per round from the algorithm's driver loop, and may be
+// called from several workers of a round at once: it only reads.
 func (c *CancelCheck) Stopped() error {
 	if c.done == nil {
 		return nil
@@ -91,6 +99,9 @@ func (c *CancelCheck) Stopped() error {
 	case <-c.done:
 		return context.Cause(c.ctx)
 	default:
-		return nil
 	}
+	if !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
