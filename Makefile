@@ -59,7 +59,7 @@ race:
 # every bucket-arena slice the moment its lifetime ends, then runs the
 # assertion-sensitive suites under it — including the round driver
 # bucket.Loop (fused and unfused) and every round body that consumes
-# its bucket's slice (kcore, ∆-stepping, both set covers, densest),
+# its bucket's slice (kcore, ∆-stepping, both set covers),
 # so a stale read anywhere indexes out of range.
 debug:
 	$(GO) build -tags julienne_debug ./...

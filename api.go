@@ -243,18 +243,17 @@ func ApproxSetCover(g *CSR, numSets int, opt SetCoverOptions) SetCoverResult {
 // DensestResult describes an approximately densest subgraph.
 type DensestResult = densest.Result
 
-// DensestOptions configures the densest-subgraph peel: an optional
-// Recorder and cancellation context.
+// DensestOptions configures the coreness peel the densest subgraph
+// comes from: an optional Recorder and cancellation context.
 type DensestOptions = densest.Options
 
-// DensestSubgraphWithOptions runs Charikar's greedy peel, a
-// 2-approximation of the densest subgraph, work-efficiently on the
-// bucket structure: one bucket of minimum-degree vertices per round,
-// keeping the densest set of survivors. It is the natural fifth
-// bucketing-based application beyond the paper's four. The graph must
-// be undirected.
+// DensestSubgraphWithOptions returns the densest k-core, a
+// 2-approximation of the densest subgraph: the bucketed coreness peel
+// (CorenessWithOptions) and one O(n + m) pass over its values. It is
+// the natural fifth bucketing-based application beyond the paper's
+// four. The graph must be undirected.
 func DensestSubgraphWithOptions(g Graph, opt DensestOptions) DensestResult {
-	return densest.Charikar(g, opt)
+	return densest.Find(g, opt)
 }
 
 // --- verification (sequential oracles) ---------------------------------------

@@ -45,7 +45,7 @@ func TestEveryImplAnswers(t *testing.T) {
 		{"sssp", []string{"delta", "gap-bins"}, with(rmatArgs, "-src", "3", "-delta", "4"), ssspWant},
 		{"sssp", []string{"wbfs", "bellman-ford", "dijkstra"}, with(rmatArgs, "-src", "3"), ssspWant},
 		{"setcover", []string{"julienne", "pbbs", "greedy"}, setcoverArgs, []string{"(cover valid)"}},
-		{"densest", []string{"charikar"}, rmatArgs, []string{"densest subgraph: 97 vertices, density 19.175 (whole graph: 5.979)"}},
+		{"densest", []string{"kcore"}, rmatArgs, []string{"densest subgraph: 97 vertices, density 19.175 (whole graph: 5.979)"}},
 	} {
 		for _, impl := range tc.impls {
 			args := append([]string{tc.cmd, "-impl", impl}, tc.args...)
@@ -110,7 +110,7 @@ func TestTimeoutIsPartial(t *testing.T) {
 		{"sssp", "delta", rmatArgs},
 		{"sssp", "wbfs", rmatArgs},
 		{"setcover", "julienne", setcoverArgs},
-		{"densest", "charikar", rmatArgs},
+		{"densest", "kcore", rmatArgs},
 	} {
 		args := with([]string{tc.cmd, "-impl", tc.impl, "-timeout", "1ns", "-stats"}, tc.input...)
 		code, out, errOut := runArgs(args...)
@@ -161,7 +161,7 @@ func TestErrorExitCodes(t *testing.T) {
 		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "batch"}, 2, `unknown -impl "batch"`},
 		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "batch", "-epsilon", "Inf"}, 2, "flag provided but not defined: -epsilon"},
 		{[]string{"densest", "-n", "8", "-m", "8", "-epsilon", "-Inf"}, 2, "flag provided but not defined: -epsilon"},
-		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "charikar", "-epsilon", "0.1"}, 2, "flag provided but not defined: -epsilon"},
+		{[]string{"densest", "-n", "8", "-m", "8", "-impl", "kcore", "-epsilon", "0.1"}, 2, "flag provided but not defined: -epsilon"},
 		{[]string{"gen", "-n", "8", "-m", "8"}, 2, "-out is required"},
 		{[]string{"gen", "-n", "8", "-m", "8", "-out", missing}, 1, "missing"},
 		{[]string{"kcore", "-n", "8", "-m", "8", "-trace", missing}, 1, "missing"},

@@ -8,12 +8,13 @@
 // non-empty bucket and moving batches of identifiers between buckets,
 // all work-efficiently. On top of it the package exports one entry per
 // application of the paper — k-core (coreness), ∆-stepping, weighted
-// BFS and (1+ε)-approximate set cover — plus densest subgraph, the
-// sequential references the gated benchmark checks against, graph
-// generators and I/O, and the bucket and Ligra interfaces for writing
-// new bucketed algorithms. The repository around it holds every
-// baseline the paper's evaluation compares against and one measuring
-// harness whose committed reports every table and figure is read from.
+// BFS and (1+ε)-approximate set cover — plus densest subgraph (the
+// densest k-core), the sequential references the gated benchmark
+// checks against, graph generators and I/O, and the bucket and Ligra
+// interfaces for writing new bucketed algorithms. The repository
+// around it holds every baseline the paper's evaluation compares
+// against and one measuring harness whose committed reports every
+// table and figure is read from.
 //
 // # Quick start
 //

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"julienne/internal/algo/kcore"
 	"julienne/internal/bucket"
 	"julienne/internal/compress"
 	"julienne/internal/gen"
@@ -54,18 +55,18 @@ func TestCliquePlusFringe(t *testing.T) {
 	g := graph.FromEdges(60, edges,
 		graph.BuildOptions{Symmetrize: true, DropSelfLoops: true, Dedup: true})
 
-	ch := Charikar(g, Options{})
-	checkResult(t, "charikar", g, ch)
-	if ch.Density < 4.5-1e-9 {
-		t.Fatalf("charikar density %v < clique density 4.5", ch.Density)
+	res := Find(g, Options{})
+	checkResult(t, "densest", g, res)
+	if res.Density < 4.5-1e-9 {
+		t.Fatalf("density %v < clique density 4.5", res.Density)
 	}
 }
 
 func TestCompleteGraph(t *testing.T) {
 	g := gen.Complete(8)
 	want := 3.5 // 28 edges / 8 vertices
-	res := Charikar(g, Options{})
-	checkResult(t, "charikar", g, res)
+	res := Find(g, Options{})
+	checkResult(t, "densest", g, res)
 	if res.Density != want {
 		t.Fatalf("density %v want %v", res.Density, want)
 	}
@@ -82,32 +83,32 @@ func TestGuaranteesOnRandomGraphs(t *testing.T) {
 		"grid":    gen.Grid2D(20, 20),
 	}
 	for name, g := range graphs {
-		ch := Charikar(g, Options{})
-		checkResult(t, name+"/charikar", g, ch)
+		res := Find(g, Options{})
+		checkResult(t, name, g, res)
 		// The optimum is at least the whole graph's density, and the
-		// peel records that density before its first round.
-		// proptest.TestCharikarMatchesOracle holds the exact answer.
+		// whole graph is the 0-core. proptest.TestDensestMatchesOracle
+		// holds the exact answer.
 		whole := float64(g.NumEdges()) / 2 / float64(g.NumVertices())
-		if ch.Density < whole-1e-9 {
-			t.Fatalf("%s: charikar %v below whole-graph density %v", name, ch.Density, whole)
+		if res.Density < whole-1e-9 {
+			t.Fatalf("%s: density %v below whole-graph density %v", name, res.Density, whole)
 		}
-		// The peel reads adjacency through a decode buffer on the
+		// The pass reads adjacency through a decode buffer on the
 		// compressed representation and must land on the same subgraph.
-		comp := Charikar(compress.FromCSR(g), Options{})
-		if comp.Density != ch.Density || len(comp.Vertices) != len(ch.Vertices) {
+		comp := Find(compress.FromCSR(g), Options{})
+		if comp.Density != res.Density || len(comp.Vertices) != len(res.Vertices) {
 			t.Errorf("%s: compressed density %v over %d vertices, CSR %v over %d", name,
-				comp.Density, len(comp.Vertices), ch.Density, len(ch.Vertices))
+				comp.Density, len(comp.Vertices), res.Density, len(res.Vertices))
 		}
 	}
 }
 
 func TestEmptyAndTiny(t *testing.T) {
 	empty := graph.FromEdges(0, nil, graph.BuildOptions{Symmetrize: true})
-	if res := Charikar(empty, Options{}); len(res.Vertices) != 0 {
+	if res := Find(empty, Options{}); len(res.Vertices) != 0 {
 		t.Fatal("empty graph")
 	}
 	single := gen.Star(2) // one edge
-	res := Charikar(single, Options{})
+	res := Find(single, Options{})
 	checkResult(t, "single-edge", single, res)
 	if res.Density != 0.5 {
 		t.Fatalf("single edge density %v", res.Density)
@@ -121,16 +122,15 @@ func TestPanicsOnDirected(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Charikar(g, Options{})
+	Find(g, Options{})
 }
 
 // TestPeelsAllocsScaleWithRoundsNotVertices pins the allocation shape
-// of a whole Charikar run at P=1, as
-// kcore.TestCorenessAllocsScaleWithRoundsNotVertices does: a few
-// objects per round — the bucket structure's chunks — and nothing per
-// peeled vertex. Measured on this graph: 5,157 objects over 206
-// rounds. Counting the edges inside a peeled set through a per-vertex
-// callback cost two allocations per vertex, and the run 70,692.
+// of a whole Find run at P=1: the coreness peel's, whose own shape
+// kcore.TestCorenessAllocsScaleWithRoundsNotVertices pins, plus a
+// constant number of objects for the pass over its values — its
+// histogram, decode buffer and vertex set — and none per vertex or per
+// coreness level.
 func TestPeelsAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -141,12 +141,9 @@ func TestPeelsAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	defer parallel.SetProcs(parallel.SetProcs(1))
 
 	g := gen.RMAT(1<<15, 1<<18, true, 3)
-	rounds := Charikar(g, Options{}).Rounds
-	bound := float64(32*rounds + 64)
-	if bound >= float64(g.NumVertices()) {
-		t.Fatalf("%d rounds on n=%d: the bound would not notice a per-vertex allocation", rounds, g.NumVertices())
-	}
-	if allocs := testing.AllocsPerRun(3, func() { Charikar(g, Options{}) }); allocs > bound {
-		t.Errorf("%v allocs over %d rounds (n=%d), want ≤ 32·rounds + 64 = %v", allocs, rounds, g.NumVertices(), bound)
+	peel := testing.AllocsPerRun(3, func() { kcore.Coreness(g, kcore.Options{}) })
+	find := testing.AllocsPerRun(3, func() { Find(g, Options{}) })
+	if find > peel+16 {
+		t.Errorf("Find allocates %v objects, its coreness peel %v: want at most 16 more", find, peel)
 	}
 }

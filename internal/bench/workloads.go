@@ -275,8 +275,8 @@ func Workloads(smoke bool) []Workload {
 
 	// Extensions beyond the paper's four applications.
 	for _, in := range []input{rmat, byName["powerlaw"]} {
-		on("extension", "densest", "charikar", in, in.g, func(g *graph.CSR, rec *obs.Recorder) Result {
-			return densestResult(densest.Charikar(g, densest.Options{Recorder: rec}))
+		on("extension", "densest", "kcore", in, in.g, func(g *graph.CSR, rec *obs.Recorder) Result {
+			return densestResult(densest.Find(g, densest.Options{Recorder: rec}))
 		})
 	}
 	cores := sync.OnceValue(func() []uint32 { return kcore.Coreness(rmat.g(), kcore.Options{}).Coreness })

@@ -294,8 +294,8 @@ func relaxInto(g graph.Graph, ids []graph.Vertex, dist []uint64, buf *graph.AdjB
 }
 
 // Above is an edge map's condition as data: it admits the target v iff
-// D[v] > K. Every peel's liveness test has this form — a vertex's
-// degree against the round's bucket (k-core, Charikar) — so the count
+// D[v] > K. A peel's liveness test has this form — a vertex's degree
+// against the round's bucket (k-core's frontier peel) — so the count
 // loops test an array instead of calling a function per edge. D covers
 // every vertex of the graph.
 type Above struct {

@@ -90,9 +90,13 @@ func TestDegenerateGraphs(t *testing.T) {
 					if err := oracle.VerifyComponents(g, labels); err != nil {
 						t.Errorf("compressed=%t: cc: %v", compressed, err)
 					}
-					// Charikar's peel must at least not crash on degenerate
-					// shapes.
-					densest.Charikar(h, densest.Options{})
+					// The densest k-core's density is its vertices' own,
+					// self-loops and parallel edges counted as Density
+					// counts them.
+					if res := densest.Find(h, densest.Options{}); densest.Density(g, res.Vertices) != res.Density {
+						t.Errorf("compressed=%t: densest: density %v, its %d vertices have %v",
+							compressed, res.Density, len(res.Vertices), densest.Density(g, res.Vertices))
+					}
 				}
 
 				if n > 0 {

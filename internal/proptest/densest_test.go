@@ -8,22 +8,23 @@ import (
 	"julienne/internal/algo/densest"
 	"julienne/internal/gen"
 	"julienne/internal/graph"
+	"julienne/internal/oracle"
 )
 
 // exhaustiveMaxN is the largest graph whose optimum density is found by
 // enumerating every vertex subset.
 const exhaustiveMaxN = 14
 
-// TestCharikarMatchesOracle holds densest.Charikar to a sequential
-// bucket-at-a-time peel on every symmetric family, both representations
-// and P ∈ {1, max}: the same best density (exactly) after the same number
-// of rounds, a vertex set whose recount is that density, and — on the
-// case's graph when it is small and always on the subgraph its first
-// exhaustiveMaxN vertices induce — at least half the optimum found by
-// enumerating every subset.
-func TestCharikarMatchesOracle(t *testing.T) {
+// TestDensestMatchesOracle holds densest.Find to a sequential
+// densest-k-core search over oracle.Coreness on every symmetric family,
+// both representations and P ∈ {1, max}: the same best density
+// (exactly) over a set of the same size, a vertex set whose recount is
+// that density, and — on the case's graph when it is small and always
+// on the subgraph its first exhaustiveMaxN vertices induce — at least
+// half the optimum found by enumerating every subset.
+func TestDensestMatchesOracle(t *testing.T) {
 	Check(t, gen.SymmetricFamilies(), func(c Case, g *graph.CSR) error {
-		if err := checkCharikar(c, g); err != nil {
+		if err := checkDensest(c, g); err != nil {
 			return err
 		}
 		if n := g.NumVertices(); n > exhaustiveMaxN {
@@ -36,7 +37,7 @@ func TestCharikarMatchesOracle(t *testing.T) {
 				}
 			}
 			prefix := graph.FromEdges(exhaustiveMaxN, edges, graph.BuildOptions{Symmetrize: true, Dedup: true})
-			if err := checkCharikar(c, prefix); err != nil {
+			if err := checkDensest(c, prefix); err != nil {
 				return fmt.Errorf("on the first %d vertices: %w", exhaustiveMaxN, err)
 			}
 		}
@@ -44,71 +45,52 @@ func TestCharikarMatchesOracle(t *testing.T) {
 	})
 }
 
-func checkCharikar(c Case, g *graph.CSR) error {
-	res := densest.Charikar(c.Wrap(g), densest.Options{})
-	best, size, steps := peelOracle(g)
-	if res.Density != best || int64(len(res.Vertices)) != size || res.Rounds != steps {
-		return fmt.Errorf("Charikar: density %v over %d vertices in %d rounds, oracle %v over %d in %d",
-			res.Density, len(res.Vertices), res.Rounds, best, size, steps)
+func checkDensest(c Case, g *graph.CSR) error {
+	res := densest.Find(c.Wrap(g), densest.Options{})
+	best, size := densestCoreOracle(g)
+	if res.Density != best || int64(len(res.Vertices)) != size {
+		return fmt.Errorf("densest: density %v over %d vertices, oracle %v over %d",
+			res.Density, len(res.Vertices), best, size)
 	}
 	if got := densest.Density(g, res.Vertices); got != res.Density {
-		return fmt.Errorf("Charikar: reported density %v, its %d vertices have %v", res.Density, len(res.Vertices), got)
+		return fmt.Errorf("densest: reported density %v, its %d vertices have %v", res.Density, len(res.Vertices), got)
 	}
 	if g.NumVertices() <= exhaustiveMaxN {
 		if opt := optimumDensity(g); 2*res.Density < opt {
-			return fmt.Errorf("Charikar: density %v below half the optimum %v", res.Density, opt)
+			return fmt.Errorf("densest: density %v below half the optimum %v", res.Density, opt)
 		}
 	}
 	return nil
 }
 
-// peelOracle is Charikar's peel one bucket at a time: each step sets k
-// to the larger of the last k and the least live degree, removes every
-// live vertex of degree ≤ k, and records the survivors' density. It
-// returns the best density (the whole graph's included), the size of
-// the set that has it, and the number of steps.
-func peelOracle(g *graph.CSR) (best float64, size, steps int64) {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0, 0, 0
+// densestCoreOracle tries every k-core of g in turn, from the whole
+// graph up, counting each one's vertices and edge ends directly, and
+// returns the best density and the size of the first (largest) k-core
+// that has it.
+func densestCoreOracle(g *graph.CSR) (best float64, size int64) {
+	core := oracle.Coreness(g)
+	var kmax uint32
+	for _, c := range core {
+		kmax = max(kmax, c)
 	}
-	deg, live := make([]int, n), make([]bool, n)
-	for v := range deg {
-		deg[v], live[v] = g.OutDegree(graph.Vertex(v)), true
-	}
-	edges, alive := g.NumEdges()/2, int64(n)
-	best, size = float64(edges)/float64(alive), alive
-	k := 0
-	for ; alive > 0; steps++ {
-		least := n
-		for v, d := range deg {
-			if live[v] {
-				least = min(least, d)
+	for k := uint32(0); k <= kmax && len(core) > 0; k++ {
+		var verts, ends int64
+		for v, c := range core {
+			if c < k {
+				continue
 			}
-		}
-		k = max(k, least)
-		var peel []graph.Vertex
-		for v, d := range deg {
-			if live[v] && d <= k {
-				peel = append(peel, graph.Vertex(v))
-			}
-		}
-		// An edge falls with its first endpoint: the second is still
-		// live when the first goes.
-		for _, v := range peel {
-			live[v] = false
-			for _, u := range g.OutEdges(v) {
-				if live[u] {
-					deg[u]--
-					edges--
+			verts++
+			for _, u := range g.OutEdges(graph.Vertex(v)) {
+				if core[u] >= k {
+					ends++
 				}
 			}
 		}
-		if alive -= int64(len(peel)); alive > 0 && float64(edges)/float64(alive) > best {
-			best, size = float64(edges)/float64(alive), alive
+		if d := float64(ends) / 2 / float64(verts); k == 0 || d > best {
+			best, size = d, verts
 		}
 	}
-	return best, size, steps
+	return best, size
 }
 
 // optimumDensity is the densest subgraph's density, by enumerating

@@ -3,7 +3,6 @@ package proptest
 import (
 	"testing"
 
-	"julienne/internal/algo/densest"
 	"julienne/internal/algo/kcore"
 	"julienne/internal/algo/setcover"
 	"julienne/internal/algo/sssp"
@@ -55,15 +54,6 @@ func TestRoundContract(t *testing.T) {
 		{"setcover", 1, false, func(rec *obs.Recorder) (int64, bucket.Stats) {
 			r := setcover.Approx(inst.Graph, inst.Sets, setcover.Options{Recorder: rec})
 			return r.Rounds, r.BucketStats
-		}},
-		{"charikar", 1, false, func(rec *obs.Recorder) (int64, bucket.Stats) {
-			// densest.Result has no BucketStats: the structure's own
-			// counters stand in for them.
-			r := densest.Charikar(g, densest.Options{Recorder: rec})
-			return r.Rounds, bucket.Stats{
-				Extracted: rec.Counter(obs.CtrBucketExtracted.Name()),
-				Moved:     rec.Counter(obs.CtrBucketMoved.Name()),
-			}
 		}},
 	}
 	for _, row := range rows {

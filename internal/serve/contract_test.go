@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -179,6 +181,64 @@ func TestCoalescerFollowerCancelDoesNotPoisonFlight(t *testing.T) {
 	if inflight != 0 {
 		t.Fatalf("%d inflight entries remain after the flight completed, want 0", inflight)
 	}
+}
+
+// TestCorenessFollowerOutlivesLeadersDeadline: a /coreness request
+// that coalesced onto a run its leader's own, shorter deadline canceled
+// still has budget, so it computes coreness as the new leader and
+// answers 200, as a distance query does.
+func TestCorenessFollowerOutlivesLeadersDeadline(t *testing.T) {
+	g := testGraph()
+	s := New(Config{Graph: g, Recorder: obs.NewRecorder(), MaxInFlight: 2})
+	defer s.Close(context.Background())
+	release, leaderDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		s.core.do(context.Background(), struct{}{},
+			func() (kcore.Result, bool) { return kcore.Result{}, false },
+			func() kcore.Result {
+				<-release
+				return kcore.Result{Err: &obs.Canceled{Algo: "kcore", Cause: context.DeadlineExceeded}}
+			},
+			func(kcore.Result) {})
+	}()
+	waitFor(t, "the leader's flight", func() bool {
+		s.core.mu.Lock()
+		defer s.core.mu.Unlock()
+		return len(s.core.inflight) == 1
+	})
+	follower := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/coreness?v=100&timeout_ms=10000", nil))
+		follower <- w
+	}()
+	waitFor(t, "the follower to wait on the flight", func() bool { return waitingOnFlight("corenessValues") })
+	close(release)
+	<-leaderDone
+	w := <-follower
+	var body struct{ Coreness *uint32 }
+	_ = json.Unmarshal(w.Body.Bytes(), &body)
+	want := kcore.Coreness(g, kcore.Options{}).Coreness[100]
+	if w.Code != http.StatusOK || body.Coreness == nil || *body.Coreness != want {
+		t.Errorf("follower of a leader canceled by its own deadline: %d %s, want 200 with coreness %d",
+			w.Code, w.Body, want)
+	}
+}
+
+// waitingOnFlight reports whether a goroutine is blocked in a
+// flightGroup's wait for a flight, called from caller: a follower that
+// will take the flight's value when it lands. Nothing but its stack
+// marks that moment.
+func waitingOnFlight(caller string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, " [select") && strings.Contains(g, ").do(") && strings.Contains(g, caller) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestTypedErrorResponses pins the error→status table (serve.go's

@@ -1,7 +1,8 @@
 // Package serve is the graph analytics service (DESIGN.md §12): it
 // loads one immutable graph and serves concurrent point queries (SSSP,
 // wBFS, coreness lookups) and async analytics jobs (set cover, densest
-// subgraph) over JSON/HTTP, using only the standard library.
+// subgraph as the densest k-core of the same coreness) over JSON/HTTP,
+// using only the standard library.
 //
 // The serving concerns layer onto the existing kernels without
 // touching them:
@@ -370,18 +371,27 @@ func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
 // is reported to its requesters but not kept, so the next request
 // retries.
 func (s *Server) corenessValues(ctx context.Context) ([]uint32, error) {
-	res, _, err := s.core.do(ctx, struct{}{},
-		func() (kcore.Result, bool) {
-			return kcore.Result{Coreness: s.coreness}, s.coreness != nil
-		},
-		func() kcore.Result {
-			return kcore.Coreness(s.g, kcore.Options{Recorder: s.rec, Ctx: ctx})
-		},
-		func(res kcore.Result) {
-			if res.Err == nil {
-				s.coreness = res.Coreness
-			}
-		})
+	share := func() (kcore.Result, bool, error) {
+		return s.core.do(ctx, struct{}{},
+			func() (kcore.Result, bool) {
+				return kcore.Result{Coreness: s.coreness}, s.coreness != nil
+			},
+			func() kcore.Result {
+				return kcore.Coreness(s.g, kcore.Options{Recorder: s.rec, Ctx: ctx})
+			},
+			func(res kcore.Result) {
+				if res.Err == nil {
+					s.coreness = res.Coreness
+				}
+			})
+	}
+	res, shared, err := share()
+	// As for distances, a follower handed a run canceled by the
+	// leader's shorter deadline retries once as the new leader if its
+	// own deadline still has budget.
+	if err == nil && shared && errors.Is(res.Err, obs.ErrCanceled) && ctx.Err() == nil {
+		res, _, err = share()
+	}
 	if err == nil {
 		err = res.Err
 	}
@@ -434,18 +444,20 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if q.Has("eps") {
 			s.failJSON(w, http.StatusBadRequest, "bad_request",
-				"densest subgraph is Charikar's peel, which takes no eps")
+				"the densest subgraph job takes no eps")
 			return
 		}
 		fn = func(ctx context.Context) (any, error) {
-			res := densest.Charikar(s.g, densest.Options{Recorder: s.rec, Ctx: ctx})
-			if res.Err != nil {
-				return nil, res.Err
+			// The densest k-core, over the coreness memo /coreness
+			// shares.
+			coreness, err := s.corenessValues(ctx)
+			if err != nil {
+				return nil, err
 			}
+			res := densest.FromCoreness(s.g, coreness)
 			return map[string]any{
 				"density": res.Density,
 				"size":    len(res.Vertices),
-				"rounds":  res.Rounds,
 			}, nil
 		}
 	default:

@@ -151,7 +151,7 @@ func TestBadRequestsAreTyped(t *testing.T) {
 	}
 	// ε is an approximation parameter: NaN or ±Inf leaves the job with
 	// no guarantee, so it is refused like a negative one. The densest
-	// job is Charikar's peel, which has no ε, so it refuses any.
+	// job (the densest k-core) has no ε, so it refuses any.
 	for _, q := range []string{
 		"/jobs/setcover?eps=NaN",
 		"/jobs/setcover?eps=-1",
