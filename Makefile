@@ -58,7 +58,7 @@ race:
 # assertions into the bucket structure and Ligra layer and poisons
 # every bucket-arena slice the moment its lifetime ends, then runs the
 # assertion-sensitive suites under it — including the round driver
-# bucket.Loop (fused and unfused) and every round body that consumes
+# bucket.Loop and every round body that consumes
 # its bucket's slice (kcore, ∆-stepping, both set covers),
 # so a stale read anywhere indexes out of range.
 debug:
@@ -100,15 +100,14 @@ bench:
 	$(GO) run ./cmd/bench -dir $(BENCH_OUT)
 
 # bench-smoke is the CI-sized run: small inputs, reports under
-# bench-out/, gated on counters and never on wall time — the fusion
-# ablation (fused road-graph rows extract fewer bucket rounds, wbfs at
-# least 3x fewer) and the fork budget (wbfs on the road graph at P>1
-# forks in only a small fraction of its rounds).
+# bench-out/, gated on counters and never on wall time — the fork
+# budget (wbfs on the road graph at P>1 forks in only a small fraction
+# of its rounds).
 bench-smoke:
 	$(GO) run ./cmd/bench -smoke -dir bench-out -check
 
 # bench-check is the nightly gate: a full-budget run into bench-out/,
-# held to the same two rules and compared with the committed root
+# held to the same fork-budget rule and compared with the committed root
 # reports — at P=1 every n, m, rounds, obs counter and answer counter
 # exactly, allocs_per_op within tolerance. A PR that changes rounds,
 # counters or allocations without regenerating the files fails here.

@@ -105,9 +105,8 @@ type BucketDest = bucket.Dest
 const NoBucketDest = bucket.None
 
 // Buckets is the bucketing interface (§3.1): NextBucket, GetBucket,
-// UpdateBuckets, Stats — plus bucket fusion (NextBucketFused and
-// DrainLazy, DESIGN.md §11) for monotone-priority algorithms; peeling
-// algorithms that need exact bucket order call only NextBucket.
+// UpdateBuckets, Stats. Every NextBucket call extracts exactly one
+// bucket.
 type Buckets = bucket.Structure
 
 // BucketOptions configures the parallel bucket structure (open-range
@@ -203,7 +202,7 @@ func KCoreWithOptions(g Graph, opt KCoreOptions) KCoreResult {
 func KCoreBZ(g Graph) []uint32 { return kcore.CorenessBZ(g) }
 
 // SSSPOptions configures the bucketed SSSP entry points (bucket tuning,
-// the Fusion switch, an optional Recorder and cancellation context).
+// an optional Recorder and cancellation context).
 type SSSPOptions = sssp.Options
 
 // SSSPResult carries distances and measurements; Dist[v] is

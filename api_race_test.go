@@ -1,6 +1,7 @@
 package julienne
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"slices"
@@ -105,29 +106,32 @@ func TestConcurrentSharedGraphQueries(t *testing.T) {
 
 // TestKernelsIdenticalAcrossProcs pins what the scheduling core and the
 // work-keyed cut-off may not change: at GOMAXPROCS 1, 2 and 4 — inline,
-// one helper, several — the three benchmarked kernels, and wBFS and
-// ∆-stepping fused, return identical answers, and unfused wBFS, whose
-// rounds are set by the bucket semantics alone, also identical round
-// counts and bucket traffic. (∆-stepping with ∆ > 1 relaxes within a
-// bucket in schedule order, so its round count may differ by a few
-// between P=1 and P>1, fused or not.) k-core's workers peel each
-// level to its end in their own queues, so at every P it takes exactly
-// one round per distinct coreness value (ρ, the Ligra baseline's
-// rounds, is larger).
+// one helper, several — the three benchmarked kernels return identical
+// answers, and wBFS, whose rounds are set by the bucket semantics
+// alone, also identical round counts and bucket traffic. (∆-stepping
+// with ∆ > 1 relaxes within a bucket in schedule order, so its round
+// count may differ by a few between P=1 and P>1; ssspBounds holds it,
+// and wBFS, to the bounds the bucket semantics set, at every P and
+// also on a road-like grid.) k-core's workers peel each level to its
+// end in their own queues, so at every P it takes exactly one round
+// per distinct coreness value (ρ, the Ligra baseline's rounds, is
+// larger).
 func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	n, m := 1<<14, 1<<18
+	n, m, side := 1<<14, 1<<18, 128
 	if testing.Short() {
-		n, m = 1<<12, 1<<16
+		n, m, side = 1<<12, 1<<16, 64
 	}
 	g := RMAT(n, m, true, 2017)
 	heavy := HeavyWeights(g, 2018)
 	light := LogWeights(g, 2019) // wBFS frontiers on both sides of the cut-off
+	grid := Grid2D(side, side)   // high diameter: tiny frontiers, many rounds
+	gridLight, gridHeavy := LogWeights(grid, 2020), HeavyWeights(grid, 2021)
 
 	type outcome struct {
 		core                   []uint32
 		wbfs, delta            []int64
-		fusedWBFS, fusedDelta  []int64
+		gridWBFS, gridDelta    []int64
 		coreRounds, wbfsRounds int64
 		wbfsStats              BucketStats
 	}
@@ -136,9 +140,18 @@ func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 		k := KCoreWithOptions(g, KCoreOptions{})
 		w := WBFSWithOptions(light, 0, SSSPOptions{})
 		d := DeltaSteppingWithOptions(heavy, 0, 32768, SSSPOptions{})
-		fw := WBFSWithOptions(light, 0, SSSPOptions{Fusion: true})
-		fd := DeltaSteppingWithOptions(heavy, 0, 32768, SSSPOptions{Fusion: true})
-		return outcome{k.Coreness, w.Dist, d.Dist, fw.Dist, fd.Dist, k.Rounds, w.Rounds, w.BucketStats}
+		gw := WBFSWithOptions(gridLight, 0, SSSPOptions{})
+		gd := DeltaSteppingWithOptions(gridHeavy, 0, 32768, SSSPOptions{})
+		for _, r := range []struct {
+			name  string
+			res   SSSPResult
+			delta int64
+		}{{"wBFS", w, 1}, {"∆-stepping", d, 32768}, {"grid wBFS", gw, 1}, {"grid ∆-stepping", gd, 32768}} {
+			if err := ssspBounds(r.res, r.delta); err != "" {
+				t.Errorf("P=%d: %s %s", p, r.name, err)
+			}
+		}
+		return outcome{k.Coreness, w.Dist, d.Dist, gw.Dist, gd.Dist, k.Rounds, w.Rounds, w.BucketStats}
 	}
 	want := at(1)
 	distinct := map[uint32]bool{}
@@ -154,8 +167,8 @@ func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 		if !slices.Equal(got.core, want.core) || !slices.Equal(got.wbfs, want.wbfs) || !slices.Equal(got.delta, want.delta) {
 			t.Errorf("P=%d: kernel outputs differ from P=1", p)
 		}
-		if !slices.Equal(got.fusedWBFS, want.fusedWBFS) || !slices.Equal(got.fusedDelta, want.fusedDelta) {
-			t.Errorf("P=%d: fused SSSP distances differ from P=1", p)
+		if !slices.Equal(got.gridWBFS, want.gridWBFS) || !slices.Equal(got.gridDelta, want.gridDelta) {
+			t.Errorf("P=%d: grid SSSP distances differ from P=1", p)
 		}
 		if got.coreRounds != levels {
 			t.Errorf("P=%d: k-core ran %d rounds, want one per distinct coreness value, %d", p, got.coreRounds, levels)
@@ -165,4 +178,29 @@ func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 				p, got.wbfsRounds, got.wbfsStats, want.wbfsRounds, want.wbfsStats)
 		}
 	}
+}
+
+// ssspBounds checks the counts a bucketed SSSP run reports against what
+// its answer implies, at any P: every round extracts exactly one bucket,
+// every bucket ⌊d/∆⌋ that holds a reached vertex is extracted at least
+// once, and every reached vertex but the source was relaxed at least
+// once. It returns "" or what failed.
+func ssspBounds(r SSSPResult, delta int64) string {
+	buckets := map[int64]bool{}
+	var reached int64
+	for _, d := range r.Dist {
+		if d != UnreachableDist {
+			reached++
+			buckets[d/delta] = true
+		}
+	}
+	switch {
+	case r.Rounds != r.BucketStats.BucketsReturned:
+		return fmt.Sprintf("ran %d rounds over %d extracted buckets, want one bucket per round", r.Rounds, r.BucketStats.BucketsReturned)
+	case r.Rounds < int64(len(buckets)):
+		return fmt.Sprintf("ran %d rounds, fewer than the %d distinct buckets its distances occupy", r.Rounds, len(buckets))
+	case r.Relaxations < reached-1:
+		return fmt.Sprintf("made %d relaxations, fewer than the %d reached vertices other than the source", r.Relaxations, reached-1)
+	}
+	return ""
 }

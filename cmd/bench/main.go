@@ -16,10 +16,9 @@
 // ablation|extension|bucket from the report files, which is how
 // EXPERIMENTS.md is regenerated from what is committed.
 //
-// -check gates the fresh run on counters, never on wall time: the
-// fusion ablation (fused road-graph rows extract fewer bucket rounds,
-// wbfs at least 3x fewer) and the fork budget (wbfs on the road graph
-// forks in at most 5 % of its rounds at procs > 1), and, when a
+// -check gates the fresh run on counters, never on wall time: the fork
+// budget (wbfs on the road graph forks in at most 5 % of its rounds at
+// procs > 1), and, when a
 // directory c is given, the fresh run against c/BENCH_*.json — at
 // procs = 1 every n, m, rounds, obs counter and answer counter exactly
 // and allocs_per_op within tolerance. A check never overwrites the
@@ -40,7 +39,7 @@ func main() {
 	smoke := flag.Bool("smoke", false, "CI-sized inputs")
 	dir := flag.String("dir", ".", "directory of BENCH_bucket.json and BENCH_algos.json: written by a run, read by -print")
 	artifact := flag.String("print", "", "render one artifact from the reports in -dir without measuring: "+strings.Join(bench.Artifacts(), "|"))
-	check := flag.Bool("check", false, "gate the fresh run on the fusion and fork-budget rules and, given a directory argument, on the reports committed there (counters and allocations, never wall time)")
+	check := flag.Bool("check", false, "gate the fresh run on the fork-budget rule and, given a directory argument, on the reports committed there (counters and allocations, never wall time)")
 	flag.Parse()
 
 	if *artifact != "" {
@@ -70,8 +69,6 @@ func main() {
 	if !*check {
 		return
 	}
-	exitOn(bench.CheckFusionAblation(algosRep))
-	fmt.Println("fusion ablation: fused road-graph entries extract fewer bucket rounds than unfused (wbfs >= 3x)")
 	forks, err := bench.CheckForkBudget(algosRep)
 	exitOn(err)
 	fmt.Printf("fork budget: %d wbfs/road entries at procs > 1 fork in at most a small fraction of their rounds\n", forks)

@@ -4,7 +4,6 @@
 //
 //	julienne kcore    [-impl julienne|ligra|bz] [-hist K] [-k K]
 //	julienne sssp     [-impl delta|wbfs|gap-bins|bellman-ford|dijkstra] [-src V] [-delta D]
-//	                  [-fuse]
 //	julienne setcover [-impl julienne|pbbs|greedy] [-sets S] [-elements E] [-cover C]
 //	                  [-epsilon 0.01] [-file F] [-seed N]
 //	julienne densest  [-impl kcore]
@@ -250,11 +249,7 @@ func kcoreCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 func ssspCmd(fs *flag.FlagSet, gf *cli.GraphFlags) func(*runner) error {
 	src := fs.Uint("src", 0, "source vertex")
 	delta := fs.Int64("delta", 32768, "delta parameter (delta and gap-bins only)")
-	fuse := fs.Bool("fuse", false, "bucket fusion: drain every non-empty bucket of the open range in one round (wbfs and delta only)")
 	return func(r *runner) error {
-		if *fuse && r.impl != "wbfs" && r.impl != "delta" {
-			return badInput{fmt.Errorf("-impl %s cannot fuse buckets, so it cannot honour -fuse", r.impl)}
-		}
 		if isSet(fs, "delta") && r.impl != "delta" && r.impl != "gap-bins" {
 			return badInput{fmt.Errorf("-impl %s has no delta parameter, so it cannot honour -delta", r.impl)}
 		}
@@ -269,7 +264,7 @@ func ssspCmd(fs *flag.FlagSet, gf *cli.GraphFlags) func(*runner) error {
 		s := graph.Vertex(*src)
 		var res sssp.Result
 		elapsed, err := r.kernel(func(ctx context.Context) error {
-			opt := sssp.Options{Recorder: r.rec, Ctx: ctx, Fusion: *fuse}
+			opt := sssp.Options{Recorder: r.rec, Ctx: ctx}
 			switch r.impl {
 			case "wbfs":
 				res = sssp.WBFS(g, s, opt)

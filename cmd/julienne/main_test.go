@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -67,37 +66,6 @@ func TestEveryImplAnswers(t *testing.T) {
 	}
 }
 
-// TestFuseKeepsDistances: -fuse on either bucketed impl prints the
-// unfused run's distance summary in fewer rounds.
-func TestFuseKeepsDistances(t *testing.T) {
-	grid := []string{"-gen", "grid", "-rows", "64", "-cols", "64"}
-	summary := func(args []string) (rounds int, reached string) {
-		t.Helper()
-		code, out, errOut := runArgs(args...)
-		lines := strings.Split(strings.TrimSpace(out), "\n")
-		if code != 0 || len(lines) < 2 {
-			t.Fatalf("%v: exit %d\nstdout:\n%s\nstderr:\n%s", args, code, out, errOut)
-		}
-		for _, f := range strings.Fields(lines[len(lines)-2]) {
-			if v, ok := strings.CutPrefix(f, "rounds="); ok {
-				rounds, _ = strconv.Atoi(v)
-			}
-		}
-		return rounds, lines[len(lines)-1]
-	}
-	for _, impl := range [][]string{{"wbfs"}, {"delta", "-delta", "4"}} {
-		base := with(append([]string{"sssp", "-impl"}, impl...), grid...)
-		rounds, want := summary(base)
-		fusedRounds, got := summary(with(base, "-fuse"))
-		if got != want || !strings.HasPrefix(got, "reached=4096/4096 ") {
-			t.Errorf("%s -fuse printed %q, unfused %q", impl[0], got, want)
-		}
-		if fusedRounds <= 0 || fusedRounds >= rounds {
-			t.Errorf("%s -fuse ran %d rounds, unfused %d; want fewer", impl[0], fusedRounds, rounds)
-		}
-	}
-}
-
 // TestTimeoutIsPartial: an expired -timeout stops every cancellable
 // impl with exit 3 and a PARTIAL line; with -stats the flight tail goes
 // to stderr.
@@ -148,10 +116,6 @@ func TestErrorExitCodes(t *testing.T) {
 		{[]string{"sssp", "-impl", "dijkstra", "-timeout", "1s"}, 2, "-impl dijkstra"},
 		{[]string{"setcover", "-impl", "pbbs", "-timeout", "1s"}, 2, "-impl pbbs"},
 		{[]string{"setcover", "-impl", "greedy", "-timeout", "1s"}, 2, "-impl greedy"},
-		{[]string{"sssp", "-impl", "gap-bins", "-fuse"}, 2, "-fuse"},
-		{[]string{"sssp", "-impl", "bellman-ford", "-fuse"}, 2, "-fuse"},
-		{[]string{"sssp", "-impl", "dijkstra", "-fuse"}, 2, "-fuse"},
-		{[]string{"sssp", "-fuse=-1"}, 2, "-fuse"},
 		{[]string{"sssp", "-impl", "wbfs", "-delta", "4"}, 2, "cannot honour -delta"},
 		{[]string{"sssp", "-impl", "bellman-ford", "-delta", "4"}, 2, "cannot honour -delta"},
 		{[]string{"sssp", "-impl", "dijkstra", "-delta", "32768"}, 2, "cannot honour -delta"},

@@ -10,7 +10,7 @@
 //
 // Endpoints (see GET / for the index):
 //
-//	GET  /sssp?src=N[&delta=D][&fusion=1][&target=M][&timeout_ms=T]
+//	GET  /sssp?src=N[&delta=D][&target=M][&timeout_ms=T]
 //	GET  /wbfs?src=N            point shortest paths (coalesced, cached)
 //	GET  /coreness?v=N          coreness lookup (computed once, cached)
 //	POST /jobs/setcover         async jobs with GET /jobs/{id} polling

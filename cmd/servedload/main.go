@@ -7,7 +7,7 @@
 // Usage:
 //
 //	servedload -addr 127.0.0.1:8090 [-duration 5s] [-conc 8]
-//	           [-mix sssp,wbfs,wbfs-fused,coreness] [-sources 64] [-seed 2017]
+//	           [-mix sssp,wbfs,coreness] [-sources 64] [-seed 2017]
 //	           [-jobs] [-out report.json]
 //
 // Sources are drawn from a bounded pool so the server's coalescing and
@@ -44,10 +44,9 @@ type endpointStats struct {
 
 // queries maps each -mix endpoint to its query path, given a vertex.
 var queries = map[string]string{
-	"sssp":       "/sssp?src=%d",
-	"wbfs":       "/wbfs?src=%d",
-	"wbfs-fused": "/wbfs?src=%d&fusion=1",
-	"coreness":   "/coreness?v=%d",
+	"sssp":     "/sssp?src=%d",
+	"wbfs":     "/wbfs?src=%d",
+	"coreness": "/coreness?v=%d",
 }
 
 type report struct {

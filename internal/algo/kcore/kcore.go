@@ -53,12 +53,6 @@ type Options struct {
 	// had not peeled back to the bucket structure, and Result.Err
 	// reports a *obs.Canceled with partial progress. Nil costs nothing.
 	Ctx context.Context
-
-	// There is deliberately no bucket-fusion knob here (compare
-	// sssp.Options.Fusion): peeling must process buckets in exact order
-	// because removing a vertex can move its neighbors *down* into the
-	// bucket currently being peeled — fusing rounds would peel vertices
-	// against stale induced degrees and change the computed coreness.
 }
 
 // Result carries the coreness values along with the measurements the
@@ -133,7 +127,7 @@ func Coreness(g graph.Graph, opt Options) Result {
 	dbg.init(n)
 
 	finished := 0
-	res.Rounds, res.Err = lp.Run(b, func(k, _ bucket.ID, ids []uint32) (int64, bool) {
+	res.Rounds, res.Err = lp.Run(b, func(k bucket.ID, ids []uint32) (int64, bool) {
 		// All vertices in the bucket have coreness k (their D values
 		// already equal k by the bucket-liveness invariant). Each worker
 		// peels a share of them and then, in its own queue, every

@@ -63,8 +63,8 @@ func ApproxOn(work graph.Packer, numSets int, opt Options) Result {
 	feed := func(j int) (uint32, bucket.Dest) { return rebucket.IDs[j], rebucket.Vals[j] }
 
 	res := Result{InCover: m.inCover}
-	res.Rounds, res.Err = lp.Run(b, func(first, _ bucket.ID, sets []uint32) (int64, bool) {
-		bkt = first
+	res.Rounds, res.Err = lp.Run(b, func(id bucket.ID, sets []uint32) (int64, bool) {
+		bkt = id
 		res.SetsInspected += int64(len(sets))
 		frontier := ligra.FromSparse(n, sets)
 		m.setBucket(eps, int64(bkt))

@@ -59,13 +59,6 @@ type Options struct {
 	// it is done the run stops and Result.Err reports a *obs.Canceled
 	// with partial progress. Nil keeps today's zero-overhead behavior.
 	Ctx context.Context
-
-	// There is deliberately no bucket-fusion knob here (compare
-	// sssp.Options.Fusion): the greedy guarantee depends on processing
-	// degree buckets in exact decreasing order, and sets not chosen by
-	// a MaNIS step rebucket *downward* — fusing rounds would let a set
-	// win with fewer uncovered elements than the bucket it was drained
-	// from claims, voiding the (1+ε)·H_n approximation bound.
 }
 
 func (o Options) epsilon() float64 {

@@ -23,23 +23,9 @@ type Options struct {
 	// done the run stops and Result.Err reports a *obs.Canceled with
 	// partial progress. Nil keeps today's zero-overhead behavior.
 	Ctx context.Context
-	// Fusion enables fused bucket extraction (bucket.Loop, DESIGN.md
-	// §11): every non-empty bucket up to the end of the open range
-	// drains into one frontier, and vertices relaxed back into the
-	// fused span are processed in the same round via the lazy buffer
-	// instead of round-tripping through bucket storage. This is safe
-	// for the algorithms in this package because their priorities are
-	// monotone — with non-negative weights a relaxation never lands
-	// behind the bucket that produced it — and it pays off on
-	// large-diameter inputs where per-round synchronization dominates.
-	// False reproduces the classic loop exactly. kcore and setcover
-	// expose no such switch on purpose: peeling moves identifiers in
-	// both directions relative to the traversal, so fusing their rounds
-	// would change the computed cores/covers.
-	Fusion bool
 }
 
-// waves is the state DeltaStepping shares with its per-segment body.
+// waves is the state DeltaStepping shares with its round body.
 type waves struct {
 	relaxations int64
 	edges       int64
@@ -85,10 +71,6 @@ func (w *waves) bktOf(dist uint64) bucket.ID {
 // [i∆, (i+1)∆). Unreached vertices are outside the structure (their D
 // is Nil) and enter it on first relaxation, so the work is proportional
 // to edges relaxed, not to n per round. WBFS is its ∆ = 1 call.
-//
-// With opt.Fusion set, bucket.Loop extracts fused bucket ranges
-// [id, last] and hands the vertices relaxed back into a range to the
-// same segment body as further segments of the wave (DESIGN.md §11).
 func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Result {
 	checkInput(g, src)
 	if delta <= 0 {
@@ -99,11 +81,11 @@ func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Re
 	w.setDelta(delta)
 	parallel.For(n, parallel.DefaultGrain, func(i int) { w.sp[i] = inf })
 	w.sp[src] = 0
-	lp := bucket.Loop{Algo: "sssp", Recorder: opt.Recorder, Ctx: opt.Ctx, Fusion: opt.Fusion}
+	lp := bucket.Loop{Algo: "sssp", Recorder: opt.Recorder, Ctx: opt.Ctx}
 	w.b = lp.New(n, func(i uint32) bucket.ID { return w.bktOf(w.sp[i] &^ ligra.RoundFlag) },
 		bucket.Increasing, opt.Buckets)
 	var res Result
-	res.Rounds, res.Err = lp.Run(w.b, deltaSegment(w))
+	res.Rounds, res.Err = lp.Run(w.b, deltaRound(w))
 	res.Relaxations = w.relaxations
 	res.EdgesTraversed = w.edges
 	res.BucketStats = w.b.Stats()
@@ -111,17 +93,16 @@ func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Re
 	return res
 }
 
-// deltaSegment builds Algorithm 2's round over the initialized run:
-// one segment is one relaxation round over the frontier ids drawn from
-// the bucket range [id, last], rebucketing what moved. ids aliases the
-// bucket structure's arena: valid only until the body's next call into
-// the structure.
-func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) (int64, bool) {
+// deltaRound builds Algorithm 2's round over the initialized run: one
+// relaxation round over the frontier ids drawn from bucket id,
+// rebucketing what moved. ids aliases the bucket structure's arena:
+// valid only until the body's next call into the structure.
+func deltaRound(w *waves) func(id bucket.ID, ids []uint32) (int64, bool) {
 	g, sp, b := w.g, w.sp, w.b
-	// The segment's closures and the two destinations they fill are
-	// built once per run; a segment reads its bucket range from id and
-	// last and allocates nothing (the bucket structure's chunks aside).
-	var id, last bucket.ID
+	// The round's closures and the two destinations they fill are built
+	// once per run; a round reads its bucket from id and allocates
+	// nothing (the bucket structure's chunks aside).
+	var id bucket.ID
 	var moved ligra.Tagged[uint64]
 	var rebucket ligra.Tagged[bucket.Dest]
 	// Reset (lines 11–13): clear the round flag and compute each
@@ -131,21 +112,20 @@ func deltaSegment(w *waves) func(id, last bucket.ID, ids []uint32) (int64, bool)
 		newDist := sp[v] &^ ligra.RoundFlag
 		sp[v] = newDist
 		prevB, newB := w.bktOf(oldDist), w.bktOf(newDist)
-		if newB == prevB && newB >= id && newB <= last {
-			// v sat in the current bucket range and was improved to a
+		if newB == prevB && newB == id {
+			// v sat in the current bucket and was improved to a
 			// distance still inside it. The extraction consumed its
 			// physical copy, so "no logical move" must still reinsert
 			// it (the light-edge iteration of ∆-stepping); prev = Nil
-			// states the physical truth. Under fusion the structure
-			// routes this to the lazy buffer for the next segment.
+			// states the physical truth.
 			prevB = bucket.Nil
 		}
 		dest := b.GetBucket(prevB, newB)
 		return dest, dest != bucket.None
 	}
 	feed := func(j int) (uint32, bucket.Dest) { return rebucket.IDs[j], rebucket.Vals[j] }
-	return func(segID, segLast bucket.ID, ids []uint32) (int64, bool) {
-		id, last = segID, segLast
+	return func(roundID bucket.ID, ids []uint32) (int64, bool) {
+		id = roundID
 		frontier := ligra.Frontier(g, ids)
 		edges := frontier.OutDegreeSum(g)
 		w.edges += edges

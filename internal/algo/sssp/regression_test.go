@@ -22,29 +22,26 @@ func hugeWeightPath(t *testing.T) *graph.CSR {
 
 // A bucket id computed as bucket.ID(dist/delta) with no range check
 // silently wraps modulo 2³² for distances at or above 2³²·∆ and
-// corrupts the traversal order. The guard lives once, in the wave
-// driver every bucketed entry point runs on; each must trip it, with
-// and without fusion.
+// corrupts the traversal order. The guard lives once, in the round
+// body every bucketed entry point runs on; each must trip it.
 func TestBucketOverflowGuard(t *testing.T) {
 	g := hugeWeightPath(t)
-	entries := map[string]func(Options){
-		"DeltaStepping": func(o Options) { DeltaStepping(g, 0, 1, o) },
-		"WBFS":          func(o Options) { WBFS(g, 0, o) },
+	entries := map[string]func(){
+		"DeltaStepping": func() { DeltaStepping(g, 0, 1, Options{}) },
+		"WBFS":          func() { WBFS(g, 0, Options{}) },
 	}
 	for name, run := range entries {
-		for _, opt := range []Options{{}, {Fusion: true}} {
-			t.Run(fmt.Sprintf("%s/fused=%t", name, opt.Fusion), func(t *testing.T) {
-				defer func() {
-					// The guard fires inside a parallel worker, so it may
-					// arrive wrapped in a *parallel.PanicError.
-					msg := fmt.Sprint(recover())
-					if !strings.Contains(msg, "exceeds the bucket id space") {
-						t.Fatalf("%s(delta=1) on >32-bit distances: want the bucket-id overflow panic, got %q", name, msg)
-					}
-				}()
-				run(opt)
-			})
-		}
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				// The guard fires inside a parallel worker, so it may
+				// arrive wrapped in a *parallel.PanicError.
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "exceeds the bucket id space") {
+					t.Fatalf("%s(delta=1) on >32-bit distances: want the bucket-id overflow panic, got %q", name, msg)
+				}
+			}()
+			run()
+		})
 	}
 }
 

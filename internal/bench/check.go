@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"julienne/internal/obs"
 )
 
 // Check compares a fresh report with a committed one of the same kind
@@ -18,8 +16,8 @@ import (
 //   - within allocSlack objects + allocTolerance: allocs_per_op at
 //     procs = 1 (a GC cycle inside the samples empties a pool);
 //   - nothing at procs > 1, where scheduling moves relaxation counts and
-//     round counts by a few; those rows are held to CheckFusionAblation
-//     and CheckForkBudget instead.
+//     round counts by a few; those rows are held to CheckForkBudget
+//     instead.
 //
 // The error names every entry and field that differs.
 func Check(fresh, committed *Report) error {
@@ -85,55 +83,6 @@ func sortedKeys[V any](a, b map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// unfusedOf maps each row of the fusion ablation (DESIGN.md §11) to the
-// unfused table3 row it is read against.
-var unfusedOf = map[string]string{
-	"ablation/wbfs/fused/road":  "table3/wbfs/julienne/road",
-	"ablation/delta/fused/road": "table3/delta/julienne/road",
-}
-
-// CheckFusionAblation verifies the fusion ablation's claim inside an
-// algos report: every fused road-graph entry must have extracted
-// strictly fewer bucket rounds than its unfused counterpart at the
-// same procs point, and the wbfs pair — the road-like configuration
-// fusion exists for — must show at least 3x fewer. Rounds are read
-// from the obs bucket.buckets_returned counter of the instrumented
-// run, never from wall time, so the gate is immune to machine noise.
-func CheckFusionAblation(rep *Report) error {
-	returned := map[string]int64{}
-	for i := range rep.Results {
-		e := &rep.Results[i]
-		returned[at(e.Key(), e.Procs)] = e.Counters[obs.CtrBucketReturned.Name()]
-	}
-	checked := 0
-	for i := range rep.Results {
-		e := &rep.Results[i]
-		plain, isFused := unfusedOf[e.Key()]
-		if !isFused {
-			continue
-		}
-		fused := returned[at(e.Key(), e.Procs)]
-		unfused, ok := returned[at(plain, e.Procs)]
-		if !ok {
-			return fmt.Errorf("fusion ablation: %s (procs=%d) has no unfused %s entry to compare against", e.Key(), e.Procs, plain)
-		}
-		if fused <= 0 || unfused <= 0 {
-			return fmt.Errorf("fusion ablation: %s vs %s (procs=%d): bucket.buckets_returned %d vs %d — counter missing from the instrumented run", e.Key(), plain, e.Procs, fused, unfused)
-		}
-		if fused >= unfused {
-			return fmt.Errorf("fusion ablation: %s extracted %d bucket rounds at procs=%d, not fewer than unfused %s's %d", e.Key(), fused, e.Procs, plain, unfused)
-		}
-		if e.App == "wbfs" && 3*fused > unfused {
-			return fmt.Errorf("fusion ablation: %s extracted %d bucket rounds at procs=%d vs unfused %d; want at least 3x fewer on the road-like graph", e.Key(), fused, e.Procs, unfused)
-		}
-		checked++
-	}
-	if checked == 0 {
-		return errors.New("fusion ablation: report contains no fused road-graph entries")
-	}
-	return nil
 }
 
 // maxRoadForksPerRound is the fork budget CheckForkBudget holds wbfs on

@@ -295,9 +295,8 @@ func scalingFigure(title, app string, impls ...string) func(*view) {
 }
 
 // ablation prints the design choices the paper calls out that are
-// still code: §3.3's open-range size nB, Ligra+ compression (§1), and
-// bucket fusion (DESIGN.md §11). The nB = 128, CSR and unfused rows are
-// table3's.
+// still code: §3.3's open-range size nB and Ligra+ compression (§1).
+// The nB = 128 and CSR rows are table3's.
 func (v *view) ablation() {
 	p := v.maxProcs()
 	tp := fmt.Sprintf("T(%d)", p)
@@ -325,15 +324,4 @@ func (v *view) ablation() {
 			fast(v.at(csr, 1)), fast(e), fast(v.at(csr, p)), fast(v.at(w, p)))
 	}
 	v.table("Ablation: CSR vs. Ligra+-style compressed traversal", t)
-
-	t = harness.NewTable("app", "threads", "rounds unfused", "rounds fused", "unfused/fused", "time unfused", "time fused")
-	for _, w := range v.sel("ablation", "", "fused", "") {
-		plain := Workload{Artifact: "table3", App: w.App, Impl: "julienne", Graph: w.Graph}
-		for _, p := range v.procs {
-			u, f := v.at(plain, p), v.at(w, p)
-			t.AddRow(w.App, p, counter(u, obs.CtrBucketReturned), counter(f, obs.CtrBucketReturned),
-				ratio(u, f, func(e *Entry) int64 { return e.Counters[obs.CtrBucketReturned.Name()] }), fast(u), fast(f))
-		}
-	}
-	v.table("Ablation: bucket fusion on the road graph (bucket rounds extracted)", t)
 }

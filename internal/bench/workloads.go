@@ -245,8 +245,8 @@ func Workloads(smoke bool) []Workload {
 		return Result{N: bn, Rounds: par.Stats().BucketsReturned}
 	})
 
-	// Ablations. The nB = 128, CSR and unfused rows are the table3
-	// julienne rows on the same inputs, not second runs.
+	// Ablations. The nB = 128 and CSR rows are the table3 julienne
+	// rows on the same inputs, not second runs.
 	rmat, road := byName["rmat"], byName["road"]
 	for _, nb := range []int{16, 1024, 1 << 20} {
 		on("ablation", "kcore", fmt.Sprintf("nB%d", nb), rmat, rmat.g, func(g *graph.CSR, rec *obs.Recorder) Result {
@@ -266,12 +266,6 @@ func Workloads(smoke bool) []Workload {
 			return r
 		})
 	}
-	on("ablation", "wbfs", "fused", road, road.wlog, func(g *graph.CSR, rec *obs.Recorder) Result {
-		return ssspResult(sssp.WBFS(g, 0, sssp.Options{Recorder: rec, Fusion: true}))
-	})
-	on("ablation", "delta", "fused", road, road.wheavy, func(g *graph.CSR, rec *obs.Recorder) Result {
-		return ssspResult(sssp.DeltaStepping(g, 0, delta, sssp.Options{Recorder: rec, Fusion: true}))
-	})
 
 	// Extensions beyond the paper's four applications.
 	for _, in := range []input{rmat, byName["powerlaw"]} {

@@ -84,61 +84,3 @@ func TestPeelRoundZeroAlloc(t *testing.T) {
 		t.Fatalf("peel round allocates %v allocs/op in steady state, want 0", avg)
 	}
 }
-
-// TestFusedRoundZeroAlloc extends the zero-alloc pin to the fused
-// protocol: a steady-state round of NextBucketFused, an in-span
-// reinsertion of the whole frontier (which routes through the lazy
-// slot), DrainLazy, and an out-of-span advance that settles the span
-// must not allocate. This covers the fused-only machinery the peel
-// round never touches: the span bookkeeping, the lazy slot's chunk
-// recycling, and the drain's arena compaction.
-func TestFusedRoundZeroAlloc(t *testing.T) {
-	if parallel.RaceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	if DebugEnabled {
-		t.Skip("julienne_debug shadow bookkeeping allocates by design")
-	}
-	old := parallel.SetProcs(1)
-	defer parallel.SetProcs(old)
-
-	const n = 2048
-	d := make([]ID, n)
-	b := New(n, func(i uint32) ID { return d[i] }, Increasing, Options{OpenBuckets: 512})
-
-	var curIDs []uint32
-	var cur ID
-	reinsert := func(j int) (uint32, Dest) {
-		// Same-bucket reinsertion: next lands inside the active span,
-		// so the destination is the lazy slot.
-		return curIDs[j], b.GetBucket(cur, cur)
-	}
-	advance := func(j int) (uint32, Dest) {
-		return curIDs[j], b.GetBucket(cur, cur+1)
-	}
-	round := func() {
-		first, last, ids := b.NextBucketFused()
-		if first == Nil || first != last {
-			t.Fatalf("fused run [%d, %d], want a single open bucket", first, last)
-		}
-		cur, curIDs = first, ids
-		b.UpdateBuckets(len(ids), reinsert)
-		curIDs = b.DrainLazy()
-		if len(curIDs) != n {
-			t.Fatalf("drained %d identifiers, want the full frontier of %d", len(curIDs), n)
-		}
-		for _, v := range curIDs {
-			d[v] = cur + 1
-		}
-		b.UpdateBuckets(len(curIDs), advance)
-		if residue := b.DrainLazy(); residue != nil {
-			t.Fatalf("span did not settle: %d identifiers still pending", len(residue))
-		}
-	}
-	for i := 0; i < 5; i++ {
-		round()
-	}
-	if avg := testing.AllocsPerRun(100, round); avg != 0 {
-		t.Fatalf("fused round allocates %v allocs/op in steady state, want 0", avg)
-	}
-}

@@ -30,52 +30,30 @@ func allNil(ids []uint32) bool {
 }
 
 func TestDebugStaleArenaSliceIsPoisoned(t *testing.T) {
-	// Each producer returns live identifiers: bucket 0's, the fused run
-	// of all four buckets, or a lazy re-drain of one of them.
-	producers := map[string]func(b Structure) []uint32{
-		"NextBucket": func(b Structure) []uint32 {
-			_, ids := b.NextBucket()
-			return ids
-		},
-		"NextBucketFused": func(b Structure) []uint32 {
-			_, _, ids := b.NextBucketFused()
-			return ids
-		},
-		"DrainLazy": func(b Structure) []uint32 {
-			b.NextBucketFused()
-			dest := b.GetBucket(0, 0) // back into the active span
-			b.UpdateBuckets(1, func(int) (uint32, Dest) { return 0, dest })
-			return b.DrainLazy()
-		},
-	}
 	enders := map[string]func(b Structure){
-		"NextBucket":      func(b Structure) { b.NextBucket() },
-		"NextBucketFused": func(b Structure) { b.NextBucketFused() },
-		"DrainLazy":       func(b Structure) { b.DrainLazy() },
+		"NextBucket": func(b Structure) { b.NextBucket() },
 		"UpdateBuckets": func(b Structure) {
 			b.UpdateBuckets(1, func(int) (uint32, Dest) { return 5, None })
 		},
 	}
 	for _, impl := range []string{"par", "seq"} {
-		for from, produce := range producers {
-			for across, end := range enders {
-				t.Run(impl+"/"+from+"/across-"+across, func(t *testing.T) {
-					b := arenaFixture(impl)
-					held := produce(b)
-					if len(held) == 0 || allNil(held) {
-						t.Fatalf("%s returned %v, want live identifiers", from, held)
-					}
-					end(b)
-					if !allNil(held) {
-						t.Fatalf("slice held across %s reads %v, want all Nil", across, held)
-					}
-					for id, _ := b.NextBucket(); id != Nil; id, _ = b.NextBucket() {
-					}
-					if !allNil(held) {
-						t.Fatalf("a later round wrote %v into the stale slice", held)
-					}
-				})
-			}
+		for across, end := range enders {
+			t.Run(impl+"/NextBucket/across-"+across, func(t *testing.T) {
+				b := arenaFixture(impl)
+				_, held := b.NextBucket()
+				if len(held) == 0 || allNil(held) {
+					t.Fatalf("NextBucket returned %v, want live identifiers", held)
+				}
+				end(b)
+				if !allNil(held) {
+					t.Fatalf("slice held across %s reads %v, want all Nil", across, held)
+				}
+				for id, _ := b.NextBucket(); id != Nil; id, _ = b.NextBucket() {
+				}
+				if !allNil(held) {
+					t.Fatalf("a later round wrote %v into the stale slice", held)
+				}
+			})
 		}
 	}
 }

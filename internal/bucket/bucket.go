@@ -72,7 +72,7 @@ const None Dest = Dest(math.MaxUint32)
 type Structure interface {
 	// NextBucket returns the id of the next non-empty bucket in the
 	// traversal order together with the identifiers it contains. The
-	// returned slice is valid only until the next extraction call or
+	// returned slice is valid only until the next NextBucket call or
 	// the return of the next UpdateBuckets (whose f may still read it):
 	// implementations reuse its backing storage across rounds (the
 	// parallel structure compacts into a per-structure arena buffer),
@@ -81,8 +81,7 @@ type Structure interface {
 	// point it overwrites the stale slice with Nil and drops its
 	// storage from the arena, so a late read indexes out of range
 	// instead of seeing another round's identifiers. When the structure
-	// is exhausted it returns
-	// (Nil, nil). The same bucket id may be returned more than once if
+	// is exhausted it returns (Nil, nil). The same bucket id may be returned more than once if
 	// identifiers are inserted back into the current bucket between
 	// calls.
 	NextBucket() (ID, []uint32)
@@ -101,49 +100,6 @@ type Structure interface {
 	// Stats returns cumulative operation counts, used by the
 	// microbenchmark (§3.4) and the work-efficiency experiments.
 	Stats() Stats
-
-	// Bucket fusion: draining a run of consecutive non-empty buckets
-	// into one frontier (NextBucketFused) with lazy insertion of
-	// identifiers that land back inside the fused span (DrainLazy).
-	// Fusion amortizes the per-round synchronization cost that dominates
-	// on large-diameter inputs, where NextBucket returns long runs of
-	// tiny buckets; see DESIGN.md §11 for the semantics and the safety
-	// argument (fusion is only sound for monotone priority algorithms
-	// such as ∆-stepping and wBFS — peeling algorithms like k-core and
-	// set cover require exact bucket order and must call NextBucket).
-
-	// NextBucketFused drains every non-empty bucket from the next one
-	// the traversal would visit onward into a single frontier. It
-	// returns the first and last bucket id of the fused run in traversal
-	// order plus the combined identifiers, or (Nil, Nil, nil) when
-	// exhausted. The returned slice obeys the NextBucket arena contract:
-	// it is valid only until the next NextBucket/NextBucketFused/DrainLazy
-	// call or the return of the next UpdateBuckets, and a julienne_debug
-	// build poisons it then.
-	//
-	// The parallel structure ends a run at its open-range boundary,
-	// because advancing the range mid-run would strand this round's
-	// insertions behind the new range (raise Options.OpenBuckets to
-	// lengthen runs). The run resumes at the next extraction call after
-	// a normal range advance. Either way the cursor is left just after
-	// the run, so this round's insertions into the empty buckets the
-	// walk passed are still ahead of the traversal.
-	//
-	// Until the next extraction call, the structure treats [first, last]
-	// as the active fused span: GetBucket destinations inside the span
-	// are routed to a lazy buffer instead of bucket storage, so the
-	// caller can process them in the same round via DrainLazy.
-	NextBucketFused() (first, last ID, ids []uint32)
-	// DrainLazy returns the live identifiers lazily inserted into the
-	// active fused span since the last NextBucketFused/DrainLazy call,
-	// emptying the lazy buffer. It returns nil when the span has fully
-	// settled (no pending insertions) — and always after a plain
-	// NextBucket, which opens no span — which terminates the caller's
-	// intra-span loop. The returned slice follows the same arena
-	// contract as NextBucketFused. Callers must drain the span until
-	// empty before the next extraction call: identifiers still pending
-	// when the span closes are dropped (a julienne_debug build panics).
-	DrainLazy() []uint32
 }
 
 // Stats counts the structure's work, matching the §3.4 throughput

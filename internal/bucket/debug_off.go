@@ -15,15 +15,11 @@ const DebugEnabled = false
 type debugState struct{}
 
 func (b *Par) debugPoisonArena()                                  {}
-func (b *Par) debugCheckExtract(first, last ID, live []uint32)    {}
+func (b *Par) debugCheckExtract(id ID, live []uint32)             {}
 func (b *Par) debugCheckUpdate(k int, f func(int) (uint32, Dest)) {}
 func (b *Par) debugCheckUpdateTotals(k int, moved, skipped int64) {}
 func (b *Par) debugCheckStructure()                               {}
-func (b *Par) debugCheckLazyDrain(live []uint32)                  {}
-func (b *Par) debugCheckSpanClosed(pending int)                   {}
 
 func (s *Seq) debugPoisonArena()                                  {}
-func (s *Seq) debugCheckExtract(first, last ID, live []uint32)    {}
+func (s *Seq) debugCheckExtract(id ID, live []uint32)             {}
 func (s *Seq) debugCheckUpdateTotals(k int, moved, skipped int64) {}
-func (s *Seq) debugCheckLazyDrain(live []uint32)                  {}
-func (s *Seq) debugCheckSpanClosed(pending int)                   {}

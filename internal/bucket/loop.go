@@ -12,11 +12,10 @@ import (
 // shares (Algorithms 1–3): take the next bucket, run the round's edge
 // map, update buckets, repeat. A kernel supplies only the round body;
 // Run owns what every round has in common — the cancel check and its
-// *obs.Canceled, fused or unfused extraction with the DrainLazy loop,
-// the round count, and the round's time and the bucket and fork deltas
-// each RoundMetrics carries — so the contract is the same for every
-// kernel. DESIGN.md §9 lists its invariants and the tests that
-// pin them.
+// *obs.Canceled, one extraction per round, the round count, and the
+// round's time and the bucket and fork deltas each RoundMetrics
+// carries — so the contract is the same for every kernel. DESIGN.md §9
+// lists its invariants and the tests that pin them.
 type Loop struct {
 	// Algo names the kernel in its round records and cancellation
 	// error.
@@ -28,9 +27,6 @@ type Loop struct {
 	// Ctx, when non-nil, stops the run between rounds once it is done;
 	// nil never stops it.
 	Ctx context.Context
-	// Fusion selects NextBucketFused and the same-wave DrainLazy loop
-	// (DESIGN.md §11); false extracts one bucket per round.
-	Fusion bool
 }
 
 // New is bucket.New for the loop's run: the structure reports to the
@@ -44,19 +40,17 @@ func (l Loop) New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 
 // Run drives b one round at a time until b is exhausted, round reports
 // done, or the cancel check trips. Each round hands round the extracted
-// bucket range [first, last] (first == last unless fused) and its
-// identifiers, which alias b's arena and are valid only until round's
-// next call into b. round returns the edges it traversed, recorded
-// with the round, and whether the run is complete: after done, Run
-// extracts nothing more.
+// bucket's id and identifiers, which alias b's arena and are valid only
+// until round's next call into b. round returns the edges it
+// traversed, recorded with the round, and whether the run is complete:
+// after done, Run extracts nothing more.
 //
-// The cancel check runs before every extraction and before every
-// drained segment of a fused wave, never inside a round, so the
-// structure is always consistent when Run stops. It returns the number
-// of completed rounds and, if the run was stopped, an *obs.Canceled
-// carrying that count.
-func (l Loop) Run(b Structure, round func(first, last ID, ids []uint32) (edges int64, done bool)) (rounds int64, err error) {
-	rec, fus := l.Recorder, l.Fusion
+// The cancel check runs before every extraction, never inside a round,
+// so the structure is always consistent when Run stops. It returns the
+// number of completed rounds and, if the run was stopped, an
+// *obs.Canceled carrying that count.
+func (l Loop) Run(b Structure, round func(id ID, ids []uint32) (edges int64, done bool)) (rounds int64, err error) {
+	rec := l.Recorder
 	var prevStats Stats
 	var prevForks parallel.ForkCounts
 	if rec != nil {
@@ -64,33 +58,24 @@ func (l Loop) Run(b Structure, round func(first, last ID, ids []uint32) (edges i
 		prevStats, prevForks = b.Stats(), parallel.ForkStats()
 	}
 	cancel := obs.NewCancelCheck(l.Ctx)
-	var first, last ID
-	var ids []uint32 // non-empty between rounds only for a drained segment
 	for {
 		if cause := cancel.Stopped(); cause != nil {
 			return rounds, rec.NewCanceled(l.Algo, rounds, cause)
 		}
-		if len(ids) == 0 {
-			if fus {
-				first, last, ids = b.NextBucketFused()
-			} else {
-				first, ids = b.NextBucket()
-				last = first
-			}
-			if first == Nil {
-				return rounds, nil
-			}
+		id, ids := b.NextBucket()
+		if id == Nil {
+			return rounds, nil
 		}
 		rounds++
 		begin := rec.Clock()
-		edges, done := round(first, last, ids)
+		edges, done := round(id, ids)
 		if rec != nil {
 			dur := time.Since(begin)
 			cur, forks := b.Stats(), parallel.ForkStats()
 			sd, fd := cur.Sub(prevStats), forks.Sub(prevForks)
 			prevStats, prevForks = cur, forks
 			rec.RecordRound(obs.RoundMetrics{
-				Algo: l.Algo, Round: rounds, Bucket: first,
+				Algo: l.Algo, Round: rounds, Bucket: id,
 				FrontierSize: len(ids), EdgesTraversed: edges,
 				Extracted: sd.Extracted, Moved: sd.Moved, Skipped: sd.Skipped,
 				Duration: dur,
@@ -99,14 +84,6 @@ func (l Loop) Run(b Structure, round func(first, last ID, ids []uint32) (edges i
 		}
 		if done {
 			return rounds, nil
-		}
-		// Same-wave processing of a fused span: what the round relaxed
-		// back into [first, last] comes back as the next segment instead
-		// of waiting for another extraction. A plain NextBucket opens no
-		// span, so an unfused wave is always one segment.
-		ids = nil
-		if fus {
-			ids = b.DrainLazy()
 		}
 	}
 }

@@ -46,30 +46,21 @@ type Options struct {
 // optimizations). It maintains nB open buckets covering the logical id
 // range [rangeLo, rangeLo+nB) (Increasing) or (rangeHi-nB, rangeHi]
 // (Decreasing), plus one overflow bucket for identifiers logically
-// beyond the open range and one lazy bucket that receives identifiers
-// landing inside the active fused span (DESIGN.md §11). Dest values
-// encode a physical slot: open slot index in [0, nB), the overflow
-// slot nB, the lazy slot nB+1 (only while a fused span is active), or
-// None.
+// beyond the open range. Dest values encode a physical slot: open slot
+// index in [0, nB), the overflow slot nB, or None.
 type Par struct {
 	n     int
 	d     func(uint32) ID
 	order Order
 	nB    int
 
-	bkts    []chunkedBucket // nB open slots + overflow slot + lazy slot
+	bkts    []chunkedBucket // nB open slots + overflow slot
 	cur     int             // current open slot being processed
 	rangeLo ID              // lowest logical id in the open range
 	rangeHi ID              // highest logical id in the open range
 	done    bool
 	ctr     counters
 	rec     *obs.Recorder
-
-	// span is the active fused span set by NextBucketFused and cleared
-	// by the next extraction call: while active, GetBucket routes
-	// destinations inside [span.lo, span.hi] to the lazy slot, and
-	// DrainLazy hands them back to the caller within the same round.
-	span fusedSpan
 
 	// scr is the scratch arena reused across rounds; see the arena type
 	// for the ownership rules.
@@ -155,37 +146,14 @@ type updState struct {
 // compactState holds one forked compaction's parameters for the cached
 // compactPass: the slot's chunks read as one array of len(out)
 // identifiers (chunk i starts at at[i]), split into blocks of size;
-// block blk writes the identifiers whose bucket lies in [lo, lo+width]
-// to out[blk*size:] and their count to kept[blk].
+// block blk writes the identifiers whose bucket is still id to
+// out[blk*size:] and their count to kept[blk].
 type compactState struct {
-	lo, width ID
-	chunks    [][]uint32
-	at, kept  []int
-	size      int
-	out       []uint32
-}
-
-// fusedSpan is the logical id interval [lo, hi] covered by the most
-// recent NextBucketFused call, normalized so lo <= hi regardless of
-// traversal order. The zero value (inactive) contains nothing.
-type fusedSpan struct {
-	lo, hi ID
-	active bool
-}
-
-// newFusedSpan is the active span of a fused run from first through
-// last in traversal order.
-func newFusedSpan(order Order, first, last ID) fusedSpan {
-	if order == Decreasing {
-		first, last = last, first
-	}
-	return fusedSpan{lo: first, hi: last, active: true}
-}
-
-// contains reports whether a logical bucket id falls inside the active
-// span. Nil is never contained: hi is at most rangeHi < Nil.
-func (s fusedSpan) contains(id ID) bool {
-	return s.active && id >= s.lo && id <= s.hi
+	id       ID
+	chunks   [][]uint32
+	at, kept []int
+	size     int
+	out      []uint32
 }
 
 var _ Structure = (*Par)(nil)
@@ -201,15 +169,15 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 		nB = DefaultOpenBuckets
 	}
 	b := &Par{n: n, d: d, order: order, nB: nB}
-	b.bkts = make([]chunkedBucket, nB+2)
-	b.scr.fill = make([]uint32, nB+2)
-	b.scr.chunks = make([][]uint32, nB+2)
+	b.bkts = make([]chunkedBucket, nB+1)
+	b.scr.fill = make([]uint32, nB+1)
+	b.scr.chunks = make([][]uint32, nB+1)
 	// Seed every slot's chunk list with capacity carved from one shared
 	// backing array: the first insert into a virgin slot would otherwise
 	// allocate a header array, costing one allocation per round in
 	// forward-marching peels. Slots holding more than slotChunkCap
 	// chunks fall back to ordinary (amortized) append growth.
-	hdrs := make([][]uint32, (nB+2)*slotChunkCap)
+	hdrs := make([][]uint32, (nB+1)*slotChunkCap)
 	for i := range b.bkts {
 		b.bkts[i].chunks = hdrs[i*slotChunkCap : i*slotChunkCap : (i+1)*slotChunkCap]
 	}
@@ -252,7 +220,7 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 		for pos := lo; pos < hi; i++ {
 			ch := c.chunks[i][pos-c.at[i] : min(len(c.chunks[i]), hi-c.at[i])]
 			for _, id := range ch {
-				if b.d(id)-c.lo <= c.width {
+				if b.d(id) == c.id {
 					out = append(out, id)
 				}
 			}
@@ -392,15 +360,6 @@ func (b *Par) GetBucket(prev, next ID) Dest {
 	if next == Nil || b.done {
 		return None
 	}
-	// Lazy insertion (DESIGN.md §11): destinations inside the active
-	// fused span route to the lazy slot so the caller can process them
-	// in the same round via DrainLazy instead of round-tripping through
-	// bucket storage. This check precedes the next == prev fast path
-	// deliberately — a fused frontier's physical copies were consumed by
-	// extraction, so even a same-bucket reinsertion needs a lazy copy.
-	if b.span.contains(next) {
-		return Dest(b.nB + 1)
-	}
 	if next == prev {
 		return None
 	}
@@ -431,7 +390,8 @@ func (b *Par) GetBucket(prev, next ID) Dest {
 // overflow bucket into a new range anchored at the nearest remaining
 // bucket (§3.3's range advance; we jump directly to the next non-empty
 // bucket rather than walking empty ranges, which only reduces the O(T)
-// term of Lemma 3.2).
+// term of Lemma 3.2). The cursor stays on the returned slot, so
+// identifiers reinserted into the current bucket are revisited.
 //
 // The returned slice is backed by an arena buffer owned by the
 // structure: it is valid only until the next extraction call, which
@@ -441,27 +401,9 @@ func (b *Par) GetBucket(prev, next ID) Dest {
 // this repository consume the slice within the round, so the steady
 // state allocates nothing.
 func (b *Par) NextBucket() (ID, []uint32) {
-	id, _, live := b.extract(false)
-	return id, live
-}
-
-// NextBucketFused implements Structure (see the interface for the
-// caller contract and DESIGN.md §11 for the safety argument). The run
-// is every non-empty bucket up to the end of the open range, the same
-// run Seq returns up to the end of its storage, so the differential
-// suite can compare the two in lockstep. Only the first bucket of a run
-// may trigger a range advance.
-func (b *Par) NextBucketFused() (ID, ID, []uint32) {
-	return b.extract(true)
-}
-
-// extract is the one extraction walk behind NextBucket (fuse false: one
-// bucket, no span, the cursor stays on it so same-bucket reinsertions
-// are revisited) and NextBucketFused.
-func (b *Par) extract(fuse bool) (first, last ID, live []uint32) {
 	b.debugPoisonArena()
 	if b.done {
-		return Nil, Nil, nil
+		return Nil, nil
 	}
 	// Clock is zero (and ObserveSince a no-op) on a nil recorder, so
 	// the disabled path pays one nil check and an open-coded defer.
@@ -470,206 +412,38 @@ func (b *Par) extract(fuse bool) (first, last ID, live []uint32) {
 	if chaos.Enabled {
 		chaos.Point(chaos.SiteRound)
 	}
-	b.closeSpan()
 	b.debugCheckStructure()
-	b.scr.live = b.scr.live[:0]
-	first, ok := b.nextCompacted()
+	id, ok := b.nextCompacted()
 	if !ok {
-		return Nil, Nil, nil
+		return Nil, nil
 	}
-	last = first
-	if fuse {
-		// The run stays inside the open range: crossing into the
-		// overflow bucket would redistribute it before this round's
-		// insertions exist, stranding updates that land between the run
-		// and the new range (and, on an empty overflow, marking a
-		// structure done that is about to receive insertions).
-		run := 1
-		for id, ok := b.nextCompactedInRange(); ok; id, ok = b.nextCompactedInRange() {
-			last = id
-			run++
-		}
-		// The walk passed over empty buckets after the run that this
-		// round's relaxations may yet land in. Rewind the cursor to just
-		// after the last fused bucket so those insertions stay ahead of
-		// the traversal instead of being dropped as behind it.
-		b.cur = b.slotFor(last) + 1
-		b.rec.Add(obs.CtrBucketRoundsSaved, int64(run-1))
-		b.rec.Observe(obs.HistFusedRunLen, int64(run))
-		b.span = newFusedSpan(b.order, first, last)
-	}
-	live = b.scr.live
+	live := b.scr.live
 	b.ctr.extracted.Add(int64(len(live)))
 	b.ctr.returned.Add(1)
 	b.rec.Add(obs.CtrBucketExtracted, int64(len(live)))
 	b.rec.Inc(obs.CtrBucketReturned)
-	b.debugCheckExtract(first, last, live)
-	return first, last, live
+	b.debugCheckExtract(id, live)
+	return id, live
 }
 
-// DrainLazy implements Structure: it compacts the lazy slot —
-// identifiers GetBucket routed into the active fused span since the
-// last extraction or drain — into the arena and empties it. Stale
-// copies (identifiers whose D moved on after insertion) are dropped by
-// the same liveness rule NextBucket compaction applies.
-func (b *Par) DrainLazy() []uint32 {
-	b.debugPoisonArena()
-	if !b.span.active {
-		return nil
-	}
-	lz := &b.bkts[b.nB+1]
-	if lz.n == 0 {
-		return nil
-	}
-	b.scr.live = b.scr.live[:0]
-	b.compact(lz, b.span.lo, b.span.hi)
-	live := b.scr.live
-	if len(live) == 0 {
-		return nil
-	}
-	b.ctr.extracted.Add(int64(len(live)))
-	b.rec.Add(obs.CtrBucketExtracted, int64(len(live)))
-	b.rec.Add(obs.CtrBucketLazyDrained, int64(len(live)))
-	b.debugCheckLazyDrain(live)
-	return live
-}
-
-// closeSpan deactivates the fused span at the next extraction call.
-// Identifiers still pending in the lazy slot at that point were never
-// handed back by DrainLazy and are dropped — a conforming caller
-// drains the span until empty before extracting again, so this is a
-// caller bug and a julienne_debug build panics; a release build
-// recycles the chunks and moves on (the traversal has passed the span,
-// so the copies are as dead as identifiers moved to Nil).
-func (b *Par) closeSpan() {
-	if !b.span.active {
-		return
-	}
-	lz := &b.bkts[b.nB+1]
-	b.debugCheckSpanClosed(lz.n)
-	b.recycle(lz)
-	b.span = fusedSpan{}
-}
-
-// nextCompactedInRange advances the traversal to the next non-empty
-// bucket of the current open range, compacts its live identifiers onto
-// the end of b.scr.live (recycling the spent chunks through the free
-// list), and returns its logical id. It never touches the overflow
-// bucket or the done flag: (Nil, false) only means the open range is
-// exhausted. The fusion walk uses it for every bucket after the first,
-// so fused runs deliberately end at the range boundary (see extract).
-func (b *Par) nextCompactedInRange() (ID, bool) {
-	for b.cur <= b.nB-1 {
-		slot := b.cur
-		bk := &b.bkts[slot]
-		if bk.n == 0 {
-			b.cur++
-			continue
-		}
-		cur := b.logical(slot)
-		base := len(b.scr.live)
-		b.compact(bk, cur, cur)
-		if len(b.scr.live) == base {
-			b.cur++
-			continue
-		}
-		return cur, true
-	}
-	return Nil, false
-}
-
-// compact appends the identifiers of slot bk whose bucket D still lies
-// in [lo, hi] — the slot's own bucket, or the active fused span — to
-// b.scr.live, in storage order, then recycles the slot's chunks. The
-// other identifiers are stale copies (lazy deletion, §3.2) and are
-// dropped. Below the fork cut-off the pass is one plain loop over every
-// chunk; above it, one order-preserving region whose blocks span chunk
-// boundaries (compactForked). live grows the way one filter per chunk
-// would grow it: by at least a chunk, and to at least double.
-func (b *Par) compact(bk *chunkedBucket, lo, hi ID) {
-	if forks(bk.n) {
-		b.compactForked(bk, lo, hi)
-	} else {
-		live, width := b.scr.live, hi-lo
-		for _, c := range bk.chunks {
-			live = reserve(live, len(c))
-			for _, id := range c {
-				// Unsigned wrap-around makes this lo <= D <= hi; Nil is
-				// never inside, since hi is at most rangeHi < Nil.
-				if b.d(id)-lo <= width {
-					live = append(live, id)
-				}
-			}
-		}
-		b.scr.live = live
-	}
-	b.recycle(bk)
-}
-
-// compactForked is compact's forked arm: every block filters its share
-// of the slot into its own range of live's spare capacity, then one
-// sequential pass closes the gaps between the blocks' survivors.
-func (b *Par) compactForked(bk *chunkedBucket, lo, hi ID) {
-	live := reserve(b.scr.live, bk.n)
-	base := len(live)
-	at := b.scr.at[:0]
-	off := 0
-	for _, c := range bk.chunks {
-		at = append(at, off)
-		off += len(c)
-	}
-	nb := 4 * parallel.WorkersFor(int64(bk.n))
-	if cap(b.scr.kept) < nb {
-		b.scr.kept = make([]int, nb)
-	}
-	b.scr.at = at
-	b.cmp = compactState{
-		lo: lo, width: hi - lo, chunks: bk.chunks, at: at, kept: b.scr.kept[:nb],
-		size: (bk.n + nb - 1) / nb, out: live[base : base+bk.n],
-	}
-	parallel.For(nb, 1, b.compactPass)
-	end := base
-	for blk, kept := range b.cmp.kept {
-		from := base + min(blk*b.cmp.size, bk.n)
-		end += copy(live[end:cap(live)], live[from:from+kept])
-	}
-	b.scr.live = live[:end]
-	b.cmp = compactState{}
-}
-
-// reserve returns buf with room for n more elements, growing it to at
-// least twice its capacity when it must grow.
-func reserve(buf []uint32, n int) []uint32 {
-	if cap(buf)-len(buf) >= n {
-		return buf
-	}
-	grown := make([]uint32, len(buf), max(len(buf)+n, 2*cap(buf)))
-	copy(grown, buf)
-	return grown
-}
-
-// recycle hands every chunk of slot bk to the free list and empties the
-// slot, clearing the chunk pointers so the retained header array does
-// not pin the recycled chunks against eviction from the free list.
-func (b *Par) recycle(bk *chunkedBucket) {
-	for i, c := range bk.chunks {
-		b.freePut(c)
-		bk.chunks[i] = nil
-	}
-	bk.chunks = bk.chunks[:0]
-	bk.n = 0
-}
-
-// nextCompacted is nextCompactedInRange extended with §3.3's range
-// advance: when the open range is exhausted it redistributes the
-// overflow bucket and keeps walking; (Nil, false) means the structure
-// is exhausted and done is set. Extraction stats and debug bookkeeping
-// are left to the caller, which may be fusing several buckets into one
-// frontier.
+// nextCompacted advances the traversal to the next bucket with a live
+// identifier, compacts its live identifiers into b.scr.live (recycling
+// the spent chunks through the free list), and returns its logical id. When the
+// open range is exhausted it redistributes the overflow bucket and
+// keeps walking; (Nil, false) means the structure is exhausted and done
+// is set.
 func (b *Par) nextCompacted() (ID, bool) {
 	for {
-		if cur, ok := b.nextCompactedInRange(); ok {
-			return cur, true
+		for ; b.cur < b.nB; b.cur++ {
+			bk := &b.bkts[b.cur]
+			if bk.n == 0 {
+				continue
+			}
+			cur := b.logical(b.cur)
+			b.compact(bk, cur)
+			if len(b.scr.live) > 0 {
+				return cur, true
+			}
 		}
 		// Open range exhausted: redistribute overflow, if any. The
 		// chunks are flattened (through the free list) so the anchor
@@ -721,6 +495,85 @@ func (b *Par) nextCompacted() (ID, bool) {
 		})
 		b.freePut(over)
 	}
+}
+
+// compact sets b.scr.live to the identifiers of slot bk whose bucket D
+// is still id, the slot's own bucket, in storage order, then recycles
+// the slot's chunks. The other identifiers are stale copies (lazy
+// deletion, §3.2) and are dropped. Below the fork cut-off the pass is
+// one plain loop over every chunk; above it, one order-preserving
+// region whose blocks span chunk boundaries (compactForked). live grows
+// the way one filter per chunk would grow it: by at least a chunk, and
+// to at least double.
+func (b *Par) compact(bk *chunkedBucket, id ID) {
+	if forks(bk.n) {
+		b.compactForked(bk, id)
+	} else {
+		live := b.scr.live[:0]
+		for _, c := range bk.chunks {
+			live = reserve(live, len(c))
+			for _, v := range c {
+				if b.d(v) == id {
+					live = append(live, v)
+				}
+			}
+		}
+		b.scr.live = live
+	}
+	b.recycle(bk)
+}
+
+// compactForked is compact's forked arm: every block filters its share
+// of the slot into its own range of live's spare capacity, then one
+// sequential pass closes the gaps between the blocks' survivors.
+func (b *Par) compactForked(bk *chunkedBucket, id ID) {
+	live := reserve(b.scr.live[:0], bk.n)
+	at := b.scr.at[:0]
+	off := 0
+	for _, c := range bk.chunks {
+		at = append(at, off)
+		off += len(c)
+	}
+	nb := 4 * parallel.WorkersFor(int64(bk.n))
+	if cap(b.scr.kept) < nb {
+		b.scr.kept = make([]int, nb)
+	}
+	b.scr.at = at
+	b.cmp = compactState{
+		id: id, chunks: bk.chunks, at: at, kept: b.scr.kept[:nb],
+		size: (bk.n + nb - 1) / nb, out: live[:bk.n],
+	}
+	parallel.For(nb, 1, b.compactPass)
+	end := 0
+	for blk, kept := range b.cmp.kept {
+		from := min(blk*b.cmp.size, bk.n)
+		end += copy(live[end:cap(live)], live[from:from+kept])
+	}
+	b.scr.live = live[:end]
+	b.cmp = compactState{}
+}
+
+// reserve returns buf with room for n more elements, growing it to at
+// least twice its capacity when it must grow.
+func reserve(buf []uint32, n int) []uint32 {
+	if cap(buf)-len(buf) >= n {
+		return buf
+	}
+	grown := make([]uint32, len(buf), max(len(buf)+n, 2*cap(buf)))
+	copy(grown, buf)
+	return grown
+}
+
+// recycle hands every chunk of slot bk to the free list and empties the
+// slot, clearing the chunk pointers so the retained header array does
+// not pin the recycled chunks against eviction from the free list.
+func (b *Par) recycle(bk *chunkedBucket) {
+	for i, c := range bk.chunks {
+		b.freePut(c)
+		bk.chunks[i] = nil
+	}
+	bk.chunks = bk.chunks[:0]
+	bk.n = 0
 }
 
 // UpdateBuckets implements Structure (§3.2 with §3.3's block
@@ -812,7 +665,7 @@ func (b *Par) updateSeq(k int, f func(j int) (uint32, Dest)) int64 {
 // scatters identifiers directly into a fresh exact-size chunk per
 // destination bucket.
 func (b *Par) updateBlocks(k int, f func(j int) (uint32, Dest)) int64 {
-	nSlots := b.nB + 2
+	nSlots := b.nB + 1
 	nb := (k + updateBlock - 1) / updateBlock
 	need := nSlots * nb
 	if cap(b.scr.counts) < need {
@@ -840,9 +693,9 @@ func (b *Par) updateBlocks(k int, f func(j int) (uint32, Dest)) int64 {
 	// parallel, resize all buckets that have identifiers moving to
 	// them" — chunking makes the resize a fresh exact-size array
 	// instead of a copying reallocation). It runs on the caller, which
-	// keeps the free list single-threaded, and walks every slot: nB + 2
+	// keeps the free list single-threaded, and walks every slot: nB + 1
 	// steps against a batch past the fork cut-off, after a scan that
-	// already read nB + 2 counts per block. The chunk table needs no
+	// already read nB + 1 counts per block. The chunk table needs no
 	// clearing because pass 2 only reads entries for slots with incoming
 	// identifiers, which this loop always writes.
 	for s := 0; s < nSlots; s++ {

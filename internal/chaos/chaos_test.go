@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -148,13 +149,14 @@ func TestInjectedWorkerPanic(t *testing.T) {
 
 // TestForcedCancellationAtRound forces a context cancellation at round
 // k from inside the round boundary and asserts the typed error, the
-// partial stats, and an oracle-correct re-run, for k-core and for
-// set cover (SiteRound fires inside NextBucket, so it reaches
-// every kernel bucket.Loop drives).
+// partial stats, and an oracle-correct re-run, for k-core, set cover
+// and wBFS on a weighted grid (SiteRound fires inside NextBucket, so it
+// reaches every kernel bucket.Loop drives).
 func TestForcedCancellationAtRound(t *testing.T) {
 	defer harness.LeakCheck(t)()
 	g := testGraph(2)
 	inst := gen.SetCover(600, 6000, 8, 2)
+	grid := gen.UniformWeights(gen.Grid2D(20, 30), 1, 16, 7)
 	rows := []struct {
 		name, algo string
 		// run is the kernel under ctx and rec; it returns its rounds and
@@ -187,6 +189,20 @@ func TestForcedCancellationAtRound(t *testing.T) {
 				}
 				if err := setcover.Validate(inst.Graph, inst.Sets, clean.InCover); err != nil {
 					t.Fatal(err)
+				}
+			}},
+		{"wbfs", "sssp",
+			func(ctx context.Context, rec *obs.Recorder) (int64, error) {
+				r := sssp.WBFS(grid, 0, sssp.Options{Ctx: ctx, Recorder: rec})
+				return r.Rounds, r.Err
+			},
+			func(t *testing.T) {
+				clean := sssp.WBFS(grid, 0, sssp.Options{})
+				if clean.Err != nil {
+					t.Fatalf("clean re-run errored: %v", clean.Err)
+				}
+				if want := sssp.DijkstraHeap(grid, 0).Dist; !slices.Equal(clean.Dist, want) {
+					t.Fatal("clean re-run distances differ from Dijkstra's")
 				}
 			}},
 	}
@@ -261,130 +277,6 @@ func TestDelayAtRoundTripsDeadline(t *testing.T) {
 			t.Fatalf("dist[%d] = %d, want %d", v, clean.Dist[v], want.Dist[v])
 		}
 	}
-}
-
-// TestForcedCancellationMidFusedRound forces a cancellation at a fused
-// round boundary of a bucket-fusion wBFS run on a weighted grid (the
-// large-diameter family fusion exists for) and asserts the failure
-// contract holds with the fused machinery engaged: typed error with
-// partial progress, balanced scratch pool, no goroutine leaks, and
-// immediate fused and unfused re-runs that are oracle-correct — no
-// active span, undrained lazy buffer, or leaked scratch slab survives
-// the cancellation.
-func TestForcedCancellationMidFusedRound(t *testing.T) {
-	defer harness.LeakCheck(t)()
-	rows, cols := 40, 50
-	if testing.Short() {
-		rows, cols = 20, 30
-	}
-	g := gen.UniformWeights(gen.Grid2D(rows, cols), 1, 16, 7)
-	want := sssp.DijkstraHeap(g, 0)
-	fused := sssp.Options{Fusion: true}
-	full := sssp.WBFS(g, 0, fused)
-	if full.Err != nil || full.Rounds < 3 {
-		t.Fatalf("fused wBFS baseline: err=%v rounds=%d; need a clean run of >= 3 rounds",
-			full.Err, full.Rounds)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rec := flightDumpRecorder(t)
-	opt := fused
-	opt.Ctx = ctx
-	opt.Recorder = rec
-	chaos.Arm(chaos.Plan{CancelAtRound: 2, Cancel: cancel})
-	res := sssp.WBFS(g, 0, opt)
-	chaos.Disarm()
-	if res.Err == nil {
-		t.Fatal("canceled fused run returned nil Err")
-	}
-	var c *obs.Canceled
-	if !errors.As(res.Err, &c) || !errors.Is(res.Err, obs.ErrCanceled) {
-		t.Fatalf("Err = %v (%T), want *obs.Canceled wrapping ErrCanceled", res.Err, res.Err)
-	}
-	if c.Rounds < 1 || c.Rounds >= full.Rounds {
-		t.Errorf("Canceled.Rounds = %d, want partial progress in [1, %d)", c.Rounds, full.Rounds)
-	}
-	checkInvariants(t)
-	checkCleanReruns(t, want.Dist, func(o sssp.Options) sssp.Result { return sssp.WBFS(g, 0, o) }, fused, sssp.Options{})
-}
-
-// checkCleanReruns asserts that immediate re-runs under each option set
-// complete and are oracle-correct, and that they leave the scratch pool
-// balanced: a contained cancellation poisons nothing.
-func checkCleanReruns(t *testing.T, want []int64, run func(sssp.Options) sssp.Result, opts ...sssp.Options) {
-	t.Helper()
-	for _, o := range opts {
-		clean := run(o)
-		if clean.Err != nil {
-			t.Fatalf("clean re-run errored: %v", clean.Err)
-		}
-		for v := range clean.Dist {
-			if clean.Dist[v] != want[v] {
-				t.Fatalf("dist[%d] = %d, want %d", v, clean.Dist[v], want[v])
-			}
-		}
-	}
-	checkInvariants(t)
-}
-
-// TestCancellationInsideDrainedFusedSegment cancels a fused ∆-stepping
-// run from inside a wave, during a segment whose relaxations land back
-// inside the fused span. The wave driver must notice at the
-// drained-segment check — the lazy drain comes back non-empty and is
-// abandoned — rather than at the next wave boundary, so the run stops
-// after exactly that round; the abandoned span and lazy buffer must not
-// poison the re-runs.
-func TestCancellationInsideDrainedFusedSegment(t *testing.T) {
-	defer harness.LeakCheck(t)()
-	rows, cols := 40, 50
-	if testing.Short() {
-		rows, cols = 20, 30
-	}
-	g := gen.UniformWeights(gen.Grid2D(rows, cols), 1, 16, 7)
-	const delta = 4 // a fused span covers many annuli; most edges land inside it
-	want := sssp.DijkstraHeap(g, 0)
-	fused := sssp.Options{Fusion: true}
-	run := func(o sssp.Options) sssp.Result { return sssp.DeltaStepping(g, 0, delta, o) }
-
-	// Locate a drained segment in a clean run. Every round is one
-	// segment and reports its wave's first bucket id, so a second round
-	// under the same id is a segment DrainLazy handed back.
-	probe := fused
-	probe.Recorder = obs.NewRecorder()
-	var rounds []obs.RoundMetrics
-	probe.Recorder.OnRound(func(m obs.RoundMetrics) { rounds = append(rounds, m) })
-	full := run(probe)
-	var cancelAt int64
-	for i := 1; i < len(rounds) && cancelAt == 0; i++ {
-		if rounds[i].Bucket == rounds[i-1].Bucket {
-			cancelAt = rounds[i-1].Round
-		}
-	}
-	if full.Err != nil || cancelAt == 0 {
-		t.Fatalf("fused baseline: err=%v, %d rounds, no wave with a drained segment", full.Err, full.Rounds)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opt := fused
-	opt.Ctx = ctx
-	opt.Recorder = flightDumpRecorder(t)
-	opt.Recorder.OnRound(func(m obs.RoundMetrics) {
-		if m.Round == cancelAt {
-			cancel()
-		}
-	})
-	res := run(opt)
-	var c *obs.Canceled
-	if !errors.As(res.Err, &c) || !errors.Is(res.Err, obs.ErrCanceled) {
-		t.Fatalf("Err = %v (%T), want *obs.Canceled wrapping ErrCanceled", res.Err, res.Err)
-	}
-	if c.Rounds != cancelAt || res.Rounds != cancelAt {
-		t.Errorf("stopped after round %d (Canceled.Rounds = %d), want %d: the cancellation was not seen at the drained-segment check",
-			res.Rounds, c.Rounds, cancelAt)
-	}
-	checkInvariants(t)
-	checkCleanReruns(t, want.Dist, run, fused, sssp.Options{})
 }
 
 // TestSeededSweep is the randomized proptest family: each seed derives

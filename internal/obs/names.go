@@ -68,14 +68,6 @@ var (
 	CtrBucketReturned = newCounter("bucket.buckets_returned")
 	// CtrBucketRangeAdvances counts overflow unpacks (§3.3).
 	CtrBucketRangeAdvances = newCounter("bucket.range_advances")
-	// CtrBucketRoundsSaved counts synchronization rounds eliminated by
-	// bucket fusion: each NextBucketFused run of r buckets saves r-1
-	// NextBucket rounds (DESIGN.md §11).
-	CtrBucketRoundsSaved = newCounter("bucket.rounds_saved")
-	// CtrBucketLazyDrained counts identifiers handed back by DrainLazy
-	// (lazily inserted into an active fused span and processed in the
-	// same round, never round-tripping through bucket storage).
-	CtrBucketLazyDrained = newCounter("bucket.lazy_drained")
 	// CtrEdgeMapSparse counts edgeMap invocations that took the
 	// sparse/push direction.
 	CtrEdgeMapSparse = newCounter("edgemap.sparse")
@@ -117,10 +109,6 @@ var (
 	// HistOpLatencyNs is whole-operation latency in nanoseconds; the
 	// CLIs observe one sample per measured run.
 	HistOpLatencyNs = newHist("op.latency_ns")
-	// HistFusedRunLen is the number of buckets each NextBucketFused
-	// call drained into one frontier (1 = no fusion happened that
-	// round; the rounds-saved counter accumulates the sum of len-1).
-	HistFusedRunLen = newHist("bucket.fused_run_len")
 )
 
 // The serving layer (internal/serve, DESIGN.md §12). Latency

@@ -47,10 +47,6 @@ func TestRoundContract(t *testing.T) {
 			r := sssp.DeltaStepping(wg, 0, 64, sssp.Options{Recorder: rec})
 			return r.Rounds, r.BucketStats
 		}},
-		{"delta-fused", 1, false, func(rec *obs.Recorder) (int64, bucket.Stats) {
-			r := sssp.DeltaStepping(wg, 0, 64, sssp.Options{Recorder: rec, Fusion: true})
-			return r.Rounds, r.BucketStats
-		}},
 		{"setcover", 1, false, func(rec *obs.Recorder) (int64, bucket.Stats) {
 			r := setcover.Approx(inst.Graph, inst.Sets, setcover.Options{Recorder: rec})
 			return r.Rounds, r.BucketStats

@@ -12,13 +12,10 @@ import (
 
 // ssspKey identifies one distance computation: identical concurrent
 // requests coalesce onto a single run, and completed runs are cached.
-// Fusion participates in the key because fused and unfused runs report
-// different round counts (the distances agree).
 type ssspKey struct {
-	src    graph.Vertex
-	delta  int64
-	wbfs   bool
-	fusion bool
+	src   graph.Vertex
+	delta int64
+	wbfs  bool
 }
 
 // ssspVal is one computed (or failed) distance vector. Dist is shared

@@ -260,11 +260,6 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, wbfs boo
 			return
 		}
 	}
-	fusion, err := boolParam("fusion", q.Get("fusion"))
-	if err != nil {
-		s.failJSON(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
 	full, err := boolParam("full", q.Get("full"))
 	if err != nil {
 		s.failJSON(w, http.StatusBadRequest, "bad_request", err.Error())
@@ -285,7 +280,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, wbfs boo
 		hist = obs.HistServeWBFSNs
 	}
 	s.query(w, r, hist, func(ctx context.Context) {
-		key := ssspKey{src: src, delta: delta, wbfs: wbfs, fusion: fusion}
+		key := ssspKey{src: src, delta: delta, wbfs: wbfs}
 		var val *ssspVal
 		var cached, coalesced bool
 		// A coalesced follower can receive a result canceled by the
@@ -294,7 +289,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, wbfs boo
 		for attempt := 0; attempt < 2; attempt++ {
 			var waitErr error
 			val, cached, coalesced, waitErr = s.coal.do(ctx, key, func() *ssspVal {
-				opt := sssp.Options{Recorder: s.rec, Ctx: ctx, Fusion: fusion}
+				opt := sssp.Options{Recorder: s.rec, Ctx: ctx}
 				res := sssp.DeltaStepping(s.g, src, delta, opt)
 				return newSSSPVal(res)
 			})
@@ -501,8 +496,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, `julienne graph analytics service
   GET  /healthz
-  GET  /sssp?src=N[&delta=D][&fusion=1][&target=M][&full=1][&timeout_ms=T]
-  GET  /wbfs?src=N[&fusion=1][&target=M][&full=1][&timeout_ms=T]
+  GET  /sssp?src=N[&delta=D][&target=M][&full=1][&timeout_ms=T]
+  GET  /wbfs?src=N[&target=M][&full=1][&timeout_ms=T]
   GET  /coreness?v=N[&timeout_ms=T]
   POST /jobs/setcover[?sets=N&eps=E]
   POST /jobs/densest

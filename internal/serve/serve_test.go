@@ -87,9 +87,9 @@ func TestQueryEndpointsMatchDirectComputation(t *testing.T) {
 		t.Fatalf("target_dist = %v, want %d", m["target_dist"], want.Dist[42])
 	}
 
-	// wbfs with fusion still returns exact distances.
+	// wbfs returns exact distances too.
 	wantW := sssp.WBFS(g, 7, sssp.Options{})
-	m = getJSON(t, ts.URL+"/wbfs?src=7&fusion=1&full=1", http.StatusOK)
+	m = getJSON(t, ts.URL+"/wbfs?src=7&full=1", http.StatusOK)
 	for v, d := range m["dist"].([]any) {
 		if int64(d.(float64)) != wantW.Dist[v] {
 			t.Fatalf("wbfs dist[%d] = %v, want %d", v, d, wantW.Dist[v])
@@ -109,27 +109,21 @@ func TestQueryEndpointsMatchDirectComputation(t *testing.T) {
 	}
 }
 
-// TestBoolParamsAreParsed: fusion and full accept every strconv.ParseBool
-// spelling (TestBadRequestsAreTyped has the values they refuse).
+// TestBoolParamsAreParsed: full accepts every strconv.ParseBool
+// spelling and refuses anything else with a typed 400.
 func TestBoolParamsAreParsed(t *testing.T) {
-	g := testGraph()
-	_, ts := newTestServer(t, Config{Graph: g})
-	fused := sssp.WBFS(g, 7, sssp.Options{Fusion: true})
-	unfused := sssp.WBFS(g, 7, sssp.Options{})
-	if fused.Rounds >= unfused.Rounds {
-		t.Fatalf("fused wBFS ran %d rounds, unfused %d; the test needs fewer", fused.Rounds, unfused.Rounds)
-	}
-	for q, rounds := range map[string]int64{
-		"fusion=TRUE": fused.Rounds, "fusion=t": fused.Rounds,
-		"fusion=False": unfused.Rounds, "fusion=0": unfused.Rounds,
+	_, ts := newTestServer(t, Config{})
+	for raw, want := range map[string]bool{
+		"1": true, "t": true, "T": true, "TRUE": true, "true": true, "True": true,
+		"0": false, "f": false, "F": false, "FALSE": false, "false": false, "False": false,
 	} {
-		m := getJSON(t, ts.URL+"/wbfs?src=7&"+q, http.StatusOK)
-		if got := int64(m["rounds"].(float64)); got != rounds {
-			t.Errorf("%s: %d rounds, want %d", q, got, rounds)
+		m := getJSON(t, ts.URL+"/wbfs?src=7&full="+raw, http.StatusOK)
+		if got := m["dist"] != nil; got != want {
+			t.Errorf("full=%s: distance vector returned = %v, want %v", raw, got, want)
 		}
 	}
-	if m := getJSON(t, ts.URL+"/wbfs?src=7&full=TRUE", http.StatusOK); m["dist"] == nil {
-		t.Error("full=TRUE did not return the distance vector")
+	if m := getJSON(t, ts.URL+"/wbfs?src=7&full=yes", http.StatusBadRequest); m["error"] != "bad_request" {
+		t.Errorf("full=yes: got %v, want a bad_request", m)
 	}
 }
 
@@ -140,7 +134,6 @@ func TestBadRequestsAreTyped(t *testing.T) {
 		"/sssp?src=999999",     // out of range
 		"/sssp?src=1&delta=-3", // bad delta
 		"/sssp?src=1&timeout_ms=x",
-		"/wbfs?src=1&fusion=yes", // not a strconv.ParseBool spelling
 		"/sssp?src=1&full=2",
 		"/coreness?v=abc",
 	} {

@@ -3,7 +3,7 @@
 #
 # Builds cmd/served and cmd/servedload with -race, boots served on an
 # ephemeral port with a generated grid graph, drives it with the load
-# driver (queries, fused wBFS included, + async jobs), checks the
+# driver (queries + async jobs), checks the
 # report carries request counts and throughput for every endpoint,
 # scrapes /metrics for the serve counters, then sends SIGTERM and
 # asserts the process drains and exits cleanly. Used by `make
@@ -48,11 +48,11 @@ fi
 echo "serve-smoke: driving http://$addr/"
 
 "$workdir/servedload" -addr "$addr" -duration 2s -conc 4 -jobs \
-    -mix sssp,wbfs,wbfs-fused,coreness \
+    -mix sssp,wbfs,coreness \
     -out "$workdir/bench.json"
 
 # The report must carry per-endpoint request counts and throughput.
-for key in '"qps"' '"requests"' '"sssp"' '"wbfs"' '"wbfs-fused"' '"coreness"'; do
+for key in '"qps"' '"requests"' '"sssp"' '"wbfs"' '"coreness"'; do
     case "$(cat "$workdir/bench.json")" in
     *"$key"*) ;;
     *)
