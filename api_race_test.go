@@ -115,7 +115,7 @@ func TestConcurrentSharedGraphQueries(t *testing.T) {
 // also on a road-like grid.) k-core's workers peel each level to its
 // end in their own queues, so at every P it takes exactly one round
 // per distinct coreness value (ρ, the Ligra baseline's rounds, is
-// larger).
+// larger) and moves and extracts the same identifiers.
 func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	n, m, side := 1<<14, 1<<18, 128
@@ -133,7 +133,7 @@ func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 		wbfs, delta            []int64
 		gridWBFS, gridDelta    []int64
 		coreRounds, wbfsRounds int64
-		wbfsStats              BucketStats
+		coreStats, wbfsStats   BucketStats
 	}
 	at := func(p int) outcome {
 		runtime.GOMAXPROCS(p)
@@ -151,7 +151,7 @@ func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 				t.Errorf("P=%d: %s %s", p, r.name, err)
 			}
 		}
-		return outcome{k.Coreness, w.Dist, d.Dist, gw.Dist, gd.Dist, k.Rounds, w.Rounds, w.BucketStats}
+		return outcome{k.Coreness, w.Dist, d.Dist, gw.Dist, gd.Dist, k.Rounds, w.Rounds, k.BucketStats, w.BucketStats}
 	}
 	want := at(1)
 	distinct := map[uint32]bool{}
@@ -172,6 +172,9 @@ func TestKernelsIdenticalAcrossProcs(t *testing.T) {
 		}
 		if got.coreRounds != levels {
 			t.Errorf("P=%d: k-core ran %d rounds, want one per distinct coreness value, %d", p, got.coreRounds, levels)
+		}
+		if got.coreStats != want.coreStats {
+			t.Errorf("P=%d: k-core bucket traffic %+v, P=1's %+v", p, got.coreStats, want.coreStats)
 		}
 		if got.wbfsRounds != want.wbfsRounds || got.wbfsStats != want.wbfsStats {
 			t.Errorf("P=%d: wBFS ran %d rounds %+v, P=1 ran %d rounds %+v",

@@ -2,7 +2,7 @@
 // subgraph extension on a generated or loaded graph, and writes
 // generated graphs to files:
 //
-//	julienne kcore    [-impl julienne|ligra|bz] [-hist K] [-k K]
+//	julienne kcore    [-impl julienne|ligra|bz] [-hist K]
 //	julienne sssp     [-impl delta|wbfs|gap-bins|bellman-ford|dijkstra] [-src V] [-delta D]
 //	julienne setcover [-impl julienne|pbbs|greedy] [-sets S] [-elements E] [-cover C]
 //	                  [-epsilon 0.01] [-file F] [-seed N]
@@ -11,7 +11,7 @@
 //
 // All but setcover take the graph flags (-file, or -gen with -n, -m,
 // -rows, -cols, -seed, -symmetric; and -weights); all but gen take
-// -timeout and the telemetry flags -trace, -stats, -pprof and -http.
+// -timeout and the telemetry flags -trace, -stats and -http.
 // `julienne <command> -h` lists a command's flags.
 //
 // Exit status: 0 ok, 1 invalid result or I/O error, 2 bad usage or
@@ -186,11 +186,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// kcoreCmd computes the coreness decomposition and prints kmax, the top
-// of the coreness histogram and, unless -k 0, one k-core subgraph.
+// kcoreCmd computes the coreness decomposition and prints kmax and the
+// top of the coreness histogram.
 func kcoreCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 	hist := fs.Int("hist", 10, "print the top-K coreness histogram buckets")
-	extract := fs.Int("k", -1, "also extract the k-core subgraph for this k (-1 = max core)")
 	return func(r *runner) error {
 		g := undirected(r.g)
 		fmt.Fprintln(r.out, cli.Describe(g))
@@ -229,15 +228,6 @@ func kcoreCmd(fs *flag.FlagSet, _ *cli.GraphFlags) func(*runner) error {
 				fmt.Fprintf(r.out, "  coreness %d: %d vertices\n", k, counts[k])
 				printed++
 			}
-		}
-		if *extract != 0 {
-			k := uint32(*extract)
-			if *extract < 0 {
-				k = kmax
-			}
-			sub := kcore.ExtractCore(g, cores, k)
-			fmt.Fprintf(r.out, "%d-core: %d vertices, %d edges, %d connected core(s)\n",
-				k, sub.Graph.NumVertices(), sub.Graph.NumEdges()/2, sub.NumCores)
 		}
 		return nil
 	}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof handlers on DefaultServeMux
 	"os"
 	"os/signal"
 	"syscall"
@@ -17,12 +16,11 @@ import (
 )
 
 // obsFlags selects the runtime-telemetry outputs of a kernel run: a
-// Chrome trace file, a counter/round summary, a pprof endpoint, and the
-// live HTTP debug surface (obs.ServeMux).
+// Chrome trace file, a counter/round summary, and the live HTTP debug
+// surface (obs.ServeMux, which also serves the pprof profiles).
 type obsFlags struct {
 	Trace *string
 	Stats *bool
-	Pprof *string
 	HTTP  *string
 
 	rec      *obs.Recorder
@@ -34,23 +32,16 @@ func registerObs(fs *flag.FlagSet) *obsFlags {
 	return &obsFlags{
 		Trace: fs.String("trace", "", "write Chrome trace-event JSON to this file (chrome://tracing, Perfetto)"),
 		Stats: fs.Bool("stats", false, "print telemetry counters, histogram summaries, and a per-round summary"),
-		Pprof: fs.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)"),
 		HTTP: fs.String("http", "", "serve /metrics (Prometheus text), /debug/obs (JSON), and /debug/pprof "+
 			"on this address (e.g. :9090); implies telemetry and keeps serving after the run until interrupted"),
 	}
 }
 
 // recorder returns the recorder the flags call for — nil when telemetry
-// is off, so algorithms run uninstrumented. It also starts the pprof
-// server if -pprof was given and the debug surface if -http was given;
-// the error is the -http listener failing to bind.
+// is off, so algorithms run uninstrumented. It also starts the debug
+// surface if -http was given; the error is the -http listener failing
+// to bind.
 func (of *obsFlags) recorder(stderr io.Writer) (*obs.Recorder, error) {
-	if *of.Pprof != "" {
-		addr := *of.Pprof
-		go func() { fmt.Fprintf(stderr, "pprof server on %s: %v\n", addr, http.ListenAndServe(addr, nil)) }()
-		fmt.Fprintf(stderr, "pprof listening on %s (go tool pprof http://localhost%s/debug/pprof/profile)\n",
-			addr, addr)
-	}
 	if *of.Trace == "" && !*of.Stats && *of.HTTP == "" {
 		return nil, nil
 	}

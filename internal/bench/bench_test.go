@@ -330,7 +330,7 @@ func TestPrintRendersEveryArtifact(t *testing.T) {
 		"fig4":      {"Figure 4", "gap-bins", "bellman-ford", "road"},
 		"fig5":      {"Figure 5", "pbbs"},
 		"ablation":  {"open-range size", "128 (default)", "1048576", "CSR vs. Ligra+"},
-		"extension": {"densest", "kcore", "extract-core"},
+		"extension": {"densest", "kcore"},
 		"bucket":    {"update-histogram", "new-and-drain"},
 	} {
 		t.Run(id, func(t *testing.T) {

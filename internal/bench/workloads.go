@@ -273,23 +273,6 @@ func Workloads(smoke bool) []Workload {
 			return densestResult(densest.Find(g, densest.Options{Recorder: rec}))
 		})
 	}
-	cores := sync.OnceValue(func() []uint32 { return kcore.Coreness(rmat.g(), kcore.Options{}).Coreness })
-	for _, c := range []struct {
-		impl string
-		k    func(kmax uint32) uint32
-	}{
-		{"k2", func(uint32) uint32 { return 2 }},
-		{"khalf", func(kmax uint32) uint32 { return kmax / 2 }},
-		{"kmax", func(kmax uint32) uint32 { return kmax }},
-	} {
-		on("extension", "extract-core", c.impl, rmat, rmat.g, func(g *graph.CSR, _ *obs.Recorder) Result {
-			k := c.k(kcore.MaxCoreness(cores()))
-			sub := kcore.ExtractCore(g, cores(), k)
-			return Result{Answer: func() map[string]int64 {
-				return map[string]int64{"k": int64(k), "core_vertices": int64(len(sub.Vertices)), "num_cores": int64(sub.NumCores)}
-			}}
-		})
-	}
 	return ws
 }
 

@@ -1,6 +1,7 @@
 package ligra
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"julienne/internal/bucket"
@@ -85,7 +86,8 @@ func TestCompressedTraversalReusesDecodeBuffers(t *testing.T) {
 }
 
 // TestNilCondAdmitsEveryTarget: a nil C is cond_true in every traversal
-// that takes one, in both directions.
+// that takes one, in both directions, and the push direction takes a
+// dense input (All) on both representations.
 func TestNilCondAdmitsEveryTarget(t *testing.T) {
 	g := gen.Star(50)
 	hub := Single(50, 0)
@@ -101,6 +103,17 @@ func TestNilCondAdmitsEveryTarget(t *testing.T) {
 	parallel.SetProcs(old)
 	if dense != 49 || out.Size() != 49 {
 		t.Errorf("dense: %d visits, %d outputs, want 49 and 49", dense, out.Size())
+	}
+	for name, h := range map[string]graph.Graph{"csr": g, "compressed": compress.FromCSR(g)} {
+		var visits atomic.Int64
+		claimed := make([]atomic.Bool, 50)
+		out := EdgeMap(h, All(50), nil, func(_, d graph.Vertex, _ graph.Weight) bool {
+			visits.Add(1)
+			return claimed[d].CompareAndSwap(false, true)
+		}, EdgeMapOptions{NoDense: true})
+		if visits.Load() != 98 || out.Size() != 50 {
+			t.Errorf("%s: sparse over All: %d visits, %d outputs, want 98 and 50", name, visits.Load(), out.Size())
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 // Package oracle holds small, obviously-correct sequential reference
-// implementations of every algorithm family in this repository. They
+// implementations of every algorithm family in this repository:
+// coreness, shortest paths and set cover (densest subgraph is checked
+// by recounting its density against coreness). They
 // are the ground truth the differential property tests in
 // internal/proptest compare the parallel, work-efficient
 // implementations against, following the methodology of GBBS
@@ -22,9 +24,9 @@ package oracle
 
 import "fmt"
 
-// Diff compares two per-vertex results (coreness, distances, component
-// labels) and reports the first mismatching vertex, for small, readable
-// failure messages.
+// Diff compares two per-vertex results (coreness, distances) and
+// reports the first mismatching vertex, for small, readable failure
+// messages.
 func Diff[T comparable](name string, got, want []T) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%s: length %d, want %d", name, len(got), len(want))

@@ -46,16 +46,6 @@ func TestDijkstraHand(t *testing.T) {
 	}
 }
 
-func TestComponentsHand(t *testing.T) {
-	// Path 0-1-2 plus edge 3-4: two components.
-	g := sym(5, [2]graph.Vertex{0, 1}, [2]graph.Vertex{1, 2}, [2]graph.Vertex{3, 4})
-	labels := Components(g)
-	wantLab := []graph.Vertex{0, 0, 0, 3, 3}
-	if err := Diff("cc", labels, wantLab); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGreedySetCoverHand(t *testing.T) {
 	// Sets 0..2 over elements 3..6. Set 0 covers {3,4,5}, set 1 covers
 	// {5,6}, set 2 covers {3}. Greedy picks 0 then 1.
@@ -85,9 +75,6 @@ func TestDegenerateOracles(t *testing.T) {
 	empty := graph.FromEdges(0, nil, graph.BuildOptions{Symmetrize: true, DropSelfLoops: true, Dedup: true})
 	if got := Coreness(empty); len(got) != 0 {
 		t.Fatalf("coreness of empty graph has length %d", len(got))
-	}
-	if got := Components(empty); len(got) != 0 {
-		t.Fatalf("components of empty graph has length %d", len(got))
 	}
 	one := sym(1)
 	if got := Coreness(one); got[0] != 0 {

@@ -3,7 +3,6 @@ package proptest
 import (
 	"testing"
 
-	"julienne/internal/algo/cc"
 	"julienne/internal/algo/densest"
 	"julienne/internal/algo/kcore"
 	"julienne/internal/algo/setcover"
@@ -85,10 +84,6 @@ func TestDegenerateGraphs(t *testing.T) {
 					}
 					if err := oracle.Diff("kcore.CorenessLigra", kcore.CorenessLigra(h).Coreness, want); err != nil {
 						t.Errorf("compressed=%t: %v", compressed, err)
-					}
-					labels := cc.Components(h)
-					if err := oracle.VerifyComponents(g, labels); err != nil {
-						t.Errorf("compressed=%t: cc: %v", compressed, err)
 					}
 					// The densest k-core's density is its vertices' own,
 					// self-loops and parallel edges counted as Density

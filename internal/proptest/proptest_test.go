@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"julienne/internal/algo/cc"
 	"julienne/internal/algo/kcore"
 	"julienne/internal/algo/setcover"
 	"julienne/internal/algo/sssp"
@@ -90,18 +89,6 @@ func TestSSSPMatchesOracle(t *testing.T) {
 			return err
 		}
 		return nil
-	})
-}
-
-func TestComponentsMatchOracle(t *testing.T) {
-	Check(t, gen.SymmetricFamilies(), func(c Case, g *graph.CSR) error {
-		labels := cc.Components(c.Wrap(g))
-		if err := oracle.VerifyComponents(g, labels); err != nil {
-			return err
-		}
-		// Both sides canonicalize to min-label, so the comparison can be
-		// exact, not just partition-equivalent.
-		return oracle.Diff("cc.Components", labels, oracle.Components(g))
 	})
 }
 

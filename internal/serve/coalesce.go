@@ -12,20 +12,19 @@ import (
 
 // ssspKey identifies one distance computation: identical concurrent
 // requests coalesce onto a single run, and completed runs are cached.
+// /wbfs?src=s is /sssp?src=s&delta=1, so the two share a key.
 type ssspKey struct {
 	src   graph.Vertex
 	delta int64
-	wbfs  bool
 }
 
-// ssspVal is one computed (or failed) distance vector. Dist is shared
-// read-only between the leader, every coalesced follower, and the
-// cache — handlers must never mutate it.
+// ssspVal is one computed distance vector. Dist is shared read-only
+// between the leader, every coalesced follower, and the cache —
+// handlers must never mutate it.
 type ssspVal struct {
 	dist        []int64
 	rounds      int64
 	relaxations int64
-	err         error
 }
 
 // errFlightAbandoned is what a flight's followers get when its leader
@@ -37,6 +36,7 @@ var errFlightAbandoned = errors.New("serve: shared computation failed")
 type flight[V any] struct {
 	done   chan struct{}
 	val    V
+	err    error
 	landed bool // false once done is closed: the leader panicked
 }
 
@@ -50,13 +50,27 @@ type flightGroup[K comparable, V any] struct {
 // do returns the value for key, running compute unless cached answers
 // first or another caller's compute for key is already in flight, in
 // which case it waits for that one (shared reports this) until ctx is
-// done. cached, and keep with the finished value, run under the
-// group's lock, so a caller arriving as a flight lands sees either the
-// flight or what keep stored, never neither. The flight is taken down
-// in a defer: a compute that panics leaves nothing behind, and its
-// followers return errFlightAbandoned.
+// done. compute's error travels with its value to every caller of the
+// flight, and keep stores only a value that came without one. A
+// follower handed a run its leader's context canceled
+// (obs.ErrCanceled) while its own ctx is live tries once more, so a
+// short deadline never fails a longer one.
 func (g *flightGroup[K, V]) do(ctx context.Context, key K, cached func() (V, bool),
-	compute func() V, keep func(V)) (val V, shared bool, err error) {
+	compute func() (V, error), keep func(V)) (val V, shared bool, err error) {
+	val, shared, err = g.once(ctx, key, cached, compute, keep)
+	if shared && errors.Is(err, obs.ErrCanceled) && ctx.Err() == nil {
+		val, shared, err = g.once(ctx, key, cached, compute, keep)
+	}
+	return val, shared, err
+}
+
+// once is one attempt of do. cached, and keep with the finished value,
+// run under the group's lock, so a caller arriving as a flight lands
+// sees either the flight or what keep stored, never neither. The
+// flight is taken down in a defer: a compute that panics leaves
+// nothing behind, and its followers return errFlightAbandoned.
+func (g *flightGroup[K, V]) once(ctx context.Context, key K, cached func() (V, bool),
+	compute func() (V, error), keep func(V)) (val V, shared bool, err error) {
 	g.mu.Lock()
 	if v, ok := cached(); ok {
 		g.mu.Unlock()
@@ -69,7 +83,7 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key K, cached func() (V, boo
 			if !f.landed {
 				return val, true, errFlightAbandoned
 			}
-			return f.val, true, nil
+			return f.val, true, f.err
 		case <-ctx.Done():
 			return val, true, ctx.Err()
 		}
@@ -83,15 +97,15 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key K, cached func() (V, boo
 	defer func() {
 		g.mu.Lock()
 		delete(g.inflight, key)
-		if f.landed {
+		if f.landed && f.err == nil {
 			keep(f.val)
 		}
 		g.mu.Unlock()
 		close(f.done)
 	}()
-	f.val = compute()
+	f.val, f.err = compute()
 	f.landed = true
-	return f.val, false, nil
+	return f.val, false, f.err
 }
 
 // coalescer deduplicates concurrent identical SSSP queries and keeps
@@ -110,12 +124,11 @@ func newCoalescer(cacheSize int, rec *obs.Recorder) *coalescer {
 // do returns the result for key, computing it at most once across
 // concurrent callers. The bool results report whether the value came
 // from the cache and whether this caller coalesced onto another
-// caller's run. A non-nil error means this caller has no value: ctx
-// expired while it waited for another caller's computation, or that
-// computation panicked. Errors from the computation itself travel
-// inside ssspVal.err so every waiter sees them.
+// caller's run. A non-nil error is the computation's own (every waiter
+// sees it), or ctx expiring while this caller waited for another
+// caller's computation, or that computation panicking.
 func (c *coalescer) do(ctx context.Context, key ssspKey,
-	compute func() *ssspVal) (val *ssspVal, cached, coalesced bool, err error) {
+	compute func() (*ssspVal, error)) (val *ssspVal, cached, coalesced bool, err error) {
 	val, coalesced, err = c.flightGroup.do(ctx, key,
 		func() (*ssspVal, bool) {
 			v, ok := c.lru.get(key)
@@ -128,11 +141,7 @@ func (c *coalescer) do(ctx context.Context, key ssspKey,
 			return v, ok
 		},
 		compute,
-		func(v *ssspVal) {
-			if v.err == nil {
-				c.lru.put(key, v)
-			}
-		})
+		func(v *ssspVal) { c.lru.put(key, v) })
 	if coalesced {
 		c.rec.Inc(obs.CtrServeCoalesced)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"julienne/internal/algo/kcore"
+	"julienne/internal/algo/sssp"
 	"julienne/internal/graph"
 	"julienne/internal/harness"
 	"julienne/internal/obs"
@@ -129,10 +130,10 @@ func TestCoalescerFollowerCancelDoesNotPoisonFlight(t *testing.T) {
 	}
 	leaderDone := make(chan leaderResult, 1)
 	go func() {
-		val, cached, coalesced, err := c.do(context.Background(), key, func() *ssspVal {
+		val, cached, coalesced, err := c.do(context.Background(), key, func() (*ssspVal, error) {
 			close(computing)
 			<-release
-			return &ssspVal{dist: []int64{42}, rounds: 3}
+			return &ssspVal{dist: []int64{42}, rounds: 3}, nil
 		})
 		leaderDone <- leaderResult{val, cached, coalesced, err}
 	}()
@@ -142,9 +143,9 @@ func TestCoalescerFollowerCancelDoesNotPoisonFlight(t *testing.T) {
 	// ctx.Err() promptly instead of blocking on the leader.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	val, cached, coalesced, err := c.do(ctx, key, func() *ssspVal {
+	val, cached, coalesced, err := c.do(ctx, key, func() (*ssspVal, error) {
 		t.Error("follower must coalesce, not compute")
-		return nil
+		return nil, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled follower: err = %v, want context.Canceled", err)
@@ -165,9 +166,9 @@ func TestCoalescerFollowerCancelDoesNotPoisonFlight(t *testing.T) {
 
 	// The completed flight was cached and removed from inflight, so a
 	// late caller hits the cache without recomputing.
-	val, cached, coalesced, err = c.do(context.Background(), key, func() *ssspVal {
+	val, cached, coalesced, err = c.do(context.Background(), key, func() (*ssspVal, error) {
 		t.Error("cached key must not recompute")
-		return nil
+		return nil, nil
 	})
 	if err != nil || !cached || coalesced {
 		t.Fatalf("post-flight lookup: err=%v cached=%v coalesced=%v, want nil/true/false", err, cached, coalesced)
@@ -183,46 +184,72 @@ func TestCoalescerFollowerCancelDoesNotPoisonFlight(t *testing.T) {
 	}
 }
 
-// TestCorenessFollowerOutlivesLeadersDeadline: a /coreness request
-// that coalesced onto a run its leader's own, shorter deadline canceled
-// still has budget, so it computes coreness as the new leader and
-// answers 200, as a distance query does.
+// TestCorenessFollowerOutlivesLeadersDeadline: a request that
+// coalesced onto a run its leader's own, shorter deadline canceled
+// still has budget, so it computes as the new leader and answers 200
+// with the right answer — on /coreness and on both distance endpoints.
 func TestCorenessFollowerOutlivesLeadersDeadline(t *testing.T) {
 	g := testGraph()
-	s := New(Config{Graph: g, Recorder: obs.NewRecorder(), MaxInFlight: 2})
-	defer s.Close(context.Background())
-	release, leaderDone := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		s.core.do(context.Background(), struct{}{},
-			func() (kcore.Result, bool) { return kcore.Result{}, false },
-			func() kcore.Result {
+	canceled := &obs.Canceled{Cause: context.DeadlineExceeded}
+	leadDistance := func(key ssspKey) func(*Server, <-chan struct{}) {
+		return func(s *Server, release <-chan struct{}) {
+			s.coal.do(context.Background(), key, func() (*ssspVal, error) {
 				<-release
-				return kcore.Result{Err: &obs.Canceled{Algo: "kcore", Cause: context.DeadlineExceeded}}
-			},
-			func(kcore.Result) {})
-	}()
-	waitFor(t, "the leader's flight", func() bool {
+				return &ssspVal{}, canceled
+			})
+		}
+	}
+	flights := func(s *Server) int {
 		s.core.mu.Lock()
-		defer s.core.mu.Unlock()
-		return len(s.core.inflight) == 1
-	})
-	follower := make(chan *httptest.ResponseRecorder, 1)
-	go func() {
-		w := httptest.NewRecorder()
-		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/coreness?v=100&timeout_ms=10000", nil))
-		follower <- w
-	}()
-	waitFor(t, "the follower to wait on the flight", func() bool { return waitingOnFlight("corenessValues") })
-	close(release)
-	<-leaderDone
-	w := <-follower
-	var body struct{ Coreness *uint32 }
-	_ = json.Unmarshal(w.Body.Bytes(), &body)
-	want := kcore.Coreness(g, kcore.Options{}).Coreness[100]
-	if w.Code != http.StatusOK || body.Coreness == nil || *body.Coreness != want {
-		t.Errorf("follower of a leader canceled by its own deadline: %d %s, want 200 with coreness %d",
-			w.Code, w.Body, want)
+		n := len(s.core.inflight)
+		s.core.mu.Unlock()
+		s.coal.mu.Lock()
+		defer s.coal.mu.Unlock()
+		return n + len(s.coal.inflight)
+	}
+	for _, row := range []struct {
+		name, path, caller string
+		lead               func(s *Server, release <-chan struct{})
+		field              string // the answer's field in the 200 body
+		want               any
+	}{
+		{"coreness", "/coreness?v=100", "corenessValues",
+			func(s *Server, release <-chan struct{}) {
+				s.core.do(context.Background(), struct{}{},
+					func() (kcore.Result, bool) { return kcore.Result{}, false },
+					func() (kcore.Result, error) { <-release; return kcore.Result{}, canceled },
+					func(kcore.Result) {})
+			},
+			"coreness", kcore.Coreness(g, kcore.Options{}).Coreness[100]},
+		{"sssp", "/sssp?src=5&full=1", "handleDistance", leadDistance(ssspKey{src: 5, delta: 32768}),
+			"dist", sssp.DeltaStepping(g, 5, 32768, sssp.Options{}).Dist},
+		{"wbfs", "/wbfs?src=5&full=1", "handleDistance", leadDistance(ssspKey{src: 5, delta: 1}),
+			"dist", sssp.DeltaStepping(g, 5, 1, sssp.Options{}).Dist},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := New(Config{Graph: g, Recorder: obs.NewRecorder(), MaxInFlight: 2})
+			defer s.Close(context.Background())
+			release, leaderDone := make(chan struct{}), make(chan struct{})
+			go func() { defer close(leaderDone); row.lead(s, release) }()
+			waitFor(t, "the leader's flight", func() bool { return flights(s) == 1 })
+			follower := make(chan *httptest.ResponseRecorder, 1)
+			go func() {
+				w := httptest.NewRecorder()
+				s.Handler().ServeHTTP(w, httptest.NewRequest("GET", row.path+"&timeout_ms=10000", nil))
+				follower <- w
+			}()
+			waitFor(t, "the follower to wait on the flight", func() bool { return waitingOnFlight(row.caller) })
+			close(release)
+			<-leaderDone
+			w := <-follower
+			var body map[string]json.RawMessage
+			_ = json.Unmarshal(w.Body.Bytes(), &body)
+			want, _ := json.Marshal(row.want)
+			if w.Code != http.StatusOK || string(body[row.field]) != string(want) {
+				t.Errorf("follower of a leader canceled by its own deadline: %d %.200s, want 200 with %s %.200s",
+					w.Code, w.Body, row.field, want)
+			}
+		})
 	}
 }
 
@@ -367,23 +394,23 @@ func TestQueryLeavesNothingBehind(t *testing.T) {
 	}
 	leadDistance := func(key ssspKey) func(*Server, chan<- struct{}, <-chan struct{}) {
 		return func(s *Server, started chan<- struct{}, release <-chan struct{}) {
-			s.coal.do(context.Background(), key, func() *ssspVal {
+			s.coal.do(context.Background(), key, func() (*ssspVal, error) {
 				close(started)
 				<-release
-				return &ssspVal{err: context.Canceled}
+				return nil, context.Canceled
 			})
 		}
 	}
 	endpoints := []endpoint{
 		{"sssp", "/sssp?src=0", leadDistance(ssspKey{delta: 32768})},
-		{"wbfs", "/wbfs?src=0", leadDistance(ssspKey{delta: 1, wbfs: true})},
+		{"wbfs", "/wbfs?src=0", leadDistance(ssspKey{delta: 1})},
 		{"coreness", "/coreness?v=0", func(s *Server, started chan<- struct{}, release <-chan struct{}) {
 			s.core.do(context.Background(), struct{}{},
 				func() (kcore.Result, bool) { return kcore.Result{}, false },
-				func() kcore.Result {
+				func() (kcore.Result, error) {
 					close(started)
 					<-release
-					return kcore.Result{Err: context.Canceled}
+					return kcore.Result{}, context.Canceled
 				},
 				func(kcore.Result) {})
 		}},
@@ -511,7 +538,7 @@ func TestPanickingLeaderLandsItsFlight(t *testing.T) {
 	go func() {
 		defer close(leaderGone)
 		defer func() { _ = recover() }()
-		s.coal.do(context.Background(), ssspKey{delta: 1 << 40}, func() *ssspVal {
+		s.coal.do(context.Background(), ssspKey{delta: 1 << 40}, func() (*ssspVal, error) {
 			<-release
 			panic("kernel failure")
 		})

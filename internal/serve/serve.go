@@ -280,30 +280,12 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, wbfs boo
 		hist = obs.HistServeWBFSNs
 	}
 	s.query(w, r, hist, func(ctx context.Context) {
-		key := ssspKey{src: src, delta: delta, wbfs: wbfs}
-		var val *ssspVal
-		var cached, coalesced bool
-		// A coalesced follower can receive a result canceled by the
-		// *leader's* shorter deadline; if our own deadline still has
-		// budget, retry once as the new leader.
-		for attempt := 0; attempt < 2; attempt++ {
-			var waitErr error
-			val, cached, coalesced, waitErr = s.coal.do(ctx, key, func() *ssspVal {
-				opt := sssp.Options{Recorder: s.rec, Ctx: ctx}
-				res := sssp.DeltaStepping(s.g, src, delta, opt)
-				return newSSSPVal(res)
-			})
-			if waitErr != nil {
-				s.refuse(w, waitErr, nil)
-				return
-			}
-			if coalesced && val.err != nil && errors.Is(val.err, obs.ErrCanceled) && ctx.Err() == nil {
-				continue
-			}
-			break
-		}
-		if val.err != nil {
-			s.writeCanceled(w, val.err, val.rounds)
+		val, cached, coalesced, err := s.coal.do(ctx, ssspKey{src: src, delta: delta}, func() (*ssspVal, error) {
+			res := sssp.DeltaStepping(s.g, src, delta, sssp.Options{Recorder: s.rec, Ctx: ctx})
+			return &ssspVal{dist: res.Dist, rounds: res.Rounds, relaxations: res.Relaxations}, res.Err
+		})
+		if err != nil {
+			s.writeCanceled(w, err)
 			return
 		}
 		resp := distanceResponse{
@@ -333,10 +315,6 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request, wbfs boo
 	})
 }
 
-func newSSSPVal(res sssp.Result) *ssspVal {
-	return &ssspVal{dist: res.Dist, rounds: res.Rounds, relaxations: res.Relaxations, err: res.Err}
-}
-
 func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
 	if !s.g.Symmetric() {
 		s.failJSON(w, http.StatusBadRequest, "directed",
@@ -351,7 +329,7 @@ func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
 	s.query(w, r, obs.HistServeCorenessNs, func(ctx context.Context) {
 		coreness, err := s.corenessValues(ctx)
 		if err != nil {
-			s.writeCanceled(w, err, 0)
+			s.writeCanceled(w, err)
 			return
 		}
 		s.writeJSON(w, http.StatusOK, map[string]any{
@@ -366,34 +344,16 @@ func (s *Server) handleCoreness(w http.ResponseWriter, r *http.Request) {
 // is reported to its requesters but not kept, so the next request
 // retries.
 func (s *Server) corenessValues(ctx context.Context) ([]uint32, error) {
-	share := func() (kcore.Result, bool, error) {
-		return s.core.do(ctx, struct{}{},
-			func() (kcore.Result, bool) {
-				return kcore.Result{Coreness: s.coreness}, s.coreness != nil
-			},
-			func() kcore.Result {
-				return kcore.Coreness(s.g, kcore.Options{Recorder: s.rec, Ctx: ctx})
-			},
-			func(res kcore.Result) {
-				if res.Err == nil {
-					s.coreness = res.Coreness
-				}
-			})
-	}
-	res, shared, err := share()
-	// As for distances, a follower handed a run canceled by the
-	// leader's shorter deadline retries once as the new leader if its
-	// own deadline still has budget.
-	if err == nil && shared && errors.Is(res.Err, obs.ErrCanceled) && ctx.Err() == nil {
-		res, _, err = share()
-	}
-	if err == nil {
-		err = res.Err
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res.Coreness, nil
+	res, _, err := s.core.do(ctx, struct{}{},
+		func() (kcore.Result, bool) {
+			return kcore.Result{Coreness: s.coreness}, s.coreness != nil
+		},
+		func() (kcore.Result, error) {
+			res := kcore.Coreness(s.g, kcore.Options{Recorder: s.rec, Ctx: ctx})
+			return res, res.Err
+		},
+		func(res kcore.Result) { s.coreness = res.Coreness })
+	return res.Coreness, err
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -506,22 +466,23 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 `)
 }
 
-// writeCanceled answers a query whose kernel run failed: a
-// cancellation is refused as a deadline, with the typed
+// writeCanceled answers a query that has no value: a kernel run
+// canceled mid-way is refused as a deadline with its typed
 // partial-progress stats (*obs.Canceled carries algo, rounds, cause)
-// as the body.
-func (s *Server) writeCanceled(w http.ResponseWriter, err error, rounds int64) {
-	body := map[string]any{"error": "canceled", "rounds": rounds, "cause": err.Error()}
+// as the body; any other error (a wait that expired, an abandoned
+// flight) gets its standard refusal.
+func (s *Server) writeCanceled(w http.ResponseWriter, err error) {
 	var c *obs.Canceled
-	if errors.As(err, &c) {
-		body = map[string]any{
-			"error":  "canceled",
-			"algo":   c.Algo,
-			"rounds": c.Rounds,
-			"cause":  fmt.Sprint(c.Cause),
-		}
+	if !errors.As(err, &c) {
+		s.refuse(w, err, nil)
+		return
 	}
-	s.refuse(w, err, body)
+	s.refuse(w, err, map[string]any{
+		"error":  "canceled",
+		"algo":   c.Algo,
+		"rounds": c.Rounds,
+		"cause":  fmt.Sprint(c.Cause),
+	})
 }
 
 // refusal is one row of the typed-error → HTTP table. Every response

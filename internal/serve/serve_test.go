@@ -107,6 +107,17 @@ func TestQueryEndpointsMatchDirectComputation(t *testing.T) {
 	if m["cached"] != true {
 		t.Fatal("repeat query did not hit the result cache")
 	}
+
+	// /wbfs is /sssp with delta=1: one run answers both.
+	sssp1 := getJSON(t, ts.URL+"/sssp?src=9&delta=1&full=1", http.StatusOK)
+	m = getJSON(t, ts.URL+"/wbfs?src=9&full=1", http.StatusOK)
+	if m["cached"] != true || m["algo"] != "wbfs" || m["delta"] != nil {
+		t.Fatalf("/wbfs after /sssp?delta=1: cached=%v algo=%v delta=%v, want true, wbfs and no delta",
+			m["cached"], m["algo"], m["delta"])
+	}
+	if got, want := fmt.Sprint(m["dist"]), fmt.Sprint(sssp1["dist"]); got != want {
+		t.Fatalf("/wbfs answered other distances than /sssp?delta=1:\n%s\n%s", got, want)
+	}
 }
 
 // TestBoolParamsAreParsed: full accepts every strconv.ParseBool
