@@ -1,6 +1,8 @@
 package julienne
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"julienne/internal/gen"
+	"julienne/internal/parallel"
 )
 
 // TestConcurrentSharedGraphQueries pins the shared-read-path contract
@@ -102,6 +105,84 @@ func TestConcurrentSharedGraphQueries(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	scrapers.Wait()
+}
+
+// TestRunsDoNotShareScratch pins the run-level borrow: a kernel run
+// takes its bucket structure, peelers or round destinations from a
+// process-wide free list with whatever an earlier run left in them, so
+// four goroutines run k-core and ∆-stepping side by side, alternating
+// between two graphs of different n, and every so often a run whose
+// deadline has already passed — stopped with its structure full —
+// followed at once by a run on the other graph. Every completed answer,
+// and k-core's rounds and bucket traffic, must equal a serial run's,
+// and every borrow must be back when the runs are done. Run under
+// -race via `make race`.
+func TestRunsDoNotShareScratch(t *testing.T) {
+	type input struct {
+		g       *CSR
+		coreRun KCoreResult
+		dist    []int64
+		src     Vertex
+		delta   int64
+	}
+	rmat, grid := RMAT(1<<12, 1<<15, true, 5), Grid2D(48, 48)
+	inputs := []*input{
+		{g: HeavyWeights(rmat, 6), src: 0, delta: 32768},
+		{g: LogWeights(grid, 7), src: 1000, delta: 4},
+	}
+	for _, in := range inputs {
+		in.coreRun = KCoreWithOptions(in.g, KCoreOptions{})
+		in.dist = DeltaSteppingWithOptions(in.g, in.src, in.delta, SSSPOptions{}).Dist
+	}
+	expired, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+
+	const workers, iters = 4, 24
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				in := inputs[(w+i)%2]
+				var ctx context.Context
+				if i%6 == 5 {
+					ctx = expired // the next iteration runs on the other graph
+				}
+				if (w+i/2)%2 == 0 {
+					got := KCoreWithOptions(in.g, KCoreOptions{Ctx: ctx})
+					if ctx != nil {
+						if !errors.Is(got.Err, ErrCanceled) {
+							t.Errorf("worker %d: k-core past its deadline returned Err = %v", w, got.Err)
+						}
+						continue
+					}
+					want := in.coreRun
+					if got.Err != nil || !slices.Equal(got.Coreness, want.Coreness) ||
+						got.Rounds != want.Rounds || got.BucketStats != want.BucketStats {
+						t.Errorf("worker %d iteration %d: k-core on n=%d differs from the serial run (err %v, rounds %d/%d, traffic %+v/%+v)",
+							w, i, in.g.NumVertices(), got.Err, got.Rounds, want.Rounds, got.BucketStats, want.BucketStats)
+					}
+					continue
+				}
+				got := DeltaSteppingWithOptions(in.g, in.src, in.delta, SSSPOptions{Ctx: ctx})
+				if ctx != nil {
+					if !errors.Is(got.Err, ErrCanceled) {
+						t.Errorf("worker %d: ∆-stepping past its deadline returned Err = %v", w, got.Err)
+					}
+					continue
+				}
+				if got.Err != nil || !slices.Equal(got.Dist, in.dist) {
+					t.Errorf("worker %d iteration %d: ∆-stepping on n=%d differs from the serial run (err %v)",
+						w, i, in.g.NumVertices(), got.Err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if b := parallel.ScratchStats(); !b.Balanced() {
+		t.Errorf("scratch borrowed %d times, returned %d", b.Gets, b.Puts)
+	}
 }
 
 // TestKernelsIdenticalAcrossProcs pins what the scheduling core and the

@@ -109,16 +109,30 @@ func Coreness(g graph.Graph, opt Options) Result {
 		return deg
 	})))
 	lp := bucket.Loop{Algo: "kcore", Recorder: opt.Recorder, Ctx: opt.Ctx}
-	b := lp.New(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, opt.Buckets)
+	// The round's state and its worker bodies are built once, and the
+	// peelers with their buffers and the bucket structure are borrowed
+	// for the run: a round allocates nothing, and neither does a run
+	// that follows one as large.
+	parallel.WithScratch(parallel.Procs(), func(ps []peeler) {
+		for i := range ps {
+			ps[i].since = 0 // the rest is reset before a round uses it
+		}
+		lp.With(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, opt.Buckets, func(b *bucket.Par) {
+			r := round{g: g, d: d, b: b, cancel: obs.NewCancelCheck(opt.Ctx), ps: ps}
+			res.Rounds, res.Err = lp.Run(b, r.body(&res))
+			res.BucketStats = b.Stats()
+		})
+	})
+	return res
+}
 
-	// The round's state and its two worker bodies are built once: a
-	// round allocates nothing once the peelers' buffers have grown (the
-	// bucket structure's own chunks aside).
-	r := round{g: g, d: d, b: b, cancel: obs.NewCancelCheck(opt.Ctx), ps: make([]peeler, parallel.Procs())}
-	peel := func(w, lo, hi int) { r.ps[w].peel(&r, r.ids[lo:hi]) }
+// body is Coreness's round over the run r describes, counting into res.
+func (r *round) body(res *Result) func(k bucket.ID, ids []uint32) (int64, bool) {
+	g, d, b, n := r.g, r.d, r.b, len(r.d)
+	peel := func(w, lo, hi int) { r.ps[w].peel(r, r.ids[lo:hi]) }
 	rebucket := func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			r.ps[i].rebucket(&r)
+			r.ps[i].rebucket(r)
 		}
 	}
 	batch := &r.ps[0]
@@ -127,7 +141,7 @@ func Coreness(g graph.Graph, opt Options) Result {
 	dbg.init(n)
 
 	finished := 0
-	res.Rounds, res.Err = lp.Run(b, func(k bucket.ID, ids []uint32) (int64, bool) {
+	return func(k bucket.ID, ids []uint32) (int64, bool) {
 		// All vertices in the bucket have coreness k (their D values
 		// already equal k by the bucket-liveness invariant). Each worker
 		// peels a share of them and then, in its own queue, every
@@ -184,9 +198,7 @@ func Coreness(g graph.Graph, opt Options) Result {
 		res.VerticesScanned += int64(peeled)
 		res.EdgesTraversed += edges
 		return edges, finished == n
-	})
-	res.BucketStats = b.Stats()
-	return res
+	}
 }
 
 // mark is D's top bit. A worker sets it with the first decrement that
@@ -222,8 +234,9 @@ type round struct {
 	ps     []peeler    // one per worker; ps[0]'s batch is the round's
 }
 
-// peeler is one worker's share of a round. Its buffers live for the
-// run, so a round allocates nothing once they have grown.
+// peeler is one worker's share of a round. Its buffers are borrowed
+// for the run and keep their capacity from run to run, so a round
+// allocates nothing once they have grown.
 type peeler struct {
 	queue   []uint32 // this worker's peel order: its extracted ids, then every vertex its decrements drop to k
 	head    int      // queue[:head] is peeled; the rest is handed back

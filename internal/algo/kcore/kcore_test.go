@@ -13,6 +13,7 @@ import (
 	"julienne/internal/bucket"
 	"julienne/internal/gen"
 	"julienne/internal/graph"
+	"julienne/internal/harness"
 	"julienne/internal/obs"
 	"julienne/internal/parallel"
 )
@@ -441,15 +442,13 @@ func TestCanceledCarriesFlightTail(t *testing.T) {
 }
 
 // TestCorenessAllocsScaleWithRoundsNotVertices pins the allocation
-// shape of a whole run at P=1. Coreness itself allocates a handful of
-// objects per run — its closures, the result, and the per-worker
-// peelers with their buffers as they grow — and nothing per round, per vertex
-// or per edge. What is left is the bucket structure's: on this graph
-// 2,225 objects over 69 rounds (≈ 32 per round: a round that peels a
-// whole level rebuckets into many slots), 74 % fresh chunks from bucket.chunkAlloc, 18 % the per-slot
-// chunk lists UpdateBuckets appends them to, 4 % the free list's class
-// slices growing in freePut (the list has no lock: only the caller
-// touches it), 2 % the peelers' buffers.
+// shape of a whole steady-state run at P=1: a constant number of
+// objects, whatever the rounds and vertices — the answer, the run's
+// closures and the bucket structure's fill. The peelers and the bucket
+// structure, with its chunks, are borrowed for the run, so a run that
+// follows one as large allocates no chunk, no chunk list and no peeler
+// buffer: 14 objects on this graph, over 69 rounds. The second half
+// pins the bytes: the answer plus at most 64 KiB.
 func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -461,13 +460,12 @@ func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	defer parallel.SetProcs(old)
 
 	g := gen.RMAT(1<<15, 1<<18, true, 3)
-	rounds := Coreness(g, Options{}).Rounds
-	bound := float64(32*rounds + 64)
-	if bound >= float64(g.NumVertices()) {
-		t.Fatalf("%d rounds on n=%d: the bound would not notice a per-vertex allocation", rounds, g.NumVertices())
+	if allocs := testing.AllocsPerRun(3, func() { Coreness(g, Options{}) }); allocs > 32 {
+		t.Errorf("Coreness: %v allocs per run, want ≤ 32", allocs)
 	}
-	if allocs := testing.AllocsPerRun(3, func() { Coreness(g, Options{}) }); allocs > bound {
-		t.Errorf("Coreness: %v allocs over %d rounds (n=%d), want ≤ 32·rounds + 64 = %v", allocs, rounds, g.NumVertices(), bound)
+	answer := uint64(4 * g.NumVertices())
+	if got := harness.AllocBytesPerRun(3, func() { Coreness(g, Options{}) }); got > answer+64<<10 {
+		t.Errorf("Coreness: %d bytes per run, want ≤ the %d-byte answer + 64 KiB", got, answer)
 	}
 }
 

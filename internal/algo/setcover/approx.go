@@ -30,13 +30,13 @@ func ApproxOn(work graph.Packer, numSets int, opt Options) Result {
 	n := work.NumVertices()
 	lp := bucket.Loop{Algo: "setcover", Recorder: opt.Recorder, Ctx: opt.Ctx}
 
-	// The round's bucket is loop state the closures below read; they
-	// and the destination they fill are built once per run.
+	// The round's bucket and the run's bucket structure are loop state
+	// the closures below read; they and the destination they fill are
+	// built once per run.
 	var bkt bucket.ID
+	var b *bucket.Par
 	m := newManis(work, numSets, opt.Recorder)
 	d := m.d
-	b := lp.New(numSets, func(s uint32) bucket.ID { return bz.bucketOf(d[s]) },
-		bucket.Decreasing, opt.Buckets)
 
 	var rebucket ligra.Tagged[bucket.Dest]
 	move := func(s graph.Vertex) (bucket.Dest, bool) {
@@ -63,20 +63,23 @@ func ApproxOn(work graph.Packer, numSets int, opt Options) Result {
 	feed := func(j int) (uint32, bucket.Dest) { return rebucket.IDs[j], rebucket.Vals[j] }
 
 	res := Result{InCover: m.inCover}
-	res.Rounds, res.Err = lp.Run(b, func(id bucket.ID, sets []uint32) (int64, bool) {
-		bkt = id
-		res.SetsInspected += int64(len(sets))
-		frontier := ligra.FromSparse(n, sets)
-		m.setBucket(eps, int64(bkt))
+	lp.With(numSets, func(s uint32) bucket.ID { return bz.bucketOf(d[s]) }, bucket.Decreasing, opt.Buckets, func(par *bucket.Par) {
+		b = par
+		res.Rounds, res.Err = lp.Run(b, func(id bucket.ID, sets []uint32) (int64, bool) {
+			bkt = id
+			res.SetsInspected += int64(len(sets))
+			frontier := ligra.FromSparse(n, sets)
+			m.setBucket(eps, int64(bkt))
 
-		m.elect(m.activate(frontier))
+			m.elect(m.activate(frontier))
 
-		// Rebucket the sets that did not join the cover (line 33).
-		ligra.TagMap(frontier, move, &rebucket)
-		b.UpdateBuckets(rebucket.Size(), feed)
-		return 0, false
+			// Rebucket the sets that did not join the cover (line 33).
+			ligra.TagMap(frontier, move, &rebucket)
+			b.UpdateBuckets(rebucket.Size(), feed)
+			return 0, false
+		})
+		res.BucketStats = b.Stats()
 	})
 	res.CoverSize = parallel.Count(len(res.InCover), 0, func(i int) bool { return res.InCover[i] })
-	res.BucketStats = b.Stats()
 	return res
 }

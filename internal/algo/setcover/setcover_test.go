@@ -283,11 +283,11 @@ func TestApproxOnCompressedGraph(t *testing.T) {
 
 // TestApproxAllocsScaleWithRoundsNotSets pins the allocation shape of a
 // whole run at P=1: a MaNIS round's closures and the four destinations
-// they fill are built once per run, so what a round still allocates is
-// the worker closure inside each of its two plain ligra.EdgeMap calls
-// (one object each) and the bucket structure's chunks: 724 objects over
-// 148 rounds on this instance, 4,575 (30.9 per round) before the
-// destinations. ApproxOn consumes its graph, so the clone
+// they fill are built once per run, and the bucket structure with its
+// chunks is borrowed for the run (bucket.Loop.With), so what a round
+// still allocates is the worker closure inside each of its two plain
+// ligra.EdgeMap calls (one object each), over 148 rounds on this
+// instance. ApproxOn consumes its graph, so the clone
 // Approx makes is part of every run.
 func TestApproxAllocsScaleWithRoundsNotSets(t *testing.T) {
 	if parallel.RaceEnabled {

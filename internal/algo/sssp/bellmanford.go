@@ -18,8 +18,8 @@ import (
 func BellmanFord(g graph.Graph, src graph.Vertex) Result {
 	checkInput(g, src)
 	n := g.NumVertices()
-	sp := make([]uint64, n)
-	parallel.For(n, parallel.DefaultGrain, func(i int) { sp[i] = inf })
+	sp := make([]int64, n)
+	parallel.For(n, parallel.DefaultGrain, func(i int) { sp[i] = int64(inf) })
 	sp[src] = 0
 
 	res := Result{}
@@ -32,7 +32,7 @@ func BellmanFord(g graph.Graph, src graph.Vertex) Result {
 		// successful relaxer of v this round adds v to the output.
 		frontier = ligra.EdgeMap(g, frontier, nil,
 			func(s, d graph.Vertex, w graph.Weight) bool {
-				base := atomic.LoadUint64(&sp[s]) &^ ligra.RoundFlag
+				base := uint64(atomic.LoadInt64(&sp[s])) &^ ligra.RoundFlag
 				_, lowered, first := ligra.WriteMin(sp, d, base+uint64(w))
 				if lowered {
 					relaxations.Add(1)
@@ -41,7 +41,7 @@ func BellmanFord(g graph.Graph, src graph.Vertex) Result {
 			}, ligra.EdgeMapOptions{})
 		// Clear round flags for the next iteration.
 		frontier.ForEach(func(v graph.Vertex) {
-			atomic.StoreUint64(&sp[v], sp[v]&^ligra.RoundFlag)
+			atomic.StoreInt64(&sp[v], int64(uint64(sp[v])&^ligra.RoundFlag))
 		})
 	}
 	res.Relaxations = relaxations.Load()

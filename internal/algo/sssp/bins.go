@@ -27,8 +27,8 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 	}
 	n := g.NumVertices()
 	udelta := uint64(delta)
-	dist := make([]uint64, n)
-	parallel.For(n, parallel.DefaultGrain, func(i int) { dist[i] = inf })
+	dist := make([]int64, n)
+	parallel.For(n, parallel.DefaultGrain, func(i int) { dist[i] = int64(inf) })
 	dist[src] = 0
 
 	p := parallel.Procs()
@@ -49,7 +49,7 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 	relax := func(w, lo, hi int) {
 		bins := localBins[w]
 		for _, v := range frontier[lo:hi] {
-			dv := atomic.LoadUint64(&dist[v])
+			dv := uint64(atomic.LoadInt64(&dist[v]))
 			if dv/udelta != curBin {
 				continue // stale copy
 			}
@@ -57,7 +57,7 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 			edges.Add(int64(len(nbrs)))
 			for j, u := range nbrs {
 				nd := dv + uint64(ws[j])
-				if parallel.WriteMinUint64(&dist[u], nd) {
+				if parallel.WriteMinInt64(&dist[u], int64(nd)) {
 					relaxations.Add(1)
 					b := nd / udelta
 					bins[b] = append(bins[b], u)

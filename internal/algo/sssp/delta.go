@@ -35,10 +35,19 @@ type waves struct {
 	shift  uint8
 	pow2   bool
 	g      graph.Graph
-	// sp holds the tentative distances, one per vertex; ligra.RoundFlag
-	// marks a vertex whose distance changed in the current round.
-	sp []uint64
+	// sp holds the tentative distances, one per vertex, and becomes the
+	// run's answer; ligra.RoundFlag marks a vertex whose distance
+	// changed in the current round.
+	sp []int64
 	b  *bucket.Par
+}
+
+// dests are a run's two round destinations, borrowed for the run with
+// the capacity an earlier run grew them to; each call into one starts
+// it empty.
+type dests struct {
+	moved    ligra.Tagged[uint64]
+	rebucket ligra.Tagged[bucket.Dest]
 }
 
 // setDelta sets ∆ and the shift that stands in for dividing by it.
@@ -77,18 +86,22 @@ func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Re
 		panic("sssp: delta must be positive")
 	}
 	n := g.NumVertices()
-	w := &waves{g: g, sp: make([]uint64, n)}
+	w := &waves{g: g, sp: make([]int64, n)}
 	w.setDelta(delta)
-	parallel.For(n, parallel.DefaultGrain, func(i int) { w.sp[i] = inf })
+	parallel.For(n, parallel.DefaultGrain, func(i int) { w.sp[i] = int64(inf) })
 	w.sp[src] = 0
 	lp := bucket.Loop{Algo: "sssp", Recorder: opt.Recorder, Ctx: opt.Ctx}
-	w.b = lp.New(n, func(i uint32) bucket.ID { return w.bktOf(w.sp[i] &^ ligra.RoundFlag) },
-		bucket.Increasing, opt.Buckets)
+	bkt := func(i uint32) bucket.ID { return w.bktOf(uint64(w.sp[i]) &^ ligra.RoundFlag) }
 	var res Result
-	res.Rounds, res.Err = lp.Run(w.b, deltaRound(w))
+	parallel.WithScratch(1, func(ds []dests) {
+		lp.With(n, bkt, bucket.Increasing, opt.Buckets, func(b *bucket.Par) {
+			w.b = b
+			res.Rounds, res.Err = lp.Run(b, deltaRound(w, &ds[0]))
+			res.BucketStats = b.Stats()
+		})
+	})
 	res.Relaxations = w.relaxations
 	res.EdgesTraversed = w.edges
-	res.BucketStats = w.b.Stats()
 	res.Dist = finalize(w.sp)
 	return res
 }
@@ -97,20 +110,19 @@ func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Re
 // relaxation round over the frontier ids drawn from bucket id,
 // rebucketing what moved. ids aliases the bucket structure's arena:
 // valid only until the body's next call into the structure.
-func deltaRound(w *waves) func(id bucket.ID, ids []uint32) (int64, bool) {
+func deltaRound(w *waves, ds *dests) func(id bucket.ID, ids []uint32) (int64, bool) {
 	g, sp, b := w.g, w.sp, w.b
-	// The round's closures and the two destinations they fill are built
-	// once per run; a round reads its bucket from id and allocates
-	// nothing (the bucket structure's chunks aside).
+	moved, rebucket := &ds.moved, &ds.rebucket
+	// The round's closures are built once per run and its destinations
+	// borrowed for it; a round reads its bucket from id and allocates
+	// nothing.
 	var id bucket.ID
-	var moved ligra.Tagged[uint64]
-	var rebucket ligra.Tagged[bucket.Dest]
 	// Reset (lines 11–13): clear the round flag and compute each
 	// vertex's bucket move from its start-of-round bucket to its new
 	// bucket.
 	reset := func(v graph.Vertex, oldDist uint64) (bucket.Dest, bool) {
-		newDist := sp[v] &^ ligra.RoundFlag
-		sp[v] = newDist
+		newDist := uint64(sp[v]) &^ ligra.RoundFlag
+		sp[v] = int64(newDist)
 		prevB, newB := w.bktOf(oldDist), w.bktOf(newDist)
 		if newB == prevB && newB == id {
 			// v sat in the current bucket and was improved to a
@@ -132,9 +144,9 @@ func deltaRound(w *waves) func(id bucket.ID, ids []uint32) (int64, bool) {
 		// Relax the out-edges of the frontier (Algorithm 2, line 18).
 		// The tagged output carries each improved vertex's distance at
 		// the start of the round, captured by the winning relaxer.
-		_, relaxed := ligra.EdgeMapWriteMin(g, frontier, sp, &moved)
+		_, relaxed := ligra.EdgeMapWriteMin(g, frontier, sp, moved)
 		w.relaxations += relaxed
-		ligra.TagMapTagged(moved, reset, &rebucket)
+		ligra.TagMapTagged(*moved, reset, rebucket)
 		b.UpdateBuckets(rebucket.Size(), feed)
 		return edges, false
 	}

@@ -9,9 +9,9 @@ import "julienne/internal/graph"
 func DijkstraHeap(g graph.Graph, src graph.Vertex) Result {
 	checkInput(g, src)
 	n := g.NumVertices()
-	dist := make([]uint64, n)
+	dist := make([]int64, n)
 	for i := range dist {
-		dist[i] = inf
+		dist[i] = int64(inf)
 	}
 	dist[src] = 0
 	res := Result{}
@@ -25,7 +25,7 @@ func DijkstraHeap(g graph.Graph, src graph.Vertex) Result {
 		nbrs, ws := g.OutAdj(item.v, &buf)
 		res.EdgesTraversed += int64(len(nbrs))
 		for j, u := range nbrs {
-			nd := item.d + uint64(ws[j])
+			nd := item.d + int64(ws[j])
 			if nd < dist[u] {
 				dist[u] = nd
 				res.Relaxations++
@@ -39,7 +39,7 @@ func DijkstraHeap(g graph.Graph, src graph.Vertex) Result {
 
 type distItem struct {
 	v graph.Vertex
-	d uint64
+	d int64
 }
 
 // distHeap is a binary min-heap on d. Its sift-up and sift-down are

@@ -69,16 +69,16 @@ func checkInput(g graph.Graph, src graph.Vertex) {
 	}
 }
 
-// finalize converts the internal distance array to the public form.
-func finalize(sp []uint64) []int64 {
-	out := make([]int64, len(sp))
-	parallel.For(len(sp), parallel.DefaultGrain, func(i int) {
-		d := sp[i] &^ ligra.RoundFlag
-		if d >= inf {
-			out[i] = Unreachable
+// finalize rewrites a run's distance array into the public form, in
+// place: the round flag cleared and an unreached vertex Unreachable.
+// The array a run relaxed is its answer; nothing is copied.
+func finalize(dist []int64) []int64 {
+	parallel.For(len(dist), parallel.DefaultGrain, func(i int) {
+		if d := uint64(dist[i]) &^ ligra.RoundFlag; d >= inf {
+			dist[i] = Unreachable
 		} else {
-			out[i] = int64(d)
+			dist[i] = int64(d)
 		}
 	})
-	return out
+	return dist
 }

@@ -6,6 +6,7 @@ import (
 	"julienne/internal/bucket"
 	"julienne/internal/gen"
 	"julienne/internal/graph"
+	"julienne/internal/harness"
 	"julienne/internal/parallel"
 	"julienne/internal/rng"
 )
@@ -179,19 +180,14 @@ func TestDeterministicDistances(t *testing.T) {
 }
 
 // TestAllocsScaleWithRoundsNotVertices pins the allocation shape of
-// whole wBFS and ∆-stepping runs at P=1: a round allocates nothing —
-// its closures, its two destinations and its span arguments are built
-// once per run or not at all — so a run costs a constant plus the
-// bucket structure's chunks. On the grid, where rounds are many and
-// tiny, that is 598 objects over 2,051 rounds of wBFS and 412 over
-// 1,416 of ∆-stepping (0.3 per round: bucket chunks from
-// bucket.chunkAlloc and the free list's class slices growing in
-// freePut; 15.8 per round before the destinations), and the budget of
-// half an object per round fails on one closure literal put back into
-// the segment. On the RMAT graph, where rounds are few and huge, the
-// constant dominates (271 and 128 objects: bucket chunks and lists,
-// doublings of the destinations, the result vectors) and the bound
-// says nothing is allocated per vertex or per edge.
+// whole steady-state wBFS and ∆-stepping runs at P=1: a constant number
+// of objects, whatever the rounds and vertices. A round allocates
+// nothing, and the run's two destinations and its bucket structure,
+// chunks included, are borrowed for the run, so a run that follows one
+// as large allocates its answer — relaxed in place — and its closures:
+// 11 objects in every case here, over 2,051 rounds of wBFS and 1,416
+// of ∆-stepping on the grid. The bytes are pinned too: the answer plus
+// at most 64 KiB.
 func TestAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -205,27 +201,23 @@ func TestAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	grid, rmat := gen.Grid2D(256, 256), gen.RMAT(1<<15, 1<<18, true, 3)
 	gridLight, gridHeavy := gen.LogWeights(grid, 3), gen.HeavyWeights(grid, 3)
 	rmatLight, rmatHeavy := gen.LogWeights(rmat, 3), gen.HeavyWeights(rmat, 3)
-	perRound := func(rounds int64) float64 { return float64(rounds/2 + 64) }
-	perRun := func(rounds int64) float64 { return float64(2*rounds + 320) }
 	cases := []struct {
-		name  string
-		n     int
-		bound func(rounds int64) float64
-		run   func() Result
+		name string
+		n    int
+		run  func()
 	}{
-		{"WBFS/grid", grid.NumVertices(), perRound, func() Result { return WBFS(gridLight, 0, Options{}) }},
-		{"DeltaStepping/grid", grid.NumVertices(), perRound, func() Result { return DeltaStepping(gridHeavy, 0, 32768, Options{}) }},
-		{"WBFS/rmat", rmat.NumVertices(), perRun, func() Result { return WBFS(rmatLight, 0, Options{}) }},
-		{"DeltaStepping/rmat", rmat.NumVertices(), perRun, func() Result { return DeltaStepping(rmatHeavy, 0, 32768, Options{}) }},
+		{"WBFS/grid", grid.NumVertices(), func() { WBFS(gridLight, 0, Options{}) }},
+		{"DeltaStepping/grid", grid.NumVertices(), func() { DeltaStepping(gridHeavy, 0, 32768, Options{}) }},
+		{"WBFS/rmat", rmat.NumVertices(), func() { WBFS(rmatLight, 0, Options{}) }},
+		{"DeltaStepping/rmat", rmat.NumVertices(), func() { DeltaStepping(rmatHeavy, 0, 32768, Options{}) }},
 	}
 	for _, c := range cases {
-		rounds := c.run().Rounds
-		bound := c.bound(rounds)
-		if bound >= float64(c.n) {
-			t.Fatalf("%s: %d rounds on n=%d: the bound would not notice a per-vertex allocation", c.name, rounds, c.n)
+		if allocs := testing.AllocsPerRun(3, c.run); allocs > 32 {
+			t.Errorf("%s: %v allocs per run, want ≤ 32", c.name, allocs)
 		}
-		if allocs := testing.AllocsPerRun(3, func() { c.run() }); allocs > bound {
-			t.Errorf("%s: %v allocs over %d rounds (n=%d), want ≤ %v", c.name, allocs, rounds, c.n, bound)
+		answer := uint64(8 * c.n)
+		if got := harness.AllocBytesPerRun(3, c.run); got > answer+64<<10 {
+			t.Errorf("%s: %d bytes per run, want ≤ the %d-byte answer + 64 KiB", c.name, got, answer)
 		}
 	}
 }

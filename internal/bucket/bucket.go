@@ -134,6 +134,15 @@ type counters struct {
 	extracted, moved, skipped, returned, rangeAdvances atomic.Int64
 }
 
+// reset zeroes the counters for a structure's next run.
+func (c *counters) reset() {
+	c.extracted.Store(0)
+	c.moved.Store(0)
+	c.skipped.Store(0)
+	c.returned.Store(0)
+	c.rangeAdvances.Store(0)
+}
+
 // snapshot builds the public plain Stats from the live counters.
 func (c *counters) snapshot() Stats {
 	return Stats{

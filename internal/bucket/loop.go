@@ -14,13 +14,14 @@ import (
 // Run owns what every round has in common — the cancel check and its
 // *obs.Canceled, one extraction per round, the round count, and the
 // round's time and the bucket and fork deltas each RoundMetrics
-// carries — so the contract is the same for every kernel. DESIGN.md §9
+// carries — so the contract is the same for every kernel. With owns
+// the structure's borrow for the run. DESIGN.md §9
 // lists its invariants and the tests that pin them.
 type Loop struct {
 	// Algo names the kernel in its round records and cancellation
 	// error.
 	Algo string
-	// Recorder, when non-nil, receives one RoundMetrics per round; New
+	// Recorder, when non-nil, receives one RoundMetrics per round; With
 	// hands it to the structure as well. Nil costs a nil check per
 	// round.
 	Recorder *obs.Recorder
@@ -29,13 +30,24 @@ type Loop struct {
 	Ctx context.Context
 }
 
-// New is bucket.New for the loop's run: the structure reports to the
-// loop's recorder unless opt names its own.
-func (l Loop) New(n int, d func(uint32) ID, order Order, opt Options) *Par {
+// With borrows a structure for one run: it fills it over identifiers
+// [0, n) as New does, reporting to the loop's recorder unless opt names
+// its own, runs f on it, and hands it back when f returns or panics.
+// The structure comes from parallel's free list with the storage an
+// earlier run grew — its slot table, arena and free list of chunks —
+// so a steady-state run allocates no chunk and no arena buffer. f must
+// not retain b or anything b returned, and reads b.Stats before it
+// returns.
+func (l Loop) With(n int, d func(uint32) ID, order Order, opt Options, f func(b *Par)) {
 	if opt.Recorder == nil {
 		opt.Recorder = l.Recorder
 	}
-	return New(n, d, order, opt)
+	parallel.WithScratch(1, func(s []Par) {
+		b := &s[0]
+		defer b.drain()
+		b.fill(n, d, order, opt)
+		f(b)
+	})
 }
 
 // Run drives b one round at a time until b is exhausted, round reports

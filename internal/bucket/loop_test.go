@@ -21,7 +21,7 @@ func (c *countingStructure) NextBucket() (ID, []uint32) {
 
 // eightBuckets holds identifiers [0, 64) in buckets 0..7, eight each.
 func eightBuckets(l Loop) *countingStructure {
-	return &countingStructure{Structure: l.New(64, func(i uint32) ID { return i / 8 }, Increasing, Options{})}
+	return &countingStructure{Structure: New(64, func(i uint32) ID { return i / 8 }, Increasing, Options{Recorder: l.Recorder})}
 }
 
 // TestLoopRecordsEveryRound pins what Run records per round: one
@@ -102,4 +102,32 @@ func TestLoopStopsExtractingWhenDone(t *testing.T) {
 		t.Errorf("Run = (%d, %v) after %d extractions (%d returned), want 2 rounds, 2 extractions",
 			rounds, err, b.extractions, b.Stats().BucketsReturned)
 	}
+}
+
+// TestWithDrainsWhatARunLeft: a run that stops after its first round
+// leaves most of its identifiers in the structure it borrowed; the next
+// run, over fewer identifiers, gets that structure back from the free
+// list and still extracts exactly its own identifiers, each from its own
+// bucket, with counters that start at zero.
+func TestWithDrainsWhatARunLeft(t *testing.T) {
+	l := Loop{Algo: "test"}
+	l.With(64, func(i uint32) ID { return i / 8 }, Increasing, Options{}, func(b *Par) {
+		if rounds, _ := l.Run(b, func(ID, []uint32) (int64, bool) { return 0, true }); rounds != 1 {
+			t.Fatalf("first run: %d rounds, want 1", rounds)
+		}
+	})
+	l.With(16, func(i uint32) ID { return i % 4 }, Increasing, Options{}, func(b *Par) {
+		got := drainAll(t, b)
+		if len(got) != 16 {
+			t.Errorf("second run extracted %d identifiers, want 16", len(got))
+		}
+		for id, bkt := range got {
+			if bkt != id%4 {
+				t.Errorf("identifier %d extracted from bucket %d, want %d", id, bkt, id%4)
+			}
+		}
+		if s := b.Stats(); s.Extracted != 16 || s.BucketsReturned != 4 {
+			t.Errorf("second run's counters %+v, want 16 extracted from 4 buckets", s)
+		}
+	})
 }

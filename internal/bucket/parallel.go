@@ -78,6 +78,9 @@ type Par struct {
 	scatterPass func(blk int)
 	cmp         compactState
 	compactPass func(blk int)
+	adv         advanceState
+	advAnchor   func(j int) ID
+	advFeed     func(j int) (uint32, Dest)
 
 	// dbg holds invariant-assertion state; zero-sized unless the build
 	// is tagged julienne_debug (see debug_on.go / debug_off.go).
@@ -114,19 +117,12 @@ type arena struct {
 	at     []int      // chunk offsets of a forked compaction
 	kept   []int      // per-block survivor counts of a forked compaction
 	// free holds spent identifier chunks (compacted or redistributed
-	// slots) for chunkAlloc to reuse, segregated by capacity class:
-	// free[c] holds arrays with cap in [2^c, 2^(c+1)), so put and get are
-	// O(1) instead of a linear scan over the whole pool. Only the
+	// slots) for chunkAlloc to reuse, by size class: free[c] holds
+	// arrays of capacity 2^c, so put and get are O(1). Only the
 	// structure's caller touches it (every pass that allocates or
 	// recycles a chunk runs on the caller), so it needs no lock.
-	free      [33][][]uint32
-	freeCount int
+	free [33][][]uint32
 }
-
-// maxFreeArrays bounds the recycling list; beyond it the smallest
-// arrays are dropped for the garbage collector (the largest are the
-// ones that can satisfy future chunkAlloc calls).
-const maxFreeArrays = 1024
 
 // slotChunkCap is the chunk-list capacity pre-seeded per slot at
 // construction, sized so typical peels never grow a header array.
@@ -156,6 +152,14 @@ type compactState struct {
 	out      []uint32
 }
 
+// advanceState holds one range advance's parameters for the cached
+// advAnchor and advFeed: the flattened overflow identifiers and the
+// range they were stored beyond.
+type advanceState struct {
+	over           []uint32
+	prevLo, prevHi ID
+}
+
 var _ Structure = (*Par)(nil)
 
 // New creates the parallel structure over identifiers [0, n) with
@@ -164,25 +168,83 @@ var _ Structure = (*Par)(nil)
 // reflect the algorithm's current identifier-to-bucket mapping at all
 // times.
 func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
+	b := new(Par)
+	b.fill(n, d, order, opt)
+	return b
+}
+
+// fill is New's work on b, which may be a structure an earlier run
+// drained (Loop.With): it keeps that run's slot table, arena, free list
+// of chunks and block passes, and resets everything else.
+func (b *Par) fill(n int, d func(uint32) ID, order Order, opt Options) {
 	nB := opt.OpenBuckets
 	if nB <= 0 {
 		nB = DefaultOpenBuckets
 	}
-	b := &Par{n: n, d: d, order: order, nB: nB}
-	b.bkts = make([]chunkedBucket, nB+1)
-	b.scr.fill = make([]uint32, nB+1)
-	b.scr.chunks = make([][]uint32, nB+1)
-	// Seed every slot's chunk list with capacity carved from one shared
-	// backing array: the first insert into a virgin slot would otherwise
-	// allocate a header array, costing one allocation per round in
-	// forward-marching peels. Slots holding more than slotChunkCap
-	// chunks fall back to ordinary (amortized) append growth.
-	hdrs := make([][]uint32, (nB+1)*slotChunkCap)
-	for i := range b.bkts {
-		b.bkts[i].chunks = hdrs[i*slotChunkCap : i*slotChunkCap : (i+1)*slotChunkCap]
+	b.n, b.d, b.order, b.nB = n, d, order, nB
+	b.done, b.rec = false, nil
+	b.ctr.reset()
+	b.dbg = debugState{}
+	if len(b.bkts) != nB+1 {
+		b.bkts = make([]chunkedBucket, nB+1)
+		b.scr.fill = make([]uint32, nB+1)
+		b.scr.chunks = make([][]uint32, nB+1)
+		// Seed every slot's chunk list with capacity carved from one
+		// shared backing array: the first insert into a virgin slot
+		// would otherwise allocate a header array, costing one
+		// allocation per round in forward-marching peels. Slots holding
+		// more than slotChunkCap chunks fall back to ordinary
+		// (amortized) append growth.
+		hdrs := make([][]uint32, (nB+1)*slotChunkCap)
+		for i := range b.bkts {
+			b.bkts[i].chunks = hdrs[i*slotChunkCap : i*slotChunkCap : (i+1)*slotChunkCap]
+		}
 	}
-	// The block passes, built once (see the Par fields for why). Each
-	// reads its parameters from b.upd or b.cmp.
+	if b.zeroPass == nil {
+		b.buildPasses()
+	}
+
+	// Find the first/last non-empty logical bucket in parallel (§3.2:
+	// "calculating the number of initial buckets in parallel using
+	// reduce") and anchor the open range there.
+	anchor := nearest(order, n, func(i int) ID { return d(uint32(i)) })
+	if anchor == Nil {
+		b.done = true
+		return
+	}
+	b.setRange(anchor)
+
+	// Bulk-insert the initial identifiers through the same machinery
+	// updates use (§3.2: "inserting identifiers into B can be done by
+	// then calling updateBuckets(D, n)"). The bulk insert is
+	// bookkeeping, not algorithmic movement: it bypasses the counting
+	// wrapper, and the recorder is attached afterwards, so Stats and
+	// the recorder see only post-construction traffic.
+	b.update(n, func(j int) (uint32, Dest) {
+		id := uint32(j)
+		return id, b.GetBucket(Nil, d(id))
+	})
+	b.rec = opt.Recorder
+}
+
+// drain ends a borrowed structure's run (Loop.With): the chunks of
+// every slot go to the free list, since a run that stopped early leaves
+// identifiers behind, and nothing the run passed in stays referenced,
+// so the next run's fill starts from empty slots.
+func (b *Par) drain() {
+	b.debugPoisonArena()
+	for i := range b.bkts {
+		b.recycle(&b.bkts[i])
+	}
+	clear(b.scr.fill)
+	clear(b.scr.chunks)
+	b.d, b.rec = nil, nil
+	b.upd, b.cmp, b.adv = updState{}, compactState{}, advanceState{}
+}
+
+// buildPasses builds the block passes once per structure (see the Par
+// fields for why). Each reads its parameters from b.upd or b.cmp.
+func (b *Par) buildPasses() {
 	b.zeroPass = func(i int) { b.upd.counts[i] = 0 }
 	b.histPass = func(blk int) {
 		u := &b.upd
@@ -228,29 +290,31 @@ func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 		}
 		c.kept[blk] = len(out)
 	}
-
-	// Find the first/last non-empty logical bucket in parallel (§3.2:
-	// "calculating the number of initial buckets in parallel using
-	// reduce") and anchor the open range there.
-	anchor := nearest(order, n, func(i int) ID { return d(uint32(i)) })
-	if anchor == Nil {
-		b.done = true
-		return b
+	b.advAnchor = func(j int) ID {
+		id := b.d(b.adv.over[j])
+		if !b.beyond(id) {
+			return Nil // stale copy: extracted or moved back
+		}
+		return id
 	}
-	b.setRange(anchor)
-
-	// Bulk-insert the initial identifiers through the same machinery
-	// updates use (§3.2: "inserting identifiers into B can be done by
-	// then calling updateBuckets(D, n)"). The bulk insert is
-	// bookkeeping, not algorithmic movement: it bypasses the counting
-	// wrapper, and the recorder is attached afterwards, so Stats and
-	// the recorder see only post-construction traffic.
-	b.update(n, func(j int) (uint32, Dest) {
-		id := uint32(j)
-		return id, b.GetBucket(Nil, d(id))
-	})
-	b.rec = opt.Recorder
-	return b
+	// An overflow identifier is stale if its current logical bucket
+	// falls in (or behind) the range it was stored beyond — it was
+	// moved or extracted.
+	b.advFeed = func(j int) (uint32, Dest) {
+		a := &b.adv
+		id := a.over[j]
+		next := b.d(id)
+		if next == Nil {
+			return id, None
+		}
+		if b.order == Increasing && next <= a.prevHi {
+			return id, None
+		}
+		if b.order == Decreasing && next >= a.prevLo {
+			return id, None
+		}
+		return id, b.GetBucket(Nil, next)
+	}
 }
 
 // nearest reduces the logical ids id(0), …, id(k-1) to the one a
@@ -460,40 +524,22 @@ func (b *Par) nextCompacted() (ID, bool) {
 		}
 		b.recycle(obk)
 		// The next range is anchored at the nearest live bucket among
-		// overflow identifiers.
-		anchor := nearest(b.order, len(over), func(j int) ID {
-			id := b.d(over[j])
-			if !b.beyond(id) {
-				return Nil // stale copy: extracted or moved back
-			}
-			return id
-		})
+		// overflow identifiers (advAnchor), and the live ones are
+		// reinserted under it (advFeed).
+		b.adv = advanceState{over: over, prevLo: b.rangeLo, prevHi: b.rangeHi}
+		anchor := nearest(b.order, len(over), b.advAnchor)
+		if anchor != Nil {
+			b.setRange(anchor)
+			b.ctr.rangeAdvances.Add(1)
+			b.rec.Inc(obs.CtrBucketRangeAdvances)
+			b.UpdateBuckets(len(over), b.advFeed)
+		}
+		b.adv = advanceState{}
+		b.freePut(over)
 		if anchor == Nil {
 			b.done = true
 			return Nil, false
 		}
-		prevLo, prevHi := b.rangeLo, b.rangeHi
-		b.setRange(anchor)
-		b.ctr.rangeAdvances.Add(1)
-		b.rec.Inc(obs.CtrBucketRangeAdvances)
-		// Reinsert live overflow identifiers under the new range. An
-		// identifier is stale if its current logical bucket falls in
-		// (or behind) the previous range — it was moved or extracted.
-		b.UpdateBuckets(len(over), func(j int) (uint32, Dest) {
-			id := over[j]
-			next := b.d(id)
-			if next == Nil {
-				return id, None
-			}
-			if b.order == Increasing && next <= prevHi {
-				return id, None
-			}
-			if b.order == Decreasing && next >= prevLo {
-				return id, None
-			}
-			return id, b.GetBucket(Nil, next)
-		})
-		b.freePut(over)
 	}
 }
 
@@ -730,82 +776,30 @@ func (b *Par) CurrentRange() (lo, hi ID, overflow int) {
 	return b.rangeLo, b.rangeHi, b.bkts[b.nB].n
 }
 
-// chunkAlloc returns a length-n array for an overflow chunk (or the
-// redistribution flatten), preferring a recycled one. Chunks are sized
-// exactly: they are written once and never appended to, so they need
-// no growth slack.
+// chunkAlloc returns a length-n array for a chunk (or the overflow
+// flatten), recycled when the free list holds one of n's size class.
+// Capacities are powers of two, so any array of the class serves any
+// request in it, and a structure that runs the same sequence of rounds
+// again — the next run of a kernel that borrowed it through Loop.With —
+// finds every chunk it asks for: the class lists hold as many arrays as
+// were ever live at once in each class, and no more.
 func (b *Par) chunkAlloc(n int) []uint32 {
-	if s := b.freeGet(n); s != nil {
+	cls := bits.Len(uint(n - 1))
+	if l := b.scr.free[cls]; len(l) > 0 {
+		s := l[len(l)-1]
+		l[len(l)-1] = nil
+		b.scr.free[cls] = l[:len(l)-1]
 		return s[:n]
 	}
-	return make([]uint32, n)
+	return make([]uint32, n, 1<<cls)
 }
 
-// freePut recycles a spent identifier array (an emptied bucket slot, a
-// drained overflow batch, or an array displaced by grow) for later grow
-// calls to reuse.
+// freePut recycles a spent identifier array (an emptied bucket slot or
+// a drained overflow batch) into the class of its capacity.
 func (b *Par) freePut(s []uint32) {
 	if cap(s) == 0 {
 		return
 	}
 	cls := bits.Len(uint(cap(s))) - 1
-	if b.scr.freeCount >= maxFreeArrays {
-		// Full: displace an array from the smallest nonempty class if
-		// this one is strictly larger, so the pool converges on the
-		// arrays most likely to satisfy future requests.
-		low := -1
-		for i := range b.scr.free {
-			if len(b.scr.free[i]) > 0 {
-				low = i
-				break
-			}
-		}
-		if low < 0 || low >= cls {
-			return
-		}
-		l := b.scr.free[low]
-		l[len(l)-1] = nil
-		b.scr.free[low] = l[:len(l)-1]
-		b.scr.freeCount--
-	}
 	b.scr.free[cls] = append(b.scr.free[cls], s[:0])
-	b.scr.freeCount++
-}
-
-// freeGet returns a recycled array with capacity at least need, or nil.
-// Approximate best fit: the first nonempty class at or above need's
-// ceiling class wins, and classes more than 8x oversized are left for
-// the large requests only they can serve.
-func (b *Par) freeGet(need int) []uint32 {
-	if need <= 0 {
-		return nil
-	}
-	c0 := bits.Len(uint(need - 1))
-	// Class c0-1 straddles need: its arrays have cap in [2^(c0-1),
-	// 2^c0), some of which suffice. Check the most recently freed few —
-	// the common hit is a just-recycled array of nearly the same size
-	// (e.g. successive overflow redistributions).
-	if cls := c0 - 1; cls >= 0 {
-		l := b.scr.free[cls]
-		for i := len(l) - 1; i >= 0 && i >= len(l)-8; i-- {
-			if cap(l[i]) >= need {
-				s := l[i]
-				l[i] = l[len(l)-1]
-				l[len(l)-1] = nil
-				b.scr.free[cls] = l[:len(l)-1]
-				b.scr.freeCount--
-				return s
-			}
-		}
-	}
-	for cls := c0; cls < len(b.scr.free) && cls <= c0+3; cls++ {
-		if l := b.scr.free[cls]; len(l) > 0 {
-			s := l[len(l)-1]
-			l[len(l)-1] = nil
-			b.scr.free[cls] = l[:len(l)-1]
-			b.scr.freeCount--
-			return s
-		}
-	}
-	return nil
 }

@@ -8,7 +8,9 @@ package chaos_test
 // every run the suite asserts the full failure-semantics contract:
 //
 //   1. no goroutine leaks (harness.LeakCheck);
-//   2. the scratch pool is balanced (parallel.ScratchStats);
+//   2. the scratch free lists are balanced (parallel.ScratchStats), the
+//      run-sized scratch a kernel borrows included: a re-run after a
+//      killed run finds all of it back on the lists;
 //   3. with the julienne_debug tag, the bucket structure's invariant
 //      checks stay armed throughout (they run inside NextBucket);
 //   4. an immediate re-run on the same graph, injections disarmed, is
@@ -144,6 +146,76 @@ func TestInjectedWorkerPanic(t *testing.T) {
 		}
 		corenessEqual(t, clean.Coreness, want)
 		checkInvariants(t)
+	}
+}
+
+// TestKilledRunReturnsItsScratch extends the balance check to the
+// run-sized scratch the kernels borrow for a whole run — bucket.Loop's
+// structure with its chunks, k-core's peelers, ∆-stepping's round
+// destinations. Worker panics are injected at every seventh worker
+// site (every seventeenth with -short) until a run completes; a run killed after its first extraction,
+// with identifiers still in its bucket structure, must hand all of its
+// scratch back: the clean re-run that follows finds every buffer it
+// needs on a free list (it makes no fresh box), and its answer is
+// exact.
+func TestKilledRunReturnsItsScratch(t *testing.T) {
+	defer harness.LeakCheck(t)()
+	defer parallel.SetProcs(parallel.SetProcs(2))
+	g := forkingGraph(6)
+	heavy := gen.HeavyWeights(g, 6)
+	wantCore := kcore.CorenessBZ(g)
+	wantDist := sssp.DijkstraHeap(heavy, 0).Dist
+	rows := []struct {
+		name string
+		// run is one run of the kernel reporting to rec; it checks the
+		// answer of a run that returns.
+		run func(t *testing.T, rec *obs.Recorder)
+	}{
+		{"kcore", func(t *testing.T, rec *obs.Recorder) {
+			res := kcore.Coreness(g, kcore.Options{Recorder: rec})
+			if res.Err != nil {
+				t.Fatalf("k-core errored: %v", res.Err)
+			}
+			corenessEqual(t, res.Coreness, wantCore)
+		}},
+		{"delta", func(t *testing.T, rec *obs.Recorder) {
+			res := sssp.DeltaStepping(heavy, 0, 32768, sssp.Options{Recorder: rec})
+			if res.Err != nil || !slices.Equal(res.Dist, wantDist) {
+				t.Fatalf("∆-stepping: Err = %v, or distances differ from Dijkstra's", res.Err)
+			}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			row.run(t, nil) // every buffer a run borrows is now on a free list
+			midRun, stride := 0, int64(7)
+			if testing.Short() {
+				stride = 17
+			}
+			for hit := int64(1); ; hit += stride {
+				rec := obs.NewRecorder()
+				chaos.Arm(chaos.Plan{PanicAtWorker: hit})
+				pe := expectPanicError(t, func() { row.run(t, rec) })
+				chaos.Disarm()
+				if pe == nil {
+					break // the run ended before the hit
+				}
+				checkInvariants(t)
+				if rec.Counter("bucket.extracted") == 0 {
+					continue // killed while setting up
+				}
+				midRun++
+				fresh := parallel.ScratchStats().Fresh
+				row.run(t, nil)
+				if made := parallel.ScratchStats().Fresh - fresh; made != 0 {
+					t.Errorf("hit %d: the re-run made %d fresh scratch boxes: the killed run kept its borrow", hit, made)
+				}
+				checkInvariants(t)
+			}
+			if midRun < 2 {
+				t.Fatalf("only %d runs were killed after their first extraction; want ≥ 2", midRun)
+			}
+		})
 	}
 }
 

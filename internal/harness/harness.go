@@ -1,6 +1,7 @@
 // Package harness is the plumbing the CLIs, the bench harness and the
-// tests share: the single-shot clock (Time), fixed-width table
-// rendering (Table) and the goroutine leak check. Repeated, warmed-up
+// tests share: the single-shot clock (Time), the bytes a warm run
+// allocates (AllocBytesPerRun), fixed-width table rendering (Table) and
+// the goroutine leak check. Repeated, warmed-up
 // measurement lives in internal/bench, the only package that takes
 // more than one sample of anything.
 package harness
@@ -8,6 +9,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"time"
 )
@@ -19,6 +21,21 @@ func Time(f func()) time.Duration {
 	start := time.Now()
 	f()
 	return time.Since(start)
+}
+
+// AllocBytesPerRun is testing.AllocsPerRun in bytes: it runs f once to
+// warm it up, then runs times more between two runtime.ReadMemStats,
+// and returns the bytes allocated per run. Callers pin GOMAXPROCS
+// themselves.
+func AllocBytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // Table accumulates rows and renders them with aligned columns.

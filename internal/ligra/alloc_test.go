@@ -36,7 +36,7 @@ func TestTraversalAllocsIndependentOfFrontier(t *testing.T) {
 	}
 	none := func(_, _ graph.Vertex, _ graph.Weight) bool { return false }
 	noTarget := Above{D: make([]uint32, n)}
-	dist := make([]uint64, n) // all zero: no write lowers one
+	dist := make([]int64, n) // all zero: no write lowers one
 	traversals := map[string]func(u VertexSubset){
 		"EdgeMap/sparse":          func(u VertexSubset) { EdgeMap(g, u, nil, none, EdgeMapOptions{NoDense: true}) },
 		"EdgeMap/sparse-nooutput": func(u VertexSubset) { EdgeMap(g, u, nil, none, EdgeMapOptions{NoDense: true, NoOutput: true}) },
@@ -157,7 +157,7 @@ func TestRoundPrimitivesZeroAllocSteadyState(t *testing.T) {
 	parity := make([]uint32, n)
 	// Every eighth vertex starts at distance 1, the rest at 0, and each
 	// call restores start first, so every call lowers the same vertices.
-	start, dist := make([]uint64, n), make([]uint64, n)
+	start, dist := make([]int64, n), make([]int64, n)
 	for v := range parity {
 		parity[v] = uint32(v % 2)
 		if v%8 == 0 {

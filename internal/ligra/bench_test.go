@@ -89,9 +89,9 @@ func BenchmarkEdgeMapWriteMin(b *testing.B) {
 	g := perEdgeGraph()
 	n := g.NumVertices()
 	u := FromSparse(n, All(n).Sparse())
-	start, dist := make([]uint64, n), make([]uint64, n)
+	start, dist := make([]int64, n), make([]int64, n)
 	for v := range start {
-		start[v] = rng.UintNAt(1, uint64(v), 1<<20)
+		start[v] = int64(rng.UintNAt(1, uint64(v), 1<<20))
 	}
 	var moved Tagged[uint64]
 	b.ReportAllocs()

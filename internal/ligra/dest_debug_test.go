@@ -41,7 +41,7 @@ func TestStaleDestinationPoisoned(t *testing.T) {
 	}
 	// Each call relaxes from fresh distances: U at 0, the rest unreached.
 	stalePoisoned(t, "EdgeMapWriteMin", hub, leaves, func(u VertexSubset, dst *Tagged[uint64]) Tagged[uint64] {
-		dist := make([]uint64, 9)
+		dist := make([]int64, 9)
 		for v := range dist {
 			dist[v] = 1 << 40
 		}

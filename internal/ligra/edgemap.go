@@ -211,11 +211,12 @@ func edgeMapDense(g graph.Graph, u VertexSubset, c func(graph.Vertex) bool,
 	return FromDense(n, outMember)
 }
 
-// RoundFlag is the top bit of a distance in EdgeMapWriteMin's array:
-// set on every vertex whose distance a round lowered, and cleared by the
-// caller when it rebucketed the vertex (§4.2: "our actual
-// implementation uses the highest bit of SP to represent Fl").
-// Distances themselves stay below it.
+// RoundFlag is the top bit of a distance in EdgeMapWriteMin's array,
+// read through uint64(·): set on every vertex whose distance a round
+// lowered, and cleared by the caller when it rebucketed the vertex
+// (§4.2: "our actual implementation uses the highest bit of SP to
+// represent Fl"). Distances themselves stay below it, so the array a
+// run relaxed becomes its []int64 answer in place.
 const RoundFlag uint64 = 1 << 63
 
 // WriteMin lowers dist[v] to nd if nd is smaller than its distance,
@@ -223,13 +224,13 @@ const RoundFlag uint64 = 1 << 63
 // write, and the write that found the flag clear — the first to lower v
 // this round — also gets v's pre-round distance back with first set.
 // Concurrent calls on the same v are safe.
-func WriteMin(dist []uint64, v graph.Vertex, nd uint64) (pre uint64, lowered, first bool) {
+func WriteMin(dist []int64, v graph.Vertex, nd uint64) (pre uint64, lowered, first bool) {
 	for {
-		old := atomic.LoadUint64(&dist[v])
+		old := uint64(atomic.LoadInt64(&dist[v]))
 		if nd >= old&^RoundFlag {
 			return 0, false, false
 		}
-		if atomic.CompareAndSwapUint64(&dist[v], old, RoundFlag|nd) {
+		if atomic.CompareAndSwapInt64(&dist[v], int64(old), int64(RoundFlag|nd)) {
 			return old &^ RoundFlag, true, old&RoundFlag == 0
 		}
 	}
@@ -245,7 +246,7 @@ func WriteMin(dist []uint64, v graph.Vertex, nd uint64) (pre uint64, lowered, fi
 // The source's distance is read once, before its edges; a source
 // lowered during the round is in the output, so the caller revisits it.
 // The caller clears RoundFlag on the output before the next call.
-func EdgeMapWriteMin(g graph.Graph, u VertexSubset, dist []uint64, dst *Tagged[uint64]) (Tagged[uint64], int64) {
+func EdgeMapWriteMin(g graph.Graph, u VertexSubset, dist []int64, dst *Tagged[uint64]) (Tagged[uint64], int64) {
 	ids, p := u.Sparse(), sparseWorkers(g, u)
 	outIDs, outVals := dst.take()
 	var relaxed int64
@@ -271,12 +272,12 @@ func EdgeMapWriteMin(g graph.Graph, u VertexSubset, dist []uint64, dst *Tagged[u
 // relaxInto is EdgeMapWriteMin over one block of sources: the targets
 // it was first to lower are appended to outIDs with their pre-round
 // distances in outVals, and the writes that lowered one are counted.
-func relaxInto(g graph.Graph, ids []graph.Vertex, dist []uint64, buf *graph.AdjBuf,
+func relaxInto(g graph.Graph, ids []graph.Vertex, dist []int64, buf *graph.AdjBuf,
 	outIDs []graph.Vertex, outVals []uint64) ([]graph.Vertex, []uint64, int64) {
 
 	var relaxed int64
 	for _, src := range ids {
-		base := atomic.LoadUint64(&dist[src]) &^ RoundFlag
+		base := uint64(atomic.LoadInt64(&dist[src])) &^ RoundFlag
 		nbrs, ws := g.OutAdj(src, buf)
 		debugCheckAdj(g, src, false, nbrs, ws)
 		for j, dst := range nbrs {

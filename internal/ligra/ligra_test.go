@@ -251,7 +251,7 @@ func TestEdgeMapWriteMin(t *testing.T) {
 		{U: 2, V: 1, W: 1}, {U: 2, V: 3, W: 1},
 	}, graph.BuildOptions{Weighted: true})
 	const far = 1 << 40
-	dist := []uint64{0, 10, 4, far, 9}
+	dist := []int64{0, 10, 4, far, 9}
 	var dst Tagged[uint64]
 	tg, relaxed := EdgeMapWriteMin(g, FromSparse(5, []graph.Vertex{0, 2}), dist, &dst)
 	// 0→1 (10 → 5), 0→2 (4 → 1), 0→4 (9: not lower), 2→1 from 2's new
@@ -268,11 +268,12 @@ func TestEdgeMapWriteMin(t *testing.T) {
 			t.Errorf("output (%d, %d), want pre-round distance %d", v, pre, want[v])
 		}
 	}
-	if wantDist := []uint64{0, RoundFlag | 2, RoundFlag | 1, RoundFlag | 2, 9}; !slices.Equal(dist, wantDist) {
+	flagged := func(d uint64) int64 { return int64(RoundFlag | d) }
+	if wantDist := []int64{0, flagged(2), flagged(1), flagged(2), 9}; !slices.Equal(dist, wantDist) {
 		t.Errorf("dist = %x, want %x", dist, wantDist)
 	}
 	// A write that does not lower leaves the flag and the value alone.
-	if _, lowered, first := WriteMin(dist, 1, 2); lowered || first || dist[1] != RoundFlag|2 {
+	if _, lowered, first := WriteMin(dist, 1, 2); lowered || first || dist[1] != flagged(2) {
 		t.Errorf("WriteMin of an equal distance: lowered=%t first=%t, dist %x", lowered, first, dist[1])
 	}
 }
@@ -582,10 +583,10 @@ func TestTaggedPrimitivesSameAcrossProcs(t *testing.T) {
 	// where, does not depend on the order the edges are relaxed in.
 	odds := Frontier(base, parallel.PackIndices(n, func(v int) bool { return odd(graph.Vertex(v)) }))
 	sameAcrossProcs(t, "EdgeMapWriteMin", func(dst *Tagged[uint64]) Tagged[uint64] {
-		dist := make([]uint64, n)
+		dist := make([]int64, n)
 		for v := range dist {
 			if !odd(graph.Vertex(v)) {
-				dist[v] = 1<<20 + uint64(v)
+				dist[v] = 1<<20 + int64(v)
 			}
 		}
 		tg, relaxed := EdgeMapWriteMin(base, odds, dist, dst)
@@ -649,7 +650,7 @@ func TestSparseTraversalsForkOnWorkNotSize(t *testing.T) {
 	}
 	all := func(graph.Vertex) bool { return true }
 	noTarget := Above{D: make([]uint32, leaves+1)}
-	dist := make([]uint64, leaves+1) // all zero: no write lowers one
+	dist := make([]int64, leaves+1) // all zero: no write lowers one
 	traversals := map[string]func(u VertexSubset){
 		"EdgeMap": func(u VertexSubset) {
 			EdgeMap(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) bool { return false }, EdgeMapOptions{NoDense: true})

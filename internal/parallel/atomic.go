@@ -23,15 +23,15 @@ func WriteMinUint32(addr *uint32, val uint32) bool {
 	}
 }
 
-// WriteMinUint64 atomically updates *addr to min(*addr, val) and reports
+// WriteMinInt64 atomically updates *addr to min(*addr, val) and reports
 // whether it strictly decreased the stored value.
-func WriteMinUint64(addr *uint64, val uint64) bool {
+func WriteMinInt64(addr *int64, val int64) bool {
 	for {
-		old := atomic.LoadUint64(addr)
+		old := atomic.LoadInt64(addr)
 		if val >= old {
 			return false
 		}
-		if atomic.CompareAndSwapUint64(addr, old, val) {
+		if atomic.CompareAndSwapInt64(addr, old, val) {
 			return true
 		}
 	}

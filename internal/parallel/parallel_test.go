@@ -296,12 +296,12 @@ func TestWriteMinConcurrent(t *testing.T) {
 	}
 }
 
-func TestWriteMinUint64(t *testing.T) {
-	var x uint64 = 1 << 40
-	if !WriteMinUint64(&x, 7) || x != 7 {
-		t.Fatalf("WriteMinUint64 failed: x=%d", x)
+func TestWriteMinInt64(t *testing.T) {
+	var x int64 = 1 << 40
+	if !WriteMinInt64(&x, 7) || x != 7 {
+		t.Fatalf("WriteMinInt64 failed: x=%d", x)
 	}
-	if WriteMinUint64(&x, 8) {
-		t.Fatal("WriteMinUint64 wrongly succeeded")
+	if WriteMinInt64(&x, 8) {
+		t.Fatal("WriteMinInt64 wrongly succeeded")
 	}
 }

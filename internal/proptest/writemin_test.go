@@ -44,13 +44,13 @@ func TestEdgeMapWriteMinMatchesOracle(t *testing.T) {
 			var dst ligra.Tagged[uint64]
 			for round, closed := range []bool{true, false} {
 				var ids []graph.Vertex
-				start := make([]uint64, n)
+				start := make([]int64, n)
 				for v := range start {
 					key := uint64(round)<<20 | uint64(v)
 					if c.Rand(key, 3) == 0 {
 						ids = append(ids, graph.Vertex(v))
 					}
-					if start[v] = c.Rand(1<<40|key, 64); start[v] >= 48 {
+					if start[v] = int64(c.Rand(1<<40|key, 64)); start[v] >= 48 {
 						start[v] = 1 << 40 // not reached yet
 					}
 				}
@@ -68,7 +68,7 @@ func TestEdgeMapWriteMinMatchesOracle(t *testing.T) {
 					return fmt.Errorf("P=%d round %d (|U|=%d): %w", p, round, len(ids), err)
 				}
 				for v := range dist {
-					dist[v] &^= ligra.RoundFlag
+					dist[v] = int64(uint64(dist[v]) &^ ligra.RoundFlag)
 				}
 				if closed || inline {
 					if !slices.Equal(dist, want) {
@@ -92,13 +92,13 @@ func TestEdgeMapWriteMinMatchesOracle(t *testing.T) {
 // writeMinOracle relaxes every out-edge of ids in order, each from its
 // source's current distance, and returns the final distances and the
 // number of writes that lowered one.
-func writeMinOracle(csr *graph.CSR, ids []graph.Vertex, start []uint64) ([]uint64, int64) {
+func writeMinOracle(csr *graph.CSR, ids []graph.Vertex, start []int64) ([]int64, int64) {
 	dist := slices.Clone(start)
 	var relaxed int64
 	for _, s := range ids {
 		nbrs, ws := csr.OutAdj(s, nil)
 		for j, v := range nbrs {
-			if nd := dist[s] + uint64(ws[j]); nd < dist[v] {
+			if nd := dist[s] + int64(ws[j]); nd < dist[v] {
 				dist[v] = nd
 				relaxed++
 			}
@@ -110,20 +110,21 @@ func writeMinOracle(csr *graph.CSR, ids []graph.Vertex, start []uint64) ([]uint6
 // sameLowered checks the output against the distances the call left:
 // exactly the vertices whose distance fell are output, once each, with
 // their distance from start, and exactly they carry the round flag.
-func sameLowered(got ligra.Tagged[uint64], start, dist []uint64) error {
+func sameLowered(got ligra.Tagged[uint64], start, dist []int64) error {
 	if len(got.Vals) != len(got.IDs) {
 		return fmt.Errorf("%d ids and %d values", len(got.IDs), len(got.Vals))
 	}
 	out := map[graph.Vertex]bool{}
 	for i := 0; i < got.Size(); i++ {
 		v, pre := got.At(i)
-		if out[v] || pre != start[v] {
+		if out[v] || pre != uint64(start[v]) {
 			return fmt.Errorf("pair (%d, %d): want one pair with pre-round distance %d (duplicate=%t)", v, pre, start[v], out[v])
 		}
 		out[v] = true
 	}
-	for v, d := range dist {
-		lowered := d&^ligra.RoundFlag < start[v]
+	for v, sd := range dist {
+		d := uint64(sd)
+		lowered := d&^ligra.RoundFlag < uint64(start[v])
 		flagged := d&ligra.RoundFlag != 0
 		if lowered != out[graph.Vertex(v)] || lowered != flagged {
 			return fmt.Errorf("vertex %d: distance %d from %d, output=%t, flagged=%t", v, d&^ligra.RoundFlag, start[v], out[graph.Vertex(v)], flagged)
@@ -136,13 +137,13 @@ func sameLowered(got ligra.Tagged[uint64], start, dist []uint64) error {
 // source's distance is read somewhere between its start and its end, so
 // every target ends at most its best relaxation from the sources'
 // starts and at least its best from their ends.
-func withinOrderBounds(csr *graph.CSR, ids []graph.Vertex, start, dist []uint64) error {
+func withinOrderBounds(csr *graph.CSR, ids []graph.Vertex, start, dist []int64) error {
 	hi, lo := slices.Clone(start), slices.Clone(start)
 	for _, s := range ids {
 		nbrs, ws := csr.OutAdj(s, nil)
 		for j, v := range nbrs {
-			hi[v] = min(hi[v], start[s]+uint64(ws[j]))
-			lo[v] = min(lo[v], dist[s]+uint64(ws[j]))
+			hi[v] = min(hi[v], start[s]+int64(ws[j]))
+			lo[v] = min(lo[v], dist[s]+int64(ws[j]))
 		}
 	}
 	for v := range dist {
