@@ -8,3 +8,4 @@ type debugState struct{}
 
 func (s *debugState) init(n int)                                             {}
 func (s *debugState) check(d []uint32, k uint32, ps []peeler, complete bool) {}
+func (s *debugState) checkStep(d []uint32, k uint32, ids, next []uint32)     {}

@@ -14,9 +14,11 @@
 //     every P.
 //
 //   - CorenessLigra: the work-inefficient frontier-based algorithm that
-//     existing frameworks (Ligra et al.) use. It scans all remaining
-//     vertices once per core value, for O(k_max·n + m) work — the
-//     baseline Table 3 and Figure 2 compare against.
+//     existing frameworks (Ligra et al.) use. It scans all vertices once
+//     per core value, for O(k_max·n + m) work — the baseline Table 3 and
+//     Figure 2 compare against — and then peels the level one frontier
+//     step per round, with Coreness's decrement (Algorithm 1's
+//     edgeMapSum, line 16), so the two differ only in the scan.
 //
 //   - CorenessBZ: the sequential O(m + n) Batagelj–Zaversnik bucket
 //     algorithm [4], the "well-tuned sequential baseline" (the paper's
@@ -103,11 +105,7 @@ func Coreness(g graph.Graph, opt Options) Result {
 	// not-yet-peeled subgraph; once v is peeled it freezes at v's
 	// coreness. The bucket structure reads D through its d function.
 	d := res.Coreness
-	checkDegree(int64(parallel.Max(n, parallel.DefaultGrain, func(v int) int {
-		deg := g.OutDegree(graph.Vertex(v))
-		d[v] = uint32(deg)
-		return deg
-	})))
+	degrees(g, d)
 	lp := bucket.Loop{Algo: "kcore", Recorder: opt.Recorder, Ctx: opt.Ctx}
 	// The round's state and its worker bodies are built once, and the
 	// peelers with their buffers and the bucket structure are borrowed
@@ -210,8 +208,18 @@ const mark = 1 << 31
 // checkDegree refuses a graph whose largest degree would reach mark.
 func checkDegree(maxDeg int64) {
 	if maxDeg >= mark {
-		panic(fmt.Sprintf("kcore: a vertex has %d neighbors; Coreness supports fewer than 2^31", maxDeg))
+		panic(fmt.Sprintf("kcore: a vertex has %d neighbors; k-core supports fewer than 2^31", maxDeg))
 	}
+}
+
+// degrees sets d[v] to v's degree, refusing a graph that checkDegree
+// refuses.
+func degrees(g graph.Graph, d []uint32) {
+	checkDegree(int64(parallel.Max(len(d), parallel.DefaultGrain, func(v int) int {
+		deg := g.OutDegree(graph.Vertex(v))
+		d[v] = uint32(deg)
+		return deg
+	})))
 }
 
 // pollWork is how much peeled work (one unit per vertex and per edge,
@@ -352,8 +360,13 @@ func (p *peeler) rebucket(r *round) {
 
 // CorenessLigra is the work-inefficient frontier-based algorithm used
 // by bucket-less frameworks: for each core value k it scans *all*
-// remaining vertices to seed the frontier (the O(k_max·n) term), then
-// cascades removals within k as in the bucketed algorithm.
+// vertices to seed the frontier (the O(k_max·n) term), then peels it
+// step by step. A step lowers the live neighbors of its frontier once
+// per edge with Coreness's decrement, floored at k, and the vertices it
+// takes to k are the next step's frontier, so each step is one round
+// and a run takes ρ of them (§4.1). The two algorithms differ only in
+// how they find the vertices at level k. The graph must meet
+// Coreness's requirements.
 func CorenessLigra(g graph.Graph) Result {
 	requireSymmetric(g)
 	n := g.NumVertices()
@@ -361,52 +374,64 @@ func CorenessLigra(g graph.Graph) Result {
 	if n == 0 {
 		return res
 	}
-	d := make([]uint32, n)
-	alive := make([]uint32, n) // 1 = alive; uint32 for atomic-free phase writes
-	parallel.For(n, parallel.DefaultGrain, func(v int) {
-		d[v] = uint32(g.OutDegree(graph.Vertex(v)))
-		alive[v] = 1
+	// As in Coreness, D is the answer: a peeled vertex's D is frozen at
+	// its coreness, and a live one's never falls below the level being
+	// peeled, so the vertices at level k are those with D == k.
+	d := res.Coreness
+	degrees(g, d)
+	var dbg debugState
+	dbg.init(n)
+	parallel.WithScratch(parallel.Procs(), func(ps []peeler) {
+		var k uint32
+		var ids, next []uint32
+		atLevel := func(v int) bool { return d[v] == k }
+		step := func(w, lo, hi int) { ps[w].step(g, d, k, ids[lo:hi], true) }
+		for finished := 0; finished < n; k++ {
+			// The work-inefficient step: scan every vertex to find the
+			// ones at the current core value.
+			res.VerticesScanned += int64(n)
+			for ids = parallel.PackIndices(n, atLevel); len(ids) > 0; ids, next = next, ids {
+				res.Rounds++
+				finished += len(ids)
+				edges := ligra.Frontier(g, ids).OutDegreeSum(g)
+				res.EdgesTraversed += edges
+				nw := min(parallel.WorkersFor(int64(len(ids))+edges), len(ps))
+				for i := range ps[:nw] {
+					ps[i].reset()
+				}
+				if nw == 1 {
+					ps[0].step(g, d, k, ids, false)
+				} else {
+					parallel.Workers(len(ids), nw, step)
+				}
+				// After the join the workers' queues are the next
+				// frontier, and the marks they set are cleared.
+				next = next[:0]
+				for i := range ps[:nw] {
+					for _, v := range ps[i].touched {
+						d[v] &^= mark
+					}
+					next = append(next, ps[i].queue...)
+				}
+				dbg.checkStep(d, k, ids, next)
+			}
+		}
 	})
-	// Each round's output is the next round's frontier, so the cascade
-	// alternates two destinations: the one being read is never the one
-	// being written.
-	var k uint32
-	var cascade [2]ligra.Tagged[struct{}]
-	// A peeled vertex's d is frozen at its coreness, at most k, and
-	// every live vertex at or below k is in the round's frontier, so
-	// d[v] > k is alive[v] == 1: the round's condition reads d alone.
-	wasAlive := func(v graph.Vertex) bool { return alive[v] == 1 }
-	// Vertices dropping to <= k cascade within this core value.
-	update := func(v graph.Vertex, removed uint32) (struct{}, bool) {
-		newD := max(d[v]-removed, k)
-		d[v] = newD
-		return struct{}{}, newD <= k
-	}
-	finished := 0
-	for ; finished < n; k++ {
-		// The work-inefficient step: scan every vertex to find the ones
-		// at or below the current core value.
-		res.VerticesScanned += int64(n)
-		ids := parallel.PackIndices(n, func(v int) bool {
-			return alive[v] == 1 && d[v] <= k
-		})
-		for len(ids) > 0 {
-			res.Rounds++
-			finished += len(ids)
-			parallel.For(len(ids), parallel.DefaultGrain, func(i int) {
-				v := ids[i]
-				res.Coreness[v] = k
-				alive[v] = 0
-				d[v] = k
-			})
-			frontier := ligra.Frontier(g, ids)
-			res.EdgesTraversed += frontier.OutDegreeSum(g)
-			live := ligra.Above{D: d, K: k}
-			ligra.DebugCheckAbove("kcore", live, wasAlive)
-			ids = ligra.EdgeMapSum(g, frontier, live, update, &cascade[res.Rounds%2]).IDs
+	return res
+}
+
+// step is one CorenessLigra round over a block of the frontier: each
+// vertex lowers its live neighbors' D, and the vertices this worker
+// takes to k collect in its queue, unpeeled.
+func (p *peeler) step(g graph.Graph, d []uint32, k bucket.ID, ids []uint32, shared bool) {
+	for _, u := range ids {
+		nbrs, _ := g.OutAdj(u, &p.buf)
+		if shared {
+			p.lowerShared(d, k, nbrs)
+		} else {
+			p.lower(d, k, nbrs)
 		}
 	}
-	return res
 }
 
 // CorenessBZ is the sequential Batagelj–Zaversnik algorithm [4]: bucket

@@ -162,18 +162,21 @@ func TestWorkEfficiency(t *testing.T) {
 // complexity of §4.1, counted here by a sequential peel that removes,
 // each round, every vertex whose remaining degree is at most the current
 // core level k (k never decreases). The Ligra baseline spends one round
-// per peeling step, so exactly ρ. The bucketed run's workers peel a
-// level to its end in their own queues, so at every P it takes one
-// round per distinct coreness value.
+// per peeling step, so exactly ρ at every P. The bucketed run's workers
+// peel a level to its end in their own queues, so at every P it takes
+// one round per distinct coreness value. On the larger RMAT graph some
+// of the baseline's steps fork at P=2, so its shared decrement runs: the
+// run forks more regions than its scans alone would.
 func TestRhoMatchesRounds(t *testing.T) {
-	rho := func(g graph.Graph) int64 {
+	// rho also returns the largest coreness and the number of peeling
+	// steps whose work merits more than one worker at the current P.
+	rho := func(g graph.Graph) (rounds int64, kmax int, forking int) {
 		n := g.NumVertices()
 		deg := make([]int, n)
 		for v := range deg {
 			deg[v] = g.OutDegree(graph.Vertex(v))
 		}
 		removed := make([]bool, n)
-		var rounds int64
 		k := 0
 		for left := n; left > 0; rounds++ {
 			lo := n
@@ -184,10 +187,15 @@ func TestRhoMatchesRounds(t *testing.T) {
 			}
 			k = max(k, lo)
 			var peel []graph.Vertex
+			work := int64(0)
 			for v := range deg {
 				if !removed[v] && deg[v] <= k {
 					peel = append(peel, graph.Vertex(v))
+					work += 1 + int64(g.OutDegree(graph.Vertex(v)))
 				}
+			}
+			if len(peel) > 1 && parallel.WorkersFor(work) > 1 {
+				forking++
 			}
 			for _, v := range peel {
 				removed[v] = true
@@ -200,20 +208,31 @@ func TestRhoMatchesRounds(t *testing.T) {
 			}
 			left -= len(peel)
 		}
-		return rounds
+		return rounds, k, forking
 	}
 	defer parallel.SetProcs(parallel.SetProcs(1))
 	for name, g := range map[string]graph.Graph{
-		"rmat": gen.RMAT(1<<10, 8000, true, 11),
-		"grid": gen.Grid2D(12, 9),
-		"K10":  gen.Complete(10), // one round
+		"rmat":       gen.RMAT(1<<10, 8000, true, 11),
+		"rmat-large": gen.RMAT(1<<13, 1<<17, true, 11),
+		"grid":       gen.Grid2D(12, 9),
+		"K10":        gen.Complete(10), // one round
 	} {
-		r := rho(g)
-		if got := CorenessLigra(g).Rounds; got != r {
-			t.Errorf("%s: ligra %d rounds, ρ = %d", name, got, r)
-		}
 		for _, p := range []int{1, 2, 4} {
 			parallel.SetProcs(p)
+			r, kmax, forking := rho(g)
+			before := parallel.ForkStats()
+			if got := CorenessLigra(g).Rounds; got != r {
+				t.Errorf("%s: P=%d ligra %d rounds, ρ = %d", name, p, got, r)
+			}
+			if forked := parallel.ForkStats().Sub(before).Forked; p == 2 && name == "rmat-large" {
+				before = parallel.ForkStats()
+				parallel.PackIndices(g.NumVertices(), func(int) bool { return false })
+				scans := parallel.ForkStats().Sub(before).Forked * int64(kmax+1)
+				if forking == 0 || forked < scans+int64(forking) {
+					t.Errorf("%s: P=2 ligra forked %d regions, want at least its %d scans' %d plus one per forking step (%d)",
+						name, forked, kmax+1, scans, forking)
+				}
+			}
 			res := Coreness(g, Options{})
 			if lv := levels(res.Coreness); res.Rounds != lv {
 				t.Errorf("%s: P=%d %d rounds, %d distinct coreness values (ρ = %d)", name, p, res.Rounds, lv, r)

@@ -263,8 +263,8 @@ func TestFig1MoreBucketsMeansFewerPerRound(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	peak, half := summarize([]point{{10, 100}, {1000, 1000}, {100, 600}})
-	if peak != 1000 {
+	peak, half, below := summarize([]point{{10, 100}, {1000, 1000}, {100, 600}})
+	if peak != 1000 || below {
 		t.Fatalf("peak=%v", peak)
 	}
 	// half = 500, crossed between (10,100) and (100,600):
@@ -272,12 +272,12 @@ func TestSummarize(t *testing.T) {
 	if half < 81.9 || half > 82.1 {
 		t.Fatalf("half length %v want ~82", half)
 	}
-	if peak, _ := summarize(nil); peak != 0 {
+	if peak, _, _ := summarize(nil); peak != 0 {
 		t.Fatal("empty summarize")
 	}
-	// Every point above half peak -> half length 0.
-	if _, half := summarize([]point{{1, 900}, {2, 1000}}); half != 0 {
-		t.Fatalf("flat half length %v", half)
+	// Every point above half peak -> below the smallest point, 1.
+	if _, half, below := summarize([]point{{2, 1000}, {1, 900}}); !below || half != 1 {
+		t.Fatalf("flat half length %v, below=%t; want below the smallest point, 1", half, below)
 	}
 }
 

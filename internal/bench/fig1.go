@@ -67,14 +67,16 @@ type point struct {
 // summarize computes the two scalars §3.4 reads off Figure 1: the peak
 // throughput, and the half-performance length — the identifiers/round
 // at which the structure reaches half its peak, linearly interpolated
-// between the points bracketing peak/2, or 0 if every point already
-// exceeds it (the paper: ≈10⁹ ids/s and ≈5·10⁵ ids/round, 144 threads).
-func summarize(pts []point) (peak, halfLength float64) {
+// between the points bracketing peak/2 (the paper: ≈10⁹ ids/s and
+// ≈5·10⁵ ids/round, 144 threads). If every point already exceeds half
+// the peak, the length lies below the smallest point: below is set and
+// halfLength is that point's identifiers/round.
+func summarize(pts []point) (peak, halfLength float64, below bool) {
 	for _, p := range pts {
 		peak = max(peak, p.throughput)
 	}
 	if peak == 0 {
-		return 0, 0
+		return 0, 0, false
 	}
 	ordered := append([]point(nil), pts...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].perRound < ordered[j].perRound })
@@ -83,11 +85,11 @@ func summarize(pts []point) (peak, halfLength float64) {
 			continue
 		}
 		if i == 0 {
-			return peak, 0
+			return peak, p.perRound, true
 		}
 		prev := ordered[i-1]
 		frac := (peak/2 - prev.throughput) / (p.throughput - prev.throughput)
-		return peak, prev.perRound + frac*(p.perRound-prev.perRound)
+		return peak, prev.perRound + frac*(p.perRound-prev.perRound), false
 	}
-	return peak, 0
+	return peak, 0, false
 }

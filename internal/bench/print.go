@@ -271,8 +271,12 @@ func (v *view) fig1() {
 	v.table("Figure 1: bucket throughput vs. identifiers/round", t)
 	fmt.Fprintln(v.out)
 	for i, p := range v.procs {
-		peak, half := summarize(curve[i])
-		fmt.Fprintf(v.out, "P=%d: peak throughput %.3g ids/s; half-performance length %.3g ids/round\n", p, peak, half)
+		peak, half, below := summarize(curve[i])
+		length := fmt.Sprintf("%.3g ids/round", half)
+		if below {
+			length = fmt.Sprintf("below the smallest point (%.3g ids/round)", half)
+		}
+		fmt.Fprintf(v.out, "P=%d: peak throughput %.3g ids/s; half-performance length %s\n", p, peak, length)
 	}
 }
 

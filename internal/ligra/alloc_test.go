@@ -35,7 +35,6 @@ func TestTraversalAllocsIndependentOfFrontier(t *testing.T) {
 		ids[i] = graph.Vertex(i)
 	}
 	none := func(_, _ graph.Vertex, _ graph.Weight) bool { return false }
-	noTarget := Above{D: make([]uint32, n)}
 	dist := make([]int64, n) // all zero: no write lowers one
 	traversals := map[string]func(u VertexSubset){
 		"EdgeMap/sparse":          func(u VertexSubset) { EdgeMap(g, u, nil, none, EdgeMapOptions{NoDense: true}) },
@@ -43,7 +42,6 @@ func TestTraversalAllocsIndependentOfFrontier(t *testing.T) {
 		"EdgeMap/dense":           func(u VertexSubset) { edgeMapDense(g, u, nil, none, EdgeMapOptions{}) },
 		"EdgeMap/dense-nooutput":  func(u VertexSubset) { edgeMapDense(g, u, nil, none, EdgeMapOptions{NoOutput: true}) },
 		"EdgeMapWriteMin":         func(u VertexSubset) { EdgeMapWriteMin(g, u, dist, nil) },
-		"EdgeMapSum":              func(u VertexSubset) { EdgeMapSum(g, u, noTarget, keepCount, nil) },
 		"EdgeMapFilterCount":      func(u VertexSubset) { EdgeMapFilterCount(g, u, func(_, _ graph.Vertex) bool { return false }, nil) },
 		// Keeps every edge, so g is left as it was.
 		"EdgeMapPack": func(u VertexSubset) { EdgeMapPack(g, u, func(_, _ graph.Vertex) bool { return true }, nil) },
@@ -75,13 +73,13 @@ func TestCompressedTraversalReusesDecodeBuffers(t *testing.T) {
 	g := compress.FromCSR(gen.HeavyWeights(gen.RMAT(1<<12, 1<<15, true, 7), 7))
 	ids := All(g.NumVertices()).Sparse()
 	u := FromSparse(g.NumVertices(), ids)
-	var dst Tagged[uint32]
-	noTarget := Above{D: make([]uint32, g.NumVertices())}
+	var dst Tagged[uint64]
+	dist := make([]int64, g.NumVertices()) // all zero: no write lowers one
 	allocs := testing.AllocsPerRun(10, func() {
-		EdgeMapSum(g, u, noTarget, keepCount, &dst)
+		EdgeMapWriteMin(g, u, dist, &dst)
 	})
 	if allocs > 16 {
-		t.Errorf("EdgeMapSum over all %d vertices of a compressed graph: %v allocs, want a handful", len(ids), allocs)
+		t.Errorf("EdgeMapWriteMin over all %d vertices of a compressed graph: %v allocs, want a handful", len(ids), allocs)
 	}
 }
 
@@ -154,17 +152,15 @@ func TestRoundPrimitivesZeroAllocSteadyState(t *testing.T) {
 	}
 	u := FromSparse(n, ids)
 	odd := func(v graph.Vertex) bool { return v%2 == 1 }
-	parity := make([]uint32, n)
 	// Every eighth vertex starts at distance 1, the rest at 0, and each
 	// call restores start first, so every call lowers the same vertices.
 	start, dist := make([]int64, n), make([]int64, n)
-	for v := range parity {
-		parity[v] = uint32(v % 2)
+	for v := range start {
 		if v%8 == 0 {
 			start[v] = 1
 		}
 	}
-	var packed, won, sums, mapped, remapped Tagged[uint32]
+	var packed, won, mapped, remapped Tagged[uint32]
 	var relaxed Tagged[uint64]
 	// Keeps every edge, so g is left as it was.
 	input := EdgeMapPack(g, u, func(_, _ graph.Vertex) bool { return true }, nil)
@@ -173,7 +169,6 @@ func TestRoundPrimitivesZeroAllocSteadyState(t *testing.T) {
 	tag := func(v graph.Vertex) (uint32, bool) { return v, odd(v) }
 	retag := func(v graph.Vertex, deg uint32) (uint32, bool) { return deg + 1, odd(v) }
 	primitives := map[string]func(){
-		"EdgeMapSum": func() { EdgeMapSum(g, u, Above{D: parity, K: 0}, keepCount, &sums) },
 		"EdgeMapWriteMin": func() {
 			copy(dist, start)
 			EdgeMapWriteMin(g, u, dist, &relaxed)
@@ -189,7 +184,7 @@ func TestRoundPrimitivesZeroAllocSteadyState(t *testing.T) {
 			t.Errorf("%s with a warm destination: %v allocs per call, want 0", name, allocs)
 		}
 	}
-	for name, size := range map[string]int{"EdgeMapSum": sums.Size(), "EdgeMapWriteMin": relaxed.Size(),
+	for name, size := range map[string]int{"EdgeMapWriteMin": relaxed.Size(),
 		"TagMap": mapped.Size(), "TagMapTagged": remapped.Size(), "EdgeMapFilterCount": won.Size(), "EdgeMapPack": packed.Size()} {
 		if size == 0 {
 			t.Errorf("%s left its destination empty: the pin measured nothing", name)

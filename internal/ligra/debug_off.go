@@ -12,5 +12,3 @@ func debugCheckAdj(g graph.Graph, v graph.Vertex, in bool, nbrs []graph.Vertex, 
 }
 
 func debugPoison[T any](dst *Tagged[T]) {}
-
-func DebugCheckAbove(who string, live Above, was func(v graph.Vertex) bool) {}

@@ -55,17 +55,3 @@ func debugPoison[T any](dst *Tagged[T]) {
 	}
 	dst.IDs, dst.Vals = nil, nil
 }
-
-// DebugCheckAbove asserts that live admits exactly the vertices was
-// admits, over every vertex of live.D: a kernel whose round condition
-// became an Above in place of an older predicate calls it before each
-// EdgeMapSum, so the equivalence it relies on is checked on every round
-// the tagged suites run.
-func DebugCheckAbove(who string, live Above, was func(v graph.Vertex) bool) {
-	for v, d := range live.D {
-		if now := d > live.K; now != was(graph.Vertex(v)) {
-			panic(fmt.Sprintf("%s debug: D[%d] = %d > K = %d is %t, the predicate it replaced says %t",
-				who, v, d, live.K, now, !now))
-		}
-	}
-}

@@ -18,11 +18,7 @@ func TestStaleDestinationPoisoned(t *testing.T) {
 	g := gen.Star(9) // hub 0, leaves 1..8
 	hub, leaves := Single(9, 0), FromSparse(9, []graph.Vertex{1, 2, 3, 4})
 	input := NewTagged(9, []graph.Vertex{5, 6, 7}, []uint32{50, 60, 70})
-	all := admitAll(9)
 	primitives := map[string]func(u VertexSubset, dst *Tagged[uint32]) Tagged[uint32]{
-		"EdgeMapSum": func(u VertexSubset, dst *Tagged[uint32]) Tagged[uint32] {
-			return EdgeMapSum(g, u, all, keepCount, dst)
-		},
 		"TagMap": func(u VertexSubset, dst *Tagged[uint32]) Tagged[uint32] {
 			return TagMap(u, func(v graph.Vertex) (uint32, bool) { return v, true }, dst)
 		},

@@ -106,8 +106,8 @@ func weightAt(ws []graph.Weight, j int) graph.Weight {
 // Every traversal below has the same shape: one g.OutAdj (or InAdj)
 // call per vertex into the worker's own decode buffer, then a plain
 // loop over the slices. EdgeMap calls c and f directly (a nil c admits
-// every target); EdgeMapSum and EdgeMapWriteMin take their condition
-// and write as arrays and call nothing per edge. Nothing is allocated
+// every target); EdgeMapWriteMin takes its write as an array and calls
+// nothing per edge. Nothing is allocated
 // per vertex or per edge: the buffers and the per-worker outputs come
 // from the scratch pool and keep their capacity across calls.
 
@@ -292,142 +292,6 @@ func relaxInto(g graph.Graph, ids []graph.Vertex, dist []int64, buf *graph.AdjBu
 		}
 	}
 	return outIDs, outVals, relaxed
-}
-
-// Above is an edge map's condition as data: it admits the target v iff
-// D[v] > K. A peel's liveness test has this form — a vertex's degree
-// against the round's bucket (k-core's frontier peel) — so the count
-// loops test an array instead of calling a function per edge. D covers
-// every vertex of the graph.
-type Above struct {
-	D []uint32
-	K uint32
-}
-
-// EdgeMapSum is the paper's edgeMapSum(G, U, Update) (§2.1:
-// edgeMapReduce with M = 1 and R = +; Algorithm 1, line 16): for every
-// vertex v adjacent to U that live admits it counts the edges from U
-// reaching v, then calls update(v, count) — exactly once per touched
-// vertex, after all counting has finished, so update may change the
-// array live reads — and returns the tagged subset of the vertices and
-// values update kept, written to dst (see Tagged). k-core's update
-// lowers v's induced degree and reports the bucket move, so the output
-// is the updateBuckets feed and nothing else is materialized.
-//
-// Pass 1 adds to a counter per target — atomically when the pass forks,
-// with plain increments when it runs inline; the edge that raises a
-// counter from zero claims v into its worker's buffer, so each touched
-// vertex is claimed once. Pass 2 reads and zeroes each claimed counter,
-// calls update and compacts the survivors in place: one loop over the
-// destination's own array at Procs() == 1, at most two forked regions
-// otherwise. update runs concurrently for distinct vertices.
-func EdgeMapSum[T any](g graph.Graph, u VertexSubset, live Above,
-	update func(v graph.Vertex, count uint32) (T, bool), dst *Tagged[T]) Tagged[T] {
-
-	n := g.NumVertices()
-	ids, p := u.Sparse(), sparseWorkers(g, u)
-	outIDs, outVals := dst.take()
-	cnt := dst.counters(n)
-	withParts(p, func(parts []part[T]) {
-		if p == 1 {
-			outIDs = countOwned(g, ids, live, cnt, &parts[0].buf, outIDs)
-			outIDs, outVals = sumInto(cnt, update, outIDs, outIDs[:0], outVals)
-			return
-		}
-		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
-			w := &parts[worker]
-			w.ids = countInto(g, ids[lo:hi], live, cnt, &w.buf, w.ids)
-		})
-		// The join above orders every atomic add before the plain reads
-		// and resets of pass 2.
-		touched := 0
-		for i := range parts {
-			touched += len(parts[i].ids)
-		}
-		if parallel.WorkersFor(int64(touched)) == 1 {
-			for i := range parts {
-				outIDs, outVals = sumInto(cnt, update, parts[i].ids, outIDs, outVals)
-			}
-			return
-		}
-		parallel.Workers(len(parts), len(parts), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				w := &parts[i]
-				w.ids, w.vals = sumInto(cnt, update, w.ids, w.ids[:0], w.vals)
-			}
-		})
-		outIDs, outVals = collect(parts, outIDs, outVals)
-	})
-	return dst.put(n, outIDs, outVals)
-}
-
-// counters returns dst's counter array for a universe of n vertices,
-// all zero; a nil dst gets a fresh one.
-func (dst *Tagged[T]) counters(n int) []uint32 {
-	if dst == nil {
-		return make([]uint32, n)
-	}
-	if len(dst.counts) < n {
-		dst.counts = make([]uint32, n)
-	}
-	return dst.counts
-}
-
-// countInto is pass 1 of EdgeMapSum over one block of sources: the
-// targets this block was first to touch are appended to claimed.
-func countInto(g graph.Graph, ids []graph.Vertex, live Above, cnt []uint32,
-	buf *graph.AdjBuf, claimed []graph.Vertex) []graph.Vertex {
-
-	d, k := live.D, live.K
-	for _, src := range ids {
-		nbrs, ws := g.OutAdj(src, buf)
-		debugCheckAdj(g, src, false, nbrs, ws)
-		for _, dst := range nbrs {
-			if d[dst] > k && atomic.AddUint32(&cnt[dst], 1) == 1 {
-				claimed = push(claimed, dst)
-			}
-		}
-	}
-	return claimed
-}
-
-// countOwned is countInto for a caller that owns cnt outright, the
-// inline arm of EdgeMapSum: no other worker touches the counters, so it
-// counts with plain increments instead of atomic adds.
-func countOwned(g graph.Graph, ids []graph.Vertex, live Above, cnt []uint32,
-	buf *graph.AdjBuf, claimed []graph.Vertex) []graph.Vertex {
-
-	d, k := live.D, live.K
-	for _, src := range ids {
-		nbrs, ws := g.OutAdj(src, buf)
-		debugCheckAdj(g, src, false, nbrs, ws)
-		for _, dst := range nbrs {
-			if d[dst] > k {
-				if cnt[dst]++; cnt[dst] == 1 {
-					claimed = push(claimed, dst)
-				}
-			}
-		}
-	}
-	return claimed
-}
-
-// sumInto is pass 2 of EdgeMapSum over one block of claimed vertices:
-// each counter is read and reset for the next call, and the pairs
-// update keeps are appended to ids and vals. ids may be claimed[:0]:
-// the survivors are then compacted in place.
-func sumInto[T any](cnt []uint32, update func(graph.Vertex, uint32) (T, bool), claimed []graph.Vertex,
-	ids []graph.Vertex, vals []T) ([]graph.Vertex, []T) {
-
-	for _, v := range claimed {
-		count := cnt[v]
-		cnt[v] = 0
-		if val, ok := update(v, count); ok {
-			ids = push(ids, v)
-			vals = push(vals, val)
-		}
-	}
-	return ids, vals
 }
 
 // EdgeMapFilterCount implements the counting half of the paper's

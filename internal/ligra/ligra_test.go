@@ -1,7 +1,6 @@
 package ligra
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -278,95 +277,6 @@ func TestEdgeMapWriteMin(t *testing.T) {
 	}
 }
 
-// keepCount is the EdgeMapSum update that keeps every touched vertex
-// with its count.
-func keepCount(_ graph.Vertex, count uint32) (uint32, bool) { return count, true }
-
-// admitAll is the EdgeMapSum condition that admits each of n vertices.
-func admitAll(n int) Above {
-	d := make([]uint32, n)
-	for v := range d {
-		d[v] = 1
-	}
-	return Above{D: d}
-}
-
-func TestEdgeMapSum(t *testing.T) {
-	// Triangle 0-1-2 plus pendant 2-3: counting from frontier {0,1}
-	// must give count 2 for vertex 2 and 1 for each of 0,1.
-	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3}},
-		graph.BuildOptions{Symmetrize: true, DropSelfLoops: true, Dedup: true})
-	var dst Tagged[uint32]
-	tg := EdgeMapSum(g, FromSparse(4, []graph.Vertex{0, 1}), admitAll(4), keepCount, &dst)
-	got := map[graph.Vertex]uint32{}
-	for i := 0; i < tg.Size(); i++ {
-		v, c := tg.At(i)
-		got[v] = c
-	}
-	want := map[graph.Vertex]uint32{0: 1, 1: 1, 2: 2}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for v, c := range want {
-		if got[v] != c {
-			t.Fatalf("count[%d]=%d want %d", v, got[v], c)
-		}
-	}
-	// The destination's counters must be clean for reuse.
-	for v, c := range dst.counts {
-		if c != 0 {
-			t.Fatalf("counter of %d left at %d", v, c)
-		}
-	}
-	tg2 := EdgeMapSum(g, Single(4, 3), admitAll(4), keepCount, &dst)
-	if tg2.Size() != 1 {
-		t.Fatalf("second call size=%d", tg2.Size())
-	}
-	v, c := tg2.At(0)
-	if v != 2 || c != 1 {
-		t.Fatalf("second call got (%d,%d)", v, c)
-	}
-}
-
-// TestEdgeMapSumUpdateFilters: update sees every touched vertex once
-// and only the pairs it keeps come back, with its values.
-func TestEdgeMapSumUpdateFilters(t *testing.T) {
-	g := gen.Star(8) // hub 0 with leaves 1..7
-	calls := make([]int32, 8)
-	tg := EdgeMapSum(g, Single(8, 0), admitAll(8), func(v graph.Vertex, count uint32) (string, bool) {
-		atomic.AddInt32(&calls[v], 1)
-		return fmt.Sprint(v, "x", count), v%2 == 1
-	}, nil)
-	if tg.Size() != 4 {
-		t.Fatalf("size=%d want 4", tg.Size())
-	}
-	for i := 0; i < tg.Size(); i++ {
-		if v, val := tg.At(i); v%2 != 1 || val != fmt.Sprint(v, "x", 1) {
-			t.Fatalf("bad pair (%d,%q)", v, val)
-		}
-	}
-	for v, c := range calls {
-		if want := int32(min(v, 1)); c != want {
-			t.Fatalf("update ran %d times on %d, want %d", c, v, want)
-		}
-	}
-}
-
-func TestEdgeMapSumRespectsCond(t *testing.T) {
-	g := gen.Star(5)
-	even := Above{D: []uint32{1, 0, 1, 0, 1}} // D[v] > 0 for even v
-	tg := EdgeMapSum(g, Single(5, 0), even, keepCount, nil)
-	for i := 0; i < tg.Size(); i++ {
-		v, _ := tg.At(i)
-		if v%2 != 0 {
-			t.Fatalf("cond violated: %d", v)
-		}
-	}
-	if tg.Size() != 2 { // leaves 2 and 4
-		t.Fatalf("size=%d want 2", tg.Size())
-	}
-}
-
 func TestEdgeMapFilterCount(t *testing.T) {
 	g := gen.Star(6) // hub 0 with leaves 1..5
 	tg := EdgeMapFilterCount(g, Single(6, 0),
@@ -461,92 +371,6 @@ func TestOutDegreeSumBothArms(t *testing.T) {
 				if got != want || cached != want {
 					t.Errorf("%s, |U|=%d, P=%d: OutDegreeSum = %d, through Frontier %d, want %d", name, len(ids), p, got, cached, want)
 				}
-			}
-		}
-	}
-}
-
-// TestEdgeMapSumForkedArms drives EdgeMapSum through its forked
-// regions — pass 1 always, pass 2 when enough vertices were touched —
-// and holds every P against a sequential count followed by update, on
-// both representations, with one destination reused over a growing
-// then shrinking frontier.
-func TestEdgeMapSumForkedArms(t *testing.T) {
-	csr := gen.RMAT(1<<14, 1<<17, true, 7)
-	n := csr.NumVertices()
-	for name, g := range map[string]graph.Graph{"csr": csr, "compressed": compress.FromCSR(csr)} {
-		for _, p := range []int{1, 2, 4} {
-			old := parallel.SetProcs(p)
-			var dst Tagged[uint32]
-			arms := map[int64]bool{}
-			// Inline, both passes forked, the first only (under half of
-			// the vertices are admitted, so under the cut-off touched).
-			for _, call := range []struct{ stride, mod int }{{512, 5}, {1, 5}, {1, 2}} {
-				stride := call.stride
-				var ids []graph.Vertex
-				for v := stride - 1; v < n; v += stride { // the hubs are the low ids
-					ids = append(ids, graph.Vertex(v))
-				}
-				rem := make([]uint32, n) // admitted iff v mod call.mod > 0
-				for v := range rem {
-					rem[v] = uint32(v % call.mod)
-				}
-				want := map[graph.Vertex]uint32{}
-				for _, src := range ids {
-					for _, v := range csr.OutEdges(src) {
-						if rem[v] > 0 {
-							want[v]++
-						}
-					}
-				}
-				touched := len(want)
-				for v, count := range want {
-					if (v+count)%3 == 0 {
-						delete(want, v)
-					}
-				}
-				calls := make([]int32, n)
-				u := Frontier(g, ids) // carries its degree sum: the call below walks nothing
-				var regions int64     // pass 2 forks only behind a forked pass 1
-				if parallel.WorkersFor(int64(len(ids))+u.OutDegreeSum(g)) > 1 {
-					regions = 1 + int64(min(parallel.WorkersFor(int64(touched)), 2)-1)
-				}
-				arms[regions] = true
-				before := parallel.ForkStats()
-				got := EdgeMapSum(g, u, Above{D: rem, K: 0}, func(v graph.Vertex, count uint32) (uint32, bool) {
-					atomic.AddInt32(&calls[v], 1)
-					return count, (v+count)%3 != 0
-				}, &dst)
-				if forked := parallel.ForkStats().Sub(before).Forked; forked != regions {
-					t.Errorf("%s P=%d call %v: %d forked regions, want %d", name, p, call, forked, regions)
-				}
-				if got.Size() != len(want) || len(got.Vals) != len(got.IDs) {
-					t.Fatalf("%s P=%d call %v: %d ids, %d values, want %d pairs", name, p, call, len(got.IDs), len(got.Vals), len(want))
-				}
-				for i := 0; i < got.Size(); i++ {
-					if v, count := got.At(i); want[v] != count {
-						t.Fatalf("%s P=%d call %v: pair (%d, %d), want count %d", name, p, call, v, count, want[v])
-					}
-				}
-				ran := 0
-				for v, k := range calls {
-					if k > 1 {
-						t.Fatalf("%s P=%d call %v: update ran %d times on %d", name, p, call, k, v)
-					}
-					ran += int(k)
-				}
-				if ran != touched {
-					t.Fatalf("%s P=%d call %v: update ran on %d vertices, %d were touched", name, p, call, ran, touched)
-				}
-				for v, c := range dst.counts {
-					if c != 0 {
-						t.Fatalf("%s P=%d call %v: counter of %d left at %d", name, p, call, v, c)
-					}
-				}
-			}
-			parallel.SetProcs(old)
-			if p > 1 && len(arms) != 3 {
-				t.Errorf("%s P=%d: the three frontiers took the arms %v, want one each of 0, 1 and 2 forked regions", name, p, arms)
 			}
 		}
 	}
@@ -649,7 +473,6 @@ func TestSparseTraversalsForkOnWorkNotSize(t *testing.T) {
 		rim = append(rim, graph.Vertex(v))
 	}
 	all := func(graph.Vertex) bool { return true }
-	noTarget := Above{D: make([]uint32, leaves+1)}
 	dist := make([]int64, leaves+1) // all zero: no write lowers one
 	traversals := map[string]func(u VertexSubset){
 		"EdgeMap": func(u VertexSubset) {
@@ -659,7 +482,6 @@ func TestSparseTraversalsForkOnWorkNotSize(t *testing.T) {
 			EdgeMap(g, u, all, func(_, _ graph.Vertex, _ graph.Weight) bool { return false }, EdgeMapOptions{NoDense: true, NoOutput: true})
 		},
 		"EdgeMapWriteMin":    func(u VertexSubset) { EdgeMapWriteMin(g, u, dist, nil) },
-		"EdgeMapSum":         func(u VertexSubset) { EdgeMapSum(g, u, noTarget, keepCount, nil) },
 		"EdgeMapFilterCount": func(u VertexSubset) { EdgeMapFilterCount(g, u, func(_, _ graph.Vertex) bool { return true }, nil) },
 	}
 	forks := func(traverse func(VertexSubset), ids []graph.Vertex) int64 {

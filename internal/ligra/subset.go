@@ -175,9 +175,6 @@ type Tagged[T any] struct {
 	n    int
 	IDs  []graph.Vertex
 	Vals []T
-	// counts is EdgeMapSum's counter per vertex of the universe, zero
-	// between calls. Only a destination EdgeMapSum has written has it.
-	counts []uint32
 }
 
 // NewTagged wraps parallel id/value slices as a tagged subset.
