@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test test32 vet fmt lint race debug chaos fuzz bench bench-smoke bench-check bench-go microbench obs-demo serve-smoke loc check
+.PHONY: all build test test32 vet fmt lint race debug chaos fuzz bench bench-smoke bench-check bench-pair bench-go microbench obs-demo serve-smoke loc check
 
 all: check
 
@@ -113,6 +113,18 @@ bench-smoke:
 # counters or allocations without regenerating the files fails here.
 bench-check:
 	$(GO) run ./cmd/bench -dir bench-out -check .
+
+# bench-pair runs benchmark/run.sh in alternating pairs on PARENT and on
+# this checkout and prints every run, each side's median and quartiles
+# and the pairs the checkout won per end-to-end metric: the measurement
+# a speed claim needs. PARENT's tree is extracted under .bench_pair/
+# and removed afterwards. Full budget: 10 pairs × 4 workloads ≈ 35 min.
+PARENT ?= HEAD
+PAIRS ?= 10
+SEEDS ?= 2017
+WORKLOADS ?= kcore-rmat wbfs-grid delta-rmat serve-zipf
+bench-pair:
+	bash scripts/bench-pair.sh --pairs $(PAIRS) --seeds "$(SEEDS)" --workloads "$(WORKLOADS)" $(PARENT)
 
 # obs-demo smoke-tests the observability plane end to end: run
 # `julienne kcore` with -http on an ephemeral port, scrape /metrics

@@ -145,7 +145,7 @@ func FromCoreness(g graph.Graph, coreness []uint32) Result {
 	}
 	k := uint32(bestK)
 	return Result{
-		Vertices: parallel.PackIndices(n, func(v int) bool { return coreness[v] >= k }),
+		Vertices: parallel.PackIndices(nil, n, func(v int) bool { return coreness[v] >= k }),
 		Density:  best,
 	}
 }

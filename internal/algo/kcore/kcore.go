@@ -115,7 +115,7 @@ func Coreness(g graph.Graph, opt Options) Result {
 		for i := range ps {
 			ps[i].since = 0 // the rest is reset before a round uses it
 		}
-		lp.With(n, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, opt.Buckets, func(b *bucket.Par) {
+		lp.With(n, nil, func(i uint32) bucket.ID { return d[i] }, bucket.Increasing, opt.Buckets, func(b *bucket.Par) {
 			r := round{g: g, d: d, b: b, cancel: obs.NewCancelCheck(opt.Ctx), ps: ps}
 			res.Rounds, res.Err = lp.Run(b, r.body(&res))
 			res.BucketStats = b.Stats()
@@ -388,9 +388,10 @@ func CorenessLigra(g graph.Graph) Result {
 		step := func(w, lo, hi int) { ps[w].step(g, d, k, ids[lo:hi], true) }
 		for finished := 0; finished < n; k++ {
 			// The work-inefficient step: scan every vertex to find the
-			// ones at the current core value.
+			// ones at the current core value, into a buffer the run
+			// keeps across levels.
 			res.VerticesScanned += int64(n)
-			for ids = parallel.PackIndices(n, atLevel); len(ids) > 0; ids, next = next, ids {
+			for ids = parallel.PackIndices(ids, n, atLevel); len(ids) > 0; ids, next = next, ids {
 				res.Rounds++
 				finished += len(ids)
 				edges := ligra.Frontier(g, ids).OutDegreeSum(g)

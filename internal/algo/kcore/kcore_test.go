@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -226,7 +227,7 @@ func TestRhoMatchesRounds(t *testing.T) {
 			}
 			if forked := parallel.ForkStats().Sub(before).Forked; p == 2 && name == "rmat-large" {
 				before = parallel.ForkStats()
-				parallel.PackIndices(g.NumVertices(), func(int) bool { return false })
+				parallel.PackIndices(nil, g.NumVertices(), func(int) bool { return false })
 				scans := parallel.ForkStats().Sub(before).Forked * int64(kmax+1)
 				if forking == 0 || forked < scans+int64(forking) {
 					t.Errorf("%s: P=2 ligra forked %d regions, want at least its %d scans' %d plus one per forking step (%d)",
@@ -467,7 +468,11 @@ func TestCanceledCarriesFlightTail(t *testing.T) {
 // structure, with its chunks, are borrowed for the run, so a run that
 // follows one as large allocates no chunk, no chunk list and no peeler
 // buffer: 14 objects on this graph, over 69 rounds. The second half
-// pins the bytes: the answer plus at most 64 KiB.
+// pins the bytes: the answer plus at most 64 KiB. The Ligra comparator
+// packs every level's scan into one buffer the run keeps, and a scan
+// below the fork cut-off allocates nothing, so its objects do not grow
+// with k_max either: 10 and 9 per run on this graph (k_max 92) and a
+// smaller one (k_max 27), where each level's scan cost about three.
 func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -481,6 +486,11 @@ func TestCorenessAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	g := gen.RMAT(1<<15, 1<<18, true, 3)
 	if allocs := testing.AllocsPerRun(3, func() { Coreness(g, Options{}) }); allocs > 32 {
 		t.Errorf("Coreness: %v allocs per run, want ≤ 32", allocs)
+	}
+	for _, h := range []graph.Graph{g, gen.RMAT(1<<10, 1<<13, true, 3)} {
+		if allocs := testing.AllocsPerRun(3, func() { CorenessLigra(h) }); allocs > 32 {
+			t.Errorf("CorenessLigra: %v allocs per run (k_max %d), want ≤ 32", allocs, slices.Max(CorenessLigra(h).Coreness))
+		}
 	}
 	answer := uint64(4 * g.NumVertices())
 	if got := harness.AllocBytesPerRun(3, func() { Coreness(g, Options{}) }); got > answer+64<<10 {

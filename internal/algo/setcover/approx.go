@@ -63,7 +63,7 @@ func ApproxOn(work graph.Packer, numSets int, opt Options) Result {
 	feed := func(j int) (uint32, bucket.Dest) { return rebucket.IDs[j], rebucket.Vals[j] }
 
 	res := Result{InCover: m.inCover}
-	lp.With(numSets, func(s uint32) bucket.ID { return bz.bucketOf(d[s]) }, bucket.Decreasing, opt.Buckets, func(par *bucket.Par) {
+	lp.With(numSets, nil, func(s uint32) bucket.ID { return bz.bucketOf(d[s]) }, bucket.Decreasing, opt.Buckets, func(par *bucket.Par) {
 		b = par
 		res.Rounds, res.Err = lp.Run(b, func(id bucket.ID, sets []uint32) (int64, bool) {
 			bkt = id

@@ -37,7 +37,7 @@ func ApproxPBBSOn(work graph.Packer, numSets int, opt Options) Result {
 	res := Result{InCover: m.inCover}
 	// The working list starts with every non-empty set and shrinks only
 	// when sets join the cover or run out of uncovered elements.
-	working := parallel.PackIndices(numSets, func(s int) bool { return d[s] > 0 })
+	working := parallel.PackIndices(nil, numSets, func(s int) bool { return d[s] > 0 })
 
 	for bkt := maxBkt; bkt >= 0 && len(working) > 0; {
 		res.Rounds++

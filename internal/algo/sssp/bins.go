@@ -37,31 +37,45 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 		localBins[w] = make(map[uint64][]graph.Vertex)
 	}
 	bufs := make([]graph.AdjBuf, p)
+	counts := make([]binCounts, p)
 	res := Result{}
-	var edges, relaxations atomic.Int64
 
 	frontier := []graph.Vertex{src}
 	curBin := uint64(0)
 	const noBin = uint64(1<<63 - 1)
 	// relax is one worker's share of a round: it scatters the vertices
-	// it improves into its own bins. Built once; a round reads frontier
-	// and curBin.
+	// it improves into its own bins and counts into its own counters.
+	// Built once; a round reads frontier, curBin and plain, which is set
+	// when the round runs on one worker: nothing races then, so it
+	// writes with plain loads and stores, as EdgeMapWriteMin does.
+	var plain bool
 	relax := func(w, lo, hi int) {
-		bins := localBins[w]
+		bins, c := localBins[w], &counts[w]
 		for _, v := range frontier[lo:hi] {
-			dv := uint64(atomic.LoadInt64(&dist[v]))
+			var dv uint64
+			if plain {
+				dv = uint64(dist[v])
+			} else {
+				dv = uint64(atomic.LoadInt64(&dist[v]))
+			}
 			if dv/udelta != curBin {
 				continue // stale copy
 			}
 			nbrs, ws := g.OutAdj(v, &bufs[w])
-			edges.Add(int64(len(nbrs)))
+			c.edges += int64(len(nbrs))
 			for j, u := range nbrs {
-				nd := dv + uint64(ws[j])
-				if parallel.WriteMinInt64(&dist[u], int64(nd)) {
-					relaxations.Add(1)
-					b := nd / udelta
-					bins[b] = append(bins[b], u)
+				nd := int64(dv + uint64(ws[j]))
+				if plain {
+					if nd >= dist[u] {
+						continue
+					}
+					dist[u] = nd
+				} else if !parallel.WriteMinInt64(&dist[u], nd) {
+					continue
 				}
+				c.relaxations++
+				b := uint64(nd) / udelta
+				bins[b] = append(bins[b], u)
 			}
 		}
 	}
@@ -76,7 +90,9 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 				work += int64(g.OutDegree(v))
 			}
 		}
-		parallel.Workers(len(frontier), min(parallel.WorkersFor(work), p), relax)
+		nw := min(parallel.WorkersFor(work), p, len(frontier))
+		plain = nw == 1
+		parallel.Workers(len(frontier), nw, relax)
 
 		// Find the lowest non-empty bin across workers (it may equal
 		// curBin: intra-annulus light-edge reinsertion). Bins behind
@@ -105,7 +121,18 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 		}
 		curBin = next
 	}
-	res.EdgesTraversed, res.Relaxations = edges.Load(), relaxations.Load()
+	for _, c := range counts {
+		res.EdgesTraversed += c.edges
+		res.Relaxations += c.relaxations
+	}
 	res.Dist = finalize(dist)
 	return res
+}
+
+// binCounts is one worker's tally across DeltaSteppingBins's rounds,
+// summed after the last join. Padded to a cache line, since a worker
+// writes its own per edge.
+type binCounts struct {
+	edges, relaxations int64
+	_                  [48]byte
 }

@@ -40,6 +40,10 @@ type waves struct {
 	// changed in the current round.
 	sp []int64
 	b  *bucket.Par
+	// seed is the source, the one vertex whose distance is finite when
+	// the bucket structure is filled; kept here so passing it
+	// allocates nothing.
+	seed [1]uint32
 }
 
 // dests are a run's two round destinations, borrowed for the run with
@@ -79,7 +83,9 @@ func (w *waves) bktOf(dist uint64) bucket.ID {
 // ∆-stepping where bucket i is the annulus of tentative distances
 // [i∆, (i+1)∆). Unreached vertices are outside the structure (their D
 // is Nil) and enter it on first relaxation, so the work is proportional
-// to edges relaxed, not to n per round. WBFS is its ∆ = 1 call.
+// to edges relaxed, not to n per round; the structure starts from the
+// source alone, so filling it is not O(n) either. WBFS is its ∆ = 1
+// call.
 func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Result {
 	checkInput(g, src)
 	if delta <= 0 {
@@ -90,11 +96,12 @@ func DeltaStepping(g graph.Graph, src graph.Vertex, delta int64, opt Options) Re
 	w.setDelta(delta)
 	parallel.For(n, parallel.DefaultGrain, func(i int) { w.sp[i] = int64(inf) })
 	w.sp[src] = 0
+	w.seed[0] = uint32(src)
 	lp := bucket.Loop{Algo: "sssp", Recorder: opt.Recorder, Ctx: opt.Ctx}
 	bkt := func(i uint32) bucket.ID { return w.bktOf(uint64(w.sp[i]) &^ ligra.RoundFlag) }
 	var res Result
 	parallel.WithScratch(1, func(ds []dests) {
-		lp.With(n, bkt, bucket.Increasing, opt.Buckets, func(b *bucket.Par) {
+		lp.With(n, w.seed[:], bkt, bucket.Increasing, opt.Buckets, func(b *bucket.Par) {
 			w.b = b
 			res.Rounds, res.Err = lp.Run(b, deltaRound(w, &ds[0]))
 			res.BucketStats = b.Stats()

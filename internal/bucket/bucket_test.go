@@ -356,17 +356,43 @@ func TestStatsCounting(t *testing.T) {
 // bucket, then each extracted identifier updates up to `fanout`
 // pseudo-random other identifiers to bucket max(cur, D(v)/2), or Nil if
 // D(v) <= cur. Extracted identifiers are retired by setting D to Nil.
-func runDifferential(t *testing.T, n, fanout int, order Order, opt Options, seed uint64) {
+// About one identifier in every `live` starts in a bucket (1: all of
+// them), the rest at Nil. A third structure, a Par filled from the list
+// of identifiers that start in a bucket (fill's seed), must match the
+// one filled over [0, n) exactly: the same bucket and identifiers in
+// the same order, Stats and CurrentRange after every round.
+func runDifferential(t *testing.T, n, fanout int, order Order, opt Options, seed, live uint64) {
 	t.Helper()
 	d := make([]ID, n)
 	initial := make([]ID, n)
+	var bucketed []uint32
 	for i := range d {
 		d[i] = ID(rng.UintNAt(seed, uint64(i), 1000))
+		if live > 1 && rng.UintNAt(seed^0x5eed, uint64(i), live) != 0 {
+			d[i] = Nil
+		} else {
+			bucketed = append(bucketed, uint32(i))
+		}
 		initial[i] = d[i]
 	}
 	get := func(i uint32) ID { return d[i] }
 	seq := NewSeq(n, get, order)
 	par := New(n, get, order, opt)
+	seeded := new(Par)
+	seeded.fill(n, bucketed, get, order, opt)
+	sameAsSeeded := func(round int, pb ID, pids []uint32) {
+		t.Helper()
+		if qb, qids := seeded.NextBucket(); qb != pb || !slices.Equal(qids, pids) {
+			t.Fatalf("round %d: seeded fill extracted bucket %d %v, full fill bucket %d %v", round, qb, qids, pb, pids)
+		}
+		if qs, ps := seeded.Stats(), par.Stats(); qs != ps {
+			t.Fatalf("round %d: seeded fill's stats %+v, full fill's %+v", round, qs, ps)
+		}
+		qlo, qhi, qover := seeded.CurrentRange()
+		if plo, phi, pover := par.CurrentRange(); qlo != plo || qhi != phi || qover != pover {
+			t.Fatalf("round %d: seeded fill's range (%d, %d, %d), full fill's (%d, %d, %d)", round, qlo, qhi, qover, plo, phi, pover)
+		}
+	}
 
 	extracted := map[uint32]bool{}
 	round := 0
@@ -380,6 +406,7 @@ func runDifferential(t *testing.T, n, fanout int, order Order, opt Options, seed
 		if sb != pb {
 			t.Fatalf("round %d: bucket mismatch seq=%d par=%d", round, sb, pb)
 		}
+		sameAsSeeded(round, pb, pids)
 		if sb == Nil {
 			break
 		}
@@ -442,12 +469,15 @@ func runDifferential(t *testing.T, n, fanout int, order Order, opt Options, seed
 		// Apply to each structure with its own GetBucket.
 		sDests := make([]Dest, len(updates))
 		pDests := make([]Dest, len(updates))
+		qDests := make([]Dest, len(updates))
 		for i, u := range updates {
 			sDests[i] = seq.GetBucket(u.prev, u.next)
 			pDests[i] = par.GetBucket(u.prev, u.next)
+			qDests[i] = seeded.GetBucket(u.prev, u.next)
 		}
 		seq.UpdateBuckets(len(updates), func(j int) (uint32, Dest) { return updates[j].id, sDests[j] })
 		par.UpdateBuckets(len(updates), func(j int) (uint32, Dest) { return updates[j].id, pDests[j] })
+		seeded.UpdateBuckets(len(updates), func(j int) (uint32, Dest) { return updates[j].id, qDests[j] })
 	}
 	// Every initially-bucketed identifier must either have been
 	// extracted or retired via a Nil move.
@@ -460,13 +490,17 @@ func runDifferential(t *testing.T, n, fanout int, order Order, opt Options, seed
 
 func TestDifferentialIncreasing(t *testing.T) {
 	for _, opt := range []Options{{}, {OpenBuckets: 3}, {OpenBuckets: 16}} {
-		runDifferential(t, 2000, 4, Increasing, opt, 11)
+		for _, live := range []uint64{1, 16} {
+			runDifferential(t, 2000, 4, Increasing, opt, 11, live)
+		}
 	}
 }
 
 func TestDifferentialDecreasing(t *testing.T) {
 	for _, opt := range []Options{{}, {OpenBuckets: 3}} {
-		runDifferential(t, 2000, 4, Decreasing, opt, 13)
+		for _, live := range []uint64{1, 16} {
+			runDifferential(t, 2000, 4, Decreasing, opt, 13, live)
+		}
 	}
 }
 
@@ -474,7 +508,35 @@ func TestDifferentialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	runDifferential(t, 20000, 8, Increasing, Options{OpenBuckets: 128}, 17)
+	runDifferential(t, 20000, 8, Increasing, Options{OpenBuckets: 128}, 17, 1)
+	runDifferential(t, 20000, 8, Increasing, Options{OpenBuckets: 128}, 17, 64)
+}
+
+// TestSeededFillOfNothing: a structure filled from an empty seed, or
+// from a seed whose identifiers all start at Nil, is exhausted at once
+// in both orders, as one filled over [0, n) is when every identifier
+// starts at Nil.
+func TestSeededFillOfNothing(t *testing.T) {
+	d := make([]ID, 64)
+	for i := range d {
+		d[i] = Nil
+	}
+	get := func(i uint32) ID { return d[i] }
+	for _, order := range []Order{Increasing, Decreasing} {
+		for _, seed := range [][]uint32{{}, {0, 7, 63}} {
+			b := new(Par)
+			b.fill(len(d), seed, get, order, Options{})
+			full := New(len(d), get, order, Options{})
+			for name, s := range map[string]*Par{"seeded": b, "full": full} {
+				if id, ids := s.NextBucket(); id != Nil || ids != nil {
+					t.Errorf("order %d seed %v: %s fill extracted bucket %d %v, want none", order, seed, name, id, ids)
+				}
+				if st := s.Stats(); st != (Stats{}) {
+					t.Errorf("order %d seed %v: %s fill's stats %+v, want zero", order, seed, name, st)
+				}
+			}
+		}
+	}
 }
 
 // --- parallel update stress -----------------------------------------------

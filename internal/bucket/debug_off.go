@@ -19,6 +19,7 @@ func (b *Par) debugCheckExtract(id ID, live []uint32)             {}
 func (b *Par) debugCheckUpdate(k int, f func(int) (uint32, Dest)) {}
 func (b *Par) debugCheckUpdateTotals(k int, moved, skipped int64) {}
 func (b *Par) debugCheckStructure()                               {}
+func (b *Par) debugCheckSeed(seed []uint32)                       {}
 
 func (s *Seq) debugPoisonArena()                                  {}
 func (s *Seq) debugCheckExtract(id ID, live []uint32)             {}

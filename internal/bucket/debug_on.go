@@ -26,6 +26,9 @@ import "fmt"
 //   - bookkeeping: each UpdateBuckets call moves + skips exactly its k
 //     requests, and the cumulative Stats counters agree with shadow
 //     counts maintained here;
+//   - fill's seed: every seeded identifier is a valid identifier,
+//     listed once, and every identifier outside the seed has initial
+//     bucket Nil, so filling from the seed alone misses none;
 //   - single live copy: across the whole structure, each identifier
 //     has at most one live copy (a stored copy whose slot matches its
 //     current D value) — stale copies from lazy deletion may be
@@ -146,6 +149,29 @@ func (b *Par) debugCheckUpdate(k int, f func(int) (uint32, Dest)) {
 
 func (b *Par) debugCheckUpdateTotals(k int, moved, skipped int64) {
 	b.dbg.checkUpdateTotals(k, moved, skipped, b.Stats())
+}
+
+// debugCheckSeed asserts fill's seed contract (a nil seed names every
+// identifier, so there is nothing to check).
+func (b *Par) debugCheckSeed(seed []uint32) {
+	if seed == nil {
+		return
+	}
+	in := make([]bool, b.n)
+	for _, id := range seed {
+		if int(id) >= b.n {
+			panic(fmt.Sprintf("bucket debug: seed identifier %d out of range [0,%d)", id, b.n))
+		}
+		if in[id] {
+			panic(fmt.Sprintf("bucket debug: seed lists identifier %d twice", id))
+		}
+		in[id] = true
+	}
+	for i, seeded := range in {
+		if d := b.d(uint32(i)); !seeded && d != Nil {
+			panic(fmt.Sprintf("bucket debug: identifier %d is outside the seed but starts in bucket %d", i, d))
+		}
+	}
 }
 
 // debugCheckStructure walks every physical slot and asserts the single

@@ -74,3 +74,29 @@ func TestDebugCheckExtractViolations(t *testing.T) {
 		})
 	})
 }
+
+// TestDebugCheckSeedViolations: a seed that leaves out an identifier
+// starting in a bucket, lists one twice, or names one out of range
+// trips fill's seed assertion before anything is inserted.
+func TestDebugCheckSeedViolations(t *testing.T) {
+	d := func(i uint32) ID {
+		if i == 2 || i == 5 {
+			return 3
+		}
+		return Nil
+	}
+	for _, c := range []struct {
+		name string
+		seed []uint32
+		want string
+	}{
+		{"identifier left out", []uint32{2}, "identifier 5 is outside the seed but starts in bucket 3"},
+		{"identifier listed twice", []uint32{2, 5, 2}, "seed lists identifier 2 twice"},
+		{"identifier out of range", []uint32{2, 5, 8}, "seed identifier 8 out of range [0,8)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			expectDebugPanic(t, c.want, func() { new(Par).fill(8, c.seed, d, Increasing, Options{}) })
+		})
+	}
+	new(Par).fill(8, []uint32{5, 2}, d, Increasing, Options{}) // a seed in any order passes
+}

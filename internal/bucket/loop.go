@@ -33,19 +33,23 @@ type Loop struct {
 // With borrows a structure for one run: it fills it over identifiers
 // [0, n) as New does, reporting to the loop's recorder unless opt names
 // its own, runs f on it, and hands it back when f returns or panics.
+// seed lists the identifiers whose initial bucket is not Nil, each
+// once; nil means any of [0, n) may be, and d is read for all of them.
+// A run that starts from a few identifiers passes them, so its fill
+// costs O(len(seed)), not O(n). With does not retain seed.
 // The structure comes from parallel's free list with the storage an
 // earlier run grew — its slot table, arena and free list of chunks —
 // so a steady-state run allocates no chunk and no arena buffer. f must
 // not retain b or anything b returned, and reads b.Stats before it
 // returns.
-func (l Loop) With(n int, d func(uint32) ID, order Order, opt Options, f func(b *Par)) {
+func (l Loop) With(n int, seed []uint32, d func(uint32) ID, order Order, opt Options, f func(b *Par)) {
 	if opt.Recorder == nil {
 		opt.Recorder = l.Recorder
 	}
 	parallel.WithScratch(1, func(s []Par) {
 		b := &s[0]
 		defer b.drain()
-		b.fill(n, d, order, opt)
+		b.fill(n, seed, d, order, opt)
 		f(b)
 	})
 }

@@ -111,12 +111,12 @@ func TestLoopStopsExtractingWhenDone(t *testing.T) {
 // bucket, with counters that start at zero.
 func TestWithDrainsWhatARunLeft(t *testing.T) {
 	l := Loop{Algo: "test"}
-	l.With(64, func(i uint32) ID { return i / 8 }, Increasing, Options{}, func(b *Par) {
+	l.With(64, nil, func(i uint32) ID { return i / 8 }, Increasing, Options{}, func(b *Par) {
 		if rounds, _ := l.Run(b, func(ID, []uint32) (int64, bool) { return 0, true }); rounds != 1 {
 			t.Fatalf("first run: %d rounds, want 1", rounds)
 		}
 	})
-	l.With(16, func(i uint32) ID { return i % 4 }, Increasing, Options{}, func(b *Par) {
+	l.With(16, nil, func(i uint32) ID { return i % 4 }, Increasing, Options{}, func(b *Par) {
 		got := drainAll(t, b)
 		if len(got) != 16 {
 			t.Errorf("second run extracted %d identifiers, want 16", len(got))

@@ -81,6 +81,9 @@ type Par struct {
 	adv         advanceState
 	advAnchor   func(j int) ID
 	advFeed     func(j int) (uint32, Dest)
+	seed        []uint32 // fill's seed, for fillAnchor and fillFeed
+	fillAnchor  func(j int) ID
+	fillFeed    func(j int) (uint32, Dest)
 
 	// dbg holds invariant-assertion state; zero-sized unless the build
 	// is tagged julienne_debug (see debug_on.go / debug_off.go).
@@ -169,14 +172,19 @@ var _ Structure = (*Par)(nil)
 // times.
 func New(n int, d func(uint32) ID, order Order, opt Options) *Par {
 	b := new(Par)
-	b.fill(n, d, order, opt)
+	b.fill(n, nil, d, order, opt)
 	return b
 }
 
 // fill is New's work on b, which may be a structure an earlier run
 // drained (Loop.With): it keeps that run's slot table, arena, free list
-// of chunks and block passes, and resets everything else.
-func (b *Par) fill(n int, d func(uint32) ID, order Order, opt Options) {
+// of chunks and block passes, and resets everything else. seed lists
+// the identifiers that may start in a bucket, each once; every other
+// identifier in [0, n) must map to Nil. The anchor reduce and the bulk
+// insert run over seed alone, so a run that starts from one vertex
+// (∆-stepping) pays for that vertex, not for n. A nil seed means all
+// of [0, n).
+func (b *Par) fill(n int, seed []uint32, d func(uint32) ID, order Order, opt Options) {
 	nB := opt.OpenBuckets
 	if nB <= 0 {
 		nB = DefaultOpenBuckets
@@ -204,10 +212,19 @@ func (b *Par) fill(n int, d func(uint32) ID, order Order, opt Options) {
 		b.buildPasses()
 	}
 
+	b.debugCheckSeed(seed)
+	k := n
+	if seed != nil {
+		k = len(seed)
+	}
+
+	b.seed = seed
+	defer func() { b.seed = nil }()
+
 	// Find the first/last non-empty logical bucket in parallel (§3.2:
 	// "calculating the number of initial buckets in parallel using
 	// reduce") and anchor the open range there.
-	anchor := nearest(order, n, func(i int) ID { return d(uint32(i)) })
+	anchor := nearest(order, k, b.fillAnchor)
 	if anchor == Nil {
 		b.done = true
 		return
@@ -220,11 +237,17 @@ func (b *Par) fill(n int, d func(uint32) ID, order Order, opt Options) {
 	// bookkeeping, not algorithmic movement: it bypasses the counting
 	// wrapper, and the recorder is attached afterwards, so Stats and
 	// the recorder see only post-construction traffic.
-	b.update(n, func(j int) (uint32, Dest) {
-		id := uint32(j)
-		return id, b.GetBucket(Nil, d(id))
-	})
+	b.update(k, b.fillFeed)
 	b.rec = opt.Recorder
+}
+
+// seedAt is the j-th identifier fill visits: b.seed[j], or j itself
+// when there is no seed.
+func (b *Par) seedAt(j int) uint32 {
+	if b.seed == nil {
+		return uint32(j)
+	}
+	return b.seed[j]
 }
 
 // drain ends a borrowed structure's run (Loop.With): the chunks of
@@ -243,8 +266,14 @@ func (b *Par) drain() {
 }
 
 // buildPasses builds the block passes once per structure (see the Par
-// fields for why). Each reads its parameters from b.upd or b.cmp.
+// fields for why). Each reads its parameters from b.upd, b.cmp, b.adv
+// or b.seed.
 func (b *Par) buildPasses() {
+	b.fillAnchor = func(j int) ID { return b.d(b.seedAt(j)) }
+	b.fillFeed = func(j int) (uint32, Dest) {
+		id := b.seedAt(j)
+		return id, b.GetBucket(Nil, b.d(id))
+	}
 	b.zeroPass = func(i int) { b.upd.counts[i] = 0 }
 	b.histPass = func(blk int) {
 		u := &b.upd

@@ -11,7 +11,7 @@ import (
 
 func benchFrontier(g graph.Graph, frac int) VertexSubset {
 	n := g.NumVertices()
-	return FromSparse(n, parallel.PackIndices(n, func(v int) bool { return v%frac == 0 }))
+	return FromSparse(n, parallel.PackIndices(nil, n, func(v int) bool { return v%frac == 0 }))
 }
 
 func BenchmarkEdgeMapSparse(b *testing.B) {

@@ -246,13 +246,19 @@ func WriteMin(dist []int64, v graph.Vertex, nd uint64) (pre uint64, lowered, fir
 // The source's distance is read once, before its edges; a source
 // lowered during the round is in the output, so the caller revisits it.
 // The caller clears RoundFlag on the output before the next call.
+//
+// A call whose work merits one worker runs on the caller alone, where
+// nothing races, and writes with plain loads and stores (relaxSeq); a
+// forked one writes through WriteMin. The arm is chosen once per call,
+// by the worker count; the plain one leaves exactly the distances,
+// output and count of relaxing the edges one by one in U's order.
 func EdgeMapWriteMin(g graph.Graph, u VertexSubset, dist []int64, dst *Tagged[uint64]) (Tagged[uint64], int64) {
 	ids, p := u.Sparse(), sparseWorkers(g, u)
 	outIDs, outVals := dst.take()
 	var relaxed int64
 	withParts(p, func(parts []part[uint64]) {
 		if p == 1 {
-			outIDs, outVals, relaxed = relaxInto(g, ids, dist, &parts[0].buf, outIDs, outVals)
+			outIDs, outVals, relaxed = relaxSeq(g, ids, dist, &parts[0].buf, outIDs, outVals)
 			return
 		}
 		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
@@ -288,6 +294,34 @@ func relaxInto(g graph.Graph, ids []graph.Vertex, dist []int64, buf *graph.AdjBu
 			if first {
 				outIDs = push(outIDs, dst)
 				outVals = push(outVals, pre)
+			}
+		}
+	}
+	return outIDs, outVals, relaxed
+}
+
+// relaxSeq is relaxInto for a call that runs on one worker: no other
+// goroutine touches dist during it, so each write-min is a plain load,
+// compare and store, with WriteMin's effect on dist and the output.
+func relaxSeq(g graph.Graph, ids []graph.Vertex, dist []int64, buf *graph.AdjBuf,
+	outIDs []graph.Vertex, outVals []uint64) ([]graph.Vertex, []uint64, int64) {
+
+	var relaxed int64
+	for _, src := range ids {
+		base := uint64(dist[src]) &^ RoundFlag
+		nbrs, ws := g.OutAdj(src, buf)
+		debugCheckAdj(g, src, false, nbrs, ws)
+		for j, dst := range nbrs {
+			nd := base + uint64(weightAt(ws, j))
+			old := uint64(dist[dst])
+			if nd >= old&^RoundFlag {
+				continue
+			}
+			dist[dst] = int64(RoundFlag | nd)
+			relaxed++
+			if old&RoundFlag == 0 {
+				outIDs = push(outIDs, dst)
+				outVals = push(outVals, old)
 			}
 		}
 	}

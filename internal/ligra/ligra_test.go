@@ -405,7 +405,7 @@ func TestTaggedPrimitivesSameAcrossProcs(t *testing.T) {
 	// The odd vertices start at 0 and the even at 2²⁰ + v; no write
 	// lowers an odd vertex, so which even ones a round lowers, and from
 	// where, does not depend on the order the edges are relaxed in.
-	odds := Frontier(base, parallel.PackIndices(n, func(v int) bool { return odd(graph.Vertex(v)) }))
+	odds := Frontier(base, parallel.PackIndices(nil, n, func(v int) bool { return odd(graph.Vertex(v)) }))
 	sameAcrossProcs(t, "EdgeMapWriteMin", func(dst *Tagged[uint64]) Tagged[uint64] {
 		dist := make([]int64, n)
 		for v := range dist {

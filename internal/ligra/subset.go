@@ -77,7 +77,7 @@ func (s VertexSubset) Sparse() []graph.Vertex {
 	if s.dense == nil {
 		return s.sparse
 	}
-	return parallel.PackIndices(s.n, func(i int) bool { return s.dense[i] })
+	return parallel.PackIndices(nil, s.n, func(i int) bool { return s.dense[i] })
 }
 
 // Dense returns the subset as a membership array (converting from the

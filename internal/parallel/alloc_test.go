@@ -77,7 +77,7 @@ func TestFilterInto(t *testing.T) {
 
 // TestInlineRegionsZeroAlloc pins the sequential paths of the adapters:
 // a region that runs inline on its caller allocates nothing, whichever
-// adapter it came through. (Sum and friends allocate the one generic
+// adapter it came through, a filter into a kept buffer included. (Sum and friends allocate the one generic
 // operator closure they hand to Reduce, forked or not.)
 func TestInlineRegionsZeroAlloc(t *testing.T) {
 	skipIfAllocsUnmeasurable(t)
@@ -86,9 +86,14 @@ func TestInlineRegionsZeroAlloc(t *testing.T) {
 	src := make([]uint32, 1<<13)
 	body := func(i int) { src[i]++ }
 	worker := func(_, lo, hi int) { src[lo]++ }
+	odd := func(i int) bool { return src[i]%2 == 1 }
+	kept := PackIndices(nil, len(src), odd)
+	seen := FilterInto(nil, src, func(v uint32) bool { return v > 0 })
 	if avg := testing.AllocsPerRun(50, func() {
 		For(len(src), 64, body)
 		Workers(len(src), WorkersFor(int64(len(src))), worker)
+		kept = PackIndices(kept, len(src), odd)
+		seen = FilterInto(seen, src, func(v uint32) bool { return v > 0 })
 	}); avg != 0 {
 		t.Fatalf("inline regions allocate %v allocs/op, want 0", avg)
 	}

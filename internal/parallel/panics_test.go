@@ -251,7 +251,7 @@ func TestScratchBalanceUnderPanicEverywhere(t *testing.T) {
 			parallel.FilterInto(buf, in, func(v uint32) bool { cb(); return v%2 == 0 })
 		}},
 		{"PackIndices", n, func(cb func()) {
-			parallel.PackIndices(n, func(i int) bool { cb(); return i%2 == 0 })
+			parallel.PackIndices(nil, n, func(i int) bool { cb(); return i%2 == 0 })
 		}},
 		{"Reduce", n, func(cb func()) {
 			parallel.Sum(n, 1, func(i int) int64 { cb(); return int64(i) })

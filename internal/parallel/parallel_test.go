@@ -243,7 +243,7 @@ func TestFilterProperty(t *testing.T) {
 }
 
 func TestPackIndices(t *testing.T) {
-	got := PackIndices(10, func(i int) bool { return i%4 == 0 })
+	got := PackIndices(nil, 10, func(i int) bool { return i%4 == 0 })
 	want := []uint32{0, 4, 8}
 	if len(got) != len(want) {
 		t.Fatalf("len=%d want %d", len(got), len(want))

@@ -78,7 +78,7 @@ func entryPoints() []entryPoint {
 			parallel.FilterIndex(in, func(i int, _ uint32) bool { hook(); return i%2 == 0 })
 		}},
 		{"PackIndices", true, func(hook func()) {
-			parallel.PackIndices(tableN, func(i int) bool { hook(); return i%2 == 0 })
+			parallel.PackIndices(nil, tableN, func(i int) bool { hook(); return i%2 == 0 })
 		}},
 	}
 }

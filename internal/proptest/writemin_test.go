@@ -9,6 +9,7 @@ import (
 	"julienne/internal/graph"
 	"julienne/internal/ligra"
 	"julienne/internal/parallel"
+	"julienne/internal/rng"
 )
 
 // TestEdgeMapWriteMinMatchesOracle holds ligra.EdgeMapWriteMin —
@@ -29,6 +30,13 @@ import (
 // pre-round distance, it and nothing else carries the round flag, a
 // call that ran inline (every call at P=1) counts exactly the oracle's
 // lowering writes, and a forked one at least one per lowered vertex.
+//
+// A call that runs inline writes with plain stores and a forked one
+// through ligra.WriteMin. At the default sizes no family case has the
+// work to fork, so one more input at P=2 drives both arms over one distance array, as
+// ∆-stepping's rounds do: a forked call, then an inline one relaxing
+// from the distances it left, with parallel.ForkStats showing which arm
+// each call took.
 func TestEdgeMapWriteMinMatchesOracle(t *testing.T) {
 	Check(t, gen.Families(), func(c Case, csr *graph.CSR) error {
 		csr = gen.UniformWeights(csr, 0, 8, c.Seed)
@@ -59,34 +67,95 @@ func TestEdgeMapWriteMinMatchesOracle(t *testing.T) {
 						start[s] = 0
 					}
 				}
-				want, wantRelaxed := writeMinOracle(csr, ids, start)
-				dist := slices.Clone(start)
-				before := parallel.ForkStats()
-				got, relaxed := ligra.EdgeMapWriteMin(g, ligra.FromSparse(n, ids), dist, &dst)
-				inline := parallel.ForkStats().Sub(before).Forked == 0
-				if err := sameLowered(got, start, dist); err != nil {
+				if _, err := checkWriteMin(g, csr, ids, start, closed, &dst); err != nil {
 					return fmt.Errorf("P=%d round %d (|U|=%d): %w", p, round, len(ids), err)
-				}
-				for v := range dist {
-					dist[v] = int64(uint64(dist[v]) &^ ligra.RoundFlag)
-				}
-				if closed || inline {
-					if !slices.Equal(dist, want) {
-						return fmt.Errorf("P=%d round %d (|U|=%d, inline=%t): distances %v, want %v", p, round, len(ids), inline, dist, want)
-					}
-				} else if err := withinOrderBounds(csr, ids, start, dist); err != nil {
-					return fmt.Errorf("P=%d round %d (|U|=%d, forked): %w", p, round, len(ids), err)
-				}
-				if inline && relaxed != wantRelaxed {
-					return fmt.Errorf("P=%d round %d (|U|=%d): %d lowering writes, want %d", p, round, len(ids), relaxed, wantRelaxed)
-				}
-				if relaxed < int64(got.Size()) {
-					return fmt.Errorf("P=%d round %d (|U|=%d): %d lowering writes for %d lowered vertices", p, round, len(ids), relaxed, got.Size())
 				}
 			}
 		}
 		return nil
 	})
+
+	t.Run("both arms on one array", func(t *testing.T) {
+		defer parallel.SetProcs(parallel.SetProcs(2))
+		csr := gen.UniformWeights(gen.RMAT(1<<12, 1<<15, false, 5), 0, 8, 5)
+		n := csr.NumVertices()
+		dist := make([]int64, n)
+		var wide []graph.Vertex
+		for v := range dist {
+			if dist[v] = int64(rng.UintNAt(5, uint64(v), 64)); dist[v] >= 48 {
+				dist[v] = 1 << 40
+			}
+			if v%3 == 0 {
+				wide = append(wide, graph.Vertex(v))
+			}
+		}
+		var dst ligra.Tagged[uint64]
+		if inline, err := checkWriteMin(csr, csr, wide, dist, false, &dst); err != nil || inline {
+			t.Fatalf("|U|=%d: inline=%t, want a forked call: %v", len(wide), inline, err)
+		}
+		// The inline call's source is one whose relaxation lowers a
+		// target from the distances the forked call left, which depend
+		// on the order its workers ran in.
+		src := lowersFrom(csr, dist)
+		if inline, err := checkWriteMin(csr, csr, []graph.Vertex{src}, dist, false, &dst); err != nil || !inline {
+			t.Fatalf("U={%d}: inline=%t, want an inline call: %v", src, inline, err)
+		}
+	})
+}
+
+// checkWriteMin runs EdgeMapWriteMin over U = ids on g (whose CSR form
+// is csr) from the distances in start, and checks it against the
+// oracle: each lowered vertex output once with its pre-round distance
+// and flagged, the final distances the oracle's when the call ran
+// inline or the round was closed (no source lowered) and within every
+// relaxation order's bounds otherwise, and the lowering writes exactly
+// the oracle's when inline and at least one per lowered vertex always.
+// It leaves the call's distances in start with the round flag cleared,
+// as ∆-stepping clears it, and reports whether the call ran inline.
+func checkWriteMin(g graph.Graph, csr *graph.CSR, ids []graph.Vertex, start []int64, closed bool,
+	dst *ligra.Tagged[uint64]) (inline bool, err error) {
+
+	n := g.NumVertices()
+	want, wantRelaxed := writeMinOracle(csr, ids, start)
+	dist := slices.Clone(start)
+	before := parallel.ForkStats()
+	got, relaxed := ligra.EdgeMapWriteMin(g, ligra.FromSparse(n, ids), dist, dst)
+	inline = parallel.ForkStats().Sub(before).Forked == 0
+	if err := sameLowered(got, start, dist); err != nil {
+		return inline, err
+	}
+	for v := range dist {
+		dist[v] = int64(uint64(dist[v]) &^ ligra.RoundFlag)
+	}
+	if closed || inline {
+		if !slices.Equal(dist, want) {
+			return inline, fmt.Errorf("inline=%t: distances %v, want %v", inline, dist, want)
+		}
+	} else if err := withinOrderBounds(csr, ids, start, dist); err != nil {
+		return inline, fmt.Errorf("forked: %w", err)
+	}
+	if inline && relaxed != wantRelaxed {
+		return inline, fmt.Errorf("%d lowering writes, want %d", relaxed, wantRelaxed)
+	}
+	if relaxed < int64(got.Size()) {
+		return inline, fmt.Errorf("%d lowering writes for %d lowered vertices", relaxed, got.Size())
+	}
+	copy(start, dist)
+	return inline, nil
+}
+
+// lowersFrom returns the first vertex with an out-edge whose relaxation
+// would lower its target's distance.
+func lowersFrom(csr *graph.CSR, dist []int64) graph.Vertex {
+	for u := range dist {
+		nbrs, ws := csr.OutAdj(graph.Vertex(u), nil)
+		for j, v := range nbrs {
+			if dist[u]+int64(ws[j]) < dist[v] {
+				return graph.Vertex(u)
+			}
+		}
+	}
+	panic("no relaxation lowers a distance")
 }
 
 // writeMinOracle relaxes every out-edge of ids in order, each from its
