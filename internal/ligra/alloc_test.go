@@ -151,6 +151,23 @@ func TestRoundPrimitivesZeroAllocSteadyState(t *testing.T) {
 		ids[i] = graph.Vertex(i)
 	}
 	u := FromSparse(n, ids)
+	// u passes m/20, so EdgeMapWriteMin relaxes it in identifier order;
+	// scrambled is the same frontier listed with a stride of 1021, and
+	// few (its last 64 vertices, of low degree) stays below m/20 and in
+	// its own order.
+	mixed := make([]graph.Vertex, len(ids))
+	for i := range mixed {
+		mixed[i] = ids[i*1021%len(ids)]
+	}
+	scrambled, few := FromSparse(n, mixed), FromSparse(n, ids[len(ids)-64:])
+	for _, c := range []struct {
+		u    VertexSubset
+		past bool
+	}{{scrambled, true}, {few, false}} {
+		if past := int64(c.u.Size())+c.u.OutDegreeSum(g) > g.NumEdges()/denseThresholdDivisor; past != c.past {
+			t.Fatalf("|U| = %d: past m/20 = %t, want %t", c.u.Size(), past, c.past)
+		}
+	}
 	odd := func(v graph.Vertex) bool { return v%2 == 1 }
 	// Every eighth vertex starts at distance 1, the rest at 0, and each
 	// call restores start first, so every call lowers the same vertices.
@@ -161,7 +178,7 @@ func TestRoundPrimitivesZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 	var packed, won, mapped, remapped Tagged[uint32]
-	var relaxed Tagged[uint64]
+	var relaxed, relaxedScrambled, relaxedFew Tagged[uint64]
 	// Keeps every edge, so g is left as it was.
 	input := EdgeMapPack(g, u, func(_, _ graph.Vertex) bool { return true }, nil)
 	keepAll := func(_, _ graph.Vertex) bool { return true }
@@ -172,6 +189,14 @@ func TestRoundPrimitivesZeroAllocSteadyState(t *testing.T) {
 		"EdgeMapWriteMin": func() {
 			copy(dist, start)
 			EdgeMapWriteMin(g, u, dist, &relaxed)
+		},
+		"EdgeMapWriteMin/scrambled": func() {
+			copy(dist, start)
+			EdgeMapWriteMin(g, scrambled, dist, &relaxedScrambled)
+		},
+		"EdgeMapWriteMin/below-m20": func() {
+			copy(dist, start)
+			EdgeMapWriteMin(g, few, dist, &relaxedFew)
 		},
 		"TagMap":             func() { TagMap(u, tag, &mapped) },
 		"TagMapTagged":       func() { TagMapTagged(input, retag, &remapped) },
@@ -185,6 +210,7 @@ func TestRoundPrimitivesZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 	for name, size := range map[string]int{"EdgeMapWriteMin": relaxed.Size(),
+		"EdgeMapWriteMin/scrambled": relaxedScrambled.Size(), "EdgeMapWriteMin/below-m20": relaxedFew.Size(),
 		"TagMap": mapped.Size(), "TagMapTagged": remapped.Size(), "EdgeMapFilterCount": won.Size(), "EdgeMapPack": packed.Size()} {
 		if size == 0 {
 			t.Errorf("%s left its destination empty: the pin measured nothing", name)

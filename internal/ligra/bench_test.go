@@ -1,6 +1,8 @@
 package ligra
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"julienne/internal/gen"
@@ -39,16 +41,38 @@ func BenchmarkEdgeMapDense(b *testing.B) {
 }
 
 // BenchmarkEdgeMapWriteMin measures ∆-stepping's relaxation step at
-// P=1 over every vertex: each iteration restores the distances (n
-// words, against 16n edges) and relaxes every edge into them. The graph
-// is graph.BenchmarkOutAdjTraversal's shape — 2¹⁴ vertices, 2¹⁸ uniform
-// directed edges — weighted, and ns/edge is counted as there, so the
-// two read side by side in one `make microbench` run.
+// P=1, in ns per edge of the frontier; each iteration restores the
+// distances first (n words).
+//
+//   - all: every vertex of graph.BenchmarkOutAdjTraversal's shape —
+//     2¹⁴ vertices, 2¹⁸ uniform directed edges — weighted, so the two
+//     read side by side in one `make microbench` run;
+//   - rmat-shuffled: a quarter of the vertices of delta-rmat's graph
+//     (RMAT 2¹⁷, 16·2¹⁷ symmetrized edges, heavy weights) in a random
+//     order, past m/20, so the call relaxes them in identifier order.
 func BenchmarkEdgeMapWriteMin(b *testing.B) {
+	b.Run("all", func(b *testing.B) {
+		g := gen.UniformWeights(gen.ErdosRenyi(1<<14, 1<<18, false, 1), 1, 1<<10, 1)
+		n := g.NumVertices()
+		benchWriteMin(b, g, Frontier(g, All(n).Sparse()))
+	})
+	b.Run("rmat-shuffled", func(b *testing.B) {
+		g := gen.HeavyWeights(gen.RMAT(1<<17, 16<<17, true, 1), 1)
+		ids := parallel.PackIndices(nil, g.NumVertices(), func(v int) bool { return v%4 == 0 })
+		slices.SortFunc(ids, func(a, c graph.Vertex) int {
+			return cmp.Compare(rng.UintNAt(2, uint64(a), 1<<62), rng.UintNAt(2, uint64(c), 1<<62))
+		})
+		benchWriteMin(b, g, Frontier(g, ids))
+	})
+}
+
+// benchWriteMin times EdgeMapWriteMin over u on g at P=1 from the same
+// random distances each iteration and reports ns per edge of u. The
+// testing package sets GOMAXPROCS for each sub-benchmark it runs, so P
+// is set here, not in the parent.
+func benchWriteMin(b *testing.B, g graph.Graph, u VertexSubset) {
 	defer parallel.SetProcs(parallel.SetProcs(1))
-	g := gen.UniformWeights(gen.ErdosRenyi(1<<14, 1<<18, false, 1), 1, 1<<10, 1)
 	n := g.NumVertices()
-	u := FromSparse(n, All(n).Sparse())
 	start, dist := make([]int64, n), make([]int64, n)
 	for v := range start {
 		start[v] = int64(rng.UintNAt(1, uint64(v), 1<<20))
@@ -60,5 +84,5 @@ func BenchmarkEdgeMapWriteMin(b *testing.B) {
 		copy(dist, start)
 		EdgeMapWriteMin(g, u, dist, &moved)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*g.NumEdges()), "ns/edge")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*u.OutDegreeSum(g)), "ns/edge")
 }

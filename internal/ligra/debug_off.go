@@ -12,3 +12,5 @@ func debugCheckAdj(g graph.Graph, v graph.Vertex, in bool, nbrs []graph.Vertex, 
 }
 
 func debugPoison[T any](dst *Tagged[T]) {}
+
+func debugCheckByID(words []uint64, ids []graph.Vertex) {}

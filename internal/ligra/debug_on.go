@@ -55,3 +55,20 @@ func debugPoison[T any](dst *Tagged[T]) {
 	}
 	dst.IDs, dst.Vals = nil, nil
 }
+
+// debugCheckByID verifies what an identifier-order traversal relies on
+// after each ordering: the bitmap is all zero again, over its whole
+// capacity, so the next borrower starts clean, and the list is strictly
+// increasing, so every source is relaxed once and in order.
+func debugCheckByID(words []uint64, ids []graph.Vertex) {
+	for i, w := range words {
+		if w != 0 {
+			panic(fmt.Sprintf("ligra debug: identifier-order bitmap word %d left %#x after the scan", i, w))
+		}
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			panic(fmt.Sprintf("ligra debug: identifier-order list has %d after %d at %d", ids[i], ids[i-1], i))
+		}
+	}
+}

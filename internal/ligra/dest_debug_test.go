@@ -71,3 +71,17 @@ func stalePoisoned[T any](t *testing.T, name string, first, second VertexSubset,
 		}
 	}
 }
+
+// TestByIDCheckFires: the identifier-order assertion is live — a bit
+// left set anywhere in the bitmap's capacity, even past the words this
+// call used, fails the call that finds it.
+func TestByIDCheckFires(t *testing.T) {
+	o := byID{words: make([]uint64, 1, 4)}
+	o.words[:4][3] = 1 // left by an earlier, larger call
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("a dirty bitmap passed the identifier-order check")
+		}
+	}()
+	o.sorted(64, []graph.Vertex{5, 2})
+}

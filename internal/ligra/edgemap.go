@@ -1,6 +1,7 @@
 package ligra
 
 import (
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -247,32 +248,94 @@ func WriteMin(dist []int64, v graph.Vertex, nd uint64) (pre uint64, lowered, fir
 // lowered during the round is in the output, so the caller revisits it.
 // The caller clears RoundFlag on the output before the next call.
 //
-// A call whose work merits one worker runs on the caller alone, where
-// nothing races, and writes with plain loads and stores (relaxSeq); a
-// forked one writes through WriteMin. The arm is chosen once per call,
-// by the worker count; the plain one leaves exactly the distances,
-// output and count of relaxing the edges one by one in U's order.
+// The sources are relaxed in one of two orders, chosen by the number
+// EdgeMap goes dense on: a frontier whose |U| + Σ outdeg(U) passes
+// m/20 is relaxed in identifier order, each source once (byID), so its
+// offsets, edges and weights are read front to back; a smaller one in
+// U's order. A call whose work merits one worker runs on the caller
+// alone, where nothing races, and writes with plain loads and stores
+// (relaxSeq); a forked one writes through WriteMin, each worker over a
+// contiguous block of that order. The plain arm leaves exactly the
+// distances, output and count of relaxing the edges one by one in that
+// order.
 func EdgeMapWriteMin(g graph.Graph, u VertexSubset, dist []int64, dst *Tagged[uint64]) (Tagged[uint64], int64) {
-	ids, p := u.Sparse(), sparseWorkers(g, u)
+	work := int64(u.Size()) + u.OutDegreeSum(g)
+	p := parallel.WorkersFor(work)
 	outIDs, outVals := dst.take()
 	var relaxed int64
-	withParts(p, func(parts []part[uint64]) {
-		if p == 1 {
-			outIDs, outVals, relaxed = relaxSeq(g, ids, dist, &parts[0].buf, outIDs, outVals)
-			return
-		}
-		parallel.Workers(len(ids), p, func(worker, lo, hi int) {
-			w := &parts[worker]
-			var r int64
-			w.ids, w.vals, r = relaxInto(g, ids[lo:hi], dist, &w.buf, w.ids, w.vals)
-			w.count += r
+	relax := func(ids []graph.Vertex) {
+		withParts(p, func(parts []part[uint64]) {
+			if p == 1 {
+				outIDs, outVals, relaxed = relaxSeq(g, ids, dist, &parts[0].buf, outIDs, outVals)
+				return
+			}
+			parallel.Workers(len(ids), p, func(worker, lo, hi int) {
+				w := &parts[worker]
+				var r int64
+				w.ids, w.vals, r = relaxInto(g, ids[lo:hi], dist, &w.buf, w.ids, w.vals)
+				w.count += r
+			})
+			for i := range parts {
+				relaxed += parts[i].count
+			}
+			outIDs, outVals = collect(parts, outIDs, outVals)
 		})
-		for i := range parts {
-			relaxed += parts[i].count
-		}
-		outIDs, outVals = collect(parts, outIDs, outVals)
-	})
+	}
+	// A dense subset's ids already come out in order.
+	if u.dense == nil && work > g.NumEdges()/denseThresholdDivisor {
+		parallel.WithScratch(1, func(o []byID) { relax(o[0].sorted(u.n, u.sparse)) })
+	} else {
+		relax(u.Sparse())
+	}
 	return dst.put(g.NumVertices(), outIDs, outVals), relaxed
+}
+
+// byID puts a frontier in identifier order: a bitmap of one bit per
+// vertex, all zero between calls, and the list it is read back into.
+// Only EdgeMapWriteMin borrows one (through parallel.WithScratch), so
+// no other borrower can leave a bit set.
+type byID struct {
+	words []uint64
+	ids   []graph.Vertex
+}
+
+// sorted returns ids in increasing order, each once: a bit is set per
+// id, then one scan over the bitmap's words writes out the set bits and
+// clears each word it reads. The result is valid until the next call.
+// An id out of range panics before the scan; the bits already set are
+// cleared on the way out.
+func (o *byID) sorted(n int, ids []graph.Vertex) []graph.Vertex {
+	nw := (n + 63) / 64
+	if cap(o.words) < nw {
+		o.words = make([]uint64, nw)
+	}
+	if cap(o.ids) < len(ids) {
+		o.ids = make([]graph.Vertex, max(len(ids), 2*cap(o.ids)))
+	}
+	words, out := o.words[:nw], o.ids[:len(ids)]
+	scanned := false
+	defer func() {
+		if !scanned {
+			clear(words)
+		}
+	}()
+	for _, v := range ids {
+		words[v/64] |= 1 << (v % 64)
+	}
+	k := 0
+	for i, w := range words {
+		if w == 0 {
+			continue
+		}
+		words[i] = 0
+		for ; w != 0; w &= w - 1 {
+			out[k] = graph.Vertex(i*64 + bits.TrailingZeros64(w))
+			k++
+		}
+	}
+	scanned = true
+	debugCheckByID(o.words[:cap(o.words)], out[:k])
+	return out[:k]
 }
 
 // relaxInto is EdgeMapWriteMin over one block of sources: the targets

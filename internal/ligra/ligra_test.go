@@ -1,6 +1,7 @@
 package ligra
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"julienne/internal/gen"
 	"julienne/internal/graph"
 	"julienne/internal/parallel"
+	"julienne/internal/rng"
 )
 
 func sortedIDs(ids []graph.Vertex) []graph.Vertex {
@@ -275,6 +277,157 @@ func TestEdgeMapWriteMin(t *testing.T) {
 	if _, lowered, first := WriteMin(dist, 1, 2); lowered || first || dist[1] != flagged(2) {
 		t.Errorf("WriteMin of an equal distance: lowered=%t first=%t, dist %x", lowered, first, dist[1])
 	}
+}
+
+// TestEdgeMapWriteMinIdentifierOrder: a frontier whose |U| + Σ outdeg(U)
+// passes m/20 is relaxed in identifier order, each source once, and a
+// smaller one in U's order. On the chain 0 → 1 → 2 the order decides
+// what 2 ends at: relaxing 0 first lowers 1 to 5 before 1 relaxes 2.
+func TestEdgeMapWriteMinIdentifierOrder(t *testing.T) {
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	const far = 1 << 40
+	flagged := func(d uint64) int64 { return int64(RoundFlag | d) }
+	for _, tc := range []struct {
+		name   string
+		filler int // edges among vertices outside the chain, raising m
+		u      []graph.Vertex
+		// want is vertex 1's and 2's distance, then the output pairs in
+		// the order they were first lowered.
+		want    [2]int64
+		pairs   []uint64
+		relaxed int64
+	}{
+		// m/20 = 0: the frontier is past it. 1 listed twice is relaxed
+		// once, after 0 lowered it; in U's order it would relax 2 from
+		// 10 and again from 5, three lowering writes.
+		{"past m/20", 0, []graph.Vertex{1, 0, 1}, [2]int64{flagged(5), flagged(6)}, []uint64{1<<32 | 10, 2<<32 | far}, 2},
+		// m/20 = 5 > |U| + Σ outdeg(U) = 4: U's order, 1 before 0.
+		{"below m/20", 100, []graph.Vertex{1, 0}, [2]int64{flagged(5), flagged(11)}, []uint64{2<<32 | far, 1<<32 | 10}, 2},
+	} {
+		edges := []graph.Edge{{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 1}}
+		for i := 0; i < tc.filler; i++ {
+			edges = append(edges, graph.Edge{U: 3, V: graph.Vertex(4 + i)})
+		}
+		g := graph.FromEdges(4+tc.filler, edges, graph.BuildOptions{Weighted: true})
+		dist := make([]int64, g.NumVertices())
+		dist[1], dist[2] = 10, far
+		u := VertexSubset{n: g.NumVertices(), sparse: tc.u, size: len(tc.u)} // FromSparse refuses the duplicate under julienne_debug
+		tg, relaxed := EdgeMapWriteMin(g, u, dist, nil)
+		var pairs []uint64
+		for i := 0; i < tg.Size(); i++ {
+			v, pre := tg.At(i)
+			pairs = append(pairs, uint64(v)<<32|pre)
+		}
+		if [2]int64{dist[1], dist[2]} != tc.want || !slices.Equal(pairs, tc.pairs) || relaxed != tc.relaxed {
+			t.Errorf("%s: dist[1:3] = %x, pairs %x, %d lowering writes; want %x, %x, %d",
+				tc.name, dist[1:3], pairs, relaxed, tc.want, tc.pairs, tc.relaxed)
+		}
+	}
+
+	// A scrambled frontier of every other vertex, past m/20. Every edge
+	// into v weighs 1 + v%7, so in a closed round (the sources at 0) a
+	// target is lowered by whichever edge reaches it first and by no
+	// other: the forked arm's distances, pairs and count are then the
+	// identifier-order relaxation's too.
+	csr := gen.RMAT(1<<12, 1<<15, false, 3)
+	n := csr.NumVertices()
+	var edges []graph.Edge
+	var ids []graph.Vertex
+	for s := range n {
+		nbrs, _ := csr.OutAdj(graph.Vertex(s), nil)
+		for _, v := range nbrs {
+			edges = append(edges, graph.Edge{U: graph.Vertex(s), V: v, W: graph.Weight(1 + v%7)})
+		}
+		if s%2 == 0 {
+			ids = append(ids, graph.Vertex(s))
+		}
+	}
+	g := graph.FromEdges(n, edges, graph.BuildOptions{Weighted: true})
+	slices.SortFunc(ids, func(a, b graph.Vertex) int {
+		return cmp.Compare(rng.UintNAt(3, uint64(a), 1<<62), rng.UintNAt(3, uint64(b), 1<<62))
+	})
+	u := Frontier(g, ids)
+	start := make([]int64, n)
+	for v := range start {
+		start[v] = 8 + int64(rng.UintNAt(4, uint64(v), 64))
+	}
+	for round, closed := range []bool{false, true} {
+		if closed {
+			for _, s := range ids {
+				start[s] = 0
+			}
+		}
+		want, wantPairs, wantRelaxed := relaxInOrder(g, sortedIDs(ids), start)
+		procs := []int{1}
+		if closed {
+			procs = append(procs, 2, 4)
+		}
+		for _, p := range procs {
+			parallel.SetProcs(p)
+			dist := slices.Clone(start)
+			before := parallel.ForkStats()
+			tg, relaxed := EdgeMapWriteMin(g, u, dist, nil)
+			forked := parallel.ForkStats().Sub(before).Forked > 0
+			pairs := make([]uint64, tg.Size())
+			for i := range pairs {
+				v, pre := tg.At(i)
+				pairs[i] = uint64(v)<<32 | pre
+			}
+			if forked {
+				slices.Sort(pairs)
+				slices.Sort(wantPairs)
+			}
+			if forked != (p > 1) || !slices.Equal(dist, want) || !slices.Equal(pairs, wantPairs) || relaxed != wantRelaxed {
+				t.Errorf("round %d at P=%d (forked=%t): distances equal=%t, %d pairs equal=%t, %d lowering writes; want identifier order's %d pairs, %d writes",
+					round, p, forked, slices.Equal(dist, want), len(pairs), slices.Equal(pairs, wantPairs), relaxed, len(wantPairs), wantRelaxed)
+			}
+		}
+		parallel.SetProcs(1)
+	}
+}
+
+// TestByIDClearsOnPanic: an id out of range panics while the frontier
+// is being marked, and the bits already set are cleared, so the bitmap
+// goes back to the scratch pool all zero.
+func TestByIDClearsOnPanic(t *testing.T) {
+	var o byID
+	func() {
+		defer func() { recover() }()
+		o.sorted(64, []graph.Vertex{3, 40, 200})
+		t.Error("an id past the bitmap did not panic")
+	}()
+	if w := o.words[:cap(o.words)]; slices.ContainsFunc(w, func(x uint64) bool { return x != 0 }) {
+		t.Errorf("bitmap %x after the panic, want all zero", w)
+	}
+	if got := o.sorted(64, []graph.Vertex{9, 1, 9}); !slices.Equal(got, []graph.Vertex{1, 9}) {
+		t.Errorf("sorted after the panic = %v, want [1 9]", got)
+	}
+}
+
+// relaxInOrder relaxes the out-edges of ids one by one, in that order,
+// each from its source's current distance, as EdgeMapWriteMin's plain
+// arm does: it returns the distances (lowered ones flagged), the
+// (vertex, pre-round distance) pairs in the order they were first
+// lowered and the number of writes that lowered a distance.
+func relaxInOrder(g *graph.CSR, ids []graph.Vertex, start []int64) ([]int64, []uint64, int64) {
+	dist := slices.Clone(start)
+	var pairs []uint64
+	var relaxed int64
+	for _, s := range ids {
+		base := uint64(dist[s]) &^ RoundFlag
+		nbrs, ws := g.OutAdj(s, nil)
+		for j, v := range nbrs {
+			old := uint64(dist[v])
+			if nd := base + uint64(ws[j]); nd < old&^RoundFlag {
+				dist[v] = int64(RoundFlag | nd)
+				relaxed++
+				if old&RoundFlag == 0 {
+					pairs = append(pairs, uint64(v)<<32|old)
+				}
+			}
+		}
+	}
+	return dist, pairs, relaxed
 }
 
 func TestEdgeMapFilterCount(t *testing.T) {

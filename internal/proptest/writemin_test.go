@@ -1,6 +1,7 @@
 package proptest
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -14,9 +15,10 @@ import (
 
 // TestEdgeMapWriteMinMatchesOracle holds ligra.EdgeMapWriteMin —
 // Algorithm 2's relaxation under its round flag — against a sequential
-// per-edge write-min in U's order, on every family (weighted from
-// [0, 8)), both representations and P ∈ {1, 2, 4}. Each P runs two
-// rounds into one destination:
+// per-edge write-min in the order its contract states (relaxOrder:
+// identifier order once |U| + Σ outdeg(U) passes m/20, U's order
+// below), on every family (weighted from [0, 8)), both representations
+// and P ∈ {1, 2, 4}. Each P runs three rounds into one destination:
 //
 //   - the sources start at 0, so no write lowers one and the outcome
 //     does not depend on the order the edges are relaxed in: the final
@@ -24,9 +26,11 @@ import (
 //   - every distance is random, so a source lowered earlier in the
 //     round relaxes from its new distance: the final distances must be
 //     the oracle's when the call ran inline, and when it forked lie
-//     between the bounds every relaxation order meets.
+//     between the bounds every relaxation order meets;
+//   - the same with U listed in a random order, which the call keeps
+//     below m/20 and replaces by identifier order past it.
 //
-// In both rounds each lowered vertex is output once, carrying its
+// In every round each lowered vertex is output once, carrying its
 // pre-round distance, it and nothing else carries the round flag, a
 // call that ran inline (every call at P=1) counts exactly the oracle's
 // lowering writes, and a forked one at least one per lowered vertex.
@@ -50,7 +54,7 @@ func TestEdgeMapWriteMinMatchesOracle(t *testing.T) {
 		for _, p := range procs {
 			parallel.SetProcs(p)
 			var dst ligra.Tagged[uint64]
-			for round, closed := range []bool{true, false} {
+			for round, closed := range []bool{true, false, false} {
 				var ids []graph.Vertex
 				start := make([]int64, n)
 				for v := range start {
@@ -66,6 +70,11 @@ func TestEdgeMapWriteMinMatchesOracle(t *testing.T) {
 					for _, s := range ids {
 						start[s] = 0
 					}
+				}
+				if round == 2 {
+					slices.SortFunc(ids, func(a, b graph.Vertex) int {
+						return cmp.Compare(c.Rand(2<<40|uint64(a), 1<<62), c.Rand(2<<40|uint64(b), 1<<62))
+					})
 				}
 				if _, err := checkWriteMin(g, csr, ids, start, closed, &dst); err != nil {
 					return fmt.Errorf("P=%d round %d (|U|=%d): %w", p, round, len(ids), err)
@@ -101,22 +110,68 @@ func TestEdgeMapWriteMinMatchesOracle(t *testing.T) {
 			t.Fatalf("U={%d}: inline=%t, want an inline call: %v", src, inline, err)
 		}
 	})
+
+	// A scrambled frontier past m/20 at every P: relaxed in identifier
+	// order when inline, within every order's bounds when forked.
+	t.Run("scrambled past m/20", func(t *testing.T) {
+		defer parallel.SetProcs(parallel.Procs())
+		csr := gen.UniformWeights(gen.RMAT(1<<12, 1<<15, false, 6), 0, 8, 6)
+		n := csr.NumVertices()
+		var ids []graph.Vertex
+		start := make([]int64, n)
+		for v := range start {
+			if start[v] = int64(rng.UintNAt(6, uint64(v), 64)); start[v] >= 48 {
+				start[v] = 1 << 40
+			}
+			if v%4 != 0 {
+				ids = append(ids, graph.Vertex(v))
+			}
+		}
+		slices.SortFunc(ids, func(a, b graph.Vertex) int {
+			return cmp.Compare(rng.UintNAt(7, uint64(a), 1<<62), rng.UintNAt(7, uint64(b), 1<<62))
+		})
+		for _, p := range []int{1, 2, 4} {
+			parallel.SetProcs(p)
+			var dst ligra.Tagged[uint64]
+			if inline, err := checkWriteMin(csr, csr, ids, slices.Clone(start), false, &dst); err != nil || inline != (p == 1) {
+				t.Errorf("P=%d, |U|=%d: inline=%t: %v", p, len(ids), inline, err)
+			}
+		}
+	})
+}
+
+// relaxOrder returns the order EdgeMapWriteMin relaxes U = ids in on
+// csr when it runs inline: identifier order, each id once, once
+// |U| + Σ outdeg(U) passes m/20 (the number ligra's EdgeMap goes dense
+// on), U's own order below it.
+func relaxOrder(csr *graph.CSR, ids []graph.Vertex) []graph.Vertex {
+	work := int64(len(ids))
+	for _, s := range ids {
+		work += int64(csr.OutDegree(s))
+	}
+	if work <= csr.NumEdges()/20 {
+		return ids
+	}
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	return slices.Compact(sorted)
 }
 
 // checkWriteMin runs EdgeMapWriteMin over U = ids on g (whose CSR form
 // is csr) from the distances in start, and checks it against the
-// oracle: each lowered vertex output once with its pre-round distance
-// and flagged, the final distances the oracle's when the call ran
-// inline or the round was closed (no source lowered) and within every
-// relaxation order's bounds otherwise, and the lowering writes exactly
-// the oracle's when inline and at least one per lowered vertex always.
+// oracle in relaxOrder: each lowered vertex output once with its
+// pre-round distance and flagged, the final distances the oracle's
+// when the call ran inline or the round was closed (no source lowered)
+// and within every relaxation order's bounds otherwise, and the
+// lowering writes exactly the oracle's when inline and at least one
+// per lowered vertex always.
 // It leaves the call's distances in start with the round flag cleared,
 // as ∆-stepping clears it, and reports whether the call ran inline.
 func checkWriteMin(g graph.Graph, csr *graph.CSR, ids []graph.Vertex, start []int64, closed bool,
 	dst *ligra.Tagged[uint64]) (inline bool, err error) {
 
 	n := g.NumVertices()
-	want, wantRelaxed := writeMinOracle(csr, ids, start)
+	want, wantRelaxed := writeMinOracle(csr, relaxOrder(csr, ids), start)
 	dist := slices.Clone(start)
 	before := parallel.ForkStats()
 	got, relaxed := ligra.EdgeMapWriteMin(g, ligra.FromSparse(n, ids), dist, dst)
