@@ -3,6 +3,7 @@ package bucket
 import (
 	"testing"
 
+	"julienne/internal/gen"
 	"julienne/internal/rng"
 )
 
@@ -65,4 +66,49 @@ func BenchmarkUpdateBucketsOneBlock(b *testing.B) {
 		dest = par.GetBucket(cur, cur+1)
 		par.UpdateBuckets(len(ids), move)
 	}
+}
+
+// BenchmarkFill times the bulk insert in ns per identifier, in its two
+// uses: a borrowed structure's fill over [0, n) by the degrees of an
+// RMAT graph, as k-core's Loop.With makes it (the drain included), and
+// a range advance that re-inserts an overflow bucket of n−1 copies
+// spread over 1,024 buckets (with the compaction of the bucket it lands
+// on).
+func BenchmarkFill(b *testing.B) {
+	const n = 1 << 16
+	g := gen.RMAT(n, 1<<20, true, 1)
+	deg := make([]ID, n)
+	for v := range deg {
+		deg[v] = ID(g.OutDegree(uint32(v)))
+	}
+	perID := func(b *testing.B, ids int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ids), "ns/id")
+	}
+	b.Run("borrowed-rmat", func(b *testing.B) {
+		d := func(i uint32) ID { return deg[i] }
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Loop{}.With(n, nil, d, Increasing, Options{}, func(*Par) {})
+		}
+		perID(b, n)
+	})
+	b.Run("advance", func(b *testing.B) {
+		far := make([]ID, n)
+		for i := range far {
+			far[i] = ID(1000 + rng.UintNAt(4, uint64(i), 1024))
+		}
+		far[0] = 0
+		d := func(i uint32) ID { return far[i] }
+		b.ReportAllocs()
+		b.StopTimer()
+		for i := 0; i < b.N; i++ {
+			Loop{}.With(n, nil, d, Increasing, Options{}, func(p *Par) {
+				p.NextBucket() // bucket 0; the open range is then exhausted
+				b.StartTimer()
+				p.NextBucket()
+				b.StopTimer()
+			})
+		}
+		perID(b, n-1)
+	})
 }

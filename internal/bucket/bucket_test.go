@@ -3,6 +3,7 @@ package bucket
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"julienne/internal/parallel"
@@ -539,6 +540,146 @@ func TestSeededFillOfNothing(t *testing.T) {
 	}
 }
 
+// TestBulkInsertReadsDOnce: the one bulk insert behind New, Loop.With
+// and a range advance reads d once per identifier it inserts. A fill
+// over [0, n) or from a seed reads it once per identifier; a NextBucket
+// that advances the range reads it once per overflow copy, stale ones
+// included, plus once per copy its compaction of the new first bucket
+// visits. Both orders run at P=1 and at P=2 past the fork cut-off,
+// where the anchor pass forks.
+func TestBulkInsertReadsDOnce(t *testing.T) {
+	if DebugEnabled {
+		t.Skip("the julienne_debug assertions read d themselves")
+	}
+	const n = 1 << 15
+	d := make([]ID, n)
+	var reads atomic.Int64
+	get := func(i uint32) ID {
+		reads.Add(1)
+		return d[i]
+	}
+	// counted runs f and returns the reads of d it made and whether it
+	// opened a forked region.
+	counted := func(f func()) (int64, bool) {
+		reads.Store(0)
+		before := parallel.ForkStats()
+		f()
+		return reads.Load(), parallel.ForkStats().Sub(before).Forked > 0
+	}
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	for _, procs := range []int{1, 2} {
+		parallel.SetProcs(procs)
+		for _, order := range []Order{Increasing, Decreasing} {
+			// step moves a bucket id by k in traversal order.
+			step := func(id ID, k int) ID {
+				if order == Increasing {
+					return id + ID(k)
+				}
+				return id - ID(k)
+			}
+			// Identifier 0 opens the range at bucket 1000; every other
+			// starts 200 to 206 buckets on, in overflow.
+			for i := range d {
+				d[i] = step(1000, 200+i%7)
+			}
+			d[0] = 1000
+			var b *Par
+			reads, forked := counted(func() { b = New(n, get, order, Options{}) })
+			if reads != n || forked != (procs > 1) {
+				t.Errorf("P=%d order %d: New read d %d times (forked %v), want %d (forked %v)",
+					procs, order, reads, forked, n, procs > 1)
+			}
+			if id, ids := b.NextBucket(); id != 1000 || len(ids) != 1 {
+				t.Fatalf("P=%d order %d: first bucket %d of %d, want 1000 of 1", procs, order, id, len(ids))
+			}
+			// 100 identifiers move into the open range, which leaves
+			// their overflow copies stale; then the range runs dry.
+			d[0] = Nil
+			next := step(1000, 1)
+			for v := 1; v <= 100; v++ {
+				d[v] = next
+			}
+			b.UpdateBuckets(100, func(j int) (uint32, Dest) { return uint32(j + 1), b.GetBucket(Nil, next) })
+			if id, ids := b.NextBucket(); id != next || len(ids) != 100 {
+				t.Fatalf("P=%d order %d: second bucket %d of %d, want %d of 100", procs, order, id, len(ids), next)
+			}
+			for v := 1; v <= 100; v++ {
+				d[v] = Nil
+			}
+			_, _, over := b.CurrentRange()
+			var id ID
+			var ids []uint32
+			reads, forked = counted(func() { id, ids = b.NextBucket() })
+			if id != step(1000, 200) || reads != int64(over+len(ids)) || forked != (procs > 1) {
+				t.Errorf("P=%d order %d: range advance over %d copies to bucket %d of %d read d %d times (forked %v), want bucket %d and %d reads (forked %v)",
+					procs, order, over, id, len(ids), reads, forked, step(1000, 200), over+len(ids), procs > 1)
+			}
+			// A fill from a seed of the even identifiers, the odd ones
+			// starting at Nil.
+			var seed []uint32
+			for i := range d {
+				d[i] = Nil
+				if i%2 == 0 {
+					d[i] = step(1000, i%300)
+					seed = append(seed, uint32(i))
+				}
+			}
+			reads, forked = counted(func() { Loop{}.With(n, seed, get, order, Options{}, func(*Par) {}) })
+			if reads != int64(len(seed)) || forked != (procs > 1) {
+				t.Errorf("P=%d order %d: a fill from %d seeds read d %d times (forked %v), want %d (forked %v)",
+					procs, order, len(seed), reads, forked, len(seed), procs > 1)
+			}
+		}
+	}
+}
+
+// TestDrainAfterPanickedInsert: a d that panics in the middle of a
+// range advance leaves the bulk insert's raw array and the flattened
+// overflow bucket behind; drain hands both back to the free list and
+// keeps no reference to either.
+func TestDrainAfterPanickedInsert(t *testing.T) {
+	if DebugEnabled {
+		t.Skip("the julienne_debug assertions read d themselves")
+	}
+	const n = 100
+	d := make([]ID, n)
+	for i := 1; i < n; i++ {
+		d[i] = 500 // beyond the open range: overflow
+	}
+	armed := false
+	get := func(i uint32) ID {
+		if armed && i == n/2 {
+			panic("d")
+		}
+		return d[i]
+	}
+	b := New(n, get, Increasing, Options{})
+	if id, _ := b.NextBucket(); id != 0 {
+		t.Fatalf("first bucket %d, want 0", id)
+	}
+	armed = true
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the range advance did not read d")
+			}
+		}()
+		b.NextBucket()
+	}()
+	raw, over := b.bulk.raw, b.bulk.ids
+	if raw == nil || over == nil {
+		t.Fatal("the panic left no bulk insert behind")
+	}
+	b.drain()
+	if b.bulk.raw != nil || b.bulk.ids != nil {
+		t.Error("drain kept the bulk insert's arrays")
+	}
+	a, c := b.chunkAlloc(n-1), b.chunkAlloc(n-1)
+	if !(&a[0] == &raw[0] && &c[0] == &over[0] || &a[0] == &over[0] && &c[0] == &raw[0]) {
+		t.Error("drain did not hand the raw array and the overflow back to the free list")
+	}
+}
+
 // --- parallel update stress -----------------------------------------------
 
 func TestLargeBulkUpdate(t *testing.T) {
@@ -571,14 +712,15 @@ func TestChunkAllocRecycles(t *testing.T) {
 	if len(s2) != 5 || cap(s2) != 8 || &s2[0] != &s[0] {
 		t.Fatalf("chunk not recycled: len=%d cap=%d", len(s2), cap(s2))
 	}
-	// Best fit: the smallest adequate array wins.
+	// Size classes: a request is served from the class of its own
+	// power of two, never from a larger class's array.
 	big := b.chunkAlloc(64)
 	small := b.chunkAlloc(16)
 	b.freePut(big)
 	b.freePut(small)
 	got := b.chunkAlloc(10)
 	if &got[0] != &small[0] {
-		t.Fatal("best-fit freeGet should pick the 16-cap array over the 64-cap one")
+		t.Fatal("chunkAlloc(10) should take the 16-cap array of its class, not the 64-cap one")
 	}
 }
 

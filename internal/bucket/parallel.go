@@ -70,20 +70,17 @@ type Par struct {
 	// parameters from upd and cmp: a closure literal evaluated inside
 	// UpdateBuckets or a compaction would be heap-allocated on every call
 	// (it escapes into parallel.For's goroutines), defeating the
-	// allocation-free steady state. Creating them once in New makes each
-	// call closure-free.
+	// allocation-free steady state. buildPasses creates them once per
+	// structure, on its first fill, which makes each call closure-free.
 	upd         updState
 	zeroPass    func(i int)
 	histPass    func(blk int)
 	scatterPass func(blk int)
 	cmp         compactState
 	compactPass func(blk int)
-	adv         advanceState
-	advAnchor   func(j int) ID
-	advFeed     func(j int) (uint32, Dest)
-	seed        []uint32 // fill's seed, for fillAnchor and fillFeed
-	fillAnchor  func(j int) ID
-	fillFeed    func(j int) (uint32, Dest)
+	bulk        bulkState
+	bulkRead    func(j int) ID
+	bulkFeed    func(j int) (uint32, Dest)
 
 	// dbg holds invariant-assertion state; zero-sized unless the build
 	// is tagged julienne_debug (see debug_on.go / debug_off.go).
@@ -155,12 +152,13 @@ type compactState struct {
 	out      []uint32
 }
 
-// advanceState holds one range advance's parameters for the cached
-// advAnchor and advFeed: the flattened overflow identifiers and the
-// range they were stored beyond.
-type advanceState struct {
-	over           []uint32
-	prevLo, prevHi ID
+// bulkState holds one bulk insert's parameters for the cached bulkRead
+// and bulkFeed: the identifiers inserted (nil: the j-th is j itself),
+// the bucket bulkRead found for each, and whether the insert is a range
+// advance, whose ids are the flattened overflow bucket.
+type bulkState struct {
+	ids, raw []uint32
+	advance  bool
 }
 
 var _ Structure = (*Par)(nil)
@@ -217,37 +215,52 @@ func (b *Par) fill(n int, seed []uint32, d func(uint32) ID, order Order, opt Opt
 	if seed != nil {
 		k = len(seed)
 	}
-
-	b.seed = seed
-	defer func() { b.seed = nil }()
-
-	// Find the first/last non-empty logical bucket in parallel (§3.2:
-	// "calculating the number of initial buckets in parallel using
-	// reduce") and anchor the open range there.
-	anchor := nearest(order, k, b.fillAnchor)
-	if anchor == Nil {
+	// The recorder is attached only afterwards, so Stats and the
+	// recorder see only post-construction traffic.
+	if b.insert(k, seed, false) == Nil {
 		b.done = true
 		return
 	}
-	b.setRange(anchor)
-
-	// Bulk-insert the initial identifiers through the same machinery
-	// updates use (§3.2: "inserting identifiers into B can be done by
-	// then calling updateBuckets(D, n)"). The bulk insert is
-	// bookkeeping, not algorithmic movement: it bypasses the counting
-	// wrapper, and the recorder is attached afterwards, so Stats and
-	// the recorder see only post-construction traffic.
-	b.update(k, b.fillFeed)
 	b.rec = opt.Recorder
 }
 
-// seedAt is the j-th identifier fill visits: b.seed[j], or j itself
-// when there is no seed.
-func (b *Par) seedAt(j int) uint32 {
-	if b.seed == nil {
-		return uint32(j)
+// insert is the one bulk insert, shared by fill and the range advance
+// (§3.2: reduce D to the first bucket "in parallel using reduce", then
+// "updateBuckets(D, n)"; §3.3 re-inserts the overflow bucket the same
+// way). One pass (bulkRead) reads d once per identifier into a raw
+// array while it reduces the anchor; the open range moves there, and the
+// batch goes in through bulkFeed, which reads the raw array, not d. It
+// returns the anchor, Nil when no identifier is live. Only an advance
+// is counted: a fill is bookkeeping, not algorithmic movement. The raw
+// array, and an advance's ids, come from the chunk free list and go
+// back to it, here or, after a panic, in drain.
+func (b *Par) insert(k int, ids []uint32, advance bool) ID {
+	if k == 0 {
+		return Nil
 	}
-	return b.seed[j]
+	b.bulk = bulkState{ids: ids, raw: b.chunkAlloc(k), advance: advance}
+	anchor := nearest(b.order, k, b.bulkRead)
+	if anchor != Nil {
+		b.setRange(anchor)
+		if advance {
+			b.ctr.rangeAdvances.Add(1)
+			b.rec.Inc(obs.CtrBucketRangeAdvances)
+			b.UpdateBuckets(k, b.bulkFeed)
+		} else {
+			b.update(k, b.bulkFeed)
+		}
+	}
+	b.freeBulk()
+	return anchor
+}
+
+// freeBulk hands the current bulk insert's arrays back to the free list.
+func (b *Par) freeBulk() {
+	if b.bulk.advance {
+		b.freePut(b.bulk.ids)
+	}
+	b.freePut(b.bulk.raw)
+	b.bulk = bulkState{}
 }
 
 // drain ends a borrowed structure's run (Loop.With): the chunks of
@@ -261,18 +274,31 @@ func (b *Par) drain() {
 	}
 	clear(b.scr.fill)
 	clear(b.scr.chunks)
+	b.freeBulk()
 	b.d, b.rec = nil, nil
-	b.upd, b.cmp, b.adv = updState{}, compactState{}, advanceState{}
+	b.upd, b.cmp = updState{}, compactState{}
 }
 
 // buildPasses builds the block passes once per structure (see the Par
-// fields for why). Each reads its parameters from b.upd, b.cmp, b.adv
-// or b.seed.
+// fields for why). Each reads its parameters from b.upd, b.cmp or
+// b.bulk.
 func (b *Par) buildPasses() {
-	b.fillAnchor = func(j int) ID { return b.d(b.seedAt(j)) }
-	b.fillFeed = func(j int) (uint32, Dest) {
-		id := b.seedAt(j)
-		return id, b.GetBucket(Nil, b.d(id))
+	// In a range advance, run before the range moves, a copy whose
+	// bucket is not beyond the range it was stored beyond is stale (it
+	// was moved or extracted) and reads Nil.
+	b.bulkRead = func(j int) ID {
+		s := &b.bulk
+		id := s.at(j)
+		bkt := b.d(id)
+		if s.advance && !b.beyond(bkt) {
+			bkt = Nil
+		}
+		s.raw[j] = bkt
+		return bkt
+	}
+	b.bulkFeed = func(j int) (uint32, Dest) {
+		s := &b.bulk
+		return s.at(j), b.GetBucket(Nil, s.raw[j])
 	}
 	b.zeroPass = func(i int) { b.upd.counts[i] = 0 }
 	b.histPass = func(blk int) {
@@ -319,31 +345,14 @@ func (b *Par) buildPasses() {
 		}
 		c.kept[blk] = len(out)
 	}
-	b.advAnchor = func(j int) ID {
-		id := b.d(b.adv.over[j])
-		if !b.beyond(id) {
-			return Nil // stale copy: extracted or moved back
-		}
-		return id
+}
+
+// at is the j-th identifier of the bulk insert: ids[j], or j itself.
+func (s *bulkState) at(j int) uint32 {
+	if s.ids == nil {
+		return uint32(j)
 	}
-	// An overflow identifier is stale if its current logical bucket
-	// falls in (or behind) the range it was stored beyond — it was
-	// moved or extracted.
-	b.advFeed = func(j int) (uint32, Dest) {
-		a := &b.adv
-		id := a.over[j]
-		next := b.d(id)
-		if next == Nil {
-			return id, None
-		}
-		if b.order == Increasing && next <= a.prevHi {
-			return id, None
-		}
-		if b.order == Decreasing && next >= a.prevLo {
-			return id, None
-		}
-		return id, b.GetBucket(Nil, next)
-	}
+	return s.ids[j]
 }
 
 // nearest reduces the logical ids id(0), …, id(k-1) to the one a
@@ -538,9 +547,10 @@ func (b *Par) nextCompacted() (ID, bool) {
 				return cur, true
 			}
 		}
-		// Open range exhausted: redistribute overflow, if any. The
-		// chunks are flattened (through the free list) so the anchor
-		// reduce and the reinsert below index one contiguous array.
+		// Open range exhausted: re-insert the overflow bucket, if any,
+		// under a range anchored at its nearest live bucket. The chunks
+		// are flattened (through the free list) into the one array the
+		// bulk insert indexes.
 		obk := &b.bkts[b.nB]
 		if obk.n == 0 {
 			b.done = true
@@ -552,20 +562,7 @@ func (b *Par) nextCompacted() (ID, bool) {
 			off += copy(over[off:], c)
 		}
 		b.recycle(obk)
-		// The next range is anchored at the nearest live bucket among
-		// overflow identifiers (advAnchor), and the live ones are
-		// reinserted under it (advFeed).
-		b.adv = advanceState{over: over, prevLo: b.rangeLo, prevHi: b.rangeHi}
-		anchor := nearest(b.order, len(over), b.advAnchor)
-		if anchor != Nil {
-			b.setRange(anchor)
-			b.ctr.rangeAdvances.Add(1)
-			b.rec.Inc(obs.CtrBucketRangeAdvances)
-			b.UpdateBuckets(len(over), b.advFeed)
-		}
-		b.adv = advanceState{}
-		b.freePut(over)
-		if anchor == Nil {
+		if b.insert(len(over), over, true) == Nil {
 			b.done = true
 			return Nil, false
 		}
