@@ -155,10 +155,12 @@ microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/bucket/ ./internal/ligra/ ./internal/graph/
 
 # loc prints the size every simplification PR reports: non-test,
-# non-fixture Go lines outside the gated benchmark.
+# non-fixture Go lines outside the gated benchmark, counting neither
+# the parent tree bench-pair extracts nor the benchmark's build copy.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' \
-		-not -path './benchmark/*' | xargs cat | wc -l
+		-not -path './benchmark/*' -not -path './.bench_pair/*' \
+		-not -path './.bench_build/*' | xargs cat | wc -l
 
 check: build test lint race test32 debug chaos microbench serve-smoke
 	@echo "check: ok"

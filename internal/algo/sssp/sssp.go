@@ -9,7 +9,8 @@
 //   - WBFS: DeltaStepping with ∆ = 1.
 //   - BellmanFord: the frontier-based algorithm Ligra and most
 //     frameworks use for SSSP; work-inefficient on weighted graphs
-//     (up to O(mn)) but simple and dense-traversal friendly.
+//     (up to O(mn)) but simple: ∆-stepping's relaxation round with
+//     one unbounded bucket and no bucket structure.
 //   - DeltaSteppingBins: a GAP-benchmark-style ∆-stepping that keeps
 //     thread-local bins instead of a shared bucket structure.
 //   - DijkstraHeap: the sequential binary-heap Dijkstra solver (the

@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"fmt"
 	"testing"
 
 	"julienne/internal/bucket"
@@ -106,6 +107,50 @@ func TestDeltaEquivalences(t *testing.T) {
 	checkDists(t, "delta-inf", DeltaStepping(g, 0, 1<<40, Options{}).Dist, want)
 }
 
+// TestBellmanFordIsOneBucket: Bellman-Ford is ∆-stepping with one
+// unbounded bucket. Both relax the vertices the last round lowered
+// with the same write-min round, so at P=1, where a round's order is
+// fixed, they agree in distances, rounds, relaxations and edges
+// traversed on every family under both weight ranges.
+func TestBellmanFordIsOneBucket(t *testing.T) {
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	for _, fam := range gen.Families() {
+		for _, n := range []int{200, 3000} {
+			csr := fam.Build(n, 8*n, uint64(n))
+			for _, wt := range []struct {
+				name string
+				g    graph.Graph
+			}{{"log", gen.LogWeights(csr, 5)}, {"heavy", gen.HeavyWeights(csr, 5)}} {
+				name := fmt.Sprintf("%s/n=%d/%s", fam.Name, n, wt.name)
+				bf, one := BellmanFord(wt.g, 0), DeltaStepping(wt.g, 0, 1<<62, Options{})
+				checkDists(t, name, bf.Dist, one.Dist)
+				if bf.Rounds != one.Rounds || bf.Relaxations != one.Relaxations || bf.EdgesTraversed != one.EdgesTraversed {
+					t.Errorf("%s: Bellman-Ford rounds/relaxations/edges %d/%d/%d, one bucket %d/%d/%d", name,
+						bf.Rounds, bf.Relaxations, bf.EdgesTraversed, one.Rounds, one.Relaxations, one.EdgesTraversed)
+				}
+			}
+		}
+	}
+}
+
+// TestBellmanFordAcrossProcs: at P = 2 and 4 a Bellman-Ford run on
+// RMAT 2¹⁴ forks its relaxation and its flag clear (two of its rounds
+// lower more than 8,192 vertices) and returns P = 1's distances, which
+// are Dijkstra's. Run under -race via `make race`.
+func TestBellmanFordAcrossProcs(t *testing.T) {
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	g := gen.HeavyWeights(gen.RMAT(1<<14, 1<<18, true, 2017), 3)
+	want := DijkstraHeap(g, 0).Dist
+	for _, p := range []int{1, 2, 4} {
+		parallel.SetProcs(p)
+		before := parallel.ForkStats()
+		checkDists(t, fmt.Sprintf("P=%d", p), BellmanFord(g, 0).Dist, want)
+		if forked := parallel.ForkStats().Sub(before).Forked; p > 1 && forked == 0 {
+			t.Errorf("P=%d: the run forked no region", p)
+		}
+	}
+}
+
 func TestZeroWeightEdges(t *testing.T) {
 	// Zero-weight edges keep targets in the same bucket; the
 	// reinsertion path must still converge.
@@ -180,14 +225,15 @@ func TestDeterministicDistances(t *testing.T) {
 }
 
 // TestAllocsScaleWithRoundsNotVertices pins the allocation shape of
-// whole steady-state wBFS and ∆-stepping runs at P=1: a constant number
-// of objects, whatever the rounds and vertices. A round allocates
-// nothing, and the run's two destinations and its bucket structure,
-// chunks included, are borrowed for the run, so a run that follows one
-// as large allocates its answer — relaxed in place — and its closures:
-// 11 objects in every case here, over 2,051 rounds of wBFS and 1,416
-// of ∆-stepping on the grid. The bytes are pinned too: the answer plus
-// at most 64 KiB.
+// whole steady-state wBFS, ∆-stepping and Bellman-Ford runs at P=1: a
+// constant number of objects, whatever the rounds and vertices. A round
+// allocates nothing, and the run's two destinations and (bucketed
+// kernels) its bucket structure, chunks included, are borrowed for the
+// run, so a run that follows one as large allocates its answer —
+// relaxed in place — and its closures: 11 objects in every bucketed
+// case here, over 2,051 rounds of wBFS and 1,416 of ∆-stepping on the
+// grid, and 6 in Bellman-Ford's, over its 525 rounds on the grid. The
+// bytes are pinned too: the answer plus at most 64 KiB.
 func TestAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -210,6 +256,8 @@ func TestAllocsScaleWithRoundsNotVertices(t *testing.T) {
 		{"DeltaStepping/grid", grid.NumVertices(), func() { DeltaStepping(gridHeavy, 0, 32768, Options{}) }},
 		{"WBFS/rmat", rmat.NumVertices(), func() { WBFS(rmatLight, 0, Options{}) }},
 		{"DeltaStepping/rmat", rmat.NumVertices(), func() { DeltaStepping(rmatHeavy, 0, 32768, Options{}) }},
+		{"BellmanFord/grid", grid.NumVertices(), func() { BellmanFord(gridHeavy, 0) }},
+		{"BellmanFord/rmat", rmat.NumVertices(), func() { BellmanFord(rmatHeavy, 0) }},
 	}
 	for _, c := range cases {
 		if allocs := testing.AllocsPerRun(3, c.run); allocs > 32 {

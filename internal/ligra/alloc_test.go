@@ -88,7 +88,7 @@ func TestCompressedTraversalReusesDecodeBuffers(t *testing.T) {
 // dense input (All) on both representations.
 func TestNilCondAdmitsEveryTarget(t *testing.T) {
 	g := gen.Star(50)
-	hub := Single(50, 0)
+	hub := FromSparse(50, []graph.Vertex{0})
 	count := func(visits *int) func(_, _ graph.Vertex, _ graph.Weight) bool {
 		return func(_, _ graph.Vertex, _ graph.Weight) bool { *visits++; return true }
 	}
@@ -122,7 +122,7 @@ func TestEdgeMapDenseNoOutput(t *testing.T) {
 	old := parallel.SetProcs(1) // visits is not atomic
 	defer parallel.SetProcs(old)
 	visits := 0
-	out := edgeMapDense(g, Single(50, 0), func(v graph.Vertex) bool { return v != 0 },
+	out := edgeMapDense(g, FromSparse(50, []graph.Vertex{0}), func(v graph.Vertex) bool { return v != 0 },
 		func(_, _ graph.Vertex, _ graph.Weight) bool { visits++; return true },
 		EdgeMapOptions{NoOutput: true})
 	if !out.IsEmpty() || visits != 49 {

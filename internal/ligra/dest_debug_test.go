@@ -16,7 +16,7 @@ import (
 // new call's pairs — while the new result is intact.
 func TestStaleDestinationPoisoned(t *testing.T) {
 	g := gen.Star(9) // hub 0, leaves 1..8
-	hub, leaves := Single(9, 0), FromSparse(9, []graph.Vertex{1, 2, 3, 4})
+	hub, leaves := FromSparse(9, []graph.Vertex{0}), FromSparse(9, []graph.Vertex{1, 2, 3, 4})
 	input := NewTagged(9, []graph.Vertex{5, 6, 7}, []uint32{50, 60, 70})
 	primitives := map[string]func(u VertexSubset, dst *Tagged[uint32]) Tagged[uint32]{
 		"TagMap": func(u VertexSubset, dst *Tagged[uint32]) Tagged[uint32] {
@@ -41,7 +41,9 @@ func TestStaleDestinationPoisoned(t *testing.T) {
 		for v := range dist {
 			dist[v] = 1 << 40
 		}
-		u.ForEach(func(v graph.Vertex) { dist[v] = 0 })
+		for _, v := range u.Sparse() {
+			dist[v] = 0
+		}
 		tg, _ := EdgeMapWriteMin(g, u, dist, dst)
 		return tg
 	})

@@ -17,9 +17,9 @@ const denseThresholdDivisor = 20
 
 // EdgeMapOptions tunes EdgeMap.
 type EdgeMapOptions struct {
-	// NoDense forces the sparse (push) traversal. Algorithms whose F
-	// captures per-target state with a CAS race (∆-stepping) are
-	// push-only.
+	// NoDense forces the sparse (push) traversal. A caller whose F
+	// races for per-target state with a CAS (set cover's element
+	// reservation) is push-only.
 	NoDense bool
 	// NoOutput skips building the output subset; use when EdgeMap is
 	// called purely for its side effects (set cover's VisitElms).
@@ -220,12 +220,12 @@ func edgeMapDense(g graph.Graph, u VertexSubset, c func(graph.Vertex) bool,
 // run relaxed becomes its []int64 answer in place.
 const RoundFlag uint64 = 1 << 63
 
-// WriteMin lowers dist[v] to nd if nd is smaller than its distance,
+// writeMin lowers dist[v] to nd if nd is smaller than its distance,
 // setting RoundFlag on it (Algorithm 2, Update): lowered reports the
 // write, and the write that found the flag clear — the first to lower v
 // this round — also gets v's pre-round distance back with first set.
 // Concurrent calls on the same v are safe.
-func WriteMin(dist []int64, v graph.Vertex, nd uint64) (pre uint64, lowered, first bool) {
+func writeMin(dist []int64, v graph.Vertex, nd uint64) (pre uint64, lowered, first bool) {
 	for {
 		old := uint64(atomic.LoadInt64(&dist[v]))
 		if nd >= old&^RoundFlag {
@@ -239,7 +239,7 @@ func WriteMin(dist []int64, v graph.Vertex, nd uint64) (pre uint64, lowered, fir
 
 // EdgeMapWriteMin is the relaxation step of Algorithm 2 (lines 4–10)
 // as one push traversal: over every out-edge (s, v) of U it lowers
-// dist[v] to dist[s] + w(s, v) with WriteMin, and returns the tagged
+// dist[v] to dist[s] + w(s, v) with writeMin, and returns the tagged
 // subset of the targets it was first to lower this round, each with its
 // pre-round distance — the maybe(T)-returning edgeMap that lets
 // ∆-stepping rebucket a vertex from where it was — written to dst (see
@@ -254,7 +254,7 @@ func WriteMin(dist []int64, v graph.Vertex, nd uint64) (pre uint64, lowered, fir
 // offsets, edges and weights are read front to back; a smaller one in
 // U's order. A call whose work merits one worker runs on the caller
 // alone, where nothing races, and writes with plain loads and stores
-// (relaxSeq); a forked one writes through WriteMin, each worker over a
+// (relaxSeq); a forked one writes through writeMin, each worker over a
 // contiguous block of that order. The plain arm leaves exactly the
 // distances, output and count of relaxing the edges one by one in that
 // order.
@@ -350,7 +350,7 @@ func relaxInto(g graph.Graph, ids []graph.Vertex, dist []int64, buf *graph.AdjBu
 		nbrs, ws := g.OutAdj(src, buf)
 		debugCheckAdj(g, src, false, nbrs, ws)
 		for j, dst := range nbrs {
-			pre, lowered, first := WriteMin(dist, dst, base+uint64(weightAt(ws, j)))
+			pre, lowered, first := writeMin(dist, dst, base+uint64(weightAt(ws, j)))
 			if lowered {
 				relaxed++
 			}
@@ -365,7 +365,7 @@ func relaxInto(g graph.Graph, ids []graph.Vertex, dist []int64, buf *graph.AdjBu
 
 // relaxSeq is relaxInto for a call that runs on one worker: no other
 // goroutine touches dist during it, so each write-min is a plain load,
-// compare and store, with WriteMin's effect on dist and the output.
+// compare and store, with writeMin's effect on dist and the output.
 func relaxSeq(g graph.Graph, ids []graph.Vertex, dist []int64, buf *graph.AdjBuf,
 	outIDs []graph.Vertex, outVals []uint64) ([]graph.Vertex, []uint64, int64) {
 

@@ -21,9 +21,9 @@ func sortedIDs(ids []graph.Vertex) []graph.Vertex {
 }
 
 func TestVertexSubsetBasics(t *testing.T) {
-	s := Single(10, 3)
+	s := FromSparse(10, []graph.Vertex{3})
 	if s.Size() != 1 || s.IsEmpty() || !s.Contains(3) || s.Contains(4) {
-		t.Fatal("Single misbehaves")
+		t.Fatal("a one-vertex FromSparse misbehaves")
 	}
 	e := FromSparse(10, nil)
 	if !e.IsEmpty() || e.Size() != 0 {
@@ -59,21 +59,6 @@ func TestSparseDenseRoundTrip(t *testing.T) {
 		if back[i] != v {
 			t.Fatalf("round trip lost %d", v)
 		}
-	}
-}
-
-func TestForEachVisitsAll(t *testing.T) {
-	s := FromSparse(100, []graph.Vertex{1, 50, 99})
-	var sum int64
-	s.ForEach(func(v graph.Vertex) { atomic.AddInt64(&sum, int64(v)) })
-	if sum != 150 {
-		t.Fatalf("sum=%d", sum)
-	}
-	d := FromDense(4, []bool{true, false, true, false})
-	var count int64
-	d.ForEach(func(v graph.Vertex) { atomic.AddInt64(&count, 1) })
-	if count != 2 {
-		t.Fatalf("count=%d", count)
 	}
 }
 
@@ -133,7 +118,7 @@ func bfsLevels(g graph.Graph, src graph.Vertex, opt EdgeMapOptions) []int32 {
 		level[i] = -1
 	}
 	level[src] = 0
-	frontier := Single(n, src)
+	frontier := FromSparse(n, []graph.Vertex{src})
 	for round := int32(1); !frontier.IsEmpty(); round++ {
 		frontier = EdgeMap(g, frontier,
 			func(v graph.Vertex) bool { return atomic.LoadInt32((*int32)(&level[v])) == -1 },
@@ -226,7 +211,7 @@ func TestEdgeMapEmptyFrontier(t *testing.T) {
 func TestEdgeMapNoOutput(t *testing.T) {
 	g := gen.Star(50)
 	var visits int64
-	out := EdgeMap(g, Single(50, 0),
+	out := EdgeMap(g, FromSparse(50, []graph.Vertex{0}),
 		func(graph.Vertex) bool { return true },
 		func(s, d graph.Vertex, w graph.Weight) bool {
 			atomic.AddInt64(&visits, 1)
@@ -274,8 +259,8 @@ func TestEdgeMapWriteMin(t *testing.T) {
 		t.Errorf("dist = %x, want %x", dist, wantDist)
 	}
 	// A write that does not lower leaves the flag and the value alone.
-	if _, lowered, first := WriteMin(dist, 1, 2); lowered || first || dist[1] != flagged(2) {
-		t.Errorf("WriteMin of an equal distance: lowered=%t first=%t, dist %x", lowered, first, dist[1])
+	if _, lowered, first := writeMin(dist, 1, 2); lowered || first || dist[1] != flagged(2) {
+		t.Errorf("writeMin of an equal distance: lowered=%t first=%t, dist %x", lowered, first, dist[1])
 	}
 }
 
@@ -432,7 +417,7 @@ func relaxInOrder(g *graph.CSR, ids []graph.Vertex, start []int64) ([]int64, []u
 
 func TestEdgeMapFilterCount(t *testing.T) {
 	g := gen.Star(6) // hub 0 with leaves 1..5
-	tg := EdgeMapFilterCount(g, Single(6, 0),
+	tg := EdgeMapFilterCount(g, FromSparse(6, []graph.Vertex{0}),
 		func(src, dst graph.Vertex) bool { return dst >= 3 }, nil)
 	if tg.Size() != 1 {
 		t.Fatalf("size=%d", tg.Size())
@@ -445,7 +430,7 @@ func TestEdgeMapFilterCount(t *testing.T) {
 
 func TestEdgeMapPack(t *testing.T) {
 	g := gen.Star(6)
-	tg := EdgeMapPack(g, Single(6, 0),
+	tg := EdgeMapPack(g, FromSparse(6, []graph.Vertex{0}),
 		func(src, dst graph.Vertex) bool { return dst%2 == 1 }, nil)
 	if tg.Size() != 1 {
 		t.Fatalf("size=%d", tg.Size())
@@ -468,7 +453,7 @@ func TestEdgeMapPack(t *testing.T) {
 func TestEdgeMapOnWeightedGraph(t *testing.T) {
 	g := gen.UniformWeights(gen.Grid2D(5, 5), 1, 10, 1)
 	sawWeight := false
-	EdgeMap(g, Single(25, 0),
+	EdgeMap(g, FromSparse(25, []graph.Vertex{0}),
 		func(graph.Vertex) bool { return true },
 		func(s, d graph.Vertex, w graph.Weight) bool {
 			if w >= 1 && w < 10 {

@@ -2,8 +2,9 @@
 // extends (§2.1 of the paper): vertexSubsets and the edgeMap family of
 // traversal primitives, including the direction-optimized
 // (sparse push / dense pull) edge map and the additional primitives the
-// paper adds — tagged subsets (vertexSubset_T), edgeMapSum and
-// edgeMapFilter with optional packing.
+// paper adds — tagged subsets (vertexSubset_T), the write-min
+// relaxation that returns one (EdgeMapWriteMin), and edgeMapFilter with
+// optional packing.
 package ligra
 
 import (
@@ -25,11 +26,6 @@ type VertexSubset struct {
 	// outEdges caches OutDegreeSum for subsets built by Frontier.
 	outEdges    int64
 	hasOutEdges bool
-}
-
-// Single returns the subset {v} of a universe of size n.
-func Single(n int, v graph.Vertex) VertexSubset {
-	return VertexSubset{n: n, sparse: []graph.Vertex{v}, size: 1}
 }
 
 // FromSparse wraps a list of distinct vertex ids as a subset. The slice
@@ -91,21 +87,6 @@ func (s VertexSubset) Dense() []bool {
 		member[s.sparse[i]] = true
 	})
 	return member
-}
-
-// ForEach calls f on every member in parallel.
-func (s VertexSubset) ForEach(f func(v graph.Vertex)) {
-	if s.dense != nil {
-		parallel.For(s.n, parallel.DefaultGrain, func(i int) {
-			if s.dense[i] {
-				f(graph.Vertex(i))
-			}
-		})
-		return
-	}
-	parallel.For(len(s.sparse), parallel.DefaultGrain, func(i int) {
-		f(s.sparse[i])
-	})
 }
 
 // Contains reports membership. On a sparse subset this is O(|s|); it is

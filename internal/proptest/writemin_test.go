@@ -36,7 +36,7 @@ import (
 // lowering writes, and a forked one at least one per lowered vertex.
 //
 // A call that runs inline writes with plain stores and a forked one
-// through ligra.WriteMin. At the default sizes no family case has the
+// through its compare-and-swap. At the default sizes no family case has the
 // work to fork, so one more input at P=2 drives both arms over one distance array, as
 // ∆-stepping's rounds do: a forked call, then an inline one relaxing
 // from the distances it left, with parallel.ForkStats showing which arm
