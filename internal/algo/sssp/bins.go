@@ -19,7 +19,10 @@ import (
 // GAP stores bins in dense per-thread vectors; here they are sparse
 // maps so that pathological ∆/weight combinations (e.g. ∆ = 1 with
 // weights up to 10^5, giving ~10^7 mostly-empty bins) cost memory
-// proportional to the non-empty bins only.
+// proportional to the non-empty bins only. A bin that is consumed or
+// found stale goes back to its worker's spare list with its capacity
+// and is reused for the next new bin, so a run allocates bins for the
+// most it holds at once, not for every round.
 func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 	checkInput(g, src)
 	if delta <= 0 {
@@ -32,9 +35,9 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 	dist[src] = 0
 
 	p := parallel.Procs()
-	localBins := make([]map[uint64][]graph.Vertex, p)
+	localBins := make([]binSet, p)
 	for w := range localBins {
-		localBins[w] = make(map[uint64][]graph.Vertex)
+		localBins[w].bins = make(map[uint64]*[]graph.Vertex)
 	}
 	bufs := make([]graph.AdjBuf, p)
 	counts := make([]binCounts, p)
@@ -50,7 +53,7 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 	// writes with plain loads and stores, as EdgeMapWriteMin does.
 	var plain bool
 	relax := func(w, lo, hi int) {
-		bins, c := localBins[w], &counts[w]
+		bins, c := &localBins[w], &counts[w]
 		for _, v := range frontier[lo:hi] {
 			var dv uint64
 			if plain {
@@ -74,8 +77,7 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 					continue
 				}
 				c.relaxations++
-				b := uint64(nd) / udelta
-				bins[b] = append(bins[b], u)
+				bins.add(uint64(nd)/udelta, u)
 			}
 		}
 	}
@@ -99,9 +101,9 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 		// the traversal hold only stale copies and are discarded.
 		next := noBin
 		for w := 0; w < p; w++ {
-			for b := range localBins[w] {
+			for b, bin := range localBins[w].bins {
 				if b < curBin {
-					delete(localBins[w], b)
+					localBins[w].drop(b, bin)
 					continue
 				}
 				if b < next {
@@ -114,9 +116,9 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 		}
 		frontier = frontier[:0]
 		for w := 0; w < p; w++ {
-			if batch, ok := localBins[w][next]; ok {
-				frontier = append(frontier, batch...)
-				delete(localBins[w], next)
+			if bin, ok := localBins[w].bins[next]; ok {
+				frontier = append(frontier, *bin...)
+				localBins[w].drop(next, bin)
 			}
 		}
 		curBin = next
@@ -135,4 +137,36 @@ func DeltaSteppingBins(g graph.Graph, src graph.Vertex, delta int64) Result {
 type binCounts struct {
 	edges, relaxations int64
 	_                  [48]byte
+}
+
+// binSet is one worker's bins, keyed by bin index, and its spare list:
+// emptied bins with their capacity kept. Padded to a cache line, since
+// a worker writes its own spare list when it opens a bin.
+type binSet struct {
+	bins  map[uint64]*[]graph.Vertex
+	spare []*[]graph.Vertex
+	_     [32]byte
+}
+
+// add appends v to bin b, opening it from the spare list when b is not
+// in the set.
+func (s *binSet) add(b uint64, v graph.Vertex) {
+	bin := s.bins[b]
+	if bin == nil {
+		if k := len(s.spare); k > 0 {
+			bin, s.spare = s.spare[k-1], s.spare[:k-1]
+		} else {
+			bin = new([]graph.Vertex)
+		}
+		s.bins[b] = bin
+	}
+	*bin = append(*bin, v)
+}
+
+// drop removes bin b, whose slice is bin, from the set and empties it
+// onto the spare list.
+func (s *binSet) drop(b uint64, bin *[]graph.Vertex) {
+	delete(s.bins, b)
+	*bin = (*bin)[:0]
+	s.spare = append(s.spare, bin)
 }

@@ -270,6 +270,33 @@ func TestAllocsScaleWithRoundsNotVertices(t *testing.T) {
 	}
 }
 
+// TestBinsReuseEmptiedBins pins the GAP-style comparator's allocations
+// on the 256² grid at P=1: each worker keeps the bins it consumed or
+// found stale on a spare list and opens new bins from it, so a run
+// allocates for the most bins and the largest frontier it holds at
+// once: about 150 objects over wBFS's 2,056 rounds and 75 over
+// ∆-stepping's 1,415. A fresh slice per bin cost 10,987 and 6,354.
+func TestBinsReuseEmptiedBins(t *testing.T) {
+	if parallel.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer parallel.SetProcs(parallel.SetProcs(1))
+	grid := gen.Grid2D(256, 256)
+	light, heavy := gen.LogWeights(grid, 3), gen.HeavyWeights(grid, 3)
+	for _, c := range []struct {
+		name string
+		run  func() Result
+	}{
+		{"wBFS", func() Result { return DeltaSteppingBins(light, 0, 1) }},
+		{"DeltaStepping", func() Result { return DeltaSteppingBins(heavy, 0, 32768) }},
+	} {
+		rounds := c.run().Rounds
+		if allocs := testing.AllocsPerRun(3, func() { c.run() }); allocs > 256 {
+			t.Errorf("%s: %v allocs per run over %d rounds, want ≤ 256", c.name, allocs, rounds)
+		}
+	}
+}
+
 // TestBktOfShiftMatchesDivide: bktOf shifts when ∆ is a power of two
 // and divides otherwise, and both give ⌊dist/∆⌋ — over random
 // distances, distances near inf, and bucket-boundary neighbours — with

@@ -96,7 +96,8 @@ func recordDirection(rec *obs.Recorder, dense bool, degSum int64) {
 }
 
 // weightAt returns the weight of edge j of an adjacency whose weight
-// slice is ws: ws[j], or 0 on an unweighted graph (ws is nil).
+// slice is ws: ws[j], or 0 on an unweighted graph (ws is nil). Only
+// EdgeMap's two arms read weights through it.
 func weightAt(ws []graph.Weight, j int) graph.Weight {
 	if j < len(ws) {
 		return ws[j]
@@ -104,11 +105,13 @@ func weightAt(ws []graph.Weight, j int) graph.Weight {
 	return 0
 }
 
-// Every traversal below has the same shape: one g.OutAdj (or InAdj)
-// call per vertex into the worker's own decode buffer, then a plain
-// loop over the slices. EdgeMap calls c and f directly (a nil c admits
-// every target); EdgeMapWriteMin takes its write as an array and calls
-// nothing per edge. Nothing is allocated
+// Every traversal below makes one g.OutAdj (or InAdj) call per vertex
+// into the worker's own decode buffer and then loops over the slices.
+// EdgeMap's loops call c and f per edge (a nil c admits every target)
+// and read weights through weightAt. EdgeMapWriteMin takes its write as
+// an array: its per-vertex driver (relaxInto) hands each adjacency to a
+// leaf loop that makes no call and no weightedness test per edge and
+// writes its output by index into spare capacity. Nothing is allocated
 // per vertex or per edge: the buffers and the per-worker outputs come
 // from the scratch pool and keep their capacity across calls.
 
@@ -254,10 +257,10 @@ func writeMin(dist []int64, v graph.Vertex, nd uint64) (pre uint64, lowered, fir
 // offsets, edges and weights are read front to back; a smaller one in
 // U's order. A call whose work merits one worker runs on the caller
 // alone, where nothing races, and writes with plain loads and stores
-// (relaxSeq); a forked one writes through writeMin, each worker over a
-// contiguous block of that order. The plain arm leaves exactly the
-// distances, output and count of relaxing the edges one by one in that
-// order.
+// (lowerSeq); a forked one writes through writeMin (lowerShared), each
+// worker over a contiguous block of that order. The plain arm leaves
+// exactly the distances, output and count of relaxing the edges one by
+// one in that order.
 func EdgeMapWriteMin(g graph.Graph, u VertexSubset, dist []int64, dst *Tagged[uint64]) (Tagged[uint64], int64) {
 	work := int64(u.Size()) + u.OutDegreeSum(g)
 	p := parallel.WorkersFor(work)
@@ -266,13 +269,13 @@ func EdgeMapWriteMin(g graph.Graph, u VertexSubset, dist []int64, dst *Tagged[ui
 	relax := func(ids []graph.Vertex) {
 		withParts(p, func(parts []part[uint64]) {
 			if p == 1 {
-				outIDs, outVals, relaxed = relaxSeq(g, ids, dist, &parts[0].buf, outIDs, outVals)
+				outIDs, outVals, relaxed = relaxInto(g, ids, dist, &parts[0].buf, outIDs, outVals, false)
 				return
 			}
 			parallel.Workers(len(ids), p, func(worker, lo, hi int) {
 				w := &parts[worker]
 				var r int64
-				w.ids, w.vals, r = relaxInto(g, ids[lo:hi], dist, &w.buf, w.ids, w.vals)
+				w.ids, w.vals, r = relaxInto(g, ids[lo:hi], dist, &w.buf, w.ids, w.vals, true)
 				w.count += r
 			})
 			for i := range parts {
@@ -338,57 +341,144 @@ func (o *byID) sorted(n int, ids []graph.Vertex) []graph.Vertex {
 	return out[:k]
 }
 
-// relaxInto is EdgeMapWriteMin over one block of sources: the targets
-// it was first to lower are appended to outIDs with their pre-round
-// distances in outVals, and the writes that lowered one are counted.
+// relaxInto is EdgeMapWriteMin over one block of sources on one
+// worker: the targets it was first to lower are appended to outIDs with
+// their pre-round distances in outVals, and the writes that lowered one
+// are counted. It reads each source's distance once and hands its
+// adjacency to a leaf loop: lowerShared when other workers relax the
+// same dist (shared), lowerSeq when none does. The leaves write pairs
+// into the outputs' spare capacity. One that finds it full stops at the
+// edge that needs a slot; the full output is doubled, as push doubles
+// it, and the leaf resumes at that edge, so the outputs grow exactly
+// where per-pair appends would grow them. An unweighted adjacency is
+// relaxed against zeroWeights, a run of it at a time, so each leaf has
+// one loop and no per-edge test of weightedness.
 func relaxInto(g graph.Graph, ids []graph.Vertex, dist []int64, buf *graph.AdjBuf,
-	outIDs []graph.Vertex, outVals []uint64) ([]graph.Vertex, []uint64, int64) {
+	outIDs []graph.Vertex, outVals []uint64, shared bool) ([]graph.Vertex, []uint64, int64) {
 
+	w := minWriter{dist: dist, k: len(outIDs)}
+	w.open(outIDs, outVals)
 	var relaxed int64
 	for _, src := range ids {
-		base := uint64(atomic.LoadInt64(&dist[src])) &^ RoundFlag
+		var base uint64
+		if shared {
+			base = uint64(atomic.LoadInt64(&dist[src])) &^ RoundFlag
+		} else {
+			base = uint64(dist[src]) &^ RoundFlag
+		}
 		nbrs, ws := g.OutAdj(src, buf)
 		debugCheckAdj(g, src, false, nbrs, ws)
-		for j, dst := range nbrs {
-			pre, lowered, first := writeMin(dist, dst, base+uint64(weightAt(ws, j)))
-			if lowered {
-				relaxed++
+		for len(nbrs) > 0 {
+			run, wrun := nbrs, ws
+			if ws == nil {
+				run = nbrs[:min(len(nbrs), len(zeroWeights))]
+				wrun = zeroWeights[:len(run)]
 			}
-			if first {
-				outIDs = push(outIDs, dst)
-				outVals = push(outVals, pre)
+			var j int
+			var r int64
+			if shared {
+				j, r = w.lowerShared(base, run, wrun)
+			} else {
+				j, r = w.lowerSeq(base, run, wrun)
+			}
+			relaxed += r
+			if j < len(run) { // the spare is full: grow, then resume at edge j
+				outIDs, outVals = w.ids[:w.k], w.vals[:w.k]
+				if len(outIDs) == cap(outIDs) {
+					outIDs = doubled(outIDs)
+				}
+				if len(outVals) == cap(outVals) {
+					outVals = doubled(outVals)
+				}
+				w.open(outIDs, outVals)
+			}
+			nbrs = nbrs[j:]
+			if ws != nil {
+				ws = ws[j:]
 			}
 		}
 	}
-	return outIDs, outVals, relaxed
+	return w.ids[:w.k], w.vals[:w.k], relaxed
 }
 
-// relaxSeq is relaxInto for a call that runs on one worker: no other
-// goroutine touches dist during it, so each write-min is a plain load,
-// compare and store, with writeMin's effect on dist and the output.
-func relaxSeq(g graph.Graph, ids []graph.Vertex, dist []int64, buf *graph.AdjBuf,
-	outIDs []graph.Vertex, outVals []uint64) ([]graph.Vertex, []uint64, int64) {
+// zeroWeights stands in for the weights of an unweighted adjacency. It
+// is never written.
+var zeroWeights [1024]graph.Weight
 
-	var relaxed int64
-	for _, src := range ids {
-		base := uint64(dist[src]) &^ RoundFlag
-		nbrs, ws := g.OutAdj(src, buf)
-		debugCheckAdj(g, src, false, nbrs, ws)
-		for j, dst := range nbrs {
-			nd := base + uint64(weightAt(ws, j))
-			old := uint64(dist[dst])
-			if nd >= old&^RoundFlag {
-				continue
+// minWriter is what relaxInto's leaf loops share across its sources:
+// the distances, and the two outputs at their full capacity with k
+// pairs written. A leaf reads it once and writes it only when it lowers
+// a target for the first time, so its per-edge loop keeps its registers
+// for the edge.
+type minWriter struct {
+	dist []int64
+	ids  []graph.Vertex
+	vals []uint64 // as long as ids
+	k    int
+}
+
+// open makes the capacity both outputs have writable.
+func (w *minWriter) open(ids []graph.Vertex, vals []uint64) {
+	n := min(cap(ids), cap(vals))
+	w.ids, w.vals = ids[:n], vals[:n]
+}
+
+// lowerSeq relaxes the edges (s, nbrs[j]) of weight ws[j] from a source
+// s at distance base, for a call that runs on one worker: nothing else
+// touches dist, so each write-min is a plain load, compare and store,
+// with writeMin's effect on dist. Each target lowered for the first
+// time this round is written to w with its pre-round distance. It
+// returns the edges relaxed (all of them, or the first j when edge j
+// needs a slot and w is full) and the number of lowering writes. ws is
+// as long as nbrs.
+func (w *minWriter) lowerSeq(base uint64, nbrs []graph.Vertex, ws []graph.Weight) (int, int64) {
+	dist, ws := w.dist, ws[:len(nbrs)]
+	var lowered int64
+	for j, v := range nbrs {
+		nd := base + uint64(ws[j])
+		old := uint64(dist[v])
+		if nd >= old&^RoundFlag {
+			continue
+		}
+		if old&RoundFlag == 0 {
+			if w.k >= len(w.ids) {
+				return j, lowered
 			}
-			dist[dst] = int64(RoundFlag | nd)
-			relaxed++
-			if old&RoundFlag == 0 {
-				outIDs = push(outIDs, dst)
-				outVals = push(outVals, old)
-			}
+			w.ids[w.k], w.vals[w.k] = v, old
+			w.k++
+		}
+		dist[v] = int64(RoundFlag | nd)
+		lowered++
+	}
+	return len(nbrs), lowered
+}
+
+// lowerShared is lowerSeq for a forked call, where other workers lower
+// the same targets: an atomic load skips every edge that cannot lower
+// its target, and writeMin makes the writes that can. A flag, once set,
+// stays set for the round, so a target whose flag is clear when w is
+// full is the only one that can need a slot.
+func (w *minWriter) lowerShared(base uint64, nbrs []graph.Vertex, ws []graph.Weight) (int, int64) {
+	dist, ws := w.dist, ws[:len(nbrs)]
+	var lowered int64
+	for j, v := range nbrs {
+		nd := base + uint64(ws[j])
+		if nd >= uint64(atomic.LoadInt64(&dist[v]))&^RoundFlag {
+			continue
+		}
+		if w.k >= len(w.ids) && atomic.LoadInt64(&dist[v]) >= 0 {
+			return j, lowered
+		}
+		pre, ok, first := writeMin(dist, v, nd)
+		if ok {
+			lowered++
+		}
+		if first {
+			w.ids[w.k], w.vals[w.k] = v, pre
+			w.k++
 		}
 	}
-	return outIDs, outVals, relaxed
+	return len(nbrs), lowered
 }
 
 // EdgeMapFilterCount implements the counting half of the paper's

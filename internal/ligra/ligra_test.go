@@ -309,11 +309,15 @@ func TestEdgeMapWriteMinIdentifierOrder(t *testing.T) {
 		}
 	}
 
-	// A scrambled frontier of every other vertex, past m/20. Every edge
-	// into v weighs 1 + v%7, so in a closed round (the sources at 0) a
+	// A scrambled frontier of every other vertex, past m/20, on a
+	// weighted and an unweighted graph. Every edge into v weighs
+	// 1 + v%7 (0 unweighted), so in a closed round (the sources at 0) a
 	// target is lowered by whichever edge reaches it first and by no
 	// other: the forked arm's distances, pairs and count are then the
-	// identifier-order relaxation's too.
+	// identifier-order relaxation's too. Source 0 is a hub with an edge
+	// to every vertex, more than the destination's spare capacity and
+	// than zeroWeights' length, so the leaf loops stop for a slot and
+	// resume, and an unweighted adjacency is relaxed a run at a time.
 	csr := gen.RMAT(1<<12, 1<<15, false, 3)
 	n := csr.NumVertices()
 	var edges []graph.Edge
@@ -323,51 +327,63 @@ func TestEdgeMapWriteMinIdentifierOrder(t *testing.T) {
 		for _, v := range nbrs {
 			edges = append(edges, graph.Edge{U: graph.Vertex(s), V: v, W: graph.Weight(1 + v%7)})
 		}
+		edges = append(edges, graph.Edge{U: 0, V: graph.Vertex(s), W: graph.Weight(1 + s%7)})
 		if s%2 == 0 {
 			ids = append(ids, graph.Vertex(s))
 		}
 	}
-	g := graph.FromEdges(n, edges, graph.BuildOptions{Weighted: true})
 	slices.SortFunc(ids, func(a, b graph.Vertex) int {
 		return cmp.Compare(rng.UintNAt(3, uint64(a), 1<<62), rng.UintNAt(3, uint64(b), 1<<62))
 	})
-	u := Frontier(g, ids)
-	start := make([]int64, n)
-	for v := range start {
-		start[v] = 8 + int64(rng.UintNAt(4, uint64(v), 64))
-	}
-	for round, closed := range []bool{false, true} {
-		if closed {
-			for _, s := range ids {
-				start[s] = 0
-			}
+	for _, weighted := range []bool{true, false} {
+		g := graph.FromEdges(n, edges, graph.BuildOptions{Weighted: weighted})
+		if hub, _ := g.OutAdj(0, nil); len(hub) <= len(zeroWeights) {
+			t.Fatalf("hub degree %d, want more than %d", len(hub), len(zeroWeights))
 		}
-		want, wantPairs, wantRelaxed := relaxInOrder(g, sortedIDs(ids), start)
-		procs := []int{1}
-		if closed {
-			procs = append(procs, 2, 4)
+		u := Frontier(g, ids)
+		start := make([]int64, n)
+		for v := range start {
+			start[v] = 8 + int64(rng.UintNAt(4, uint64(v), 64))
 		}
-		for _, p := range procs {
-			parallel.SetProcs(p)
-			dist := slices.Clone(start)
-			before := parallel.ForkStats()
-			tg, relaxed := EdgeMapWriteMin(g, u, dist, nil)
-			forked := parallel.ForkStats().Sub(before).Forked > 0
-			pairs := make([]uint64, tg.Size())
-			for i := range pairs {
-				v, pre := tg.At(i)
-				pairs[i] = uint64(v)<<32 | pre
+		for round, closed := range []bool{false, true} {
+			if closed {
+				for _, s := range ids {
+					start[s] = 0
+				}
 			}
-			if forked {
-				slices.Sort(pairs)
-				slices.Sort(wantPairs)
+			want, wantPairs, wantRelaxed := relaxInOrder(g, sortedIDs(ids), start)
+			procs := []int{1}
+			if closed {
+				procs = append(procs, 2, 4)
 			}
-			if forked != (p > 1) || !slices.Equal(dist, want) || !slices.Equal(pairs, wantPairs) || relaxed != wantRelaxed {
-				t.Errorf("round %d at P=%d (forked=%t): distances equal=%t, %d pairs equal=%t, %d lowering writes; want identifier order's %d pairs, %d writes",
-					round, p, forked, slices.Equal(dist, want), len(pairs), slices.Equal(pairs, wantPairs), relaxed, len(wantPairs), wantRelaxed)
+			for _, p := range procs {
+				parallel.SetProcs(p)
+				dist := slices.Clone(start)
+				// The two outputs start with unequal spare room, so
+				// the smaller decides where a leaf stops.
+				dst := Tagged[uint64]{IDs: make([]graph.Vertex, 0, 5), Vals: make([]uint64, 0, 11)}
+				before := parallel.ForkStats()
+				tg, relaxed := EdgeMapWriteMin(g, u, dist, &dst)
+				forked := parallel.ForkStats().Sub(before).Forked > 0
+				pairs := make([]uint64, tg.Size())
+				for i := range pairs {
+					v, pre := tg.At(i)
+					pairs[i] = uint64(v)<<32 | pre
+				}
+				if forked {
+					slices.Sort(pairs)
+					slices.Sort(wantPairs)
+				}
+				if forked != (p > 1) || !slices.Equal(dist, want) || !slices.Equal(pairs, wantPairs) || relaxed != wantRelaxed {
+					t.Errorf("weighted=%t, round %d at P=%d (forked=%t): distances equal=%t, %d pairs equal=%t, %d lowering writes; want identifier order's %d pairs, %d writes",
+						weighted, round, p, forked, slices.Equal(dist, want), len(pairs), slices.Equal(pairs, wantPairs), relaxed, len(wantPairs), wantRelaxed)
+				}
+				if len(wantPairs) == 0 {
+					t.Errorf("weighted=%t, round %d: nothing lowered; the case tests nothing", weighted, round)
+				}
 			}
+			parallel.SetProcs(1)
 		}
-		parallel.SetProcs(1)
 	}
 }
 
@@ -393,7 +409,8 @@ func TestByIDClearsOnPanic(t *testing.T) {
 // each from its source's current distance, as EdgeMapWriteMin's plain
 // arm does: it returns the distances (lowered ones flagged), the
 // (vertex, pre-round distance) pairs in the order they were first
-// lowered and the number of writes that lowered a distance.
+// lowered and the number of writes that lowered a distance. An
+// unweighted graph's edges weigh 0.
 func relaxInOrder(g *graph.CSR, ids []graph.Vertex, start []int64) ([]int64, []uint64, int64) {
 	dist := slices.Clone(start)
 	var pairs []uint64
@@ -403,7 +420,11 @@ func relaxInOrder(g *graph.CSR, ids []graph.Vertex, start []int64) ([]int64, []u
 		nbrs, ws := g.OutAdj(s, nil)
 		for j, v := range nbrs {
 			old := uint64(dist[v])
-			if nd := base + uint64(ws[j]); nd < old&^RoundFlag {
+			nd := base
+			if ws != nil {
+				nd += uint64(ws[j])
+			}
+			if nd < old&^RoundFlag {
 				dist[v] = int64(RoundFlag | nd)
 				relaxed++
 				if old&RoundFlag == 0 {
